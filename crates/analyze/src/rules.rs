@@ -51,10 +51,12 @@ pub const SIM_CRATES: &[&str] = &[
     "faults",
 ];
 
-/// Fiber yield / poison points (GL002): functions a rank can call while
-/// the event engine parks its fiber, or that notify under the registry's
-/// own map locks. Holding a `parking_lot` guard across any of these is
-/// the M:N engine's signature deadlock.
+/// Engine yield / poison points (GL002): functions in which the rank
+/// engine may park the calling rank (its fiber or its OS thread), or that
+/// sweep every inbox and task lock. Holding a `parking_lot` guard across
+/// any of these is the engine's signature deadlock: the rank that must
+/// run to wake the holder blocks on the guard, where the engine cannot
+/// see it.
 pub const YIELD_FNS: &[&str] = &[
     "block_current",
     "pump_mailbox",
@@ -373,7 +375,7 @@ fn gl002_guard_across_yield(ctx: &FileCtx, out: &mut Vec<Finding>) {
                                 t.line,
                                 format!(
                                     "lock guard{} {} live across yield point `{}`; drop the \
-                                     guard before blocking (poison notifies under the map locks)",
+                                     guard before blocking (a parked rank keeps every lock it holds)",
                                     if held.len() > 1 { "s" } else { "" },
                                     held.join(", "),
                                     name

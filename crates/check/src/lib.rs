@@ -13,10 +13,10 @@
 //!
 //! Five rule families:
 //!
-//! * **Deadlock (DL001)** — a wait-for graph over blocked ranks; when every
-//!   live rank is blocked and nothing has changed for
-//!   [`DEADLOCK_GRACE`], the probe reports the cycle
-//!   (ranks, tags, communicators) and aborts the run instead of hanging it.
+//! * **Deadlock (DL001)** — a wait-for graph over blocked ranks; the rank
+//!   engine knows the exact moment every live rank is blocked with no wake
+//!   in flight and runs the probe then, which reports the cycle (ranks,
+//!   tags, communicators) so the run aborts instead of hanging.
 //! * **Message hygiene (MSG001)** — mailbox residue at finalize: every
 //!   sent-but-never-received message is named.
 //! * **Collective lockstep (COLL001/COLL002)** — all members of a
@@ -60,5 +60,5 @@ pub mod sink;
 pub mod tagspace;
 pub mod violation;
 
-pub use sink::{CheckSink, CollEvent, CollKind, RankChecker, DEADLOCK_GRACE};
+pub use sink::{CheckSink, CollEvent, CollKind, RankChecker};
 pub use violation::{Rule, Violation};

@@ -7,19 +7,7 @@ use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// How long the whole machine must sit blocked with no state change before
-/// the timed probe declares a deadlock. Only the thread-per-rank engine
-/// needs this: its blocked waiters poll [`CheckSink::probe_deadlock`] on a
-/// timer, so the grace must comfortably exceed the poll interval for an
-/// in-flight message (sent, not yet polled) to never look like a deadlock.
-/// The event-driven engine instead calls
-/// [`CheckSink::probe_deadlock_quiescent`] at the exact moment its
-/// scheduler proves no task can ever run again — no timer, no grace.
-pub const DEADLOCK_GRACE: Duration = Duration::from_millis(200);
 
 /// Which collective a rank entered (the lockstep signature's first field).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -125,8 +113,6 @@ struct State {
     colls: HashMap<(u64, u64), CollSite>,
     monitors: HashMap<usize, MonState>,
     straddle_flagged: HashSet<(usize, usize)>,
-    probe_epoch: u64,
-    probe_since: Instant,
     deadlock_msg: Option<String>,
     violations: Vec<Violation>,
 }
@@ -146,8 +132,6 @@ impl State {
             colls: HashMap::new(),
             monitors: HashMap::new(),
             straddle_flagged: HashSet::new(),
-            probe_epoch: 0,
-            probe_since: Instant::now(),
             deadlock_msg: None,
             violations: Vec::new(),
         }
@@ -266,61 +250,15 @@ impl State {
 }
 
 struct Shared {
-    /// Bumped on every blocking-relevant state change; the probe only
-    /// declares a deadlock after the epoch has been stable for
-    /// [`DEADLOCK_GRACE`].
-    epoch: AtomicU64,
     state: Mutex<State>,
 }
 
 impl Shared {
-    fn bump(&self) {
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn probe(&self) -> Option<String> {
-        let epoch = self.epoch.load(Ordering::SeqCst);
-        let mut st = self.state.lock();
-        if st.deadlock_msg.is_some() {
-            return None; // already declared; the poison path reports it
-        }
-        if st.probe_epoch != epoch {
-            st.probe_epoch = epoch;
-            st.probe_since = Instant::now();
-            return None;
-        }
-        if st.waits.is_empty() {
-            return None;
-        }
-        let mut blocked = Vec::new();
-        for r in 0..st.waits.len() {
-            if st.finished[r] {
-                continue;
-            }
-            if matches!(st.waits[r], Wait::Running) {
-                return None; // someone can still make progress
-            }
-            blocked.push(r);
-        }
-        if blocked.is_empty() || st.probe_since.elapsed() < DEADLOCK_GRACE {
-            return None;
-        }
-        let msg = st.describe_deadlock(&blocked);
-        let t = blocked
-            .iter()
-            .map(|&r| st.last_clock[r])
-            .fold(0.0f64, f64::max);
-        st.violations
-            .push(Violation::new(Rule::Deadlock, blocked, t, msg.clone()));
-        st.deadlock_msg = Some(msg.clone());
-        Some(msg)
-    }
-
-    /// Grace-free probe for the event engine's quiescence signal. The
+    /// The deadlock probe, run on the engine's quiescence signal. The
     /// scheduler has already proved every task is blocked and no wake is
-    /// in flight, so there is no epoch to re-check and no message to wait
-    /// out: declare immediately if every unfinished rank holds a wait
-    /// record. Latches and records DL001 exactly like the timed probe.
+    /// in flight, so there is no timer and no message to wait out:
+    /// declare immediately if every unfinished rank holds a wait record.
+    /// Latches, so DL001 is recorded (and returned) exactly once.
     fn probe_quiescent(&self) -> Option<String> {
         let mut st = self.state.lock();
         if st.deadlock_msg.is_some() {
@@ -373,7 +311,6 @@ impl CheckSink {
     pub fn enabled() -> Self {
         Self {
             shared: Some(Arc::new(Shared {
-                epoch: AtomicU64::new(0),
                 state: Mutex::new(State::new(Vec::new())),
             })),
         }
@@ -390,7 +327,6 @@ impl CheckSink {
     pub fn begin_run(&self, node_of: Vec<usize>) {
         if let Some(sh) = &self.shared {
             *sh.state.lock() = State::new(node_of);
-            sh.bump();
         }
     }
 
@@ -404,17 +340,9 @@ impl CheckSink {
     }
 
     /// Run the deadlock probe: `Some(diagnostic)` the first time a
-    /// deadlock is declared. Intended to be called from blocked waiters'
-    /// poll loops.
-    pub fn probe_deadlock(&self) -> Option<String> {
-        self.shared.as_ref().and_then(|sh| sh.probe())
-    }
-
-    /// Grace-free variant for the event-driven scheduler: called once,
-    /// at the moment the engine observes quiescence (every task blocked,
-    /// no wake in flight), instead of on a timer. See
-    /// [`DEADLOCK_GRACE`] for why the timed probe needs a grace period
-    /// and this one does not.
+    /// deadlock is declared. The rank engine calls it once, at the moment
+    /// it observes quiescence (every task blocked, no wake in flight) —
+    /// never on a timer, so there is no grace period to tune.
     pub fn probe_deadlock_quiescent(&self) -> Option<String> {
         self.shared.as_ref().and_then(|sh| sh.probe_quiescent())
     }
@@ -528,49 +456,35 @@ impl RankChecker {
 
     /// A message left for `dst` at virtual time `t`.
     pub fn sent(&mut self, _dst: usize, _comm: u64, _tag: u64, t: f64) {
-        if let Some(sh) = &self.shared {
-            {
-                let mut st = sh.state.lock();
-                if self.rank < st.waits.len() {
-                    st.note_clock(self.rank, t);
-                }
-            }
-            sh.bump();
-        }
+        self.with_state(|st, rank, _| st.note_clock(rank, t));
     }
 
     /// The rank is about to block in a receive.
     pub fn block_recv(&mut self, src: usize, comm: u64, tag: u64, t: f64) {
-        if let Some(sh) = &self.shared {
-            self.with_state(|st, rank, _| {
-                st.note_clock(rank, t);
-                st.waits[rank] = Wait::Recv { src, comm, tag };
-            });
-            sh.bump();
-        }
+        self.with_state(|st, rank, _| {
+            st.note_clock(rank, t);
+            st.waits[rank] = Wait::Recv { src, comm, tag };
+        });
     }
 
     /// The receive completed at `t` for a message that arrived at
     /// `arrival` (CLK002 checks causality).
     pub fn unblock_recv(&mut self, arrival: f64, t: f64) {
-        if let Some(sh) = &self.shared {
-            self.with_state(|st, rank, _| {
-                st.note_clock(rank, t);
-                if t + 1e-12 < arrival {
-                    st.violations.push(Violation::new(
-                        Rule::RecvBeforeArrival,
-                        vec![rank],
-                        t,
-                        format!(
-                            "rank {rank} completed a receive at {t:.6e}s but the message \
-                             only arrives at {arrival:.6e}s"
-                        ),
-                    ));
-                }
-                st.waits[rank] = Wait::Running;
-            });
-            sh.bump();
-        }
+        self.with_state(|st, rank, _| {
+            st.note_clock(rank, t);
+            if t + 1e-12 < arrival {
+                st.violations.push(Violation::new(
+                    Rule::RecvBeforeArrival,
+                    vec![rank],
+                    t,
+                    format!(
+                        "rank {rank} completed a receive at {t:.6e}s but the message \
+                         only arrives at {arrival:.6e}s"
+                    ),
+                ));
+            }
+            st.waits[rank] = Wait::Running;
+        });
     }
 
     /// The rank entered a collective. The [`CollEvent`] carries the
@@ -584,73 +498,67 @@ impl RankChecker {
             root,
             elems,
         } = ev;
-        if let Some(sh) = &self.shared {
-            self.with_state(|st, rank, _| {
-                st.note_clock(rank, t);
-                st.last_coll[rank] = Some((comm, kind));
-                match st.colls.entry((comm, seq)) {
-                    Entry::Vacant(v) => {
-                        v.insert(CollSite {
+        self.with_state(|st, rank, _| {
+            st.note_clock(rank, t);
+            st.last_coll[rank] = Some((comm, kind));
+            match st.colls.entry((comm, seq)) {
+                Entry::Vacant(v) => {
+                    v.insert(CollSite {
+                        kind,
+                        root,
+                        elems,
+                        first_rank: rank,
+                        seen: 1,
+                        expected: members.len(),
+                        reported: false,
+                    });
+                }
+                Entry::Occupied(mut o) => {
+                    let site = o.get_mut();
+                    site.seen += 1;
+                    let mismatch = (site.kind, site.root, site.elems) != (kind, root, elems);
+                    if mismatch && !site.reported {
+                        site.reported = true;
+                        let msg = format!(
+                            "collective mismatch on comm {comm} at sequence {seq}: \
+                             rank {} issued {}(root={}, elems={}) but rank {rank} \
+                             issued {}(root={}, elems={})",
+                            site.first_rank,
+                            site.kind,
+                            fmt_root(site.root),
+                            site.elems,
                             kind,
-                            root,
-                            elems,
-                            first_rank: rank,
-                            seen: 1,
-                            expected: members.len(),
-                            reported: false,
-                        });
-                    }
-                    Entry::Occupied(mut o) => {
-                        let site = o.get_mut();
-                        site.seen += 1;
-                        let mismatch = (site.kind, site.root, site.elems) != (kind, root, elems);
-                        if mismatch && !site.reported {
-                            site.reported = true;
-                            let msg = format!(
-                                "collective mismatch on comm {comm} at sequence {seq}: \
-                                 rank {} issued {}(root={}, elems={}) but rank {rank} \
-                                 issued {}(root={}, elems={})",
-                                site.first_rank,
-                                site.kind,
-                                fmt_root(site.root),
-                                site.elems,
-                                kind,
-                                fmt_root(root),
-                                elems
-                            );
-                            let first = site.first_rank;
-                            st.violations.push(Violation::new(
-                                Rule::CollectiveMismatch,
-                                vec![first, rank],
-                                t,
-                                msg,
-                            ));
-                        } else if site.seen >= site.expected {
-                            o.remove(); // all members checked in; site complete
-                        }
+                            fmt_root(root),
+                            elems
+                        );
+                        let first = site.first_rank;
+                        st.violations.push(Violation::new(
+                            Rule::CollectiveMismatch,
+                            vec![first, rank],
+                            t,
+                            msg,
+                        ));
+                    } else if site.seen >= site.expected {
+                        o.remove(); // all members checked in; site complete
                     }
                 }
-                if matches!(kind, CollKind::Barrier | CollKind::Split) {
-                    st.waits[rank] = Wait::Coll {
-                        comm,
-                        seq,
-                        members: Arc::new(members.to_vec()),
-                    };
-                }
-            });
-            sh.bump();
-        }
+            }
+            if matches!(kind, CollKind::Barrier | CollKind::Split) {
+                st.waits[rank] = Wait::Coll {
+                    comm,
+                    seq,
+                    members: Arc::new(members.to_vec()),
+                };
+            }
+        });
     }
 
     /// A blocking collective (barrier/split) released this rank at `t`.
     pub fn coll_done(&mut self, t: f64) {
-        if let Some(sh) = &self.shared {
-            self.with_state(|st, rank, _| {
-                st.note_clock(rank, t);
-                st.waits[rank] = Wait::Running;
-            });
-            sh.bump();
-        }
+        self.with_state(|st, rank, _| {
+            st.note_clock(rank, t);
+            st.waits[rank] = Wait::Running;
+        });
     }
 
     /// Tag-space audit for one collective: sequence number `seq` and (for
@@ -795,24 +703,11 @@ impl RankChecker {
     /// The rank's closure returned at virtual time `t`; it no longer
     /// participates in the wait-for graph.
     pub fn rank_finished(&mut self, t: f64) {
-        if let Some(sh) = &self.shared {
-            self.with_state(|st, rank, _| {
-                st.note_clock(rank, t);
-                st.finished[rank] = true;
-                st.waits[rank] = Wait::Running;
-            });
-            sh.bump();
-        }
-    }
-
-    /// See [`CheckSink::probe_deadlock`].
-    pub fn probe_deadlock(&self) -> Option<String> {
-        self.shared.as_ref().and_then(|sh| sh.probe())
-    }
-
-    /// See [`CheckSink::probe_deadlock_quiescent`].
-    pub fn probe_deadlock_quiescent(&self) -> Option<String> {
-        self.shared.as_ref().and_then(|sh| sh.probe_quiescent())
+        self.with_state(|st, rank, _| {
+            st.note_clock(rank, t);
+            st.finished[rank] = true;
+            st.waits[rank] = Wait::Running;
+        });
     }
 
     /// See [`CheckSink::abort_message`].
@@ -856,7 +751,7 @@ mod tests {
         assert!(!c.enabled());
         c.compute(1.0, 0.5); // would be CLK001 if enabled
         c.block_recv(1, 0, 7, 0.0);
-        assert!(s.probe_deadlock().is_none());
+        assert!(s.probe_deadlock_quiescent().is_none());
         assert!(s.violations().is_empty());
     }
 
@@ -1010,51 +905,37 @@ mod tests {
     }
 
     #[test]
-    fn recv_cycle_declared_as_deadlock_with_cycle_diagnostic() {
-        let s = sink(2);
-        let mut c0 = s.checker(0, 0);
-        let mut c1 = s.checker(1, 0);
-        c0.block_recv(1, 0, 7, 0.0);
-        c1.block_recv(0, 0, 9, 0.0);
-        assert!(s.probe_deadlock().is_none(), "grace period must hold");
-        std::thread::sleep(DEADLOCK_GRACE + Duration::from_millis(30));
-        let msg = s.probe_deadlock().expect("deadlock must be declared");
-        assert!(msg.contains("cycle: 0 -> 1 -> 0"), "{msg}");
-        assert!(msg.contains("tag=7"), "{msg}");
-        let v = s.violations();
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::Deadlock);
-        assert_eq!(v[0].ranks, vec![0, 1]);
-        // Declared once; later probes stay quiet.
-        assert!(s.probe_deadlock().is_none());
-        assert!(
-            s.abort_message().contains("deadlock"),
-            "{}",
-            s.abort_message()
-        );
-    }
-
-    #[test]
     fn quiescent_probe_declares_without_grace() {
-        let s = sink(2);
+        let s = sink(3);
         let mut c0 = s.checker(0, 0);
         let mut c1 = s.checker(1, 0);
+        let mut c2 = s.checker(2, 0);
         c0.block_recv(1, 0, 7, 0.0);
-        assert!(
-            s.probe_deadlock_quiescent().is_none(),
-            "rank 1 is still running"
-        );
+        c2.block_recv(0, 0, 3, 0.0);
+        // Rank 1 is Running: never a deadlock, however blocked the rest.
+        assert!(s.probe_deadlock_quiescent().is_none());
+        assert!(s.violations().is_empty());
+        // A finished rank is skipped, not counted as runnable.
+        c2.unblock_recv(0.0, 0.1);
+        c2.rank_finished(0.1);
+        assert!(s.probe_deadlock_quiescent().is_none(), "rank 1 still runs");
         c1.block_recv(0, 0, 9, 0.0);
         let msg = s
             .probe_deadlock_quiescent()
             .expect("quiescence needs no grace period");
         assert!(msg.contains("cycle: 0 -> 1 -> 0"), "{msg}");
+        assert!(msg.contains("tag=7"), "{msg}");
         let v = s.violations();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, Rule::Deadlock);
-        // Declared once; both probes stay quiet afterwards.
+        assert_eq!(v[0].ranks, vec![0, 1], "finished rank 2 is not blocked");
+        // Declared once; later probes stay quiet and aborts carry it.
         assert!(s.probe_deadlock_quiescent().is_none());
-        assert!(s.probe_deadlock().is_none());
+        assert!(
+            s.abort_message().contains("deadlock"),
+            "{}",
+            s.abort_message()
+        );
     }
 
     #[test]
@@ -1064,44 +945,10 @@ mod tests {
         let mut c1 = s.checker(1, 0);
         c1.rank_finished(1.0);
         c0.block_recv(1, 0, 4, 0.5);
-        assert!(
-            s.probe_deadlock().is_none(),
-            "first probe latches the epoch"
-        );
-        std::thread::sleep(DEADLOCK_GRACE + Duration::from_millis(30));
-        let msg = s.probe_deadlock().expect("all live ranks are blocked");
+        let msg = s
+            .probe_deadlock_quiescent()
+            .expect("all live ranks are blocked");
         assert!(msg.contains("rank 0 waits on rank 1"), "{msg}");
         assert!(msg.contains("already finished"), "{msg}");
-    }
-
-    #[test]
-    fn running_rank_prevents_deadlock_declaration() {
-        let s = sink(2);
-        let mut c0 = s.checker(0, 0);
-        c0.block_recv(1, 0, 4, 0.0);
-        // Rank 1 is Running: never a deadlock, no matter how long we wait.
-        std::thread::sleep(DEADLOCK_GRACE + Duration::from_millis(30));
-        assert!(s.probe_deadlock().is_none());
-        assert!(s.violations().is_empty());
-    }
-
-    #[test]
-    fn epoch_bump_resets_the_grace_timer() {
-        let s = sink(2);
-        let mut c0 = s.checker(0, 0);
-        let mut c1 = s.checker(1, 0);
-        c0.block_recv(1, 0, 4, 0.0);
-        c1.block_recv(0, 0, 4, 0.0);
-        assert!(s.probe_deadlock().is_none());
-        std::thread::sleep(Duration::from_millis(120));
-        // Progress happens: rank 1 wakes up and re-blocks.
-        c1.unblock_recv(0.0, 0.1);
-        c1.block_recv(0, 0, 5, 0.1);
-        assert!(s.probe_deadlock().is_none(), "epoch changed: timer resets");
-        std::thread::sleep(Duration::from_millis(120));
-        // Only 120 ms of stability since the reset: still within grace.
-        assert!(s.probe_deadlock().is_none());
-        std::thread::sleep(Duration::from_millis(120));
-        assert!(s.probe_deadlock().is_some());
     }
 }

@@ -22,12 +22,11 @@
 //!
 //! Every trigger is keyed on virtual time or deterministic per-rank
 //! counters, never on wall clocks, so the same `(seed, plan)` pair yields
-//! bit-identical virtual timings, traces and [`FaultReport`]s on both the
-//! polling and the parked scheduler — and on both rank engines
-//! (thread-per-rank and the event-driven fiber engine): a delay shifts a
-//! message's *virtual* arrival, a drop re-charges *virtual* backoff, so
-//! injection composes with task wakeups exactly as it does with thread
-//! wakeups, with nothing engine-specific anywhere in this crate. A machine without a plan pays one
+//! bit-identical virtual timings, traces and [`FaultReport`]s checked or
+//! unchecked, and whatever carries the ranks (fibers or OS threads): a
+//! delay shifts a message's *virtual* arrival, a drop re-charges
+//! *virtual* backoff, so injection never touches how a rank waits and
+//! nothing in this crate knows the carrier. A machine without a plan pays one
 //! branch per hook ([`FaultSink::disabled`]) and is bit-identical in
 //! virtual time to a build without this crate — the same zero-overhead
 //! discipline as `greenla-trace` and `greenla-check`.

@@ -580,13 +580,13 @@ pub fn coll_suite(quick: bool) -> BenchSuite {
 /// with no solver in the way. `spinup` measures launching P ranks that do
 /// nothing but one barrier and exiting; `barrier_storm` drives 20
 /// back-to-back barriers, the wake-heaviest pattern the registry supports
-/// (every barrier blocks and wakes all P ranks). The event engine is gated
-/// at 1k and 10k ranks; a thread-engine entry at 1k keeps the fiber-vs-
-/// thread spin-up ratio visible in every artifact — 10k OS threads is the
-/// configuration the M:N engine exists to avoid, so it has no entry.
-/// Worker count is pinned (not `available_parallelism`) so runner shape
-/// can't move the numbers. Virtual seconds ride along as the determinism
-/// canary, exactly like the campaign suite.
+/// (every barrier blocks and wakes all P ranks). Fibers are gated at 1k
+/// and 10k ranks; an OS-thread entry at 1k keeps the carrier ratio visible
+/// in every artifact — 10k OS threads is the configuration fibers exist
+/// to avoid, so it has no entry. The fiber worker count is pinned (not
+/// `available_parallelism`) so runner shape can't move the numbers.
+/// Virtual seconds ride along as the determinism canary, exactly like the
+/// campaign suite.
 pub fn sched_suite(quick: bool) -> BenchSuite {
     use greenla_cluster::placement::Placement;
     use greenla_cluster::spec::ClusterSpec;
@@ -597,13 +597,10 @@ pub fn sched_suite(quick: bool) -> BenchSuite {
     let machine = |ranks: usize, kind: SchedulerKind| {
         let spec = ClusterSpec::test_cluster(ranks.div_ceil(8), 4);
         let placement = Placement::layout(&spec.node, ranks, LoadLayout::FullLoad).unwrap();
-        let mut m = Machine::new(spec, placement, PowerModel::deterministic(), 17)
+        Machine::new(spec, placement, PowerModel::deterministic(), 17)
             .unwrap()
-            .with_scheduler(kind);
-        if kind == SchedulerKind::EventDriven {
-            m.set_sched_workers(2);
-        }
-        m
+            .with_scheduler(kind)
+            .with_sched_workers(2)
     };
     let mut entries = Vec::new();
     let mut push = |id: String,
@@ -638,9 +635,9 @@ pub fn sched_suite(quick: bool) -> BenchSuite {
         (1_000, SchedulerKind::EventDriven, "event"),
         (10_000, SchedulerKind::EventDriven, "event"),
     ];
-    // Fibers only exist on x86_64; elsewhere only the thread entries run
-    // (the gate reports the event entries as Missing, which is accurate).
-    if !cfg!(target_arch = "x86_64") {
+    // Where the platform has no fibers only the thread entries run (the
+    // gate reports the event entries as Missing, which is accurate).
+    if !SchedulerKind::EventDriven.supported() {
         cases.retain(|&(_, kind, _)| kind == SchedulerKind::ThreadPerRank);
     }
     for &(p, kind, tag) in &cases {

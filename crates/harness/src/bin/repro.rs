@@ -15,20 +15,22 @@
 //!                                         plan into every campaign run and
 //!                                         report injected vs. observed vs.
 //!                                         recovered faults)
-//!       [--scheduler thread|event]       (rank engine for every simulated
-//!                                         run; virtual results are engine-
-//!                                         invariant, but `event` runs ranks
-//!                                         as fibers so P is no longer
-//!                                         bounded by OS thread limits)
+//!       [--scheduler thread|event]       (what carries the ranks of every
+//!                                         simulated run; virtual results
+//!                                         are engine-invariant. Default
+//!                                         `thread`, one OS thread per
+//!                                         rank; `event` runs them as
+//!                                         fibers, about 3× faster on the
+//!                                         host, x86_64 only)
 //!       [--ranks P1,P2,...]              (override the campaign's rank
-//!                                         counts; with --scheduler event,
-//!                                         counts way past the old ~1296
-//!                                         practical ceiling are fine)
+//!                                         counts; on fibers, counts way
+//!                                         past the ~1296 practical ceiling
+//!                                         of OS threads are fine)
 //! ```
 //!
 //! `--exp scale` is the large-P smoke: it skips the solver campaign and
 //! drives one barrier + broadcast + allreduce workout at the largest
-//! `--ranks` value (default 10000) on the event engine, writing a
+//! `--ranks` value (default 10000) on fibers, writing a
 //! `scale_smoke.json` artifact with wall/virtual timings.
 //!
 //! Functional-tier figures come from real monitored solves on the scaled
@@ -255,7 +257,7 @@ fn main() {
         return;
     }
 
-    // The large-P smoke: no solver, no campaign — prove the event engine
+    // The large-P smoke: no solver, no campaign — prove the fiber carrier
     // spins up, synchronises and tears down five-digit rank counts inside
     // a CI step timeout, and leave a machine-readable artifact behind.
     if args.exp == "scale" {
@@ -349,7 +351,7 @@ fn main() {
             grid.ranks = ranks.clone();
         }
         eprintln!(
-            "running functional campaign: dims {:?} × ranks {:?} × 3 layouts × 2 solvers × {} reps{}{}",
+            "running functional campaign: dims {:?} × ranks {:?} × 3 layouts × 2 solvers × {} reps{} [{} engine]",
             grid.dims,
             grid.ranks,
             grid.reps,
@@ -359,10 +361,7 @@ fn main() {
                 (false, true) => " [faulted]",
                 (false, false) => "",
             },
-            match grid.scheduler {
-                greenla_mpi::SchedulerKind::ThreadPerRank => "",
-                greenla_mpi::SchedulerKind::EventDriven => " [event engine]",
-            }
+            grid.scheduler
         );
         let ds = Dataset::campaign(&grid, |msg| {
             eprintln!("  [{:6.1}s] {msg}", t0.elapsed().as_secs_f64())
@@ -521,9 +520,12 @@ fn main() {
             SparseGrid::default()
         };
         grid.reps = args.reps;
+        if let Some(kind) = args.scheduler {
+            grid.scheduler = kind;
+        }
         eprintln!(
-            "running sparse campaign: dims {:?} × {} ranks × 4 solvers × {} reps",
-            grid.dims, grid.ranks, grid.reps
+            "running sparse campaign: dims {:?} × {} ranks × 4 solvers × {} reps [{} engine]",
+            grid.dims, grid.ranks, grid.reps, grid.scheduler
         );
         let (ds, report) = sparse::campaign(&grid, |msg| {
             eprintln!("  [{:6.1}s] {msg}", t0.elapsed().as_secs_f64())

@@ -27,6 +27,7 @@ use greenla_linalg::sparse::CsrMatrix;
 use greenla_model::comm;
 use greenla_model::params::MachineParams;
 use greenla_model::roofline::{KernelProfile, Roofline};
+use greenla_mpi::SchedulerKind;
 use serde::{Deserialize, Serialize};
 
 /// The band shared with the dense roofline validations (host and
@@ -59,6 +60,11 @@ pub struct SparseGrid {
     pub reps: usize,
     pub cores_per_socket: usize,
     pub base_seed: u64,
+    /// Rank-scheduling engine for every run of the campaign
+    /// (`repro --exp sparse --scheduler thread|event`); virtual-time
+    /// results are engine-invariant.
+    #[serde(default = "Default::default")]
+    pub scheduler: SchedulerKind,
 }
 
 impl Default for SparseGrid {
@@ -69,6 +75,7 @@ impl Default for SparseGrid {
             reps: 3,
             cores_per_socket: 8,
             base_seed: 2023,
+            scheduler: SchedulerKind::default(),
         }
     }
 }
@@ -165,7 +172,6 @@ pub fn campaign(grid: &SparseGrid, progress: impl Fn(&str) + Sync) -> (Dataset, 
     let mut checks = Vec::new();
     for &n in &grid.dims {
         for solver in SparseGrid::solvers() {
-            progress(&format!("n={n} solver={}", solver.label()));
             let cfg = RunConfig {
                 n,
                 ranks: grid.ranks,
@@ -176,10 +182,15 @@ pub fn campaign(grid: &SparseGrid, progress: impl Fn(&str) + Sync) -> (Dataset, 
                 seed: grid.base_seed,
                 check: false,
                 faults: None,
-                scheduler: Default::default(),
+                scheduler: grid.scheduler,
                 batch: 1,
                 cg_overlap: true,
             };
+            progress(&format!(
+                "n={n} solver={} engine={}",
+                solver.label(),
+                cfg.scheduler
+            ));
             // Probe at batch 1 to size the monitored window, then measure.
             let probe = run_once(&cfg);
             let batch = if probe.duration_s >= TARGET_WINDOW_S {

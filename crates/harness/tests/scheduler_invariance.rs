@@ -1,14 +1,12 @@
 //! The rank-scheduling engine must be invisible in virtual time.
 //!
-//! Wall-clock scheduling now varies along two independent axes. Within the
-//! thread-per-rank engine, blocked ranks park on condvars / blocking
-//! receives while checked runs poll (the deadlock probe needs a
-//! heartbeat). And the whole engine is swappable: `SchedulerKind::
-//! EventDriven` multiplexes every rank as a fiber over a small worker
-//! pool instead of giving it an OS thread. None of that may leak into the
+//! Wall-clock scheduling varies along two axes: what carries a rank
+//! (`SchedulerKind::EventDriven` multiplexes every rank as a fiber over a
+//! small worker pool of any size; `ThreadPerRank` gives it an OS thread),
+//! and whether the checker rides along. None of that may leak into the
 //! simulation: fixed-seed campaigns must produce byte-identical
 //! [`Measurement`]s run over run, checked and unchecked runs must agree
-//! bit for bit, both engines must agree bit for bit — including under
+//! bit for bit, both carriers must agree bit for bit — including under
 //! active fault plans — and the observers must see the exact same event
 //! stream. This file is the executable form of the scheduler-invariance
 //! contract documented in ARCHITECTURE.md §10.
@@ -41,6 +39,17 @@ fn cfg(solver: SolverChoice, check: bool) -> RunConfig {
         batch: 1,
         cg_overlap: true,
     }
+}
+
+/// Every way this target can carry ranks, as `(kind, pinned fiber
+/// workers)`: OS threads always; fibers — where the build has them — on
+/// a 1-, 2- and 8-worker pool.
+fn carriers() -> Vec<(SchedulerKind, Option<usize>)> {
+    let mut all = vec![(SchedulerKind::ThreadPerRank, None)];
+    if SchedulerKind::EventDriven.supported() {
+        all.extend([1, 2, 8].map(|w| (SchedulerKind::EventDriven, Some(w))));
+    }
+    all
 }
 
 /// Bit-level equality of everything a campaign records.
@@ -87,17 +96,17 @@ fn repeated_runs_are_bit_identical() {
 }
 
 #[test]
-fn parked_and_polling_schedulers_agree() {
-    // Unchecked runs park in blocking waits; checked runs poll with a
-    // timeout so the deadlock probe keeps running. Two different wall-clock
-    // wait mechanisms, one virtual timeline. CG rides along: its halo
-    // exchange is point-to-point-heavy where the dense solvers are
-    // broadcast-heavy, so it stresses a different wait pattern.
+fn checked_and_unchecked_runs_agree() {
+    // The checker only observes: every hook it adds on the blocking and
+    // messaging paths must leave the virtual timeline untouched. CG rides
+    // along: its halo exchange is point-to-point-heavy where the dense
+    // solvers are broadcast-heavy, so it stresses a different wait
+    // pattern.
     for solver in [SolverChoice::ime_optimized(), SolverChoice::cg()] {
-        let polled = run_once(&cfg(solver, true));
-        let parked = run_once(&cfg(solver, false));
-        assert!(polled.violations.is_empty(), "{:#?}", polled.violations);
-        assert_bit_identical(&polled, &parked, "checked vs unchecked");
+        let checked = run_once(&cfg(solver, true));
+        let unchecked = run_once(&cfg(solver, false));
+        assert!(checked.violations.is_empty(), "{:#?}", checked.violations);
+        assert_bit_identical(&checked, &unchecked, "checked vs unchecked");
     }
 }
 
@@ -198,16 +207,16 @@ fn recoverable_plan() -> greenla_mpi::FaultPlan {
 #[test]
 fn faulted_runs_are_bit_identical_across_schedulers() {
     // Identical seed + plan ⇒ bit-identical virtual timings and identical
-    // FaultReports whether the ranks poll (checked) or park (unchecked).
+    // FaultReports with the checker attached or not.
     let faulted = |check: bool| RunConfig {
         faults: Some(recoverable_plan()),
         ..cfg(SolverChoice::ime_optimized(), check)
     };
-    let polled = run_once(&faulted(true));
+    let checked = run_once(&faulted(true));
     let parked = run_once(&faulted(false));
-    assert_bit_identical(&polled, &parked, "faulted checked vs unchecked");
+    assert_bit_identical(&checked, &parked, "faulted checked vs unchecked");
     let (pr, kr) = (
-        polled.fault_report.clone().expect("faulted run reports"),
+        checked.fault_report.clone().expect("faulted run reports"),
         parked.fault_report.clone().expect("faulted run reports"),
     );
     assert_eq!(pr, kr, "fault accounting must not depend on the scheduler");
@@ -228,8 +237,8 @@ fn faulted_runs_are_bit_identical_across_schedulers() {
 fn collectives_straddling_the_size_switch_are_scheduler_invariant() {
     // The allreduce/allgather families switch algorithms at 512 B
     // (64 f64 elements). Drive both sides of the switch — one element
-    // below, at, and above — under an active fault plan, checked
-    // (polling) and unchecked (parked): virtual clocks, traffic and every
+    // below, at, and above — under an active fault plan, checked and
+    // unchecked, on every carrier: virtual clocks, traffic and every
     // rank's numerical results must be bit-identical, and the lockstep
     // checker must see matching collective signatures on both paths.
     use greenla_cluster::placement::Placement;
@@ -258,12 +267,16 @@ fn collectives_straddling_the_size_switch_are_scheduler_invariant() {
         ],
         ..FaultPlan::default()
     };
-    let run = |check: bool| {
+    let run = |check: bool, (kind, workers): (SchedulerKind, Option<usize>)| {
         let spec = ClusterSpec::test_cluster(2, 4);
         let placement = Placement::layout(&spec.node, 16, LoadLayout::FullLoad).unwrap();
         let mut m = Machine::new(spec, placement, PowerModel::deterministic(), 23)
             .unwrap()
+            .with_scheduler(kind)
             .with_faults(FaultSink::with_plan(plan()));
+        if let Some(workers) = workers {
+            m = m.with_sched_workers(workers);
+        }
         if check {
             m = m.with_check(CheckSink::enabled());
         }
@@ -288,33 +301,35 @@ fn collectives_straddling_the_size_switch_are_scheduler_invariant() {
         assert!(violations.is_empty(), "checked={check}: {violations:#?}");
         out
     };
-    let polled = run(true);
-    let parked = run(false);
-    assert_eq!(
-        polled.makespan.to_bits(),
-        parked.makespan.to_bits(),
-        "virtual makespan must not depend on the scheduler"
-    );
-    for (r, (a, b)) in polled
-        .final_clocks
-        .iter()
-        .zip(&parked.final_clocks)
-        .enumerate()
-    {
-        assert_eq!(a.to_bits(), b.to_bits(), "rank {r} final clock");
+    // The reference: unchecked, on OS threads.
+    let parked = run(false, (SchedulerKind::ThreadPerRank, None));
+    for carrier in carriers() {
+        for check in [true, false] {
+            let what = format!("{carrier:?} checked={check}");
+            let out = run(check, carrier);
+            assert_eq!(
+                out.makespan.to_bits(),
+                parked.makespan.to_bits(),
+                "{what}: virtual makespan must not depend on the scheduler"
+            );
+            for (r, (a, b)) in out
+                .final_clocks
+                .iter()
+                .zip(&parked.final_clocks)
+                .enumerate()
+            {
+                assert_eq!(a.to_bits(), b.to_bits(), "{what}: rank {r} final clock");
+            }
+            assert_eq!(out.traffic, parked.traffic, "{what}: traffic tallies");
+            assert_eq!(out.results, parked.results, "{what}: numerical results");
+        }
     }
-    assert_eq!(polled.traffic, parked.traffic, "traffic tallies");
-    // Results are equal across schedulers AND across ranks: recursive
-    // doubling applies the commutative combiner over one shared pairing
-    // tree, so every rank must produce the same bits.
-    assert_eq!(polled.results, parked.results, "numerical results");
+    // Results are equal across ranks too: recursive doubling applies the
+    // commutative combiner over one shared pairing tree, so every rank
+    // must produce the same bits.
     for (r, res) in parked.results.iter().enumerate() {
         assert_eq!(res, &parked.results[0], "rank {r} result divergence");
     }
-    // And the faulted run repeats bit-identically.
-    let again = run(false);
-    assert_eq!(parked.makespan.to_bits(), again.makespan.to_bits());
-    assert_eq!(parked.results, again.results);
 }
 
 #[test]
@@ -350,9 +365,9 @@ fn faulted_trace_streams_are_identical_and_carry_fault_instants() {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-engine invariance: thread-per-rank vs the event-driven M:N engine.
-// Fibers only exist on x86_64; elsewhere the event engine refuses to start,
-// so these cases are gated rather than silently vacuous.
+// Cross-carrier invariance: OS threads (the reference) vs fibers. Fibers
+// only exist on x86_64; elsewhere the fiber carrier refuses to start, so
+// these cases are gated rather than silently vacuous.
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
@@ -380,9 +395,9 @@ mod cross_engine {
 
     #[test]
     fn engines_agree_under_checking_with_zero_violations() {
-        // The checked event engine replaces the thread engine's 25 ms timed
-        // polls with an exact quiescence probe — a different deadlock
-        // detector entirely, same virtual timeline, same (empty) findings.
+        // One protocol, one probe: the checker sees the same hooks in the
+        // same virtual order whatever carries the ranks, so it must agree
+        // on the timeline and on the (empty) findings.
         let threads = run_once(&cfg(SolverChoice::ime_optimized(), true));
         let fibers = run_once(&with_engine(
             cfg(SolverChoice::ime_optimized(), true),
@@ -427,21 +442,22 @@ mod cross_engine {
 
     #[test]
     fn campaign_runs_survive_a_worker_count_sweep() {
-        // Within the event engine the worker count is pure wall-clock
-        // capacity; run_once pins it via the Machine default, so vary it
-        // through the raw Machine to prove the invariance holds there too.
+        // The carrier — and on fibers the worker count — is pure
+        // wall-clock capacity; run_once leaves the pool at the Machine
+        // default, so vary both through the raw Machine to prove the
+        // invariance holds there too.
         use greenla_cluster::placement::Placement;
         use greenla_cluster::spec::ClusterSpec;
         use greenla_cluster::PowerModel;
         use greenla_mpi::Machine;
 
-        let run = |workers: usize| {
+        let run = |(kind, workers): (SchedulerKind, Option<usize>)| {
             let spec = ClusterSpec::test_cluster(4, 4);
             let placement = Placement::layout(&spec.node, 32, LoadLayout::FullLoad).unwrap();
             let mut m = Machine::new(spec, placement, PowerModel::deterministic(), 9)
                 .unwrap()
-                .with_scheduler(SchedulerKind::EventDriven);
-            if workers > 0 {
+                .with_scheduler(kind);
+            if let Some(workers) = workers {
                 m = m.with_sched_workers(workers);
             }
             m.run(|ctx| {
@@ -451,15 +467,15 @@ mod cross_engine {
                 r[0].to_bits()
             })
         };
-        let auto = run(0);
-        for workers in [1usize, 3, 8] {
-            let out = run(workers);
+        let auto = run((SchedulerKind::EventDriven, None));
+        for carrier in carriers() {
+            let out = run(carrier);
             assert_eq!(
                 auto.makespan.to_bits(),
                 out.makespan.to_bits(),
-                "worker count {workers} leaked into virtual time"
+                "carrier {carrier:?} leaked into virtual time"
             );
-            assert_eq!(auto.results, out.results, "workers={workers}");
+            assert_eq!(auto.results, out.results, "carrier {carrier:?}");
         }
     }
 }

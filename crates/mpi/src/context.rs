@@ -2,11 +2,10 @@
 
 use crate::comm::{Comm, WORLD_ID};
 use crate::envelope::{Envelope, Payload};
-use crate::mailbox::{MailboxRx, MailboxTx};
+use crate::mailbox::Mailboxes;
 use crate::registry::{Registry, SplitEntry};
 use crate::sched::WakeReason;
 use crate::traffic::Traffic;
-use crossbeam_channel::RecvTimeoutError;
 use greenla_check::{CollEvent, CollKind, RankChecker};
 use greenla_cluster::ledger::{ActivityKind, Interval, Ledger};
 use greenla_cluster::placement::Placement;
@@ -17,16 +16,6 @@ use greenla_faults::{retry_backoff_s, MsgFaultKind, RankFaults, MAX_SEND_RETRIES
 use greenla_trace::RankTracer;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Poll period for checked runs under the *thread-per-rank* engine only:
-/// how often a blocked receiver wakes to run the deadlock probe. Unchecked
-/// thread-engine runs park in a blocking receive and consume no CPU until a
-/// message (or the registry's abort control message) arrives. The
-/// event-driven engine never polls at all — blocked ranks yield their
-/// worker, and the scheduler's quiescence signal runs the probe exactly
-/// once, at the moment a deadlock becomes certain.
-const POLL: Duration = Duration::from_millis(25);
 
 /// Tag bit reserved for collective-internal messages; user tags must stay
 /// below it.
@@ -48,8 +37,7 @@ pub struct RankCtx<'m> {
     pub(crate) traffic: &'m Traffic,
     pub(crate) registry: &'m Registry,
     pub(crate) placement: &'m Placement,
-    pub(crate) rx: MailboxRx,
-    pub(crate) txs: MailboxTx,
+    pub(crate) mail: &'m Mailboxes,
     pub(crate) pending: Vec<Envelope>,
     /// Per-communicator collective sequence numbers (barrier/split/bcast/…
     /// all consume from the same stream, so ordering is consistent as long
@@ -353,7 +341,7 @@ impl<'m> RankCtx<'m> {
             let t = self.clock;
             self.tracer.instant("fault:dup", t);
             self.traffic.record(bytes, same_node);
-            self.txs.post(
+            self.mail.post(
                 dst,
                 Envelope {
                     src: self.rank,
@@ -366,7 +354,7 @@ impl<'m> RankCtx<'m> {
                 },
             );
         }
-        self.txs.post(
+        self.mail.post(
             dst,
             Envelope {
                 src: self.rank,
@@ -389,75 +377,34 @@ impl<'m> RankCtx<'m> {
     }
 
     /// Move the next wire envelope into the pending queue, blocking until
-    /// one arrives. How "blocking" waits is the engine's business:
-    ///
-    /// * Thread-per-rank, unchecked: park the OS thread (zero CPU while
-    ///   blocked) and rely on [`crate::registry::Registry::poison`]'s
-    ///   abort control message to wake it on a peer failure.
-    /// * Thread-per-rank, checked: a timed wait so the deadlock probe
-    ///   keeps running.
-    /// * Event-driven: yield the worker; a post, poison broadcast, or the
-    ///   scheduler's quiescence/orphan signal wakes the task. No polling
-    ///   in either checked or unchecked runs.
-    ///
-    /// Only wall-clock behaviour differs — the virtual clocks never see
-    /// the difference.
+    /// one arrives. Blocking is the engine's business: the rank parks in
+    /// [`crate::sched::Engine::block_current`] and a post, a poison
+    /// broadcast or the scheduler's orphan signal wakes it — no polling,
+    /// checked or not, and the virtual clocks never see the wait.
     fn pump_mailbox(&mut self, src: usize, tag: u64) {
-        let env = match &self.rx {
-            MailboxRx::Thread(rx) => {
-                if self.checker.enabled() {
-                    match rx.recv_timeout(POLL) {
-                        Ok(env) => env,
-                        Err(RecvTimeoutError::Timeout) => {
-                            if let Some(msg) = self.checker.probe_deadlock() {
-                                self.registry.poison();
-                                panic!("{msg}");
-                            }
-                            if self.registry.is_poisoned() {
-                                panic!("{}", self.checker.abort_message());
-                            }
-                            return;
-                        }
-                        Err(RecvTimeoutError::Disconnected) => panic!(
-                            "all peers gone while rank {} waits for ({src}, {tag})",
-                            self.rank
-                        ),
-                    }
-                } else {
-                    match rx.recv() {
-                        Ok(env) => env,
-                        Err(_) => panic!(
-                            "all peers gone while rank {} waits for ({src}, {tag})",
-                            self.rank
-                        ),
-                    }
-                }
+        let engine = self.mail.engine();
+        let env = loop {
+            if let Some(env) = self.mail.try_pop(self.rank) {
+                break env;
             }
-            MailboxRx::Event { rank, shared } => loop {
-                if let Some(env) = shared.try_pop(*rank) {
-                    break env;
+            if self.registry.is_poisoned() {
+                panic!("{}", self.checker.abort_message());
+            }
+            if engine.orphaned() {
+                // Every runnable task finished and nobody can wake us.
+                // With checking on, the probe can name who we wait for.
+                if self.checker.enabled() {
+                    self.registry.report_quiescent_deadlock();
                 }
-                if self.registry.is_poisoned() {
-                    panic!("{}", self.checker.abort_message());
-                }
-                if shared.engine().orphaned() {
-                    // Every runnable task finished and nobody can wake
-                    // us: the event-engine analogue of the channel
-                    // disconnect above — except that with checking on,
-                    // the probe can name the wait-for cycle exactly.
-                    if self.checker.enabled() {
-                        self.registry.report_quiescent_deadlock();
-                    }
-                    panic!(
-                        "all peers gone while rank {} waits for ({src}, {tag})",
-                        self.rank
-                    );
-                }
-                match shared.engine().block_current() {
-                    WakeReason::Woken => {}
-                    WakeReason::Quiescent => self.registry.report_quiescent_deadlock(),
-                }
-            },
+                panic!(
+                    "all peers gone while rank {} waits for ({src}, {tag})",
+                    self.rank
+                );
+            }
+            match engine.block_current() {
+                WakeReason::Woken => {}
+                WakeReason::Quiescent => self.registry.report_quiescent_deadlock(),
+            }
         };
         if env.is_control() {
             panic!("{}", self.checker.abort_message());
@@ -626,7 +573,7 @@ impl<'m> RankCtx<'m> {
     pub fn iprobe(&mut self, comm: &Comm, src_index: usize, tag: u64) -> bool {
         let src = comm.global_rank(src_index);
         let cid = comm.id();
-        while let Some(env) = self.rx.try_recv() {
+        while let Some(env) = self.mail.try_pop(self.rank) {
             if env.is_control() {
                 panic!("{}", self.checker.abort_message());
             }

@@ -1,9 +1,10 @@
 //! # greenla-mpi
 //!
-//! A simulated MPI runtime with **virtual time**. Each MPI rank is either
-//! an OS thread (the default) or a green task multiplexed onto a small
-//! worker pool (see [`sched::SchedulerKind`] — the event-driven engine
-//! makes 10k–100k-rank worlds tractable); either way the rank is pinned
+//! A simulated MPI runtime with **virtual time**. Each MPI rank is a task
+//! of one scheduling engine, carried by a fiber on a small worker pool
+//! where the target has a fiber switch (which makes 10k–100k-rank worlds
+//! tractable) or by its own OS thread elsewhere (see
+//! [`sched::SchedulerKind`]); either way the rank is pinned
 //! (logically) to one core of the simulated cluster, and every
 //! rank carries its own virtual clock which advances when the rank computes
 //! (`compute`), sends or receives messages, or synchronises in collectives.

@@ -1,15 +1,14 @@
-//! The machine: runs a program with one rank per placement slot, under
-//! either scheduling engine (thread-per-rank or event-driven M:N — see
-//! [`crate::sched`]).
+//! The machine: runs a program with one rank per placement slot, every
+//! rank a task of one [`crate::sched`] engine (carried by fibers or OS
+//! threads).
 
 use crate::context::RankCtx;
 use crate::envelope::Envelope;
 use crate::error::MachineError;
-use crate::mailbox::{EventMailboxes, MailboxRx, MailboxTx};
+use crate::mailbox::Mailboxes;
 use crate::registry::Registry;
 use crate::sched::{Engine, SchedulerKind};
 use crate::traffic::{Traffic, TrafficSnapshot};
-use crossbeam_channel::unbounded;
 use greenla_check::CheckSink;
 use greenla_cluster::ledger::Ledger;
 use greenla_cluster::placement::Placement;
@@ -34,29 +33,6 @@ pub struct Machine {
     faults: FaultSink,
     scheduler: SchedulerKind,
     sched_workers: Option<usize>,
-}
-
-/// Event-engine worker-pool size when the machine doesn't pin one:
-/// the host's parallelism, clamped to a small pool (the workers mostly
-/// shuffle fibers, and past a handful they just contend on the queues).
-fn default_sched_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .clamp(2, 8)
-}
-
-/// Per-fiber stack size for the event engine. Rank closures in this
-/// codebase are shallow (solver frames plus the runtime), so the default
-/// 512 KiB is generous; pages are only committed on touch, so 10k ranks
-/// cost virtual address space, not resident memory. Override with the
-/// `GREENLA_STACK_KB` environment variable (floor 64 KiB).
-fn sched_stack_bytes() -> usize {
-    let kb = std::env::var("GREENLA_STACK_KB")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(512);
-    kb.max(64) * 1024
 }
 
 /// What a completed run produced.
@@ -124,10 +100,10 @@ impl Machine {
         self.scheduler
     }
 
-    /// Pin the event engine's worker-pool size instead of deriving it
+    /// Pin the fiber carrier's worker-pool size instead of deriving it
     /// from the host's parallelism. Benchmarks pin this so wall-clock
     /// numbers are comparable across machines; virtual-time results
-    /// never depend on it. Ignored by the thread-per-rank engine.
+    /// never depend on it. Ignored by the OS-thread carrier.
     pub fn set_sched_workers(&mut self, workers: usize) {
         assert!(workers >= 1, "need at least one worker");
         self.sched_workers = Some(workers);
@@ -223,12 +199,11 @@ impl Machine {
 
     /// Run `f` on every rank and collect results.
     ///
-    /// How ranks execute depends on the selected [`SchedulerKind`]:
-    /// thread-per-rank spawns one OS thread per rank under
-    /// [`std::thread::scope`]; the event-driven engine multiplexes
-    /// rank fibers over a small worker pool. Either way this call blocks
-    /// until every rank has finished, and all virtual-time outputs are
-    /// bit-identical across engines.
+    /// What carries the ranks depends on the selected [`SchedulerKind`]:
+    /// fibers multiplexed over a small worker pool, or one scoped OS
+    /// thread per rank. Either way this call blocks until every rank has
+    /// finished, and all virtual-time outputs are bit-identical across
+    /// carriers.
     ///
     /// Panics if any rank panics (after poisoning the run so the remaining
     /// ranks unblock), propagating the first rank's panic payload.
@@ -262,22 +237,25 @@ impl Machine {
         let n = self.placement.ntasks();
         self.check
             .begin_run((0..n).map(|r| self.placement.core_of(r).node).collect());
-        let registry = Registry::new().with_check(self.check.clone());
+        let mail = Arc::new(Mailboxes::new(Engine::new(
+            n,
+            self.scheduler,
+            self.sched_workers,
+        )));
+        let registry = Registry::new(Arc::clone(&mail), self.check.clone());
         let world_members: Arc<Vec<usize>> = Arc::new((0..n).collect());
         let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let clocks: Vec<Mutex<f64>> = (0..n).map(|_| Mutex::new(0.0)).collect();
         let first_panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-        // Each finished rank parks its mailbox here so the message-hygiene
-        // audit can run after *every* rank has stopped sending — draining
-        // inside the rank body would race a slower peer's late send.
-        type Mailbox = (MailboxRx, Vec<Envelope>);
-        let mailboxes: Vec<Mutex<Option<Mailbox>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        // Each finished rank parks its matched-but-unreceived envelopes
+        // here so the message-hygiene audit can run after *every* rank has
+        // stopped sending — draining inside the rank body would race a
+        // slower peer's late send.
+        let leftovers: Vec<Mutex<Vec<Envelope>>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
 
-        // One rank's whole life, engine-agnostic: build the context, run
-        // the closure, bank the outputs. Each engine decides only *where*
-        // this body executes (an OS thread vs a fiber) and which mailbox
-        // flavour it hands in.
-        let run_rank = |rank: usize, rx: MailboxRx, txs: MailboxTx| {
+        // One rank's whole life: build the context, run the closure, bank
+        // the outputs. The engine decides only what carries this body.
+        let run_rank = |rank: usize| {
             let core = self.placement.core_of(rank);
             let perf_mult = self.power.perf_multiplier(self.seed, core.node);
             let mut ctx = RankCtx {
@@ -293,8 +271,7 @@ impl Machine {
                 traffic: &self.traffic,
                 registry: &registry,
                 placement: &self.placement,
-                rx,
-                txs,
+                mail: &mail,
                 pending: Vec::new(),
                 seqs: Default::default(),
                 world_members: Arc::clone(&world_members),
@@ -307,8 +284,7 @@ impl Machine {
                     *results[rank].lock() = Some(r);
                     *clocks[rank].lock() = ctx.clock;
                     ctx.check_finished();
-                    let pending = std::mem::take(&mut ctx.pending);
-                    *mailboxes[rank].lock() = Some((ctx.rx, pending));
+                    *leftovers[rank].lock() = std::mem::take(&mut ctx.pending);
                 }
                 Err(payload) => {
                     // Record the payload BEFORE poisoning: cascade
@@ -326,49 +302,12 @@ impl Machine {
                 }
             }
         };
-
-        match self.scheduler {
-            SchedulerKind::ThreadPerRank => {
-                let mut txs = Vec::with_capacity(n);
-                let mut rxs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let (tx, rx) = unbounded::<Envelope>();
-                    txs.push(tx);
-                    rxs.push(rx);
-                }
-                registry.set_wakers(&txs);
-                let txs = Arc::new(txs);
-                std::thread::scope(|scope| {
-                    for (rank, rx) in rxs.into_iter().enumerate() {
-                        let txs = Arc::clone(&txs);
-                        let run_rank = &run_rank;
-                        scope.spawn(move || {
-                            run_rank(rank, MailboxRx::Thread(rx), MailboxTx::Thread(txs));
-                        });
-                    }
-                });
-            }
-            SchedulerKind::EventDriven => {
-                let workers = self.sched_workers.unwrap_or_else(default_sched_workers);
-                let engine = Arc::new(Engine::new(n, workers, sched_stack_bytes()));
-                let shared = Arc::new(EventMailboxes::new(n, Arc::clone(&engine)));
-                registry.set_event(Arc::clone(&shared));
-                let run_rank = &run_rank;
-                let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = (0..n)
-                    .map(|rank| {
-                        let shared = Arc::clone(&shared);
-                        Box::new(move || {
-                            let rx = MailboxRx::Event {
-                                rank,
-                                shared: Arc::clone(&shared),
-                            };
-                            run_rank(rank, rx, MailboxTx::Event(shared));
-                        }) as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                engine.run(bodies);
-            }
-        }
+        let run_rank = &run_rank;
+        mail.engine().run(
+            (0..n)
+                .map(|rank| Box::new(move || run_rank(rank)) as Box<dyn FnOnce() + Send + '_>)
+                .collect(),
+        );
 
         if let Some(payload) = first_panic.into_inner() {
             resume_unwind(payload);
@@ -380,28 +319,23 @@ impl Machine {
             // here instead — whether a duplicate is discarded mid-run or at
             // finalize is a wall-clock accident, but the total observed
             // count is deterministic.
-            for (rank, slot) in mailboxes.iter().enumerate() {
-                if let Some((rx, pending)) = slot.lock().take() {
-                    // Abort control messages are runtime plumbing, not rank
-                    // traffic — never report them as leaks.
-                    let mut leaked: Vec<(usize, u64, u64, f64)> = Vec::new();
-                    let mut audit = |e: &Envelope| {
-                        if e.is_control() {
-                            return;
-                        }
-                        if e.dup {
-                            self.faults.note_dup_discarded();
-                        } else {
-                            leaked.push((e.src, e.comm_id, e.tag, e.arrival));
-                        }
-                    };
-                    pending.iter().for_each(&mut audit);
-                    while let Some(e) = rx.try_recv() {
-                        audit(&e);
+            for (rank, pending) in leftovers.into_iter().enumerate() {
+                // Abort control messages are runtime plumbing, not rank
+                // traffic — never report them as leaks.
+                let mut leaked: Vec<(usize, u64, u64, f64)> = Vec::new();
+                let unreceived = pending
+                    .into_inner()
+                    .into_iter()
+                    .chain(std::iter::from_fn(|| mail.try_pop(rank)));
+                for e in unreceived.filter(|e| !e.is_control()) {
+                    if e.dup {
+                        self.faults.note_dup_discarded();
+                    } else {
+                        leaked.push((e.src, e.comm_id, e.tag, e.arrival));
                     }
-                    if !leaked.is_empty() && self.check.is_enabled() {
-                        self.check.report_residue(rank, &leaked);
-                    }
+                }
+                if !leaked.is_empty() && self.check.is_enabled() {
+                    self.check.report_residue(rank, &leaked);
                 }
             }
         }

@@ -1,38 +1,37 @@
-//! Per-rank mailboxes, abstracted over the scheduling engine.
+//! Per-rank mailboxes: one mutex-guarded `VecDeque` per rank, owned by
+//! the run rather than by the rank.
 //!
-//! Under the thread-per-rank engine a mailbox is a crossbeam channel:
-//! blocking receives park the OS thread. Under the event-driven engine it
-//! is an engine-owned `VecDeque` guarded by a mutex, and a post *wakes*
-//! the destination task — blocking is the scheduler's job
-//! ([`crate::sched::Engine::block_current`]), not the channel's. Keeping
-//! the queues engine-owned (rather than inside each fiber) lets the
+//! A post pushes the envelope and *wakes* the destination task; a receive
+//! pops, and when the queue is empty the receiver blocks in the engine
+//! ([`crate::sched::Engine::block_current`]) — waiting is the scheduler's
+//! job, never the queue's, so the same mailbox serves both carriers.
+//! Keeping the queues run-owned (rather than inside each rank) lets the
 //! machine drain every inbox after the run for the MSG001 leak audit and
-//! the duplicate accounting, exactly as it drains the channels today.
+//! the duplicate accounting.
 
 use crate::envelope::Envelope;
 use crate::sched::Engine;
-use crossbeam_channel::{Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-/// All ranks' inboxes under the event-driven engine, plus the engine
-/// handle a post needs to wake the destination.
-pub(crate) struct EventMailboxes {
+/// All ranks' inboxes, plus the run's engine — a post needs it to wake
+/// the destination.
+pub(crate) struct Mailboxes {
     inboxes: Vec<Mutex<VecDeque<Envelope>>>,
-    engine: Arc<Engine>,
+    engine: Engine,
 }
 
-impl EventMailboxes {
-    pub(crate) fn new(n: usize, engine: Arc<Engine>) -> Self {
-        assert_eq!(engine.ntasks(), n, "one inbox per task");
-        EventMailboxes {
-            inboxes: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
+impl Mailboxes {
+    pub(crate) fn new(engine: Engine) -> Self {
+        Mailboxes {
+            inboxes: (0..engine.ntasks())
+                .map(|_| Mutex::new(VecDeque::new()))
+                .collect(),
             engine,
         }
     }
 
-    pub(crate) fn engine(&self) -> &Arc<Engine> {
+    pub(crate) fn engine(&self) -> &Engine {
         &self.engine
     }
 
@@ -48,51 +47,11 @@ impl EventMailboxes {
     }
 
     /// Post the abort control message to every inbox and wake everyone:
-    /// the event-engine arm of [`crate::registry::Registry::poison`].
+    /// how [`crate::registry::Registry::poison`] reaches blocked ranks.
     pub(crate) fn poison_broadcast(&self) {
         for inbox in &self.inboxes {
             inbox.lock().push_back(Envelope::control_abort());
         }
         self.engine.wake_all();
-    }
-}
-
-/// The receive half of one rank's mailbox.
-pub(crate) enum MailboxRx {
-    /// Thread-per-rank: a crossbeam receiver (blocking receives park the
-    /// thread; the registry's abort control message wakes it).
-    Thread(Receiver<Envelope>),
-    /// Event-driven: this rank's slot in the shared inbox table.
-    Event {
-        rank: usize,
-        shared: Arc<EventMailboxes>,
-    },
-}
-
-impl MailboxRx {
-    /// Non-blocking receive; used by `iprobe` drains and the finalize
-    /// audit. Blocking receives live in `RankCtx::pump_mailbox`, which
-    /// needs engine-specific wait logic around this.
-    pub(crate) fn try_recv(&self) -> Option<Envelope> {
-        match self {
-            MailboxRx::Thread(rx) => rx.try_recv().ok(),
-            MailboxRx::Event { rank, shared } => shared.try_pop(*rank),
-        }
-    }
-}
-
-/// The send half: one handle reaches every rank.
-pub(crate) enum MailboxTx {
-    Thread(Arc<Vec<Sender<Envelope>>>),
-    Event(Arc<EventMailboxes>),
-}
-
-impl MailboxTx {
-    /// Deliver `env` to rank `dst` (and, under the event engine, wake it).
-    pub(crate) fn post(&self, dst: usize, env: Envelope) {
-        match self {
-            MailboxTx::Thread(txs) => txs[dst].send(env).expect("destination mailbox closed"),
-            MailboxTx::Event(shared) => shared.post(dst, env),
-        }
     }
 }

@@ -12,16 +12,13 @@
 //! The registry is also the abort channel: when any rank panics, the machine
 //! poisons it so blocked peers fail fast instead of deadlocking.
 
-use crate::envelope::Envelope;
-use crate::mailbox::EventMailboxes;
+use crate::mailbox::Mailboxes;
 use crate::sched::{self, WakeReason};
-use crossbeam_channel::Sender;
 use greenla_check::CheckSink;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Outcome of a communicator split for one rank.
 #[derive(Clone, Debug)]
@@ -64,9 +61,8 @@ struct BarrierState {
     cost: f64,
     release_t: Option<f64>,
     left: usize,
-    /// Event-engine task ids parked on this cell; the completing arrival
-    /// (or poison) wakes them. Thread-engine waiters use the condvar
-    /// instead and never register here.
+    /// Task ids parked on this cell; the completing arrival (or poison)
+    /// wakes them.
     waiters: Vec<usize>,
 }
 
@@ -86,108 +82,33 @@ pub struct Registry {
     next_comm_id: AtomicU64,
     poisoned: AtomicBool,
     barriers: Mutex<HashMap<(u64, u64), BarrierState>>,
-    barrier_cv: Condvar,
     splits: Mutex<HashMap<(u64, u64), SplitState>>,
-    split_cv: Condvar,
-    /// Checking sink of the owning machine (disabled by default). Under
-    /// the thread engine, enabling it makes waiters fall back to timed
-    /// waits so they can run its deadlock probe periodically; otherwise
-    /// they park on the condvars and consume no CPU until notified. The
-    /// event engine never polls — its quiescence detection is exact, and
-    /// it runs the grace-free probe the instant the machine stalls.
+    /// Checking sink of the owning machine (disabled by default): names
+    /// the wait-for cycle when the engine reports quiescence.
     check: CheckSink,
-    /// How [`Registry::poison`] reaches ranks parked in a blocking
-    /// receive (condvar notification only reaches registry waiters), and
-    /// how collective completions wake event-engine waiters.
-    wakers: Mutex<Wakers>,
+    /// The run's mailboxes — how [`Registry::poison`] reaches every rank
+    /// — and, through them, the engine that parks and wakes waiters.
+    mail: Arc<Mailboxes>,
 }
-
-/// Engine-specific wake plumbing, set once by the machine before ranks
-/// start.
-enum Wakers {
-    None,
-    /// Thread engine: one sender per rank mailbox; poison posts an abort
-    /// control message to each.
-    Thread(Vec<Sender<Envelope>>),
-    /// Event engine: the shared inbox table (poison broadcasts control
-    /// messages and wakes every task) and, through it, the engine handle
-    /// used to wake collective waiters.
-    Event(Arc<EventMailboxes>),
-}
-
-/// Poll period for *checked thread-engine* runs only: how often blocked
-/// waiters wake to run the deadlock probe. Unchecked runs never poll, and
-/// the event engine detects deadlock exactly instead of polling (see
-/// `crate::sched`).
-const POLL: Duration = Duration::from_millis(25);
 
 impl Registry {
-    pub fn new() -> Self {
+    pub(crate) fn new(mail: Arc<Mailboxes>, check: CheckSink) -> Self {
         Self {
             next_comm_id: AtomicU64::new(1), // 0 is the world
             poisoned: AtomicBool::new(false),
             barriers: Mutex::new(HashMap::new()),
-            barrier_cv: Condvar::new(),
             splits: Mutex::new(HashMap::new()),
-            split_cv: Condvar::new(),
-            check: CheckSink::disabled(),
-            wakers: Mutex::new(Wakers::None),
+            check,
+            mail,
         }
     }
 
-    /// Attach the machine's checking sink (builder style).
-    pub fn with_check(mut self, check: CheckSink) -> Self {
-        self.check = check;
-        self
-    }
-
-    /// Register the rank mailboxes poison should wake (called once by the
-    /// machine before spawning rank threads).
-    pub fn set_wakers(&self, txs: &[Sender<Envelope>]) {
-        *self.wakers.lock() = Wakers::Thread(txs.to_vec());
-    }
-
-    /// Event-engine counterpart of [`Registry::set_wakers`] (called once
-    /// by the machine before seeding tasks).
-    pub(crate) fn set_event(&self, shared: Arc<EventMailboxes>) {
-        *self.wakers.lock() = Wakers::Event(shared);
-    }
-
-    /// The shared event-engine state, when this run uses it.
-    fn event(&self) -> Option<Arc<EventMailboxes>> {
-        match &*self.wakers.lock() {
-            Wakers::Event(s) => Some(Arc::clone(s)),
-            _ => None,
-        }
-    }
-
-    /// Mark the run as failed; every blocked rank will panic out. Ranks
-    /// parked on the registry condvars are notified directly; ranks parked
-    /// in a blocking mailbox receive get an abort control message.
+    /// Mark the run as failed; every blocked rank will panic out: each
+    /// inbox gets an abort control message and every task is woken, and a
+    /// woken waiter re-checks the flag before it parks again.
     pub fn poison(&self) {
         self.poisoned.store(true, Ordering::SeqCst);
-        // Notify while holding each map's lock: an untimed waiter either
-        // observed the flag under the lock (and is about to panic) or is
-        // already parked in `wait` and receives this notification — the
-        // lost-wakeup window between the check and the wait is closed.
-        {
-            let _g = self.barriers.lock();
-            self.barrier_cv.notify_all();
-        }
-        {
-            let _g = self.splits.lock();
-            self.split_cv.notify_all();
-        }
-        match &*self.wakers.lock() {
-            Wakers::None => {}
-            Wakers::Thread(txs) => {
-                for tx in txs {
-                    // A closed mailbox means that rank is already gone — fine.
-                    let _ = tx.send(Envelope::control_abort());
-                }
-            }
-            Wakers::Event(shared) => shared.poison_broadcast(),
-        }
+        self.mail.poison_broadcast();
     }
 
     /// Has the run been poisoned by a peer's failure?
@@ -201,21 +122,10 @@ impl Registry {
         }
     }
 
-    /// One iteration of a checked waiter's poll loop: abort on poison, and
-    /// report a deadlock if the probe finds one. The caller must drop its
-    /// state-map guard and call [`Registry::poison`] before panicking with
-    /// the returned message — `poison` notifies under the map locks, so
-    /// poisoning while holding one self-deadlocks.
-    #[must_use]
-    fn poll_waiter(&self) -> Option<String> {
-        self.check_poison();
-        self.check.probe_deadlock()
-    }
-
-    /// The event engine detected machine-wide quiescence while this rank
-    /// waited on something that can never complete. Report it (with the
-    /// grace-free probe's wait-for diagnostic when checking is on),
-    /// poison the run, and die. Must not hold a state-map guard.
+    /// The engine detected machine-wide quiescence while this rank waited
+    /// on something that can never complete. Report it (with the probe's
+    /// wait-for diagnostic when checking is on), poison the run, and die.
+    /// Must not hold a state-map guard.
     pub(crate) fn report_quiescent_deadlock(&self) -> ! {
         let msg = self.check.probe_deadlock_quiescent().unwrap_or_else(|| {
             "deadlock: every rank is blocked and none can be woken; run with \
@@ -229,7 +139,6 @@ impl Registry {
     /// Enter a barrier on `(comm_id, seq)` with `expected` participants at
     /// virtual time `t`; returns the common release time `max(t_i) + cost`.
     pub fn barrier(&self, comm_id: u64, seq: u64, expected: usize, t: f64, cost: f64) -> f64 {
-        let event = self.event();
         let key = (comm_id, seq);
         let mut map = self.barriers.lock();
         let st = map.entry(key).or_insert(BarrierState {
@@ -248,14 +157,10 @@ impl Registry {
         st.arrived += 1;
         st.max_t = st.max_t.max(t);
         st.cost = st.cost.max(cost);
+        let mut released = Vec::new();
         if st.arrived == st.expected {
             st.release_t = Some(st.max_t + st.cost);
-            self.barrier_cv.notify_all();
-            if let Some(ev) = &event {
-                for tid in st.waiters.drain(..) {
-                    ev.engine().wake(tid);
-                }
-            }
+            released = std::mem::take(&mut st.waiters);
         }
         loop {
             let st = map.get_mut(&key).expect("barrier state vanished");
@@ -264,33 +169,27 @@ impl Registry {
                 if st.left == st.expected {
                     map.remove(&key);
                 }
+                // The completing arrival wakes the rest only after letting
+                // go of the map, so they do not pile up on its lock.
+                drop(map);
+                for tid in released {
+                    self.mail.engine().wake(tid);
+                }
                 return rt;
             }
-            if let Some(ev) = &event {
-                // Event engine: register on the cell and yield the worker.
-                // Poison wakes every task (not just registered waiters),
-                // so the poison check after a wake cannot be missed.
-                let tid = sched::current_task().expect("event-engine rank outside a task");
-                st.waiters.push(tid);
-                drop(map);
-                self.check_poison();
-                match ev.engine().block_current() {
-                    WakeReason::Woken => {}
-                    WakeReason::Quiescent => self.report_quiescent_deadlock(),
-                }
-                self.check_poison();
-                map = self.barriers.lock();
-            } else if self.check.is_enabled() {
-                if let Some(msg) = self.poll_waiter() {
-                    drop(map);
-                    self.poison();
-                    panic!("{msg}");
-                }
-                self.barrier_cv.wait_for(&mut map, POLL);
-            } else {
-                self.check_poison();
-                self.barrier_cv.wait(&mut map);
+            // Register on the cell and park. Poison wakes every task
+            // (not just registered waiters), so the poison check after a
+            // wake cannot be missed.
+            st.waiters
+                .push(sched::current_task().expect("rank outside an engine task"));
+            drop(map);
+            self.check_poison();
+            match self.mail.engine().block_current() {
+                WakeReason::Woken => {}
+                WakeReason::Quiescent => self.report_quiescent_deadlock(),
             }
+            self.check_poison();
+            map = self.barriers.lock();
         }
     }
 
@@ -308,7 +207,6 @@ impl Registry {
             t,
             cost,
         } = entry;
-        let event = self.event();
         let map_key = (parent_id, seq);
         let mut map = self.splits.lock();
         let st = map.entry(map_key).or_insert(SplitState {
@@ -325,6 +223,7 @@ impl Registry {
         );
         st.entries.push((grank, color, key, t));
         st.cost = st.cost.max(cost);
+        let mut released = Vec::new();
         if st.entries.len() == st.expected {
             let release_t = st
                 .entries
@@ -359,12 +258,7 @@ impl Registry {
                 }
             }
             st.outcome = Some(outcome);
-            self.split_cv.notify_all();
-            if let Some(ev) = &event {
-                for tid in st.waiters.drain(..) {
-                    ev.engine().wake(tid);
-                }
-            }
+            released = std::mem::take(&mut st.waiters);
         }
         loop {
             let st = map.get_mut(&map_key).expect("split state vanished");
@@ -377,32 +271,24 @@ impl Registry {
                 if st.left == st.expected {
                     map.remove(&map_key);
                 }
+                // As in `barrier`: wake outside the map lock.
+                drop(map);
+                for tid in released {
+                    self.mail.engine().wake(tid);
+                }
                 return mine;
             }
-            if let Some(ev) = &event {
-                // See the identical arm in `barrier` for the wake/poison
-                // ordering argument.
-                let tid = sched::current_task().expect("event-engine rank outside a task");
-                st.waiters.push(tid);
-                drop(map);
-                self.check_poison();
-                match ev.engine().block_current() {
-                    WakeReason::Woken => {}
-                    WakeReason::Quiescent => self.report_quiescent_deadlock(),
-                }
-                self.check_poison();
-                map = self.splits.lock();
-            } else if self.check.is_enabled() {
-                if let Some(msg) = self.poll_waiter() {
-                    drop(map);
-                    self.poison();
-                    panic!("{msg}");
-                }
-                self.split_cv.wait_for(&mut map, POLL);
-            } else {
-                self.check_poison();
-                self.split_cv.wait(&mut map);
+            // See `barrier` for the wake/poison ordering argument.
+            st.waiters
+                .push(sched::current_task().expect("rank outside an engine task"));
+            drop(map);
+            self.check_poison();
+            match self.mail.engine().block_current() {
+                WakeReason::Woken => {}
+                WakeReason::Quiescent => self.report_quiescent_deadlock(),
             }
+            self.check_poison();
+            map = self.splits.lock();
         }
     }
 
@@ -412,103 +298,96 @@ impl Registry {
     }
 }
 
-impl Default for Registry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
+    use crate::sched::{Engine, SchedulerKind};
+
+    /// Run `f(task, registry)` as the `n` tasks of an OS-thread engine —
+    /// registry waits park in the engine, so they need one around them.
+    fn run_tasks<R: Send>(
+        n: usize,
+        f: impl Fn(usize, &Registry) -> R + Sync,
+    ) -> (Registry, Vec<R>) {
+        let engine = Engine::new(n, SchedulerKind::ThreadPerRank, None);
+        let reg = Registry::new(Arc::new(Mailboxes::new(engine)), CheckSink::disabled());
+        let out: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = (0..n)
+            .map(|i| {
+                let (f, reg, out) = (&f, &reg, &out);
+                Box::new(move || *out[i].lock() = Some(f(i, reg))) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        reg.mail.engine().run(bodies);
+        let out = out
+            .into_iter()
+            .map(|m| m.into_inner().expect("task produced no result"))
+            .collect();
+        (reg, out)
+    }
 
     #[test]
     fn barrier_releases_at_max_plus_cost() {
-        let reg = Arc::new(Registry::new());
         let times = [1.0, 5.0, 3.0];
-        let handles: Vec<_> = times
-            .iter()
-            .map(|&t| {
-                let reg = Arc::clone(&reg);
-                thread::spawn(move || reg.barrier(0, 0, 3, t, 0.5))
-            })
-            .collect();
-        for h in handles {
-            assert_eq!(h.join().unwrap(), 5.5);
+        for release in run_tasks(3, |i, reg| reg.barrier(0, 0, 3, times[i], 0.5)).1 {
+            assert_eq!(release, 5.5);
         }
     }
 
     #[test]
     fn barrier_state_cleaned_up_for_reuse() {
-        let reg = Arc::new(Registry::new());
-        for seq in 0..3 {
-            let handles: Vec<_> = (0..2)
-                .map(|i| {
-                    let reg = Arc::clone(&reg);
-                    thread::spawn(move || reg.barrier(7, seq, 2, i as f64, 0.0))
-                })
-                .collect();
-            for h in handles {
-                assert_eq!(h.join().unwrap(), 1.0);
-            }
-        }
+        let (reg, out) = run_tasks(2, |i, reg| {
+            (0..3)
+                .map(|seq| reg.barrier(7, seq, 2, i as f64, 0.0))
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(out, vec![vec![1.0; 3]; 2]);
         assert!(reg.barriers.lock().is_empty());
     }
 
     #[test]
     fn split_groups_by_color_and_orders_by_key() {
-        let reg = Arc::new(Registry::new());
         // 4 ranks: colors 0,0,1,1; keys reversed within color 0.
-        let plan = [(0usize, 0u64, 9u64), (1, 0, 1), (2, 1, 0), (3, 1, 5)];
-        let handles: Vec<_> = plan
-            .iter()
-            .map(|&(g, c, k)| {
-                let reg = Arc::clone(&reg);
-                thread::spawn(move || {
-                    (
-                        g,
-                        reg.split(SplitEntry {
-                            parent_id: 0,
-                            seq: 0,
-                            expected: 4,
-                            grank: g,
-                            color: c,
-                            key: k,
-                            t: 0.0,
-                            cost: 0.1,
-                        }),
-                    )
-                })
+        let plan = [(0u64, 9u64), (0, 1), (1, 0), (1, 5)];
+        let (_, results) = run_tasks(4, |g, reg| {
+            reg.split(SplitEntry {
+                parent_id: 0,
+                seq: 0,
+                expected: 4,
+                grank: g,
+                color: plan[g].0,
+                key: plan[g].1,
+                t: 0.0,
+                cost: 0.1,
             })
-            .collect();
-        let mut results: Vec<(usize, SplitOutcome)> =
-            handles.into_iter().map(|h| h.join().unwrap()).collect();
-        results.sort_by_key(|r| r.0);
+        });
         // color 0: keys 9 (rank0), 1 (rank1) → order [1, 0]
-        assert_eq!(*results[0].1.members, vec![1, 0]);
-        assert_eq!(results[0].1.my_index, 1);
-        assert_eq!(results[1].1.my_index, 0);
+        assert_eq!(*results[0].members, vec![1, 0]);
+        assert_eq!(results[0].my_index, 1);
+        assert_eq!(results[1].my_index, 0);
         // color 1: order [2, 3]
-        assert_eq!(*results[2].1.members, vec![2, 3]);
+        assert_eq!(*results[2].members, vec![2, 3]);
         // distinct communicators, shared release time.
-        assert_ne!(results[0].1.comm_id, results[2].1.comm_id);
-        assert_eq!(results[0].1.release_t, results[2].1.release_t);
-        assert_eq!(results[0].1.release_t, 0.1);
+        assert_ne!(results[0].comm_id, results[2].comm_id);
+        assert_eq!(results[0].release_t, results[2].release_t);
+        assert_eq!(results[0].release_t, 0.1);
     }
 
     #[test]
     fn poison_unblocks_waiters() {
-        let reg = Arc::new(Registry::new());
-        let r2 = Arc::clone(&reg);
-        let h = thread::spawn(move || {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                r2.barrier(0, 0, 2, 0.0, 0.0)
-            }));
-            result.is_err()
+        // Task 0 enters a barrier task 1 never joins; whether the poison
+        // lands before or after task 0 parks, it must panic out.
+        let (_, panicked) = run_tasks(2, |i, reg| {
+            if i == 0 {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    reg.barrier(0, 0, 2, 0.0, 0.0)
+                }))
+                .is_err()
+            } else {
+                reg.poison();
+                false
+            }
         });
-        std::thread::sleep(Duration::from_millis(30));
-        reg.poison();
-        assert!(h.join().unwrap(), "waiter should have panicked out");
+        assert!(panicked[0], "waiter should have panicked out");
     }
 }

@@ -1,38 +1,52 @@
-//! The M:N engine: rank fibers multiplexed over a fixed worker pool.
+//! The rank engine: one block/wake protocol, two carriers for a task.
 //!
-//! Shape (after the dytor runtime): every task has a *home worker*; wakes
-//! push the task onto its home worker's run queue and only that worker
-//! ever resumes it. Task state lives in a slab indexed by task id (== the
-//! MPI rank), stacks come from one pooled allocation, and workers are
-//! `thread::scope` threads that park on a condvar when their queue drains.
+//! Every rank is a *task* with a slab entry ([`TaskSlot`]) indexed by task
+//! id (== the MPI rank) and a five-state machine; the only way a task ever
+//! waits is [`Engine::block_current`], and the only way it resumes is
+//! [`Engine::wake`]. What differs between the two [`SchedulerKind`]s is
+//! merely what *carries* a task's stack:
 //!
-//! Home pinning is the memory-safety linchpin: a task mid-way through
-//! switching *out* (state already `Ready` again after a racing wake, but
-//! registers not yet parked) can only be resumed by the worker it is
-//! switching out *on*, which by construction pops the queue only after
-//! the switch completes. It also keeps worker-thread-locals (the linalg
-//! pack scratch) coherent for any given rank.
+//! * **Fibers** (`EventDriven`, after the dytor runtime): every task has a
+//!   *home worker*; a wake pushes the task onto its home worker's run
+//!   queue and only that worker ever resumes it. Stacks come from one
+//!   pooled allocation, and workers are `thread::scope` threads that park
+//!   on a condvar when their queue drains. Blocking switches stacks.
+//! * **OS threads** (`ThreadPerRank`): every task's body runs directly on
+//!   its own scoped thread. Blocking waits on the task's condvar, a wake
+//!   notifies it. No stack pool, no assembly, no `unsafe` — so this
+//!   carrier runs on every target and under ThreadSanitizer, and is the
+//!   reference the cross-engine tests compare the fibers against.
 //!
-//! ## Quiescence is exact
+//! Home pinning is the fiber carrier's memory-safety linchpin: a task
+//! mid-way through switching *out* (state already `Ready` again after a
+//! racing wake, but registers not yet parked) can only be resumed by the
+//! worker it is switching out *on*, which by construction pops the queue
+//! only after the switch completes. It also keeps worker-thread-locals
+//! (the linalg pack scratch) coherent for any given rank.
+//!
+//! ## Quiescence is exact — on both carriers
 //!
 //! `active` counts tasks that are runnable (`Ready`/`Running`/
 //! `Notified`). Every wake originates from a running task — senders,
-//! registry completions, and poison broadcasts all execute on some rank's
-//! fiber — so when a blocking task decrements `active` to zero there is
-//! provably no wake in flight: the whole machine is deadlocked *now*.
-//! [`Engine::block_current`] reports that as [`WakeReason::Quiescent`]
-//! instead of parking forever, which is what lets checked runs probe the
-//! wait-for graph with no grace timer and unchecked runs abort instead of
-//! hanging. The dual case — the last runnable task *finishing* while
-//! blocked peers remain — sets the orphan flag and wakes everyone so
-//! receivers can fail fast with the peers-gone diagnostic.
+//! registry completions, and poison broadcasts all execute inside some
+//! rank's body — and a wake counts its target runnable *before* the
+//! target can observe it, so when a blocking task decrements `active` to
+//! zero there is provably no wake in flight: the whole machine is
+//! deadlocked *now*. [`Engine::block_current`] reports that as
+//! [`WakeReason::Quiescent`] instead of parking forever, which is what
+//! lets checked runs probe the wait-for graph with no grace timer and
+//! unchecked runs abort instead of hanging. The dual case — the last
+//! runnable task *finishing* while blocked peers remain — sets the orphan
+//! flag and wakes everyone so receivers can fail fast with the peers-gone
+//! diagnostic. The argument never mentions what carries a task, so it
+//! holds for preemptively scheduled OS threads exactly as for fibers.
 
 use super::fiber::{self, Context};
+use super::SchedulerKind;
 use parking_lot::{Condvar, Mutex};
 use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Why `Engine::block_current` (the crate-internal yield point every
 /// blocking wait funnels through) returned.
@@ -53,25 +67,32 @@ pub enum WakeReason {
 const CANARY: u64 = 0x6e65_6572_6c61_6721; // "greenla!" minus a vowel
 
 enum TaskState {
-    /// Queued (or about to be queued) on the home worker.
+    /// Runnable but not executing: queued on the home worker (fibers), or
+    /// not yet started / just woken and about to leave its condvar
+    /// (OS threads).
     Ready,
-    /// Executing on its home worker.
+    /// Executing.
     Running,
     /// Running, and a wake arrived meanwhile; the next block consumes the
     /// notification instead of yielding (no lost wakeups).
     Notified,
-    /// Parked; registers live in `ctx`, waiting for a wake.
+    /// Parked, waiting for a wake (fibers: registers live in `ctx`).
     Blocked,
     /// Finished; never scheduled again.
     Done,
 }
 
-/// One task's slab entry: scheduling state plus the two execution
-/// contexts (its own, and the home worker's while the task runs).
+/// One task's slab entry: the scheduling state both carriers share, the
+/// condvar an OS-thread task parks on, and the fiber carrier's two
+/// execution contexts (the task's own, and the home worker's while the
+/// task runs).
 struct TaskSlot {
     id: usize,
-    home: usize,
     state: Mutex<TaskState>,
+    /// OS-thread carrier: where the task's thread waits while `Blocked`.
+    parked: Condvar,
+    // Everything below is the fiber carrier's and stays at its initial
+    // value under OS threads.
     /// The task's parked context (valid while `Ready`/`Blocked`).
     ctx: UnsafeCell<Context>,
     /// The home worker's context while the task runs (valid while
@@ -129,54 +150,110 @@ struct WorkerQueue {
     cv: Condvar,
 }
 
-/// The event-driven scheduler for one machine run. Public so runtime
-/// internals (mailboxes, the registry) can wake tasks; rank code never
-/// touches it directly.
+/// The one worker that ever resumes fiber `tid` (see the module docs).
+fn home(workers: &[WorkerQueue], tid: usize) -> &WorkerQueue {
+    &workers[tid % workers.len()]
+}
+
+/// What executes a task's body (see the module docs). The only code that
+/// branches on it lives in this file.
+enum Carrier {
+    /// One scoped OS thread per task.
+    Threads,
+    /// Fibers multiplexed over a worker pool.
+    Fibers {
+        workers: Vec<WorkerQueue>,
+        pool: StackPool,
+    },
+}
+
+/// Fiber worker-pool size when the machine doesn't pin one: the host's
+/// parallelism, clamped to a small pool (the workers mostly shuffle
+/// fibers, and past a handful they just contend on the queues).
+fn default_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4)
+        .clamp(2, 8)
+}
+
+/// Per-fiber stack size. Rank closures in this codebase are shallow
+/// (solver frames plus the runtime), so the default 512 KiB is generous;
+/// pages are only committed on touch, so 10k ranks cost virtual address
+/// space, not resident memory. Override with the `GREENLA_STACK_KB`
+/// environment variable (floor 64 KiB).
+fn fiber_stack_bytes() -> usize {
+    let kb = std::env::var("GREENLA_STACK_KB")
+        .ok()
+        .and_then(|s| s.parse::<usize>().ok())
+        .unwrap_or(512);
+    kb.max(64) * 1024
+}
+
+/// The rank scheduler for one machine run. Public so runtime internals
+/// (mailboxes, the registry) can wake tasks; rank code never touches it
+/// directly.
 pub struct Engine {
     tasks: Vec<TaskSlot>,
-    workers: Vec<WorkerQueue>,
+    carrier: Carrier,
     /// Tasks in `Ready`/`Running`/`Notified` (see module docs).
     active: AtomicUsize,
     done: AtomicUsize,
     orphaned: AtomicBool,
-    pool: StackPool,
 }
 
-// SAFETY: raw pointers inside are derived from owned, pinned-by-Arc
-// storage; all cross-thread access is synchronised as described on
-// `TaskSlot`.
+// SAFETY: raw pointers inside are derived from storage the engine owns
+// and that stays put while `run` borrows it; all cross-thread access is
+// synchronised as described on `TaskSlot`.
 unsafe impl Send for Engine {}
 // SAFETY: as for `Send` — the stack pool is only carved into disjoint
 // per-task regions, and every `TaskSlot` synchronises its own state.
 unsafe impl Sync for Engine {}
 
 thread_local! {
-    /// (engine, task id) of the fiber executing on this worker thread.
+    /// (engine, task id) of the task executing on this thread: set for
+    /// good on a task's own OS thread, and around every resume on a fiber
+    /// worker.
     static CURRENT: Cell<Option<(*const Engine, usize)>> = const { Cell::new(None) };
 }
 
-/// Task id of the fiber running on the current thread, if any. `None`
-/// when called from an ordinary thread (e.g. under the thread-per-rank
-/// engine) — callers use this to pick a blocking strategy.
+/// Task id of the rank body running on the current thread (`None`
+/// outside [`Engine::run`]).
 pub(crate) fn current_task() -> Option<usize> {
     CURRENT.with(|c| c.get().map(|(_, t)| t))
 }
 
 impl Engine {
-    /// Build an engine for `ntasks` tasks on `workers` worker threads
-    /// with `stack_bytes` of stack per task.
-    pub(crate) fn new(ntasks: usize, workers: usize, stack_bytes: usize) -> Self {
-        assert!(workers >= 1, "need at least one worker");
-        assert!(
-            fiber::supported(),
-            "the event-driven scheduler requires x86_64; use SchedulerKind::ThreadPerRank"
-        );
-        let workers = workers.min(ntasks.max(1));
+    /// Build an engine carrying `ntasks` tasks the way `kind` names.
+    /// `workers` pins the fiber worker-pool size (`None` derives it from
+    /// the host); the OS-thread carrier ignores it.
+    pub(crate) fn new(ntasks: usize, kind: SchedulerKind, workers: Option<usize>) -> Self {
+        let carrier = match kind {
+            SchedulerKind::ThreadPerRank => Carrier::Threads,
+            SchedulerKind::EventDriven => {
+                assert!(
+                    fiber::supported(),
+                    "the event-driven scheduler has no fiber switch on this target; \
+                     use SchedulerKind::ThreadPerRank"
+                );
+                let workers = workers.unwrap_or_else(default_workers);
+                assert!(workers >= 1, "need at least one worker");
+                Carrier::Fibers {
+                    workers: (0..workers.min(ntasks.max(1)))
+                        .map(|_| WorkerQueue {
+                            q: Mutex::new(VecDeque::new()),
+                            cv: Condvar::new(),
+                        })
+                        .collect(),
+                    pool: StackPool::new(ntasks, fiber_stack_bytes()),
+                }
+            }
+        };
         let tasks = (0..ntasks)
             .map(|id| TaskSlot {
                 id,
-                home: id % workers,
                 state: Mutex::new(TaskState::Ready),
+                parked: Condvar::new(),
                 ctx: UnsafeCell::new(Context::empty()),
                 ret: UnsafeCell::new(Context::empty()),
                 body: Mutex::new(None),
@@ -186,16 +263,10 @@ impl Engine {
             .collect();
         Engine {
             tasks,
-            workers: (0..workers)
-                .map(|_| WorkerQueue {
-                    q: Mutex::new(VecDeque::new()),
-                    cv: Condvar::new(),
-                })
-                .collect(),
+            carrier,
             active: AtomicUsize::new(ntasks),
             done: AtomicUsize::new(0),
             orphaned: AtomicBool::new(false),
-            pool: StackPool::new(ntasks, stack_bytes),
         }
     }
 
@@ -210,13 +281,39 @@ impl Engine {
         self.orphaned.load(Ordering::SeqCst)
     }
 
-    /// Run every task to completion on the worker pool. Blocks the
-    /// calling thread until all tasks are `Done`.
-    pub(crate) fn run<'scope>(self: &Arc<Self>, bodies: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
+    /// Run every task to completion. Blocks the calling thread until all
+    /// tasks are `Done`.
+    pub(crate) fn run<'scope>(&self, bodies: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
         assert_eq!(bodies.len(), self.tasks.len(), "one body per task");
-        if self.tasks.is_empty() {
-            return;
+        match &self.carrier {
+            Carrier::Threads => std::thread::scope(|scope| {
+                for (tid, body) in bodies.into_iter().enumerate() {
+                    scope.spawn(move || {
+                        CURRENT.with(|c| c.set(Some((self as *const Engine, tid))));
+                        let slot = &self.tasks[tid];
+                        *slot.state.lock() = TaskState::Running;
+                        // Backstop only, as in `fiber_entry`: keeps the
+                        // completion accounting below on the panic path.
+                        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
+                        self.finish(slot);
+                    });
+                }
+            }),
+            Carrier::Fibers { workers, pool } => self.run_fibers(workers, pool, bodies),
         }
+        assert_eq!(
+            self.done.load(Ordering::SeqCst),
+            self.tasks.len(),
+            "engine stopped with unfinished tasks"
+        );
+    }
+
+    fn run_fibers<'scope>(
+        &self,
+        workers: &[WorkerQueue],
+        pool: &StackPool,
+        bodies: Vec<Box<dyn FnOnce() + Send + 'scope>>,
+    ) {
         for (i, body) in bodies.into_iter().enumerate() {
             // SAFETY: lifetime erasure to 'static, sound for the same
             // reason scoped threads are: `run` does not return until every
@@ -225,41 +322,31 @@ impl Engine {
             let body: Box<dyn FnOnce() + Send> = unsafe { std::mem::transmute(body) };
             let slot = &self.tasks[i];
             *slot.body.lock() = Some(body);
-            slot.engine.set(Arc::as_ptr(self));
-            let canary = self.pool.bottom(i);
+            slot.engine.set(self);
+            let canary = pool.bottom(i);
             // SAFETY: slot `i` of the pool is exclusively this task's.
             unsafe {
                 canary.write(CANARY);
-                *slot.ctx.get() = fiber::prepare(
-                    self.pool.top(i),
-                    fiber_entry,
-                    slot as *const TaskSlot as *mut u8,
-                );
+                *slot.ctx.get() =
+                    fiber::prepare(pool.top(i), fiber_entry, slot as *const TaskSlot as *mut u8);
             }
             slot.canary.set(canary);
         }
         // Seed each task on its home worker in ascending id order.
-        for slot in &self.tasks {
-            self.workers[slot.home].q.lock().push_back(slot.id);
+        for tid in 0..self.tasks.len() {
+            home(workers, tid).q.lock().push_back(tid);
         }
         std::thread::scope(|scope| {
-            for w in 0..self.workers.len() {
-                let engine = Arc::clone(self);
-                scope.spawn(move || engine.worker_loop(w));
+            for w in workers {
+                scope.spawn(move || self.worker_loop(w));
             }
         });
-        assert_eq!(
-            self.done.load(Ordering::SeqCst),
-            self.tasks.len(),
-            "workers exited with unfinished tasks"
-        );
     }
 
-    fn worker_loop(self: Arc<Self>, me: usize) {
+    fn worker_loop(&self, w: &WorkerQueue) {
         let n = self.tasks.len();
         loop {
             let tid = {
-                let w = &self.workers[me];
                 let mut q = w.q.lock();
                 loop {
                     if let Some(t) = q.pop_front() {
@@ -280,7 +367,7 @@ impl Engine {
 
     /// Switch the home worker into task `tid` until it yields or
     /// finishes.
-    fn resume(self: &Arc<Self>, tid: usize) {
+    fn resume(&self, tid: usize) {
         let slot = &self.tasks[tid];
         {
             let mut s = slot.state.lock();
@@ -291,7 +378,7 @@ impl Engine {
                 _ => return,
             }
         }
-        CURRENT.with(|c| c.set(Some((Arc::as_ptr(self), tid))));
+        CURRENT.with(|c| c.set(Some((self as *const Engine, tid))));
         // SAFETY: `ctx` holds a prepared or parked context; home pinning
         // guarantees no other worker touches this slot concurrently.
         unsafe { fiber::switch(slot.ret.get(), slot.ctx.get()) };
@@ -299,13 +386,13 @@ impl Engine {
     }
 
     /// Park the calling task until a wake arrives. Must be called from a
-    /// fiber of this engine. Returns [`WakeReason::Quiescent`] — *without*
+    /// task of this engine. Returns [`WakeReason::Quiescent`] — *without*
     /// yielding — when no wake can ever arrive; the caller then owns
     /// diagnosing and aborting the run.
     pub(crate) fn block_current(&self) -> WakeReason {
         let (eng, tid) = CURRENT
             .with(|c| c.get())
-            .expect("block_current called outside an event-driven task");
+            .expect("block_current called outside an engine task");
         debug_assert!(std::ptr::eq(eng, self), "task blocked on a foreign engine");
         let slot = &self.tasks[tid];
         self.check_canary(slot);
@@ -333,10 +420,19 @@ impl Engine {
             *slot.state.lock() = TaskState::Running;
             return WakeReason::Quiescent;
         }
-        // SAFETY: home pinning — the worker under us is the only thread
-        // that can resume this slot, and it only pops its queue after this
-        // switch lands back in `worker_loop`.
-        unsafe { fiber::switch(slot.ctx.get(), slot.ret.get()) };
+        match &self.carrier {
+            Carrier::Threads => {
+                let mut s = slot.state.lock();
+                while !matches!(*s, TaskState::Ready) {
+                    slot.parked.wait(&mut s);
+                }
+                *s = TaskState::Running;
+            }
+            // SAFETY: home pinning — the worker under us is the only
+            // thread that can resume this slot, and it only pops its queue
+            // after this switch lands back in `worker_loop`.
+            Carrier::Fibers { .. } => unsafe { fiber::switch(slot.ctx.get(), slot.ret.get()) },
+        }
         WakeReason::Woken
     }
 
@@ -348,14 +444,21 @@ impl Engine {
         let mut s = slot.state.lock();
         match *s {
             TaskState::Blocked => {
+                // Count the task runnable *before* it can observe the
+                // wake (a parked thread re-reads `state` the moment the
+                // lock drops; a fiber once it is queued), so a racing
+                // blocker can never see a spurious zero.
+                self.active.fetch_add(1, Ordering::SeqCst);
                 *s = TaskState::Ready;
                 drop(s);
-                // Count the task runnable *before* it becomes poppable so
-                // a racing blocker can never observe a spurious zero.
-                self.active.fetch_add(1, Ordering::SeqCst);
-                let w = &self.workers[slot.home];
-                w.q.lock().push_back(tid);
-                w.cv.notify_one();
+                match &self.carrier {
+                    Carrier::Threads => slot.parked.notify_one(),
+                    Carrier::Fibers { workers, .. } => {
+                        let w = home(workers, tid);
+                        w.q.lock().push_back(tid);
+                        w.cv.notify_one();
+                    }
+                }
             }
             TaskState::Running => *s = TaskState::Notified,
             TaskState::Ready | TaskState::Notified | TaskState::Done => {}
@@ -383,9 +486,8 @@ impl Engine {
         }
     }
 
-    /// Completion path, running on the finished task's fiber. Never
-    /// returns: switches back to the home worker for good.
-    fn finish(&self, slot: &TaskSlot) -> ! {
+    /// Completion accounting, running on the finished task's own stack.
+    fn finish(&self, slot: &TaskSlot) {
         self.check_canary(slot);
         *slot.state.lock() = TaskState::Done;
         let n = self.tasks.len();
@@ -397,15 +499,12 @@ impl Engine {
             self.orphaned.store(true, Ordering::SeqCst);
             self.wake_all();
         }
-        if all_done {
-            for w in &self.workers {
+        if let (true, Carrier::Fibers { workers, .. }) = (all_done, &self.carrier) {
+            for w in workers {
                 let _q = w.q.lock();
                 w.cv.notify_all();
             }
         }
-        // SAFETY: final switch out; the slot is `Done` and never resumed.
-        unsafe { fiber::switch(slot.ctx.get(), slot.ret.get()) };
-        unreachable!("finished fiber was resumed");
     }
 }
 
@@ -414,9 +513,8 @@ extern "C" fn fiber_entry(arg: *mut u8) -> ! {
     // SAFETY: `arg` is the `TaskSlot` this fiber was prepared with; the
     // engine outlives all fibers (workers join before `run` returns).
     let slot = unsafe { &*(arg as *const TaskSlot) };
-    // SAFETY: `engine` was set to the owning `Arc`'s pointer in `run`
-    // before any fiber started, and `run` keeps that Arc alive until
-    // every task is Done.
+    // SAFETY: `engine` was set to `run`'s own `&self` before any fiber
+    // started, and `run` holds that borrow until every task is Done.
     let engine = unsafe { &*slot.engine.get() };
     let body = slot
         .body
@@ -429,48 +527,67 @@ extern "C" fn fiber_entry(arg: *mut u8) -> ! {
     // the process.
     let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
     engine.finish(slot);
+    // SAFETY: final switch out; the slot is `Done` and never resumed.
+    unsafe { fiber::switch(slot.ctx.get(), slot.ret.get()) };
+    unreachable!("finished fiber was resumed");
 }
 
-#[cfg(all(test, target_arch = "x86_64"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
-    fn run_engine(n: usize, workers: usize, f: impl Fn(usize, &Arc<Engine>) + Sync) {
-        let engine = Arc::new(Engine::new(n, workers, 64 * 1024));
-        let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = (0..n)
-            .map(|i| {
-                let engine = Arc::clone(&engine);
-                let f = &f;
-                Box::new(move || f(i, &engine)) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        engine.run(bodies);
+    /// Every carrier this target has: the protocol tests below run once
+    /// per carrier, with the fiber pool at `workers`.
+    fn carriers(workers: usize) -> Vec<(SchedulerKind, Option<usize>)> {
+        let mut all = vec![(SchedulerKind::ThreadPerRank, None)];
+        if fiber::supported() {
+            all.push((SchedulerKind::EventDriven, Some(workers)));
+        }
+        all
+    }
+
+    fn run_engine(
+        n: usize,
+        (kind, workers): (SchedulerKind, Option<usize>),
+        f: impl Fn(usize, &Engine) + Sync,
+    ) {
+        let engine = Engine::new(n, kind, workers);
+        let (f, engine) = (&f, &engine);
+        engine.run(
+            (0..n)
+                .map(|i| Box::new(move || f(i, engine)) as Box<dyn FnOnce() + Send + '_>)
+                .collect(),
+        );
     }
 
     #[test]
     fn all_tasks_run_to_completion() {
-        let hits = (0..100).map(|_| AtomicUsize::new(0)).collect::<Vec<_>>();
-        run_engine(100, 3, |i, _| {
-            hits[i].fetch_add(1, Ordering::SeqCst);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
+        for carrier in carriers(3) {
+            let hits = (0..100).map(|_| AtomicUsize::new(0)).collect::<Vec<_>>();
+            run_engine(100, carrier, |i, _| {
+                hits[i].fetch_add(1, Ordering::SeqCst);
+            });
+            assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
+        }
     }
 
     #[test]
     fn block_and_wake_ping_pong() {
         // Task 0 blocks until task 1 wakes it; flag proves ordering.
-        let flag = AtomicBool::new(false);
-        run_engine(2, 2, |i, engine| {
-            if i == 0 {
-                while !flag.load(Ordering::SeqCst) {
-                    assert_eq!(engine.block_current(), WakeReason::Woken);
+        for carrier in carriers(2) {
+            let flag = AtomicBool::new(false);
+            run_engine(2, carrier, |i, engine| {
+                if i == 0 {
+                    while !flag.load(Ordering::SeqCst) {
+                        assert_eq!(engine.block_current(), WakeReason::Woken);
+                    }
+                } else {
+                    flag.store(true, Ordering::SeqCst);
+                    engine.wake(0);
                 }
-            } else {
-                flag.store(true, Ordering::SeqCst);
-                engine.wake(0);
-            }
-        });
-        assert!(flag.load(Ordering::SeqCst));
+            });
+            assert!(flag.load(Ordering::SeqCst));
+        }
     }
 
     #[test]
@@ -480,23 +597,25 @@ mod tests {
         // when the wake lands (it signals `started` and spins), so the
         // wake takes the Notified path; were the notification lost, task
         // 0 would park with nobody left to wake it and see Quiescent.
-        let started = AtomicBool::new(false);
-        let flag = AtomicBool::new(false);
-        run_engine(2, 2, |i, engine| {
-            if i == 0 {
-                started.store(true, Ordering::SeqCst);
-                while !flag.load(Ordering::SeqCst) {
-                    std::hint::spin_loop();
+        for carrier in carriers(2) {
+            let started = AtomicBool::new(false);
+            let flag = AtomicBool::new(false);
+            run_engine(2, carrier, |i, engine| {
+                if i == 0 {
+                    started.store(true, Ordering::SeqCst);
+                    while !flag.load(Ordering::SeqCst) {
+                        std::hint::spin_loop();
+                    }
+                    assert_eq!(engine.block_current(), WakeReason::Woken);
+                } else {
+                    while !started.load(Ordering::SeqCst) {
+                        std::hint::spin_loop();
+                    }
+                    engine.wake(0);
+                    flag.store(true, Ordering::SeqCst);
                 }
-                assert_eq!(engine.block_current(), WakeReason::Woken);
-            } else {
-                while !started.load(Ordering::SeqCst) {
-                    std::hint::spin_loop();
-                }
-                engine.wake(0);
-                flag.store(true, Ordering::SeqCst);
-            }
-        });
+            });
+        }
     }
 
     #[test]
@@ -504,41 +623,57 @@ mod tests {
         // 4 tasks all block with nobody left to wake them; exactly the
         // last one to park must see Quiescent, and its wake_all releases
         // the rest.
-        let quiescent = AtomicUsize::new(0);
-        run_engine(4, 2, |_, engine| match engine.block_current() {
-            WakeReason::Quiescent => {
-                quiescent.fetch_add(1, Ordering::SeqCst);
-                engine.wake_all();
-            }
-            WakeReason::Woken => {}
-        });
-        assert_eq!(quiescent.load(Ordering::SeqCst), 1);
+        for carrier in carriers(2) {
+            let quiescent = AtomicUsize::new(0);
+            run_engine(4, carrier, |_, engine| match engine.block_current() {
+                WakeReason::Quiescent => {
+                    quiescent.fetch_add(1, Ordering::SeqCst);
+                    engine.wake_all();
+                }
+                WakeReason::Woken => {}
+            });
+            assert_eq!(quiescent.load(Ordering::SeqCst), 1);
+        }
     }
 
     #[test]
     fn orphan_flag_raised_when_last_runnable_finishes() {
-        // One worker serialises the interleaving: task 0 parks, task 1
-        // wakes it and parks forever, task 0 finishes — the last runnable
-        // task is gone while task 1 is still blocked, so the engine must
-        // raise the orphan flag and wake task 1 to terminate the run.
-        let saw_orphan = AtomicBool::new(false);
-        run_engine(2, 1, |i, engine| {
-            if i == 0 {
-                assert_eq!(engine.block_current(), WakeReason::Woken);
-            } else {
-                engine.wake(0);
-                assert_eq!(engine.block_current(), WakeReason::Woken);
-                assert!(engine.orphaned(), "woken without a wake source");
-                saw_orphan.store(true, Ordering::SeqCst);
-            }
-        });
-        assert!(saw_orphan.load(Ordering::SeqCst));
+        // Task 0 parks until task 1 wakes it, then holds off finishing
+        // until task 1 has parked too (`active` back down to one — on a
+        // single fiber worker that is already true when task 0 resumes).
+        // Task 0 finishing is then the last runnable task going away with
+        // a blocked peer left, so the engine must raise the orphan flag
+        // and wake task 1 to terminate the run.
+        for carrier in carriers(1) {
+            let flag = AtomicBool::new(false);
+            let saw_orphan = AtomicBool::new(false);
+            run_engine(2, carrier, |i, engine| {
+                if i == 0 {
+                    while !flag.load(Ordering::SeqCst) {
+                        assert_eq!(engine.block_current(), WakeReason::Woken);
+                    }
+                    while engine.active.load(Ordering::SeqCst) != 1 {
+                        std::thread::yield_now();
+                    }
+                } else {
+                    flag.store(true, Ordering::SeqCst);
+                    engine.wake(0);
+                    assert_eq!(engine.block_current(), WakeReason::Woken);
+                    assert!(engine.orphaned(), "woken without a wake source");
+                    saw_orphan.store(true, Ordering::SeqCst);
+                }
+            });
+            assert!(saw_orphan.load(Ordering::SeqCst));
+        }
     }
 
     #[test]
-    fn ten_thousand_tasks_spin_up_and_finish() {
+    fn ten_thousand_fibers_spin_up_and_finish() {
+        if !fiber::supported() {
+            return;
+        }
         let count = AtomicUsize::new(0);
-        run_engine(10_000, 4, |_, _| {
+        run_engine(10_000, (SchedulerKind::EventDriven, Some(4)), |_, _| {
             count.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(count.load(Ordering::SeqCst), 10_000);

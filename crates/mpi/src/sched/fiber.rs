@@ -10,12 +10,15 @@
 //! makes parking a *rank* (a fiber) cheap enough to do tens of thousands
 //! of times where parking a *thread* would involve the kernel.
 //!
-//! Only `x86_64` is implemented; [`supported`] reports availability so
-//! callers can fall back to the thread-per-rank engine elsewhere.
+//! Only `x86_64` is implemented; [`supported`] reports availability, and
+//! the OS-thread carrier is what runs everywhere else.
 
-/// Is the fiber switch implemented for the current target architecture?
+/// Is the fiber switch usable in this build? True on `x86_64`, unless the
+/// build passes `--cfg greenla_no_fibers` — for tools that cannot follow a
+/// hand-rolled stack switch (ThreadSanitizer), same standing as
+/// `cfg(miri)`. Public as [`super::SchedulerKind::supported`].
 pub fn supported() -> bool {
-    cfg!(target_arch = "x86_64")
+    cfg!(all(target_arch = "x86_64", not(greenla_no_fibers)))
 }
 
 /// A fiber's saved execution context. Everything except the stack pointer

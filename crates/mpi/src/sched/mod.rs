@@ -1,30 +1,41 @@
-//! Rank scheduling engines.
+//! Rank scheduling: one engine, one wait/wake protocol, two carriers.
 //!
-//! The machine can execute a simulated MPI program under two engines that
-//! are — by contract — indistinguishable in virtual time:
+//! Every simulated rank is a task of one [`Engine`]. A rank that cannot
+//! make progress — an empty mailbox in `recv`, an incomplete barrier or
+//! split — calls `Engine::block_current`; whoever completes the
+//! condition (a sender, the last arrival of a collective, a poison
+//! broadcast) calls [`Engine::wake`]. There is no other way to wait
+//! anywhere in this crate, and no timer: the engine counts runnable
+//! tasks, so it knows the exact moment nothing can ever run again and
+//! reports it ([`WakeReason::Quiescent`], or the orphan flag when the last
+//! runnable task *finishes*) — checked runs then name the wait-for cycle,
+//! unchecked runs abort with a stable diagnostic, and neither hangs.
 //!
-//! * **Thread-per-rank** ([`SchedulerKind::ThreadPerRank`], the default):
-//!   every rank is an OS thread. Simple, debuggable with ordinary tools,
-//!   and each rank gets a full 8 MiB kernel-managed stack — but the OS
-//!   caps practical world sizes at a few thousand ranks.
-//! * **Event-driven M:N** ([`SchedulerKind::EventDriven`]): every rank is
-//!   a stackful fiber multiplexed onto a fixed worker pool. A rank
-//!   blocking in `recv`/`barrier`/a collective yields its worker instead
-//!   of parking a thread, and the paths that used to notify threads
-//!   (registry completions, poison/abort control envelopes,
-//!   fault-injected wakeups) become task wakes. This is what makes
-//!   10k–100k-rank simulations tractable — and it makes deadlock
-//!   detection *exact*: the engine knows the precise moment every task is
-//!   blocked (see [`engine::WakeReason::Quiescent`]), so checked runs
-//!   need no grace timer and unchecked runs abort instead of hanging.
+//! What a [`SchedulerKind`] selects is only what *carries* a task:
+//!
+//! * **Fibers** ([`SchedulerKind::EventDriven`]): stackful fibers
+//!   multiplexed onto a small worker pool. Blocking switches stacks in
+//!   user space (~12 instructions) instead of parking a kernel thread,
+//!   which is what makes 10k–100k-rank simulations tractable and the
+//!   message-bound campaigns about 3× faster on the host. The switch is
+//!   hand-written x86_64 assembly ([`SchedulerKind::supported`] says
+//!   whether this build has it).
+//! * **OS threads** ([`SchedulerKind::ThreadPerRank`]): every task's body
+//!   runs on its own scoped thread and parks on a per-task condvar. No
+//!   assembly and no `unsafe`, so it exists on every target, works under
+//!   ThreadSanitizer and ordinary debuggers, and is the reference the
+//!   cross-engine tests hold the fibers to — but the OS caps practical
+//!   world sizes at a few thousand ranks.
+//!
+//! [`SchedulerKind::default`] is OS threads: the carrier every build has.
 //!
 //! # The scheduler-invariance contract
 //!
-//! Virtual-time outcomes must be **bit-identical** across engines: traces,
-//! per-rank final clocks, violations, and fault reports. This holds by
-//! construction because every timing decision is a function of virtual
-//! clocks carried in envelopes and registry cells, never of wall-clock
-//! scheduling — e.g. multi-source receives charge in sorted
+//! Virtual-time outcomes must be **bit-identical** across carriers:
+//! traces, per-rank final clocks, violations, and fault reports. This
+//! holds by construction because every timing decision is a function of
+//! virtual clocks carried in envelopes and registry cells, never of
+//! wall-clock scheduling — e.g. multi-source receives charge in sorted
 //! `(arrival, src)` order regardless of delivery order, and fault delays
 //! shift virtual arrival times rather than sleeping. The
 //! `scheduler_invariance` harness test suite enforces the contract,
@@ -36,11 +47,11 @@ pub(crate) mod fiber;
 pub(crate) use engine::current_task;
 pub use engine::{Engine, WakeReason};
 
-/// Which engine [`crate::Machine::run`] uses to execute ranks.
+/// What carries each rank of a [`crate::Machine::run`].
 ///
-/// Selecting an engine changes *only* wall-clock execution: how many OS
-/// threads exist and how blocked ranks wait. Everything observable in
-/// virtual time is identical (see the module docs for the contract).
+/// Selecting a carrier changes *only* wall-clock execution: how many OS
+/// threads exist and what a blocked rank parks on. Everything observable
+/// in virtual time is identical (see the module docs for the contract).
 ///
 /// ```
 /// use greenla_cluster::placement::{LoadLayout, Placement};
@@ -63,17 +74,26 @@ pub use engine::{Engine, WakeReason};
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum SchedulerKind {
-    /// One OS thread per rank (the default). Checked runs poll the
-    /// deadlock probe on a 25 ms timer while blocked.
+    /// One OS thread per rank (the default): runs on every target, and is
+    /// the portable reference the fibers are held to.
     #[default]
     ThreadPerRank,
-    /// Green-task M:N engine: fibers over a small worker pool, exact
-    /// event-driven deadlock detection, world sizes of 10k+ ranks.
-    /// Requires x86_64 (the fiber switch is hand-written assembly).
+    /// Fibers over a small worker pool: about 3× faster on message-bound
+    /// work and the only way to world sizes of 10k+ ranks. Needs the
+    /// hand-written x86_64 switch (see [`SchedulerKind::supported`]).
     EventDriven,
 }
 
 impl SchedulerKind {
+    /// Can this build run the carrier? OS threads always; fibers on
+    /// x86_64, unless the build passes `--cfg greenla_no_fibers`.
+    pub fn supported(self) -> bool {
+        match self {
+            SchedulerKind::ThreadPerRank => true,
+            SchedulerKind::EventDriven => fiber::supported(),
+        }
+    }
+
     /// Parse a CLI-style name: `thread` | `event`.
     pub fn parse(s: &str) -> Option<Self> {
         match s {

@@ -1,20 +1,35 @@
-//! The event-driven engine, end to end: parity with thread-per-rank on
-//! real programs, exact deadlock detection without timed polls, and
-//! abort/orphan behaviour at world sizes the thread engine can't reach.
+//! The rank engine, end to end, over both carriers: parity of fibers with
+//! OS threads on real programs, exact deadlock detection without timed
+//! polls, abort/orphan behaviour that never hangs on either carrier, and
+//! world sizes only fibers can reach.
 //!
-//! The fiber switch is hand-written x86_64 assembly, so the whole file is
-//! gated on that architecture (other targets fall back to thread-per-rank
-//! and never construct the engine).
-#![cfg(target_arch = "x86_64")]
+//! Fibers exist where `SchedulerKind::EventDriven.supported()` (the
+//! switch is hand-written x86_64 assembly); the fiber-only tests return
+//! early elsewhere, and the both-carrier tests run the OS-thread leg
+//! everywhere.
 
 use greenla_cluster::placement::{LoadLayout, Placement};
 use greenla_cluster::spec::ClusterSpec;
 use greenla_cluster::PowerModel;
 use greenla_mpi::{
-    CheckSink, CrashFault, CrashWhen, FaultPlan, FaultSink, Machine, MsgFault, MsgFaultKind, Rule,
-    SchedulerKind,
+    CheckSink, CrashFault, CrashWhen, FaultPlan, FaultSink, Machine, MsgFault, MsgFaultKind,
+    RankCtx, Rule, SchedulerKind, Violation,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::{Duration, Instant};
+
+fn fibers() -> bool {
+    SchedulerKind::EventDriven.supported()
+}
+
+/// Every carrier this target has; the OS-thread one always exists.
+fn carriers() -> Vec<SchedulerKind> {
+    let mut all = vec![SchedulerKind::ThreadPerRank];
+    if fibers() {
+        all.push(SchedulerKind::EventDriven);
+    }
+    all
+}
 
 fn machine(ranks: usize, kind: SchedulerKind) -> Machine {
     let nodes = ranks.div_ceil(8).max(1);
@@ -25,10 +40,52 @@ fn machine(ranks: usize, kind: SchedulerKind) -> Machine {
         .with_scheduler(kind)
 }
 
+/// Wall-clock budget for a leg that must abort. Vastly above the
+/// sub-second normal case: hitting it means a hang, not a slow machine.
+const ABORT_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// Run a program that must abort — on a watchdog thread, so a carrier
+/// that parks forever fails this leg instead of stalling the suite — and
+/// return the root-cause panic message plus the checker's findings.
+fn abort_of(
+    ranks: usize,
+    kind: SchedulerKind,
+    checked: bool,
+    body: fn(&mut RankCtx),
+) -> (String, Vec<Violation>) {
+    let sink = if checked {
+        CheckSink::enabled()
+    } else {
+        CheckSink::disabled()
+    };
+    let m = machine(ranks, kind).with_check(sink.clone());
+    let run =
+        std::thread::spawn(move || catch_unwind(AssertUnwindSafe(|| m.run(body))).map(|_| ()));
+    let leg = format!("{kind} engine, checked={checked}");
+    let deadline = Instant::now() + ABORT_TIMEOUT;
+    while !run.is_finished() {
+        assert!(
+            Instant::now() < deadline,
+            "{leg}: run hung past {ABORT_TIMEOUT:?} instead of aborting"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let payload = match run.join().expect("the run's panic is caught inside") {
+        Err(payload) => payload,
+        Ok(()) => panic!("{leg}: run must abort, but it completed"),
+    };
+    let msg = payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_default();
+    (format!("{leg}: {msg}"), sink.violations())
+}
+
 /// A rank program that exercises every blocking path: compute, matched
 /// sends/receives around a ring, barriers, and the registry split, plus
 /// reductions that take the tree or ring path depending on size.
-fn workout(ctx: &mut greenla_mpi::RankCtx) -> (f64, Vec<f64>) {
+fn workout(ctx: &mut RankCtx) -> (f64, Vec<f64>) {
     let world = ctx.world();
     let r = ctx.rank();
     let p = ctx.size();
@@ -55,6 +112,9 @@ fn workout(ctx: &mut greenla_mpi::RankCtx) -> (f64, Vec<f64>) {
 
 #[test]
 fn engines_agree_bit_for_bit_on_a_full_workout() {
+    if !fibers() {
+        return;
+    }
     let p = 64;
     let thread = machine(p, SchedulerKind::ThreadPerRank).run(workout);
     let event = machine(p, SchedulerKind::EventDriven).run(workout);
@@ -73,164 +133,158 @@ fn engines_agree_bit_for_bit_on_a_full_workout() {
 
 #[test]
 fn checked_thousand_rank_run_is_clean() {
-    let sink = CheckSink::enabled();
-    let m = machine(1000, SchedulerKind::EventDriven).with_check(sink.clone());
-    let out = m.run(|ctx| {
-        let world = ctx.world();
-        ctx.compute(100_000, 0);
-        ctx.barrier(&world);
-        let s = ctx.allreduce_sum_f64(&world, &[1.0]);
-        ctx.barrier(&world);
-        s[0]
-    });
-    assert!(out.results.iter().all(|&s| s == 1000.0));
-    assert!(
-        sink.violations().is_empty(),
-        "clean program must check clean: {:?}",
-        sink.violations()
-    );
+    for kind in carriers() {
+        let sink = CheckSink::enabled();
+        let m = machine(1000, kind).with_check(sink.clone());
+        let out = m.run(|ctx| {
+            let world = ctx.world();
+            ctx.compute(100_000, 0);
+            ctx.barrier(&world);
+            let s = ctx.allreduce_sum_f64(&world, &[1.0]);
+            ctx.barrier(&world);
+            s[0]
+        });
+        assert!(out.results.iter().all(|&s| s == 1000.0));
+        assert!(
+            sink.violations().is_empty(),
+            "{kind}: clean program must check clean: {:?}",
+            sink.violations()
+        );
+    }
+}
+
+/// Ranks 0 and 1 wait on each other; everyone else blocks in a world
+/// barrier the pair never joins.
+fn recv_cycle(ctx: &mut RankCtx) {
+    let world = ctx.world();
+    match ctx.rank() {
+        0 => {
+            ctx.recv_f64(&world, 1, 7);
+        }
+        1 => {
+            ctx.recv_f64(&world, 0, 9);
+        }
+        _ => ctx.barrier(&world),
+    }
 }
 
 #[test]
 fn recv_deadlock_aborts_exactly_with_the_cycle_named() {
-    // Ranks 0 and 1 wait on each other; everyone else blocks in a world
-    // barrier the pair never joins. No 25 ms poll, no grace timer: the
-    // scheduler's quiescence signal runs the probe the moment the last
-    // task blocks.
-    let sink = CheckSink::enabled();
-    let m = machine(1000, SchedulerKind::EventDriven).with_check(sink.clone());
-    let r = catch_unwind(AssertUnwindSafe(|| {
-        m.run(|ctx| {
-            let world = ctx.world();
-            match ctx.rank() {
-                0 => {
-                    ctx.recv_f64(&world, 1, 7);
-                }
-                1 => {
-                    ctx.recv_f64(&world, 0, 9);
-                }
-                _ => ctx.barrier(&world),
-            }
-        })
-    }));
-    let payload = match r {
-        Err(p) => p,
-        Ok(_) => panic!("deadlocked run must abort"),
-    };
-    let msg = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .unwrap_or_default();
-    assert!(
-        msg.contains("deadlock") || msg.contains("simulated MPI run aborted"),
-        "unstable diagnostic: {msg}"
-    );
-    let v = sink.violations();
-    let dl: Vec<_> = v.iter().filter(|v| v.rule == Rule::Deadlock).collect();
-    assert_eq!(dl.len(), 1, "exactly one DL001: {v:?}");
-    assert!(
-        dl[0].message.contains("cycle: 0 -> 1 -> 0")
-            || dl[0].message.contains("cycle: 1 -> 0 -> 1"),
-        "cycle must be named: {}",
-        dl[0].message
-    );
+    // No poll, no grace timer, on either carrier: the engine's quiescence
+    // signal runs the probe the moment the last task blocks.
+    for kind in carriers() {
+        let (msg, v) = abort_of(1000, kind, true, recv_cycle);
+        assert!(
+            msg.contains("deadlock") || msg.contains("simulated MPI run aborted"),
+            "unstable diagnostic: {msg}"
+        );
+        let dl: Vec<_> = v.iter().filter(|v| v.rule == Rule::Deadlock).collect();
+        assert_eq!(dl.len(), 1, "{kind}: exactly one DL001: {v:?}");
+        assert!(
+            dl[0].message.contains("cycle: 0 -> 1 -> 0")
+                || dl[0].message.contains("cycle: 1 -> 0 -> 1"),
+            "{kind}: cycle must be named: {}",
+            dl[0].message
+        );
+    }
 }
 
 #[test]
 fn unchecked_deadlock_aborts_instead_of_hanging() {
-    // Same shape without the checker: the thread engine would hang here
-    // (nothing polls), but quiescence is exact under the event engine,
-    // so the run aborts with a generic diagnostic.
-    let m = machine(64, SchedulerKind::EventDriven);
-    let r = catch_unwind(AssertUnwindSafe(|| {
-        m.run(|ctx| {
-            let world = ctx.world();
-            match ctx.rank() {
-                0 => {
-                    ctx.recv_f64(&world, 1, 7);
-                }
-                1 => {
-                    ctx.recv_f64(&world, 0, 9);
-                }
-                _ => ctx.barrier(&world),
-            }
-        })
-    }));
-    let payload = match r {
-        Err(p) => p,
-        Ok(_) => panic!("deadlocked run must abort"),
-    };
-    let msg = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .unwrap_or_default();
-    assert!(
-        msg.contains("deadlock") || msg.contains("simulated MPI run aborted"),
-        "unstable diagnostic: {msg}"
-    );
+    // Same shape without the checker: quiescence is exact on both
+    // carriers, so the run aborts with a generic diagnostic.
+    for kind in carriers() {
+        let (msg, _) = abort_of(64, kind, false, recv_cycle);
+        assert!(
+            msg.contains("deadlock:") || msg.contains("simulated MPI run aborted"),
+            "unstable diagnostic: {msg}"
+        );
+    }
 }
 
 #[test]
-fn rank_panic_unblocks_fibers_in_recv_and_barrier() {
-    let m = machine(64, SchedulerKind::EventDriven);
-    let r = catch_unwind(AssertUnwindSafe(|| {
-        m.run(|ctx| {
-            let world = ctx.world();
-            match ctx.rank() {
-                0 => panic!("injected fault"),
-                1 => {
-                    ctx.recv_f64(&world, 0, 1);
+fn barrier_one_rank_never_enters_aborts() {
+    for kind in carriers() {
+        for checked in [false, true] {
+            let (msg, v) = abort_of(64, kind, checked, |ctx| {
+                let world = ctx.world();
+                if ctx.rank() != 5 {
+                    ctx.barrier(&world);
                 }
-                _ => ctx.barrier(&world),
+            });
+            assert!(
+                msg.contains("deadlock") || msg.contains("simulated MPI run aborted"),
+                "unstable diagnostic: {msg}"
+            );
+            if checked {
+                let dl: Vec<_> = v.iter().filter(|v| v.rule == Rule::Deadlock).collect();
+                assert_eq!(dl.len(), 1, "{msg}: {v:?}");
+                assert!(dl[0].message.contains("waiting for ranks [5]"), "{msg}");
             }
-        })
-    }));
-    let payload = match r {
-        Err(p) => p,
-        Ok(_) => panic!("peer failure must abort the run"),
-    };
-    let msg = payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_default();
-    assert!(
-        msg.contains("injected fault"),
-        "root cause must win over casualties: {msg}"
-    );
+        }
+    }
+}
+
+#[test]
+fn rank_panic_unblocks_ranks_in_recv_barrier_and_split() {
+    for kind in carriers() {
+        for checked in [false, true] {
+            let (msg, _) = abort_of(64, kind, checked, |ctx| {
+                let world = ctx.world();
+                match ctx.rank() {
+                    0 => panic!("injected fault"),
+                    1 => {
+                        ctx.recv_f64(&world, 0, 1);
+                    }
+                    r if r % 2 == 0 => {
+                        ctx.split(&world, 0, r as u64);
+                    }
+                    _ => ctx.barrier(&world),
+                }
+            });
+            assert!(
+                msg.contains("injected fault"),
+                "root cause must win over casualties: {msg}"
+            );
+        }
+    }
 }
 
 #[test]
 fn orphaned_receiver_aborts_with_all_peers_gone() {
     // Rank 1 waits on a message nobody will ever send while everyone
-    // else returns: the scheduler's orphan signal replaces the channel
-    // disconnect (the thread engine would hang — rank 1's own sender
-    // handle keeps its channel alive).
-    let m = machine(64, SchedulerKind::EventDriven);
-    let r = catch_unwind(AssertUnwindSafe(|| {
-        m.run(|ctx| {
-            let world = ctx.world();
-            if ctx.rank() == 1 {
-                ctx.recv_f64(&world, 0, 1);
+    // else returns. Which signal it dies on depends on whether it parks
+    // before the last peer finishes (the orphan wake: "all peers gone")
+    // or after (it is itself the last runnable task: "deadlock:"); with
+    // the checker attached the probe names the finished peer either way.
+    for kind in carriers() {
+        for checked in [false, true] {
+            let (msg, v) = abort_of(64, kind, checked, |ctx| {
+                let world = ctx.world();
+                if ctx.rank() == 1 {
+                    ctx.recv_f64(&world, 0, 1);
+                }
+            });
+            assert!(
+                msg.contains("all peers gone") || msg.contains("deadlock"),
+                "unstable diagnostic: {msg}"
+            );
+            if checked {
+                assert!(
+                    v.iter().any(|v| v.rule == Rule::Deadlock
+                        && v.message.contains("rank 1 waits on rank 0")),
+                    "{msg}: {v:?}"
+                );
             }
-        })
-    }));
-    let payload = match r {
-        Err(p) => p,
-        Ok(_) => panic!("orphaned receiver must abort"),
-    };
-    let msg = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .unwrap_or_default();
-    assert!(
-        msg.contains("all peers gone") || msg.contains("simulated MPI run aborted"),
-        "unstable diagnostic: {msg}"
-    );
+        }
+    }
 }
 
 #[test]
 fn iprobe_respects_virtual_causality_on_fibers() {
+    if !fibers() {
+        return;
+    }
     let m = machine(8, SchedulerKind::EventDriven);
     let out = m.run(|ctx| {
         let world = ctx.world();
@@ -271,6 +325,9 @@ fn iprobe_respects_virtual_causality_on_fibers() {
 
 #[test]
 fn fault_reports_and_clocks_match_across_engines() {
+    if !fibers() {
+        return;
+    }
     let plan = || FaultPlan {
         messages: vec![
             MsgFault {
@@ -291,7 +348,7 @@ fn fault_reports_and_clocks_match_across_engines() {
         ],
         ..Default::default()
     };
-    let program = |ctx: &mut greenla_mpi::RankCtx| {
+    let program = |ctx: &mut RankCtx| {
         let world = ctx.world();
         let r = ctx.rank();
         let p = ctx.size();
@@ -325,6 +382,9 @@ fn fault_reports_and_clocks_match_across_engines() {
 
 #[test]
 fn planned_crash_aborts_checked_event_runs() {
+    if !fibers() {
+        return;
+    }
     for checked in [false, true] {
         let plan = FaultPlan {
             crashes: vec![CrashFault {
@@ -365,10 +425,12 @@ fn planned_crash_aborts_checked_event_runs() {
 
 #[test]
 fn ten_thousand_rank_smoke_spins_up_and_synchronises() {
-    // The tentpole capability: a world size the thread engine cannot
-    // reach (10k OS threads would exhaust default process limits).
-    // Spin-up, a barrier storm, one bcast, and an allreduce — then
-    // verify everyone agrees.
+    // What fibers are for: a world size OS threads cannot reach (10k of
+    // them would exhaust default process limits). Spin-up, a barrier
+    // storm, one bcast, and an allreduce — then verify everyone agrees.
+    if !fibers() {
+        return;
+    }
     let p = 10_000;
     let m = machine(p, SchedulerKind::EventDriven).with_sched_workers(4);
     let out = m.run(|ctx| {
