@@ -18,9 +18,11 @@ pub enum CollKind {
     BcastPipelined,
     Reduce,
     Gather,
-    /// Recursive-doubling allreduce (the kind doubles as the lockstep
-    /// algorithm discriminator: a rank taking the small-payload
-    /// tree path instead records Reduce + Bcast sites, so divergent
+    /// Butterfly allreduce, recursive doubling or reduce-scatter +
+    /// allgather (the kind doubles as the lockstep algorithm
+    /// discriminator: a rank taking the small-payload tree path instead
+    /// records Reduce + Bcast sites, and the two butterflies are told
+    /// apart by the element count they are selected on, so divergent
     /// algorithm selection surfaces as COLL001).
     Allreduce,
     /// Ring allgather (same discriminator role as Allreduce: the tree

@@ -52,8 +52,9 @@ pub struct BenchEntry {
     /// the same way).
     #[serde(default = "no_rate")]
     pub gbps: Option<f64>,
-    /// Virtual-time seconds of the simulated run (campaign entries only;
-    /// deterministic, so any drift here is a *correctness* signal).
+    /// Virtual-time seconds of the simulated run (the suites that run a
+    /// simulated machine; deterministic, so any drift here is a
+    /// *correctness* signal — [`gate`] compares it bit for bit).
     #[serde(default = "no_rate")]
     pub virtual_s: Option<f64>,
 }
@@ -433,8 +434,8 @@ pub fn laplace2d_shape(k: usize) -> (usize, usize) {
 
 /// The pinned campaign suite: fixed smoke-scale monitored solves through
 /// the full stack (packed kernels, wakeup scheduler, monitoring protocol).
-/// Wall-clock is the gated metric; the virtual duration rides along as a
-/// determinism canary.
+/// Wall-clock is the banded metric; the virtual duration rides along as
+/// the determinism canary [`gate`] holds bit-identical to the baseline.
 pub fn campaign_suite(quick: bool) -> BenchSuite {
     let reps = if quick { 5 } else { 9 };
     // CG runs the Poisson stencil (its n must be a perfect square and the
@@ -675,6 +676,9 @@ pub struct GateLine {
     /// present only when both sides report a rate — the memory-bound
     /// entries.
     pub gbps_delta_pct: Option<f64>,
+    /// `(baseline, current)` virtual seconds when both sides report them
+    /// and they differ in any bit; always a [`Verdict::Fail`].
+    pub virtual_drift: Option<(f64, f64)>,
     pub verdict: Verdict,
 }
 
@@ -685,7 +689,12 @@ pub struct GateLine {
 /// together while the closed-form byte model stands still, so a kernel
 /// change that inflates the model cannot hide a bandwidth regression.
 /// Faster-than-baseline entries always pass (improvements are ratcheted in
-/// by regenerating the baseline, not blocked).
+/// by regenerating the baseline, not blocked). An entry whose virtual
+/// seconds differ from the baseline's in any bit fails whatever its
+/// wall-clock did: the simulated clock is deterministic — the campaign,
+/// collectives and sched suites all read the same bits under
+/// `GREENLA_KERNEL=scalar|avx2|avx512` — so a change of algorithm must
+/// regenerate the entry and say so.
 pub fn gate(
     baseline: &BenchReport,
     current: &[BenchReport],
@@ -706,7 +715,11 @@ pub fn gate(
                         _ => None,
                     };
                     let worst = gbps_delta.map_or(delta, |g| delta.max(g));
-                    let verdict = if worst > fail_pct {
+                    let virtual_drift = match (e.virtual_s, cur.virtual_s) {
+                        (Some(b), Some(c)) if b.to_bits() != c.to_bits() => Some((b, c)),
+                        _ => None,
+                    };
+                    let verdict = if worst > fail_pct || virtual_drift.is_some() {
                         Verdict::Fail
                     } else if worst > warn_pct {
                         Verdict::Warn
@@ -720,6 +733,7 @@ pub fn gate(
                         current_s: Some(cur.median_wall_s),
                         delta_pct: Some(delta),
                         gbps_delta_pct: gbps_delta,
+                        virtual_drift,
                         verdict,
                     }
                 }
@@ -730,6 +744,7 @@ pub fn gate(
                     current_s: None,
                     delta_pct: None,
                     gbps_delta_pct: None,
+                    virtual_drift: None,
                     verdict: Verdict::Missing,
                 },
             };
@@ -748,6 +763,7 @@ pub fn gate(
                         current_s: Some(e.median_wall_s),
                         delta_pct: None,
                         gbps_delta_pct: None,
+                        virtual_drift: None,
                         verdict: Verdict::New,
                     });
                 }
@@ -853,6 +869,59 @@ mod tests {
         let back: BenchReport = serde_json::from_str(&text).unwrap();
         assert_eq!(back.schema, SCHEMA);
         assert_eq!(back.get("campaign", "x").unwrap().median_wall_s, 1.25);
+    }
+
+    fn with_virtual(virtual_s: Option<f64>) -> BenchReport {
+        let mut r = report("collectives", &[("x", 1.0)]);
+        r.suites[0].entries[0].virtual_s = virtual_s;
+        r
+    }
+
+    #[test]
+    fn virtual_seconds_roundtrip_bit_for_bit_through_json() {
+        // The gate compares virtual seconds by bit pattern across a
+        // write → commit → parse cycle, so the JSON layer must not round:
+        // a sum of α + β·size terms, a subnormal and the extremes.
+        let sum: f64 = (1..=6).map(|k| 2.2e-6 + 8.0e-11 * (1 << k) as f64).sum();
+        for x in [
+            sum,
+            0.1 + 0.2,
+            0.004499602,
+            1.0e-7,
+            5e-324,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            3.0,
+        ] {
+            let r = with_virtual(Some(x));
+            for text in [
+                serde_json::to_string(&r).unwrap(),
+                serde_json::to_string_pretty(&r).unwrap(),
+            ] {
+                let back: BenchReport = serde_json::from_str(&text).unwrap();
+                let got = back.get("collectives", "x").unwrap().virtual_s.unwrap();
+                assert_eq!(got.to_bits(), x.to_bits(), "{x:e} came back as {got:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn virtual_drift_fails_whatever_the_wall_clock_did() {
+        let x = 0.004499602_f64;
+        let next = f64::from_bits(x.to_bits() + 1);
+        let base = with_virtual(Some(x));
+        let same = gate(&base, &[with_virtual(Some(x))], 5.0, 15.0);
+        assert_eq!(same[0].verdict, Verdict::Ok);
+        assert!(same[0].virtual_drift.is_none());
+        // One ulp is drift.
+        let moved = gate(&base, &[with_virtual(Some(next))], 5.0, 15.0);
+        assert_eq!(moved[0].verdict, Verdict::Fail);
+        assert_eq!(moved[0].virtual_drift, Some((x, next)));
+        // Nothing to compare when either side lacks the field.
+        for (b, c) in [(Some(x), None), (None, Some(x))] {
+            let lines = gate(&with_virtual(b), &[with_virtual(c)], 5.0, 15.0);
+            assert_eq!(lines[0].verdict, Verdict::Ok);
+        }
     }
 
     #[test]

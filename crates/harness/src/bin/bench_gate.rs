@@ -9,9 +9,11 @@
 //! ```
 //!
 //! Exit status: 0 when every baseline entry is present and within the
-//! tolerance band, 1 when any entry regressed past `--fail-pct` or vanished
-//! from the current reports. Improvements always pass — they are ratcheted
-//! in by regenerating the baseline (see EXPERIMENTS.md), never blocked.
+//! tolerance band, 1 when any entry regressed past `--fail-pct`, vanished
+//! from the current reports, or reports virtual seconds that differ from
+//! the baseline's in any bit.
+//! Improvements always pass — they are ratcheted in by regenerating the
+//! baseline (see EXPERIMENTS.md), never blocked.
 
 use greenla_harness::bench::{gate, BenchReport, Verdict};
 use std::path::PathBuf;
@@ -143,11 +145,18 @@ fn main() {
             l.delta_pct.map_or("-".into(), |d| format!("{d:+.1}")),
             l.gbps_delta_pct.map_or("-".into(), |d| format!("{d:+.1}")),
         );
+        if let Some((base, cur)) = l.virtual_drift {
+            println!(
+                "FAIL {}/{}: virtual_s drifted from {base:e} to {cur:e} — the simulated clock \
+                 is deterministic; regenerate the entry if the algorithm changed on purpose",
+                l.suite, l.id
+            );
+        }
     }
     let n_warn = lines.iter().filter(|l| l.verdict == Verdict::Warn).count();
     if failed {
         eprintln!(
-            "bench gate FAILED (>{:.0}% median wall-clock or delivered-GB/s regression, or lost coverage)",
+            "bench gate FAILED (>{:.0}% median wall-clock or delivered-GB/s regression, virtual_s drift, or lost coverage)",
             args.fail_pct
         );
         std::process::exit(1);

@@ -236,14 +236,16 @@ fn faulted_runs_are_bit_identical_across_schedulers() {
 #[test]
 fn collectives_straddling_the_size_switch_are_scheduler_invariant() {
     // The allreduce/allgather families switch algorithms at 512 B
-    // (64 f64 elements). Drive both sides of the switch — one element
-    // below, at, and above — under an active fault plan, checked and
-    // unchecked, on every carrier: virtual clocks, traffic and every
-    // rank's numerical results must be bit-identical, and the lockstep
-    // checker must see matching collective signatures on both paths.
+    // (64 f64 elements), the allreduce again at 128 KiB. Drive both sides
+    // of each switch — one element below, at, and above — under an active
+    // fault plan, checked and unchecked, on every carrier: virtual clocks,
+    // traffic and every rank's numerical results must be bit-identical,
+    // and the lockstep checker must see matching collective signatures on
+    // every path.
     use greenla_cluster::placement::Placement;
     use greenla_cluster::spec::ClusterSpec;
     use greenla_cluster::PowerModel;
+    use greenla_mpi::coll::COLL_LARGE_BYTES;
     use greenla_mpi::{CheckSink, FaultPlan, FaultSink, Machine, MsgFault, MsgFaultKind};
 
     let plan = || FaultPlan {
@@ -283,8 +285,11 @@ fn collectives_straddling_the_size_switch_are_scheduler_invariant() {
         let out = m.run(|ctx| {
             let world = ctx.world();
             let mut acc: Vec<Vec<f64>> = Vec::new();
-            // 63/64 elems take the tree pair, 65 recursive doubling.
-            for elems in [63usize, 64, 65] {
+            // 63/64 elems take the tree pair, 65 up to one below the
+            // large threshold recursive doubling, the rest
+            // reduce-scatter + allgather (one of them in uneven halves).
+            let large = (COLL_LARGE_BYTES / 8) as usize;
+            for elems in [63usize, 64, 65, large - 1, large, large + 1] {
                 let mine = vec![ctx.rank() as f64 + elems as f64; elems];
                 acc.push(ctx.allreduce_sum_f64(&world, &mine));
             }
@@ -325,8 +330,9 @@ fn collectives_straddling_the_size_switch_are_scheduler_invariant() {
         }
     }
     // Results are equal across ranks too: recursive doubling applies the
-    // commutative combiner over one shared pairing tree, so every rank
-    // must produce the same bits.
+    // commutative combiner over one shared pairing tree and the
+    // reduce-scatter reduces each element on one rank, so every rank must
+    // produce the same bits.
     for (r, res) in parked.results.iter().enumerate() {
         assert_eq!(res, &parked.results[0], "rank {r} result divergence");
     }

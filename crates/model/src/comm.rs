@@ -2,11 +2,15 @@
 //!
 //! Each function mirrors the corresponding algorithm in
 //! `greenla_mpi::coll`: binomial trees for ordinary broadcasts/reductions,
-//! the chunked binary-tree pipeline for large broadcasts, recursive
-//! doubling for allreduce above the small-payload threshold, the ring for
-//! allgather, linear gathers, and max-synchronising barriers. The traffic
-//! closed forms (`*_traffic`) give the exact message/element counts the
-//! runtime's `greenla_mpi::Traffic` tally must reproduce.
+//! the chunked binary-tree pipeline for large broadcasts, the three-way
+//! allreduce (trees, recursive doubling above the small-payload threshold,
+//! Rabenseifner's reduce-scatter + allgather from the large-payload
+//! threshold up), the ring for allgather, linear gathers, and
+//! max-synchronising barriers. The traffic closed forms (`*_traffic`) give
+//! the exact message/element counts the runtime's `greenla_mpi::Traffic`
+//! tally must reproduce. [`allreduce`] and [`allreduce_traffic`] select
+//! the arm by the runtime's rule; `tests/coll_traffic.rs` pins both
+//! thresholds and the rule to `greenla_mpi::coll`.
 
 use crate::params::MachineParams;
 
@@ -14,6 +18,32 @@ use crate::params::MachineParams;
 /// below this payload size keep the latency-optimal reduce+bcast tree
 /// composition; larger ones use recursive doubling.
 pub const COLL_SMALL_BYTES: f64 = 512.0;
+
+/// Mirror of `greenla_mpi::coll::COLL_LARGE_BYTES` (derived there):
+/// sum-allreduces of at least this payload size use Rabenseifner's
+/// reduce-scatter + allgather, given at least four butterfly participants
+/// and one element for each.
+pub const COLL_LARGE_BYTES: f64 = 131072.0;
+
+/// The algorithm a sum-allreduce runs.
+enum AllreduceArm {
+    Trees,
+    RecursiveDoubling,
+    Rabenseifner,
+}
+
+/// Mirror of the runtime's selection rule, a pure function of the rank
+/// count and the payload.
+fn allreduce_arm(p: usize, bytes: f64) -> AllreduceArm {
+    let p2 = prev_pow2(p);
+    if bytes <= COLL_SMALL_BYTES {
+        AllreduceArm::Trees
+    } else if p2 >= 4 && bytes >= 8.0 * p2 as f64 && bytes >= COLL_LARGE_BYTES {
+        AllreduceArm::Rabenseifner
+    } else {
+        AllreduceArm::RecursiveDoubling
+    }
+}
 
 fn log2c(p: usize) -> f64 {
     if p <= 1 {
@@ -72,15 +102,32 @@ pub fn allreduce_rd(p: usize, bytes: f64, m: &MachineParams) -> f64 {
     fold + (p2 as f64).log2() * m.p2p(bytes)
 }
 
+/// Rabenseifner allreduce (see `RankCtx::allreduce_rsag`): the same
+/// fold/unfold round-trip, then `log₂ p₂` halving exchanges of
+/// `bytes/2ᵏ` and the mirror-image doubling exchanges. Bandwidth term
+/// `2·(1 − 1/p₂)·β·bytes` whatever the rank count, for twice recursive
+/// doubling's latency steps.
+pub fn allreduce_rsag(p: usize, bytes: f64, m: &MachineParams) -> f64 {
+    if p <= 1 {
+        return 0.0;
+    }
+    let p2 = prev_pow2(p);
+    let fold = if p2 != p { 2.0 * m.p2p(bytes) } else { 0.0 };
+    let halving: f64 = (1..=p2.ilog2())
+        .map(|k| m.p2p(bytes / (1u64 << k) as f64))
+        .sum();
+    fold + 2.0 * halving
+}
+
 /// Allreduce as the runtime selects it: reduce + broadcast trees at or
-/// below [`COLL_SMALL_BYTES`], recursive doubling above. (The scalar
-/// max/maxloc variants carry 8–16 bytes and therefore always resolve to
-/// the trees.)
+/// below [`COLL_SMALL_BYTES`], Rabenseifner from [`COLL_LARGE_BYTES`] up,
+/// recursive doubling between. (The scalar max/maxloc variants carry
+/// 8–16 bytes and therefore always resolve to the trees.)
 pub fn allreduce(p: usize, bytes: f64, m: &MachineParams) -> f64 {
-    if bytes <= COLL_SMALL_BYTES {
-        reduce_binomial(p, bytes, m) + bcast_binomial(p, bytes, m)
-    } else {
-        allreduce_rd(p, bytes, m)
+    match allreduce_arm(p, bytes) {
+        AllreduceArm::Trees => reduce_binomial(p, bytes, m) + bcast_binomial(p, bytes, m),
+        AllreduceArm::RecursiveDoubling => allreduce_rd(p, bytes, m),
+        AllreduceArm::Rabenseifner => allreduce_rsag(p, bytes, m),
     }
 }
 
@@ -107,6 +154,35 @@ pub fn allreduce_rd_traffic(p: usize, elems: u64) -> (u64, u64) {
     let r = p as u64 - p2;
     let msgs = 2 * r + p2 * p2.ilog2() as u64;
     (msgs, msgs * elems)
+}
+
+/// Exact traffic of the Rabenseifner allreduce over `p` ranks with
+/// `elems ≥ p₂` elements per contribution. Every participant sends one
+/// message per halving and per doubling round. In a halving round the two
+/// partners of a pair hold the same range and give each other its two
+/// halves, so a round's pairs together move `p₂/2ᵏ⁺¹` whole vectors and
+/// the `log₂ p₂` rounds `elems·(p₂ − 1)` — exact however unevenly the
+/// halves fall; the allgather moves the same pieces back.
+pub fn allreduce_rsag_traffic(p: usize, elems: u64) -> (u64, u64) {
+    if p <= 1 {
+        return (0, 0);
+    }
+    let p2 = prev_pow2(p) as u64;
+    let r = p as u64 - p2;
+    (
+        2 * r + 2 * p2 * p2.ilog2() as u64,
+        2 * r * elems + 2 * elems * (p2 - 1),
+    )
+}
+
+/// Exact traffic of the sum-allreduce the runtime selects for `elems`
+/// f64 elements over `p` ranks (the arm [`allreduce`] prices).
+pub fn allreduce_traffic(p: usize, elems: u64) -> (u64, u64) {
+    match allreduce_arm(p, 8.0 * elems as f64) {
+        AllreduceArm::Trees => allreduce_tree_traffic(p, elems),
+        AllreduceArm::RecursiveDoubling => allreduce_rd_traffic(p, elems),
+        AllreduceArm::Rabenseifner => allreduce_rsag_traffic(p, elems),
+    }
 }
 
 /// Exact traffic of the ring allgather over `p` ranks with `total_elems`
@@ -233,13 +309,39 @@ mod tests {
         let rd = allreduce_rd(64, big, &m);
         // Power of two: log₂ 64 rounds vs 2·log₂ 64 hops — exactly half.
         assert!((rd / tree - 0.5).abs() < 1e-9, "ratio {}", rd / tree);
-        // The size switch hands large payloads to recursive doubling and
-        // keeps small ones on the trees.
-        assert_eq!(allreduce(64, big, &m), rd);
+    }
+
+    #[test]
+    fn allreduce_dispatches_three_ways_on_size() {
+        let m = m();
         assert_eq!(
             allreduce(64, 512.0, &m),
             reduce_binomial(64, 512.0, &m) + bcast_binomial(64, 512.0, &m)
         );
+        assert_eq!(allreduce(64, 520.0, &m), allreduce_rd(64, 520.0, &m));
+        let below = COLL_LARGE_BYTES - 8.0;
+        assert_eq!(allreduce(64, below, &m), allreduce_rd(64, below, &m));
+        let at = COLL_LARGE_BYTES;
+        assert_eq!(allreduce(64, at, &m), allreduce_rsag(64, at, &m));
+        // Fewer than four participants, or fewer elements than pieces:
+        // recursive doubling whatever the size.
+        assert_eq!(allreduce(3, 1e6, &m), allreduce_rd(3, 1e6, &m));
+        let p = 1 << 15;
+        assert_eq!(allreduce(p, at, &m), allreduce_rd(p, at, &m));
+    }
+
+    #[test]
+    fn rabenseifner_bandwidth_term_is_two_payloads() {
+        let m = m();
+        let big = 8.0 * 1024.0 * 1024.0;
+        // p = 64: 12 latency steps, 2·(63/64) payloads on the wire.
+        let want = 12.0 * (2.0 * m.o + m.alpha) + 2.0 * (63.0 / 64.0) * big * m.beta;
+        let got = allreduce_rsag(64, big, &m);
+        assert!((got / want - 1.0).abs() < 1e-12, "{got} vs {want}");
+        assert!(got < allreduce_rd(64, big, &m) / 2.5);
+        // The fold costs both arms the same full-payload round trip.
+        let fold = allreduce_rsag(65, big, &m) - got;
+        assert!((fold / (2.0 * m.p2p(big)) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -261,6 +363,20 @@ mod tests {
         // p = 6: p₂ = 4, r = 2 → 2 fold + 2 unfold + 4·2 butterfly.
         assert_eq!(allreduce_rd_traffic(6, 5), (12, 60));
         assert_eq!(allreduce_rd_traffic(1, 7), (0, 0));
+        // Rabenseifner at p = 8: 2·8·3 messages, 2·(8 − 1) vectors.
+        assert_eq!(allreduce_rsag_traffic(8, 100), (48, 1400));
+        // p = 6: 2 fold + 2 unfold full vectors, p₂ = 4 butterfly.
+        assert_eq!(allreduce_rsag_traffic(6, 100), (4 + 16, 400 + 600));
+        assert_eq!(allreduce_rsag_traffic(1, 7), (0, 0));
+        // The dispatching form follows the runtime's size rule.
+        assert_eq!(allreduce_traffic(8, 64), allreduce_tree_traffic(8, 64));
+        assert_eq!(allreduce_traffic(8, 65), allreduce_rd_traffic(8, 65));
+        assert_eq!(allreduce_traffic(8, 16383), allreduce_rd_traffic(8, 16383));
+        assert_eq!(
+            allreduce_traffic(8, 16384),
+            allreduce_rsag_traffic(8, 16384)
+        );
+        assert_eq!(allreduce_traffic(3, 16384), allreduce_rd_traffic(3, 16384));
         assert_eq!(allgather_ring_traffic(8, 40), (56, 280));
         assert_eq!(allgather_ring_traffic(1, 40), (0, 0));
     }

@@ -12,13 +12,13 @@ use greenla_model::comm;
 use greenla_mpi::{Machine, TrafficSnapshot};
 
 fn machine(ranks: usize) -> Machine {
-    let spec = ClusterSpec::test_cluster(2, 4);
+    let spec = ClusterSpec::test_cluster(ranks.div_ceil(8), 4);
     let placement = Placement::layout(&spec.node, ranks, LoadLayout::FullLoad).unwrap();
     Machine::new(spec, placement, PowerModel::deterministic(), 9).unwrap()
 }
 
-/// Elements above the 512-byte switch so the sum-allreduce takes the
-/// recursive-doubling path.
+/// Elements above the 512-byte switch and below the 128 KiB one, so the
+/// sum-allreduce takes the recursive-doubling path.
 const BIG: usize = 100;
 
 fn run_traffic(ranks: usize, f: impl Fn(&mut greenla_mpi::RankCtx) + Sync) -> TrafficSnapshot {
@@ -79,4 +79,38 @@ fn ring_allgather_traffic_matches_the_closed_form() {
     let (msgs, elems) = comm::allgather_ring_traffic(8, total);
     assert_eq!(t.msgs, msgs, "messages");
     assert_eq!(t.volume_elems(), elems, "elements");
+}
+
+#[test]
+fn thresholds_mirror_the_runtime_constants() {
+    assert_eq!(
+        comm::COLL_SMALL_BYTES,
+        greenla_mpi::coll::COLL_SMALL_BYTES as f64
+    );
+    assert_eq!(
+        comm::COLL_LARGE_BYTES,
+        greenla_mpi::coll::COLL_LARGE_BYTES as f64
+    );
+}
+
+#[test]
+fn allreduce_traffic_follows_the_runtime_size_rule() {
+    // Both sides of both thresholds, power-of-two and folded rank counts,
+    // even and uneven halvings. The collective runs over the first `p`
+    // ranks of a full-node world, so the fold carries real messages.
+    for p in [2usize, 3, 4, 6, 8, 16, 40] {
+        for elems in [1usize, 64, 65, 100, 16383, 16384, 16385, 40000] {
+            let t = run_traffic(p.next_multiple_of(8), |ctx| {
+                let world = ctx.world();
+                let member = (ctx.rank() < p) as u64;
+                let sub = ctx.split(&world, member, ctx.rank() as u64);
+                if member == 1 {
+                    ctx.allreduce_sum_owned_f64(&sub, vec![1.0; elems]);
+                }
+            });
+            let (msgs, volume) = comm::allreduce_traffic(p, elems as u64);
+            assert_eq!(t.msgs, msgs, "messages at p={p}, elems={elems}");
+            assert_eq!(t.volume_elems(), volume, "elements at p={p}, elems={elems}");
+        }
+    }
 }

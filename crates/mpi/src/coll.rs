@@ -2,7 +2,7 @@
 //! timing and traffic emerge from the same α + β·size model as everything
 //! else.
 //!
-//! Two algorithm families coexist, selected by payload size exactly as
+//! Three algorithm families coexist, selected by payload size exactly as
 //! production MPI does:
 //!
 //! * **Trees** (binomial broadcast/reduce, linear gather) for small
@@ -10,19 +10,25 @@
 //!   broadcast over `P` ranks performs `P − 1` sends — the count the
 //!   paper's closed-form message formulas assume.
 //! * **Recursive doubling** (allreduce) and a **ring** (allgather) for
-//!   larger payloads, replacing the old reduce-to-0-then-broadcast and
+//!   mid-size payloads, replacing the old reduce-to-0-then-broadcast and
 //!   gather-then-broadcast compositions: the critical path drops from
-//!   `O((α + β·s)·log P + root serialization)` to the standard
-//!   `α·log P + β·s` (allreduce) and `(P−1)·(α + β·s/P)` (allgather)
-//!   bandwidth-optimal bounds.
+//!   `O((α + β·s)·log P + root serialization)` to `log P·(α + β·s)`
+//!   (allreduce) and the bandwidth-optimal `(P−1)·(α + β·s/P)`
+//!   (allgather).
+//! * **Rabenseifner's reduce-scatter + allgather** (allreduce) for large
+//!   payloads: recursive halving leaves every rank with `1/p₂` of the
+//!   reduced vector, recursive doubling gathers the pieces back, and the
+//!   wire carries `≈ 2·s` per rank instead of recursive doubling's
+//!   `log₂P·s` at twice the latency steps.
 //!
-//! The switch point is [`COLL_SMALL_BYTES`]. The scalar max/maxloc
-//! allreduces carry fixed 8–16 byte payloads, permanently below the
-//! threshold, so for them the selection rule resolves to the trees at
-//! compile time — which also keeps the paper's closed-form per-column
-//! message counts (one reduce tree + one broadcast tree per pivot)
-//! intact. Payload fan-out everywhere shares one `Arc` allocation per
-//! buffer — see [`crate::envelope::Payload`].
+//! The switch points are [`COLL_SMALL_BYTES`] and [`COLL_LARGE_BYTES`];
+//! which allreduce runs is a pure function of `(P, len)`. The scalar
+//! max/maxloc allreduces carry fixed 8–16 byte payloads, permanently
+//! below the small threshold, so for them the selection rule resolves to
+//! the trees at compile time — which also keeps the paper's closed-form
+//! per-column message counts (one reduce tree + one broadcast tree per
+//! pivot) intact. Payload fan-out everywhere shares one `Arc` allocation
+//! per buffer — see [`crate::envelope::Payload`].
 
 use crate::comm::Comm;
 use crate::context::{RankCtx, COLL_TAG};
@@ -45,6 +51,49 @@ const HEADER_CHUNK: u64 = 0xffffe;
 /// for even one extra latency on the critical path below this size).
 /// `model::comm` mirrors this constant for its closed-form predictions.
 pub const COLL_SMALL_BYTES: u64 = 512;
+
+/// Sum-allreduces of at least this many bytes take Rabenseifner's
+/// reduce-scatter + allgather instead of recursive doubling (given
+/// `p₂ ≥ 4` participants and at least one element per participant — see
+/// `allreduce_arm`). With `L = log₂p₂` exchange rounds, recursive
+/// doubling costs `L·(2o + α + β·n)` and Rabenseifner
+/// `2L·(2o + α) + 2β·n·(1 − 1/p₂)`, so the latter wins when
+/// `n > (2o + α)·L / (β·(L − 2 + 2/p₂))`. On the simulated Omni-Path
+/// (o = 0.2 µs, α = 1.8 µs, β = 1/12.5 GB/s) that crossing is 110 KB at
+/// p₂ = 4 and falls monotonically to 27.5 KB as p₂ → ∞; with the
+/// intra-node parameters (α = 0.3 µs, β = 1/40 GB/s) it starts at 112 KB.
+/// 128 KiB is the first power of two above every crossing, so the arm
+/// never loses to recursive doubling where it is selected (at p₂ = 2 the
+/// denominator is zero: same volume, twice the latency, never selected).
+/// `model::comm` mirrors this constant too.
+pub const COLL_LARGE_BYTES: u64 = 128 * 1024;
+
+/// The algorithm a sum-allreduce runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum AllreduceArm {
+    /// Binomial reduce to rank 0 + binomial broadcast.
+    Trees,
+    RecursiveDoubling,
+    /// Recursive-halving reduce-scatter + recursive-doubling allgather.
+    Rabenseifner,
+}
+
+/// Which algorithm a sum-allreduce of `len` f64 elements over `p` ranks
+/// runs — a pure function of the two, so every member of a communicator
+/// picks the same one. Recursive doubling keeps the payloads that are
+/// large in bytes but shorter than the `p₂` pieces the reduce-scatter
+/// must cut them into.
+fn allreduce_arm(p: usize, len: usize) -> AllreduceArm {
+    let bytes = 8 * len as u64;
+    let p2 = prev_pow2(p);
+    if bytes <= COLL_SMALL_BYTES {
+        AllreduceArm::Trees
+    } else if p2 >= 4 && len >= p2 && bytes >= COLL_LARGE_BYTES {
+        AllreduceArm::Rabenseifner
+    } else {
+        AllreduceArm::RecursiveDoubling
+    }
+}
 
 /// Pack a collective message tag: the `COLL_TAG` bit, a 43-bit
 /// per-communicator sequence number, and a 20-bit chunk id. The fields
@@ -107,6 +156,15 @@ impl<'m> RankCtx<'m> {
             comm.members(),
         );
         seq
+    }
+
+    /// Register the `chunks` tag chunks one collective draws from its
+    /// sequence number with the checker (COLL002).
+    fn check_tag_chunks(&mut self, seq: u64, chunks: u64) {
+        if self.checker.enabled() {
+            let t = self.clock;
+            self.checker.coll_tag_space(seq, chunks, t);
+        }
     }
 
     /// Abort the run with the stable collective-contract diagnostic when a
@@ -272,10 +330,7 @@ impl<'m> RankCtx<'m> {
         }
         let total = header[0] as usize;
         let nchunks = total.div_ceil(chunk_elems).max(1);
-        if self.checker.enabled() {
-            let t = self.clock;
-            self.checker.coll_tag_space(seq, nchunks as u64, t);
-        }
+        self.check_tag_chunks(seq, nchunks as u64);
         let mut out: Vec<f64> = if rel == 0 {
             std::mem::take(buf)
         } else {
@@ -389,12 +444,54 @@ impl<'m> RankCtx<'m> {
         self.reduce_f64_with(comm, root, data, sum_op)
     }
 
+    /// Non-power-of-two fold of the butterfly allreduces, per the standard
+    /// MPICH scheme: with `r = P − p₂`, the even ranks below `2r` hand
+    /// their contribution to their odd neighbour and sit the butterfly
+    /// out. Returns this rank's butterfly participant id, `None` for a
+    /// rank that sits out (its `acc` is left empty).
+    fn allreduce_fold(
+        &mut self,
+        comm: &Comm,
+        tag: u64,
+        acc: &mut Vec<f64>,
+        op: &impl Fn(&mut [f64], &[f64]),
+    ) -> Option<usize> {
+        let me = comm.rank();
+        let r = comm.size() - prev_pow2(comm.size());
+        if me >= 2 * r {
+            Some(me - r)
+        } else if me & 1 == 0 {
+            let contrib = std::mem::take(acc);
+            self.send_payload(comm, me + 1, tag, Payload::f64(contrib));
+            None
+        } else {
+            let other = self.recv_payload(comm, me - 1, tag);
+            self.check_reduce_len(comm, other.as_f64().len(), acc.len());
+            op(acc, other.as_f64());
+            Some(me / 2)
+        }
+    }
+
+    /// Inverse of [`RankCtx::allreduce_fold`]: odd survivors hand the
+    /// result back to the even neighbour that sat out.
+    fn allreduce_unfold(&mut self, comm: &Comm, tag: u64, acc: Vec<f64>) -> Vec<f64> {
+        let me = comm.rank();
+        let r = comm.size() - prev_pow2(comm.size());
+        if me >= 2 * r {
+            acc
+        } else if me & 1 == 0 {
+            self.recv_payload(comm, me + 1, tag).expect_f64()
+        } else {
+            self.send_payload(comm, me - 1, tag, Payload::f64(acc.clone()));
+            acc
+        }
+    }
+
     /// Recursive-doubling allreduce of an owned vector with a commutative
     /// element-wise combiner: `⌈log₂ P⌉` exchange rounds, every rank busy
     /// every round, no root bottleneck. Non-power-of-two sizes fold the
     /// first `2r` ranks (where `r = P − 2^⌊log₂P⌋`) into `r` survivors
-    /// before the butterfly and unfold after, per the standard MPICH
-    /// scheme.
+    /// before the butterfly and unfold after.
     ///
     /// Every rank applies the combiner over the same pairing tree (only
     /// operand order differs), so for a *commutative* op — IEEE addition
@@ -411,59 +508,103 @@ impl<'m> RankCtx<'m> {
         if p == 1 {
             return acc;
         }
-        let me = comm.rank();
         let p2 = prev_pow2(p);
-        let r = p - p2;
-        let steps = p2.trailing_zeros() as u64;
-        if self.checker.enabled() {
-            // Tag chunks: 0 = fold, 1..=steps = butterfly rounds,
-            // steps+1 = unfold.
-            let t = self.clock;
-            self.checker.coll_tag_space(seq, steps + 2, t);
-        }
+        let (r, steps) = (p - p2, p2.trailing_zeros() as u64);
+        // Tag chunks: 0 = fold, 1..=steps = butterfly rounds,
+        // steps+1 = unfold.
+        self.check_tag_chunks(seq, steps + 2);
         let tag = |chunk: u64| compose_coll_tag(seq, chunk);
-        // Fold phase: even ranks below 2r contribute to their odd
-        // neighbour and sit out the butterfly.
-        let newrank: Option<usize> = if me < 2 * r {
-            if me & 1 == 0 {
-                let contrib = std::mem::take(&mut acc);
-                self.send_payload(comm, me + 1, tag(0), Payload::f64(contrib));
-                None
-            } else {
-                let other = self.recv_payload(comm, me - 1, tag(0));
-                self.check_reduce_len(comm, other.as_f64().len(), acc.len());
-                op(&mut acc, other.as_f64());
-                Some(me / 2)
-            }
-        } else {
-            Some(me - r)
-        };
-        if let Some(nr) = newrank {
+        if let Some(nr) = self.allreduce_fold(comm, tag(0), &mut acc, &op) {
             for s in 0..steps {
-                let partner_nr = nr ^ (1usize << s);
-                let partner = rd_participant_rank(partner_nr, r);
+                let partner = rd_participant_rank(nr ^ (1usize << s), r);
                 self.send_payload(comm, partner, tag(1 + s), Payload::f64(acc.clone()));
                 let other = self.recv_payload(comm, partner, tag(1 + s));
                 self.check_reduce_len(comm, other.as_f64().len(), acc.len());
                 op(&mut acc, other.as_f64());
             }
         }
-        // Unfold phase: odd survivors hand the result back to their even
-        // neighbour.
-        if me < 2 * r {
-            if me & 1 == 0 {
-                acc = self.recv_payload(comm, me + 1, tag(1 + steps)).expect_f64();
-            } else {
-                self.send_payload(comm, me - 1, tag(1 + steps), Payload::f64(acc.clone()));
-            }
-        }
-        acc
+        self.allreduce_unfold(comm, tag(1 + steps), acc)
     }
 
-    /// `MPI_Allreduce(MPI_SUM)` of f64 vectors: recursive doubling above
-    /// [`COLL_SMALL_BYTES`], the legacy reduce-then-broadcast tree pair at
-    /// or below it (latency dominates tiny payloads, and the tree pair is
-    /// what the paper's per-block formulas count).
+    /// Rabenseifner's allreduce of an owned vector with a commutative
+    /// element-wise combiner: the fold of [`RankCtx::allreduce_rd`], then
+    /// a recursive-halving reduce-scatter (highest participant bit first)
+    /// that leaves each of the `p₂` participants with one reduced piece,
+    /// then a recursive-doubling allgather (lowest bit first) that puts
+    /// the pieces back together. `2·log₂p₂` exchange rounds moving
+    /// `2·n·(1 − 1/p₂)` elements per participant, against recursive
+    /// doubling's `log₂p₂` rounds of `n` — see [`COLL_LARGE_BYTES`].
+    ///
+    /// The accumulator is always exactly the live range: a halving round
+    /// splits it in two, *moves* one half into the message and folds the
+    /// partner's piece into the other; a doubling round forwards its piece
+    /// as a shared payload and concatenates `lower ++ upper`. The rank
+    /// whose participant bit is clear keeps the lower half, so undoing the
+    /// rounds in reverse order restores element order with no index
+    /// arithmetic, for any length `≥ p₂`. (A lower half keeps the capacity
+    /// it was split from until the allgather replaces it: shrinking it
+    /// bought no peak memory — the last merge sets the peak — and cost a
+    /// quarter more page faults.)
+    ///
+    /// Each element is reduced on exactly one rank and then distributed,
+    /// so all ranks hold bit-identical results.
+    fn allreduce_rsag(
+        &mut self,
+        comm: &Comm,
+        mut acc: Vec<f64>,
+        op: impl Fn(&mut [f64], &[f64]),
+    ) -> Vec<f64> {
+        let p = comm.size();
+        let seq = self.coll_site(comm, CollKind::Allreduce, None, acc.len() as u64);
+        let p2 = prev_pow2(p);
+        let (r, steps) = (p - p2, p2.trailing_zeros() as usize);
+        // Tag chunks: 0 = fold, 1..=steps = halving rounds,
+        // steps+1..=2·steps = doubling rounds, 2·steps+1 = unfold.
+        self.check_tag_chunks(seq, 2 * steps as u64 + 2);
+        let tag = |chunk: usize| compose_coll_tag(seq, chunk as u64);
+        if let Some(nr) = self.allreduce_fold(comm, tag(0), &mut acc, &op) {
+            let partner = |s: usize| rd_participant_rank(nr ^ (1 << s), r);
+            let keeps_lower = |s: usize| (nr >> s) & 1 == 0;
+            // The piece the bit-`s` partner comes back with in the
+            // allgather is the reduced half it was given here.
+            let mut gave = vec![0usize; steps];
+            for s in (0..steps).rev() {
+                let upper = acc.split_off(acc.len() / 2);
+                let give = if keeps_lower(s) {
+                    upper
+                } else {
+                    std::mem::replace(&mut acc, upper)
+                };
+                gave[s] = give.len();
+                self.send_payload(comm, partner(s), tag(1 + s), Payload::f64(give));
+                let other = self.recv_payload(comm, partner(s), tag(1 + s));
+                self.check_reduce_len(comm, other.as_f64().len(), acc.len());
+                op(&mut acc, other.as_f64());
+            }
+            let mut piece = Payload::f64(acc);
+            for (s, &expected) in gave.iter().enumerate() {
+                self.send_payload(comm, partner(s), tag(1 + steps + s), piece.clone());
+                let other = self.recv_payload(comm, partner(s), tag(1 + steps + s));
+                self.check_reduce_len(comm, other.as_f64().len(), expected);
+                let (lower, upper) = if keeps_lower(s) {
+                    (piece.as_f64(), other.as_f64())
+                } else {
+                    (other.as_f64(), piece.as_f64())
+                };
+                piece = Payload::f64([lower, upper].concat());
+            }
+            // The last merge is this rank's alone: unwrapping never copies.
+            acc = piece.expect_f64();
+        }
+        self.allreduce_unfold(comm, tag(1 + 2 * steps), acc)
+    }
+
+    /// `MPI_Allreduce(MPI_SUM)` of f64 vectors, by the size rule of
+    /// `allreduce_arm`: the legacy reduce-then-broadcast tree pair at or
+    /// below [`COLL_SMALL_BYTES`] (latency dominates tiny payloads, and the
+    /// tree pair is what the paper's per-block formulas count),
+    /// Rabenseifner's reduce-scatter + allgather from [`COLL_LARGE_BYTES`]
+    /// up, recursive doubling between.
     pub fn allreduce_sum_f64(&mut self, comm: &Comm, data: &[f64]) -> Vec<f64> {
         self.allreduce_sum_owned_f64(comm, data.to_vec())
     }
@@ -471,18 +612,27 @@ impl<'m> RankCtx<'m> {
     /// Owned-input [`RankCtx::allreduce_sum_f64`]: callers that already own
     /// the contribution skip the copy.
     pub fn allreduce_sum_owned_f64(&mut self, comm: &Comm, data: Vec<f64>) -> Vec<f64> {
-        if 8 * data.len() as u64 <= COLL_SMALL_BYTES {
-            self.trace_begin("coll", "allreduce");
-            let reduced = self.reduce_f64_with(comm, 0, data, sum_op);
-            let mut buf = reduced.unwrap_or_default();
-            self.bcast_f64(comm, 0, &mut buf);
-            self.trace_end("coll", "allreduce");
-            buf
-        } else {
-            self.trace_begin("coll", "allreduce_rd");
-            let out = self.allreduce_rd(comm, data, sum_op);
-            self.trace_end("coll", "allreduce_rd");
-            out
+        match allreduce_arm(comm.size(), data.len()) {
+            AllreduceArm::Trees => {
+                self.trace_begin("coll", "allreduce");
+                let reduced = self.reduce_f64_with(comm, 0, data, sum_op);
+                let mut buf = reduced.unwrap_or_default();
+                self.bcast_f64(comm, 0, &mut buf);
+                self.trace_end("coll", "allreduce");
+                buf
+            }
+            AllreduceArm::RecursiveDoubling => {
+                self.trace_begin("coll", "allreduce_rd");
+                let out = self.allreduce_rd(comm, data, sum_op);
+                self.trace_end("coll", "allreduce_rd");
+                out
+            }
+            AllreduceArm::Rabenseifner => {
+                self.trace_begin("coll", "allreduce_rsag");
+                let out = self.allreduce_rsag(comm, data, sum_op);
+                self.trace_end("coll", "allreduce_rsag");
+                out
+            }
         }
     }
 
@@ -591,10 +741,7 @@ impl<'m> RankCtx<'m> {
         let mut chunks: Vec<Option<Payload>> = (0..p).map(|_| None).collect();
         chunks[me] = Some(Payload::f64(data.to_vec()));
         if p > 1 {
-            if self.checker.enabled() {
-                let t = self.clock;
-                self.checker.coll_tag_space(seq, (p - 1) as u64, t);
-            }
+            self.check_tag_chunks(seq, (p - 1) as u64);
             let right = (me + 1) % p;
             let left = (me + p - 1) % p;
             for s in 0..p - 1 {
@@ -766,10 +913,24 @@ mod tests {
     }
 
     #[test]
-    fn small_threshold_matches_the_model_crate_contract() {
-        // 64 f64 elements sit exactly on the switch boundary: the last
-        // payload served by the trees.
-        assert_eq!(COLL_SMALL_BYTES, 512);
-        assert_eq!(8 * 64, COLL_SMALL_BYTES);
+    fn allreduce_arm_switches_on_bytes_ranks_and_pieces() {
+        use AllreduceArm::*;
+        let large = (COLL_LARGE_BYTES / 8) as usize;
+        // 64 f64 elements sit exactly on the small boundary: the last
+        // payload served by the trees, whatever the rank count.
+        assert_eq!(allreduce_arm(16, 64), Trees);
+        assert_eq!(allreduce_arm(16, 65), RecursiveDoubling);
+        assert_eq!(allreduce_arm(16, large - 1), RecursiveDoubling);
+        assert_eq!(allreduce_arm(16, large), Rabenseifner);
+        // p₂ < 4: halving would only add latency steps.
+        for p in 1..4 {
+            assert_eq!(allreduce_arm(p, 1 << 20), RecursiveDoubling, "p={p}");
+        }
+        assert_eq!(allreduce_arm(4, large), Rabenseifner);
+        assert_eq!(allreduce_arm(7, large), Rabenseifner);
+        // Fewer elements than pieces: cannot be halved log₂p₂ times.
+        assert_eq!(allreduce_arm(1 << 15, large), RecursiveDoubling);
+        assert_eq!(allreduce_arm(1 << 14, large), Rabenseifner);
+        assert_eq!(allreduce_arm(4096, 128), RecursiveDoubling);
     }
 }

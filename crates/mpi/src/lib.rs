@@ -9,8 +9,10 @@
 //! rank carries its own virtual clock which advances when the rank computes
 //! (`compute`), sends or receives messages, or synchronises in collectives.
 //! Message timing follows a LogGP-style α + β·size model with distinct
-//! intra-node and inter-node parameters; collectives are implemented as
-//! binomial trees over point-to-point messages, so their cost emerges from
+//! intra-node and inter-node parameters; collectives are implemented over
+//! point-to-point messages — binomial trees for small payloads, recursive
+//! doubling, a ring and reduce-scatter + allgather for larger ones,
+//! selected by payload size (see [`coll`]) — so their cost emerges from
 //! the same model. Clock causality is conservative: a receive completes no
 //! earlier than the message's arrival time, and barriers align every
 //! participant to the latest arrival — the same guarantees real MPI gives,

@@ -8,78 +8,17 @@
 //! early elsewhere, and the both-carrier tests run the OS-thread leg
 //! everywhere.
 
-use greenla_cluster::placement::{LoadLayout, Placement};
-use greenla_cluster::spec::ClusterSpec;
-use greenla_cluster::PowerModel;
+mod common;
+
+use common::{abort_of, carriers, machine};
 use greenla_mpi::{
-    CheckSink, CrashFault, CrashWhen, FaultPlan, FaultSink, Machine, MsgFault, MsgFaultKind,
-    RankCtx, Rule, SchedulerKind, Violation,
+    CheckSink, CrashFault, CrashWhen, FaultPlan, FaultSink, MsgFault, MsgFaultKind, RankCtx, Rule,
+    SchedulerKind,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
 
 fn fibers() -> bool {
     SchedulerKind::EventDriven.supported()
-}
-
-/// Every carrier this target has; the OS-thread one always exists.
-fn carriers() -> Vec<SchedulerKind> {
-    let mut all = vec![SchedulerKind::ThreadPerRank];
-    if fibers() {
-        all.push(SchedulerKind::EventDriven);
-    }
-    all
-}
-
-fn machine(ranks: usize, kind: SchedulerKind) -> Machine {
-    let nodes = ranks.div_ceil(8).max(1);
-    let spec = ClusterSpec::test_cluster(nodes, 4); // 2×4 cores per node
-    let placement = Placement::layout(&spec.node, ranks, LoadLayout::FullLoad).unwrap();
-    Machine::new(spec, placement, PowerModel::deterministic(), 42)
-        .unwrap()
-        .with_scheduler(kind)
-}
-
-/// Wall-clock budget for a leg that must abort. Vastly above the
-/// sub-second normal case: hitting it means a hang, not a slow machine.
-const ABORT_TIMEOUT: Duration = Duration::from_secs(120);
-
-/// Run a program that must abort — on a watchdog thread, so a carrier
-/// that parks forever fails this leg instead of stalling the suite — and
-/// return the root-cause panic message plus the checker's findings.
-fn abort_of(
-    ranks: usize,
-    kind: SchedulerKind,
-    checked: bool,
-    body: fn(&mut RankCtx),
-) -> (String, Vec<Violation>) {
-    let sink = if checked {
-        CheckSink::enabled()
-    } else {
-        CheckSink::disabled()
-    };
-    let m = machine(ranks, kind).with_check(sink.clone());
-    let run =
-        std::thread::spawn(move || catch_unwind(AssertUnwindSafe(|| m.run(body))).map(|_| ()));
-    let leg = format!("{kind} engine, checked={checked}");
-    let deadline = Instant::now() + ABORT_TIMEOUT;
-    while !run.is_finished() {
-        assert!(
-            Instant::now() < deadline,
-            "{leg}: run hung past {ABORT_TIMEOUT:?} instead of aborting"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let payload = match run.join().expect("the run's panic is caught inside") {
-        Err(payload) => payload,
-        Ok(()) => panic!("{leg}: run must abort, but it completed"),
-    };
-    let msg = payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_default();
-    (format!("{leg}: {msg}"), sink.violations())
 }
 
 /// A rank program that exercises every blocking path: compute, matched

@@ -1,8 +1,9 @@
 //! Proof that the shared-payload collectives never copy a buffer: the
 //! process-global `copy_audit` counter (bumped only when `expect_*` has to
 //! clone a still-shared allocation) stays at zero across broadcast
-//! fan-out, pipelined streaming, gathers and the ring allgather, and the
-//! returned handles are pointer-identical across ranks.
+//! fan-out, pipelined streaming, gathers, the ring allgather and the
+//! large-message allreduce, and the returned handles are pointer-identical
+//! across ranks.
 //!
 //! Everything lives in ONE test function: the audit counter is global to
 //! the process, so concurrently running `#[test]`s would see each other's
@@ -101,6 +102,24 @@ fn shared_collectives_never_copy_a_payload() {
                 "rank {r}'s chunk {j} must share the originator's allocation"
             );
         }
+    }
+
+    // --- large-message allreduce: halves move into their messages,
+    // allgather pieces travel shared, and the last merge is each rank's
+    // own, so unwrapping the result never copies ---
+    copy_audit::reset();
+    let len = (greenla_mpi::coll::COLL_LARGE_BYTES / 8) as usize + 3;
+    let out = machine(P).run(move |ctx| {
+        let world = ctx.world();
+        ctx.allreduce_sum_owned_f64(&world, vec![ctx.rank() as f64; len])
+    });
+    assert_eq!(
+        copy_audit::count(),
+        0,
+        "reduce-scatter + allgather must not unwrap a shared piece"
+    );
+    for got in &out.results {
+        assert_eq!(got, &vec![28.0; len]);
     }
 
     // --- control: unwrapping a still-shared payload IS counted, so the
