@@ -504,10 +504,8 @@ pub fn campaign_suite(quick: bool) -> BenchSuite {
 /// The pinned collectives suite: wall-clock of the simulated collectives
 /// themselves — broadcast fan-out, the size-switched allreduce and the
 /// ring allgather — at 1 KiB / 256 KiB / 8 MiB across 16 and 64 ranks.
-/// The allgather sizes are the *combined* payload (what the solvers see);
-/// an `allgather_tree_8mib_p64` reference entry keeps the ring-vs-tree
-/// ratio visible in every artifact, exactly like the packed-vs-scalar
-/// kernel pair. Virtual seconds ride along as the determinism canary.
+/// The allgather sizes are the *combined* payload (what the solvers see).
+/// Virtual seconds ride along as the determinism canary.
 pub fn coll_suite(quick: bool) -> BenchSuite {
     use greenla_cluster::placement::Placement;
     use greenla_cluster::spec::ClusterSpec;
@@ -559,15 +557,6 @@ pub fn coll_suite(quick: bool) -> BenchSuite {
             push(format!("allgather_{tag}_p{p}"), p, &move |ctx| {
                 let world = ctx.world();
                 ctx.allgather_f64(&world, &vec![ctx.rank() as f64; per]);
-            });
-        }
-        if p == 64 {
-            // Reference: the pre-switch gather-then-broadcast composition at
-            // the heaviest point, so the ring's win is gated, not assumed.
-            let per = 1024 * 1024 / p;
-            push(format!("allgather_tree_8mib_p{p}"), p, &move |ctx| {
-                let world = ctx.world();
-                ctx.allgather_f64_tree(&world, &vec![ctx.rank() as f64; per]);
             });
         }
     }

@@ -90,11 +90,11 @@ fn parse_args() -> Args {
             "--exp" => args.exp = it.next().expect("--exp needs a value"),
             "--tier" => args.tier = it.next().expect("--tier needs a value"),
             "--reps" => {
-                args.reps = it
-                    .next()
-                    .expect("--reps needs a value")
-                    .parse()
-                    .expect("reps")
+                let v = it.next().expect("--reps needs a value");
+                args.reps = v.parse().ok().filter(|&r| r > 0).unwrap_or_else(|| {
+                    eprintln!("--reps wants a positive count, got {v:?}");
+                    std::process::exit(2);
+                });
             }
             "--smoke" => args.smoke = true,
             "--check" => args.check = true,
@@ -223,13 +223,6 @@ fn main() {
         if let Some(path) = &args.bench_coll {
             eprintln!("running collectives bench suite{quick}");
             let report = BenchReport::new(vec![coll_suite(args.bench_quick)]);
-            if let Some(sp) = report.speedup(
-                "collectives",
-                "allgather_8mib_p64",
-                "allgather_tree_8mib_p64",
-            ) {
-                eprintln!("8 MiB allgather at P=64, ring vs tree: {sp:.2}x");
-            }
             write(path, &report);
         }
         if let Some(path) = &args.bench_sched {
@@ -575,8 +568,24 @@ fn main() {
     if let Some(path) = &args.trace_out {
         use greenla_harness::chrome_trace::traced_solve;
         use greenla_harness::config::SolverChoice;
+        use greenla_harness::run::RunConfig;
         let (n, ranks) = if args.smoke { (96, 8) } else { (240, 16) };
-        let run = traced_solve(SolverChoice::ime_optimized(), n, ranks, 7);
+        // A small node (4 cores over 2 sockets) so the ranks fill whole
+        // nodes and the export shows the multi-node track layout.
+        let run = traced_solve(&RunConfig {
+            n,
+            ranks,
+            layout: greenla_cluster::placement::LoadLayout::FullLoad,
+            solver: SolverChoice::ime_optimized(),
+            system: greenla_linalg::generate::SystemKind::DiagDominant,
+            cores_per_socket: 2,
+            seed: 7,
+            check: false,
+            faults: None,
+            scheduler: args.scheduler.unwrap_or_default(),
+            batch: 1,
+            cg_overlap: true,
+        });
         let text = serde_json::to_string_pretty(&run.trace).expect("serialise trace");
         if let Some(dir) = path.parent() {
             if !dir.as_os_str().is_empty() {
@@ -596,12 +605,15 @@ fn main() {
         use greenla_cluster::placement::Placement;
         use greenla_cluster::spec::ClusterSpec;
         use greenla_cluster::PowerModel;
-        use greenla_ime::par::ImepOptions;
+        use greenla_harness::config::SolverChoice;
+        use greenla_harness::run::{solve, Inputs};
         use greenla_linalg::generate;
         use greenla_monitor::overhead::measure_overhead;
         use greenla_mpi::Machine;
 
+        let solver = SolverChoice::ime_optimized();
         let sys = generate::diag_dominant(if args.smoke { 96 } else { 360 }, 1);
+        let inputs = Inputs::from_system(solver, sys);
         let build = || {
             let spec = ClusterSpec::test_cluster(4, 4);
             let placement = Placement::packed(&spec.node, 16).unwrap();
@@ -610,7 +622,7 @@ fn main() {
         };
         let report = measure_overhead(build, |ctx| {
             let world = ctx.world();
-            greenla_ime::solve_imep(ctx, &world, &sys, ImepOptions::optimized()).unwrap();
+            solve(ctx, &world, solver, true, &inputs);
         });
         let text = format!(
             "monitored makespan: {:.6} s\nraw makespan:       {:.6} s\noverhead:           {:.2} %\n",

@@ -21,23 +21,10 @@
 //! insertion order), so exporting the same run twice yields byte-identical
 //! JSON — the property the golden-file test pins down.
 
-use crate::config::SolverChoice;
-use greenla_cg::solver::{pcg, CgConfig};
-use greenla_cluster::placement::{LoadLayout, Placement};
-use greenla_cluster::spec::ClusterSpec;
-use greenla_cluster::PowerModel;
-use greenla_ime::ft::solve_imep_ft;
-use greenla_ime::solve_imep;
-use greenla_linalg::generate;
-use greenla_linalg::generate::SystemKind;
-use greenla_linalg::sparse::{CsrMatrix, SparseSystem};
-use greenla_monitor::monitoring::MonitorConfig;
-use greenla_monitor::protocol::monitored_run;
-use greenla_mpi::{EventKind, FaultPlan, FaultReport, FaultSink, Machine, TraceEvent, TraceSink};
+use crate::run::{run_prepared, Inputs, Measurement, RunConfig};
+use greenla_mpi::{EventKind, TraceEvent, TraceSink};
 use greenla_rapl::{Domain, RaplSim};
-use greenla_scalapack::pdgesv::pdgesv;
 use serde_json::Value;
-use std::sync::Arc;
 
 /// Number of counter samples per node in the exported grid.
 pub const COUNTER_SAMPLES: usize = 64;
@@ -197,132 +184,28 @@ pub fn chrome_trace_json(
     ])
 }
 
-/// Result of [`traced_solve`]: the exported trace document plus the run's
-/// virtual makespan (for overhead/invariance checks).
+/// Result of [`traced_solve`]: the exported trace document, the run's
+/// measurement (what `run_once` returns for the same configuration) and
+/// its virtual makespan.
 pub struct TracedSolve {
     pub trace: Value,
+    pub measurement: Measurement,
     pub makespan_s: f64,
     pub event_count: usize,
 }
 
-fn build_machine(ranks: usize, seed: u64) -> Machine {
-    // A small node (4 cores over 2 sockets) so even a 4-rank trace fills a
-    // node exactly and 16 ranks exercise the multi-node track layout.
-    let node = greenla_cluster::spec::NodeSpec::test_node(2);
-    let placement = Placement::layout(&node, ranks, LoadLayout::FullLoad).expect("rank count");
-    let spec = ClusterSpec {
-        node: node.clone(),
-        nodes: placement.nodes_used(),
-        net: greenla_cluster::Interconnect::omni_path(),
-    };
-    let power = PowerModel::scaled_for(&node);
-    Machine::new(spec, placement, power, seed).expect("valid machine")
-}
-
-fn run_solve(machine: &Machine, solver: SolverChoice, n: usize, seed: u64) -> f64 {
-    // The machine's fault sink (disabled by default) is shared with the
-    // RAPL simulator so counter faults land in the same report; a faulted
-    // run monitors in degraded mode and routes IMe through the
-    // checksum-protected solver, exactly like the measurement runner.
-    let faulted = machine.faults().is_enabled();
-    let rapl = Arc::new(
-        RaplSim::new(machine.ledger(), machine.power().clone(), seed)
-            .with_faults(machine.faults().clone()),
-    );
-    // CG needs a symmetric positive definite operator (sparsified on
-    // entry, like the measurement runner); the dense solvers keep the
-    // diagonally dominant draw the golden trace was pinned on.
-    let sys = match solver {
-        SolverChoice::Cg { .. } => SystemKind::Spd.generate(n, 3131),
-        _ => generate::diag_dominant(n, 3131),
-    };
-    let sparse: Option<SparseSystem> =
-        matches!(solver, SolverChoice::Cg { .. }).then(|| SparseSystem {
-            a: CsrMatrix::from_dense(&sys.a),
-            b: sys.b.clone(),
-            x_ref: sys.x_ref.clone().unwrap_or_default(),
-        });
-    let sparse = &sparse;
-    let mon_cfg = MonitorConfig {
-        degrade_on_fault: faulted,
-        ..MonitorConfig::default()
-    };
-    let out = machine.run(|ctx| {
-        let world = ctx.world();
-        monitored_run(ctx, &rapl, &mon_cfg, |ctx, handle| {
-            let local_share = 8 * (n * n) as u64 / ctx.size() as u64;
-            ctx.touch_memory(local_share);
-            handle.phase(ctx, "allocation").expect("phase mark");
-            match solver {
-                SolverChoice::Ime { .. } if faulted => {
-                    solve_imep_ft(ctx, &world, &sys, None).expect("IMe FT solve");
-                }
-                SolverChoice::Ime { .. } => {
-                    solve_imep(ctx, &world, &sys, solver.imep_options().unwrap())
-                        .expect("IMe solve");
-                }
-                SolverChoice::ScaLapack { nb } => {
-                    pdgesv(ctx, &world, &sys, nb).expect("pdgesv solve");
-                }
-                SolverChoice::Cg { jacobi } => {
-                    let cfg = CgConfig {
-                        jacobi,
-                        ..CgConfig::default()
-                    };
-                    pcg(ctx, &world, sparse.as_ref().unwrap(), &cfg)
-                        .unwrap_or_else(|e| panic!("{e}"));
-                }
-            }
-            handle.phase(ctx, "execution").expect("phase mark");
-        })
-        .expect("monitoring protocol")
-    });
-    out.makespan
-}
-
-/// Run one monitored solve with tracing enabled and export the Chrome
-/// Trace document. Fully deterministic in `(solver, n, ranks, seed)`.
-pub fn traced_solve(solver: SolverChoice, n: usize, ranks: usize, seed: u64) -> TracedSolve {
-    let machine = build_machine(ranks, seed).with_trace(TraceSink::enabled());
-    let makespan_s = run_solve(&machine, solver, n, seed);
-    let events = machine.trace().drain();
-    let rapl = RaplSim::new(machine.ledger(), machine.power().clone(), seed);
+/// Run `cfg` exactly as [`run_once`](crate::run::run_once) does, with
+/// tracing enabled, and export the Chrome Trace document. A fault plan in
+/// `cfg` leaves its `fault:*` instants in the trace and its consolidated
+/// report in the measurement. Fully deterministic in `cfg`.
+pub fn traced_solve(cfg: &RunConfig) -> TracedSolve {
+    let sink = TraceSink::enabled();
+    let run = run_prepared(cfg, &Inputs::prepare(cfg), sink.clone());
+    let events = sink.drain();
     TracedSolve {
-        trace: chrome_trace_json(&events, &rapl, makespan_s, COUNTER_SAMPLES),
-        makespan_s,
+        trace: chrome_trace_json(&events, &run.rapl, run.makespan_s, COUNTER_SAMPLES),
+        measurement: run.measurement,
+        makespan_s: run.makespan_s,
         event_count: events.len(),
     }
-}
-
-/// The same solve without tracing — the baseline for the invariance test
-/// (tracing observes the virtual clocks, it must never move them).
-pub fn untraced_makespan(solver: SolverChoice, n: usize, ranks: usize, seed: u64) -> f64 {
-    let machine = build_machine(ranks, seed);
-    run_solve(&machine, solver, n, seed)
-}
-
-/// [`traced_solve`] under a (recoverable) fault plan: the exported trace
-/// carries the `fault:*` instants the injection points emitted, and the
-/// sink's consolidated [`FaultReport`] rides along. Fully deterministic in
-/// `(solver, n, ranks, seed, plan)`.
-pub fn traced_faulted_solve(
-    solver: SolverChoice,
-    n: usize,
-    ranks: usize,
-    seed: u64,
-    plan: &FaultPlan,
-) -> (TracedSolve, FaultReport) {
-    let sink = FaultSink::with_plan(plan.clone());
-    let machine = build_machine(ranks, seed)
-        .with_trace(TraceSink::enabled())
-        .with_faults(sink.clone());
-    let makespan_s = run_solve(&machine, solver, n, seed);
-    let events = machine.trace().drain();
-    let rapl = RaplSim::new(machine.ledger(), machine.power().clone(), seed);
-    let traced = TracedSolve {
-        trace: chrome_trace_json(&events, &rapl, makespan_s, COUNTER_SAMPLES),
-        makespan_s,
-        event_count: events.len(),
-    };
-    (traced, sink.report())
 }

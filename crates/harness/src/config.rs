@@ -1,7 +1,7 @@
 //! Experiment grids and solver selection.
 
 use greenla_cluster::placement::LoadLayout;
-use greenla_cluster::spec::{ClusterSpec, NodeSpec};
+use greenla_cluster::spec::NodeSpec;
 use greenla_ime::par::ImepOptions;
 use greenla_mpi::{FaultPlan, SchedulerKind};
 use serde::{Deserialize, Serialize};
@@ -164,22 +164,6 @@ impl FunctionalGrid {
     /// Node spec of the scaled cluster.
     pub fn node(&self) -> NodeSpec {
         NodeSpec::test_node(self.cores_per_socket)
-    }
-
-    /// Cluster sized for the largest configuration in the grid.
-    pub fn cluster(&self) -> ClusterSpec {
-        let node = self.node();
-        let max_nodes = self
-            .ranks
-            .iter()
-            .map(|&r| r.div_ceil(self.cores_per_socket)) // half-load worst case
-            .max()
-            .unwrap_or(1);
-        ClusterSpec {
-            node,
-            nodes: max_nodes.max(1),
-            net: greenla_cluster::Interconnect::omni_path(),
-        }
     }
 }
 

@@ -6,16 +6,15 @@
 
 use crate::config::SolverChoice;
 use crate::output::{Figure, Series};
-use greenla_cluster::placement::{LoadLayout, Placement};
-use greenla_cluster::spec::{ClusterSpec, NodeSpec};
+use crate::run::{build_machine, solve, Inputs};
+use greenla_cluster::placement::LoadLayout;
+use greenla_cluster::spec::NodeSpec;
 use greenla_cluster::PowerModel;
-use greenla_ime::solve_imep;
 use greenla_linalg::generate;
 use greenla_monitor::blackbox::blackbox_run;
 use greenla_monitor::monitoring::MonitorConfig;
-use greenla_mpi::Machine;
+use greenla_mpi::SchedulerKind;
 use greenla_rapl::RaplSim;
-use greenla_scalapack::pdgesv::pdgesv;
 use std::sync::Arc;
 
 /// Sample node-0 power over time for one solver run.
@@ -27,37 +26,27 @@ pub fn power_trace(
     seed: u64,
 ) -> Vec<(f64, f64)> {
     let node = NodeSpec::test_node(4);
-    let placement = Placement::layout(&node, ranks, LoadLayout::FullLoad).unwrap();
-    let spec = ClusterSpec {
-        node: node.clone(),
-        nodes: placement.nodes_used(),
-        net: greenla_cluster::Interconnect::omni_path(),
-    };
-    let power = PowerModel::scaled_for(&node);
-    let machine = Machine::new(spec, placement, power, seed).unwrap();
+    let machine = build_machine(
+        &node,
+        ranks,
+        LoadLayout::FullLoad,
+        PowerModel::scaled_for(&node),
+        seed,
+        SchedulerKind::default(),
+    );
     let rapl = Arc::new(RaplSim::new(
         machine.ledger(),
         machine.power().clone(),
         seed,
     ));
-    let sys = generate::diag_dominant(n, 3131);
+    let inputs = Inputs::from_system(solver, generate::diag_dominant(n, 3131));
     let out = machine.run(|ctx| {
         blackbox_run(
             ctx,
             &rapl,
             &MonitorConfig::default(),
             sample_period_s,
-            |ctx, app| match solver {
-                SolverChoice::Ime { .. } => {
-                    solve_imep(ctx, app, &sys, solver.imep_options().unwrap()).unwrap();
-                }
-                SolverChoice::ScaLapack { nb } => {
-                    pdgesv(ctx, app, &sys, nb).unwrap();
-                }
-                SolverChoice::Cg { .. } => {
-                    unreachable!("power traces sweep the dense solvers only")
-                }
-            },
+            |ctx, app| solve(ctx, app, solver, true, &inputs),
         )
         .unwrap()
         .report

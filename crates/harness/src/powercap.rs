@@ -11,18 +11,17 @@
 
 use crate::config::SolverChoice;
 use crate::output::Table;
-use greenla_cluster::placement::{LoadLayout, Placement};
-use greenla_cluster::spec::{ClusterSpec, NodeSpec};
+use crate::run::{build_machine, solve, Inputs};
+use greenla_cluster::placement::LoadLayout;
+use greenla_cluster::spec::NodeSpec;
 use greenla_cluster::PowerModel;
-use greenla_ime::solve_imep;
 use greenla_linalg::generate;
 use greenla_monitor::monitoring::MonitorConfig;
 use greenla_monitor::protocol::monitored_run;
 use greenla_monitor::report::JobSummary;
-use greenla_mpi::Machine;
+use greenla_mpi::SchedulerKind;
 use greenla_rapl::units::encode_power_limit;
 use greenla_rapl::{RaplSim, MSR_PKG_POWER_LIMIT};
-use greenla_scalapack::pdgesv::pdgesv;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -45,49 +44,40 @@ pub fn sweep(n: usize, ranks: usize, fractions: &[f64], seed: u64) -> Vec<CapPoi
     let node = NodeSpec::test_node(4);
     let base = PowerModel::scaled_deterministic(&node);
     let uncapped_w = base.loaded_socket_power_w(&node);
-    let sys = generate::diag_dominant(n, 4242);
     let mut out = Vec::new();
     for solver in [SolverChoice::ime_optimized(), SolverChoice::scalapack()] {
+        let inputs = Inputs::from_system(solver, generate::diag_dominant(n, 4242));
         for &frac in fractions {
             let cap_w = uncapped_w * frac;
             let power = base.with_power_cap(&node, node.cpu.cores_per_socket, cap_w);
-            let placement = Placement::layout(&node, ranks, LoadLayout::FullLoad).unwrap();
-            let spec = ClusterSpec {
-                node: node.clone(),
-                nodes: placement.nodes_used(),
-                net: greenla_cluster::Interconnect::omni_path(),
-            };
-            let machine = Machine::new(spec, placement, power.clone(), seed).unwrap();
+            let machine = build_machine(
+                &node,
+                ranks,
+                LoadLayout::FullLoad,
+                power.clone(),
+                seed,
+                SchedulerKind::default(),
+            );
             let rapl = Arc::new(RaplSim::new(
                 machine.ledger(),
                 machine.power().clone(),
                 seed,
             ));
-            let rapl2 = Arc::clone(&rapl);
             let limit = encode_power_limit(cap_w, &rapl.units());
             let run = machine.run(|ctx| {
                 let world = ctx.world();
-                monitored_run(ctx, &rapl2, &MonitorConfig::default(), |ctx, _| {
+                monitored_run(ctx, &rapl, &MonitorConfig::default(), |ctx, _| {
                     // The monitoring rank programs the cap into the MSR,
                     // as a power-capping agent would.
                     if ctx.rank() == 0 {
                         for node_i in 0..ctx.placement().nodes_used() {
                             for s in 0..2 {
-                                rapl2
-                                    .write_msr(node_i, s, MSR_PKG_POWER_LIMIT, limit)
+                                rapl.write_msr(node_i, s, MSR_PKG_POWER_LIMIT, limit)
                                     .expect("program power cap");
                             }
                         }
                     }
-                    match solver {
-                        SolverChoice::Ime { .. } => {
-                            solve_imep(ctx, &world, &sys, solver.imep_options().unwrap()).unwrap()
-                        }
-                        SolverChoice::ScaLapack { nb } => pdgesv(ctx, &world, &sys, nb).unwrap(),
-                        SolverChoice::Cg { .. } => {
-                            unreachable!("the cap sweep covers the dense solvers only")
-                        }
-                    }
+                    solve(ctx, &world, solver, true, &inputs)
                 })
                 .unwrap()
                 .report

@@ -1,12 +1,29 @@
 //! The measurement runner: one fully monitored solver execution per call,
 //! repeated and aggregated the way the paper runs its jobs (ten
 //! repetitions per configuration; we default to fewer but keep the knob).
+//!
+//! The paper's white-box procedure is solver-agnostic, and so is this
+//! module: [`run_once`] composes four public steps, and everything in the
+//! harness that simulates a solve is built from them.
+//!
+//! 1. [`build_machine`] — node → placement → cluster → `Machine`;
+//! 2. [`Inputs`] — the dense system and, for CG, its CSR image;
+//! 3. [`solve`] — one solve on a running rank, whichever solver;
+//! 4. [`run_prepared`] — the Figure-2 monitored window (allocation phase,
+//!    `batch` solves, execution phase) and the reports → [`Measurement`]
+//!    tail.
+//!
+//! `run_once`, both campaigns and the Chrome-trace export go through all
+//! four, so a trace is a trace of the run the campaign measures. The
+//! power-cap sweep and the black-box power trace are different procedures
+//! on purpose (an MSR write, a sampling daemon) and wrap steps 1–3 in
+//! their own choreography.
 
 use crate::config::{default_false, default_true, one_batch, FunctionalGrid, SolverChoice};
 use greenla_cg::solver::{pcg, CgConfig};
 use greenla_cluster::placement::{LoadLayout, Placement};
-use greenla_cluster::spec::ClusterSpec;
-use greenla_cluster::PowerModel;
+use greenla_cluster::spec::{ClusterSpec, NodeSpec};
+use greenla_cluster::{Interconnect, PowerModel};
 use greenla_ime::ft::solve_imep_ft;
 use greenla_ime::solve_imep;
 use greenla_linalg::flops;
@@ -16,7 +33,8 @@ use greenla_monitor::monitoring::MonitorConfig;
 use greenla_monitor::protocol::monitored_run;
 use greenla_monitor::report::{JobSummary, NodeReport};
 use greenla_mpi::{
-    CheckSink, FaultPlan, FaultReport, FaultSink, Machine, SchedulerKind, Violation,
+    CheckSink, Comm, FaultPlan, FaultReport, FaultSink, Machine, RankCtx, SchedulerKind, TraceSink,
+    Violation,
 };
 use greenla_rapl::RaplSim;
 use greenla_scalapack::pdgesv::pdgesv;
@@ -99,22 +117,130 @@ pub struct Measurement {
     pub refreshes: Option<u64>,
 }
 
-/// Execute one configuration end to end: build the scaled cluster, run the
-/// solver under the white-box monitoring framework, aggregate the per-node
-/// reports.
-pub fn run_once(cfg: &RunConfig) -> Measurement {
-    let node = greenla_cluster::spec::NodeSpec::test_node(cfg.cores_per_socket);
-    let placement =
-        Placement::layout(&node, cfg.ranks, cfg.layout).expect("grid guarantees divisibility");
-    let nodes = placement.nodes_used();
+/// Step 1 — the simulated cluster of one run: `ranks` ranks laid out over
+/// as many `node`s as `layout` needs, on the Omni-Path interconnect. The
+/// power model is the caller's because the experiments genuinely differ in
+/// it (jittered for measurements, deterministic and capped for the cap
+/// sweep).
+pub fn build_machine(
+    node: &NodeSpec,
+    ranks: usize,
+    layout: LoadLayout,
+    power: PowerModel,
+    seed: u64,
+    scheduler: SchedulerKind,
+) -> Machine {
+    let placement = Placement::layout(node, ranks, layout).expect("grid guarantees divisibility");
     let spec = ClusterSpec {
         node: node.clone(),
-        nodes,
-        net: greenla_cluster::Interconnect::omni_path(),
+        nodes: placement.nodes_used(),
+        net: Interconnect::omni_path(),
     };
+    Machine::new(spec, placement, power, seed)
+        .expect("valid machine")
+        .with_scheduler(scheduler)
+}
+
+/// Step 2 — the input systems of a run: the dense one every solver's
+/// residual is checked against, and its CSR image for CG. Prepared outside
+/// the measured region (the paper's jobs load their input from a file the
+/// same way) and shared by every repetition of a configuration.
+pub struct Inputs {
+    pub dense: LinearSystem,
+    pub sparse: Option<SparseSystem>,
+}
+
+impl Inputs {
+    /// Wrap a system the caller generated; CG runs sparsify it here, once.
+    pub fn from_system(solver: SolverChoice, dense: LinearSystem) -> Inputs {
+        let sparse = matches!(solver, SolverChoice::Cg { .. }).then(|| SparseSystem {
+            a: CsrMatrix::from_dense(&dense.a),
+            b: dense.b.clone(),
+            x_ref: dense.x_ref.clone().unwrap_or_default(),
+        });
+        Inputs { dense, sparse }
+    }
+
+    /// The system a configuration names. Its seed derives from `(n, ranks)`
+    /// only — the same system for every repetition, as the paper's
+    /// file-based inputs guarantee.
+    pub fn prepare(cfg: &RunConfig) -> Inputs {
+        let system_seed = (cfg.n as u64) << 32 | cfg.ranks as u64;
+        Inputs::from_system(cfg.solver, cfg.system.generate(cfg.n, system_seed))
+    }
+
+    /// Bytes the allocation phase materialises across the job: the CSR
+    /// image for a sparse run, the dense square otherwise.
+    pub fn alloc_bytes(&self) -> u64 {
+        match &self.sparse {
+            Some(s) => flops::spmv_csr_bytes(s.n(), s.a.nnz()),
+            None => 8 * (self.dense.n() * self.dense.n()) as u64,
+        }
+    }
+
+    /// Scaled residual of a solution against the dense system.
+    pub fn residual(&self, x: &[f64]) -> f64 {
+        self.dense.residual(x)
+    }
+}
+
+/// Step 3 — one solve over `comm` on a running rank: the solution and, for
+/// CG, the `(iterations, refreshes)` counts. A run with fault injection
+/// armed routes IMe through the checksum-protected solver so a planned
+/// column loss is recoverable in-band.
+pub fn solve(
+    ctx: &mut RankCtx,
+    comm: &Comm,
+    solver: SolverChoice,
+    cg_overlap: bool,
+    inputs: &Inputs,
+) -> (Vec<f64>, Option<(u64, u64)>) {
+    let dense = &inputs.dense;
+    let x = match solver {
+        SolverChoice::Ime { .. } if ctx.faults_enabled() => {
+            solve_imep_ft(ctx, comm, dense, None).expect("IMe FT solve")
+        }
+        SolverChoice::Ime { .. } => {
+            let opts = solver.imep_options().expect("IMe options");
+            solve_imep(ctx, comm, dense, opts).expect("IMe solve")
+        }
+        SolverChoice::ScaLapack { nb } => pdgesv(ctx, comm, dense, nb).expect("pdgesv solve"),
+        SolverChoice::Cg { jacobi } => {
+            let cg_cfg = CgConfig {
+                jacobi,
+                overlap: cg_overlap,
+                ..CgConfig::default()
+            };
+            let sys = inputs.sparse.as_ref().expect("CG input is sparsified");
+            // Panic with the Display form so an abort surfaces the stable
+            // "cg aborted:" diagnostic the chaos battery and GL004 key on.
+            let s = pcg(ctx, comm, sys, &cg_cfg).unwrap_or_else(|e| panic!("{e}"));
+            return (s.x, Some((s.iterations as u64, s.refreshes as u64)));
+        }
+    };
+    (x, None)
+}
+
+/// A finished [`run_prepared`]: the measurement, plus what the Chrome-trace
+/// exporter samples after the fact.
+pub struct MonitoredRun {
+    pub measurement: Measurement,
+    /// Virtual makespan of the whole run, monitoring protocol included
+    /// (`measurement.duration_s` is the monitored window inside it).
+    pub makespan_s: f64,
+    /// The run's RAPL device, still attached to the run's activity ledger.
+    pub rapl: Arc<RaplSim>,
+}
+
+/// Step 4 — run `cfg` on prepared inputs under the white-box monitoring
+/// framework and aggregate the per-node reports. `trace` observes the run
+/// (pass [`TraceSink::disabled`] to measure only); it never moves a clock.
+pub fn run_prepared(cfg: &RunConfig, inputs: &Inputs, trace: TraceSink) -> MonitoredRun {
+    let node = NodeSpec::test_node(cfg.cores_per_socket);
     let power = PowerModel::scaled_for(&node);
-    let mut machine = Machine::new(spec, placement, power, cfg.seed).expect("valid machine");
-    machine.set_scheduler(cfg.scheduler);
+    let mut machine = build_machine(&node, cfg.ranks, cfg.layout, power, cfg.seed, cfg.scheduler)
+        .with_trace(trace);
+    let nodes = machine.placement().nodes_used();
     if cfg.check {
         machine.set_check(CheckSink::enabled());
     }
@@ -126,82 +252,34 @@ pub fn run_once(cfg: &RunConfig) -> Measurement {
         .as_ref()
         .filter(|p| !p.is_empty())
         .map(|p| FaultSink::with_plan(p.clone()));
-    if let Some(sink) = &fault_sink {
-        machine.set_faults(sink.clone());
-    }
     let mut rapl = RaplSim::new(machine.ledger(), machine.power().clone(), cfg.seed);
     if let Some(sink) = &fault_sink {
+        machine.set_faults(sink.clone());
         rapl = rapl.with_faults(sink.clone());
     }
     let rapl = Arc::new(rapl);
-    let sys: LinearSystem = cfg.system.generate(cfg.n, system_seed(cfg));
-    // CG runs sparsify the dense input once, outside the measured region
-    // (the paper's jobs load their input from a file the same way).
-    let sparse: Option<SparseSystem> =
-        matches!(cfg.solver, SolverChoice::Cg { .. }).then(|| SparseSystem {
-            a: CsrMatrix::from_dense(&sys.a),
-            b: sys.b.clone(),
-            x_ref: sys.x_ref.clone().unwrap_or_default(),
-        });
     // Faulted runs monitor in degraded mode: a dead monitoring rank costs
     // its node's report, not the job.
     let mon_cfg = MonitorConfig {
         degrade_on_fault: fault_sink.is_some(),
         ..MonitorConfig::default()
     };
-    let faulted = fault_sink.is_some();
-    let solver = cfg.solver;
-    let sparse = &sparse;
     let out = machine.run(|ctx| {
         let world = ctx.world();
         let monitored = monitored_run(ctx, &rapl, &mon_cfg, |ctx, handle| {
             // Allocation phase: the input system is materialised in each
-            // rank's memory (the paper loads it from a file). A sparse run
-            // materialises the CSR image, not the dense square.
-            let local_share = match sparse {
-                Some(s) => flops::spmv_csr_bytes(s.n(), s.a.nnz()) / ctx.size() as u64,
-                None => 8 * (cfg.n * cfg.n) as u64 / ctx.size() as u64,
-            };
-            ctx.touch_memory(local_share);
+            // rank's memory (the paper loads it from a file).
+            ctx.touch_memory(inputs.alloc_bytes() / ctx.size() as u64);
             handle.phase(ctx, "allocation").expect("phase mark");
             // `batch` back-to-back solves of the same system; every solve is
             // deterministic so only the last result needs keeping. See
             // [`RunConfig::batch`] for why short kernels need this.
             let mut last = None;
             for _ in 0..cfg.batch.max(1) {
-                last = Some(match solver {
-                    // A faulted IMe run goes through the checksum-protected
-                    // solver so a planned column loss is recoverable in-band.
-                    SolverChoice::Ime { .. } if faulted => (
-                        solve_imep_ft(ctx, &world, &sys, None).expect("IMe FT solve"),
-                        None,
-                    ),
-                    SolverChoice::Ime { .. } => (
-                        solve_imep(ctx, &world, &sys, solver.imep_options().unwrap())
-                            .expect("IMe solve"),
-                        None,
-                    ),
-                    SolverChoice::ScaLapack { nb } => {
-                        (pdgesv(ctx, &world, &sys, nb).expect("pdgesv solve"), None)
-                    }
-                    SolverChoice::Cg { jacobi } => {
-                        let cg_cfg = CgConfig {
-                            jacobi,
-                            overlap: cfg.cg_overlap,
-                            ..CgConfig::default()
-                        };
-                        // Panic with the Display form so an abort surfaces the
-                        // stable "cg aborted:" diagnostic the chaos battery and
-                        // GL004 key on.
-                        let s = pcg(ctx, &world, sparse.as_ref().unwrap(), &cg_cfg)
-                            .unwrap_or_else(|e| panic!("{e}"));
-                        (s.x, Some((s.iterations as u64, s.refreshes as u64)))
-                    }
-                });
+                last = Some(solve(ctx, &world, cfg.solver, cfg.cg_overlap, inputs));
             }
-            let (x, cg_counts) = last.expect("batch >= 1");
             handle.phase(ctx, "execution").expect("phase mark");
-            (x, cg_counts)
+            last.expect("batch >= 1")
         })
         .expect("monitoring protocol");
         (monitored.result, monitored.report)
@@ -231,7 +309,7 @@ pub fn run_once(cfg: &RunConfig) -> Measurement {
         JobSummary::aggregate(&reports)
     };
     let (x, cg_counts) = &out.results[0].0;
-    Measurement {
+    let measurement = Measurement {
         duration_s: summary.duration_s,
         total_energy_j: summary.total_energy_j,
         pkg_energy_j: summary.pkg_energy_j,
@@ -239,7 +317,7 @@ pub fn run_once(cfg: &RunConfig) -> Measurement {
         pkg_by_socket_j: summary.pkg_by_socket_j,
         dram_by_socket_j: summary.dram_by_socket_j,
         mean_power_w: summary.mean_power_w,
-        residual: sys.residual(x),
+        residual: inputs.residual(x),
         msgs: out.traffic.msgs,
         volume_elems: out.traffic.volume_elems(),
         nodes,
@@ -247,20 +325,27 @@ pub fn run_once(cfg: &RunConfig) -> Measurement {
         fault_report,
         iterations: cg_counts.map(|(i, _)| i),
         refreshes: cg_counts.map(|(_, r)| r),
+    };
+    MonitoredRun {
+        measurement,
+        makespan_s: out.makespan,
+        rapl,
     }
 }
 
-/// Input-system seed derived from the configuration (the same system for
-/// every repetition, as the paper's file-based inputs guarantee).
-pub(crate) fn system_seed(cfg: &RunConfig) -> u64 {
-    (cfg.n as u64) << 32 | cfg.ranks as u64
+/// Execute one configuration end to end: prepare its inputs, run them
+/// monitored and untraced, return the measurement.
+pub fn run_once(cfg: &RunConfig) -> Measurement {
+    run_prepared(cfg, &Inputs::prepare(cfg), TraceSink::disabled()).measurement
 }
 
 /// Normalise a batched measurement to a single solve. Energies and the
 /// window divide exactly (every solve in the batch is identical); traffic
 /// divides approximately — the monitoring protocol's own messages ride
-/// along once per window, not once per solve. Identity at `batch = 1`.
+/// along once per window, not once per solve. Identity at `batch = 1`, and
+/// at `batch = 0`, which [`run_prepared`] runs as one solve.
 pub fn per_solve(mut m: Measurement, batch: usize) -> Measurement {
+    let batch = batch.max(1);
     let b = batch as f64;
     m.duration_s /= b;
     m.total_energy_j /= b;
@@ -383,25 +468,26 @@ impl Dataset {
                 "n={n} ranks={ranks} layout={layout} solver={}",
                 solver.label()
             ));
+            let cfg = |rep: usize| RunConfig {
+                n,
+                ranks,
+                layout,
+                solver,
+                system: SystemKind::DiagDominant,
+                cores_per_socket: grid.cores_per_socket,
+                seed: grid.base_seed + rep as u64,
+                check: grid.check,
+                faults: grid.faults.clone(),
+                scheduler: grid.scheduler,
+                batch: grid.batch,
+                cg_overlap: true,
+            };
+            // Repetitions differ in the machine seed only: one input system.
+            let inputs = Inputs::prepare(&cfg(0));
             let runs: Vec<Measurement> = (0..grid.reps)
                 .map(|rep| {
-                    per_solve(
-                        run_once(&RunConfig {
-                            n,
-                            ranks,
-                            layout,
-                            solver,
-                            system: SystemKind::DiagDominant,
-                            cores_per_socket: grid.cores_per_socket,
-                            seed: grid.base_seed + rep as u64,
-                            check: grid.check,
-                            faults: grid.faults.clone(),
-                            scheduler: grid.scheduler,
-                            batch: grid.batch,
-                            cg_overlap: true,
-                        }),
-                        grid.batch.max(1),
-                    )
+                    let run = run_prepared(&cfg(rep), &inputs, TraceSink::disabled());
+                    per_solve(run.measurement, grid.batch)
                 })
                 .collect();
             DataPoint {
@@ -483,4 +569,45 @@ fn parallel_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Ve
     });
     indexed.sort_by_key(|(i, _)| *i);
     indexed.into_iter().map(|(_, u)| u).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cfg(solver: SolverChoice) -> RunConfig {
+        RunConfig {
+            n: 36,
+            ranks: 4,
+            layout: LoadLayout::FullLoad,
+            solver,
+            system: SystemKind::Poisson2d,
+            cores_per_socket: 2,
+            seed: 1,
+            check: false,
+            faults: None,
+            scheduler: SchedulerKind::default(),
+            batch: 0,
+            cg_overlap: true,
+        }
+    }
+
+    #[test]
+    fn only_cg_inputs_carry_the_csr_image_of_the_dense_system() {
+        let cg = Inputs::prepare(&cfg(SolverChoice::cg()));
+        let sparse = cg.sparse.expect("CG input is sparsified");
+        assert_eq!(sparse.a, CsrMatrix::from_dense(&cg.dense.a));
+        for solver in [SolverChoice::ime_optimized(), SolverChoice::scalapack()] {
+            assert!(Inputs::prepare(&cfg(solver)).sparse.is_none());
+        }
+    }
+
+    #[test]
+    fn per_solve_reads_batch_zero_as_the_one_solve_it_ran() {
+        let m = run_once(&cfg(SolverChoice::scalapack()));
+        let one = per_solve(m.clone(), 0);
+        assert_eq!((one.msgs, one.volume_elems), (m.msgs, m.volume_elems));
+        assert_eq!(one.duration_s.to_bits(), m.duration_s.to_bits());
+        assert_eq!(one.total_energy_j.to_bits(), m.total_energy_j.to_bits());
+    }
 }

@@ -15,7 +15,7 @@
 
 use crate::config::SolverChoice;
 use crate::run::{
-    per_solve, run_once, system_seed, Aggregated, DataPoint, Dataset, Measurement, RunConfig,
+    per_solve, run_prepared, Aggregated, DataPoint, Dataset, Inputs, Measurement, RunConfig,
 };
 use greenla_cg::formulas;
 use greenla_cg::partition::{HaloPlan, RowBlocks, RowSplit};
@@ -27,7 +27,7 @@ use greenla_linalg::sparse::CsrMatrix;
 use greenla_model::comm;
 use greenla_model::params::MachineParams;
 use greenla_model::roofline::{KernelProfile, Roofline};
-use greenla_mpi::SchedulerKind;
+use greenla_mpi::{SchedulerKind, TraceSink};
 use serde::{Deserialize, Serialize};
 
 /// The band shared with the dense roofline validations (host and
@@ -191,8 +191,13 @@ pub fn campaign(grid: &SparseGrid, progress: impl Fn(&str) + Sync) -> (Dataset, 
                 solver.label(),
                 cfg.scheduler
             ));
+            // One input system per (n, solver): the probe, every repetition
+            // and the closed-form checks below all read the same one.
+            let inputs = Inputs::prepare(&cfg);
+            let measure =
+                |cfg: &RunConfig| run_prepared(cfg, &inputs, TraceSink::disabled()).measurement;
             // Probe at batch 1 to size the monitored window, then measure.
-            let probe = run_once(&cfg);
+            let probe = measure(&cfg);
             let batch = if probe.duration_s >= TARGET_WINDOW_S {
                 1
             } else {
@@ -206,7 +211,7 @@ pub fn campaign(grid: &SparseGrid, progress: impl Fn(&str) + Sync) -> (Dataset, 
             while runs.len() < grid.reps {
                 let rep = runs.len();
                 runs.push(per_solve(
-                    run_once(&RunConfig {
+                    measure(&RunConfig {
                         seed: grid.base_seed + rep as u64,
                         batch,
                         ..cfg.clone()
@@ -215,7 +220,7 @@ pub fn campaign(grid: &SparseGrid, progress: impl Fn(&str) + Sync) -> (Dataset, 
                 ));
             }
             let agg = Aggregated::from_runs(&runs);
-            let flops = solve_flops(&cfg, &runs[0]);
+            let flops = solve_flops(&cfg, &inputs, &runs[0]);
             let point = SparsePoint {
                 solver: solver.label().to_string(),
                 n,
@@ -226,7 +231,7 @@ pub fn campaign(grid: &SparseGrid, progress: impl Fn(&str) + Sync) -> (Dataset, 
                 batch,
             };
             if matches!(solver, SolverChoice::Cg { .. }) {
-                checks.push(model_check(&cfg, &point, &runs[0]));
+                checks.push(model_check(&cfg, &inputs, &point, &runs[0]));
             }
             rows.push(point);
             points.push(DataPoint {
@@ -289,27 +294,35 @@ pub fn campaign(grid: &SparseGrid, progress: impl Fn(&str) + Sync) -> (Dataset, 
 /// Closed-form flop count of one solve, per solver: the IMe model from
 /// `greenla_ime::formulas`, the classic ²⁄₃·n³ LU factor + 2n² solve for
 /// ScaLAPACK, and the summed per-rank CG recurrence cost.
-fn solve_flops(cfg: &RunConfig, m: &Measurement) -> f64 {
+fn solve_flops(cfg: &RunConfig, inputs: &Inputs, m: &Measurement) -> f64 {
     match cfg.solver {
         SolverChoice::Ime { .. } => greenla_ime::formulas::flops_ime_ours(cfg.n) as f64,
         SolverChoice::ScaLapack { .. } => {
             let n = cfg.n as f64;
             2.0 * n * n * n / 3.0 + 2.0 * n * n
         }
-        SolverChoice::Cg { jacobi } => cg_rank_costs(cfg, jacobi, m)
+        SolverChoice::Cg { jacobi } => cg_rank_costs(cfg, csr(inputs), jacobi, m)
             .iter()
             .map(|c| c.flops as f64)
             .sum(),
     }
 }
 
-/// Per-rank closed-form solve costs of a CG run, derived from the same
-/// system `run_once` generated and the measured iteration counts.
-fn cg_rank_costs(cfg: &RunConfig, jacobi: bool, m: &Measurement) -> Vec<formulas::IterCost> {
-    let sys = cfg.system.generate(cfg.n, system_seed(cfg));
-    let a = CsrMatrix::from_dense(&sys.a);
+/// The CSR operator a CG run solved.
+fn csr(inputs: &Inputs) -> &CsrMatrix {
+    &inputs.sparse.as_ref().expect("CG input is sparsified").a
+}
+
+/// Per-rank closed-form solve costs of a CG run, derived from the system
+/// the run solved and the measured iteration counts.
+fn cg_rank_costs(
+    cfg: &RunConfig,
+    a: &CsrMatrix,
+    jacobi: bool,
+    m: &Measurement,
+) -> Vec<formulas::IterCost> {
     let blocks = RowBlocks::new(cfg.n, cfg.ranks);
-    let plans = HaloPlan::build_all(&a, blocks);
+    let plans = HaloPlan::build_all(a, blocks);
     let iters = m.iterations.expect("CG run records iterations");
     let refreshes = m.refreshes.expect("CG run records refreshes");
     (0..cfg.ranks)
@@ -322,7 +335,12 @@ fn cg_rank_costs(cfg: &RunConfig, jacobi: bool, m: &Measurement) -> Vec<formulas
 }
 
 /// Re-derive one CG measurement from the closed forms and gate it.
-fn model_check(cfg: &RunConfig, point: &SparsePoint, m: &Measurement) -> ModelCheck {
+fn model_check(
+    cfg: &RunConfig,
+    inputs: &Inputs,
+    point: &SparsePoint,
+    m: &Measurement,
+) -> ModelCheck {
     let jacobi = matches!(cfg.solver, SolverChoice::Cg { jacobi: true });
     let node = NodeSpec::test_node(cfg.cores_per_socket);
     let spec = ClusterSpec {
@@ -331,7 +349,8 @@ fn model_check(cfg: &RunConfig, point: &SparsePoint, m: &Measurement) -> ModelCh
         net: greenla_cluster::Interconnect::omni_path(),
     };
     let rf = Roofline::from_spec(&spec);
-    let costs = cg_rank_costs(cfg, jacobi, m);
+    let a = csr(inputs);
+    let costs = cg_rank_costs(cfg, a, jacobi, m);
     let iters = m.iterations.expect("CG run records iterations");
     let refreshes = m.refreshes.expect("CG run records refreshes");
 
@@ -360,10 +379,8 @@ fn model_check(cfg: &RunConfig, point: &SparsePoint, m: &Measurement) -> ModelCh
         beta: mp.beta_intra,
         ..mp
     };
-    let sys = cfg.system.generate(cfg.n, system_seed(cfg));
-    let a = CsrMatrix::from_dense(&sys.a);
     let blocks = RowBlocks::new(cfg.n, cfg.ranks);
-    let plans = HaloPlan::build_all(&a, blocks);
+    let plans = HaloPlan::build_all(a, blocks);
     // One exchange: the bottleneck rank drains its incoming messages.
     let halo_s = plans
         .iter()
@@ -381,7 +398,7 @@ fn model_check(cfg: &RunConfig, point: &SparsePoint, m: &Measurement) -> ModelCh
     // side models — and hand the reduced communication share to the energy
     // prediction too.
     let overlap_credit = if cfg.cg_overlap {
-        let split = RowSplit::build(&a, blocks, worst_rank);
+        let split = RowSplit::build(a, blocks, worst_rank);
         let (interior, _) = formulas::spmv_split_cost(
             split.interior.len(),
             split.interior_nnz,

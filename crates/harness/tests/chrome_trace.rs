@@ -3,16 +3,43 @@
 //! timestamps, matched B/E pairs, counter tracks present, monitoring
 //! choreography visible), and tracing never perturbs virtual time.
 
-use greenla_harness::chrome_trace::{traced_solve, untraced_makespan};
+use greenla_cluster::placement::LoadLayout;
+use greenla_harness::chrome_trace::traced_solve;
 use greenla_harness::config::SolverChoice;
+use greenla_harness::run::{run_once, run_prepared, Inputs, RunConfig};
+use greenla_linalg::flops::spmv_csr_bytes;
+use greenla_linalg::generate::SystemKind;
+use greenla_mpi::TraceSink;
 use serde_json::Value;
 
 const N: usize = 64;
 const RANKS: usize = 4;
-const SEED: u64 = 11;
+
+/// Four ranks on a 2 × 2-core node, so they fill it exactly. CG gets the
+/// SPD Poisson stencil (N is a perfect square), the dense solvers the
+/// diagonally dominant draw.
+fn cfg(solver: SolverChoice) -> RunConfig {
+    RunConfig {
+        n: N,
+        ranks: RANKS,
+        layout: LoadLayout::FullLoad,
+        solver,
+        system: match solver {
+            SolverChoice::Cg { .. } => SystemKind::Poisson2d,
+            _ => SystemKind::DiagDominant,
+        },
+        cores_per_socket: 2,
+        seed: 11,
+        check: false,
+        faults: None,
+        scheduler: Default::default(),
+        batch: 1,
+        cg_overlap: true,
+    }
+}
 
 fn export() -> Value {
-    traced_solve(SolverChoice::ime_optimized(), N, RANKS, SEED).trace
+    traced_solve(&cfg(SolverChoice::ime_optimized())).trace
 }
 
 fn trace_events(doc: &Value) -> &[Value] {
@@ -159,7 +186,7 @@ fn overlapped_cg_trace_carries_the_halo_and_split_spmv_spans() {
     // compute interior rows while payloads fly, drain, finish boundary
     // rows. All four spans must reach the exporter on every rank, in
     // matched numbers — one quartet per halo exchange.
-    let traced = traced_solve(SolverChoice::cg(), N, RANKS, SEED);
+    let traced = traced_solve(&cfg(SolverChoice::cg()));
     let events = trace_events(&traced.trace);
     let begins = |name: &str| {
         events
@@ -186,13 +213,52 @@ fn overlapped_cg_trace_carries_the_halo_and_split_spmv_spans() {
 }
 
 #[test]
-fn tracing_does_not_change_virtual_time() {
-    let traced = traced_solve(SolverChoice::ime_optimized(), N, RANKS, SEED);
-    let baseline = untraced_makespan(SolverChoice::ime_optimized(), N, RANKS, SEED);
-    assert_eq!(
-        traced.makespan_s.to_bits(),
-        baseline.to_bits(),
-        "tracing must be a pure observer of the virtual clocks"
-    );
-    assert!(traced.event_count > 0);
+fn a_trace_is_a_trace_of_the_measured_run() {
+    // The traced run is `run_once` with a sink attached: same inputs, same
+    // allocation charge, same batch loop. CG-Jacobi runs with the fields
+    // the exporter used to ignore set away from their defaults.
+    let cg = RunConfig {
+        batch: 2,
+        cg_overlap: false,
+        ..cfg(SolverChoice::cg_jacobi())
+    };
+    for cfg in [
+        cfg(SolverChoice::ime_optimized()),
+        cfg(SolverChoice::scalapack()),
+        cg,
+    ] {
+        let what = cfg.solver.label();
+        let traced = traced_solve(&cfg);
+        let (t, m) = (&traced.measurement, run_once(&cfg));
+        assert_eq!(t.duration_s.to_bits(), m.duration_s.to_bits(), "{what}");
+        assert_eq!(
+            (t.msgs, t.volume_elems, t.iterations, t.refreshes, t.nodes),
+            (m.msgs, m.volume_elems, m.iterations, m.refreshes, m.nodes),
+            "{what}"
+        );
+        // Tracing is a pure observer of the virtual clocks.
+        let inputs = Inputs::prepare(&cfg);
+        let untraced = run_prepared(&cfg, &inputs, TraceSink::disabled());
+        assert_eq!(
+            traced.makespan_s.to_bits(),
+            untraced.makespan_s.to_bits(),
+            "{what}"
+        );
+        assert!(traced.event_count > 0);
+        // Rank 0's last compute span before the allocation mark is the
+        // allocation charge: the CSR image for CG, the dense square else.
+        let is = |e: &Value, key: &str, v: &str| e.get(key).and_then(Value::as_str) == Some(v);
+        let charged = trace_events(&traced.trace)
+            .iter()
+            .filter(|e| e.get("tid").and_then(Value::as_u64) == Some(0))
+            .take_while(|e| !is(e, "name", "phase:allocation"))
+            .filter(|e| is(e, "name", "compute") && is(e, "ph", "B"))
+            .last()
+            .and_then(|e| e.get("args")?.get("dram_bytes")?.as_f64());
+        let bytes = match &inputs.sparse {
+            Some(s) => spmv_csr_bytes(N, s.a.nnz()),
+            None => 8 * (N * N) as u64,
+        };
+        assert_eq!(charged, Some((bytes / RANKS as u64) as f64), "{what}");
+    }
 }

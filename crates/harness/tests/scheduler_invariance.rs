@@ -141,9 +141,8 @@ fn overlapped_and_blocking_cg_agree_on_everything_but_the_clock() {
 
 #[test]
 fn trace_event_stream_is_identical_across_runs() {
-    let run = |_: u32| traced_solve(SolverChoice::ime_optimized(), 96, 16, 11);
-    let first = run(0);
-    let second = run(1);
+    let first = traced_solve(&cfg(SolverChoice::ime_optimized(), false));
+    let second = traced_solve(&cfg(SolverChoice::ime_optimized(), false));
     assert_eq!(first.event_count, second.event_count);
     assert!(first.event_count > 0, "traced run must record events");
     assert_eq!(
@@ -340,19 +339,17 @@ fn collectives_straddling_the_size_switch_are_scheduler_invariant() {
 
 #[test]
 fn faulted_trace_streams_are_identical_and_carry_fault_instants() {
-    use greenla_harness::chrome_trace::traced_faulted_solve;
-    let run = || {
-        traced_faulted_solve(
-            SolverChoice::ime_optimized(),
-            96,
-            16,
-            11,
-            &recoverable_plan(),
-        )
+    let faulted = RunConfig {
+        faults: Some(recoverable_plan()),
+        ..cfg(SolverChoice::ime_optimized(), false)
     };
-    let (first, rep_a) = run();
-    let (second, rep_b) = run();
-    assert_eq!(rep_a, rep_b, "identical FaultReports run over run");
+    let first = traced_solve(&faulted);
+    let second = traced_solve(&faulted);
+    assert!(first.measurement.fault_report.is_some());
+    assert_eq!(
+        first.measurement.fault_report, second.measurement.fault_report,
+        "identical FaultReports run over run"
+    );
     assert_eq!(
         first.makespan_s.to_bits(),
         second.makespan_s.to_bits(),

@@ -106,3 +106,16 @@ fn run_once_respects_layout_node_count() {
     // One-socket layout: socket 1 has no DRAM traffic beyond static.
     assert!(m.dram_by_socket_j[0] >= m.dram_by_socket_j[1]);
 }
+
+#[test]
+fn repro_rejects_zero_reps_before_any_campaign_worker_starts() {
+    for exp in ["fig3", "sparse"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["--exp", exp, "--smoke", "--reps", "0"])
+            .output()
+            .expect("spawn repro");
+        assert_eq!(out.status.code(), Some(2), "--exp {exp}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--reps wants a positive count"), "{err}");
+    }
+}

@@ -128,34 +128,66 @@ fn imep_traffic_same_order_as_paper_formulas() {
     }
 }
 
+/// Ablation A-1 (EXPERIMENTS.md): the paper-faithful protocol against each
+/// communication optimisation, in virtual time and message count — both
+/// deterministic, so the table is pinned here; `--nocapture` prints it.
 #[test]
-fn ablation_skipping_last_row_returns_reduces_traffic() {
-    let n = 20;
-    let sys = generate::diag_dominant(n, 7);
-    let run = |collect: bool| {
-        let m = machine(4, 5);
-        let opts = ImepOptions {
-            collect_last_rows: collect,
-            ..ImepOptions::paper()
-        };
-        let out = m.run(|ctx| {
+fn ablation_a1_protocol_variants_trade_messages_for_time() {
+    let sys = generate::diag_dominant(192, 77);
+    let base = ImepOptions::paper();
+    let variants = [
+        ("paper", base, 8685),
+        (
+            "no-last-rows",
+            ImepOptions {
+                collect_last_rows: false,
+                ..base
+            },
+            5805,
+        ),
+        (
+            "local-h",
+            ImepOptions {
+                centralized_h: false,
+                ..base
+            },
+            5805,
+        ),
+        (
+            "pipelined-bcast",
+            ImepOptions {
+                pipelined_bcast: true,
+                ..base
+            },
+            11565,
+        ),
+        ("optimized", ImepOptions::optimized(), 5805),
+    ];
+    let runs = variants.map(|(name, opts, _)| {
+        let spec = ClusterSpec::test_cluster(4, 4);
+        let placement = Placement::packed(&spec.node, 16).unwrap();
+        let power = PowerModel::scaled_deterministic(&spec.node);
+        let machine = Machine::new(spec, placement, power, 66).unwrap();
+        let out = machine.run(|ctx| {
             let world = ctx.world();
             solve_imep(ctx, &world, &sys, opts).unwrap()
         });
-        (
-            out.results[0].clone(),
-            m.traffic().snapshot().msgs,
-            out.makespan,
-        )
-    };
-    let (x_with, msgs_with, t_with) = run(true);
-    let (x_without, msgs_without, t_without) = run(false);
-    assert_eq!(
-        x_with, x_without,
-        "bookkeeping traffic must not affect the maths"
-    );
-    assert!(msgs_without < msgs_with);
-    assert!(t_without <= t_with);
+        (name, out.results[0].clone(), out.makespan, out.traffic.msgs)
+    });
+    println!("A-1 IMeP protocol ablation (n=192, 16 ranks):");
+    let (t_base, m_base) = (runs[0].2, runs[0].3 as f64);
+    for ((name, x, t, msgs), (_, _, expected)) in runs.iter().zip(variants) {
+        println!(
+            "  {name:<16} {t:>10.6} s ({:+6.1} %)   {msgs:>6} msgs ({:+6.1} %)",
+            (t / t_base - 1.0) * 100.0,
+            (*msgs as f64 / m_base - 1.0) * 100.0
+        );
+        assert_eq!(*msgs, expected, "{name}: message count");
+        assert_eq!(x, &runs[0].1, "{name}: traffic must not affect the maths");
+    }
+    let [paper, no_last_rows, local_h, pipelined, optimized] = runs.each_ref().map(|r| r.2);
+    assert!(local_h < optimized && optimized < no_last_rows);
+    assert!(no_last_rows < paper && paper < pipelined);
 }
 
 #[test]

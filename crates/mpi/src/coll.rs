@@ -810,11 +810,10 @@ impl<'m> RankCtx<'m> {
         }
     }
 
-    /// The legacy allgather composition — gather to rank 0, then broadcast
-    /// counts and the flattened payload. Kept as the small-payload
-    /// fallback of [`RankCtx::allgather_sized_f64`] and as the reference
-    /// algorithm the bench suite measures the ring against.
-    pub fn allgather_f64_tree(&mut self, comm: &Comm, data: &[f64]) -> Vec<Vec<f64>> {
+    /// The tree allgather composition — gather to rank 0, then broadcast
+    /// counts and the flattened payload: the small-payload arm of
+    /// [`RankCtx::allgather_sized_f64`].
+    fn allgather_f64_tree(&mut self, comm: &Comm, data: &[f64]) -> Vec<Vec<f64>> {
         self.trace_begin("coll", "allgather_tree");
         let gathered = self.gather_f64(comm, 0, data);
         let (mut counts, mut flat) = match gathered {

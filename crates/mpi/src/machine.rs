@@ -165,11 +165,6 @@ impl Machine {
         self
     }
 
-    /// The attached fault sink (disabled by default).
-    pub fn faults(&self) -> &FaultSink {
-        &self.faults
-    }
-
     /// The activity ledger (shared; energy layers read it during and after
     /// the run).
     pub fn ledger(&self) -> Arc<Ledger> {

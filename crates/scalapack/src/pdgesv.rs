@@ -313,4 +313,31 @@ mod tests {
         });
         assert!(sys.residual(&out.results[0]) < 1e-12);
     }
+
+    /// Ablation A-2 (EXPERIMENTS.md): the latency-vs-locality trade-off of
+    /// the block size, in virtual time — deterministic, so the shape is
+    /// pinned here; `--nocapture` prints the sweep.
+    #[test]
+    fn ablation_a2_block_size_has_an_interior_optimum() {
+        let sys = generate::diag_dominant(256, 77);
+        println!("A-2 pdgesv block-size sweep (n=256, 16 ranks), virtual time:");
+        let times: Vec<f64> = [2usize, 4, 8, 16, 32, 64]
+            .iter()
+            .map(|&nb| {
+                let spec = ClusterSpec::test_cluster(4, 4);
+                let placement = Placement::packed(&spec.node, 16).unwrap();
+                let power = PowerModel::scaled_deterministic(&spec.node);
+                let machine = Machine::new(spec, placement, power, 88).unwrap();
+                let out = machine.run(|ctx| {
+                    let world = ctx.world();
+                    pdgesv(ctx, &world, &sys, nb).unwrap()
+                });
+                println!("  nb={nb:<3} {:>10.6} s", out.makespan);
+                out.makespan
+            })
+            .collect();
+        // Falls to its minimum at nb = 16, rises again through nb = 64.
+        assert!(times[..4].windows(2).all(|w| w[1] < w[0]), "{times:?}");
+        assert!(times[3..].windows(2).all(|w| w[1] > w[0]), "{times:?}");
+    }
 }
