@@ -3,12 +3,12 @@
 //!
 //! ```text
 //! greenla-lint [--root DIR] [--json] [--json-out FILE] [--quiet]
-//! greenla-lint --file F.rs [--as crates/mpi/src/f.rs] [--stable "p1,p2"]
+//! greenla-lint --file F.rs [--as crates/mpi/src/f.rs]
 //! ```
 //!
 //! The second form lints one file as if it lived at the `--as` path
-//! (crate-scoped rules key off the path; `--stable` supplies the GL004
-//! diagnostic set) — that is how the violation fixtures are driven.
+//! (crate-scoped rules key off the path) — that is how the violation
+//! fixtures are driven.
 //!
 //! Exit codes: `0` no unsuppressed findings, `1` at least one
 //! unsuppressed finding, `2` usage or I/O error. CI runs this as the
@@ -27,7 +27,6 @@ fn main() -> ExitCode {
     let mut quiet = false;
     let mut file: Option<PathBuf> = None;
     let mut as_path: Option<String> = None;
-    let mut stable: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -43,10 +42,6 @@ fn main() -> ExitCode {
                 Some(v) => as_path = Some(v),
                 None => return usage("--as needs a workspace-relative path"),
             },
-            "--stable" => match args.next() {
-                Some(v) => stable = v.split(',').map(|s| s.to_string()).collect(),
-                None => return usage("--stable needs a comma-separated list"),
-            },
             "--json" => json_stdout = true,
             "--json-out" => match args.next() {
                 Some(v) => json_out = Some(PathBuf::from(v)),
@@ -56,8 +51,8 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 eprintln!(
                     "greenla-lint [--root DIR] [--json] [--json-out FILE] [--quiet]\n\
-                     greenla-lint --file F.rs [--as REL] [--stable \"p1,p2\"]\n\
-                     Workspace lints GL001-GL005; see ARCHITECTURE.md §11."
+                     greenla-lint --file F.rs [--as REL]\n\
+                     Workspace lints GL001-GL003, GL005, GL006; see ARCHITECTURE.md §11."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -74,7 +69,7 @@ fn main() -> ExitCode {
         };
         let rel = as_path.unwrap_or_else(|| path.to_string_lossy().into_owned());
         let ctx = FileCtx::new(&rel, &src);
-        let findings = check_file(&ctx, &stable);
+        let findings = check_file(&ctx);
         return finish(&findings, json_stdout, json_out, quiet);
     }
     let root = match root.or_else(|| {

@@ -14,9 +14,6 @@
 //! * **GL003** — simulation crates never read wall clocks, OS sleeps, or
 //!   OS randomness: virtual-time purity is what makes runs bit-identical
 //!   across schedulers.
-//! * **GL004** — abort diagnostics in mpi/harness stay inside the stable
-//!   set the chaos battery asserts (`STABLE_DIAGNOSTICS`), in both
-//!   directions: no unstable abort strings, no dead set entries.
 //! * **GL005** — persisted config/schema structs only grow with
 //!   `#[serde(default)]`-compatible fields, so old datasets keep parsing.
 //!
@@ -29,7 +26,7 @@
 //! use greenla_analyze::{file::FileCtx, rules::check_file};
 //! let src = "fn f() { let x = unsafe { *p }; }\n";
 //! let ctx = FileCtx::new("crates/mpi/src/demo.rs", src);
-//! let findings = check_file(&ctx, &[]);
+//! let findings = check_file(&ctx);
 //! assert_eq!(findings.len(), 1);
 //! assert_eq!(findings[0].rule, "GL001");
 //! ```
@@ -45,10 +42,6 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Where the stable-diagnostic set lives; GL004 keeps it and the runtime
-/// sources in sync.
-pub const STABLE_DIAGNOSTICS_FILE: &str = "crates/harness/tests/chaos.rs";
-
 /// Directories never analyzed: external stand-ins, build output, and the
 /// lint fixtures (which contain violations *on purpose*).
 const SKIP_DIRS: &[&str] = &["vendor", "target", ".git", "fixtures"];
@@ -61,8 +54,7 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     collect_rs_files(root, root, &mut files)?;
     files.sort();
 
-    // Pass 1: lex everything once; pull the stable-diagnostic set out of
-    // the chaos battery.
+    // Pass 1: lex everything once.
     let mut ctxs = Vec::with_capacity(files.len());
     for rel in &files {
         let src = std::fs::read_to_string(root.join(rel))?;
@@ -71,20 +63,14 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Finding>> {
             &src,
         ));
     }
-    let stable = ctxs
-        .iter()
-        .find(|c| c.rel_path == STABLE_DIAGNOSTICS_FILE)
-        .map(parse_stable_diagnostics)
-        .unwrap_or_default();
 
     // Pass 2: file-scoped rules.
     let mut findings = Vec::new();
     for ctx in &ctxs {
-        findings.extend(rules::check_file(ctx, &stable));
+        findings.extend(rules::check_file(ctx));
     }
 
-    // Pass 3: workspace-scoped halves of GL004/GL005.
-    findings.extend(gl004_dead_entries(&ctxs, &stable));
+    // Pass 3: the workspace-scoped half of GL005.
     findings.extend(gl005_missing_structs(&ctxs));
 
     findings.sort_by(|a, b| {
@@ -129,105 +115,6 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Resu
         }
     }
     Ok(())
-}
-
-/// Extract the `STABLE_DIAGNOSTICS` entries from the chaos battery's
-/// token stream: every string literal between the const's `[` and `]`.
-pub fn parse_stable_diagnostics(ctx: &FileCtx) -> Vec<String> {
-    let toks = &ctx.toks;
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].kind == TokKind::Ident && toks[i].text == "STABLE_DIAGNOSTICS" {
-            // Skip the type annotation: scan to `=`, then to the
-            // initializer's `[`, then collect strings to the matching `]`.
-            let mut j = i + 1;
-            while j < toks.len() && toks[j].text != "=" && toks[j].text != ";" {
-                j += 1;
-            }
-            while j < toks.len() && toks[j].text != "[" && toks[j].text != ";" {
-                j += 1;
-            }
-            if j < toks.len() && toks[j].text == "[" {
-                let mut depth = 0usize;
-                while j < toks.len() {
-                    match toks[j].text.as_str() {
-                        "[" => depth += 1,
-                        "]" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {
-                            if toks[j].kind == TokKind::Str {
-                                out.push(toks[j].text.clone());
-                            }
-                        }
-                    }
-                    j += 1;
-                }
-            }
-            break;
-        }
-        i += 1;
-    }
-    out
-}
-
-/// GL004 (workspace half): every stable-diagnostic entry must appear in
-/// at least one string literal of the runtime sources (mpi, check, cg,
-/// harness). A dead entry means the battery asserts a diagnostic nothing
-/// can produce — usually a sign the source string drifted.
-fn gl004_dead_entries(ctxs: &[FileCtx], stable: &[String]) -> Vec<Finding> {
-    if stable.is_empty() {
-        return Vec::new();
-    }
-    let chaos = ctxs.iter().find(|c| c.rel_path == STABLE_DIAGNOSTICS_FILE);
-    let universe: Vec<&FileCtx> = ctxs
-        .iter()
-        .filter(|c| {
-            (c.rel_path.starts_with("crates/mpi/src/")
-                || c.rel_path.starts_with("crates/check/src/")
-                || c.rel_path.starts_with("crates/cg/src/")
-                || c.rel_path.starts_with("crates/harness/src/"))
-                && c.rel_path != STABLE_DIAGNOSTICS_FILE
-        })
-        .collect();
-    let mut out = Vec::new();
-    for entry in stable {
-        let produced = universe.iter().any(|c| {
-            c.toks
-                .iter()
-                .any(|t| t.kind == TokKind::Str && t.text.contains(entry.as_str()))
-        });
-        if !produced {
-            let line = chaos
-                .and_then(|c| {
-                    c.toks
-                        .iter()
-                        .find(|t| t.kind == TokKind::Str && t.text == *entry)
-                        .map(|t| t.line)
-                })
-                .unwrap_or(0);
-            out.push(Finding {
-                rule: "GL004".into(),
-                file: STABLE_DIAGNOSTICS_FILE.into(),
-                line,
-                message: format!(
-                    "stable diagnostic {entry:?} is produced by no string literal in \
-                     mpi/check/harness sources — dead entry or drifted source string"
-                ),
-                suppressed: chaos
-                    .and_then(|c| c.suppression_for("GL004", line))
-                    .is_some(),
-                reason: chaos
-                    .and_then(|c| c.suppression_for("GL004", line))
-                    .map(|s| s.reason.clone()),
-            });
-        }
-    }
-    out
 }
 
 /// GL005 (workspace half): every struct in the baseline table must still
@@ -286,21 +173,6 @@ pub fn render_human(findings: &[Finding]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stable_diagnostics_parse_from_a_const_array() {
-        let src = r#"
-const STABLE_DIAGNOSTICS: &[&str] = &[
-    "injected fault:",
-    "simulated MPI run aborted",
-];
-"#;
-        let ctx = FileCtx::new(STABLE_DIAGNOSTICS_FILE, src);
-        assert_eq!(
-            parse_stable_diagnostics(&ctx),
-            vec!["injected fault:", "simulated MPI run aborted"]
-        );
-    }
 
     #[test]
     fn workspace_root_discovery_walks_upward() {

@@ -6,7 +6,6 @@
 //! | GL001 | every `unsafe` site carries a `// SAFETY:` justification |
 //! | GL002 | no lock guard is live across a fiber yield / poison point in `crates/mpi` |
 //! | GL003 | simulation crates never read wall clocks, OS sleep, or OS randomness |
-//! | GL004 | abort diagnostics in mpi/harness stay within the chaos battery's stable set |
 //! | GL005 | new fields on persisted config/schema structs are `#[serde(default)]` |
 //! | GL006 | `#[target_feature]` kernels are private `unsafe fn`s in the dispatch module, with a SAFETY/dispatch note |
 //!
@@ -53,7 +52,8 @@ pub const SIM_CRATES: &[&str] = &[
 
 /// Engine yield / poison points (GL002): functions in which the rank
 /// engine may park the calling rank (its fiber or its OS thread), or that
-/// sweep every inbox and task lock. Holding a `parking_lot` guard across
+/// sweep every inbox and task lock — `abort`, the one way a rank dies,
+/// poisons the run on its way out. Holding a `parking_lot` guard across
 /// any of these is the engine's signature deadlock: the rank that must
 /// run to wake the holder blocks on the guard, where the engine cannot
 /// see it.
@@ -61,6 +61,7 @@ pub const YIELD_FNS: &[&str] = &[
     "block_current",
     "pump_mailbox",
     "report_quiescent_deadlock",
+    "abort",
     "poison",
 ];
 
@@ -76,16 +77,6 @@ const PURITY_BANS: &[(&[&str], &str)] = &[
     (&["thread_rng"], "OS-seeded RNG (`thread_rng`)"),
     (&["OsRng"], "OS randomness (`OsRng`)"),
     (&["from_entropy"], "OS-seeded RNG (`from_entropy`)"),
-];
-
-/// Substrings that mark a `panic!` literal as a *run-abort diagnostic*
-/// (GL004) rather than an internal assertion.
-const ABORT_MARKERS: &[&str] = &[
-    "injected fault",
-    "peers gone",
-    "aborted",
-    "contract violated",
-    "deadlock:",
 ];
 
 /// GL005 targets: persisted config/schema structs and the fields their
@@ -131,8 +122,9 @@ pub const SERDE_BASELINES: &[(&str, &[&str])] = &[
 /// on a machine that cannot execute it.
 pub const DISPATCH_MODULES: &[&str] = &["crates/linalg/src/simd.rs"];
 
-/// All rule codes, for suppression validation.
-pub const RULE_CODES: &[&str] = &["GL001", "GL002", "GL003", "GL004", "GL005", "GL006"];
+/// All rule codes, for suppression validation. The gap is a retired rule:
+/// codes are never renumbered or reused.
+pub const RULE_CODES: &[&str] = &["GL001", "GL002", "GL003", "GL005", "GL006"];
 
 /// Which crate (under `crates/`) a workspace-relative path belongs to.
 fn crate_of(rel: &str) -> Option<&str> {
@@ -157,9 +149,8 @@ fn push(ctx: &FileCtx, out: &mut Vec<Finding>, rule: &str, line: u32, message: S
     });
 }
 
-/// Run every file-scoped rule on one file. `stable` is the parsed
-/// stable-diagnostic set (for GL004); pass `&[]` to skip that rule.
-pub fn check_file(ctx: &FileCtx, stable: &[String]) -> Vec<Finding> {
+/// Run every file-scoped rule on one file.
+pub fn check_file(ctx: &FileCtx) -> Vec<Finding> {
     let mut out = Vec::new();
     gl000_suppression_hygiene(ctx, &mut out);
     gl001_unsafe_needs_safety(ctx, &mut out);
@@ -171,13 +162,6 @@ pub fn check_file(ctx: &FileCtx, stable: &[String]) -> Vec<Finding> {
         .unwrap_or(false)
     {
         gl003_virtual_time_purity(ctx, &mut out);
-    }
-    if !stable.is_empty()
-        && (in_crate_src(&ctx.rel_path, "mpi")
-            || in_crate_src(&ctx.rel_path, "harness")
-            || in_crate_src(&ctx.rel_path, "cg"))
-    {
-        gl004_stable_diagnostics(ctx, stable, &mut out);
     }
     gl005_serde_defaults(ctx, &mut out);
     gl006_target_feature_dispatch(ctx, &mut out);
@@ -271,7 +255,7 @@ fn gl001_unsafe_needs_safety(ctx: &FileCtx, out: &mut Vec<Finding>) {
 
 /// GL002: a `parking_lot` guard (`let g = ….lock();`) live across a
 /// fiber yield / poison point. The registry's waiter loops must `drop`
-/// their state-map guard before blocking or poisoning: `poison` notifies
+/// their state-map guard before blocking or aborting: `poison` notifies
 /// *under* those map locks, and a parked fiber holding one deadlocks the
 /// machine in a way no schedule-based test reliably reproduces.
 fn gl002_guard_across_yield(ctx: &FileCtx, out: &mut Vec<Finding>) {
@@ -434,50 +418,6 @@ fn gl003_virtual_time_purity(ctx: &FileCtx, out: &mut Vec<Finding>) {
                 break;
             }
         }
-    }
-}
-
-/// GL004 (file half): every string literal that reads like a run-abort
-/// diagnostic — whether it sits directly in a `panic!` or is routed there
-/// through `format!`/`to_string` — must contain one of the chaos
-/// battery's stable prefixes; otherwise a fault path can die with a
-/// message no test recognises.
-fn gl004_stable_diagnostics(ctx: &FileCtx, stable: &[String], out: &mut Vec<Finding>) {
-    let toks = &ctx.toks;
-    let sig: Vec<usize> = (0..toks.len())
-        .filter(|&i| !toks[i].is_comment() && !ctx.test_mask[i])
-        .collect();
-    for &i in &sig {
-        let lit = &toks[i];
-        if lit.kind != TokKind::Str {
-            continue;
-        }
-        let is_abort = ABORT_MARKERS.iter().any(|m| lit.text.contains(m));
-        if !is_abort {
-            continue;
-        }
-        if !stable.iter().any(|s| lit.text.contains(s.as_str())) {
-            push(
-                ctx,
-                out,
-                "GL004",
-                lit.line,
-                format!(
-                    "abort diagnostic {:?} is outside the stable set the chaos battery \
-                     asserts (crates/harness/tests/chaos.rs STABLE_DIAGNOSTICS); extend the \
-                     set or reuse a stable prefix",
-                    truncate(&lit.text, 60)
-                ),
-            );
-        }
-    }
-}
-
-fn truncate(s: &str, n: usize) -> String {
-    if s.chars().count() <= n {
-        s.to_string()
-    } else {
-        format!("{}…", s.chars().take(n).collect::<String>())
     }
 }
 

@@ -6,7 +6,3 @@ pub fn tidy(reg: &Registry, ctx: &Ctx) {
     drop(st);
     block_current(ctx);
 }
-
-pub fn diag(rank: usize) -> String {
-    format!("simulated MPI run aborted: rank {rank}")
-}

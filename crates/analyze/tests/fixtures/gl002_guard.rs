@@ -35,5 +35,5 @@ fn good_scope(reg: &Registry, ctx: &Ctx) {
 fn suppressed_hold(reg: &Registry, ctx: &Ctx) {
     let st = reg.state.lock();
     // greenla-allow: GL002 fixture exercises the suppression path
-    poison(&st);
+    abort(&st);
 }

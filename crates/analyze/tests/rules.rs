@@ -11,46 +11,32 @@ use greenla_analyze::file::FileCtx;
 use greenla_analyze::rules::{check_file, Finding};
 use std::path::{Path, PathBuf};
 
-/// The stable-diagnostic set the GL004 fixture is checked against.
-const FIXTURE_STABLE: &[&str] = &["injected fault:", "simulated MPI run aborted"];
-
-/// Every fixture with its virtual path and GL004 stable set.
-const FIXTURES: &[(&str, &str, &[&str])] = &[
-    (
-        "gl000_suppress.rs",
-        "crates/linalg/src/gl000_suppress.rs",
-        &[],
-    ),
-    ("gl001_unsafe.rs", "crates/linalg/src/gl001_unsafe.rs", &[]),
-    ("gl002_guard.rs", "crates/mpi/src/gl002_guard.rs", &[]),
-    ("gl003_purity.rs", "crates/rapl/src/gl003_purity.rs", &[]),
-    (
-        "gl004_diag.rs",
-        "crates/mpi/src/gl004_diag.rs",
-        FIXTURE_STABLE,
-    ),
-    ("gl005_serde.rs", "crates/harness/src/gl005_serde.rs", &[]),
+/// Every fixture with its virtual path.
+const FIXTURES: &[(&str, &str)] = &[
+    ("gl000_suppress.rs", "crates/linalg/src/gl000_suppress.rs"),
+    ("gl001_unsafe.rs", "crates/linalg/src/gl001_unsafe.rs"),
+    ("gl002_guard.rs", "crates/mpi/src/gl002_guard.rs"),
+    ("gl003_purity.rs", "crates/rapl/src/gl003_purity.rs"),
+    ("gl005_serde.rs", "crates/harness/src/gl005_serde.rs"),
     // The GL006 fixture runs twice: inside the dispatch module (placement
     // legal, the unsafe/visibility/note obligations still bind) and
     // outside it (every kernel additionally violates placement).
-    ("gl006_target_feature.rs", "crates/linalg/src/simd.rs", &[]),
+    ("gl006_target_feature.rs", "crates/linalg/src/simd.rs"),
     (
         "gl006_target_feature.rs",
         "crates/harness/src/gl006_target_feature.rs",
-        &[],
     ),
-    ("clean.rs", "crates/mpi/src/clean.rs", FIXTURE_STABLE),
+    ("clean.rs", "crates/mpi/src/clean.rs"),
 ];
 
 fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
 }
 
-fn analyze_fixture(file: &str, as_path: &str, stable: &[&str]) -> Vec<Finding> {
+fn analyze_fixture(file: &str, as_path: &str) -> Vec<Finding> {
     let src = std::fs::read_to_string(fixture_dir().join(file))
         .unwrap_or_else(|e| panic!("read fixture {file}: {e}"));
-    let stable: Vec<String> = stable.iter().map(|s| s.to_string()).collect();
-    check_file(&FileCtx::new(as_path, &src), &stable)
+    check_file(&FileCtx::new(as_path, &src))
 }
 
 /// `(rule, line, suppressed)` triples, the shape assertions care about.
@@ -63,11 +49,7 @@ fn shape(findings: &[Finding]) -> Vec<(String, u32, bool)> {
 
 #[test]
 fn gl000_flags_malformed_suppressions() {
-    let f = analyze_fixture(
-        "gl000_suppress.rs",
-        "crates/linalg/src/gl000_suppress.rs",
-        &[],
-    );
+    let f = analyze_fixture("gl000_suppress.rs", "crates/linalg/src/gl000_suppress.rs");
     assert_eq!(
         shape(&f),
         vec![("GL000".into(), 3, false), ("GL000".into(), 6, false)]
@@ -78,7 +60,7 @@ fn gl000_flags_malformed_suppressions() {
 
 #[test]
 fn gl001_flags_undocumented_unsafe_and_honors_safety_comments() {
-    let f = analyze_fixture("gl001_unsafe.rs", "crates/linalg/src/gl001_unsafe.rs", &[]);
+    let f = analyze_fixture("gl001_unsafe.rs", "crates/linalg/src/gl001_unsafe.rs");
     assert_eq!(
         shape(&f),
         vec![
@@ -96,13 +78,13 @@ fn gl001_flags_undocumented_unsafe_and_honors_safety_comments() {
 
 #[test]
 fn gl002_flags_guards_live_across_yields() {
-    let f = analyze_fixture("gl002_guard.rs", "crates/mpi/src/gl002_guard.rs", &[]);
+    let f = analyze_fixture("gl002_guard.rs", "crates/mpi/src/gl002_guard.rs");
     assert_eq!(
         shape(&f),
         vec![
             ("GL002".into(), 7, false),  // held across block_current
             ("GL002".into(), 24, false), // revived guard across pump_mailbox
-            ("GL002".into(), 38, true),  // suppressed poison-under-guard
+            ("GL002".into(), 38, true),  // suppressed abort-under-guard
         ]
     );
     assert!(f[0].message.contains("`st`"), "{}", f[0].message);
@@ -113,7 +95,7 @@ fn gl002_flags_guards_live_across_yields() {
 
 #[test]
 fn gl003_flags_wall_clock_reads_outside_tests() {
-    let f = analyze_fixture("gl003_purity.rs", "crates/rapl/src/gl003_purity.rs", &[]);
+    let f = analyze_fixture("gl003_purity.rs", "crates/rapl/src/gl003_purity.rs");
     assert_eq!(
         shape(&f),
         vec![
@@ -130,27 +112,8 @@ fn gl003_flags_wall_clock_reads_outside_tests() {
 }
 
 #[test]
-fn gl004_flags_unstable_abort_diagnostics() {
-    let f = analyze_fixture(
-        "gl004_diag.rs",
-        "crates/mpi/src/gl004_diag.rs",
-        FIXTURE_STABLE,
-    );
-    assert_eq!(
-        shape(&f),
-        vec![
-            ("GL004".into(), 6, false), // "run aborted: counter wedged"
-            ("GL004".into(), 19, true), // suppressed legacy message
-        ]
-    );
-    // Stable-prefixed and format!-routed literals (lines 10, 14) pass;
-    // the #[cfg(test)] literal (line 25) is exempt.
-    assert!(!f.iter().any(|x| [10, 14, 25].contains(&x.line)));
-}
-
-#[test]
 fn gl005_flags_baseline_growth_without_serde_default() {
-    let f = analyze_fixture("gl005_serde.rs", "crates/harness/src/gl005_serde.rs", &[]);
+    let f = analyze_fixture("gl005_serde.rs", "crates/harness/src/gl005_serde.rs");
     assert_eq!(
         shape(&f),
         vec![
@@ -167,7 +130,7 @@ fn gl005_flags_baseline_growth_without_serde_default() {
 fn gl006_enforces_the_dispatch_contract() {
     // Inside the dispatch module: placement is legal, so only the
     // unsafe / visibility / safety-note obligations fire.
-    let f = analyze_fixture("gl006_target_feature.rs", "crates/linalg/src/simd.rs", &[]);
+    let f = analyze_fixture("gl006_target_feature.rs", "crates/linalg/src/simd.rs");
     assert_eq!(
         shape(&f),
         vec![
@@ -189,7 +152,6 @@ fn gl006_enforces_the_dispatch_contract() {
     let f = analyze_fixture(
         "gl006_target_feature.rs",
         "crates/harness/src/gl006_target_feature.rs",
-        &[],
     );
     assert!(f
         .iter()
@@ -202,7 +164,7 @@ fn gl006_enforces_the_dispatch_contract() {
 
 #[test]
 fn clean_fixture_has_zero_findings() {
-    let f = analyze_fixture("clean.rs", "crates/mpi/src/clean.rs", FIXTURE_STABLE);
+    let f = analyze_fixture("clean.rs", "crates/mpi/src/clean.rs");
     assert!(f.is_empty(), "clean fixture produced {f:?}");
 }
 
@@ -211,8 +173,8 @@ fn clean_fixture_has_zero_findings() {
 #[test]
 fn fixture_findings_match_the_golden_json() {
     let mut all = Vec::new();
-    for (file, as_path, stable) in FIXTURES {
-        all.extend(analyze_fixture(file, as_path, stable));
+    for (file, as_path) in FIXTURES {
+        all.extend(analyze_fixture(file, as_path));
     }
     let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/findings.json");
     if std::env::var_os("GREENLA_UPDATE_GOLDEN").is_some() {
@@ -235,17 +197,15 @@ fn fixture_findings_match_the_golden_json() {
 #[test]
 fn lint_binary_exit_codes_track_fixture_verdicts() {
     let bin = env!("CARGO_BIN_EXE_greenla-lint");
-    for (file, as_path, stable) in FIXTURES {
-        let mut cmd = std::process::Command::new(bin);
-        cmd.arg("--file")
+    for (file, as_path) in FIXTURES {
+        let status = std::process::Command::new(bin)
+            .arg("--file")
             .arg(fixture_dir().join(file))
             .arg("--as")
             .arg(as_path)
-            .arg("--quiet");
-        if !stable.is_empty() {
-            cmd.arg("--stable").arg(stable.join(","));
-        }
-        let status = cmd.status().expect("run greenla-lint");
+            .arg("--quiet")
+            .status()
+            .expect("run greenla-lint");
         let expect_clean = *file == "clean.rs";
         assert_eq!(
             status.code(),
@@ -272,6 +232,6 @@ fn lint_binary_json_output_round_trips() {
     let parsed: Vec<Finding> = serde_json::from_str(&stdout).expect("parse --json output");
     assert_eq!(
         parsed,
-        analyze_fixture("gl001_unsafe.rs", "crates/linalg/src/gl001_unsafe.rs", &[])
+        analyze_fixture("gl001_unsafe.rs", "crates/linalg/src/gl001_unsafe.rs")
     );
 }

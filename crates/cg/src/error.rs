@@ -1,9 +1,8 @@
 //! CG failure modes.
 //!
-//! Every variant's `Display` starts with the stable `"cg aborted:"`
-//! prefix the chaos battery's `STABLE_DIAGNOSTICS` pins (greenla-lint
-//! GL004 keeps the two in sync): a failed solve must surface as a stable,
-//! grep-able diagnostic — never a hang or a NaN spin.
+//! A failed solve surfaces as one of these — never a hang or a NaN spin —
+//! and callers match on the variant; the harness ends the run with it as
+//! `AbortKind::Solver`. Every `Display` reads `"cg aborted: …"`.
 
 use std::fmt;
 

@@ -133,7 +133,6 @@ fn singular_input_aborts_with_the_stable_diagnostic() {
     };
     let err = solve(&sys, &CgConfig::default(), 2).expect_err("must abort");
     assert!(matches!(err, CgError::NonPositiveDiagonal { row: 1, .. }));
-    assert!(err.to_string().starts_with("cg aborted:"), "{err}");
 }
 
 #[test]
@@ -153,7 +152,6 @@ fn indefinite_input_aborts_not_spins() {
         }
         other => panic!("wrong abort: {other}"),
     }
-    assert!(err.to_string().starts_with("cg aborted:"), "{err}");
 }
 
 #[test]
@@ -178,7 +176,6 @@ fn iteration_budget_aborts_with_no_convergence() {
         }
         other => panic!("wrong abort: {other}"),
     }
-    assert!(err.to_string().starts_with("cg aborted:"), "{err}");
 }
 
 #[test]

@@ -260,11 +260,12 @@ impl Shared {
     /// scheduler has already proved every task is blocked and no wake is
     /// in flight, so there is no timer and no message to wait out:
     /// declare immediately if every unfinished rank holds a wait record.
-    /// Latches, so DL001 is recorded (and returned) exactly once.
+    /// Latches: DL001 is recorded exactly once, and later probes (several
+    /// orphaned ranks may ask at once) repeat that report.
     fn probe_quiescent(&self) -> Option<String> {
         let mut st = self.state.lock();
         if st.deadlock_msg.is_some() {
-            return None; // already declared; the poison path reports it
+            return st.deadlock_msg.clone();
         }
         if st.waits.is_empty() {
             return None;
@@ -341,29 +342,12 @@ impl CheckSink {
         }
     }
 
-    /// Run the deadlock probe: `Some(diagnostic)` the first time a
-    /// deadlock is declared. The rank engine calls it once, at the moment
-    /// it observes quiescence (every task blocked, no wake in flight) —
-    /// never on a timer, so there is no grace period to tune.
+    /// Run the deadlock probe: `Some(diagnostic)` once a deadlock is
+    /// declared. The rank engine calls it at the moment it observes
+    /// quiescence (every task blocked, no wake in flight) — never on a
+    /// timer, so there is no grace period to tune.
     pub fn probe_deadlock_quiescent(&self) -> Option<String> {
         self.shared.as_ref().and_then(|sh| sh.probe_quiescent())
-    }
-
-    /// The deadlock diagnostic, if one was declared this run.
-    pub fn deadlock_report(&self) -> Option<String> {
-        self.shared
-            .as_ref()
-            .and_then(|sh| sh.state.lock().deadlock_msg.clone())
-    }
-
-    /// The abort message blocked ranks should panic with once the run is
-    /// poisoned: the deadlock diagnostic when one exists, the generic
-    /// peer-failure message otherwise.
-    pub fn abort_message(&self) -> String {
-        match self.deadlock_report() {
-            Some(m) => format!("simulated MPI run aborted: {m}"),
-            None => "simulated MPI run aborted: a peer rank failed".to_string(),
-        }
     }
 
     /// Report mailbox residue found after rank `rank` returned: each
@@ -711,18 +695,6 @@ impl RankChecker {
             st.waits[rank] = Wait::Running;
         });
     }
-
-    /// See [`CheckSink::abort_message`].
-    pub fn abort_message(&self) -> String {
-        let report = self
-            .shared
-            .as_ref()
-            .and_then(|sh| sh.state.lock().deadlock_msg.clone());
-        match report {
-            Some(m) => format!("simulated MPI run aborted: {m}"),
-            None => "simulated MPI run aborted: a peer rank failed".to_string(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -931,13 +903,9 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, Rule::Deadlock);
         assert_eq!(v[0].ranks, vec![0, 1], "finished rank 2 is not blocked");
-        // Declared once; later probes stay quiet and aborts carry it.
-        assert!(s.probe_deadlock_quiescent().is_none());
-        assert!(
-            s.abort_message().contains("deadlock"),
-            "{}",
-            s.abort_message()
-        );
+        // Declared once; later probes repeat the report.
+        assert_eq!(s.probe_deadlock_quiescent(), Some(msg));
+        assert_eq!(s.violations().len(), 1);
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //!   sender), duplicate (discarded at the receiver), and delay-by-virtual-
 //!   time, on point-to-point traffic and therefore on every collective
 //!   built on top of it.
-//! - **Ranks** — panic-style death at a chosen virtual time or call
-//!   count; the run aborts with a stable `injected fault:` diagnostic
-//!   instead of hanging.
+//! - **Ranks** — death at a chosen virtual time or call count; the run
+//!   aborts as an injected fault, naming the rank, instead of hanging.
 //! - **Measurement** — RAPL counter wrap storms, stuck counters, glitched
 //!   (failing) reads, and monitoring-rank death mid-protocol; the monitor
 //!   protocol degrades the affected node to "unmeasured" when asked to.

@@ -148,7 +148,7 @@ impl FaultPlan {
     /// A seeded chaos plan: a mix of message, crash, measurement, monitor
     /// and column-loss faults. Some draws are fatal by design (crashes,
     /// drop bursts past the retry budget) — chaos batteries assert those
-    /// runs abort with a stable diagnostic instead of hanging.
+    /// runs abort with a typed cause instead of hanging.
     pub fn seeded(seed: u64, shape: &PlanShape) -> FaultPlan {
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xFA17_7E57);
         let mut plan = Self::recoverable_draws(&mut rng, seed, shape);

@@ -189,7 +189,7 @@ impl RankFaults {
 
     /// Advance the per-rank call counter and decide whether the planned
     /// crash fires now (`now` is the rank's virtual clock). Returns the
-    /// panic message when due. Call only when [`enabled`](Self::enabled).
+    /// abort diagnostic when due. Call only when [`enabled`](Self::enabled).
     pub fn crash_due(&mut self, now: f64) -> Option<String> {
         self.calls += 1;
         let due = match self.crash? {

@@ -200,7 +200,8 @@ pub struct TracedSolve {
 /// report in the measurement. Fully deterministic in `cfg`.
 pub fn traced_solve(cfg: &RunConfig) -> TracedSolve {
     let sink = TraceSink::enabled();
-    let run = run_prepared(cfg, &Inputs::prepare(cfg), sink.clone());
+    let run = run_prepared(cfg, &Inputs::prepare(cfg), sink.clone())
+        .unwrap_or_else(|abort| cfg.aborted(abort));
     let events = sink.drain();
     TracedSolve {
         trace: chrome_trace_json(&events, &run.rapl, run.makespan_s, COUNTER_SAMPLES),

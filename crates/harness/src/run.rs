@@ -33,8 +33,8 @@ use greenla_monitor::monitoring::MonitorConfig;
 use greenla_monitor::protocol::monitored_run;
 use greenla_monitor::report::{JobSummary, NodeReport};
 use greenla_mpi::{
-    CheckSink, Comm, FaultPlan, FaultReport, FaultSink, Machine, RankCtx, SchedulerKind, TraceSink,
-    Violation,
+    Abort, AbortKind, CheckSink, Comm, FaultPlan, FaultReport, FaultSink, Machine, RankCtx,
+    SchedulerKind, TraceSink, Violation,
 };
 use greenla_rapl::RaplSim;
 use greenla_scalapack::pdgesv::pdgesv;
@@ -79,6 +79,15 @@ pub struct RunConfig {
     /// way, only the virtual clock moves. Ignored by the direct solvers.
     #[serde(default = "default_true")]
     pub cg_overlap: bool,
+}
+
+impl RunConfig {
+    /// For callers that have nothing to do with a failed run: panic with
+    /// the datapoint and the cause.
+    pub(crate) fn aborted(&self, abort: Abort) -> ! {
+        let Abort { rank, kind, .. } = abort;
+        panic!("{self:?} aborted on rank {rank} ({kind:?}): {abort}")
+    }
 }
 
 /// Serde default for the violations carried by older datasets.
@@ -187,7 +196,8 @@ impl Inputs {
 /// Step 3 — one solve over `comm` on a running rank: the solution and, for
 /// CG, the `(iterations, refreshes)` counts. A run with fault injection
 /// armed routes IMe through the checksum-protected solver so a planned
-/// column loss is recoverable in-band.
+/// column loss is recoverable in-band. A solver error aborts the run as
+/// [`AbortKind::Solver`].
 pub fn solve(
     ctx: &mut RankCtx,
     comm: &Comm,
@@ -197,14 +207,15 @@ pub fn solve(
 ) -> (Vec<f64>, Option<(u64, u64)>) {
     let dense = &inputs.dense;
     let x = match solver {
-        SolverChoice::Ime { .. } if ctx.faults_enabled() => {
-            solve_imep_ft(ctx, comm, dense, None).expect("IMe FT solve")
-        }
+        SolverChoice::Ime { .. } if ctx.faults_enabled() => solve_imep_ft(ctx, comm, dense, None)
+            .unwrap_or_else(|e| ctx.abort(AbortKind::Solver, format!("IMe FT solve: {e}"))),
         SolverChoice::Ime { .. } => {
             let opts = solver.imep_options().expect("IMe options");
-            solve_imep(ctx, comm, dense, opts).expect("IMe solve")
+            solve_imep(ctx, comm, dense, opts)
+                .unwrap_or_else(|e| ctx.abort(AbortKind::Solver, format!("IMe solve: {e}")))
         }
-        SolverChoice::ScaLapack { nb } => pdgesv(ctx, comm, dense, nb).expect("pdgesv solve"),
+        SolverChoice::ScaLapack { nb } => pdgesv(ctx, comm, dense, nb)
+            .unwrap_or_else(|e| ctx.abort(AbortKind::Solver, format!("pdgesv solve: {e}"))),
         SolverChoice::Cg { jacobi } => {
             let cg_cfg = CgConfig {
                 jacobi,
@@ -212,9 +223,9 @@ pub fn solve(
                 ..CgConfig::default()
             };
             let sys = inputs.sparse.as_ref().expect("CG input is sparsified");
-            // Panic with the Display form so an abort surfaces the stable
-            // "cg aborted:" diagnostic the chaos battery and GL004 key on.
-            let s = pcg(ctx, comm, sys, &cg_cfg).unwrap_or_else(|e| panic!("{e}"));
+            // Every `CgError` already reads "cg aborted: …".
+            let s = pcg(ctx, comm, sys, &cg_cfg)
+                .unwrap_or_else(|e| ctx.abort(AbortKind::Solver, e.to_string()));
             return (s.x, Some((s.iterations as u64, s.refreshes as u64)));
         }
     };
@@ -233,9 +244,15 @@ pub struct MonitoredRun {
 }
 
 /// Step 4 — run `cfg` on prepared inputs under the white-box monitoring
-/// framework and aggregate the per-node reports. `trace` observes the run
-/// (pass [`TraceSink::disabled`] to measure only); it never moves a clock.
-pub fn run_prepared(cfg: &RunConfig, inputs: &Inputs, trace: TraceSink) -> MonitoredRun {
+/// framework and aggregate the per-node reports, or say why the run died
+/// (a planned fault, a solver or monitor error, a deadlock — see
+/// [`AbortKind`]). `trace` observes the run (pass [`TraceSink::disabled`]
+/// to measure only); it never moves a clock.
+pub fn run_prepared(
+    cfg: &RunConfig,
+    inputs: &Inputs,
+    trace: TraceSink,
+) -> Result<MonitoredRun, Abort> {
     let node = NodeSpec::test_node(cfg.cores_per_socket);
     let power = PowerModel::scaled_for(&node);
     let mut machine = build_machine(&node, cfg.ranks, cfg.layout, power, cfg.seed, cfg.scheduler)
@@ -264,13 +281,15 @@ pub fn run_prepared(cfg: &RunConfig, inputs: &Inputs, trace: TraceSink) -> Monit
         degrade_on_fault: fault_sink.is_some(),
         ..MonitorConfig::default()
     };
-    let out = machine.run(|ctx| {
+    let out = machine.try_run(|ctx| {
         let world = ctx.world();
         let monitored = monitored_run(ctx, &rapl, &mon_cfg, |ctx, handle| {
             // Allocation phase: the input system is materialised in each
             // rank's memory (the paper loads it from a file).
             ctx.touch_memory(inputs.alloc_bytes() / ctx.size() as u64);
-            handle.phase(ctx, "allocation").expect("phase mark");
+            handle
+                .phase(ctx, "allocation")
+                .unwrap_or_else(|e| ctx.abort(AbortKind::Monitor, format!("phase mark: {e}")));
             // `batch` back-to-back solves of the same system; every solve is
             // deterministic so only the last result needs keeping. See
             // [`RunConfig::batch`] for why short kernels need this.
@@ -278,12 +297,14 @@ pub fn run_prepared(cfg: &RunConfig, inputs: &Inputs, trace: TraceSink) -> Monit
             for _ in 0..cfg.batch.max(1) {
                 last = Some(solve(ctx, &world, cfg.solver, cfg.cg_overlap, inputs));
             }
-            handle.phase(ctx, "execution").expect("phase mark");
+            handle
+                .phase(ctx, "execution")
+                .unwrap_or_else(|e| ctx.abort(AbortKind::Monitor, format!("phase mark: {e}")));
             last.expect("batch >= 1")
         })
-        .expect("monitoring protocol");
+        .unwrap_or_else(|e| ctx.abort(AbortKind::Monitor, format!("monitoring protocol: {e}")));
         (monitored.result, monitored.report)
-    });
+    })?;
     let reports: Vec<NodeReport> = out.results.iter().filter_map(|(_, r)| r.clone()).collect();
     let fault_report = fault_sink.as_ref().map(|s| s.report());
     let degraded = fault_report.as_ref().map_or(0, |r| r.degraded_nodes.len());
@@ -326,17 +347,20 @@ pub fn run_prepared(cfg: &RunConfig, inputs: &Inputs, trace: TraceSink) -> Monit
         iterations: cg_counts.map(|(i, _)| i),
         refreshes: cg_counts.map(|(_, r)| r),
     };
-    MonitoredRun {
+    Ok(MonitoredRun {
         measurement,
         makespan_s: out.makespan,
         rapl,
-    }
+    })
 }
 
 /// Execute one configuration end to end: prepare its inputs, run them
-/// monitored and untraced, return the measurement.
+/// monitored and untraced, return the measurement. Panics if the run
+/// aborts; [`run_prepared`] returns the [`Abort`] instead.
 pub fn run_once(cfg: &RunConfig) -> Measurement {
-    run_prepared(cfg, &Inputs::prepare(cfg), TraceSink::disabled()).measurement
+    run_prepared(cfg, &Inputs::prepare(cfg), TraceSink::disabled())
+        .unwrap_or_else(|abort| cfg.aborted(abort))
+        .measurement
 }
 
 /// Normalise a batched measurement to a single solve. Energies and the
@@ -486,7 +510,9 @@ impl Dataset {
             let inputs = Inputs::prepare(&cfg(0));
             let runs: Vec<Measurement> = (0..grid.reps)
                 .map(|rep| {
-                    let run = run_prepared(&cfg(rep), &inputs, TraceSink::disabled());
+                    let cfg = cfg(rep);
+                    let run = run_prepared(&cfg, &inputs, TraceSink::disabled())
+                        .unwrap_or_else(|abort| cfg.aborted(abort));
                     per_solve(run.measurement, grid.batch)
                 })
                 .collect();

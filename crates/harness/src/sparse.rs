@@ -194,8 +194,11 @@ pub fn campaign(grid: &SparseGrid, progress: impl Fn(&str) + Sync) -> (Dataset, 
             // One input system per (n, solver): the probe, every repetition
             // and the closed-form checks below all read the same one.
             let inputs = Inputs::prepare(&cfg);
-            let measure =
-                |cfg: &RunConfig| run_prepared(cfg, &inputs, TraceSink::disabled()).measurement;
+            let measure = |cfg: &RunConfig| {
+                run_prepared(cfg, &inputs, TraceSink::disabled())
+                    .unwrap_or_else(|abort| cfg.aborted(abort))
+                    .measurement
+            };
             // Probe at batch 1 to size the monitored window, then measure.
             let probe = measure(&cfg);
             let batch = if probe.duration_s >= TARGET_WINDOW_S {

@@ -1,25 +1,24 @@
-//! The chaos battery: a seeded grid of fault plans against both solvers,
-//! proving the recovery story end to end. Every plan must terminate —
-//! recover (correct answer + fault accounting), degrade (nodes drop to
-//! unmeasured), or abort with a *stable* diagnostic. No hangs, no silent
-//! wrong answers.
+//! The chaos battery: a seeded grid of fault plans against all three
+//! solvers, proving the recovery story end to end. Every plan must
+//! terminate — recover (correct answer + fault accounting), degrade (nodes
+//! drop to unmeasured), or abort with a typed cause: any [`AbortKind`] but
+//! `Panic` is a legitimate death. No hangs, no silent wrong answers.
 //!
 //! Each run executes on a watchdog thread with a generous wall-clock
-//! budget; a run that neither finishes nor panics within it fails the
+//! budget; a run that neither finishes nor aborts within it fails the
 //! battery loudly. Set `CHAOS_REPORT_DIR` to collect the per-plan
-//! [`FaultReport`]s as a JSON artifact (CI uploads them).
+//! [`FaultReport`]s and abort causes as a JSON artifact (CI uploads them).
 
 use greenla_cluster::placement::LoadLayout;
-use greenla_harness::run::{run_once, Measurement, RunConfig};
+use greenla_harness::run::{run_once, run_prepared, Inputs, Measurement, RunConfig};
 use greenla_harness::SolverChoice;
 use greenla_linalg::generate::SystemKind;
 use greenla_mpi::{
-    CounterFault, CounterFaultKind, CrashFault, CrashWhen, FaultPlan, FaultReport, MsgFault,
-    MsgFaultKind, PlanShape,
+    Abort, AbortKind, CounterFault, CounterFaultKind, CrashFault, CrashWhen, FaultPlan,
+    FaultReport, MsgFault, MsgFaultKind, PlanShape, TraceSink,
 };
 use serde::Serialize;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 const N: usize = 64;
@@ -27,23 +26,6 @@ const RANKS: usize = 16;
 /// Wall-clock budget per chaos run. Vastly above the sub-second normal
 /// case: hitting it means a genuine hang, not a slow machine.
 const RUN_TIMEOUT: Duration = Duration::from_secs(120);
-
-/// Every legitimate way a faulted run is allowed to die. Anything else —
-/// and especially nothing at all — fails the battery.
-const STABLE_DIAGNOSTICS: &[&str] = &[
-    "injected fault:",
-    "simulated MPI run aborted",
-    "all peers gone while rank",
-    "collective contract violated",
-    // A wedged schedule dying loudly *is* the no-hang guarantee working:
-    // the event engine's exact-quiescence probe aborts with this prefix
-    // on unchecked runs (checked runs get the wait-for cycle instead).
-    "deadlock:",
-    // Every CgError Display starts with this prefix (enforced by a unit
-    // test in greenla-cg): breakdowns under injected faults die loudly
-    // with it instead of iterating forever on a corrupted Krylov basis.
-    "cg aborted:",
-];
 
 fn chaos_cfg(solver: SolverChoice, plan: FaultPlan) -> RunConfig {
     // CG runs on the 8×8 Poisson stencil (N = 64 is a perfect square), the
@@ -68,31 +50,22 @@ fn chaos_cfg(solver: SolverChoice, plan: FaultPlan) -> RunConfig {
     }
 }
 
-enum Outcome {
-    Completed(Box<Measurement>),
-    Aborted(String),
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "<non-string panic payload>".into())
-}
-
-/// Run one configuration to completion or panic on a watchdog thread; a
+/// Run one configuration to completion or abort on a watchdog thread; a
 /// run that does neither within [`RUN_TIMEOUT`] is a hang and fails here.
-fn run_with_watchdog(tag: &str, cfg: RunConfig) -> Outcome {
+fn run_with_watchdog(tag: &str, cfg: RunConfig) -> Result<Measurement, Abort> {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
-        let result = catch_unwind(AssertUnwindSafe(|| run_once(&cfg)));
-        let _ = tx.send(result);
+        let run = run_prepared(&cfg, &Inputs::prepare(&cfg), TraceSink::disabled());
+        let _ = tx.send(run.map(|run| run.measurement));
     });
     match rx.recv_timeout(RUN_TIMEOUT) {
-        Ok(Ok(m)) => Outcome::Completed(Box::new(m)),
-        Ok(Err(payload)) => Outcome::Aborted(panic_message(payload)),
-        Err(_) => panic!("chaos run {tag} hung past {RUN_TIMEOUT:?} — the no-hang guarantee broke"),
+        Ok(outcome) => outcome,
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("chaos run {tag} hung past {RUN_TIMEOUT:?} — the no-hang guarantee broke")
+        }
+        Err(RecvTimeoutError::Disconnected) => {
+            panic!("chaos run {tag} panicked in the harness, outside every rank body")
+        }
     }
 }
 
@@ -102,6 +75,8 @@ struct ChaosRecord {
     seed: u64,
     solver: String,
     outcome: &'static str,
+    kind: Option<AbortKind>,
+    rank: Option<usize>,
     diagnostic: Option<String>,
     fault_report: Option<FaultReport>,
 }
@@ -125,7 +100,7 @@ fn chaos_battery_every_plan_terminates_with_stable_outcome() {
             assert!(!plan.is_empty(), "seeded plans always inject something");
             let tag = format!("seed{seed}-{}", solver.label());
             match run_with_watchdog(&tag, chaos_cfg(solver, plan)) {
-                Outcome::Completed(m) => {
+                Ok(m) => {
                     completed += 1;
                     assert!(
                         m.residual < 1e-6,
@@ -140,21 +115,27 @@ fn chaos_battery_every_plan_terminates_with_stable_outcome() {
                         seed,
                         solver: solver.label().into(),
                         outcome: "completed",
+                        kind: None,
+                        rank: None,
                         diagnostic: None,
                         fault_report: Some(rep),
                     });
                 }
-                Outcome::Aborted(msg) => {
+                Err(abort) => {
                     aborted += 1;
-                    assert!(
-                        STABLE_DIAGNOSTICS.iter().any(|d| msg.contains(d)),
-                        "{tag}: unstable abort diagnostic: {msg:?}"
+                    assert_ne!(
+                        abort.kind,
+                        AbortKind::Panic,
+                        "{tag}: rank {} panicked instead of aborting: {abort}",
+                        abort.rank
                     );
                     records.push(ChaosRecord {
                         seed,
                         solver: solver.label().into(),
                         outcome: "aborted",
-                        diagnostic: Some(msg),
+                        kind: Some(abort.kind),
+                        rank: Some(abort.rank),
+                        diagnostic: Some(abort.detail),
                         fault_report: None,
                     });
                 }
@@ -167,7 +148,7 @@ fn chaos_battery_every_plan_terminates_with_stable_outcome() {
     assert!(completed > 0, "some plans must recover");
     assert!(aborted > 0, "some plans must abort");
     // CG specifically must show both fates: recovery proves the halo
-    // retry path, abort proves the stable-diagnostic contract above.
+    // retry path, abort proves its breakdowns die as typed causes.
     for outcome in ["completed", "aborted"] {
         assert!(
             records
@@ -195,11 +176,12 @@ fn drop_burst_past_retry_budget_aborts_end_to_end() {
         ..FaultPlan::default()
     };
     match run_with_watchdog("drop-burst", chaos_cfg(SolverChoice::ime_optimized(), plan)) {
-        Outcome::Completed(_) => panic!("an unrecoverable drop burst must abort"),
-        Outcome::Aborted(msg) => assert!(
-            STABLE_DIAGNOSTICS.iter().any(|d| msg.contains(d)),
-            "unstable diagnostic: {msg:?}"
-        ),
+        Ok(_) => panic!("an unrecoverable drop burst must abort"),
+        // The faulted sender only ever waits on healthy peers, so nothing
+        // can be recorded before it gives up.
+        Err(abort) => {
+            assert_eq!((abort.kind, abort.rank), (AbortKind::InjectedFault, 0))
+        }
     }
 }
 
@@ -214,11 +196,10 @@ fn planned_crash_aborts_end_to_end() {
             ..FaultPlan::default()
         };
         match run_with_watchdog("crash", chaos_cfg(solver, plan)) {
-            Outcome::Completed(_) => panic!("a planned crash must abort the run"),
-            Outcome::Aborted(msg) => assert!(
-                STABLE_DIAGNOSTICS.iter().any(|d| msg.contains(d)),
-                "unstable diagnostic: {msg:?}"
-            ),
+            Ok(_) => panic!("a planned crash must abort the run"),
+            Err(abort) => {
+                assert_eq!((abort.kind, abort.rank), (AbortKind::InjectedFault, 3))
+            }
         }
     }
 }
@@ -238,21 +219,21 @@ fn wrap_storm_completes_and_is_accounted() {
         ..FaultPlan::default()
     };
     match run_with_watchdog("wrap-storm", chaos_cfg(SolverChoice::ime_optimized(), plan)) {
-        Outcome::Completed(m) => {
+        Ok(m) => {
             assert!(m.residual < 1e-10, "residual {}", m.residual);
             let rep = m.fault_report.clone().expect("fault report present");
             assert_eq!(rep.injected.counter, 1, "{rep:?}");
             assert_eq!(rep.observed.counter, 1);
         }
-        Outcome::Aborted(msg) => panic!("wrap storm must not abort: {msg}"),
+        Err(abort) => panic!("wrap storm must not abort: {abort}"),
     }
 }
 
 #[test]
 fn malformed_collective_aborts_within_the_stable_set() {
     // A rank feeding a wrong-length buffer into a reduction is a program
-    // bug, not an injected fault — but the abort contract is the same:
-    // terminate with a diagnostic from the stable set.
+    // bug, not an injected fault — but it dies the same way: a typed
+    // cause, on the rank that combined the odd buffer (3's tree parent).
     use greenla_cluster::placement::Placement;
     use greenla_cluster::spec::ClusterSpec;
     use greenla_cluster::PowerModel;
@@ -260,25 +241,15 @@ fn malformed_collective_aborts_within_the_stable_set() {
     let spec = ClusterSpec::test_cluster(2, 4);
     let placement = Placement::layout(&spec.node, 8, LoadLayout::FullLoad).unwrap();
     let m = Machine::new(spec, placement, PowerModel::deterministic(), 77).unwrap();
-    let r = catch_unwind(AssertUnwindSafe(|| {
-        m.run(|ctx| {
+    let abort = m
+        .try_run(|ctx| {
             let world = ctx.world();
             let len = if ctx.rank() == 3 { 5 } else { 4 };
             ctx.allreduce_sum_f64(&world, &vec![1.0; len]);
         })
-    }));
-    let msg = match r {
-        Err(payload) => panic_message(payload),
-        Ok(_) => panic!("mismatched reduce lengths must abort"),
-    };
-    assert!(
-        STABLE_DIAGNOSTICS.iter().any(|d| msg.contains(d)),
-        "unstable diagnostic: {msg:?}"
-    );
-    assert!(
-        msg.contains("reduce length mismatch"),
-        "diagnostic must name the contract breach: {msg:?}"
-    );
+        .err()
+        .expect("mismatched reduce lengths must abort");
+    assert_eq!((abort.kind, abort.rank), (AbortKind::CollectiveContract, 2));
 }
 
 #[test]

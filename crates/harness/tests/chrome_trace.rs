@@ -238,7 +238,8 @@ fn a_trace_is_a_trace_of_the_measured_run() {
         );
         // Tracing is a pure observer of the virtual clocks.
         let inputs = Inputs::prepare(&cfg);
-        let untraced = run_prepared(&cfg, &inputs, TraceSink::disabled());
+        let untraced = run_prepared(&cfg, &inputs, TraceSink::disabled())
+            .unwrap_or_else(|abort| panic!("{what}: {abort}"));
         assert_eq!(
             traced.makespan_s.to_bits(),
             untraced.makespan_s.to_bits(),

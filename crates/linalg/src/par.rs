@@ -86,16 +86,22 @@ pub fn dgemm_parallel_path(
 /// available parallelism. Resolved once and cached.
 pub fn default_workers() -> usize {
     static WORKERS: OnceLock<usize> = OnceLock::new();
-    *WORKERS.get_or_init(|| match std::env::var("GREENLA_DGEMM_THREADS") {
+    *WORKERS.get_or_init(|| env_workers("GREENLA_DGEMM_THREADS"))
+}
+
+/// A kernel's worker count: environment variable `name` when set (must
+/// parse to ≥ 1), otherwise the host's available parallelism.
+pub(crate) fn env_workers(name: &str) -> usize {
+    match std::env::var(name) {
         Ok(v) => {
-            let w: usize = v.parse().unwrap_or_else(|_| {
-                panic!("GREENLA_DGEMM_THREADS must be a positive integer, got `{v}`")
-            });
-            assert!(w >= 1, "GREENLA_DGEMM_THREADS must be >= 1");
+            let w: usize = v
+                .parse()
+                .unwrap_or_else(|_| panic!("{name} must be a positive integer, got `{v}`"));
+            assert!(w >= 1, "{name} must be >= 1");
             w
         }
         Err(_) => std::thread::available_parallelism().map_or(1, |p| p.get()),
-    })
+    }
 }
 
 /// Column chunks below this width run sequentially: thread spawn overhead

@@ -279,16 +279,7 @@ const MIN_ROWS_PER_WORKER: usize = 1024;
 /// cached — the same contract as [`crate::par::default_workers`].
 pub fn default_spmv_workers() -> usize {
     static WORKERS: OnceLock<usize> = OnceLock::new();
-    *WORKERS.get_or_init(|| match std::env::var("GREENLA_SPMV_THREADS") {
-        Ok(v) => {
-            let w: usize = v.parse().unwrap_or_else(|_| {
-                panic!("GREENLA_SPMV_THREADS must be a positive integer, got `{v}`")
-            });
-            assert!(w >= 1, "GREENLA_SPMV_THREADS must be >= 1");
-            w
-        }
-        Err(_) => std::thread::available_parallelism().map_or(1, |p| p.get()),
-    })
+    *WORKERS.get_or_init(|| crate::par::env_workers("GREENLA_SPMV_THREADS"))
 }
 
 /// A sparse SPD linear system `A·x = b` with a known reference solution.

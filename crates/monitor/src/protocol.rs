@@ -23,7 +23,7 @@ use crate::error::MonitorError;
 use crate::files;
 use crate::monitoring::{end_monitoring, start_monitoring, MonitorConfig, Session};
 use crate::report::NodeReport;
-use greenla_mpi::{Comm, RankCtx};
+use greenla_mpi::{AbortKind, Comm, RankCtx};
 use greenla_rapl::RaplSim;
 use std::sync::Arc;
 
@@ -80,17 +80,20 @@ impl MonitorHandle {
         if is_monitor {
             // A planned monitoring-rank death fires here, mid-protocol:
             // with degradation enabled the node downgrades itself to
-            // "unmeasured"; without it the rank really dies and the machine
-            // aborts the run with a stable diagnostic.
+            // "unmeasured"; without it the rank really dies and takes the
+            // run with it.
             let death = ctx.faults_enabled() && ctx.faults_mut().monitor_death_due();
             if death {
                 ctx.trace_instant("fault:monitor_death");
                 if !cfg.degrade_on_fault {
-                    panic!(
-                        "injected fault: monitoring rank {} of node {} died during \
-                         protocol bring-up",
-                        ctx.rank(),
-                        ctx.node()
+                    ctx.abort(
+                        AbortKind::InjectedFault,
+                        format!(
+                            "injected fault: monitoring rank {} of node {} died during \
+                             protocol bring-up",
+                            ctx.rank(),
+                            ctx.node()
+                        ),
                     );
                 }
                 ctx.faults_mut().note_degraded();
@@ -176,35 +179,36 @@ impl MonitorHandle {
         // Ranks of the node synchronise so the monitoring rank stops only
         // after all of them completed their share.
         ctx.barrier(&self.node_comm);
-        let mut report = None;
+        // A monitoring rank's failure is held until after the job-wide
+        // barrier below: every other rank is about to enter it.
+        let mut report = Ok(None);
         if let Some(session) = self.session {
             ctx.check_monitor_end();
             match end_monitoring(session, ctx.node(), self.monitor_rank_world, ctx.now()) {
                 Ok(r) => {
                     ctx.trace_instant("end_monitoring");
-                    if let Some(dir) = &cfg.output_dir {
-                        files::write_node_report(dir, &r)
-                            .map_err(|e| MonitorError::Io(e.to_string()))?;
-                    }
-                    report = Some(r);
+                    report = match &cfg.output_dir {
+                        Some(dir) => files::write_node_report(dir, &r)
+                            .map(|_path| Some(r))
+                            .map_err(|e| MonitorError::Io(e.to_string())),
+                        None => Ok(Some(r)),
+                    };
                 }
-                Err(e) => {
-                    // The counters died between the last read and the stop:
-                    // with degradation enabled the node forfeits its report
-                    // instead of failing the job.
-                    if !self.degrade_on_fault {
-                        return Err(e);
-                    }
+                // The counters died between the last read and the stop:
+                // with degradation enabled the node forfeits its report
+                // instead of failing the job.
+                Err(_) if self.degrade_on_fault => {
                     ctx.faults_mut().note_degraded();
                     ctx.trace_instant("fault:monitor_degraded");
                 }
+                Err(e) => report = Err(e),
             }
         }
         // Final job-wide alignment (then MPI_Finalize in the C framework).
         let world = ctx.world();
         ctx.barrier(&world);
         ctx.trace_end("monitor", "monitor_finish");
-        Ok(report)
+        report
     }
 
     /// The node communicator (for tests and phase-aware workloads).

@@ -9,7 +9,7 @@ use greenla_monitor::monitoring::MonitorConfig;
 use greenla_monitor::protocol::monitored_run;
 use greenla_monitor::report::JobSummary;
 use greenla_monitor::MonitorError;
-use greenla_mpi::Machine;
+use greenla_mpi::{AbortKind, Machine, SchedulerKind};
 use greenla_rapl::{Domain, RaplSim};
 use std::sync::Arc;
 
@@ -300,29 +300,56 @@ fn monitor_death_without_degradation_aborts_with_stable_diagnostic() {
     };
     let m = machine(2, 16).with_faults(FaultSink::with_plan(plan));
     let rapl = rapl_for(&m);
-    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        m.run(|ctx| {
+    let abort = m
+        .try_run(|ctx| {
             monitored_run(ctx, &rapl, &MonitorConfig::default(), |ctx, _| {
                 ctx.compute(1_000_000, 0);
             })
             .map(|_| ())
             .ok();
         })
-    }));
-    let payload = match r {
-        Err(p) => p,
-        Ok(_) => panic!("strict mode must abort on monitoring-rank death"),
-    };
-    let msg = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .unwrap_or_default();
-    assert!(
-        msg.starts_with("injected fault: monitoring rank")
-            || msg.contains("simulated MPI run aborted")
-            || msg.contains("all peers gone"),
-        "unstable diagnostic: {msg}"
-    );
+        .err()
+        .expect("strict mode must abort on monitoring-rank death");
+    // Node 0's monitoring rank is its highest, and it stays runnable until
+    // it dies, so no peer can be orphaned or deadlocked first.
+    assert_eq!((abort.kind, abort.rank), (AbortKind::InjectedFault, 7));
+}
+
+#[test]
+fn report_write_failure_reaches_the_monitoring_ranks_after_the_final_barrier() {
+    // `output_dir` names a regular file, so every node's report write
+    // fails. The monitoring ranks must still take the job-wide barrier
+    // the other 14 ranks are about to enter, and only then hand the error
+    // back — returning early strands the job.
+    for kind in [SchedulerKind::ThreadPerRank, SchedulerKind::EventDriven] {
+        if !kind.supported() {
+            continue;
+        }
+        let not_a_dir =
+            std::env::temp_dir().join(format!("greenla-finish-io-{}-{kind}", std::process::id()));
+        std::fs::write(&not_a_dir, "in the way").expect("create the blocking file");
+        let m = machine(2, 16).with_scheduler(kind);
+        let rapl = rapl_for(&m);
+        let cfg = MonitorConfig {
+            output_dir: Some(not_a_dir.clone()),
+            ..Default::default()
+        };
+        let out = m.try_run(|ctx| {
+            monitored_run(ctx, &rapl, &cfg, |ctx, _| ctx.compute(1_000_000, 0)).map(|r| r.report)
+        });
+        std::fs::remove_file(&not_a_dir).expect("remove the blocking file");
+        let out = out.unwrap_or_else(|abort| panic!("{kind}: the run must finish: {abort}"));
+        for (rank, result) in out.results.iter().enumerate() {
+            if rank % 8 == 7 {
+                assert!(
+                    matches!(result, Err(MonitorError::Io(_))),
+                    "{kind}: monitoring rank {rank}: {result:?}"
+                );
+            } else {
+                assert_eq!(result, &Ok(None), "{kind}: rank {rank}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -33,7 +33,7 @@
 use crate::comm::Comm;
 use crate::context::{RankCtx, COLL_TAG};
 use crate::envelope::Payload;
-use crate::error::CollContractError;
+use crate::error::{AbortKind, CollContractError};
 use greenla_check::tagspace;
 use greenla_check::{CollEvent, CollKind};
 use std::sync::Arc;
@@ -167,19 +167,16 @@ impl<'m> RankCtx<'m> {
         }
     }
 
-    /// Abort the run with the stable collective-contract diagnostic when a
-    /// peer's reduction buffer does not match ours.
+    /// Abort the run when a peer's reduction buffer does not match ours.
     fn check_reduce_len(&self, comm: &Comm, got: usize, expected: usize) {
         if got != expected {
-            panic!(
-                "{}",
-                CollContractError::ReduceLengthMismatch {
-                    comm: comm.id(),
-                    rank: self.rank(),
-                    got,
-                    expected,
-                }
-            );
+            let breach = CollContractError::ReduceLengthMismatch {
+                comm: comm.id(),
+                rank: self.rank(),
+                got,
+                expected,
+            };
+            self.abort(AbortKind::CollectiveContract, breach.to_string());
         }
     }
 
@@ -366,7 +363,7 @@ impl<'m> RankCtx<'m> {
     }
 
     /// `MPI_Bcast` of u64 values.
-    pub fn bcast_u64(&mut self, comm: &Comm, root: usize, buf: &mut Vec<u64>) {
+    fn bcast_u64(&mut self, comm: &Comm, root: usize, buf: &mut Vec<u64>) {
         self.trace_begin("coll", "bcast");
         let payload = if comm.rank() == root {
             Some(Payload::u64(std::mem::take(buf)))
@@ -634,22 +631,6 @@ impl<'m> RankCtx<'m> {
                 out
             }
         }
-    }
-
-    /// `MPI_Allreduce(MPI_MAX)` of a scalar. An 8-byte payload is always
-    /// below [`COLL_SMALL_BYTES`], so the size rule resolves statically to
-    /// the reduce-then-broadcast tree pair.
-    pub fn allreduce_max_f64(&mut self, comm: &Comm, v: f64) -> f64 {
-        self.trace_begin("coll", "allreduce");
-        let reduced = self.reduce_f64_with(comm, 0, vec![v], |a, b| {
-            if b[0] > a[0] {
-                a[0] = b[0];
-            }
-        });
-        let mut buf = reduced.unwrap_or_default();
-        self.bcast_f64(comm, 0, &mut buf);
-        self.trace_end("coll", "allreduce");
-        buf[0]
     }
 
     /// `MPI_Allreduce(MPI_MAXLOC)`: the maximum of `|v|` ties broken by the

@@ -2,8 +2,9 @@
 
 use crate::comm::{Comm, WORLD_ID};
 use crate::envelope::{Envelope, Payload};
+use crate::error::AbortKind;
 use crate::mailbox::Mailboxes;
-use crate::registry::{Registry, SplitEntry};
+use crate::registry::{leave_run, Registry, SplitEntry};
 use crate::sched::WakeReason;
 use crate::traffic::Traffic;
 use greenla_check::{CollEvent, CollKind, RankChecker};
@@ -165,9 +166,7 @@ impl<'m> RankCtx<'m> {
 
     /// An injection point: every compute and send entry passes through
     /// here, advancing the per-rank call counter and firing a planned
-    /// crash when due. The rank dies by panic; the machine poisons the
-    /// run so every peer unblocks with a stable diagnostic instead of
-    /// hanging.
+    /// crash when due.
     fn fault_point(&mut self) {
         if !self.faults.enabled() {
             return;
@@ -175,8 +174,20 @@ impl<'m> RankCtx<'m> {
         if let Some(msg) = self.faults.crash_due(self.clock) {
             let t = self.clock;
             self.tracer.instant("fault:crash", t);
-            panic!("{msg}");
+            self.abort(AbortKind::InjectedFault, msg);
         }
+    }
+
+    // ----- aborting the run ------------------------------------------------------
+
+    /// The one way a rank dies: end the whole run because of something
+    /// that happened on this rank. The [`crate::Abort`] is recorded before
+    /// any peer can notice the run is failing (the first cause recorded
+    /// wins), every blocked peer is woken to leave silently, and this rank
+    /// unwinds; [`crate::Machine::try_run`] returns the recorded cause.
+    /// No panic hook fires on the way.
+    pub fn abort(&self, kind: AbortKind, detail: impl Into<String>) -> ! {
+        self.registry.abort(self.rank, kind, detail.into())
     }
 
     // ----- virtual-time charging -------------------------------------------------
@@ -263,12 +274,6 @@ impl<'m> RankCtx<'m> {
         self.compute(0, dram_bytes);
     }
 
-    /// Advance virtual time without recording activity (idle sleep).
-    pub fn sleep(&mut self, dt: f64) {
-        assert!(dt >= 0.0);
-        self.clock += dt;
-    }
-
     // ----- point-to-point --------------------------------------------------------
 
     pub(crate) fn send_payload(
@@ -314,11 +319,14 @@ impl<'m> RankCtx<'m> {
                     let t = self.clock;
                     self.tracer.end("comm", "send", t);
                 }
-                panic!(
-                    "injected fault: rank {} lost message to rank {dst} after \
-                     {MAX_SEND_RETRIES} retries (comm {}, tag {tag})",
-                    self.rank,
-                    comm.id()
+                self.abort(
+                    AbortKind::InjectedFault,
+                    format!(
+                        "injected fault: rank {} lost message to rank {dst} after \
+                         {MAX_SEND_RETRIES} retries (comm {}, tag {tag})",
+                        self.rank,
+                        comm.id()
+                    ),
                 );
             }
             self.faults.record_drop_recovered(count as u64);
@@ -387,18 +395,19 @@ impl<'m> RankCtx<'m> {
             if let Some(env) = self.mail.try_pop(self.rank) {
                 break env;
             }
-            if self.registry.is_poisoned() {
-                panic!("{}", self.checker.abort_message());
-            }
+            self.registry.leave_if_poisoned();
             if engine.orphaned() {
                 // Every runnable task finished and nobody can wake us.
                 // With checking on, the probe can name who we wait for.
                 if self.checker.enabled() {
                     self.registry.report_quiescent_deadlock();
                 }
-                panic!(
-                    "all peers gone while rank {} waits for ({src}, {tag})",
-                    self.rank
+                self.abort(
+                    AbortKind::PeersGone,
+                    format!(
+                        "all peers gone while rank {} waits for ({src}, {tag})",
+                        self.rank
+                    ),
                 );
             }
             match engine.block_current() {
@@ -407,7 +416,7 @@ impl<'m> RankCtx<'m> {
             }
         };
         if env.is_control() {
-            panic!("{}", self.checker.abort_message());
+            leave_run();
         }
         if env.dup {
             // Injected duplicate: discard on sight — it never reaches the
@@ -575,7 +584,7 @@ impl<'m> RankCtx<'m> {
         let cid = comm.id();
         while let Some(env) = self.mail.try_pop(self.rank) {
             if env.is_control() {
-                panic!("{}", self.checker.abort_message());
+                leave_run();
             }
             if env.dup {
                 self.faults.record_dup_discarded();
@@ -651,18 +660,6 @@ impl<'m> RankCtx<'m> {
         self.recv_payload(comm, src, tag).expect_f64()
     }
 
-    /// Send unsigned 64-bit values.
-    pub fn send_u64(&mut self, comm: &Comm, dst: usize, tag: u64, data: &[u64]) {
-        assert!(tag < COLL_TAG, "user tag too large");
-        self.send_payload(comm, dst, tag, Payload::u64(data.to_vec()));
-    }
-
-    /// Receive unsigned 64-bit values.
-    pub fn recv_u64(&mut self, comm: &Comm, src: usize, tag: u64) -> Vec<u64> {
-        assert!(tag < COLL_TAG, "user tag too large");
-        self.recv_payload(comm, src, tag).expect_u64()
-    }
-
     // ----- synchronising collectives (registry-based) ----------------------------
 
     pub(crate) fn next_seq(&mut self, comm_id: u64) -> u64 {
@@ -687,8 +684,6 @@ impl<'m> RankCtx<'m> {
         }
     }
 
-    /// `MPI_Barrier`: blocks until every member arrives; all leave at
-    /// `max(arrival) + α·⌈log₂ P⌉`.
     /// Record a collective entry with the checker (no-op when checking is
     /// disabled).
     pub(crate) fn check_enter_coll(&mut self, ev: CollEvent, members: &[usize]) {
@@ -699,6 +694,8 @@ impl<'m> RankCtx<'m> {
         }
     }
 
+    /// `MPI_Barrier`: blocks until every member arrives; all leave at
+    /// `max(arrival) + α·⌈log₂ P⌉`.
     pub fn barrier(&mut self, comm: &Comm) {
         self.trace_begin("coll", "barrier");
         let p = comm.size();

@@ -181,8 +181,8 @@ pub struct Envelope {
 
 impl Envelope {
     /// The abort control message the registry posts to every mailbox on
-    /// poison, so ranks parked in a blocking receive wake up and fail fast
-    /// instead of waiting on a message that will never come.
+    /// poison, so ranks parked in a blocking receive wake up and leave the
+    /// run instead of waiting on a message that will never come.
     pub fn control_abort() -> Self {
         Envelope {
             src: usize::MAX,

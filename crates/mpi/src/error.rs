@@ -26,12 +26,54 @@ impl fmt::Display for MachineError {
 
 impl std::error::Error for MachineError {}
 
+/// What kind of event ended a run — what a caller matches on; the wording
+/// lives in [`Abort::detail`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+pub enum AbortKind {
+    /// A planned fault fired: a rank crash, a message lost past the retry
+    /// budget, a monitoring rank's death.
+    InjectedFault,
+    /// Every live rank is blocked and none can be woken.
+    Deadlock,
+    /// A rank waits for a message after every peer that could send it
+    /// finished.
+    PeersGone,
+    /// A rank broke a collective's calling contract
+    /// ([`CollContractError`]).
+    CollectiveContract,
+    /// A solver returned an error on some rank.
+    Solver,
+    /// The monitoring protocol failed on some rank.
+    Monitor,
+    /// A rank body panicked on its own — a bug, never a legitimate death.
+    Panic,
+}
+
+/// Why a run did not finish: the one rank that caused it, the kind of
+/// event, and the full human-readable diagnostic. Recorded once, at the
+/// cause ([`crate::RankCtx::abort`]), before any other rank can notice the
+/// run is failing; [`crate::Machine::try_run`] hands it back.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Abort {
+    /// Global rank on which the cause occurred.
+    pub rank: usize,
+    pub kind: AbortKind,
+    /// The diagnostic, as [`fmt::Display`] prints it.
+    pub detail: String,
+}
+
+impl fmt::Display for Abort {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.detail)
+    }
+}
+
+impl std::error::Error for Abort {}
+
 /// A rank broke a collective's calling contract (e.g. contributed a
-/// reduce buffer of the wrong length). The runtime aborts the run with
-/// this diagnostic instead of a bare assert, so the chaos battery's
-/// stable abort-set contract covers malformed collectives: every panic
-/// message rendered from this type starts with
-/// `"collective contract violated"`.
+/// reduce buffer of the wrong length). The runtime aborts the run as
+/// [`AbortKind::CollectiveContract`] with this diagnostic instead of a
+/// bare assert.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CollContractError {
     /// Two ranks contributed different element counts to one reduction.
@@ -68,8 +110,7 @@ mod tests {
 
     #[test]
     fn contract_errors_render_the_stable_prefix() {
-        // The chaos battery matches abort messages against a fixed set of
-        // prefixes; this one must never drift.
+        // Wording only: callers match on `AbortKind::CollectiveContract`.
         let e = CollContractError::ReduceLengthMismatch {
             comm: 0,
             rank: 3,
@@ -77,5 +118,15 @@ mod tests {
             expected: 8,
         };
         assert!(e.to_string().starts_with("collective contract violated"));
+    }
+
+    #[test]
+    fn an_abort_displays_its_detail_verbatim() {
+        let a = Abort {
+            rank: 3,
+            kind: AbortKind::InjectedFault,
+            detail: "injected fault: rank 3 crashed at call 2".into(),
+        };
+        assert_eq!(a.to_string(), a.detail);
     }
 }

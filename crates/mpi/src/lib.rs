@@ -56,7 +56,7 @@ pub mod traffic;
 pub use comm::Comm;
 pub use context::RankCtx;
 pub use envelope::{copy_audit, Payload};
-pub use error::{CollContractError, MachineError};
+pub use error::{Abort, AbortKind, CollContractError, MachineError};
 pub use greenla_check::{CheckSink, CollEvent, CollKind, Rule, Violation};
 pub use greenla_faults::{
     ColumnLoss, CounterFault, CounterFaultKind, CrashFault, CrashWhen, FaultPlan, FaultReport,

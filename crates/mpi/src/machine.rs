@@ -4,9 +4,9 @@
 
 use crate::context::RankCtx;
 use crate::envelope::Envelope;
-use crate::error::MachineError;
+use crate::error::{Abort, AbortKind, MachineError};
 use crate::mailbox::Mailboxes;
-use crate::registry::Registry;
+use crate::registry::{RankExit, Registry};
 use crate::sched::{Engine, SchedulerKind};
 use crate::traffic::{Traffic, TrafficSnapshot};
 use greenla_check::CheckSink;
@@ -17,7 +17,7 @@ use greenla_cluster::PowerModel;
 use greenla_faults::FaultSink;
 use greenla_trace::TraceSink;
 use parking_lot::Mutex;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// A configured simulated machine, ready to run MPI programs.
@@ -95,11 +95,6 @@ impl Machine {
         self
     }
 
-    /// The selected scheduling engine.
-    pub fn scheduler(&self) -> SchedulerKind {
-        self.scheduler
-    }
-
     /// Pin the fiber carrier's worker-pool size instead of deriving it
     /// from the host's parallelism. Benchmarks pin this so wall-clock
     /// numbers are comparable across machines; virtual-time results
@@ -118,11 +113,6 @@ impl Machine {
     /// Attach an event-trace sink. Tracing only observes the virtual
     /// clocks — it never advances them — so a traced run produces
     /// bit-identical timings to an untraced one.
-    pub fn set_trace(&mut self, sink: TraceSink) {
-        self.trace = sink;
-    }
-
-    /// Builder-style [`Machine::set_trace`].
     pub fn with_trace(mut self, sink: TraceSink) -> Self {
         self.trace = sink;
         self
@@ -192,16 +182,9 @@ impl Machine {
         self.seed
     }
 
-    /// Run `f` on every rank and collect results.
-    ///
-    /// What carries the ranks depends on the selected [`SchedulerKind`]:
-    /// fibers multiplexed over a small worker pool, or one scoped OS
-    /// thread per rank. Either way this call blocks until every rank has
-    /// finished, and all virtual-time outputs are bit-identical across
-    /// carriers.
-    ///
-    /// Panics if any rank panics (after poisoning the run so the remaining
-    /// ranks unblock), propagating the first rank's panic payload.
+    /// [`Machine::try_run`] for callers that have nothing to do with a
+    /// failed run: panics, once and on this thread, with the [`Abort`]'s
+    /// diagnostic.
     ///
     /// # Example
     ///
@@ -229,6 +212,29 @@ impl Machine {
         R: Send,
         F: Fn(&mut RankCtx) -> R + Sync,
     {
+        self.try_run(f).unwrap_or_else(|abort| panic!("{abort}"))
+    }
+
+    /// Run `f` on every rank and collect results, or say why the run died.
+    ///
+    /// What carries the ranks depends on the selected [`SchedulerKind`]:
+    /// fibers multiplexed over a small worker pool, or one scoped OS
+    /// thread per rank. Either way this call blocks until every rank has
+    /// finished, and all virtual-time outputs are bit-identical across
+    /// carriers.
+    ///
+    /// A run dies when a rank calls [`RankCtx::abort`] — the runtime does
+    /// for planned faults, deadlocks, orphaned receives and broken
+    /// collective contracts; solvers and the monitor do for their own
+    /// errors — or when a rank body panics ([`AbortKind::Panic`], with the
+    /// panic's message as the detail). The first cause recorded is the one
+    /// returned: it is on record before the run is poisoned, and the ranks
+    /// the poison then unblocks leave without reporting anything.
+    pub fn try_run<R, F>(&self, f: F) -> Result<RunOutput<R>, Abort>
+    where
+        R: Send,
+        F: Fn(&mut RankCtx) -> R + Sync,
+    {
         let n = self.placement.ntasks();
         self.check
             .begin_run((0..n).map(|r| self.placement.core_of(r).node).collect());
@@ -241,7 +247,6 @@ impl Machine {
         let world_members: Arc<Vec<usize>> = Arc::new((0..n).collect());
         let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let clocks: Vec<Mutex<f64>> = (0..n).map(|_| Mutex::new(0.0)).collect();
-        let first_panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
         // Each finished rank parks its matched-but-unreceived envelopes
         // here so the message-hygiene audit can run after *every* rank has
         // stopped sending — draining inside the rank body would race a
@@ -281,19 +286,22 @@ impl Machine {
                     ctx.check_finished();
                     *leftovers[rank].lock() = std::mem::take(&mut ctx.pending);
                 }
+                // The rank left an aborted run: its cause is on record.
+                Err(payload) if payload.is::<RankExit>() => {}
+                // The rank body itself panicked (the hook has printed it).
                 Err(payload) => {
-                    // Record the payload BEFORE poisoning: cascade
-                    // panics ("a peer rank failed") only start once
-                    // the registry is poisoned, so this order
-                    // guarantees the run aborts with the root
-                    // cause's diagnostic, not a casualty's.
-                    {
-                        let mut slot = first_panic.lock();
-                        if slot.is_none() {
-                            *slot = Some(payload);
-                        }
-                    }
-                    registry.poison();
+                    let detail = match payload.downcast::<String>() {
+                        Ok(text) => *text,
+                        Err(other) => other
+                            .downcast_ref::<&str>()
+                            .map_or("rank panicked with a non-string payload", |text| text)
+                            .to_string(),
+                    };
+                    registry.poison(Abort {
+                        rank,
+                        kind: AbortKind::Panic,
+                        detail,
+                    });
                 }
             }
         };
@@ -304,8 +312,8 @@ impl Machine {
                 .collect(),
         );
 
-        if let Some(payload) = first_panic.into_inner() {
-            resume_unwind(payload);
+        if let Some(abort) = registry.cause() {
+            return Err(abort.clone());
         }
         if self.check.is_enabled() || self.faults.is_enabled() {
             // Message hygiene: anything still sitting in a mailbox at
@@ -340,18 +348,19 @@ impl Machine {
             .collect();
         let final_clocks: Vec<f64> = clocks.into_iter().map(|m| m.into_inner()).collect();
         let makespan = final_clocks.iter().fold(0.0f64, |a, &b| a.max(b));
-        RunOutput {
+        Ok(RunOutput {
             results,
             final_clocks,
             makespan,
             traffic: self.traffic.snapshot(),
-        }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CollContractError;
     use greenla_cluster::placement::LoadLayout;
 
     fn machine(ranks: usize) -> Machine {
@@ -620,29 +629,25 @@ mod tests {
 
     #[test]
     fn mismatched_reduce_lengths_abort_with_the_stable_diagnostic() {
-        // A malformed collective must surface as the documented
-        // `CollContractError` message (the chaos battery's abort-set
-        // depends on the prefix), not as a bare slice-length assert.
-        let m = machine(8);
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            m.run(|ctx| {
+        // A malformed collective must surface as a typed contract breach
+        // on the rank that combined the odd buffer (5's tree parent), not
+        // as a bare slice-length assert.
+        let abort = machine(8)
+            .try_run(|ctx| {
                 let world = ctx.world();
                 let len = if ctx.rank() == 5 { 3 } else { 2 };
                 ctx.reduce_sum_f64(&world, 0, &vec![1.0; len]);
             })
-        }));
-        let payload = match r {
-            Err(p) => p,
-            Ok(_) => panic!("mismatched lengths must abort"),
+            .err()
+            .expect("mismatched lengths must abort");
+        assert_eq!((abort.kind, abort.rank), (AbortKind::CollectiveContract, 4));
+        let breach = CollContractError::ReduceLengthMismatch {
+            comm: 0,
+            rank: 4,
+            got: 3,
+            expected: 2,
         };
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(
-            msg.contains("collective contract violated: reduce length mismatch"),
-            "diagnostic drifted: {msg}"
-        );
+        assert_eq!(abort.detail, breach.to_string());
     }
 
     #[test]
@@ -774,53 +779,51 @@ mod tests {
 
     #[test]
     fn rank_panic_propagates_without_deadlock() {
-        let m = machine(8);
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            m.run(|ctx| {
+        let abort = machine(8)
+            .try_run(|ctx| {
                 let world = ctx.world();
                 if ctx.rank() == 3 {
-                    panic!("injected fault");
+                    panic!("rank 3 hit a bug");
                 }
                 // Everyone else blocks in a barrier rank 3 never joins.
                 ctx.barrier(&world);
             })
-        }));
-        assert!(r.is_err());
+            .err()
+            .expect("a panicking rank must abort the run");
+        assert_eq!(
+            abort,
+            Abort {
+                rank: 3,
+                kind: AbortKind::Panic,
+                detail: "rank 3 hit a bug".into(),
+            }
+        );
+    }
+
+    /// Ranks 1..7 park in a blocking receive on a message rank 0 never
+    /// sends; rank 0's death must wake them (nothing polls) to leave.
+    fn rank_0_panics_under_receivers(m: Machine) {
+        let abort = m
+            .try_run(|ctx| {
+                let world = ctx.world();
+                if ctx.rank() == 0 {
+                    panic!("rank 0 hit a bug");
+                }
+                ctx.recv_f64(&world, 0, 1);
+            })
+            .err()
+            .expect("a panicking rank must abort the run");
+        assert_eq!((abort.kind, abort.rank), (AbortKind::Panic, 0));
     }
 
     #[test]
     fn rank_panic_unblocks_blocking_receivers() {
-        // Ranks 1..7 park in a blocking receive on a message rank 0 never
-        // sends; the abort control message posted by poison() must wake
-        // them (no timeout polling exists on the unchecked path).
-        let m = machine(8);
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            m.run(|ctx| {
-                let world = ctx.world();
-                if ctx.rank() == 0 {
-                    panic!("injected fault");
-                }
-                ctx.recv_f64(&world, 0, 1);
-            })
-        }));
-        assert!(r.is_err());
+        rank_0_panics_under_receivers(machine(8));
     }
 
     #[test]
     fn rank_panic_unblocks_checked_receivers() {
-        // Same shape with the checker attached: the timed-wait path must
-        // also observe the poison and fail the run rather than hang.
-        let m = machine(8).with_check(greenla_check::CheckSink::enabled());
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            m.run(|ctx| {
-                let world = ctx.world();
-                if ctx.rank() == 0 {
-                    panic!("injected fault");
-                }
-                ctx.recv_f64(&world, 0, 1);
-            })
-        }));
-        assert!(r.is_err());
+        rank_0_panics_under_receivers(machine(8).with_check(CheckSink::enabled()));
     }
 
     #[test]
@@ -887,9 +890,9 @@ mod tests {
             }],
             ..Default::default()
         };
-        let m = machine(8).with_faults(FaultSink::with_plan(plan));
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            m.run(|ctx| {
+        let abort = machine(8)
+            .with_faults(FaultSink::with_plan(plan))
+            .try_run(|ctx| {
                 let world = ctx.world();
                 if ctx.rank() == 0 {
                     ctx.send_f64(&world, 1, 7, &[1.0]);
@@ -897,21 +900,11 @@ mod tests {
                     ctx.recv_f64(&world, 0, 7);
                 }
             })
-        }));
-        let payload = match r {
-            Err(p) => p,
-            Ok(_) => panic!("lost message must abort the run"),
-        };
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(
-            msg.starts_with("injected fault:")
-                || msg.contains("simulated MPI run aborted")
-                || msg.contains("all peers gone"),
-            "unstable diagnostic: {msg}"
-        );
+            .err()
+            .expect("lost message must abort the run");
+        // The sender is runnable until it gives up, so the receiver can
+        // be neither orphaned nor deadlocked before the cause is on record.
+        assert_eq!((abort.kind, abort.rank), (AbortKind::InjectedFault, 0));
     }
 
     #[test]
@@ -1001,26 +994,19 @@ mod tests {
             if checked {
                 m = m.with_check(greenla_check::CheckSink::enabled());
             }
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                m.run(|ctx| {
+            let abort = m
+                .try_run(|ctx| {
                     let world = ctx.world();
                     ctx.compute(1_000, 0);
                     ctx.compute(1_000, 0);
                     ctx.barrier(&world);
                 })
-            }));
-            let payload = match r {
-                Err(p) => p,
-                Ok(_) => panic!("planned crash must abort (checked={checked})"),
-            };
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default();
-            assert!(
-                msg.starts_with("injected fault: rank 3 crashed")
-                    || msg.contains("simulated MPI run aborted"),
-                "checked={checked}: unstable diagnostic: {msg}"
+                .err()
+                .unwrap_or_else(|| panic!("planned crash must abort (checked={checked})"));
+            assert_eq!(
+                (abort.kind, abort.rank),
+                (AbortKind::InjectedFault, 3),
+                "checked={checked}: {abort}"
             );
             let rep = sink.report();
             assert_eq!(rep.injected.rank_crash, 1, "checked={checked}");

@@ -9,16 +9,33 @@
 //! because MPI programs must issue collectives in the same order on every
 //! member — the same invariant real MPI relies on.
 //!
-//! The registry is also the abort channel: when any rank panics, the machine
-//! poisons it so blocked peers fail fast instead of deadlocking.
+//! The registry is also the abort channel. The rank on which a run's
+//! cause of death occurs records it here as an [`Abort`] — first cause
+//! wins — and only then poisons the run; every other rank notices the
+//! poison at its next wait and unwinds without a word, so a casualty can
+//! neither overwrite the cause nor be mistaken for it.
 
+use crate::error::{Abort, AbortKind};
 use crate::mailbox::Mailboxes;
 use crate::sched::{self, WakeReason};
 use greenla_check::CheckSink;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+
+/// Unwind payload of a rank leaving an aborted run, cause and casualties
+/// alike. `resume_unwind` bypasses the panic hook, so an abort prints
+/// nothing; [`crate::Machine::try_run`] tells it from a rank body's own
+/// panic by this type.
+pub(crate) struct RankExit;
+
+/// A casualty's exit: the run is failing for a cause already on record,
+/// so the calling rank just leaves.
+pub(crate) fn leave_run() -> ! {
+    resume_unwind(Box::new(RankExit))
+}
 
 /// Outcome of a communicator split for one rank.
 #[derive(Clone, Debug)]
@@ -80,7 +97,9 @@ struct SplitState {
 /// Shared rendezvous state for one machine run.
 pub struct Registry {
     next_comm_id: AtomicU64,
-    poisoned: AtomicBool,
+    /// Why the run died. Set once, and set *is* poisoned: there is no
+    /// separate flag a rank could see raised before the cause is on record.
+    cause: OnceLock<Abort>,
     barriers: Mutex<HashMap<(u64, u64), BarrierState>>,
     splits: Mutex<HashMap<(u64, u64), SplitState>>,
     /// Checking sink of the owning machine (disabled by default): names
@@ -95,7 +114,7 @@ impl Registry {
     pub(crate) fn new(mail: Arc<Mailboxes>, check: CheckSink) -> Self {
         Self {
             next_comm_id: AtomicU64::new(1), // 0 is the world
-            poisoned: AtomicBool::new(false),
+            cause: OnceLock::new(),
             barriers: Mutex::new(HashMap::new()),
             splits: Mutex::new(HashMap::new()),
             check,
@@ -103,37 +122,52 @@ impl Registry {
         }
     }
 
-    /// Mark the run as failed; every blocked rank will panic out: each
-    /// inbox gets an abort control message and every task is woken, and a
-    /// woken waiter re-checks the flag before it parks again.
-    pub fn poison(&self) {
-        self.poisoned.store(true, Ordering::SeqCst);
+    /// Fail the run because of `cause`: record it unless an earlier cause
+    /// already stands, then make every blocked rank leave — each inbox
+    /// gets an abort control message and every task is woken, and a woken
+    /// waiter re-checks the flag before it parks again.
+    pub(crate) fn poison(&self, cause: Abort) {
+        let _ = self.cause.set(cause);
         self.mail.poison_broadcast();
+    }
+
+    /// The one way a rank dies ([`crate::RankCtx::abort`]): poison the run
+    /// with this cause and unwind. Must not hold a state-map guard.
+    pub(crate) fn abort(&self, rank: usize, kind: AbortKind, detail: String) -> ! {
+        self.poison(Abort { rank, kind, detail });
+        leave_run()
+    }
+
+    /// Why the run was poisoned, if it was.
+    pub(crate) fn cause(&self) -> Option<&Abort> {
+        self.cause.get()
     }
 
     /// Has the run been poisoned by a peer's failure?
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::SeqCst)
+        self.cause().is_some()
     }
 
-    fn check_poison(&self) {
+    /// Where a blocked rank notices the run is failing: the one check it
+    /// makes before and after every park.
+    pub(crate) fn leave_if_poisoned(&self) {
         if self.is_poisoned() {
-            panic!("{}", self.check.abort_message());
+            leave_run();
         }
     }
 
-    /// The engine detected machine-wide quiescence while this rank waited
-    /// on something that can never complete. Report it (with the probe's
-    /// wait-for diagnostic when checking is on), poison the run, and die.
+    /// The engine detected machine-wide quiescence while the calling rank
+    /// waited on something that can never complete: abort the run as
+    /// deadlocked, with the probe's wait-for report when checking is on.
     /// Must not hold a state-map guard.
     pub(crate) fn report_quiescent_deadlock(&self) -> ! {
-        let msg = self.check.probe_deadlock_quiescent().unwrap_or_else(|| {
+        let detail = self.check.probe_deadlock_quiescent().unwrap_or_else(|| {
             "deadlock: every rank is blocked and none can be woken; run with \
              greenla-check attached for the wait-for cycle"
                 .to_string()
         });
-        self.poison();
-        panic!("{msg}");
+        let rank = sched::current_task().expect("rank outside an engine task");
+        self.abort(rank, AbortKind::Deadlock, detail)
     }
 
     /// Enter a barrier on `(comm_id, seq)` with `expected` participants at
@@ -183,12 +217,12 @@ impl Registry {
             st.waiters
                 .push(sched::current_task().expect("rank outside an engine task"));
             drop(map);
-            self.check_poison();
+            self.leave_if_poisoned();
             match self.mail.engine().block_current() {
                 WakeReason::Woken => {}
                 WakeReason::Quiescent => self.report_quiescent_deadlock(),
             }
-            self.check_poison();
+            self.leave_if_poisoned();
             map = self.barriers.lock();
         }
     }
@@ -282,12 +316,12 @@ impl Registry {
             st.waiters
                 .push(sched::current_task().expect("rank outside an engine task"));
             drop(map);
-            self.check_poison();
+            self.leave_if_poisoned();
             match self.mail.engine().block_current() {
                 WakeReason::Woken => {}
                 WakeReason::Quiescent => self.report_quiescent_deadlock(),
             }
-            self.check_poison();
+            self.leave_if_poisoned();
             map = self.splits.lock();
         }
     }
@@ -376,18 +410,25 @@ mod tests {
     #[test]
     fn poison_unblocks_waiters() {
         // Task 0 enters a barrier task 1 never joins; whether the poison
-        // lands before or after task 0 parks, it must panic out.
-        let (_, panicked) = run_tasks(2, |i, reg| {
+        // lands before or after task 0 parks, it must unwind out — as a
+        // casualty, leaving task 1's cause on record.
+        let cause = Abort {
+            rank: 1,
+            kind: AbortKind::Solver,
+            detail: "task 1 gave up".into(),
+        };
+        let (reg, left_as_casualty) = run_tasks(2, |i, reg| {
             if i == 0 {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     reg.barrier(0, 0, 2, 0.0, 0.0)
                 }))
-                .is_err()
+                .is_err_and(|payload| payload.is::<RankExit>())
             } else {
-                reg.poison();
+                reg.poison(cause.clone());
                 false
             }
         });
-        assert!(panicked[0], "waiter should have panicked out");
+        assert!(left_as_casualty[0], "waiter should have unwound out");
+        assert_eq!(reg.cause(), Some(&cause));
     }
 }

@@ -37,9 +37,9 @@
 //! lets checked runs probe the wait-for graph with no grace timer and
 //! unchecked runs abort instead of hanging. The dual case — the last
 //! runnable task *finishing* while blocked peers remain — sets the orphan
-//! flag and wakes everyone so receivers can fail fast with the peers-gone
-//! diagnostic. The argument never mentions what carries a task, so it
-//! holds for preemptively scheduled OS threads exactly as for fibers.
+//! flag and wakes everyone so receivers can abort the run as orphaned.
+//! The argument never mentions what carries a task, so it holds for
+//! preemptively scheduled OS threads exactly as for fibers.
 
 use super::fiber::{self, Context};
 use super::SchedulerKind;
@@ -47,6 +47,7 @@ use parking_lot::{Condvar, Mutex};
 use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Why `Engine::block_current` (the crate-internal yield point every
 /// blocking wait funnels through) returned.
@@ -181,12 +182,19 @@ fn default_workers() -> usize {
 /// (solver frames plus the runtime), so the default 512 KiB is generous;
 /// pages are only committed on touch, so 10k ranks cost virtual address
 /// space, not resident memory. Override with the `GREENLA_STACK_KB`
-/// environment variable (floor 64 KiB).
+/// environment variable (floor 64 KiB). Resolved once and cached.
 fn fiber_stack_bytes() -> usize {
-    let kb = std::env::var("GREENLA_STACK_KB")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(512);
+    static BYTES: OnceLock<usize> = OnceLock::new();
+    *BYTES.get_or_init(|| stack_bytes_from(std::env::var("GREENLA_STACK_KB").ok().as_deref()))
+}
+
+/// [`fiber_stack_bytes`] for a given value of the variable (`None`: unset).
+fn stack_bytes_from(stack_kb: Option<&str>) -> usize {
+    let kb = stack_kb.map_or(512, |v| {
+        v.parse::<usize>().unwrap_or_else(|_| {
+            panic!("GREENLA_STACK_KB must be a non-negative integer of KiB, got `{v}`")
+        })
+    });
     kb.max(64) * 1024
 }
 
@@ -275,8 +283,8 @@ impl Engine {
     }
 
     /// Did the last runnable task finish while blocked peers remained?
-    /// Woken receivers consult this to die with the peers-gone diagnostic
-    /// instead of re-blocking.
+    /// Woken receivers consult this to abort the run as orphaned instead
+    /// of re-blocking.
     pub(crate) fn orphaned(&self) -> bool {
         self.orphaned.load(Ordering::SeqCst)
     }
@@ -495,7 +503,7 @@ impl Engine {
         if self.active.fetch_sub(1, Ordering::SeqCst) == 1 && self.done.load(Ordering::SeqCst) < n {
             // Last runnable task gone while blocked peers remain: they
             // wait for messages nobody will send. Wake them all so they
-            // abort with the peers-gone diagnostic instead of hanging.
+            // abort the run as orphaned instead of hanging.
             self.orphaned.store(true, Ordering::SeqCst);
             self.wake_all();
         }
@@ -522,7 +530,7 @@ extern "C" fn fiber_entry(arg: *mut u8) -> ! {
         .take()
         .expect("fiber entered without a body");
     // Backstop only: rank bodies wrap user code in their own
-    // catch_unwind and record the panic with the machine. Letting a panic
+    // catch_unwind and record a panic with the run's registry. Letting a panic
     // cross the fiber boot frame (which has no unwind info) would abort
     // the process.
     let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
@@ -558,6 +566,24 @@ mod tests {
                 .map(|i| Box::new(move || f(i, engine)) as Box<dyn FnOnce() + Send + '_>)
                 .collect(),
         );
+    }
+
+    #[test]
+    fn stack_size_knob_is_parsed_strictly() {
+        assert_eq!(stack_bytes_from(None), 512 * 1024);
+        assert_eq!(stack_bytes_from(Some("1024")), 1024 * 1024);
+        assert_eq!(
+            stack_bytes_from(Some("8")),
+            64 * 1024,
+            "floored, not refused"
+        );
+        for malformed in ["1m", "-4", "abc", ""] {
+            let refused = std::panic::catch_unwind(|| stack_bytes_from(Some(malformed)));
+            assert!(
+                refused.is_err(),
+                "`{malformed}` must be refused, not defaulted"
+            );
+        }
     }
 
     #[test]

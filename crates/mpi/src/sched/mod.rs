@@ -8,8 +8,8 @@
 //! anywhere in this crate, and no timer: the engine counts runnable
 //! tasks, so it knows the exact moment nothing can ever run again and
 //! reports it ([`WakeReason::Quiescent`], or the orphan flag when the last
-//! runnable task *finishes*) — checked runs then name the wait-for cycle,
-//! unchecked runs abort with a stable diagnostic, and neither hangs.
+//! runnable task *finishes*) — the run then aborts as a deadlock or an
+//! orphaned receive (checked runs name the wait-for cycle), never hangs.
 //!
 //! What a [`SchedulerKind`] selects is only what *carries* a task:
 //!

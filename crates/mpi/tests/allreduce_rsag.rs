@@ -3,14 +3,13 @@
 //! results for every rank count up to 40 and for lengths that halve
 //! evenly and unevenly, traffic equal to the closed form message for
 //! message, and ranks that disagree on the length — so that they select
-//! different algorithms — aborting with a stable diagnostic instead of
-//! hanging.
+//! different algorithms — aborting with a typed cause instead of hanging.
 
 mod common;
 
 use common::{abort_of, carriers, machine};
 use greenla_mpi::coll::{COLL_LARGE_BYTES, COLL_SMALL_BYTES};
-use greenla_mpi::Rule;
+use greenla_mpi::{AbortKind, Rule};
 
 /// First element count the large-message arm takes.
 const LARGE: usize = (COLL_LARGE_BYTES / 8) as usize;
@@ -79,24 +78,20 @@ fn lengths_straddling_a_threshold_abort_instead_of_hanging() {
     // One rank contributes the last length of the arm below a threshold
     // while its peers contribute the first length of the arm above: the
     // two sides run different message schedules. The run must end in a
-    // stable diagnostic, and the checker must name the mismatch.
+    // typed abort, and the checker must name the mismatch.
     const SMALL: usize = (COLL_SMALL_BYTES / 8) as usize;
     let cases = [
         ("small threshold", SMALL, SMALL + 1),
         ("large threshold", LARGE - 1, LARGE),
     ];
-    // Which rank's panic the run reports first is a host race once the
-    // first one poisons it; all of these are stable.
-    let stable = [
-        "collective contract violated",
-        "deadlock:",
-        "all peers gone while rank",
-        "simulated MPI run aborted",
-    ];
+    // Two genuine causes may race — a rank combining the odd buffer, a
+    // rank left waiting by the mismatched schedules — and the first one
+    // recorded wins.
+    use AbortKind::{CollectiveContract, Deadlock, PeersGone};
     for kind in carriers() {
         for checked in [false, true] {
             for (name, odd_one_out, everyone_else) in cases {
-                let (msg, violations) = abort_of(8, kind, checked, move |ctx| {
+                let (abort, violations) = abort_of(8, kind, checked, None, move |ctx| {
                     let world = ctx.world();
                     let len = if ctx.rank() == 3 {
                         odd_one_out
@@ -105,16 +100,17 @@ fn lengths_straddling_a_threshold_abort_instead_of_hanging() {
                     };
                     ctx.allreduce_sum_owned_f64(&world, vec![1.0; len]);
                 });
+                let leg = format!("{name}, {kind}, checked={checked}: {abort}");
                 assert!(
-                    stable.iter().any(|d| msg.contains(d)),
-                    "{name}: unexpected diagnostic: {msg}"
+                    matches!(abort.kind, CollectiveContract | Deadlock | PeersGone),
+                    "{leg}"
                 );
                 if checked {
                     assert!(
                         violations
                             .iter()
                             .any(|v| v.rule == Rule::CollectiveMismatch),
-                        "{name}, {msg}: COLL001 must name the mismatch: {violations:#?}"
+                        "{leg}: COLL001 must name the mismatch: {violations:#?}"
                     );
                 }
             }

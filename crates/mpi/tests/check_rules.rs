@@ -7,8 +7,7 @@
 use greenla_cluster::placement::{LoadLayout, Placement};
 use greenla_cluster::spec::ClusterSpec;
 use greenla_cluster::PowerModel;
-use greenla_mpi::{CheckSink, Machine, Rule};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use greenla_mpi::{AbortKind, CheckSink, Machine, Rule};
 
 fn checked_machine(ranks: usize) -> Machine {
     // Nodes of 2×4 cores for big runs; a 2-core node for the 2-rank
@@ -21,40 +20,20 @@ fn checked_machine(ranks: usize) -> Machine {
         .with_check(CheckSink::enabled())
 }
 
-/// The panic payload of an aborted run, as text.
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast::<String>()
-        .map(|s| *s)
-        .or_else(|p| p.downcast::<&'static str>().map(|s| s.to_string()))
-        .unwrap_or_else(|_| "<non-string panic>".to_string())
-}
-
 #[test]
 fn send_recv_cycle_aborts_with_dl001_instead_of_hanging() {
     let m = checked_machine(2);
-    let r = catch_unwind(AssertUnwindSafe(|| {
-        m.run(|ctx| {
+    let abort = m
+        .try_run(|ctx| {
             let world = ctx.world();
             // Classic head-to-head deadlock: both ranks receive first.
             let peer = 1 - ctx.rank();
             ctx.recv_f64(&world, peer, 3);
             ctx.send_f64(&world, peer, 3, &[1.0]);
         })
-    }));
-    let Err(payload) = r else {
-        panic!("deadlocked run must abort, not hang");
-    };
-    let msg = panic_text(payload);
-    assert!(msg.contains("deadlock"), "diagnostic missing: {msg}");
-    assert!(
-        msg.contains("cycle: 0 -> 1 -> 0") || msg.contains("cycle: 1 -> 0 -> 1"),
-        "cycle must be spelled out: {msg}"
-    );
-    assert!(
-        msg.contains("recv(src=1, comm=0, tag=3)"),
-        "blocked receives must be named with src/comm/tag: {msg}"
-    );
+        .err()
+        .expect("deadlocked run must abort, not hang");
+    assert_eq!(abort.kind, AbortKind::Deadlock);
     let violations = m.check().violations();
     let dl: Vec<_> = violations
         .iter()
@@ -63,35 +42,47 @@ fn send_recv_cycle_aborts_with_dl001_instead_of_hanging() {
     assert_eq!(dl.len(), 1, "exactly one DL001: {violations:#?}");
     assert_eq!(dl[0].ranks, vec![0, 1]);
     assert_eq!(dl[0].rule.id(), "DL001");
+    // The run dies with the checker's report, and the report spells out
+    // the cycle and the blocked receives.
+    let report = &dl[0].message;
+    assert_eq!(&abort.detail, report);
+    assert!(
+        report.contains("cycle: 0 -> 1 -> 0") || report.contains("cycle: 1 -> 0 -> 1"),
+        "cycle must be spelled out: {report}"
+    );
+    assert!(
+        report.contains("recv(src=1, comm=0, tag=3)"),
+        "blocked receives must be named with src/comm/tag: {report}"
+    );
 }
 
 #[test]
 fn skipped_barrier_names_the_finished_rank() {
     let m = checked_machine(2);
-    let r = catch_unwind(AssertUnwindSafe(|| {
-        m.run(|ctx| {
+    let abort = m
+        .try_run(|ctx| {
             let world = ctx.world();
             // Rank 0 forgets the barrier and finalizes early.
             if ctx.rank() == 1 {
                 ctx.barrier(&world);
             }
         })
-    }));
-    let Err(payload) = r else {
-        panic!("half-entered barrier must abort");
-    };
-    let msg = panic_text(payload);
+        .err()
+        .expect("half-entered barrier must abort");
+    assert_eq!((abort.kind, abort.rank), (AbortKind::Deadlock, 1));
+    let violations = m.check().violations();
+    let dl: Vec<_> = violations
+        .iter()
+        .filter(|v| v.rule == Rule::Deadlock)
+        .collect();
+    assert_eq!(dl.len(), 1, "exactly one DL001: {violations:#?}");
+    assert_eq!(abort.detail, dl[0].message);
     assert!(
-        msg.contains("rank 1 waits on rank 0, which has already finished"),
-        "diagnostic must name the finished rank: {msg}"
-    );
-    assert_eq!(
-        m.check()
-            .violations()
-            .iter()
-            .filter(|v| v.rule == Rule::Deadlock)
-            .count(),
-        1
+        dl[0]
+            .message
+            .contains("rank 1 waits on rank 0, which has already finished"),
+        "diagnostic must name the finished rank: {}",
+        dl[0].message
     );
 }
 

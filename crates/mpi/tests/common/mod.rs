@@ -4,8 +4,9 @@
 use greenla_cluster::placement::{LoadLayout, Placement};
 use greenla_cluster::spec::ClusterSpec;
 use greenla_cluster::PowerModel;
-use greenla_mpi::{CheckSink, Machine, RankCtx, SchedulerKind, Violation};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use greenla_mpi::{
+    Abort, CheckSink, FaultPlan, FaultSink, Machine, RankCtx, SchedulerKind, Violation,
+};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -31,39 +32,36 @@ pub fn machine(ranks: usize, kind: SchedulerKind) -> Machine {
 /// sub-second normal case: hitting it means a hang, not a slow machine.
 const ABORT_TIMEOUT: Duration = Duration::from_secs(120);
 
-/// Run a program that must abort — on a watchdog thread, so a carrier
-/// that parks forever fails this leg instead of stalling the suite — and
-/// return the root-cause panic message plus the checker's findings.
+/// Run a program that must abort — under `plan`, if the cause is a planned
+/// fault — on a watchdog thread, so a carrier that parks forever fails
+/// this leg instead of stalling the suite, and return the cause plus the
+/// checker's findings.
 pub fn abort_of(
     ranks: usize,
     kind: SchedulerKind,
     checked: bool,
+    plan: Option<FaultPlan>,
     body: impl Fn(&mut RankCtx) + Send + Sync + 'static,
-) -> (String, Vec<Violation>) {
+) -> (Abort, Vec<Violation>) {
     let sink = if checked {
         CheckSink::enabled()
     } else {
         CheckSink::disabled()
     };
-    let m = machine(ranks, kind).with_check(sink.clone());
+    let mut m = machine(ranks, kind).with_check(sink.clone());
+    if let Some(plan) = plan {
+        m.set_faults(FaultSink::with_plan(plan));
+    }
     let leg = format!("{kind} engine, checked={checked}");
     let (tx, rx) = mpsc::channel();
     let run = std::thread::spawn(move || {
-        let outcome = catch_unwind(AssertUnwindSafe(|| m.run(body))).map(|_| ());
-        let _ = tx.send(outcome);
+        let _ = tx.send(m.try_run(body).err());
     });
     let outcome = rx
         .recv_timeout(ABORT_TIMEOUT)
         .unwrap_or_else(|_| panic!("{leg}: run hung past {ABORT_TIMEOUT:?} instead of aborting"));
-    run.join().expect("the run's panic is caught inside");
-    let payload = match outcome {
-        Err(payload) => payload,
-        Ok(()) => panic!("{leg}: run must abort, but it completed"),
-    };
-    let msg = payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_default();
-    (format!("{leg}: {msg}"), sink.violations())
+    run.join()
+        .expect("try_run returns the abort, it does not panic");
+    let abort = outcome.unwrap_or_else(|| panic!("{leg}: run must abort, but it completed"));
+    (abort, sink.violations())
 }

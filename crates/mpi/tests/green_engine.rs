@@ -12,10 +12,9 @@ mod common;
 
 use common::{abort_of, carriers, machine};
 use greenla_mpi::{
-    CheckSink, CrashFault, CrashWhen, FaultPlan, FaultSink, MsgFault, MsgFaultKind, RankCtx, Rule,
-    SchedulerKind,
+    AbortKind, CheckSink, CrashFault, CrashWhen, FaultPlan, FaultSink, MsgFault, MsgFaultKind,
+    RankCtx, Rule, SchedulerKind,
 };
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn fibers() -> bool {
     SchedulerKind::EventDriven.supported()
@@ -112,13 +111,14 @@ fn recv_deadlock_aborts_exactly_with_the_cycle_named() {
     // No poll, no grace timer, on either carrier: the engine's quiescence
     // signal runs the probe the moment the last task blocks.
     for kind in carriers() {
-        let (msg, v) = abort_of(1000, kind, true, recv_cycle);
-        assert!(
-            msg.contains("deadlock") || msg.contains("simulated MPI run aborted"),
-            "unstable diagnostic: {msg}"
-        );
+        let (abort, v) = abort_of(1000, kind, true, None, recv_cycle);
+        assert_eq!(abort.kind, AbortKind::Deadlock, "{kind}: {abort}");
         let dl: Vec<_> = v.iter().filter(|v| v.rule == Rule::Deadlock).collect();
         assert_eq!(dl.len(), 1, "{kind}: exactly one DL001: {v:?}");
+        assert_eq!(
+            abort.detail, dl[0].message,
+            "{kind}: the abort is the report"
+        );
         assert!(
             dl[0].message.contains("cycle: 0 -> 1 -> 0")
                 || dl[0].message.contains("cycle: 1 -> 0 -> 1"),
@@ -131,13 +131,10 @@ fn recv_deadlock_aborts_exactly_with_the_cycle_named() {
 #[test]
 fn unchecked_deadlock_aborts_instead_of_hanging() {
     // Same shape without the checker: quiescence is exact on both
-    // carriers, so the run aborts with a generic diagnostic.
+    // carriers, so the run aborts just the same, minus the cycle.
     for kind in carriers() {
-        let (msg, _) = abort_of(64, kind, false, recv_cycle);
-        assert!(
-            msg.contains("deadlock:") || msg.contains("simulated MPI run aborted"),
-            "unstable diagnostic: {msg}"
-        );
+        let (abort, _) = abort_of(64, kind, false, None, recv_cycle);
+        assert_eq!(abort.kind, AbortKind::Deadlock, "{kind}: {abort}");
     }
 }
 
@@ -145,20 +142,22 @@ fn unchecked_deadlock_aborts_instead_of_hanging() {
 fn barrier_one_rank_never_enters_aborts() {
     for kind in carriers() {
         for checked in [false, true] {
-            let (msg, v) = abort_of(64, kind, checked, |ctx| {
+            let (abort, v) = abort_of(64, kind, checked, None, |ctx| {
                 let world = ctx.world();
                 if ctx.rank() != 5 {
                     ctx.barrier(&world);
                 }
             });
-            assert!(
-                msg.contains("deadlock") || msg.contains("simulated MPI run aborted"),
-                "unstable diagnostic: {msg}"
+            let leg = format!("{kind}, checked={checked}: {abort}");
+            assert_eq!(abort.kind, AbortKind::Deadlock, "{leg}");
+            assert_ne!(
+                abort.rank, 5,
+                "{leg}: the reporter was blocked in the barrier"
             );
             if checked {
                 let dl: Vec<_> = v.iter().filter(|v| v.rule == Rule::Deadlock).collect();
-                assert_eq!(dl.len(), 1, "{msg}: {v:?}");
-                assert!(dl[0].message.contains("waiting for ranks [5]"), "{msg}");
+                assert_eq!(dl.len(), 1, "{leg}: {v:?}");
+                assert!(dl[0].message.contains("waiting for ranks [5]"), "{leg}");
             }
         }
     }
@@ -168,10 +167,10 @@ fn barrier_one_rank_never_enters_aborts() {
 fn rank_panic_unblocks_ranks_in_recv_barrier_and_split() {
     for kind in carriers() {
         for checked in [false, true] {
-            let (msg, _) = abort_of(64, kind, checked, |ctx| {
+            let (abort, _) = abort_of(64, kind, checked, None, |ctx| {
                 let world = ctx.world();
                 match ctx.rank() {
-                    0 => panic!("injected fault"),
+                    0 => panic!("rank 0 hit a bug"),
                     1 => {
                         ctx.recv_f64(&world, 0, 1);
                     }
@@ -181,9 +180,10 @@ fn rank_panic_unblocks_ranks_in_recv_barrier_and_split() {
                     _ => ctx.barrier(&world),
                 }
             });
-            assert!(
-                msg.contains("injected fault"),
-                "root cause must win over casualties: {msg}"
+            assert_eq!(
+                (abort.kind, abort.rank, abort.detail.as_str()),
+                (AbortKind::Panic, 0, "rank 0 hit a bug"),
+                "{kind}, checked={checked}: the root cause wins over casualties"
             );
         }
     }
@@ -193,26 +193,30 @@ fn rank_panic_unblocks_ranks_in_recv_barrier_and_split() {
 fn orphaned_receiver_aborts_with_all_peers_gone() {
     // Rank 1 waits on a message nobody will ever send while everyone
     // else returns. Which signal it dies on depends on whether it parks
-    // before the last peer finishes (the orphan wake: "all peers gone")
-    // or after (it is itself the last runnable task: "deadlock:"); with
-    // the checker attached the probe names the finished peer either way.
+    // before the last peer finishes (the orphan wake: `PeersGone`) or
+    // after (it is itself the last runnable task: `Deadlock`); with the
+    // checker attached the probe names the finished peer either way.
     for kind in carriers() {
         for checked in [false, true] {
-            let (msg, v) = abort_of(64, kind, checked, |ctx| {
+            let (abort, v) = abort_of(64, kind, checked, None, |ctx| {
                 let world = ctx.world();
                 if ctx.rank() == 1 {
                     ctx.recv_f64(&world, 0, 1);
                 }
             });
-            assert!(
-                msg.contains("all peers gone") || msg.contains("deadlock"),
-                "unstable diagnostic: {msg}"
-            );
+            let leg = format!("{kind}, checked={checked}: {abort}");
+            assert_eq!(abort.rank, 1, "{leg}");
             if checked {
+                assert_eq!(abort.kind, AbortKind::Deadlock, "{leg}");
                 assert!(
                     v.iter().any(|v| v.rule == Rule::Deadlock
                         && v.message.contains("rank 1 waits on rank 0")),
-                    "{msg}: {v:?}"
+                    "{leg}: {v:?}"
+                );
+            } else {
+                assert!(
+                    matches!(abort.kind, AbortKind::PeersGone | AbortKind::Deadlock),
+                    "{leg}"
                 );
             }
         }
@@ -321,44 +325,27 @@ fn fault_reports_and_clocks_match_across_engines() {
 
 #[test]
 fn planned_crash_aborts_checked_event_runs() {
-    if !fibers() {
-        return;
-    }
-    for checked in [false, true] {
-        let plan = FaultPlan {
-            crashes: vec![CrashFault {
-                rank: 3,
-                when: CrashWhen::AtCall { calls: 2 },
-            }],
-            ..Default::default()
-        };
-        let sink = FaultSink::with_plan(plan);
-        let mut m = machine(64, SchedulerKind::EventDriven).with_faults(sink.clone());
-        if checked {
-            m = m.with_check(CheckSink::enabled());
-        }
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            m.run(|ctx| {
+    for kind in carriers() {
+        for checked in [false, true] {
+            let plan = FaultPlan {
+                crashes: vec![CrashFault {
+                    rank: 3,
+                    when: CrashWhen::AtCall { calls: 2 },
+                }],
+                ..Default::default()
+            };
+            let (abort, _) = abort_of(64, kind, checked, Some(plan), |ctx| {
                 let world = ctx.world();
                 ctx.compute(1_000, 0);
                 ctx.compute(1_000, 0);
                 ctx.barrier(&world);
-            })
-        }));
-        let payload = match r {
-            Err(p) => p,
-            Ok(_) => panic!("planned crash must abort (checked={checked})"),
-        };
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(
-            msg.starts_with("injected fault: rank 3 crashed")
-                || msg.contains("simulated MPI run aborted"),
-            "checked={checked}: unstable diagnostic: {msg}"
-        );
-        assert_eq!(sink.report().injected.rank_crash, 1, "checked={checked}");
+            });
+            assert_eq!(
+                (abort.kind, abort.rank),
+                (AbortKind::InjectedFault, 3),
+                "{kind}, checked={checked}: {abort}"
+            );
+        }
     }
 }
 
