@@ -13,10 +13,13 @@
 
 use greenla_cluster::placement::LoadLayout;
 use greenla_harness::chrome_trace::traced_solve;
-use greenla_harness::run::{run_once, Measurement, RunConfig};
+use greenla_harness::run::{run_once, run_prepared, Inputs, Measurement, RunConfig};
 use greenla_harness::SolverChoice;
 use greenla_linalg::generate::SystemKind;
-use greenla_mpi::SchedulerKind;
+use greenla_mpi::{EventKind, SchedulerKind, TraceEvent, TraceSink};
+
+mod common;
+use common::trace_fingerprint;
 
 fn cfg(solver: SolverChoice, check: bool) -> RunConfig {
     // CG needs a symmetric positive definite operator; the dense solvers
@@ -365,6 +368,103 @@ fn faulted_trace_streams_are_identical_and_carry_fault_instants() {
         text.contains("fault:"),
         "the trace records the injection instants"
     );
+    // The golden of `chrome_trace.rs`, for the stream that carries every
+    // recoverable fault family's instants.
+    assert_eq!(
+        trace_fingerprint(&first),
+        (21974, 0x323c_ca9e_dfea_65ab),
+        "(events, FNV-1a of the compact JSON)"
+    );
+}
+
+#[test]
+fn listeners_hear_the_same_run_whoever_else_listens() {
+    // Every combination of {trace, check, fault plan} on one datapoint.
+    // The plan is harmless — one message delayed by zero seconds — so
+    // arming it exercises injection, accounting and the `fault:delay`
+    // instant without a reason to move a clock. What each listener
+    // reports must not depend on which others are attached.
+    use greenla_mpi::{FaultPlan, MsgFault, MsgFaultKind};
+    let harmless = FaultPlan {
+        messages: vec![MsgFault {
+            src: 1,
+            nth_send: 0,
+            kind: MsgFaultKind::Delay { extra_s: 0.0 },
+        }],
+        ..FaultPlan::default()
+    };
+    let is_fault_instant =
+        |e: &TraceEvent| e.kind == EventKind::Instant && e.name.starts_with("fault:");
+    for solver in [SolverChoice::ime_optimized(), SolverChoice::cg()] {
+        // Row `4·faulted + 2·traced + checked`.
+        let rows: Vec<(String, Measurement, Vec<TraceEvent>)> = (0..8u8)
+            .map(|row| {
+                let (faulted, traced, checked) = (row & 4 != 0, row & 2 != 0, row & 1 != 0);
+                let what = format!(
+                    "{} faulted={faulted} traced={traced} checked={checked}",
+                    solver.label()
+                );
+                let cfg = RunConfig {
+                    faults: faulted.then(|| harmless.clone()),
+                    ..cfg(solver, checked)
+                };
+                let sink = if traced {
+                    TraceSink::enabled()
+                } else {
+                    TraceSink::disabled()
+                };
+                let m = run_prepared(&cfg, &Inputs::prepare(&cfg), sink.clone())
+                    .unwrap_or_else(|abort| panic!("{what}: {abort}"))
+                    .measurement;
+                let stream = sink.drain();
+                assert!(m.violations.is_empty(), "{what}: {:#?}", m.violations);
+                assert_eq!(stream.is_empty(), !traced, "{what}: event stream");
+                let delays = m.fault_report.as_ref().map(|r| {
+                    assert!(r.degraded_nodes.is_empty(), "{what}: {r:?}");
+                    assert_eq!(
+                        (r.observed, r.recovered),
+                        (r.injected, r.injected),
+                        "{what}"
+                    );
+                    (r.injected.total(), r.injected.msg_delay)
+                });
+                assert_eq!(
+                    delays,
+                    faulted.then_some((1, 1)),
+                    "{what}: fault accounting"
+                );
+                (what, m, stream)
+            })
+            .collect();
+        // Same plan, any other listeners: one measurement, one stream.
+        for same_plan in rows.chunks(4) {
+            let (_, m0, _) = &same_plan[0];
+            for (what, m, _) in &same_plan[1..] {
+                assert_bit_identical(m0, m, what);
+                assert_eq!(m0.fault_report, m.fault_report, "{what}");
+            }
+            let (what, _, checked_stream) = &same_plan[3];
+            assert!(same_plan[2].2 == *checked_stream, "{what}: event stream");
+        }
+        let (clean_stream, armed_stream) = (&rows[2].2, &rows[6].2);
+        let instants = armed_stream.iter().filter(|e| is_fault_instant(e)).count();
+        assert_eq!(instants, 1, "{}: the plan's one instant", solver.label());
+        // An armed plan sends IMe through its checksum-protected solver
+        // (`harness::run::solve`): a different program, so only CG can be
+        // held across the two plans — bit for bit, and event for event
+        // once the plan's own instant is set aside.
+        if matches!(solver, SolverChoice::Cg { .. }) {
+            assert_bit_identical(&rows[0].1, &rows[4].1, "cg, armed vs clean");
+            let heard: Vec<&TraceEvent> = armed_stream
+                .iter()
+                .filter(|e| !is_fault_instant(e))
+                .collect();
+            assert!(
+                heard == clean_stream.iter().collect::<Vec<_>>(),
+                "cg: a harmless plan must leave the rest of the stream alone"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
