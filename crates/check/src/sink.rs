@@ -392,15 +392,6 @@ pub struct RankChecker {
 }
 
 impl RankChecker {
-    /// A checker that records nothing (for contexts built without a sink).
-    pub fn disabled() -> Self {
-        Self {
-            shared: None,
-            rank: 0,
-            node: 0,
-        }
-    }
-
     /// Is this checker active? Callers can skip assembling hook arguments
     /// when false.
     #[inline]
@@ -440,8 +431,8 @@ impl RankChecker {
         });
     }
 
-    /// A message left for `dst` at virtual time `t`.
-    pub fn sent(&mut self, _dst: usize, _comm: u64, _tag: u64, t: f64) {
+    /// A message left this rank at virtual time `t`.
+    pub fn sent(&mut self, t: f64) {
         self.with_state(|st, rank, _| st.note_clock(rank, t));
     }
 
@@ -735,7 +726,7 @@ mod tests {
         let mut c0 = s.checker(0, 0);
         let mut c1 = s.checker(1, 0);
         c0.compute(0.0, 1.0);
-        c0.sent(1, 0, 7, 1.0);
+        c0.sent(1.0);
         c1.block_recv(0, 0, 7, 0.0);
         c1.unblock_recv(1.5, 1.5);
         c0.enter_coll(ev(0, 0, CollKind::Barrier, None, 0), &[0, 1], 1.0);

@@ -16,7 +16,6 @@ pub mod jitter;
 pub mod ledger;
 pub mod placement;
 pub mod power;
-pub mod slurm;
 pub mod spec;
 pub mod topology;
 

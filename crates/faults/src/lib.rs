@@ -43,4 +43,4 @@ pub use plan::{
     MsgFault, MsgFaultKind, PlanShape, MAX_SEND_RETRIES,
 };
 pub use report::{FaultCounts, FaultReport};
-pub use sink::{FaultSink, RankFaults};
+pub use sink::{FaultNote, FaultSink, RankFaults};

@@ -150,6 +150,52 @@ impl FaultSink {
     }
 }
 
+/// One thing that happened to a planned fault, as the layer that saw it
+/// reports it: the runtime for message faults, the monitor protocol for a
+/// degraded node, a checksum-protected solver for a column loss. A rank
+/// states the fact once; [`RankFaults::note`] turns it into tallies and
+/// [`FaultNote::marker`] names the instant a traced run shows for it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FaultNote {
+    /// This many consecutive drops were injected on one send.
+    DropInjected(u64),
+    /// The retry loop delivered the envelope despite that many drops.
+    DropRecovered(u64),
+    /// A marked second copy of an envelope went on the wire.
+    DupInjected,
+    /// The receiver noticed and discarded a duplicate envelope.
+    DupDiscarded,
+    /// An envelope's virtual arrival was pushed into the future.
+    DelayInjected,
+    /// The receiver matched an envelope marked as delayed.
+    DelayObserved,
+    /// The node recovered from a monitoring fault by downgrading itself
+    /// to "unmeasured".
+    Degraded,
+    /// A planned column loss wiped the victim's column.
+    ColumnLossInjected,
+    /// The checksum brought the lost column back.
+    ColumnLossRecovered,
+}
+
+impl FaultNote {
+    /// The `fault:*` instant a traced run records for this note; `None`
+    /// for the two recoveries that end inside a span that already shows
+    /// them (the retried send, the late receive).
+    pub fn marker(self) -> Option<&'static str> {
+        match self {
+            FaultNote::DropInjected(_) => Some("fault:drop"),
+            FaultNote::DupInjected => Some("fault:dup"),
+            FaultNote::DupDiscarded => Some("fault:dup_discarded"),
+            FaultNote::DelayInjected => Some("fault:delay"),
+            FaultNote::Degraded => Some("fault:monitor_degraded"),
+            FaultNote::ColumnLossInjected => Some("fault:column_loss"),
+            FaultNote::ColumnLossRecovered => Some("fault:column_loss_recovered"),
+            FaultNote::DropRecovered(_) | FaultNote::DelayObserved => None,
+        }
+    }
+}
+
 /// Per-rank fault state: owned by the rank's context, consulted at every
 /// injection point without locks. Flushes its tallies into the shared
 /// report on drop.
@@ -241,14 +287,6 @@ impl RankFaults {
         due
     }
 
-    /// The node recovered from a monitoring fault by downgrading itself
-    /// to "unmeasured".
-    pub fn note_degraded(&mut self) {
-        self.local.observed.monitor += 1;
-        self.local.recovered.monitor += 1;
-        self.local.degraded_nodes.push(self.node);
-    }
-
     /// The planned application-level column loss, if any (consumed by
     /// checksum-protected solvers).
     pub fn app_column_loss(&self) -> Option<(usize, usize)> {
@@ -258,44 +296,43 @@ impl RankFaults {
             .map(|c| (c.level, c.column))
     }
 
-    pub fn record_column_loss_injected(&mut self) {
-        self.local.injected.column_loss += 1;
-        self.local.observed.column_loss += 1;
-    }
-
-    pub fn record_column_loss_recovered(&mut self) {
-        self.local.recovered.column_loss += 1;
-    }
-
-    /// `count` consecutive drops were injected on one send.
-    pub fn record_drop_injected(&mut self, count: u64) {
-        self.local.injected.msg_drop += count;
-        self.local.observed.msg_drop += count;
-    }
-
-    /// The retry loop delivered the envelope despite the drops.
-    pub fn record_drop_recovered(&mut self, count: u64) {
-        self.local.recovered.msg_drop += count;
-    }
-
-    pub fn record_dup_injected(&mut self) {
-        self.local.injected.msg_dup += 1;
-    }
-
-    /// The receiver noticed and discarded a duplicate envelope.
-    pub fn record_dup_discarded(&mut self) {
-        self.local.observed.msg_dup += 1;
-        self.local.recovered.msg_dup += 1;
-    }
-
-    pub fn record_delay_injected(&mut self) {
-        self.local.injected.msg_delay += 1;
-    }
-
-    /// The receiver matched an envelope marked as delayed.
-    pub fn record_delay_observed(&mut self) {
-        self.local.observed.msg_delay += 1;
-        self.local.recovered.msg_delay += 1;
+    /// Account for one thing that happened to a planned fault. The one
+    /// way tallies move outside the plan queries above, which count their
+    /// own injections.
+    pub fn note(&mut self, note: FaultNote) {
+        let FaultReport {
+            injected,
+            observed,
+            recovered,
+            degraded_nodes,
+        } = &mut self.local;
+        match note {
+            FaultNote::DropInjected(count) => {
+                injected.msg_drop += count;
+                observed.msg_drop += count;
+            }
+            FaultNote::DropRecovered(count) => recovered.msg_drop += count,
+            FaultNote::DupInjected => injected.msg_dup += 1,
+            FaultNote::DupDiscarded => {
+                observed.msg_dup += 1;
+                recovered.msg_dup += 1;
+            }
+            FaultNote::DelayInjected => injected.msg_delay += 1,
+            FaultNote::DelayObserved => {
+                observed.msg_delay += 1;
+                recovered.msg_delay += 1;
+            }
+            FaultNote::Degraded => {
+                observed.monitor += 1;
+                recovered.monitor += 1;
+                degraded_nodes.push(self.node);
+            }
+            FaultNote::ColumnLossInjected => {
+                injected.column_loss += 1;
+                observed.column_loss += 1;
+            }
+            FaultNote::ColumnLossRecovered => recovered.column_loss += 1,
+        }
     }
 }
 
@@ -406,6 +443,53 @@ mod tests {
     }
 
     #[test]
+    fn every_note_moves_its_tallies_and_names_its_marker() {
+        use crate::report::FaultCounts;
+        use FaultNote::*;
+        type Family = fn(&FaultCounts) -> u64;
+        let (drop, dup, delay): (Family, Family, Family) =
+            (|c| c.msg_drop, |c| c.msg_dup, |c| c.msg_delay);
+        let (monitor, loss): (Family, Family) = (|c| c.monitor, |c| c.column_loss);
+        // (note, its family, [injected, observed, recovered], marker)
+        let table = [
+            (DropInjected(3), drop, [3, 3, 0], Some("fault:drop")),
+            (DropRecovered(3), drop, [0, 0, 3], None),
+            (DupInjected, dup, [1, 0, 0], Some("fault:dup")),
+            (DupDiscarded, dup, [0, 1, 1], Some("fault:dup_discarded")),
+            (DelayInjected, delay, [1, 0, 0], Some("fault:delay")),
+            (DelayObserved, delay, [0, 1, 1], None),
+            (Degraded, monitor, [0, 1, 1], Some("fault:monitor_degraded")),
+            (
+                ColumnLossInjected,
+                loss,
+                [1, 1, 0],
+                Some("fault:column_loss"),
+            ),
+            (
+                ColumnLossRecovered,
+                loss,
+                [0, 0, 1],
+                Some("fault:column_loss_recovered"),
+            ),
+        ];
+        for (note, family, tallies, marker) in table {
+            let sink = FaultSink::with_plan(FaultPlan::default());
+            sink.handle(4, 1).note(note);
+            let rep = sink.report();
+            let moved = [&rep.injected, &rep.observed, &rep.recovered];
+            assert_eq!(moved.map(family), tallies, "{note:?}");
+            assert_eq!(
+                moved.map(FaultCounts::total),
+                tallies,
+                "{note:?} moved another family"
+            );
+            let degraded = if note == Degraded { vec![1] } else { vec![] };
+            assert_eq!(rep.degraded_nodes, degraded, "{note:?}");
+            assert_eq!(note.marker(), marker, "{note:?}");
+        }
+    }
+
+    #[test]
     fn handles_flush_on_drop_and_merge() {
         let plan = FaultPlan {
             monitor_deaths: vec![1],
@@ -418,11 +502,11 @@ mod tests {
         let sink = FaultSink::with_plan(plan);
         let mut a = sink.handle(4, 1);
         assert!(a.monitor_death_due());
-        a.note_degraded();
+        a.note(FaultNote::Degraded);
         let mut b = sink.handle(0, 0);
         assert_eq!(b.app_column_loss(), Some((3, 7)));
-        b.record_column_loss_injected();
-        b.record_column_loss_recovered();
+        b.note(FaultNote::ColumnLossInjected);
+        b.note(FaultNote::ColumnLossRecovered);
         assert!(sink.report().is_empty(), "nothing flushed yet");
         drop(a);
         drop(b);

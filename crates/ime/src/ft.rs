@@ -22,7 +22,7 @@ use crate::table::init_column;
 use greenla_linalg::blas1::{daxpy, ddot};
 use greenla_linalg::flops;
 use greenla_linalg::generate::LinearSystem;
-use greenla_mpi::{Comm, RankCtx};
+use greenla_mpi::{Comm, FaultNote, RankCtx, RankEvent};
 
 /// A deterministic fault to inject: when the level loop reaches `level`
 /// (counting down), the owner of table `column` loses that column's data
@@ -126,8 +126,7 @@ pub fn solve_imep_ft(
                         .expect("victim owns the failed column");
                     slot.1 = vec![f64::NAN; n];
                     if planned {
-                        ctx.faults_mut().record_column_loss_injected();
-                        ctx.trace_instant("fault:column_loss");
+                        ctx.emit(RankEvent::Fault(FaultNote::ColumnLossInjected));
                     }
                 }
                 // Survivor sum excludes the lost column.
@@ -140,8 +139,7 @@ pub fn solve_imep_ft(
                     if victim == MASTER {
                         restore(&mut my_cols, f.column, rec);
                         if planned {
-                            ctx.faults_mut().record_column_loss_recovered();
-                            ctx.trace_instant("fault:column_loss_recovered");
+                            ctx.emit(RankEvent::Fault(FaultNote::ColumnLossRecovered));
                         }
                     } else {
                         ctx.send_f64(comm, victim, RECOVER_TAG, &rec);
@@ -150,8 +148,7 @@ pub fn solve_imep_ft(
                     let rec = ctx.recv_f64(comm, MASTER, RECOVER_TAG);
                     restore(&mut my_cols, f.column, rec);
                     if planned {
-                        ctx.faults_mut().record_column_loss_recovered();
-                        ctx.trace_instant("fault:column_loss_recovered");
+                        ctx.emit(RankEvent::Fault(FaultNote::ColumnLossRecovered));
                     }
                 }
             }

@@ -3,13 +3,10 @@
 use greenla_papi::PapiError;
 use std::fmt;
 
-/// Why monitoring could not be set up or completed. The protocol
-/// propagates a monitoring rank's failure to every rank of its node so the
-/// job fails coherently instead of deadlocking in a barrier.
+/// Why monitoring could not be set up or completed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MonitorError {
-    /// PAPI failed on the monitoring rank (the numeric code travels to the
-    /// other ranks of the node).
+    /// PAPI failed on the monitoring rank, with this C return code.
     Papi(i32),
     /// Result file could not be written.
     Io(String),
@@ -24,7 +21,10 @@ impl From<PapiError> for MonitorError {
 impl fmt::Display for MonitorError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MonitorError::Papi(code) => write!(f, "PAPI failure on monitoring rank: code {code}"),
+            MonitorError::Papi(code) => match PapiError::from_code(*code) {
+                Some(e) => write!(f, "PAPI failure on monitoring rank: {e}"),
+                None => write!(f, "PAPI failure on monitoring rank: code {code}"),
+            },
             MonitorError::Io(m) => write!(f, "monitor file i/o: {m}"),
         }
     }

@@ -23,20 +23,18 @@ use crate::error::MonitorError;
 use crate::files;
 use crate::monitoring::{end_monitoring, start_monitoring, MonitorConfig, Session};
 use crate::report::NodeReport;
-use greenla_mpi::{AbortKind, Comm, RankCtx};
+use greenla_mpi::{AbortKind, Comm, FaultNote, MonitorStep, RankCtx, RankEvent};
 use greenla_rapl::RaplSim;
 use std::sync::Arc;
 
-/// In-band status word broadcast over the node communicator after PAPI
-/// bring-up so a monitoring-rank failure aborts the whole node coherently.
-/// Zero means success; failures carry the (negative) PAPI code
-/// sign-extended to u64.
+/// In-band status word the monitoring rank broadcasts over the node
+/// communicator after PAPI bring-up: the node is measured.
 const STATUS_OK: u64 = 0;
 
 /// Status word for a node that downgraded itself to "unmeasured" after a
 /// monitoring fault (only sent when [`MonitorConfig::degrade_on_fault`] is
-/// set). Distinct from every sign-extended negative PAPI code and from
-/// [`STATUS_OK`].
+/// set). A bring-up that fails without leave to degrade sends nothing: the
+/// monitoring rank aborts the run on the spot.
 const STATUS_DEGRADED: u64 = 0xDE67_ADED;
 
 /// Live monitoring state carried through the measured region.
@@ -62,6 +60,12 @@ pub struct MonitorOutput<R> {
 impl MonitorHandle {
     /// Rank grouping + designation + measurement start (first half of the
     /// Figure-2 flow). Collective over the world communicator.
+    ///
+    /// A monitoring rank whose bring-up fails without leave to degrade
+    /// ends the run as [`AbortKind::Monitor`]: an `Err` handed to its own
+    /// node would strand every other node in the job-wide barrier below.
+    /// So this never returns `Err`; the `Result` stays because the frozen
+    /// `benchmark/` package calls `.expect` on it.
     pub fn begin(
         ctx: &mut RankCtx,
         rapl: &Arc<RaplSim>,
@@ -70,7 +74,7 @@ impl MonitorHandle {
         ctx.trace_begin("monitor", "monitor_begin");
         let world = ctx.world();
         let node_comm = ctx.split_shared(&world);
-        ctx.check_monitor_node_comm(&node_comm);
+        ctx.emit(RankEvent::Monitor(MonitorStep::NodeComm(node_comm.id())));
         let is_monitor = node_comm.is_highest();
         let monitor_rank_world = node_comm.global_rank(node_comm.size() - 1);
         // Node synchronisation before measurements begin.
@@ -96,26 +100,26 @@ impl MonitorHandle {
                         ),
                     );
                 }
-                ctx.faults_mut().note_degraded();
-                ctx.trace_instant("fault:monitor_degraded");
+                ctx.emit(RankEvent::Fault(FaultNote::Degraded));
                 status = vec![STATUS_DEGRADED];
             } else {
                 match start_monitoring(rapl, ctx.node(), cfg, ctx.now()) {
                     Ok(s) => {
-                        ctx.trace_instant("start_monitoring");
-                        ctx.check_monitor_start();
+                        ctx.emit(RankEvent::Monitor(MonitorStep::Start));
                         session = Some(s);
                     }
-                    Err(MonitorError::Papi(code)) => {
-                        if cfg.degrade_on_fault {
-                            ctx.faults_mut().note_degraded();
-                            ctx.trace_instant("fault:monitor_degraded");
-                            status = vec![STATUS_DEGRADED];
-                        } else {
-                            status = vec![code as i64 as u64];
-                        }
+                    Err(_) if cfg.degrade_on_fault => {
+                        ctx.emit(RankEvent::Fault(FaultNote::Degraded));
+                        status = vec![STATUS_DEGRADED];
                     }
-                    Err(MonitorError::Io(_)) => unreachable!("start does no file i/o"),
+                    Err(e) => ctx.abort(
+                        AbortKind::Monitor,
+                        format!(
+                            "start_monitoring on rank {} (node {}): {e}",
+                            ctx.rank(),
+                            ctx.node()
+                        ),
+                    ),
                 }
             }
         }
@@ -124,10 +128,6 @@ impl MonitorHandle {
         let root = node_comm.size() - 1;
         let status = ctx.bcast_shared_u64(&node_comm, root, is_monitor.then_some(status));
         let degraded = status[0] == STATUS_DEGRADED;
-        if status[0] != STATUS_OK && !degraded {
-            ctx.trace_end("monitor", "monitor_begin");
-            return Err(MonitorError::Papi(status[0] as i64 as i32));
-        }
         // General execution synchronisation. A degraded node still joins:
         // the rest of the job must not notice the downgrade.
         ctx.barrier(&world);
@@ -159,8 +159,7 @@ impl MonitorHandle {
                     if !self.degrade_on_fault {
                         return Err(e);
                     }
-                    ctx.faults_mut().note_degraded();
-                    ctx.trace_instant("fault:monitor_degraded");
+                    ctx.emit(RankEvent::Fault(FaultNote::Degraded));
                     self.degraded = true;
                 }
             }
@@ -183,7 +182,7 @@ impl MonitorHandle {
         // barrier below: every other rank is about to enter it.
         let mut report = Ok(None);
         if let Some(session) = self.session {
-            ctx.check_monitor_end();
+            ctx.emit(RankEvent::Monitor(MonitorStep::End));
             match end_monitoring(session, ctx.node(), self.monitor_rank_world, ctx.now()) {
                 Ok(r) => {
                     ctx.trace_instant("end_monitoring");
@@ -198,8 +197,7 @@ impl MonitorHandle {
                 // with degradation enabled the node forfeits its report
                 // instead of failing the job.
                 Err(_) if self.degrade_on_fault => {
-                    ctx.faults_mut().note_degraded();
-                    ctx.trace_instant("fault:monitor_degraded");
+                    ctx.emit(RankEvent::Fault(FaultNote::Degraded));
                 }
                 Err(e) => report = Err(e),
             }

@@ -7,7 +7,7 @@ use greenla_cluster::spec::ClusterSpec;
 use greenla_cluster::PowerModel;
 use greenla_monitor::monitoring::MonitorConfig;
 use greenla_monitor::protocol::monitored_run;
-use greenla_mpi::{CheckSink, Machine, Rule};
+use greenla_mpi::{CheckSink, Machine, MonitorStep, RankEvent, Rule};
 use greenla_rapl::RaplSim;
 use std::sync::Arc;
 
@@ -43,12 +43,12 @@ fn wrong_designation_trips_mon001() {
     m.run(|ctx| {
         let world = ctx.world();
         let node_comm = ctx.split_shared(&world);
-        ctx.check_monitor_node_comm(&node_comm);
+        ctx.emit(RankEvent::Monitor(MonitorStep::NodeComm(node_comm.id())));
         ctx.barrier(&node_comm);
         // Broken program: the LOWEST rank starts the counters instead of
         // the node's highest rank.
         if ctx.rank() == 0 {
-            ctx.check_monitor_start();
+            ctx.emit(RankEvent::Monitor(MonitorStep::Start));
         }
         ctx.barrier(&world);
     });
@@ -73,10 +73,10 @@ fn barrierless_finish_trips_mon003_and_mon004() {
     m.run(|ctx| {
         let world = ctx.world();
         let node_comm = ctx.split_shared(&world);
-        ctx.check_monitor_node_comm(&node_comm);
+        ctx.emit(RankEvent::Monitor(MonitorStep::NodeComm(node_comm.id())));
         ctx.barrier(&node_comm);
         if node_comm.is_highest() {
-            ctx.check_monitor_start();
+            ctx.emit(RankEvent::Monitor(MonitorStep::Start));
         }
         ctx.barrier(&world);
         // Rank 0 works far longer than the monitoring rank.
@@ -89,7 +89,7 @@ fn barrierless_finish_trips_mon003_and_mon004() {
         // Broken program: the monitoring rank stops the counters at its OWN
         // finish time, without the node barrier Figure 2 requires.
         if node_comm.is_highest() {
-            ctx.check_monitor_end();
+            ctx.emit(RankEvent::Monitor(MonitorStep::End));
         }
         ctx.barrier(&world);
     });

@@ -242,21 +242,46 @@ fn idle_socket_draws_half_ish_under_one_socket_layout() {
 
 #[test]
 fn papi_failure_reported_on_every_rank_of_the_node() {
-    let m = machine(1, 8);
-    let rapl = rapl_for(&m);
-    let cfg = MonitorConfig {
-        // A bogus event name: add_named_event fails on the monitoring rank.
-        events: Some(vec!["powercap:::ENERGY_UJ:ZONE99".into()]),
-        output_dir: None,
-        degrade_on_fault: false,
-    };
-    let out = m.run(|ctx| monitored_run(ctx, &rapl, &cfg, |ctx, _| ctx.compute(1000, 0)).err());
-    for e in out.results {
-        assert_eq!(
-            e,
-            Some(MonitorError::Papi(-7)),
-            "PAPI_ENOEVNT must reach every rank"
-        );
+    // Node 0's monitoring rank cannot start measuring (a bogus event name:
+    // `add_named_event` fails with PAPI_ENOEVNT) and may not degrade. The
+    // failure must reach every rank of its node *and* of every other node
+    // as the run's one typed cause, recorded where it happened — an `Err`
+    // handed to node 0 alone left node 1 waiting in the job-wide barrier
+    // until quiescence blamed one of its healthy ranks for a deadlock.
+    for (nodes, ranks) in [(2, 16), (1, 8)] {
+        for kind in [SchedulerKind::ThreadPerRank, SchedulerKind::EventDriven] {
+            if !kind.supported() {
+                continue;
+            }
+            let m = machine(nodes, ranks).with_scheduler(kind);
+            let rapl = rapl_for(&m);
+            // On a watchdog thread, so a carrier that parks forever fails
+            // this leg instead of stalling the suite.
+            let (tx, rx) = std::sync::mpsc::channel();
+            let run = std::thread::spawn(move || {
+                let out = m.try_run(|ctx| {
+                    let cfg = MonitorConfig {
+                        events: (ctx.node() == 0)
+                            .then(|| vec!["powercap:::ENERGY_UJ:ZONE99".into()]),
+                        output_dir: None,
+                        degrade_on_fault: false,
+                    };
+                    monitored_run(ctx, &rapl, &cfg, |ctx, _| ctx.compute(1000, 0)).map(|_| ())
+                });
+                let _ = tx.send(out.err());
+            });
+            let leg = format!("{nodes} node(s), {kind} engine");
+            let abort = rx
+                .recv_timeout(std::time::Duration::from_secs(120))
+                .unwrap_or_else(|_| panic!("{leg}: run hung instead of aborting"))
+                .unwrap_or_else(|| panic!("{leg}: run must abort, but it completed"));
+            run.join().expect("try_run returns the abort");
+            assert_eq!(
+                (abort.kind, abort.rank),
+                (AbortKind::Monitor, 7),
+                "{leg}: {abort}"
+            );
+        }
     }
 }
 

@@ -34,8 +34,9 @@ use crate::comm::Comm;
 use crate::context::{RankCtx, COLL_TAG};
 use crate::envelope::Payload;
 use crate::error::{AbortKind, CollContractError};
+use crate::event::RankEvent;
 use greenla_check::tagspace;
-use greenla_check::{CollEvent, CollKind};
+use greenla_check::CollKind;
 use std::sync::Arc;
 
 /// Marker chunk id for unchunked collective messages (keeps plain and
@@ -141,30 +142,10 @@ fn sum_op(a: &mut [f64], b: &[f64]) {
 }
 
 impl<'m> RankCtx<'m> {
-    /// Allocate this collective's sequence number and record its lockstep
-    /// signature with the checker.
-    fn coll_site(&mut self, comm: &Comm, kind: CollKind, root: Option<usize>, elems: u64) -> u64 {
-        let seq = self.next_seq(comm.id());
-        self.check_enter_coll(
-            CollEvent {
-                comm: comm.id(),
-                seq,
-                kind,
-                root,
-                elems,
-            },
-            comm.members(),
-        );
-        seq
-    }
-
-    /// Register the `chunks` tag chunks one collective draws from its
-    /// sequence number with the checker (COLL002).
-    fn check_tag_chunks(&mut self, seq: u64, chunks: u64) {
-        if self.checker.enabled() {
-            let t = self.clock;
-            self.checker.coll_tag_space(seq, chunks, t);
-        }
+    /// Announce the `chunks` tag chunks one collective draws from its
+    /// sequence number (COLL002 audits them).
+    fn tag_chunks(&mut self, seq: u64, chunks: u64) {
+        self.emit(RankEvent::CollTagChunks { seq, chunks });
     }
 
     /// Abort the run when a peer's reduction buffer does not match ours.
@@ -224,14 +205,14 @@ impl<'m> RankCtx<'m> {
     /// the result should prefer [`RankCtx::bcast_shared_f64`], which skips
     /// the copy-on-unwrap of a buffer still shared with in-flight sends.
     pub fn bcast_f64(&mut self, comm: &Comm, root: usize, buf: &mut Vec<f64>) {
-        self.trace_begin("coll", "bcast");
-        let payload = if comm.rank() == root {
-            Some(Payload::f64(std::mem::take(buf)))
-        } else {
-            None
-        };
-        *buf = self.bcast_payload(comm, root, payload).expect_f64();
-        self.trace_end("coll", "bcast");
+        self.coll_span("bcast", |ctx| {
+            let payload = if comm.rank() == root {
+                Some(Payload::f64(std::mem::take(buf)))
+            } else {
+                None
+            };
+            *buf = ctx.bcast_payload(comm, root, payload).expect_f64();
+        });
     }
 
     /// Zero-copy `MPI_Bcast` of doubles for read-only consumers: the root
@@ -243,15 +224,14 @@ impl<'m> RankCtx<'m> {
         root: usize,
         data: Option<Vec<f64>>,
     ) -> Arc<Vec<f64>> {
-        self.trace_begin("coll", "bcast");
-        let payload = if comm.rank() == root {
-            Some(Payload::f64(data.expect("root must supply the payload")))
-        } else {
-            None
-        };
-        let out = self.bcast_payload(comm, root, payload).into_shared_f64();
-        self.trace_end("coll", "bcast");
-        out
+        self.coll_span("bcast", |ctx| {
+            let payload = if comm.rank() == root {
+                Some(Payload::f64(data.expect("root must supply the payload")))
+            } else {
+                None
+            };
+            ctx.bcast_payload(comm, root, payload).into_shared_f64()
+        })
     }
 
     /// Zero-copy `MPI_Bcast` of u64 values for read-only consumers.
@@ -261,15 +241,14 @@ impl<'m> RankCtx<'m> {
         root: usize,
         data: Option<Vec<u64>>,
     ) -> Arc<Vec<u64>> {
-        self.trace_begin("coll", "bcast");
-        let payload = if comm.rank() == root {
-            Some(Payload::u64(data.expect("root must supply the payload")))
-        } else {
-            None
-        };
-        let out = self.bcast_payload(comm, root, payload).into_shared_u64();
-        self.trace_end("coll", "bcast");
-        out
+        self.coll_span("bcast", |ctx| {
+            let payload = if comm.rank() == root {
+                Some(Payload::u64(data.expect("root must supply the payload")))
+            } else {
+                None
+            };
+            ctx.bcast_payload(comm, root, payload).into_shared_u64()
+        })
     }
 
     /// Pipelined large-message broadcast: a binary tree over the
@@ -288,7 +267,18 @@ impl<'m> RankCtx<'m> {
         chunk_elems: usize,
     ) {
         assert!(chunk_elems > 0, "chunk size must be positive");
-        self.trace_begin("coll", "bcast_pipelined");
+        self.coll_span("bcast_pipelined", |ctx| {
+            ctx.bcast_pipelined_impl(comm, root, buf, chunk_elems)
+        });
+    }
+
+    fn bcast_pipelined_impl(
+        &mut self,
+        comm: &Comm,
+        root: usize,
+        buf: &mut Vec<f64>,
+        chunk_elems: usize,
+    ) {
         let p = comm.size();
         let me = comm.rank();
         let seq = self.coll_site(
@@ -298,7 +288,6 @@ impl<'m> RankCtx<'m> {
             chunk_elems as u64,
         );
         if p == 1 {
-            self.trace_end("coll", "bcast_pipelined");
             return;
         }
         let tag = |chunk: u64| compose_coll_tag(seq, chunk);
@@ -327,7 +316,7 @@ impl<'m> RankCtx<'m> {
         }
         let total = header[0] as usize;
         let nchunks = total.div_ceil(chunk_elems).max(1);
-        self.check_tag_chunks(seq, nchunks as u64);
+        self.tag_chunks(seq, nchunks as u64);
         let mut out: Vec<f64> = if rel == 0 {
             std::mem::take(buf)
         } else {
@@ -351,7 +340,6 @@ impl<'m> RankCtx<'m> {
             }
         }
         *buf = out;
-        self.trace_end("coll", "bcast_pipelined");
     }
 
     fn recv_payload_u64(&mut self, comm: &Comm, src_index: usize, tag: u64) -> Vec<u64> {
@@ -364,14 +352,14 @@ impl<'m> RankCtx<'m> {
 
     /// `MPI_Bcast` of u64 values.
     fn bcast_u64(&mut self, comm: &Comm, root: usize, buf: &mut Vec<u64>) {
-        self.trace_begin("coll", "bcast");
-        let payload = if comm.rank() == root {
-            Some(Payload::u64(std::mem::take(buf)))
-        } else {
-            None
-        };
-        *buf = self.bcast_payload(comm, root, payload).expect_u64();
-        self.trace_end("coll", "bcast");
+        self.coll_span("bcast", |ctx| {
+            let payload = if comm.rank() == root {
+                Some(Payload::u64(std::mem::take(buf)))
+            } else {
+                None
+            };
+            *buf = ctx.bcast_payload(comm, root, payload).expect_u64();
+        });
     }
 
     /// Binomial-tree reduction of f64 vectors toward `root` with a custom
@@ -384,10 +372,9 @@ impl<'m> RankCtx<'m> {
         acc: Vec<f64>,
         op: impl Fn(&mut [f64], &[f64]),
     ) -> Option<Vec<f64>> {
-        self.trace_begin("coll", "reduce");
-        let out = self.reduce_f64_with_impl(comm, root, acc, op);
-        self.trace_end("coll", "reduce");
-        out
+        self.coll_span("reduce", |ctx| {
+            ctx.reduce_f64_with_impl(comm, root, acc, op)
+        })
     }
 
     fn reduce_f64_with_impl(
@@ -509,7 +496,7 @@ impl<'m> RankCtx<'m> {
         let (r, steps) = (p - p2, p2.trailing_zeros() as u64);
         // Tag chunks: 0 = fold, 1..=steps = butterfly rounds,
         // steps+1 = unfold.
-        self.check_tag_chunks(seq, steps + 2);
+        self.tag_chunks(seq, steps + 2);
         let tag = |chunk: u64| compose_coll_tag(seq, chunk);
         if let Some(nr) = self.allreduce_fold(comm, tag(0), &mut acc, &op) {
             for s in 0..steps {
@@ -557,7 +544,7 @@ impl<'m> RankCtx<'m> {
         let (r, steps) = (p - p2, p2.trailing_zeros() as usize);
         // Tag chunks: 0 = fold, 1..=steps = halving rounds,
         // steps+1..=2·steps = doubling rounds, 2·steps+1 = unfold.
-        self.check_tag_chunks(seq, 2 * steps as u64 + 2);
+        self.tag_chunks(seq, 2 * steps as u64 + 2);
         let tag = |chunk: usize| compose_coll_tag(seq, chunk as u64);
         if let Some(nr) = self.allreduce_fold(comm, tag(0), &mut acc, &op) {
             let partner = |s: usize| rd_participant_rank(nr ^ (1 << s), r);
@@ -610,26 +597,18 @@ impl<'m> RankCtx<'m> {
     /// the contribution skip the copy.
     pub fn allreduce_sum_owned_f64(&mut self, comm: &Comm, data: Vec<f64>) -> Vec<f64> {
         match allreduce_arm(comm.size(), data.len()) {
-            AllreduceArm::Trees => {
-                self.trace_begin("coll", "allreduce");
-                let reduced = self.reduce_f64_with(comm, 0, data, sum_op);
+            AllreduceArm::Trees => self.coll_span("allreduce", |ctx| {
+                let reduced = ctx.reduce_f64_with(comm, 0, data, sum_op);
                 let mut buf = reduced.unwrap_or_default();
-                self.bcast_f64(comm, 0, &mut buf);
-                self.trace_end("coll", "allreduce");
+                ctx.bcast_f64(comm, 0, &mut buf);
                 buf
-            }
+            }),
             AllreduceArm::RecursiveDoubling => {
-                self.trace_begin("coll", "allreduce_rd");
-                let out = self.allreduce_rd(comm, data, sum_op);
-                self.trace_end("coll", "allreduce_rd");
-                out
+                self.coll_span("allreduce_rd", |ctx| ctx.allreduce_rd(comm, data, sum_op))
             }
-            AllreduceArm::Rabenseifner => {
-                self.trace_begin("coll", "allreduce_rsag");
-                let out = self.allreduce_rsag(comm, data, sum_op);
-                self.trace_end("coll", "allreduce_rsag");
-                out
-            }
+            AllreduceArm::Rabenseifner => self.coll_span("allreduce_rsag", |ctx| {
+                ctx.allreduce_rsag(comm, data, sum_op)
+            }),
         }
     }
 
@@ -640,18 +619,18 @@ impl<'m> RankCtx<'m> {
     /// resolves statically to the tree pair — which is also what the
     /// paper's per-column message formulas count.
     pub fn allreduce_maxloc_abs(&mut self, comm: &Comm, v: f64, loc: u64) -> (f64, u64) {
-        self.trace_begin("coll", "allreduce_maxloc");
-        let reduced = self.reduce_f64_with(comm, 0, vec![v, loc as f64], |a, b| {
-            let better = b[0].abs() > a[0].abs() || (b[0].abs() == a[0].abs() && b[1] < a[1]);
-            if better {
-                a[0] = b[0];
-                a[1] = b[1];
-            }
-        });
-        let mut buf = reduced.unwrap_or_default();
-        self.bcast_f64(comm, 0, &mut buf);
-        self.trace_end("coll", "allreduce_maxloc");
-        (buf[0], buf[1] as u64)
+        self.coll_span("allreduce_maxloc", |ctx| {
+            let reduced = ctx.reduce_f64_with(comm, 0, vec![v, loc as f64], |a, b| {
+                let better = b[0].abs() > a[0].abs() || (b[0].abs() == a[0].abs() && b[1] < a[1]);
+                if better {
+                    a[0] = b[0];
+                    a[1] = b[1];
+                }
+            });
+            let mut buf = reduced.unwrap_or_default();
+            ctx.bcast_f64(comm, 0, &mut buf);
+            (buf[0], buf[1] as u64)
+        })
     }
 
     /// Gather every member's payload at the root, receiving in completion
@@ -684,12 +663,10 @@ impl<'m> RankCtx<'m> {
     /// `MPI_Gather` of variable-length f64 chunks: the root receives every
     /// member's chunk (its own included), ordered by communicator rank.
     pub fn gather_f64(&mut self, comm: &Comm, root: usize, data: &[f64]) -> Option<Vec<Vec<f64>>> {
-        self.trace_begin("coll", "gather");
-        let result = self
-            .gather_payloads(comm, root, Payload::f64(data.to_vec()))
-            .map(|chunks| chunks.into_iter().map(Payload::expect_f64).collect());
-        self.trace_end("coll", "gather");
-        result
+        self.coll_span("gather", |ctx| {
+            ctx.gather_payloads(comm, root, Payload::f64(data.to_vec()))
+                .map(|chunks| chunks.into_iter().map(Payload::expect_f64).collect())
+        })
     }
 
     /// Zero-copy `MPI_Gather` for read-only roots: each received chunk is
@@ -700,12 +677,10 @@ impl<'m> RankCtx<'m> {
         root: usize,
         data: &[f64],
     ) -> Option<Vec<Arc<Vec<f64>>>> {
-        self.trace_begin("coll", "gather");
-        let result = self
-            .gather_payloads(comm, root, Payload::f64(data.to_vec()))
-            .map(|chunks| chunks.into_iter().map(Payload::into_shared_f64).collect());
-        self.trace_end("coll", "gather");
-        result
+        self.coll_span("gather", |ctx| {
+            ctx.gather_payloads(comm, root, Payload::f64(data.to_vec()))
+                .map(|chunks| chunks.into_iter().map(Payload::into_shared_f64).collect())
+        })
     }
 
     /// Ring allgather core: step `s` sends chunk `(me − s) mod p` to the
@@ -722,7 +697,7 @@ impl<'m> RankCtx<'m> {
         let mut chunks: Vec<Option<Payload>> = (0..p).map(|_| None).collect();
         chunks[me] = Some(Payload::f64(data.to_vec()));
         if p > 1 {
-            self.check_tag_chunks(seq, (p - 1) as u64);
+            self.tag_chunks(seq, (p - 1) as u64);
             let right = (me + 1) % p;
             let left = (me + p - 1) % p;
             for s in 0..p - 1 {
@@ -748,27 +723,23 @@ impl<'m> RankCtx<'m> {
     /// [`RankCtx::allgather_shared_f64`], which skips materialising owned
     /// copies of chunks still shared with in-flight forwards.
     pub fn allgather_f64(&mut self, comm: &Comm, data: &[f64]) -> Vec<Vec<f64>> {
-        self.trace_begin("coll", "allgather_ring");
-        let out = self
-            .allgather_ring(comm, data)
-            .into_iter()
-            .map(Payload::expect_f64)
-            .collect();
-        self.trace_end("coll", "allgather_ring");
-        out
+        self.coll_span("allgather_ring", |ctx| {
+            ctx.allgather_ring(comm, data)
+                .into_iter()
+                .map(Payload::expect_f64)
+                .collect()
+        })
     }
 
     /// Zero-copy ring allgather: every chunk comes back as its
     /// originator's shared allocation.
     pub fn allgather_shared_f64(&mut self, comm: &Comm, data: &[f64]) -> Vec<Arc<Vec<f64>>> {
-        self.trace_begin("coll", "allgather_ring");
-        let out = self
-            .allgather_ring(comm, data)
-            .into_iter()
-            .map(Payload::into_shared_f64)
-            .collect();
-        self.trace_end("coll", "allgather_ring");
-        out
+        self.coll_span("allgather_ring", |ctx| {
+            ctx.allgather_ring(comm, data)
+                .into_iter()
+                .map(Payload::into_shared_f64)
+                .collect()
+        })
     }
 
     /// Size-adaptive allgather for callers that know the combined element
@@ -785,7 +756,7 @@ impl<'m> RankCtx<'m> {
         total_elems: usize,
     ) -> Vec<Vec<f64>> {
         if 8 * total_elems as u64 <= COLL_SMALL_BYTES {
-            self.allgather_f64_tree(comm, data)
+            self.coll_span("allgather_tree", |ctx| ctx.allgather_f64_tree(comm, data))
         } else {
             self.allgather_f64(comm, data)
         }
@@ -795,7 +766,6 @@ impl<'m> RankCtx<'m> {
     /// counts and the flattened payload: the small-payload arm of
     /// [`RankCtx::allgather_sized_f64`].
     fn allgather_f64_tree(&mut self, comm: &Comm, data: &[f64]) -> Vec<Vec<f64>> {
-        self.trace_begin("coll", "allgather_tree");
         let gathered = self.gather_f64(comm, 0, data);
         let (mut counts, mut flat) = match gathered {
             Some(chunks) => {
@@ -814,7 +784,6 @@ impl<'m> RankCtx<'m> {
             out.push(flat[off..off + c].to_vec());
             off += c;
         }
-        self.trace_end("coll", "allgather_tree");
         out
     }
 }

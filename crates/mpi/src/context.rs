@@ -3,18 +3,17 @@
 use crate::comm::{Comm, WORLD_ID};
 use crate::envelope::{Envelope, Payload};
 use crate::error::AbortKind;
+use crate::event::{Observers, RankEvent};
 use crate::mailbox::Mailboxes;
 use crate::registry::{leave_run, Registry, SplitEntry};
 use crate::sched::WakeReason;
 use crate::traffic::Traffic;
-use greenla_check::{CollEvent, CollKind, RankChecker};
+use greenla_check::{CollEvent, CollKind};
 use greenla_cluster::ledger::{ActivityKind, Interval, Ledger};
 use greenla_cluster::placement::Placement;
 use greenla_cluster::spec::ClusterSpec;
 use greenla_cluster::topology::CoreId;
-use greenla_cluster::PowerModel;
-use greenla_faults::{retry_backoff_s, MsgFaultKind, RankFaults, MAX_SEND_RETRIES};
-use greenla_trace::RankTracer;
+use greenla_faults::{retry_backoff_s, FaultNote, MsgFaultKind, RankFaults, MAX_SEND_RETRIES};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -31,8 +30,6 @@ pub struct RankCtx<'m> {
     pub(crate) core: CoreId,
     pub(crate) clock: f64,
     pub(crate) spec: &'m ClusterSpec,
-    pub(crate) power: &'m PowerModel,
-    pub(crate) seed: u64,
     pub(crate) perf_mult: f64,
     pub(crate) ledger: &'m Ledger,
     pub(crate) traffic: &'m Traffic,
@@ -45,19 +42,19 @@ pub struct RankCtx<'m> {
     /// as ranks issue collectives in the same order — the MPI contract).
     pub(crate) seqs: HashMap<u64, u64>,
     pub(crate) world_members: Arc<Vec<usize>>,
-    /// Event recorder for this rank; a no-op unless the machine has an
-    /// enabled [`greenla_trace::TraceSink`] attached.
-    pub(crate) tracer: RankTracer,
-    /// Correctness-checker hooks for this rank; a no-op unless the machine
-    /// has an enabled [`greenla_check::CheckSink`] attached. Hooks only
-    /// observe the virtual clocks, never advance them.
-    pub(crate) checker: RankChecker,
+    /// This rank's trace recorder and checker hooks; inert unless the
+    /// machine has the matching sink attached. They hear what
+    /// [`RankCtx::emit`] tells them and nothing else.
+    pub(crate) observers: Observers,
     /// Planned-fault state for this rank; a no-op unless the machine has
     /// an enabled [`greenla_faults::FaultSink`] attached. Unlike the
     /// observers above, active faults *do* perturb virtual time (that is
-    /// their point) — but a disabled handle costs one branch per hook and
-    /// leaves the timeline untouched.
+    /// their point) — but a disabled handle costs one branch per injection
+    /// point and leaves the timeline untouched.
     pub(crate) faults: RankFaults,
+    /// Does anything listen to the run's events — a trace sink, a check
+    /// sink or a fault sink?
+    pub(crate) observed: bool,
 }
 
 impl<'m> RankCtx<'m> {
@@ -76,11 +73,6 @@ impl<'m> RankCtx<'m> {
         Comm::new(WORLD_ID, Arc::clone(&self.world_members), self.rank)
     }
 
-    /// Physical core this rank is pinned to.
-    pub fn core(&self) -> CoreId {
-        self.core
-    }
-
     /// Node index of this rank.
     pub fn node(&self) -> usize {
         self.core.node
@@ -91,58 +83,49 @@ impl<'m> RankCtx<'m> {
         self.clock
     }
 
-    /// Cluster specification.
-    pub fn cluster(&self) -> &ClusterSpec {
-        self.spec
-    }
-
-    /// Power model of the machine (monitoring layers read energies through
-    /// RAPL, but the model itself is public for ground-truth comparisons).
-    pub fn power_model(&self) -> &PowerModel {
-        self.power
-    }
-
-    /// Run seed (selects node jitter draws).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Activity ledger (read-only use; the context itself records).
-    pub fn ledger(&self) -> &Ledger {
-        self.ledger
-    }
-
     /// Rank placement for the run.
     pub fn placement(&self) -> &Placement {
         self.placement
     }
 
-    // ----- event tracing ---------------------------------------------------------
+    // ----- the event spine -------------------------------------------------------
+
+    /// Say what this rank just did, at its current virtual time. One
+    /// branch when nothing listens; otherwise [`crate::event`] decides
+    /// what the trace, the checker and the fault tallies hear. Listeners
+    /// get the clock by value: hearing an event never moves it.
+    #[inline]
+    pub fn emit(&mut self, ev: RankEvent<'_>) {
+        if self.observed {
+            self.observers.hear(&mut self.faults, self.clock, ev);
+        }
+    }
 
     /// Is event tracing active for this run? Workloads can skip building
     /// span labels when it is not.
     pub fn trace_enabled(&self) -> bool {
-        self.tracer.enabled()
+        self.observers.tracer.enabled()
     }
 
     /// Open a trace span at the current virtual time. Spans on one rank
     /// must nest (close in LIFO order). No-op when tracing is disabled.
     pub fn trace_begin(&mut self, cat: &'static str, name: &str) {
-        let t = self.clock;
-        self.tracer.begin(cat, name, t);
+        self.emit(RankEvent::SpanBegin {
+            cat,
+            name,
+            args: &[],
+        });
     }
 
     /// Close the innermost open span with this name at the current virtual
     /// time.
     pub fn trace_end(&mut self, cat: &'static str, name: &str) {
-        let t = self.clock;
-        self.tracer.end(cat, name, t);
+        self.emit(RankEvent::SpanEnd { cat, name });
     }
 
     /// Record a zero-duration marker at the current virtual time.
     pub fn trace_instant(&mut self, name: &str) {
-        let t = self.clock;
-        self.tracer.instant(name, t);
+        self.emit(RankEvent::Mark(name));
     }
 
     // ----- fault injection -------------------------------------------------------
@@ -152,16 +135,11 @@ impl<'m> RankCtx<'m> {
         self.faults.enabled()
     }
 
-    /// This rank's fault handle (plan queries and recovery accounting for
-    /// higher layers — the monitor protocol and checksum-protected
-    /// solvers).
+    /// This rank's fault handle, for the plan queries higher layers make
+    /// (the monitor protocol, checksum-protected solvers). What a fault
+    /// then did is reported through [`RankCtx::emit`].
     pub fn faults_mut(&mut self) -> &mut RankFaults {
         &mut self.faults
-    }
-
-    /// Shorthand for the mid-protocol checks higher layers make.
-    pub fn faults(&self) -> &RankFaults {
-        &self.faults
     }
 
     /// An injection point: every compute and send entry passes through
@@ -172,8 +150,7 @@ impl<'m> RankCtx<'m> {
             return;
         }
         if let Some(msg) = self.faults.crash_due(self.clock) {
-            let t = self.clock;
-            self.tracer.instant("fault:crash", t);
+            self.trace_instant("fault:crash");
             self.abort(AbortKind::InjectedFault, msg);
         }
     }
@@ -246,25 +223,13 @@ impl<'m> RankCtx<'m> {
             self.ledger
                 .record_dram(self.core.node, self.core.socket, self.clock, dram_bytes);
         }
-        if self.tracer.enabled() {
-            let t = self.clock;
-            self.tracer.begin_with_args(
-                "compute",
-                "compute",
-                t,
-                &[("flops", flops as f64), ("dram_bytes", dram_bytes as f64)],
-            );
-        }
         let t0 = self.clock;
         self.busy(t_flops.max(t_mem), ActivityKind::Compute, flops);
-        if self.tracer.enabled() {
-            let t = self.clock;
-            self.tracer.end("compute", "compute", t);
-        }
-        if self.checker.enabled() {
-            let t1 = self.clock;
-            self.checker.compute(t0, t1);
-        }
+        self.emit(RankEvent::Computed {
+            t0,
+            flops,
+            dram_bytes,
+        });
     }
 
     /// Charge a pure memory operation (allocation, initialisation, copies)
@@ -294,31 +259,20 @@ impl<'m> RankCtx<'m> {
         let bytes = payload.size_bytes();
         let same_node = self.placement.node_of(dst) == self.core.node;
         let o = self.spec.net.per_message_overhead_s;
-        if self.tracer.enabled() {
-            let t = self.clock;
-            self.tracer.begin_with_args(
-                "comm",
-                "send",
-                t,
-                &[("bytes", bytes as f64), ("dst", dst as f64)],
-            );
-        }
+        self.emit(RankEvent::SendBegin { dst, bytes });
         self.busy(o, ActivityKind::Comm, 0);
         if let Some(MsgFaultKind::Drop { count }) = fault {
             // Sender-side retry with exponential virtual backoff: each
             // dropped attempt costs busy time, so faults leave a visible,
             // deterministic footprint in the timeline.
-            self.faults.record_drop_injected(count as u64);
-            let t = self.clock;
-            self.tracer.instant("fault:drop", t);
+            self.emit(RankEvent::Fault(FaultNote::DropInjected(count as u64)));
             for attempt in 0..count.min(MAX_SEND_RETRIES + 1) {
                 self.busy(retry_backoff_s(o, attempt), ActivityKind::Comm, 0);
             }
             if count > MAX_SEND_RETRIES {
-                if self.tracer.enabled() {
-                    let t = self.clock;
-                    self.tracer.end("comm", "send", t);
-                }
+                // Nothing was sent: the trace closes its span, the checker
+                // hears no `SendEnd`.
+                self.trace_end("comm", "send");
                 self.abort(
                     AbortKind::InjectedFault,
                     format!(
@@ -329,25 +283,21 @@ impl<'m> RankCtx<'m> {
                     ),
                 );
             }
-            self.faults.record_drop_recovered(count as u64);
+            self.emit(RankEvent::Fault(FaultNote::DropRecovered(count as u64)));
         }
         let mut arrival = self.clock + self.spec.net.message_time(bytes, same_node);
         let mut delayed = false;
         if let Some(MsgFaultKind::Delay { extra_s }) = fault {
             arrival += extra_s;
             delayed = true;
-            self.faults.record_delay_injected();
-            let t = self.clock;
-            self.tracer.instant("fault:delay", t);
+            self.emit(RankEvent::Fault(FaultNote::DelayInjected));
         }
         let duplicate = matches!(fault, Some(MsgFaultKind::Duplicate));
         self.traffic.record(bytes, same_node);
         if duplicate {
             // The phantom copy crosses the wire too; the receiver discards
             // it on sight.
-            self.faults.record_dup_injected();
-            let t = self.clock;
-            self.tracer.instant("fault:dup", t);
+            self.emit(RankEvent::Fault(FaultNote::DupInjected));
             self.traffic.record(bytes, same_node);
             self.mail.post(
                 dst,
@@ -374,14 +324,7 @@ impl<'m> RankCtx<'m> {
                 delayed,
             },
         );
-        if self.tracer.enabled() {
-            let t = self.clock;
-            self.tracer.end("comm", "send", t);
-        }
-        if self.checker.enabled() {
-            let t = self.clock;
-            self.checker.sent(dst, comm.id(), tag, t);
-        }
+        self.emit(RankEvent::SendEnd);
     }
 
     /// Move the next wire envelope into the pending queue, blocking until
@@ -399,7 +342,7 @@ impl<'m> RankCtx<'m> {
             if engine.orphaned() {
                 // Every runnable task finished and nobody can wake us.
                 // With checking on, the probe can name who we wait for.
-                if self.checker.enabled() {
+                if self.observers.checker.enabled() {
                     self.registry.report_quiescent_deadlock();
                 }
                 self.abort(
@@ -415,58 +358,74 @@ impl<'m> RankCtx<'m> {
                 WakeReason::Quiescent => self.registry.report_quiescent_deadlock(),
             }
         };
+        self.admit(env);
+    }
+
+    /// Take one envelope off the wire: a control message means the run is
+    /// over, an injected duplicate is discarded on sight — it never reaches
+    /// the pending queue, so matching logic and the checker never see it —
+    /// and everything else queues for matching.
+    fn admit(&mut self, env: Envelope) {
         if env.is_control() {
             leave_run();
         }
         if env.dup {
-            // Injected duplicate: discard on sight — it never reaches the
-            // pending queue, so matching logic and the checker never see it.
-            self.faults.record_dup_discarded();
-            let t = self.clock;
-            self.tracer.instant("fault:dup_discarded", t);
-            return;
+            self.emit(RankEvent::Fault(FaultNote::DupDiscarded));
+        } else {
+            self.pending.push(env);
         }
-        self.pending.push(env);
     }
 
     pub(crate) fn recv_payload(&mut self, comm: &Comm, src_index: usize, tag: u64) -> Payload {
+        self.recv_matching(comm, src_index, tag, false)
+    }
+
+    /// The blocking receive: wait for the message `(src, comm, tag)` and
+    /// charge its completion. A busy receive spins until the message is
+    /// in — the whole wait is communication time, as in a blocking MPI
+    /// call; an `idle` one sleeps until the arrival and pays only the
+    /// wake-up/copy overhead (see [`RankCtx::recv_f64_idle`]).
+    fn recv_matching(&mut self, comm: &Comm, src_index: usize, tag: u64, idle: bool) -> Payload {
         let src = comm.global_rank(src_index);
         assert!(src != self.rank, "self-receive on comm {}", comm.id());
         let cid = comm.id();
-        if self.tracer.enabled() {
-            let t = self.clock;
-            self.tracer
-                .begin_with_args("comm", "recv", t, &[("src", src as f64)]);
-        }
-        if self.checker.enabled() {
-            let t = self.clock;
-            self.checker.block_recv(src, cid, tag, t);
-        }
-        loop {
+        let span = if idle { "recv_idle" } else { "recv" };
+        self.emit(RankEvent::RecvBegin {
+            span,
+            src,
+            comm: cid,
+            tag,
+            arg: ("src", src as f64),
+        });
+        let env = loop {
             if let Some(pos) = self
                 .pending
                 .iter()
                 .position(|e| e.src == src && e.comm_id == cid && e.tag == tag)
             {
-                let env = self.pending.remove(pos);
-                if env.delayed {
-                    self.faults.record_delay_observed();
-                }
-                let o = self.spec.net.per_message_overhead_s;
-                let done = (self.clock + o).max(env.arrival + o);
-                self.busy_until(done, ActivityKind::Comm);
-                if self.tracer.enabled() {
-                    let t = self.clock;
-                    self.tracer.end("comm", "recv", t);
-                }
-                if self.checker.enabled() {
-                    let t = self.clock;
-                    self.checker.unblock_recv(env.arrival, t);
-                }
-                return env.payload;
+                break self.pending.remove(pos);
             }
             self.pump_mailbox(src, tag);
+        };
+        if env.delayed {
+            self.emit(RankEvent::Fault(FaultNote::DelayObserved));
         }
+        let o = self.spec.net.per_message_overhead_s;
+        if idle {
+            // Advance without recording a busy interval.
+            if env.arrival > self.clock {
+                self.clock = env.arrival;
+            }
+            self.busy(o, ActivityKind::Comm, 0);
+        } else {
+            let done = (self.clock + o).max(env.arrival + o);
+            self.busy_until(done, ActivityKind::Comm);
+        }
+        self.emit(RankEvent::RecvEnd {
+            span,
+            arrival: env.arrival,
+        });
+        env.payload
     }
 
     /// Receive one message with `tag` from *every* rank in `srcs`
@@ -495,18 +454,16 @@ impl<'m> RankCtx<'m> {
         if srcs_g.is_empty() {
             return Vec::new();
         }
-        if self.tracer.enabled() {
-            let t = self.clock;
-            self.tracer
-                .begin_with_args("comm", "recv_set", t, &[("count", srcs_g.len() as f64)]);
-        }
-        if self.checker.enabled() {
-            // One wait-for edge toward a representative source keeps the
-            // deadlock probe sound: if this rank can never be satisfied,
-            // the whole system is still blocked and the probe fires.
-            let t = self.clock;
-            self.checker.block_recv(srcs_g[0], cid, tag, t);
-        }
+        // One wait-for edge toward a representative source keeps the
+        // deadlock probe sound: if this rank can never be satisfied, the
+        // whole system is still blocked and the probe fires.
+        self.emit(RankEvent::RecvBegin {
+            span: "recv_set",
+            src: srcs_g[0],
+            comm: cid,
+            tag,
+            arg: ("count", srcs_g.len() as f64),
+        });
         let mut got: Vec<Envelope> = Vec::with_capacity(srcs_g.len());
         while got.len() < srcs_g.len() {
             while let Some(pos) = self
@@ -532,29 +489,23 @@ impl<'m> RankCtx<'m> {
         let mut max_arrival: f64 = 0.0;
         for env in &got {
             if env.delayed {
-                self.faults.record_delay_observed();
+                self.emit(RankEvent::Fault(FaultNote::DelayObserved));
             }
-            if self.tracer.enabled() {
-                let t = self.clock;
-                self.tracer
-                    .begin_with_args("comm", "recv", t, &[("src", env.src as f64)]);
-            }
+            // The trace shows each completion; the checker waits on the set.
+            self.emit(RankEvent::SpanBegin {
+                cat: "comm",
+                name: "recv",
+                args: &[("src", env.src as f64)],
+            });
             let done = (self.clock + o).max(env.arrival + o);
             self.busy_until(done, ActivityKind::Comm);
-            if self.tracer.enabled() {
-                let t = self.clock;
-                self.tracer.end("comm", "recv", t);
-            }
+            self.trace_end("comm", "recv");
             max_arrival = max_arrival.max(env.arrival);
         }
-        if self.checker.enabled() {
-            let t = self.clock;
-            self.checker.unblock_recv(max_arrival, t);
-        }
-        if self.tracer.enabled() {
-            let t = self.clock;
-            self.tracer.end("comm", "recv_set", t);
-        }
+        self.emit(RankEvent::RecvEnd {
+            span: "recv_set",
+            arrival: max_arrival,
+        });
         // Hand payloads back aligned with the caller's source list.
         let mut out: Vec<Option<Payload>> = (0..srcs_g.len()).map(|_| None).collect();
         for env in got {
@@ -583,16 +534,7 @@ impl<'m> RankCtx<'m> {
         let src = comm.global_rank(src_index);
         let cid = comm.id();
         while let Some(env) = self.mail.try_pop(self.rank) {
-            if env.is_control() {
-                leave_run();
-            }
-            if env.dup {
-                self.faults.record_dup_discarded();
-                let t = self.clock;
-                self.tracer.instant("fault:dup_discarded", t);
-                continue;
-            }
-            self.pending.push(env);
+            self.admit(env);
         }
         self.pending
             .iter()
@@ -606,46 +548,7 @@ impl<'m> RankCtx<'m> {
     /// message's arrival.
     pub fn recv_f64_idle(&mut self, comm: &Comm, src: usize, tag: u64) -> Vec<f64> {
         assert!(tag < COLL_TAG, "user tag too large");
-        let src_g = comm.global_rank(src);
-        let cid = comm.id();
-        if self.tracer.enabled() {
-            let t = self.clock;
-            self.tracer
-                .begin_with_args("comm", "recv_idle", t, &[("src", src_g as f64)]);
-        }
-        if self.checker.enabled() {
-            let t = self.clock;
-            self.checker.block_recv(src_g, cid, tag, t);
-        }
-        loop {
-            if let Some(pos) = self
-                .pending
-                .iter()
-                .position(|e| e.src == src_g && e.comm_id == cid && e.tag == tag)
-            {
-                let env = self.pending.remove(pos);
-                if env.delayed {
-                    self.faults.record_delay_observed();
-                }
-                // Advance without recording a busy interval, then charge
-                // only the wake-up/copy overhead.
-                let o = self.spec.net.per_message_overhead_s;
-                if env.arrival > self.clock {
-                    self.clock = env.arrival;
-                }
-                self.busy(o, ActivityKind::Comm, 0);
-                if self.tracer.enabled() {
-                    let t = self.clock;
-                    self.tracer.end("comm", "recv_idle", t);
-                }
-                if self.checker.enabled() {
-                    let t = self.clock;
-                    self.checker.unblock_recv(env.arrival, t);
-                }
-                return env.payload.expect_f64();
-            }
-            self.pump_mailbox(src_g, tag);
-        }
+        self.recv_matching(comm, src, tag, true).expect_f64()
     }
 
     /// Send a slice of doubles to `dst` (communicator index) with `tag`.
@@ -684,80 +587,79 @@ impl<'m> RankCtx<'m> {
         }
     }
 
-    /// Record a collective entry with the checker (no-op when checking is
-    /// disabled).
-    pub(crate) fn check_enter_coll(&mut self, ev: CollEvent, members: &[usize]) {
-        if self.checker.enabled() {
-            let t = self.clock;
-            self.checker.coll_tag_space(ev.seq, 0, t);
-            self.checker.enter_coll(ev, members, t);
-        }
+    /// Allocate this collective's sequence number and announce its
+    /// lockstep signature.
+    pub(crate) fn coll_site(
+        &mut self,
+        comm: &Comm,
+        kind: CollKind,
+        root: Option<usize>,
+        elems: u64,
+    ) -> u64 {
+        let seq = self.next_seq(comm.id());
+        self.emit(RankEvent::CollEnter {
+            sig: CollEvent {
+                comm: comm.id(),
+                seq,
+                kind,
+                root,
+                elems,
+            },
+            members: comm.members(),
+        });
+        seq
+    }
+
+    /// Run a collective inside its `coll` trace span.
+    pub(crate) fn coll_span<R>(
+        &mut self,
+        name: &'static str,
+        body: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        self.trace_begin("coll", name);
+        let out = body(self);
+        self.trace_end("coll", name);
+        out
     }
 
     /// `MPI_Barrier`: blocks until every member arrives; all leave at
     /// `max(arrival) + α·⌈log₂ P⌉`.
     pub fn barrier(&mut self, comm: &Comm) {
-        self.trace_begin("coll", "barrier");
-        let p = comm.size();
-        let seq = self.next_seq(comm.id());
-        self.check_enter_coll(
-            CollEvent {
-                comm: comm.id(),
-                seq,
-                kind: CollKind::Barrier,
-                root: None,
-                elems: 0,
-            },
-            comm.members(),
-        );
-        if p > 1 {
-            let cost = self.coll_alpha(comm) * (p as f64).log2().ceil()
-                + self.spec.net.per_message_overhead_s;
-            let release = self.registry.barrier(comm.id(), seq, p, self.clock, cost);
-            self.busy_until(release, ActivityKind::Comm);
-        }
-        if self.checker.enabled() {
-            let t = self.clock;
-            self.checker.coll_done(t);
-        }
-        self.trace_end("coll", "barrier");
+        self.coll_span("barrier", |ctx| {
+            let p = comm.size();
+            let seq = ctx.coll_site(comm, CollKind::Barrier, None, 0);
+            if p > 1 {
+                let cost = ctx.coll_alpha(comm) * (p as f64).log2().ceil()
+                    + ctx.spec.net.per_message_overhead_s;
+                let release = ctx.registry.barrier(comm.id(), seq, p, ctx.clock, cost);
+                ctx.busy_until(release, ActivityKind::Comm);
+            }
+            ctx.emit(RankEvent::CollDone);
+        });
     }
 
     /// `MPI_Comm_split`: partition `comm` by `color`, ordering each new
     /// communicator by `(key, global rank)`.
     pub fn split(&mut self, comm: &Comm, color: u64, key: u64) -> Comm {
-        self.trace_begin("coll", "comm_split");
-        let p = comm.size();
-        let cost = self.coll_alpha(comm) * (p as f64).log2().ceil().max(1.0)
-            + self.spec.net.per_message_overhead_s;
-        let seq = self.next_seq(comm.id());
-        self.check_enter_coll(
-            CollEvent {
-                comm: comm.id(),
+        self.coll_span("comm_split", |ctx| {
+            let p = comm.size();
+            let cost = ctx.coll_alpha(comm) * (p as f64).log2().ceil().max(1.0)
+                + ctx.spec.net.per_message_overhead_s;
+            let seq = ctx.coll_site(comm, CollKind::Split, None, 0);
+            let out = ctx.registry.split(SplitEntry {
+                parent_id: comm.id(),
                 seq,
-                kind: CollKind::Split,
-                root: None,
-                elems: 0,
-            },
-            comm.members(),
-        );
-        let out = self.registry.split(SplitEntry {
-            parent_id: comm.id(),
-            seq,
-            expected: p,
-            grank: self.rank,
-            color,
-            key,
-            t: self.clock,
-            cost,
-        });
-        self.busy_until(out.release_t, ActivityKind::Comm);
-        if self.checker.enabled() {
-            let t = self.clock;
-            self.checker.coll_done(t);
-        }
-        self.trace_end("coll", "comm_split");
-        Comm::new(out.comm_id, out.members, out.my_index)
+                expected: p,
+                grank: ctx.rank,
+                color,
+                key,
+                t: ctx.clock,
+                cost,
+            });
+            ctx.busy_until(out.release_t, ActivityKind::Comm);
+            ctx.emit(RankEvent::CollDone);
+            Comm::new(out.comm_id, out.members, out.my_index)
+        })
     }
 
     /// `MPI_Comm_split_type(MPI_COMm_TYPE_SHARED)`: one communicator per
@@ -765,51 +667,6 @@ impl<'m> RankCtx<'m> {
     /// node" designation used by the monitoring framework is well defined.
     pub fn split_shared(&mut self, comm: &Comm) -> Comm {
         self.split(comm, self.core.node as u64, self.rank as u64)
-    }
-
-    // ----- correctness checking --------------------------------------------------
-
-    /// Is correctness checking active for this run?
-    pub fn check_enabled(&self) -> bool {
-        self.checker.enabled()
-    }
-
-    /// Tell the checker which communicator is this rank's node
-    /// communicator in the Figure-2 monitoring choreography. Called by the
-    /// monitoring layer right after `split_shared`.
-    pub fn check_monitor_node_comm(&mut self, node_comm: &Comm) {
-        if self.checker.enabled() {
-            let t = self.clock;
-            self.checker.monitor_node_comm(node_comm.id(), t);
-        }
-    }
-
-    /// Tell the checker `start_monitoring` ran on this rank (MON001: the
-    /// designated monitoring rank is the node's highest rank).
-    pub fn check_monitor_start(&mut self) {
-        if self.checker.enabled() {
-            let t = self.clock;
-            self.checker.monitor_start(t);
-        }
-    }
-
-    /// Tell the checker `end_monitoring` ran on this rank
-    /// (MON002/MON003/MON004: start before end, node barrier immediately
-    /// before, no work straddling the window).
-    pub fn check_monitor_end(&mut self) {
-        if self.checker.enabled() {
-            let t = self.clock;
-            self.checker.monitor_end(t);
-        }
-    }
-
-    /// Mark this rank finished for the wait-for graph (called by the
-    /// machine when the rank's closure returns).
-    pub(crate) fn check_finished(&mut self) {
-        if self.checker.enabled() {
-            let t = self.clock;
-            self.checker.rank_finished(t);
-        }
     }
 }
 

@@ -67,16 +67,6 @@ impl Payload {
         Payload::Bytes(Arc::new(v))
     }
 
-    /// Wrap an already-shared buffer (no copy, shares the allocation).
-    pub fn shared_f64(v: Arc<Vec<f64>>) -> Self {
-        Payload::F64(v)
-    }
-
-    /// Wrap an already-shared buffer (no copy, shares the allocation).
-    pub fn shared_u64(v: Arc<Vec<u64>>) -> Self {
-        Payload::U64(v)
-    }
-
     /// Payload size in bytes (what the network transfers).
     pub fn size_bytes(&self) -> u64 {
         match self {
@@ -140,17 +130,6 @@ impl Payload {
                 shared.as_ref().clone()
             }),
             other => panic!("expected U64 payload, got {other:?}"),
-        }
-    }
-
-    /// Unwrap into an owned `Vec`, copying only if the buffer is shared.
-    pub fn expect_bytes(self) -> Vec<u8> {
-        match self {
-            Payload::Bytes(v) => Arc::try_unwrap(v).unwrap_or_else(|shared| {
-                copy_audit::note();
-                shared.as_ref().clone()
-            }),
-            other => panic!("expected Bytes payload, got {other:?}"),
         }
     }
 }

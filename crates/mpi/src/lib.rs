@@ -29,24 +29,32 @@
 //! `MPI_Barrier` → [`RankCtx::barrier`], plus broadcast/reduce/gather and
 //! matched-pair send/recv.
 //!
-//! The runtime is instrumented with [`greenla_trace`] spans (compute,
-//! point-to-point, every collective). Attach a sink with
-//! [`Machine::with_trace`] to record them; tracing only *observes* the
-//! virtual clocks, so traced and untraced runs have identical timings.
-//!
-//! The same hooks feed [`greenla_check`], a MUST-style dynamic correctness
-//! checker: attach a sink with [`Machine::with_check`] and the runtime
-//! reports deadlocks (with the wait-for cycle, instead of hanging),
-//! collective lockstep mismatches, leaked messages at finalize, monitor
-//! protocol breaches, and clock-causality bugs as structured
-//! [`Violation`]s. Checking, like tracing, never advances a clock: a
-//! checked run is bit-identical in timing to an unchecked one.
+//! Everything optional that watches a rank hangs off one spine: each
+//! operation ends in one [`RankCtx::emit`] of a [`RankEvent`] — a single
+//! branch when nothing listens — and [`event`] alone decides what the
+//! listeners hear. Three exist. Attach a [`TraceSink`] with
+//! [`Machine::with_trace`] and the events become [`greenla_trace`] spans
+//! (compute, point-to-point, every collective, the monitoring
+//! choreography). Attach a [`CheckSink`] with [`Machine::with_check`] and
+//! the same events feed [`greenla_check`], a MUST-style dynamic
+//! correctness checker that reports deadlocks (with the wait-for cycle,
+//! instead of hanging), collective lockstep mismatches, leaked messages at
+//! finalize, monitor protocol breaches, and clock-causality bugs as
+//! structured [`Violation`]s. Attach a [`FaultSink`] with
+//! [`Machine::with_faults`] and [`RankEvent::Fault`] notes become the
+//! [`FaultReport`]'s tallies. Listeners are handed the clock by value, so
+//! an observed run is bit-identical in timing to an unobserved one; only a
+//! fault plan's *injections* — direct calls on [`RankFaults`], not events —
+//! may move a clock. The always-on [`Traffic`] and ledger tallies are
+//! direct calls too: RAPL reads the ledger mid-run, so they are part of
+//! the simulation, not observers of it.
 
 pub mod coll;
 pub mod comm;
 pub mod context;
 pub mod envelope;
 pub mod error;
+pub mod event;
 pub mod machine;
 pub(crate) mod mailbox;
 pub mod registry;
@@ -57,10 +65,11 @@ pub use comm::Comm;
 pub use context::RankCtx;
 pub use envelope::{copy_audit, Payload};
 pub use error::{Abort, AbortKind, CollContractError, MachineError};
+pub use event::{MonitorStep, RankEvent};
 pub use greenla_check::{CheckSink, CollEvent, CollKind, Rule, Violation};
 pub use greenla_faults::{
-    ColumnLoss, CounterFault, CounterFaultKind, CrashFault, CrashWhen, FaultPlan, FaultReport,
-    FaultSink, MsgFault, MsgFaultKind, PlanShape, RankFaults,
+    ColumnLoss, CounterFault, CounterFaultKind, CrashFault, CrashWhen, FaultNote, FaultPlan,
+    FaultReport, FaultSink, MsgFault, MsgFaultKind, PlanShape, RankFaults,
 };
 pub use greenla_trace::{EventKind, TraceEvent, TraceSink};
 pub use machine::{Machine, RunOutput};

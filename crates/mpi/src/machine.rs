@@ -5,6 +5,7 @@
 use crate::context::RankCtx;
 use crate::envelope::Envelope;
 use crate::error::{Abort, AbortKind, MachineError};
+use crate::event::{Observers, RankEvent};
 use crate::mailbox::Mailboxes;
 use crate::registry::{RankExit, Registry};
 use crate::sched::{Engine, SchedulerKind};
@@ -253,6 +254,8 @@ impl Machine {
         // slower peer's late send.
         let leftovers: Vec<Mutex<Vec<Envelope>>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
 
+        let observed =
+            self.trace.is_enabled() || self.check.is_enabled() || self.faults.is_enabled();
         // One rank's whole life: build the context, run the closure, bank
         // the outputs. The engine decides only what carries this body.
         let run_rank = |rank: usize| {
@@ -264,8 +267,6 @@ impl Machine {
                 core,
                 clock: 0.0,
                 spec: &self.spec,
-                power: &self.power,
-                seed: self.seed,
                 perf_mult,
                 ledger: &self.ledger,
                 traffic: &self.traffic,
@@ -275,15 +276,18 @@ impl Machine {
                 pending: Vec::new(),
                 seqs: Default::default(),
                 world_members: Arc::clone(&world_members),
-                tracer: self.trace.tracer(rank, core.node),
-                checker: self.check.checker(rank, core.node),
+                observers: Observers {
+                    tracer: self.trace.tracer(rank, core.node),
+                    checker: self.check.checker(rank, core.node),
+                },
                 faults: self.faults.handle(rank, core.node),
+                observed,
             };
             match catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
                 Ok(r) => {
                     *results[rank].lock() = Some(r);
                     *clocks[rank].lock() = ctx.clock;
-                    ctx.check_finished();
+                    ctx.emit(RankEvent::Finished);
                     *leftovers[rank].lock() = std::mem::take(&mut ctx.pending);
                 }
                 // The rank left an aborted run: its cause is on record.

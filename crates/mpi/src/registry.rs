@@ -325,11 +325,6 @@ impl Registry {
             map = self.splits.lock();
         }
     }
-
-    /// Allocate a fresh communicator id (used by dup-style operations).
-    pub fn fresh_comm_id(&self) -> u64 {
-        self.next_comm_id.fetch_add(1, Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]

@@ -46,6 +46,26 @@ impl PapiError {
         }
     }
 
+    /// The error with this C return code, for layers that carry only the
+    /// number.
+    pub fn from_code(code: i32) -> Option<PapiError> {
+        use PapiError::*;
+        [
+            InvalidArgument,
+            NoMemory,
+            Component,
+            NoSuchEvent,
+            Conflict,
+            NotRunning,
+            IsRunning,
+            NoSuchEventSet,
+            NotInitialized,
+            Version,
+        ]
+        .into_iter()
+        .find(|e| e.code() == code)
+    }
+
     /// `PAPI_strerror` equivalent.
     pub fn strerror(&self) -> &'static str {
         match self {
@@ -82,6 +102,8 @@ mod tests {
         assert_eq!(PapiError::NotRunning.code(), -9);
         assert_eq!(PapiError::IsRunning.code(), -10);
         assert_eq!(PapiError::NotInitialized.code(), -14);
+        assert_eq!(PapiError::from_code(-7), Some(PapiError::NoSuchEvent));
+        assert_eq!(PapiError::from_code(-3), None);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //!
 //! let sink = TraceSink::enabled();
 //! let mut tracer = sink.tracer(0, 0);
-//! tracer.begin("compute", "dgemm", 0.0);
+//! tracer.begin("compute", "dgemm", 0.0, &[]);
 //! tracer.end("compute", "dgemm", 1.5e-3);
 //! tracer.instant("checkpoint", 1.5e-3);
 //! tracer.flush();
@@ -46,7 +46,7 @@
 //! // A disabled sink records nothing and allocates nothing.
 //! let off = TraceSink::disabled();
 //! let mut t = off.tracer(0, 0);
-//! t.begin("compute", "dgemm", 0.0);
+//! t.begin("compute", "dgemm", 0.0, &[]);
 //! assert!(off.drain().is_empty());
 //! ```
 
@@ -154,16 +154,6 @@ pub struct RankTracer {
 }
 
 impl RankTracer {
-    /// A tracer that records nothing (for contexts built without a sink).
-    pub fn disabled() -> Self {
-        Self {
-            shared: None,
-            rank: 0,
-            node: 0,
-            buf: Vec::new(),
-        }
-    }
-
     /// Is this tracer recording? Callers can skip argument marshalling
     /// when false.
     #[inline]
@@ -194,21 +184,10 @@ impl RankTracer {
         });
     }
 
-    /// Open a span at virtual time `t_s`.
+    /// Open a span at virtual time `t_s`, carrying numeric args (byte
+    /// counts, peers, … — or none).
     #[inline]
-    pub fn begin(&mut self, cat: &'static str, name: &str, t_s: f64) {
-        self.push(EventKind::Begin, cat, name, t_s, &[]);
-    }
-
-    /// Open a span carrying numeric args (byte counts, peers, …).
-    #[inline]
-    pub fn begin_with_args(
-        &mut self,
-        cat: &'static str,
-        name: &str,
-        t_s: f64,
-        args: &[(&'static str, f64)],
-    ) {
+    pub fn begin(&mut self, cat: &'static str, name: &str, t_s: f64, args: &[(&'static str, f64)]) {
         self.push(EventKind::Begin, cat, name, t_s, args);
     }
 
@@ -257,8 +236,8 @@ mod tests {
         let sink = TraceSink::disabled();
         assert!(!sink.is_enabled());
         let mut tracer = sink.tracer(3, 1);
-        tracer.begin("compute", "work", 0.0);
-        tracer.begin_with_args("comm", "send", 0.1, &[("bytes", 80.0)]);
+        tracer.begin("compute", "work", 0.0, &[]);
+        tracer.begin("comm", "send", 0.1, &[("bytes", 80.0)]);
         tracer.end("comm", "send", 0.2);
         tracer.instant("mark", 0.3);
         assert!(tracer.buf.is_empty(), "disabled tracer must not buffer");
@@ -271,9 +250,9 @@ mod tests {
         let sink = TraceSink::enabled();
         let mut t1 = sink.tracer(1, 0);
         let mut t0 = sink.tracer(0, 0);
-        t1.begin("compute", "b", 0.5);
+        t1.begin("compute", "b", 0.5, &[]);
         t1.end("compute", "b", 0.9);
-        t0.begin("compute", "a", 0.0);
+        t0.begin("compute", "a", 0.0, &[]);
         t0.end("compute", "a", 0.4);
         // Flush out of rank order on purpose.
         t1.flush();
@@ -291,7 +270,7 @@ mod tests {
         let sink = TraceSink::enabled();
         {
             let mut tracer = sink.tracer(0, 0);
-            tracer.begin("compute", "interrupted", 0.0);
+            tracer.begin("compute", "interrupted", 0.0, &[]);
             // No explicit flush: the drop must publish.
         }
         let events = sink.drain();
@@ -304,7 +283,7 @@ mod tests {
     fn args_ride_along() {
         let sink = TraceSink::enabled();
         let mut tracer = sink.tracer(2, 1);
-        tracer.begin_with_args("comm", "send", 1.0, &[("bytes", 4096.0), ("dst", 5.0)]);
+        tracer.begin("comm", "send", 1.0, &[("bytes", 4096.0), ("dst", 5.0)]);
         tracer.flush();
         let events = sink.drain();
         assert_eq!(events[0].args, vec![("bytes", 4096.0), ("dst", 5.0)]);
