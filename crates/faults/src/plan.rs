@@ -92,7 +92,8 @@ pub struct CounterFault {
 }
 
 /// A runtime-driven single-column loss for checksum-protected solvers
-/// (IMe's `solve_imep_ft`): at `level` (counting down), the owner of table
+/// (IMeP: `reduce_table` arms its checksum guard when the plan carries
+/// one, and only then): at `level` (counting down), the owner of table
 /// column `column` loses that column's data. Plans are portable across
 /// problem sizes: consumers reduce `level` / `column` into their own valid
 /// range.

@@ -24,7 +24,6 @@ use greenla_cg::solver::{pcg, CgConfig};
 use greenla_cluster::placement::{LoadLayout, Placement};
 use greenla_cluster::spec::{ClusterSpec, NodeSpec};
 use greenla_cluster::{Interconnect, PowerModel};
-use greenla_ime::ft::solve_imep_ft;
 use greenla_ime::solve_imep;
 use greenla_linalg::flops;
 use greenla_linalg::generate::{LinearSystem, SystemKind};
@@ -194,9 +193,10 @@ impl Inputs {
 }
 
 /// Step 3 — one solve over `comm` on a running rank: the solution and, for
-/// CG, the `(iterations, refreshes)` counts. A run with fault injection
-/// armed routes IMe through the checksum-protected solver so a planned
-/// column loss is recoverable in-band. A solver error aborts the run as
+/// CG, the `(iterations, refreshes)` counts. Every run of a solver is the
+/// same program: IMe protects itself with a checksum exactly when the
+/// machine's fault plan schedules a `column_loss` (`reduce_table` reads the
+/// plan; nothing is chosen here). A solver error aborts the run as
 /// [`AbortKind::Solver`].
 pub fn solve(
     ctx: &mut RankCtx,
@@ -207,8 +207,6 @@ pub fn solve(
 ) -> (Vec<f64>, Option<(u64, u64)>) {
     let dense = &inputs.dense;
     let x = match solver {
-        SolverChoice::Ime { .. } if ctx.faults_enabled() => solve_imep_ft(ctx, comm, dense, None)
-            .unwrap_or_else(|e| ctx.abort(AbortKind::Solver, format!("IMe FT solve: {e}"))),
         SolverChoice::Ime { .. } => {
             let opts = solver.imep_options().expect("IMe options");
             solve_imep(ctx, comm, dense, opts)

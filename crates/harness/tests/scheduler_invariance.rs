@@ -372,7 +372,7 @@ fn faulted_trace_streams_are_identical_and_carry_fault_instants() {
     // recoverable fault family's instants.
     assert_eq!(
         trace_fingerprint(&first),
-        (21974, 0x323c_ca9e_dfea_65ab),
+        (21974, 0x4f89_bd76_403d_415b),
         "(events, FNV-1a of the compact JSON)"
     );
 }
@@ -449,21 +449,20 @@ fn listeners_hear_the_same_run_whoever_else_listens() {
         let (clean_stream, armed_stream) = (&rows[2].2, &rows[6].2);
         let instants = armed_stream.iter().filter(|e| is_fault_instant(e)).count();
         assert_eq!(instants, 1, "{}: the plan's one instant", solver.label());
-        // An armed plan sends IMe through its checksum-protected solver
-        // (`harness::run::solve`): a different program, so only CG can be
-        // held across the two plans — bit for bit, and event for event
-        // once the plan's own instant is set aside.
-        if matches!(solver, SolverChoice::Cg { .. }) {
-            assert_bit_identical(&rows[0].1, &rows[4].1, "cg, armed vs clean");
-            let heard: Vec<&TraceEvent> = armed_stream
-                .iter()
-                .filter(|e| !is_fault_instant(e))
-                .collect();
-            assert!(
-                heard == clean_stream.iter().collect::<Vec<_>>(),
-                "cg: a harmless plan must leave the rest of the stream alone"
-            );
-        }
+        // Armed or not, every solver runs one program (IMe arms its
+        // checksum only for a planned column loss), so the two plans are
+        // held to each other bit for bit, and event for event once the
+        // plan's own instant is set aside.
+        let what = format!("{}, armed vs clean", solver.label());
+        assert_bit_identical(&rows[0].1, &rows[4].1, &what);
+        let heard: Vec<&TraceEvent> = armed_stream
+            .iter()
+            .filter(|e| !is_fault_instant(e))
+            .collect();
+        assert!(
+            heard == clean_stream.iter().collect::<Vec<_>>(),
+            "{what}: a harmless plan must leave the rest of the stream alone"
+        );
     }
 }
 

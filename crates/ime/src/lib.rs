@@ -27,7 +27,7 @@
 
 pub mod error;
 pub mod formulas;
-pub mod ft;
+mod ft;
 pub mod par;
 pub mod seq;
 pub mod table;

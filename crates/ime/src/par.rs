@@ -10,17 +10,22 @@
 //!    broadcasts them to all slaves;
 //! 3. every node applies the fundamental update to the columns it owns;
 //! 4. the slaves **send the modified last-row (row `l`) entries of their
-//!    columns to the master**, which archives the reduced rows (they feed
-//!    the fault-tolerance extension and post-hoc verification).
+//!    columns to the master**, which archives the reduced rows (for
+//!    post-hoc verification; nothing downstream consumes them).
 //!
 //! Initialisation adds a master→slaves broadcast of `b`; termination adds a
 //! gather of the per-column solution components and a broadcast of the
 //! assembled `x`, so every rank returns the replicated solution (same
 //! convention as `pdgesv`).
+//!
+//! This is the only IMeP level loop. When the machine's fault plan
+//! schedules a column loss, [`reduce_table`] arms the checksum guard of
+//! `ft.rs` around it; a run that cannot lose a column runs the loop bare.
 
 use crate::error::ImeError;
+use crate::ft::Checksum;
 use crate::table::init_column;
-use greenla_linalg::blas1::ddot;
+use greenla_linalg::blas1::{daxpy, ddot};
 use greenla_linalg::flops;
 use greenla_linalg::generate::LinearSystem;
 use greenla_mpi::{Comm, RankCtx};
@@ -41,7 +46,8 @@ pub const BCAST_CHUNK: usize = 1024;
 /// compute-bound, not 50× memory-bound.
 pub const LEVEL_FUSE: u64 = 64;
 
-/// Tuning knobs for IMeP (exposed for the ablation benchmarks).
+/// The IMeP protocol variants: the paper's, the tuned one the figures run,
+/// and the single-switch steps between them that ablation A-1 prices.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ImepOptions {
     /// Send the last-row entries to the master every level (the paper's
@@ -93,7 +99,7 @@ pub(crate) fn owner(c: usize, nranks: usize) -> usize {
     c % nranks
 }
 
-const MASTER: usize = 0;
+pub(crate) const MASTER: usize = 0;
 
 /// The fully reduced inhibition table held by one rank: its share of the
 /// left block, which after the reduction equals the corresponding columns
@@ -154,6 +160,11 @@ impl ReducedTable {
 
 /// Run the IMeP reduction (INITIME + all levels) without consuming a
 /// right-hand side. Collective over `comm`.
+///
+/// A [`FaultPlan`](greenla_mpi::FaultPlan) with a `column_loss` on the
+/// machine makes this the protected run: the planned column is lost at the
+/// planned level and comes back from the master's checksum in-band, the
+/// victim accounting both in its `FaultReport`.
 pub fn reduce_table(
     ctx: &mut RankCtx,
     comm: &Comm,
@@ -187,8 +198,15 @@ pub fn reduce_table(
     // Master's archive of reduced rows (row l at each level).
     let mut archived_rows: Vec<Vec<f64>> = Vec::new();
 
+    // Armed only where the fault plan can lose a column.
+    let mut guard = Checksum::arm(ctx, comm, &my_cols, n);
+
     // ----- levels -----
     for l in (0..n).rev() {
+        if let Some(guard) = &guard {
+            guard.before_level(ctx, comm, &mut my_cols, l);
+        }
+
         // 1. Owner of column n+l broadcasts it. All downstream uses are
         //    reads, so the binomial branch hands every rank the one shared
         //    replica; the pipelined branch assembles chunks into an owned
@@ -267,14 +285,16 @@ pub fn reduce_table(
                 }
                 continue;
             }
-            // Branch-free sweep shared with the sequential and FT paths.
-            crate::ft::apply_level(col, l, h, hl);
+            apply_level(col, l, h, hl);
             touched += 1;
         }
         ctx.compute(
             2 * (n * touched) as u64,
             flops::bytes_f64(2 * n * touched) / LEVEL_FUSE,
         );
+        if let Some(guard) = &mut guard {
+            guard.after_level(ctx, l, &c_lvl, h, hl);
+        }
 
         // 4. Slaves send their modified row-l entries to the master.
         if opts.collect_last_rows {
@@ -296,6 +316,17 @@ pub fn reduce_table(
         my_left,
         archived_rows,
     })
+}
+
+/// One column's fundamental update, branch-free: the rows above and below
+/// `l` are two contiguous daxpy runs (no per-element `i != l` test). The
+/// kernel the sequential reference, this loop and the checksum share.
+pub(crate) fn apply_level(col: &mut [f64], l: usize, h: &[f64], hl: f64) {
+    let tl = col[l];
+    let (above, rest) = col.split_at_mut(l);
+    daxpy(-tl, &h[..l], above);
+    daxpy(-tl, &h[l + 1..], &mut rest[1..]);
+    rest[0] = hl * tl;
 }
 
 /// Solve a replicated system with IMeP over all ranks of `comm`. Returns

@@ -47,7 +47,7 @@ pub fn solve_seq(sys: &LinearSystem) -> Result<(Vec<f64>, ImeStats), ImeError> {
         stats.flops += n as u64 + 1;
         // Active columns: left l..n, right 0..l (global n..n+l).
         let update_col = |t: &mut greenla_linalg::Matrix, c: usize, h: &[f64]| {
-            crate::ft::apply_level(t.col_mut(c), l, h, hl);
+            crate::par::apply_level(t.col_mut(c), l, h, hl);
         };
         for c in l..n {
             update_col(&mut t, c, &h);

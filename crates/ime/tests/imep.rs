@@ -1,19 +1,63 @@
 //! Integration tests for the parallel Inhibition Method (IMeP) and its
-//! fault-tolerance extension on the simulated cluster.
+//! checksum protection on the simulated cluster.
 
 use greenla_cluster::placement::Placement;
 use greenla_cluster::spec::ClusterSpec;
 use greenla_cluster::PowerModel;
-use greenla_ime::ft::{solve_imep_ft, FailureSpec};
 use greenla_ime::par::predict_traffic;
-use greenla_ime::{solve_imep, solve_seq, ImeError, ImepOptions};
-use greenla_linalg::generate;
-use greenla_mpi::Machine;
+use greenla_ime::{solve_imep, solve_imep_multi, solve_seq, ImeError, ImepOptions};
+use greenla_linalg::generate::{self, LinearSystem};
+use greenla_mpi::{ColumnLoss, FaultPlan, FaultReport, FaultSink, Machine, RunOutput};
 
 fn machine(ranks: usize, seed: u64) -> Machine {
     let spec = ClusterSpec::test_cluster(8, 4);
     let placement = Placement::packed(&spec.node, ranks).unwrap();
     Machine::new(spec, placement, PowerModel::deterministic(), seed).unwrap()
+}
+
+/// A machine whose fault plan loses table `column` at `level` and nothing
+/// else — the one way a column loss is staged.
+fn lossy_machine(ranks: usize, level: usize, column: usize) -> (Machine, FaultSink) {
+    let sink = FaultSink::with_plan(FaultPlan {
+        column_loss: Some(ColumnLoss { level, column }),
+        ..FaultPlan::default()
+    });
+    (machine(ranks, 9).with_faults(sink.clone()), sink)
+}
+
+fn run_imep(m: &Machine, sys: &LinearSystem, opts: ImepOptions) -> RunOutput<Vec<f64>> {
+    m.run(|ctx| {
+        let world = ctx.world();
+        solve_imep(ctx, &world, sys, opts).unwrap()
+    })
+}
+
+/// `solve_imep` under a planned loss: every rank's solution and the run's
+/// fault accounting.
+fn solve_with_loss(
+    sys: &LinearSystem,
+    ranks: usize,
+    opts: ImepOptions,
+    level: usize,
+    column: usize,
+) -> (Vec<Vec<f64>>, FaultReport) {
+    let (m, sink) = lossy_machine(ranks, level, column);
+    (run_imep(&m, sys, opts).results, sink.report())
+}
+
+/// One loss went in, was noticed, and came back.
+fn assert_one_loss_recovered(rep: &FaultReport, what: &str) {
+    let tally = [rep.injected, rep.observed, rep.recovered].map(|c| (c.column_loss, c.total()));
+    assert_eq!(tally, [(1, 1); 3], "{what}: {rep:?}");
+}
+
+fn assert_close(xs: &[Vec<f64>], x_ref: &[f64], tol: f64, what: &str) {
+    for x in xs {
+        assert_eq!(x.len(), x_ref.len(), "{what}");
+        for (a, b) in x.iter().zip(x_ref) {
+            assert!((a - b).abs() < tol, "{what}: {a} vs {b}");
+        }
+    }
 }
 
 #[test]
@@ -22,15 +66,8 @@ fn imep_matches_sequential_exactly() {
     let (x_seq, _) = solve_seq(&sys).unwrap();
     for ranks in [1, 2, 4, 7] {
         let m = machine(ranks, 1);
-        let out = m.run(|ctx| {
-            let world = ctx.world();
-            solve_imep(ctx, &world, &sys, ImepOptions::default()).unwrap()
-        });
-        for x in &out.results {
-            for (a, b) in x.iter().zip(&x_seq) {
-                assert!((a - b).abs() < 1e-12, "ranks={ranks}: {a} vs {b}");
-            }
-        }
+        let out = run_imep(&m, &sys, ImepOptions::default());
+        assert_close(&out.results, &x_seq, 1e-12, &format!("ranks={ranks}"));
     }
 }
 
@@ -42,10 +79,7 @@ fn imep_solves_various_systems() {
         (generate::poisson2d(5, 0), "poisson"),
     ] {
         let m = machine(6, 2);
-        let out = m.run(|ctx| {
-            let world = ctx.world();
-            solve_imep(ctx, &world, &sys, ImepOptions::default()).unwrap()
-        });
+        let out = run_imep(&m, &sys, ImepOptions::default());
         let r = sys.residual(&out.results[0]);
         assert!(r < 1e-11, "{name}: residual {r}");
     }
@@ -55,10 +89,7 @@ fn imep_solves_various_systems() {
 fn imep_results_replicated_across_ranks() {
     let sys = generate::diag_dominant(20, 5);
     let m = machine(5, 3);
-    let out = m.run(|ctx| {
-        let world = ctx.world();
-        solve_imep(ctx, &world, &sys, ImepOptions::default()).unwrap()
-    });
+    let out = run_imep(&m, &sys, ImepOptions::default());
     for x in &out.results[1..] {
         assert_eq!(x, &out.results[0]);
     }
@@ -71,10 +102,7 @@ fn imep_traffic_matches_prediction_exactly() {
     for opts in [ImepOptions::paper(), ImepOptions::optimized()] {
         for ranks in [2, 3, 6] {
             let m = machine(ranks, 4);
-            m.run(|ctx| {
-                let world = ctx.world();
-                solve_imep(ctx, &world, &sys, opts).unwrap()
-            });
+            run_imep(&m, &sys, opts);
             let snap = m.traffic().snapshot();
             let (msgs, elems) = predict_traffic(n, ranks, opts);
             assert_eq!(snap.msgs, msgs, "message count for N={ranks} {opts:?}");
@@ -89,10 +117,7 @@ fn optimized_imep_same_solution_less_traffic_and_time() {
     let sys = generate::diag_dominant(n, 13);
     let run = |opts: ImepOptions| {
         let m = machine(6, 14);
-        let out = m.run(|ctx| {
-            let world = ctx.world();
-            solve_imep(ctx, &world, &sys, opts).unwrap()
-        });
+        let out = run_imep(&m, &sys, opts);
         (
             out.results[0].clone(),
             m.traffic().snapshot().msgs,
@@ -168,10 +193,7 @@ fn ablation_a1_protocol_variants_trade_messages_for_time() {
         let placement = Placement::packed(&spec.node, 16).unwrap();
         let power = PowerModel::scaled_deterministic(&spec.node);
         let machine = Machine::new(spec, placement, power, 66).unwrap();
-        let out = machine.run(|ctx| {
-            let world = ctx.world();
-            solve_imep(ctx, &world, &sys, opts).unwrap()
-        });
+        let out = run_imep(&machine, &sys, opts);
         (name, out.results[0].clone(), out.makespan, out.traffic.msgs)
     });
     println!("A-1 IMeP protocol ablation (n=192, 16 ranks):");
@@ -190,6 +212,24 @@ fn ablation_a1_protocol_variants_trade_messages_for_time() {
     assert!(no_last_rows < paper && paper < pipelined);
 }
 
+/// `solve_imep_multi` (optimised protocol) on `m`: one solution per
+/// right-hand side, each with a residual under `tol` against its own `b`.
+fn solve_multi_checked(m: &Machine, sys: &LinearSystem, bs: &[Vec<f64>], tol: f64) {
+    let out = m.run(|ctx| {
+        let world = ctx.world();
+        solve_imep_multi(ctx, &world, sys, bs, ImepOptions::optimized()).unwrap()
+    });
+    assert_eq!(out.results[0].len(), bs.len());
+    for (b, x) in bs.iter().zip(&out.results[0]) {
+        let probe = LinearSystem {
+            a: sys.a.clone(),
+            b: b.clone(),
+            x_ref: None,
+        };
+        assert!(probe.residual(x) < tol, "residual {}", probe.residual(x));
+    }
+}
+
 #[test]
 fn multi_rhs_reuses_one_reduction() {
     let n = 24;
@@ -201,27 +241,11 @@ fn multi_rhs_reuses_one_reduction() {
         vec![1.0; n],
     ];
     let m = machine(4, 15);
-    let out = m.run(|ctx| {
-        let world = ctx.world();
-        greenla_ime::solve_imep_multi(ctx, &world, &sys, &bs, ImepOptions::optimized()).unwrap()
-    });
-    let xs = &out.results[0];
-    assert_eq!(xs.len(), 3);
-    for (b, x) in bs.iter().zip(xs) {
-        let probe = generate::LinearSystem {
-            a: sys.a.clone(),
-            b: b.clone(),
-            x_ref: None,
-        };
-        assert!(probe.residual(x) < 1e-11, "residual {}", probe.residual(x));
-    }
+    solve_multi_checked(&m, &sys, &bs, 1e-11);
     // The extra solves are cheap: traffic grows by O(n) per RHS, not O(n²).
     let single = {
         let m2 = machine(4, 15);
-        m2.run(|ctx| {
-            let world = ctx.world();
-            solve_imep(ctx, &world, &sys, ImepOptions::optimized()).unwrap()
-        });
+        run_imep(&m2, &sys, ImepOptions::optimized());
         m2.traffic().snapshot().volume_elems()
     };
     let triple = m.traffic().snapshot().volume_elems();
@@ -266,77 +290,13 @@ fn zero_inhibitor_fails_consistently() {
 }
 
 #[test]
-fn ft_without_failure_matches_plain_imep() {
-    let sys = generate::diag_dominant(21, 9);
-    let m = machine(3, 8);
-    let out = m.run(|ctx| {
-        let world = ctx.world();
-        let plain = solve_imep(ctx, &world, &sys, ImepOptions::default()).unwrap();
-        let ft = solve_imep_ft(ctx, &world, &sys, None).unwrap();
-        (plain, ft)
-    });
-    for (plain, ft) in out.results {
-        assert_eq!(plain, ft);
-    }
-}
-
-#[test]
-fn ft_recovers_lost_columns() {
-    let n = 18;
-    let sys = generate::diag_dominant(n, 10);
-    let (x_ref, _) = solve_seq(&sys).unwrap();
-    // Lose a left column, a right column, early and late, on various owners.
-    for (level, column) in [(n - 1, 3), (n / 2, n + 5), (1, n + 1), (n / 2, 0)] {
-        let m = machine(4, 9);
-        let out = m.run(|ctx| {
-            let world = ctx.world();
-            solve_imep_ft(ctx, &world, &sys, Some(FailureSpec { level, column })).unwrap()
-        });
-        for x in &out.results {
-            for (a, b) in x.iter().zip(&x_ref) {
-                assert!(
-                    (a - b).abs() < 1e-9,
-                    "failure at level {level} col {column}: {a} vs {b}"
-                );
-            }
-            assert!(sys.residual(x) < 1e-10);
-        }
-    }
-}
-
-#[test]
-fn ft_recovery_when_master_is_victim() {
-    let n = 12;
-    let sys = generate::circuit_network(n, 11);
-    let m = machine(3, 10);
-    // Column 0 and column n are owned by rank 0 (the master).
-    let out = m.run(|ctx| {
-        let world = ctx.world();
-        solve_imep_ft(
-            ctx,
-            &world,
-            &sys,
-            Some(FailureSpec {
-                level: n / 2,
-                column: 0,
-            }),
-        )
-        .unwrap()
-    });
-    assert!(sys.residual(&out.results[0]) < 1e-10);
-}
-
-#[test]
 fn imep_charges_more_flops_than_scalapack_model() {
     // The energy story of the paper rests on IMe executing ~3× the flops of
     // Gaussian elimination; verify the ledger shows it.
     let n = 40;
     let sys = generate::diag_dominant(n, 12);
     let m = machine(4, 11);
-    m.run(|ctx| {
-        let world = ctx.world();
-        solve_imep(ctx, &world, &sys, ImepOptions::default()).unwrap()
-    });
+    run_imep(&m, &sys, ImepOptions::default());
     let flops = m.ledger().total_flops();
     let ge_model = greenla_linalg::flops::ge_paper_model(n);
     assert!(
@@ -346,11 +306,98 @@ fn imep_charges_more_flops_than_scalapack_model() {
 }
 
 #[test]
+fn a_plan_without_a_column_loss_leaves_imep_alone() {
+    // Protection is armed by a planned loss and by nothing else: a machine
+    // with a fault sink whose plan cannot lose a column runs the very
+    // program a machine without one runs.
+    let sys = generate::diag_dominant(21, 9);
+    for opts in [ImepOptions::paper(), ImepOptions::optimized()] {
+        let sink = FaultSink::with_plan(FaultPlan::default());
+        let [clean, armed] = [machine(3, 8), machine(3, 8).with_faults(sink.clone())]
+            .map(|m| run_imep(&m, &sys, opts));
+        assert_eq!(clean.results, armed.results);
+        assert_eq!(clean.makespan.to_bits(), armed.makespan.to_bits());
+        assert_eq!(clean.traffic.msgs, armed.traffic.msgs);
+        assert!(sink.report().is_empty());
+    }
+}
+
+#[test]
+fn protection_traffic_is_exact() {
+    // The exact-traffic contract, extended to the protected run: on top of
+    // the unprotected program's messages, the initial reduce and the
+    // survivor reduce (N−1 each) and the hand-back unless the master is
+    // the victim — n elements apiece, under either protocol.
+    let n = 24;
+    let sys = generate::diag_dominant(n, 6);
+    for opts in [ImepOptions::paper(), ImepOptions::optimized()] {
+        for ranks in [3, 6] {
+            // Column n is the master's (n % ranks == 0); n + 1 is rank 1's.
+            for (column, hand_back) in [(n, 0), (n + 1, 1)] {
+                let (m, sink) = lossy_machine(ranks, n / 2, column);
+                run_imep(&m, &sys, opts);
+                assert_one_loss_recovered(&sink.report(), "traffic");
+                let snap = m.traffic().snapshot();
+                let (msgs, elems) = predict_traffic(n, ranks, opts);
+                let extra = 2 * (ranks as u64 - 1) + hand_back;
+                let what = format!("N={ranks} column={column} {opts:?}");
+                assert_eq!(snap.msgs, msgs + extra, "messages, {what}");
+                assert_eq!(snap.volume_elems(), elems + extra * n as u64, "{what}");
+            }
+        }
+    }
+}
+
+#[test]
+fn ft_recovers_lost_columns() {
+    let n = 18;
+    let sys = generate::diag_dominant(n, 10);
+    let (x_ref, _) = solve_seq(&sys).unwrap();
+    // Lose a left column, a right column, early and late, on various
+    // owners, under the paper's protocol and the tuned one.
+    for opts in [ImepOptions::paper(), ImepOptions::optimized()] {
+        for (level, column) in [(n - 1, 3), (n / 2, n + 5), (1, n + 1), (n / 2, 0)] {
+            let what = format!("{opts:?}, loss at level {level} col {column}");
+            let (xs, rep) = solve_with_loss(&sys, 4, opts, level, column);
+            assert_close(&xs, &x_ref, 1e-9, &what);
+            assert!(sys.residual(&xs[0]) < 1e-10, "{what}");
+            assert_one_loss_recovered(&rep, &what);
+        }
+    }
+}
+
+#[test]
+fn ft_recovery_when_master_is_victim() {
+    let n = 12;
+    let sys = generate::circuit_network(n, 11);
+    // Column 0 and column n are owned by rank 0 (the master).
+    let (xs, rep) = solve_with_loss(&sys, 3, ImepOptions::paper(), n / 2, 0);
+    assert!(sys.residual(&xs[0]) < 1e-10);
+    assert_one_loss_recovered(&rep, "master is the victim");
+}
+
+#[test]
+fn ft_recovers_runtime_planned_column_loss() {
+    // Out-of-range level/column prove the clamp makes plans portable
+    // across problem sizes.
+    let n = 16;
+    let sys = generate::diag_dominant(n, 17);
+    let (x_ref, _) = solve_seq(&sys).unwrap();
+    for (level, column) in [(5, 9), (n + 3, 7 * n)] {
+        let what = format!("level={level} col={column}");
+        let (xs, rep) = solve_with_loss(&sys, 4, ImepOptions::optimized(), level, column);
+        assert_close(&xs, &x_ref, 1e-9, &what);
+        assert_one_loss_recovered(&rep, &what);
+    }
+}
+
+#[test]
 fn ft_property_random_column_loss_at_every_level() {
-    // Property sweep for the checksum invariant: for every size up to 40 and
-    // every level, losing one randomly chosen column is recoverable and the
-    // recovered solution matches the fault-free sequential one. (Size 0 is
-    // covered by `ft_degenerate_sizes` below; level loops are empty there.)
+    // Property sweep for the checksum invariant: for every size up to 40,
+    // every level and rank counts up to P > 2n (ranks that own no column
+    // still sit through arm and recovery), losing one randomly chosen
+    // column is recoverable and the recovered solution matches the
+    // fault-free sequential one. The protocol alternates with the level.
     use rand::{Rng, SeedableRng};
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xC0_1055);
     for n in 1..40usize {
@@ -358,18 +405,12 @@ fn ft_property_random_column_loss_at_every_level() {
         let (x_ref, _) = solve_seq(&sys).unwrap();
         for level in 0..n {
             let column: usize = rng.gen_range(0..2 * n);
-            let m = machine(4.min(n.max(1)), 12);
-            let out = m.run(|ctx| {
-                let world = ctx.world();
-                solve_imep_ft(ctx, &world, &sys, Some(FailureSpec { level, column })).unwrap()
-            });
-            for x in &out.results {
-                for (a, b) in x.iter().zip(&x_ref) {
-                    assert!(
-                        (a - b).abs() < 1e-8,
-                        "n={n} level={level} col={column}: {a} vs {b}"
-                    );
-                }
+            let opts = [ImepOptions::paper(), ImepOptions::optimized()][level % 2];
+            for ranks in [1, 2, 4, (2 * n + 1).min(32)] {
+                let what = format!("n={n} ranks={ranks} level={level} col={column}");
+                let (xs, rep) = solve_with_loss(&sys, ranks, opts, level, column);
+                assert_close(&xs, &x_ref, 1e-8, &what);
+                assert_one_loss_recovered(&rep, &what);
             }
         }
     }
@@ -377,100 +418,33 @@ fn ft_property_random_column_loss_at_every_level() {
 
 #[test]
 fn ft_degenerate_sizes() {
-    // n = 0 and n = 1 terminate and return sane results with no failure and
-    // (for n = 1) with a loss at the only level.
-    let empty = generate::LinearSystem {
+    // n = 0 has no level, so nothing to lose and nothing injected; n = 1
+    // loses a column at its only level.
+    let empty = LinearSystem {
         a: greenla_linalg::Matrix::zeros(0, 0),
         b: vec![],
         x_ref: None,
     };
-    let m = machine(2, 13);
-    let out = m.run(|ctx| {
-        let world = ctx.world();
-        solve_imep_ft(ctx, &world, &empty, None).unwrap()
-    });
-    assert!(out.results.iter().all(|x| x.is_empty()));
+    let (xs, rep) = solve_with_loss(&empty, 2, ImepOptions::paper(), 0, 1);
+    assert!(xs.iter().all(|x| x.is_empty()));
+    assert!(rep.is_empty(), "{rep:?}");
 
     let one = generate::diag_dominant(1, 14);
-    for failure in [
-        None,
-        Some(FailureSpec {
-            level: 0,
-            column: 1,
-        }),
-    ] {
-        let m = machine(2, 13);
-        let out = m.run(|ctx| {
-            let world = ctx.world();
-            solve_imep_ft(ctx, &world, &one, failure).unwrap()
-        });
-        let r = one.residual(&out.results[0]);
-        assert!(r < 1e-12, "n=1 failure={failure:?}: residual {r}");
+    for column in [0, 1] {
+        let (xs, rep) = solve_with_loss(&one, 2, ImepOptions::paper(), 0, column);
+        let r = one.residual(&xs[0]);
+        assert!(r < 1e-12, "n=1 column={column}: residual {r}");
+        assert_one_loss_recovered(&rep, "n=1");
     }
 }
 
 #[test]
-fn ft_recovers_runtime_planned_column_loss() {
-    // The loss comes from the machine's fault plan, not from the caller:
-    // `solve_imep_ft(.., None)` must consult the plan, recover, and account
-    // the injection + recovery in the fault report.
-    use greenla_mpi::{ColumnLoss, FaultPlan, FaultSink};
-    let n = 16;
-    let sys = generate::diag_dominant(n, 17);
-    let (x_ref, _) = solve_seq(&sys).unwrap();
-    // Out-of-range level/column prove the clamp makes plans portable.
-    for (level, column) in [(5, 9), (n + 3, 7 * n)] {
-        let plan = FaultPlan {
-            column_loss: Some(ColumnLoss { level, column }),
-            ..FaultPlan::default()
-        };
-        let sink = FaultSink::with_plan(plan);
-        let m = machine(4, 16).with_faults(sink.clone());
-        let out = m.run(|ctx| {
-            let world = ctx.world();
-            solve_imep_ft(ctx, &world, &sys, None).unwrap()
-        });
-        for x in &out.results {
-            for (a, b) in x.iter().zip(&x_ref) {
-                assert!((a - b).abs() < 1e-9, "level={level} col={column}");
-            }
-        }
-        let rep = sink.report();
-        assert_eq!(rep.injected.column_loss, 1, "one loss injected");
-        assert_eq!(rep.observed.column_loss, 1);
-        assert_eq!(rep.recovered.column_loss, 1, "and recovered in-band");
-    }
-}
-
-#[test]
-fn ft_caller_failure_takes_precedence_over_plan() {
-    // An explicitly staged failure wins; the plan's loss is not injected on
-    // top of it, so the report stays empty.
-    use greenla_mpi::{ColumnLoss, FaultPlan, FaultSink};
-    let n = 10;
-    let sys = generate::diag_dominant(n, 18);
-    let plan = FaultPlan {
-        column_loss: Some(ColumnLoss {
-            level: 2,
-            column: 3,
-        }),
-        ..FaultPlan::default()
-    };
-    let sink = FaultSink::with_plan(plan);
-    let m = machine(3, 19).with_faults(sink.clone());
-    let out = m.run(|ctx| {
-        let world = ctx.world();
-        solve_imep_ft(
-            ctx,
-            &world,
-            &sys,
-            Some(FailureSpec {
-                level: 4,
-                column: 6,
-            }),
-        )
-        .unwrap()
-    });
-    assert!(sys.residual(&out.results[0]) < 1e-10);
-    assert_eq!(sink.report().injected.column_loss, 0);
+fn multi_rhs_recovers_a_planned_loss() {
+    // The reduction is shared, so `solve_imep_multi` is protected too.
+    let n = 20;
+    let sys = generate::diag_dominant(n, 22);
+    let bs = vec![sys.b.clone(), vec![1.0; n]];
+    let (m, sink) = lossy_machine(4, n / 2, n + 3);
+    solve_multi_checked(&m, &sys, &bs, 1e-10);
+    assert_one_loss_recovered(&sink.report(), "multi-RHS");
 }

@@ -3,9 +3,11 @@
 //! checkpoint/restart that Gaussian elimination needs (Artioli, Loreti &
 //! Ciampolini, SRDS 2019).
 //!
-//! A rank loses one of its inhibition-table columns mid-solve at several
-//! points; the survivors reconstruct it from the running checksum column
-//! and the job completes with the same answer as a fault-free run.
+//! Each scenario is a fault plan on the machine: a rank loses one of its
+//! inhibition-table columns mid-solve, the survivors reconstruct it from
+//! the running checksum column and the job completes with the same answer.
+//! The first row's plan schedules no loss, so it is the unprotected program
+//! — the gap to the rows below is the price of protection plus one recovery.
 //!
 //! ```text
 //! cargo run --release --example fault_tolerance
@@ -14,10 +16,9 @@
 use greenla::cluster::placement::Placement;
 use greenla::cluster::spec::ClusterSpec;
 use greenla::cluster::PowerModel;
-use greenla::ime::ft::{solve_imep_ft, FailureSpec};
-use greenla::ime::solve_seq;
+use greenla::ime::{solve_imep, solve_seq, ImepOptions};
 use greenla::linalg::generate;
-use greenla::mpi::Machine;
+use greenla::mpi::{ColumnLoss, FaultPlan, FaultSink, Machine};
 
 fn main() {
     let n = 240;
@@ -26,46 +27,29 @@ fn main() {
     let (x_ref, _) = solve_seq(&sys).expect("reference solve");
     println!("IMe fault-tolerance demo: n={n}, {ranks} ranks\n");
 
+    let loss = |level, column| Some(ColumnLoss { level, column });
     let scenarios = [
-        ("no fault", None),
-        (
-            "early loss of a right column",
-            Some(FailureSpec {
-                level: n - 2,
-                column: n + 7,
-            }),
-        ),
-        (
-            "mid-solve loss of a left column",
-            Some(FailureSpec {
-                level: n / 2,
-                column: 3,
-            }),
-        ),
-        (
-            "late loss near the end",
-            Some(FailureSpec {
-                level: 2,
-                column: n + 1,
-            }),
-        ),
-        (
-            "loss of a master-owned column",
-            Some(FailureSpec {
-                level: n / 3,
-                column: 0,
-            }),
-        ),
+        ("no fault, unprotected", None),
+        ("early loss of a right column", loss(n - 2, n + 7)),
+        ("mid-solve loss of a left column", loss(n / 2, 3)),
+        ("late loss near the end", loss(2, n + 1)),
+        ("loss of a master-owned column", loss(n / 3, 0)),
     ];
 
-    for (label, failure) in scenarios {
+    for (label, column_loss) in scenarios {
         let spec = ClusterSpec::test_cluster(2, 4);
         let placement = Placement::packed(&spec.node, ranks).unwrap();
         let power = PowerModel::scaled_for(&spec.node);
-        let machine = Machine::new(spec, placement, power, 23).unwrap();
+        let sink = FaultSink::with_plan(FaultPlan {
+            column_loss,
+            ..FaultPlan::default()
+        });
+        let machine = Machine::new(spec, placement, power, 23)
+            .unwrap()
+            .with_faults(sink.clone());
         let out = machine.run(|ctx| {
             let world = ctx.world();
-            solve_imep_ft(ctx, &world, &sys, failure).expect("FT solve")
+            solve_imep(ctx, &world, &sys, ImepOptions::optimized()).expect("IMeP solve")
         });
         let x = &out.results[0];
         let err = x
@@ -78,6 +62,8 @@ fn main() {
             out.makespan * 1e6
         );
         assert!(sys.residual(x) < 1e-9, "recovery must preserve exactness");
+        let recovered = sink.report().recovered.column_loss;
+        assert_eq!(recovered, column_loss.is_some() as u64, "{label}");
     }
 
     println!(
