@@ -598,6 +598,7 @@ fn parallel_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use greenla_linalg::sparse::laplace2d;
 
     fn cfg(solver: SolverChoice) -> RunConfig {
         RunConfig {
@@ -624,6 +625,23 @@ mod tests {
         for solver in [SolverChoice::ime_optimized(), SolverChoice::scalapack()] {
             assert!(Inputs::prepare(&cfg(solver)).sparse.is_none());
         }
+    }
+
+    /// What a sparse-native input path (ROADMAP item 4) may rely on: for a
+    /// CG/Poisson2d configuration the dense detour lands on exactly the
+    /// system `laplace2d` builds directly in CSR.
+    #[test]
+    fn cg_poisson_inputs_equal_the_sparse_native_laplacian() {
+        let k = 24;
+        let inputs = Inputs::prepare(&RunConfig {
+            n: k * k,
+            ..cfg(SolverChoice::cg())
+        });
+        let (got, want) = (inputs.sparse.expect("CG input"), laplace2d(k));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(got.a, want.a);
+        assert_eq!(bits(&got.b), bits(&want.b));
+        assert_eq!(bits(&got.x_ref), bits(&want.x_ref));
     }
 
     #[test]

@@ -36,14 +36,23 @@ use std::sync::Arc;
 /// floor while the stream amortises the volume.
 pub const BCAST_CHUNK: usize = 1024;
 
-/// DRAM-traffic model: the per-level table update is a rank-1-style sweep
-/// (arithmetic intensity ~1/8 flop/byte), which a naive implementation
-/// would re-stream from DRAM every level. Production IMe kernels fuse a
-/// block of consecutive levels per sweep (the level column and `h` are
-/// small and cache-resident), so each table element travels to DRAM once
-/// per `LEVEL_FUSE` levels. 64 keeps the kernel just at the machine's
+/// DRAM-traffic model of the *virtual* machine: the per-level table update
+/// is a rank-1-style sweep (arithmetic intensity ~1/8 flop/byte), which a
+/// naive implementation would re-stream from DRAM every level. Production
+/// IMe kernels fuse a block of consecutive levels per sweep (the level
+/// column and `h` are small and cache-resident), so the byte count charged
+/// to the simulated node lets each table element travel to DRAM once per
+/// `LEVEL_FUSE` levels. 64 keeps the kernel just at the machine's
 /// flops/byte balance point — the paper's observed IMe durations are
 /// compute-bound, not 50× memory-bound.
+///
+/// The *host* kernel does not fuse: [`reduce_table`] applies one level at
+/// a time through `apply_level`. Fusing eight levels on the host was
+/// measured (−0.045 s on the benchmark's `large_n` pass) and left out,
+/// because a rank then holds eight pending `h` vectors and
+/// `dense_campaign`'s peak RSS rose from 32 to 34–39 MiB. Nothing virtual
+/// depends on the choice: flops and bytes are charged from this constant,
+/// not from what the host loop did.
 pub const LEVEL_FUSE: u64 = 64;
 
 /// The IMeP protocol variants: the paper's, the tuned one the figures run,

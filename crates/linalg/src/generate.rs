@@ -7,6 +7,7 @@
 //! scaled) so residual checks need no factorisation.
 
 use crate::matrix::Matrix;
+use crate::norms::add_abs;
 use rand::distributions::{Distribution, Uniform};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -77,13 +78,18 @@ pub fn diag_dominant(n: usize, seed: u64) -> LinearSystem {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let dist = Uniform::new_inclusive(-1.0, 1.0);
     let mut a = Matrix::zeros(n, n);
+    // Off-diagonal row sums, gathered column by column while the freshly
+    // drawn column is still in cache (each row adds in ascending `j`).
+    let mut off = vec![0.0; n];
     for j in 0..n {
-        for i in 0..n {
-            a[(i, j)] = dist.sample(&mut rng);
+        let col = a.col_mut(j);
+        for v in col.iter_mut() {
+            *v = dist.sample(&mut rng);
         }
+        add_abs(&mut off[..j], &col[..j]);
+        add_abs(&mut off[j + 1..], &col[j + 1..]);
     }
-    for i in 0..n {
-        let row_sum: f64 = (0..n).filter(|&j| j != i).map(|j| a[(i, j)].abs()).sum();
+    for (i, row_sum) in off.into_iter().enumerate() {
         let sign = if a[(i, i)] >= 0.0 { 1.0 } else { -1.0 };
         a[(i, i)] = sign * (row_sum + 1.0);
     }

@@ -19,17 +19,29 @@ pub fn vec_two(x: &[f64]) -> f64 {
     blas1::dnrm2(x)
 }
 
+/// `sums[i] += |col[i]|` — one column's share of the per-row absolute
+/// sums. Walking a column-major matrix column by column through this
+/// keeps every O(n²) pass in storage order while each row still adds its
+/// terms in ascending `j`, so the sums equal a row walk's bit for bit.
+pub(crate) fn add_abs(sums: &mut [f64], col: &[f64]) {
+    for (s, v) in sums.iter_mut().zip(col) {
+        *s += v.abs();
+    }
+}
+
+/// Largest of the per-row absolute sums (`0.0` for none; a `NaN` sum is
+/// passed over, as `f64::max` does).
+fn max_row_sum(sums: &[f64]) -> f64 {
+    sums.iter().fold(0.0f64, |m, &s| m.max(s))
+}
+
 /// Matrix ∞-norm (max row sum).
 pub fn mat_inf(a: &Matrix) -> f64 {
-    let mut best = 0.0f64;
-    for i in 0..a.rows() {
-        let mut s = 0.0;
-        for j in 0..a.cols() {
-            s += a[(i, j)].abs();
-        }
-        best = best.max(s);
+    let mut sums = vec![0.0; a.rows()];
+    for j in 0..a.cols() {
+        add_abs(&mut sums, a.col(j));
     }
-    best
+    max_row_sum(&sums)
 }
 
 /// Matrix 1-norm (max column sum).
@@ -49,12 +61,22 @@ pub fn mat_fro(a: &Matrix) -> f64 {
 /// Componentwise backward-style scaled residual
 /// `‖A·x − b‖∞ / (‖A‖∞·‖x‖∞ + ‖b‖∞)`; a numerically exact solver returns a
 /// value within a modest multiple of machine epsilon.
+///
+/// One sweep over `A` in storage order: column `j` adds its share of `A·x`
+/// and of the row sums behind `‖A‖∞` while it is in cache.
 pub fn scaled_residual(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.cols(), x.len());
     assert_eq!(a.rows(), b.len());
-    let ax = a.matvec(x);
+    let mut ax = vec![0.0; a.rows()];
+    let mut sums = vec![0.0; a.rows()];
+    for (j, &xj) in x.iter().enumerate() {
+        for ((yi, si), &av) in ax.iter_mut().zip(&mut sums).zip(a.col(j)) {
+            *yi += av * xj;
+            *si += av.abs();
+        }
+    }
     let r: Vec<f64> = ax.iter().zip(b).map(|(p, q)| p - q).collect();
-    let denom = mat_inf(a) * vec_inf(x) + vec_inf(b);
+    let denom = max_row_sum(&sums) * vec_inf(x) + vec_inf(b);
     if denom == 0.0 {
         vec_inf(&r)
     } else {

@@ -63,21 +63,54 @@ impl CsrMatrix {
         }
     }
 
-    /// Compress a dense matrix, dropping exact zeros.
+    /// Compress a dense matrix, dropping exact zeros: every entry with
+    /// `v == 0.0`, so `-0.0` is dropped too and `NaN` is kept.
+    ///
+    /// Two scans of the column-major buffer in storage order — count each
+    /// row's entries, prefix-sum the counts into `row_ptr`, scatter — with
+    /// O(n + nnz) scratch. Columns are visited in ascending `j`, so every
+    /// row's entries arrive already sorted.
     pub fn from_dense(a: &Matrix) -> Self {
         assert!(a.is_square(), "CSR storage here is square-only");
         let n = a.rows();
-        let rows = (0..n)
-            .map(|i| {
-                (0..n)
-                    .filter_map(|j| {
-                        let v = a[(i, j)];
-                        (v != 0.0).then_some((j, v))
-                    })
-                    .collect()
-            })
-            .collect();
-        CsrMatrix::from_rows(rows)
+        assert!(
+            n <= u32::MAX as usize,
+            "order {n} does not fit the u32 column indices"
+        );
+        let mut row_ptr = vec![0usize; n + 1];
+        for j in 0..n {
+            for (count, &v) in row_ptr[1..].iter_mut().zip(a.col(j)) {
+                *count += usize::from(v != 0.0);
+            }
+        }
+        for i in 0..n {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        let nnz = row_ptr[n];
+        let mut col_idx = vec![0u32; nnz];
+        let mut values = vec![0.0; nnz];
+        // Where row `i`'s next entry goes.
+        let mut next = row_ptr[..n].to_vec();
+        for j in 0..n {
+            for (slot, &v) in next.iter_mut().zip(a.col(j)) {
+                if v != 0.0 {
+                    col_idx[*slot] = j as u32;
+                    values[*slot] = v;
+                    *slot += 1;
+                }
+            }
+        }
+        let csr = CsrMatrix {
+            n,
+            row_ptr,
+            col_idx,
+            values,
+        };
+        debug_assert!(
+            (0..n).all(|i| csr.row(i).0.windows(2).all(|w| w[0] < w[1])),
+            "row entries not strictly increasing"
+        );
+        csr
     }
 
     /// Order of the (square) matrix.
