@@ -291,8 +291,10 @@ mod tests {
         let text = serde_json::to_string(&p).expect("serialise");
         let back: FaultPlan = serde_json::from_str(&text).expect("parse");
         assert_eq!(p, back);
-        // An empty document is a valid (empty) plan.
+        // The v1 schema had no fields: an empty document is the default
+        // plan, so every field added since must carry a serde default.
         let empty: FaultPlan = serde_json::from_str("{}").expect("parse empty");
+        assert_eq!(empty, FaultPlan::default());
         assert!(empty.is_empty());
     }
 

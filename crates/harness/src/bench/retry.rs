@@ -16,6 +16,10 @@ pub fn median_wall(reps: usize, mut f: impl FnMut()) -> f64 {
     f();
     let times: Vec<f64> = (0..reps)
         .map(|_| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the bench suites time the host, not the simulation"
+            )]
             let t = Instant::now();
             f();
             t.elapsed().as_secs_f64()

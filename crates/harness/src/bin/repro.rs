@@ -175,6 +175,10 @@ fn main() {
     let functional = args.tier == "functional" || args.tier == "both";
     let model = args.tier == "model" || args.tier == "both";
     let wants = |e: &str| args.exp == "all" || args.exp == e;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host wall time of the invocation, for the progress lines on stderr"
+    )]
     let t0 = Instant::now();
 
     // Bench mode runs only the pinned suites and exits: CI's bench job (and
@@ -272,6 +276,10 @@ fn main() {
         let machine = Machine::new(spec, placement, PowerModel::deterministic(), 42)
             .expect("machine for scale smoke")
             .with_scheduler(scheduler);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the scale smoke reports how long the host took to carry the ranks"
+        )]
         let wall = Instant::now();
         let out = machine.run(|ctx| {
             let world = ctx.world();

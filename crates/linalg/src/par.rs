@@ -67,7 +67,10 @@ pub fn dgemm_parallel_blocked(
 /// [`dgemm_parallel_blocked`] pinned to an explicit [`KernelPath`] (panics
 /// when the CPU cannot execute it) — the cross-path property tests compare
 /// parallel results against the sequential oracle per path through here.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the BLAS dgemm signature plus the path and worker count"
+)]
 pub fn dgemm_parallel_path(
     path: KernelPath,
     alpha: f64,
@@ -108,7 +111,10 @@ pub(crate) fn env_workers(name: &str) -> usize {
 /// (~10 µs) dwarfs a couple of micro-panel columns of work.
 const MIN_PANELS_PER_WORKER: usize = 2;
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the BLAS dgemm signature plus the kernel set and worker count"
+)]
 fn dgemm_parallel_with(
     set: KernelSet,
     alpha: f64,

@@ -1,0 +1,257 @@
+//! The `#[target_feature]` kernels, and nothing else. The module is
+//! private to [`super`], so nothing here can be named from outside the
+//! dispatch module whatever its own visibility says: the only way to a
+//! kernel is a dispatch function that has verified CPU support.
+
+use crate::tune::{MR, NR};
+
+/// How many entries ahead of the current position the unrolled kernel
+/// prefetches the gathered `x` operand. The stencil systems gather with
+/// large strides (`±k` for a `k×k` grid), so the hardware prefetcher never
+/// sees the pattern; 64 entries ≈ 8 cache lines of the value stream keeps
+/// the gather line fetch ahead of the ~100 ns DRAM latency at memory-bound
+/// throughput.
+const SPMV_PREFETCH_DIST: usize = 64;
+
+/// Unrolled + software-prefetch SpMV body shared by the AVX2 and AVX-512
+/// entries (the win is the prefetch of the irregular gather plus the
+/// 4-way unroll, not ISA-specific arithmetic — the `#[target_feature]`
+/// wrappers exist so the dispatch legs stay meaningful and LLVM may use
+/// the wider encodings). Accumulation is strictly left to right, exactly
+/// [`super::spmv_range_scalar`]'s order, so results are bit-identical to it.
+#[inline(always)]
+fn spmv_range_unrolled_body(
+    row_ptr: &[usize],
+    col_idx: &[u32],
+    values: &[f64],
+    x: &[f64],
+    y: &mut [f64],
+) {
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+    assert_eq!(row_ptr.len(), y.len() + 1, "row_ptr spans the output rows");
+    let last = row_ptr[y.len()].saturating_sub(1);
+    for (i, yi) in y.iter_mut().enumerate() {
+        let (s, e) = (row_ptr[i], row_ptr[i + 1]);
+        let mut acc = 0.0;
+        let mut k = s;
+        while k + 4 <= e {
+            let ahead = col_idx[(k + SPMV_PREFETCH_DIST).min(last)] as usize;
+            // SAFETY: prefetch is a hint — it never dereferences
+            // architecturally and cannot fault, and `wrapping_add` keeps
+            // the address computation defined even if `ahead` were out of
+            // bounds for `x` (it is in range for every valid CSR matrix;
+            // the arithmetic below still bounds-checks the real loads).
+            unsafe {
+                _mm_prefetch::<_MM_HINT_T0>(x.as_ptr().wrapping_add(ahead) as *const i8);
+            }
+            acc += values[k] * x[col_idx[k] as usize];
+            acc += values[k + 1] * x[col_idx[k + 1] as usize];
+            acc += values[k + 2] * x[col_idx[k + 2] as usize];
+            acc += values[k + 3] * x[col_idx[k + 3] as usize];
+            k += 4;
+        }
+        while k < e {
+            acc += values[k] * x[col_idx[k] as usize];
+            k += 1;
+        }
+        *yi = acc;
+    }
+}
+
+/// AVX2-compiled unrolled + prefetch SpMV range kernel (see
+/// [`spmv_range_unrolled_body`] — bit-identical to the scalar oracle).
+///
+/// # Safety
+///
+/// Dispatch contract: the caller must have verified `avx2` and `fma` via
+/// `is_x86_feature_detected!` (the [`super::spmv_kernel`] dispatcher is the only
+/// caller and does exactly that). All memory accesses in the body are
+/// bounds-checked slice indexing; the only raw-pointer use is the
+/// never-faulting prefetch hint.
+#[target_feature(enable = "avx2,fma")]
+pub(super) unsafe fn spmv_range_avx2(
+    row_ptr: &[usize],
+    col_idx: &[u32],
+    values: &[f64],
+    x: &[f64],
+    y: &mut [f64],
+) {
+    spmv_range_unrolled_body(row_ptr, col_idx, values, x, y);
+}
+
+/// AVX-512F-compiled unrolled + prefetch SpMV range kernel (see
+/// [`spmv_range_unrolled_body`] — bit-identical to the scalar oracle).
+///
+/// # Safety
+///
+/// Dispatch contract: the caller must have verified `avx512f` via
+/// `is_x86_feature_detected!` (the [`super::spmv_kernel`] dispatcher is the only
+/// caller and does exactly that). All memory accesses in the body are
+/// bounds-checked slice indexing; the only raw-pointer use is the
+/// never-faulting prefetch hint.
+#[target_feature(enable = "avx512f")]
+pub(super) unsafe fn spmv_range_avx512(
+    row_ptr: &[usize],
+    col_idx: &[u32],
+    values: &[f64],
+    x: &[f64],
+    y: &mut [f64],
+) {
+    spmv_range_unrolled_body(row_ptr, col_idx, values, x, y);
+}
+
+/// AVX2 + FMA microkernel. The 8×8 `f64` accumulator tile would need all
+/// sixteen `ymm` registers by itself, starving the operand loads, so the
+/// tile is computed as two 8×4 half-tiles: eight accumulator `ymm`s, two
+/// `A`-sliver loads and one broadcast live at a time (11 of 16
+/// registers), with the `A` panel re-read once per half from L1.
+///
+/// Unlike the scalar oracle this contracts multiply-add into FMA, so
+/// results differ from [`super::microkernel_scalar`] by at most the documented
+/// ulp tolerance (see `tests/kernel_dispatch.rs`), never bit-exactly.
+///
+/// # Safety
+///
+/// Dispatch contract: the caller must have verified `avx2` and `fma` via
+/// `is_x86_feature_detected!` (the [`super::microkernel`] dispatcher is the only
+/// caller and does exactly that). `apan`/`bpan` must hold at least
+/// `kb·MR` / `kb·NR` elements — asserted below, so the raw loads stay in
+/// bounds.
+#[target_feature(enable = "avx2,fma")]
+pub(super) unsafe fn microkernel_avx2(
+    kb: usize,
+    apan: &[f64],
+    bpan: &[f64],
+    acc: &mut [f64; MR * NR],
+) {
+    use std::arch::x86_64::*;
+    assert!(apan.len() >= kb * MR && bpan.len() >= kb * NR);
+    // SAFETY: every pointer below stays inside `apan[..kb*MR]`,
+    // `bpan[..kb*NR]` or `acc[..MR*NR]` (asserted above; `boff + j < NR`
+    // and the store columns cover `(boff+j)*MR + 0..8` with
+    // `boff + j ≤ 7`). Unaligned load/store intrinsics are used
+    // throughout, so no alignment obligation exists.
+    unsafe {
+        let ap = apan.as_ptr();
+        let bp = bpan.as_ptr();
+        for half in 0..2 {
+            let boff = half * 4;
+            let mut cc = [_mm256_setzero_pd(); 8];
+            for p in 0..kb {
+                let a0 = _mm256_loadu_pd(ap.add(p * MR));
+                let a1 = _mm256_loadu_pd(ap.add(p * MR + 4));
+                for j in 0..4 {
+                    let b = _mm256_broadcast_sd(&*bp.add(p * NR + boff + j));
+                    cc[2 * j] = _mm256_fmadd_pd(a0, b, cc[2 * j]);
+                    cc[2 * j + 1] = _mm256_fmadd_pd(a1, b, cc[2 * j + 1]);
+                }
+            }
+            for j in 0..4 {
+                let col = acc.as_mut_ptr().add((boff + j) * MR);
+                _mm256_storeu_pd(col, _mm256_add_pd(_mm256_loadu_pd(col), cc[2 * j]));
+                let hi = col.add(4);
+                _mm256_storeu_pd(hi, _mm256_add_pd(_mm256_loadu_pd(hi), cc[2 * j + 1]));
+            }
+        }
+    }
+}
+
+/// AVX-512F microkernel: one `zmm` register holds a full `MR = 8` column
+/// of the accumulator tile, so the whole 8×8 tile is eight `zmm`
+/// accumulators — eight independent FMA chains, enough to cover the FMA
+/// latency on two 512-bit ports — plus one `A`-sliver load and one
+/// broadcast per column update (10 of 32 registers).
+///
+/// Same FMA-contraction caveat as the AVX2 kernel: agreement with the
+/// scalar oracle is within the documented ulp tolerance, not bit-exact.
+///
+/// # Safety
+///
+/// Dispatch contract: the caller must have verified `avx512f` via
+/// `is_x86_feature_detected!` (the [`super::microkernel`] dispatcher is the only
+/// caller and does exactly that). `apan`/`bpan` must hold at least
+/// `kb·MR` / `kb·NR` elements — asserted below, so the raw loads stay in
+/// bounds.
+#[target_feature(enable = "avx512f")]
+pub(super) unsafe fn microkernel_avx512(
+    kb: usize,
+    apan: &[f64],
+    bpan: &[f64],
+    acc: &mut [f64; MR * NR],
+) {
+    use std::arch::x86_64::*;
+    assert!(apan.len() >= kb * MR && bpan.len() >= kb * NR);
+    // SAFETY: every pointer below stays inside `apan[..kb*MR]`,
+    // `bpan[..kb*NR]` or `acc[..MR*NR]` (asserted above; `j < NR = 8` and
+    // each store covers `j*MR + 0..8`). Unaligned load/store intrinsics
+    // are used throughout, so no alignment obligation exists.
+    unsafe {
+        let ap = apan.as_ptr();
+        let bp = bpan.as_ptr();
+        let mut cc = [_mm512_setzero_pd(); NR];
+        for p in 0..kb {
+            let a = _mm512_loadu_pd(ap.add(p * MR));
+            for (j, c) in cc.iter_mut().enumerate() {
+                let b = _mm512_set1_pd(*bp.add(p * NR + j));
+                *c = _mm512_fmadd_pd(a, b, *c);
+            }
+        }
+        for (j, &c) in cc.iter().enumerate() {
+            let col = acc.as_mut_ptr().add(j * MR);
+            _mm512_storeu_pd(col, _mm512_add_pd(_mm512_loadu_pd(col), c));
+        }
+    }
+}
+
+/// Two-panel AVX-512F microkernel (see [`super::Microkernel2`]): a 16×8 tile as
+/// sixteen `zmm` accumulators, fed by two `A`-sliver loads and eight
+/// broadcasts per `p` — 16 FMAs per 10 loads, so the FMA ports rather than
+/// the load ports bound throughput. Per element, the FMA chain order is
+/// exactly [`microkernel_avx512`]'s, keeping the avx512 path's results
+/// independent of whether the pair variant ran.
+///
+/// # Safety
+///
+/// Dispatch contract: the caller must have verified `avx512f` via
+/// `is_x86_feature_detected!` (the [`super::kernel_set`] dispatcher is the only
+/// caller and does exactly that). `apan2`/`bpan` must hold at least
+/// `2·kb·MR` / `kb·NR` elements — asserted below, so the raw loads stay in
+/// bounds.
+#[target_feature(enable = "avx512f")]
+pub(super) unsafe fn microkernel_avx512_x2(
+    kb: usize,
+    apan2: &[f64],
+    bpan: &[f64],
+    acc0: &mut [f64; MR * NR],
+    acc1: &mut [f64; MR * NR],
+) {
+    use std::arch::x86_64::*;
+    assert!(apan2.len() >= 2 * kb * MR && bpan.len() >= kb * NR);
+    // SAFETY: every pointer below stays inside `apan2[..2·kb·MR]`,
+    // `bpan[..kb·NR]` or the two accumulator tiles (asserted above;
+    // `j < NR = 8` and each store covers `j*MR + 0..8`). Unaligned
+    // load/store intrinsics are used throughout, so no alignment
+    // obligation exists.
+    unsafe {
+        let ap0 = apan2.as_ptr();
+        let ap1 = apan2.as_ptr().add(kb * MR);
+        let bp = bpan.as_ptr();
+        let mut c0 = [_mm512_setzero_pd(); NR];
+        let mut c1 = [_mm512_setzero_pd(); NR];
+        for p in 0..kb {
+            let a0 = _mm512_loadu_pd(ap0.add(p * MR));
+            let a1 = _mm512_loadu_pd(ap1.add(p * MR));
+            for j in 0..NR {
+                let b = _mm512_set1_pd(*bp.add(p * NR + j));
+                c0[j] = _mm512_fmadd_pd(a0, b, c0[j]);
+                c1[j] = _mm512_fmadd_pd(a1, b, c1[j]);
+            }
+        }
+        for j in 0..NR {
+            let col = acc0.as_mut_ptr().add(j * MR);
+            _mm512_storeu_pd(col, _mm512_add_pd(_mm512_loadu_pd(col), c0[j]));
+            let col = acc1.as_mut_ptr().add(j * MR);
+            _mm512_storeu_pd(col, _mm512_add_pd(_mm512_loadu_pd(col), c1[j]));
+        }
+    }
+}

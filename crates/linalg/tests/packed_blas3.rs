@@ -16,7 +16,10 @@ use rand_chacha::ChaCha8Rng;
 /// Naive `C ← α·A·B + β·C` over raw column-major buffers with leading
 /// dimensions. No blocking, no packing, no zero-skips: the BLAS-semantics
 /// oracle, including the `β = 0` write-without-read convention.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the raw-buffer BLAS dgemm signature"
+)]
 fn naive_gemm(
     m: usize,
     n: usize,

@@ -254,7 +254,10 @@ impl Roofline {
     /// `comm_s`: the roofline supplies the compute time, and
     /// [`crate::energy::energy`] — the same coefficients the simulated
     /// RAPL integrates — turns the breakdown into joules.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per axis of a datapoint; a struct would only rename them"
+    )]
     pub fn predict_energy(
         &self,
         node: &NodeSpec,

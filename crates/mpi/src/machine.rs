@@ -728,7 +728,7 @@ mod tests {
                     // payload was sent before rank 0 exited).
                     let mut late = ctx.iprobe(&world, 0, 5);
                     while !late {
-                        std::thread::sleep(std::time::Duration::from_millis(1));
+                        std::thread::yield_now();
                         late = ctx.iprobe(&world, 0, 5);
                     }
                     // Consume it so nothing dangles.

@@ -49,6 +49,8 @@ impl Mailboxes {
     /// Post the abort control message to every inbox and wake everyone:
     /// how [`crate::registry::Registry::poison`] reaches blocked ranks.
     pub(crate) fn poison_broadcast(&self) {
+        #[cfg(debug_assertions)]
+        crate::sched::assert_no_guard_held("Mailboxes::poison_broadcast");
         for inbox in &self.inboxes {
             inbox.lock().push_back(Envelope::control_abort());
         }

@@ -132,8 +132,10 @@ impl Registry {
     }
 
     /// The one way a rank dies ([`crate::RankCtx::abort`]): poison the run
-    /// with this cause and unwind. Must not hold a state-map guard.
+    /// with this cause and unwind. Must not hold a lock guard.
     pub(crate) fn abort(&self, rank: usize, kind: AbortKind, detail: String) -> ! {
+        #[cfg(debug_assertions)]
+        sched::assert_no_guard_held("Registry::abort");
         self.poison(Abort { rank, kind, detail });
         leave_run()
     }
@@ -159,8 +161,10 @@ impl Registry {
     /// The engine detected machine-wide quiescence while the calling rank
     /// waited on something that can never complete: abort the run as
     /// deadlocked, with the probe's wait-for report when checking is on.
-    /// Must not hold a state-map guard.
+    /// Must not hold a lock guard.
     pub(crate) fn report_quiescent_deadlock(&self) -> ! {
+        #[cfg(debug_assertions)]
+        sched::assert_no_guard_held("Registry::report_quiescent_deadlock");
         let detail = self.check.probe_deadlock_quiescent().unwrap_or_else(|| {
             "deadlock: every rank is blocked and none can be woken; run with \
              greenla-check attached for the wait-for cycle"

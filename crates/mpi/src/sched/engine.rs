@@ -398,6 +398,8 @@ impl Engine {
     /// yielding — when no wake can ever arrive; the caller then owns
     /// diagnosing and aborting the run.
     pub(crate) fn block_current(&self) -> WakeReason {
+        #[cfg(debug_assertions)]
+        super::assert_no_guard_held("Engine::block_current");
         let (eng, tid) = CURRENT
             .with(|c| c.get())
             .expect("block_current called outside an engine task");

@@ -47,6 +47,24 @@ pub(crate) mod fiber;
 pub(crate) use engine::current_task;
 pub use engine::{Engine, WakeReason};
 
+/// Panic if the calling rank holds a `parking_lot` guard as it enters
+/// `point`: somewhere it may park, or that sweeps every inbox and task
+/// lock. A parked rank keeps every lock it holds, and the peer that must
+/// run to wake it then blocks on that lock, where the engine cannot see
+/// it — a hang no schedule-based test reliably reproduces. Debug builds
+/// count guards per thread (`parking_lot::guards_held`), so every lock of
+/// every crate is checked on every path a test takes.
+#[cfg(debug_assertions)]
+#[track_caller]
+pub(crate) fn assert_no_guard_held(point: &str) {
+    let held = parking_lot::guards_held();
+    assert!(
+        held == 0,
+        "{held} lock guard(s) held on entry to `{point}`: drop every guard before \
+         blocking or aborting (a parked rank keeps the locks it holds)"
+    );
+}
+
 /// What carries each rank of a [`crate::Machine::run`].
 ///
 /// Selecting a carrier changes *only* wall-clock execution: how many OS
