@@ -7,7 +7,8 @@
 //! harness that simulates a solve is built from them.
 //!
 //! 1. [`build_machine`] — node → placement → cluster → `Machine`;
-//! 2. [`Inputs`] — the dense system and, for CG, its CSR image;
+//! 2. [`Inputs`] — the input system, dense for IMe and `pdgesv`, CSR for
+//!    CG;
 //! 3. [`solve`] — one solve on a running rank, whichever solver;
 //! 4. [`run_prepared`] — the Figure-2 monitored window (allocation phase,
 //!    `batch` solves, execution phase) and the reports → [`Measurement`]
@@ -27,7 +28,7 @@ use greenla_cluster::{Interconnect, PowerModel};
 use greenla_ime::solve_imep;
 use greenla_linalg::flops;
 use greenla_linalg::generate::{LinearSystem, SystemKind};
-use greenla_linalg::sparse::{CsrMatrix, SparseSystem};
+use greenla_linalg::sparse::{CsrMatrix, SparseKind, SparseSystem};
 use greenla_monitor::monitoring::MonitorConfig;
 use greenla_monitor::protocol::monitored_run;
 use greenla_monitor::report::{JobSummary, NodeReport};
@@ -149,46 +150,60 @@ pub fn build_machine(
         .with_scheduler(scheduler)
 }
 
-/// Step 2 — the input systems of a run: the dense one every solver's
-/// residual is checked against, and its CSR image for CG. Prepared outside
-/// the measured region (the paper's jobs load their input from a file the
-/// same way) and shared by every repetition of a configuration.
-pub struct Inputs {
-    pub dense: LinearSystem,
-    pub sparse: Option<SparseSystem>,
+/// Step 2 — the input system of a run, in the one format its solver reads.
+/// Prepared outside the measured region (the paper's jobs load their input
+/// from a file the same way) and shared by every repetition of a
+/// configuration.
+pub enum Inputs {
+    /// IMe and `pdgesv`: the replicated dense system.
+    Dense(LinearSystem),
+    /// CG: the system in CSR — never a dense matrix when the configuration
+    /// names a stencil.
+    Sparse(SparseSystem),
 }
 
 impl Inputs {
     /// Wrap a system the caller generated; CG runs sparsify it here, once.
     pub fn from_system(solver: SolverChoice, dense: LinearSystem) -> Inputs {
-        let sparse = matches!(solver, SolverChoice::Cg { .. }).then(|| SparseSystem {
+        if !matches!(solver, SolverChoice::Cg { .. }) {
+            return Inputs::Dense(dense);
+        }
+        Inputs::Sparse(SparseSystem {
             a: CsrMatrix::from_dense(&dense.a),
-            b: dense.b.clone(),
-            x_ref: dense.x_ref.clone().unwrap_or_default(),
-        });
-        Inputs { dense, sparse }
+            b: dense.b,
+            x_ref: dense.x_ref.unwrap_or_default(),
+        })
     }
 
     /// The system a configuration names. Its seed derives from `(n, ranks)`
     /// only — the same system for every repetition, as the paper's
-    /// file-based inputs guarantee.
+    /// file-based inputs guarantee. CG on `Poisson2d` is built in CSR
+    /// directly: `laplace2d` is `poisson2d` entry for entry and bit for bit.
     pub fn prepare(cfg: &RunConfig) -> Inputs {
         let system_seed = (cfg.n as u64) << 32 | cfg.ranks as u64;
-        Inputs::from_system(cfg.solver, cfg.system.generate(cfg.n, system_seed))
+        match (cfg.solver, cfg.system) {
+            (SolverChoice::Cg { .. }, SystemKind::Poisson2d) => {
+                Inputs::Sparse(SparseKind::Laplace2d.generate(cfg.n, system_seed))
+            }
+            _ => Inputs::from_system(cfg.solver, cfg.system.generate(cfg.n, system_seed)),
+        }
     }
 
     /// Bytes the allocation phase materialises across the job: the CSR
     /// image for a sparse run, the dense square otherwise.
     pub fn alloc_bytes(&self) -> u64 {
-        match &self.sparse {
-            Some(s) => flops::spmv_csr_bytes(s.n(), s.a.nnz()),
-            None => 8 * (self.dense.n() * self.dense.n()) as u64,
+        match self {
+            Inputs::Dense(d) => 8 * (d.n() * d.n()) as u64,
+            Inputs::Sparse(s) => flops::spmv_csr_bytes(s.n(), s.a.nnz()),
         }
     }
 
-    /// Scaled residual of a solution against the dense system.
+    /// Scaled residual of a solution, computed in the input's own format.
     pub fn residual(&self, x: &[f64]) -> f64 {
-        self.dense.residual(x)
+        match self {
+            Inputs::Dense(d) => d.residual(x),
+            Inputs::Sparse(s) => s.residual(x),
+        }
     }
 }
 
@@ -205,27 +220,26 @@ pub fn solve(
     cg_overlap: bool,
     inputs: &Inputs,
 ) -> (Vec<f64>, Option<(u64, u64)>) {
-    let dense = &inputs.dense;
-    let x = match solver {
-        SolverChoice::Ime { .. } => {
+    let x = match (solver, inputs) {
+        (SolverChoice::Ime { .. }, Inputs::Dense(sys)) => {
             let opts = solver.imep_options().expect("IMe options");
-            solve_imep(ctx, comm, dense, opts)
+            solve_imep(ctx, comm, sys, opts)
                 .unwrap_or_else(|e| ctx.abort(AbortKind::Solver, format!("IMe solve: {e}")))
         }
-        SolverChoice::ScaLapack { nb } => pdgesv(ctx, comm, dense, nb)
+        (SolverChoice::ScaLapack { nb }, Inputs::Dense(sys)) => pdgesv(ctx, comm, sys, nb)
             .unwrap_or_else(|e| ctx.abort(AbortKind::Solver, format!("pdgesv solve: {e}"))),
-        SolverChoice::Cg { jacobi } => {
+        (SolverChoice::Cg { jacobi }, Inputs::Sparse(sys)) => {
             let cg_cfg = CgConfig {
                 jacobi,
                 overlap: cg_overlap,
                 ..CgConfig::default()
             };
-            let sys = inputs.sparse.as_ref().expect("CG input is sparsified");
             // Every `CgError` already reads "cg aborted: …".
             let s = pcg(ctx, comm, sys, &cg_cfg)
                 .unwrap_or_else(|e| ctx.abort(AbortKind::Solver, e.to_string()));
             return (s.x, Some((s.iterations as u64, s.refreshes as u64)));
         }
+        _ => panic!("inputs prepared for another solver than {}", solver.label()),
     };
     (x, None)
 }
@@ -438,7 +452,14 @@ impl Aggregated {
             pkg1_j: pick(&|m| m.pkg_by_socket_j[1]),
             dram0_j: pick(&|m| m.dram_by_socket_j[0]),
             dram1_j: pick(&|m| m.dram_by_socket_j[1]),
-            worst_residual: runs.iter().map(|m| m.residual).fold(0.0, f64::max),
+            // `f64::max` would pass a NaN residual over; it is the worst.
+            worst_residual: runs.iter().map(|m| m.residual).fold(0.0, |w, r| {
+                if w.is_nan() || r.is_nan() {
+                    f64::NAN
+                } else {
+                    w.max(r)
+                }
+            }),
             reps: runs.len(),
         }
     }
@@ -598,7 +619,6 @@ fn parallel_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use greenla_linalg::sparse::laplace2d;
 
     fn cfg(solver: SolverChoice) -> RunConfig {
         RunConfig {
@@ -617,31 +637,123 @@ mod tests {
         }
     }
 
-    #[test]
-    fn only_cg_inputs_carry_the_csr_image_of_the_dense_system() {
-        let cg = Inputs::prepare(&cfg(SolverChoice::cg()));
-        let sparse = cg.sparse.expect("CG input is sparsified");
-        assert_eq!(sparse.a, CsrMatrix::from_dense(&cg.dense.a));
-        for solver in [SolverChoice::ime_optimized(), SolverChoice::scalapack()] {
-            assert!(Inputs::prepare(&cfg(solver)).sparse.is_none());
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn sparse(inputs: Inputs) -> SparseSystem {
+        match inputs {
+            Inputs::Sparse(s) => s,
+            Inputs::Dense(_) => panic!("CG inputs are CSR"),
         }
     }
 
-    /// What a sparse-native input path (ROADMAP item 4) may rely on: for a
-    /// CG/Poisson2d configuration the dense detour lands on exactly the
-    /// system `laplace2d` builds directly in CSR.
     #[test]
-    fn cg_poisson_inputs_equal_the_sparse_native_laplacian() {
-        let k = 24;
+    fn each_solver_gets_its_inputs_in_the_format_it_reads() {
+        for system in [SystemKind::Poisson2d, SystemKind::DiagDominant] {
+            let of = |solver| RunConfig {
+                system,
+                ..cfg(solver)
+            };
+            let cg = sparse(Inputs::prepare(&of(SolverChoice::cg())));
+            assert_eq!(cg.n(), 36);
+            for solver in [SolverChoice::ime_optimized(), SolverChoice::scalapack()] {
+                assert!(matches!(Inputs::prepare(&of(solver)), Inputs::Dense(d) if d.n() == 36));
+            }
+        }
+        // A caller's dense system is sparsified for CG, kept for the rest.
+        let sys = SystemKind::Spd.generate(20, 3);
+        let cg = sparse(Inputs::from_system(SolverChoice::cg(), sys.clone()));
+        assert_eq!(cg.a, CsrMatrix::from_dense(&sys.a));
+        let direct = Inputs::from_system(SolverChoice::scalapack(), sys.clone());
+        assert!(matches!(direct, Inputs::Dense(d) if d.a == sys.a));
+    }
+
+    /// The switch from the dense detour to `laplace2d` moves no bit: at every
+    /// size (k = 80 is `large_n`'s CG point) the CSR input equals the
+    /// sparsified `poisson2d`, and the sparse residual equals the dense one
+    /// for the reference solution, a converged CG solution and seeded
+    /// random vectors.
+    #[test]
+    fn cg_poisson_inputs_are_the_dense_detour_bit_for_bit() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut uniform = move || {
+            // splitmix64 → a finite value in [-2, 2).
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            4.0 * ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64 - 2.0
+        };
+        for k in [1, 2, 17, 24, 80] {
+            let cfg = RunConfig {
+                n: k * k,
+                ..cfg(SolverChoice::cg())
+            };
+            let inputs = Inputs::prepare(&cfg);
+            let node = NodeSpec::test_node(cfg.cores_per_socket);
+            let machine = build_machine(
+                &node,
+                cfg.ranks,
+                cfg.layout,
+                PowerModel::scaled_for(&node),
+                cfg.seed,
+                cfg.scheduler,
+            );
+            let solved = machine
+                .run(|ctx| {
+                    let world = ctx.world();
+                    solve(ctx, &world, cfg.solver, true, &inputs).0
+                })
+                .results
+                .swap_remove(0);
+            let got = sparse(inputs);
+            let dense = greenla_linalg::generate::poisson2d(k, 0);
+            assert_eq!(CsrMatrix::from_dense(&dense.a), got.a, "k={k}");
+            assert_eq!(bits(&dense.b), bits(&got.b), "k={k}");
+            assert_eq!(
+                bits(dense.x_ref.as_ref().unwrap()),
+                bits(&got.x_ref),
+                "k={k}"
+            );
+            let random: Vec<Vec<f64>> = (0..3)
+                .map(|_| (0..k * k).map(|_| uniform()).collect())
+                .collect();
+            for x in [&got.x_ref, &solved].into_iter().chain(&random) {
+                let (d, s) = (dense.residual(x), got.residual(x));
+                assert!(d.is_finite(), "k={k}");
+                assert_eq!(d.to_bits(), s.to_bits(), "k={k}: dense {d:e}, sparse {s:e}");
+            }
+        }
+    }
+
+    /// A million-row CG input costs O(nnz): the dense matrix would be 8 TB.
+    #[test]
+    fn a_million_row_poisson_input_never_forms_the_dense_matrix() {
+        let k = 1000;
         let inputs = Inputs::prepare(&RunConfig {
             n: k * k,
             ..cfg(SolverChoice::cg())
         });
-        let (got, want) = (inputs.sparse.expect("CG input"), laplace2d(k));
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(got.a, want.a);
-        assert_eq!(bits(&got.b), bits(&want.b));
-        assert_eq!(bits(&got.x_ref), bits(&want.x_ref));
+        assert_eq!(
+            inputs.alloc_bytes(),
+            flops::spmv_csr_bytes(k * k, 5 * k * k - 4 * k)
+        );
+        let sys = sparse(inputs);
+        assert_eq!(sys.residual(&sys.x_ref), 0.0);
+    }
+
+    #[test]
+    fn a_nan_residual_is_the_worst_of_its_datapoint() {
+        let m = run_once(&cfg(SolverChoice::scalapack()));
+        assert!(m.residual < 1e-12);
+        let nan = Measurement {
+            residual: f64::NAN,
+            ..m.clone()
+        };
+        for runs in [[m.clone(), nan.clone()], [nan, m]] {
+            assert!(Aggregated::from_runs(&runs).worst_residual.is_nan());
+        }
     }
 
     #[test]

@@ -313,7 +313,10 @@ fn solve_flops(cfg: &RunConfig, inputs: &Inputs, m: &Measurement) -> f64 {
 
 /// The CSR operator a CG run solved.
 fn csr(inputs: &Inputs) -> &CsrMatrix {
-    &inputs.sparse.as_ref().expect("CG input is sparsified").a
+    match inputs {
+        Inputs::Sparse(s) => &s.a,
+        Inputs::Dense(_) => panic!("CG inputs are CSR"),
+    }
 }
 
 /// Per-rank closed-form solve costs of a CG run, derived from the system

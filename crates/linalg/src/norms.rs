@@ -60,27 +60,42 @@ pub fn mat_fro(a: &Matrix) -> f64 {
 
 /// Componentwise backward-style scaled residual
 /// `‖A·x − b‖∞ / (‖A‖∞·‖x‖∞ + ‖b‖∞)`; a numerically exact solver returns a
-/// value within a modest multiple of machine epsilon.
+/// value within a modest multiple of machine epsilon, and a solution with
+/// a non-finite component returns `NaN`.
 ///
 /// One sweep over `A` in storage order: column `j` adds its share of `A·x`
 /// and of the row sums behind `‖A‖∞` while it is in cache.
 pub fn scaled_residual(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.cols(), x.len());
     assert_eq!(a.rows(), b.len());
-    let mut ax = vec![0.0; a.rows()];
+    let mut r = vec![0.0; a.rows()];
     let mut sums = vec![0.0; a.rows()];
     for (j, &xj) in x.iter().enumerate() {
-        for ((yi, si), &av) in ax.iter_mut().zip(&mut sums).zip(a.col(j)) {
+        for ((yi, si), &av) in r.iter_mut().zip(&mut sums).zip(a.col(j)) {
             *yi += av * xj;
             *si += av.abs();
         }
     }
-    let r: Vec<f64> = ax.iter().zip(b).map(|(p, q)| p - q).collect();
-    let denom = max_row_sum(&sums) * vec_inf(x) + vec_inf(b);
+    for (ri, bi) in r.iter_mut().zip(b) {
+        *ri -= bi;
+    }
+    scale_residual(&r, max_row_sum(&sums), x, b)
+}
+
+/// `‖r‖∞ / (a_inf·‖x‖∞ + ‖b‖∞)` for `r = A·x − b` (`‖r‖∞` alone when the
+/// denominator is 0) — the tail [`scaled_residual`] and
+/// [`crate::sparse::SparseSystem::residual`] share. `NaN` when `x` or `r`
+/// has a non-finite component: the `f64::max` folds pass `NaN` over, and a
+/// solve that produced no number must not read as exact.
+pub(crate) fn scale_residual(r: &[f64], a_inf: f64, x: &[f64], b: &[f64]) -> f64 {
+    if !x.iter().chain(r).all(|v| v.is_finite()) {
+        return f64::NAN;
+    }
+    let denom = a_inf * vec_inf(x) + vec_inf(b);
     if denom == 0.0 {
-        vec_inf(&r)
+        vec_inf(r)
     } else {
-        vec_inf(&r) / denom
+        vec_inf(r) / denom
     }
 }
 
@@ -108,6 +123,21 @@ mod tests {
         let b = vec![1.0, 1.0];
         let x = vec![2.0, 1.0];
         assert!(scaled_residual(&a, &x, &b) > 0.1);
+    }
+
+    #[test]
+    fn a_non_finite_solution_is_nan_not_exact() {
+        let sys = crate::generate::diag_dominant(4, 1);
+        let id = Matrix::identity(3);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(scaled_residual(&id, &[bad; 3], &[1.0, 2.0, 3.0]).is_nan());
+            assert!(scaled_residual(&id, &[1.0, bad, 3.0], &[1.0, 2.0, 3.0]).is_nan());
+            assert!(sys.residual(&[bad; 4]).is_nan());
+        }
+        // A finite `x` whose `A·x` overflows: the residual is not finite.
+        let x = [f64::MAX, f64::MAX, 0.0];
+        let a = Matrix::from_rows(&[&[1.0, 1.0, 0.0], &[0.0, 1.0, 0.0], &[0.0, 0.0, 1.0]]);
+        assert!(scaled_residual(&a, &x, &[0.0; 3]).is_nan());
     }
 
     #[test]

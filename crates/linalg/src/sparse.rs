@@ -338,26 +338,20 @@ impl SparseSystem {
         self.a.n()
     }
 
-    /// Scaled residual `‖b − A·x‖∞ / (‖A‖∞·‖x‖∞ + ‖b‖∞)` of a candidate
-    /// solution — the same normalisation the dense side uses.
+    /// Scaled residual `‖A·x − b‖∞ / (‖A‖∞·‖x‖∞ + ‖b‖∞)` of a candidate
+    /// solution — the normalisation of [`crate::norms::scaled_residual`],
+    /// `NaN` included, and for a finite `x` its bits: each row adds its
+    /// stored entries in ascending column order, as the dense sweep does
+    /// (the zeros it also adds change no sum).
     pub fn residual(&self, x: &[f64]) -> f64 {
-        let ax = self.a.matvec(x);
-        let r_inf = self
-            .b
-            .iter()
-            .zip(&ax)
-            .fold(0.0f64, |m, (b, a)| m.max((b - a).abs()));
+        let mut r = self.a.matvec(x);
+        for (ri, bi) in r.iter_mut().zip(&self.b) {
+            *ri -= bi;
+        }
         let a_inf = (0..self.n())
             .map(|i| self.a.row(i).1.iter().map(|v| v.abs()).sum())
             .fold(0.0f64, f64::max);
-        let x_inf = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        let b_inf = self.b.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        let denom = a_inf * x_inf + b_inf;
-        if denom == 0.0 {
-            r_inf
-        } else {
-            r_inf / denom
-        }
+        crate::norms::scale_residual(&r, a_inf, x, &self.b)
     }
 
     /// Max-norm error against the reference solution.
@@ -569,6 +563,19 @@ mod tests {
             assert!(sys.residual(&sys.x_ref) < 1e-14);
             assert_eq!(sys.error_vs_ref(&sys.x_ref), 0.0);
         }
+    }
+
+    #[test]
+    fn a_non_finite_solution_is_nan_not_exact() {
+        let sys = laplace2d(3);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(sys.residual(&[bad; 9]).is_nan());
+            let mut x = sys.x_ref.clone();
+            x[4] = bad;
+            assert!(sys.residual(&x).is_nan());
+        }
+        // A finite `x` whose `A·x` overflows.
+        assert!(sys.residual(&[f64::MAX; 9]).is_nan());
     }
 
     #[test]

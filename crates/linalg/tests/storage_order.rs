@@ -64,6 +64,11 @@ fn matvec_rows(a: &Matrix, x: &[f64]) -> Vec<f64> {
 fn scaled_residual_rows(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
     let ax = matvec_rows(a, x);
     let r: Vec<f64> = ax.iter().zip(b).map(|(p, q)| p - q).collect();
+    // A non-finite `x` or `A·x − b` is no solution (the salted matrices'
+    // NaN entries make one): `NaN`, never what a max-fold skipping it reads.
+    if !x.iter().chain(&r).all(|v| v.is_finite()) {
+        return f64::NAN;
+    }
     let denom = mat_inf_rows(a) * norms::vec_inf(x) + norms::vec_inf(b);
     if denom == 0.0 {
         norms::vec_inf(&r)

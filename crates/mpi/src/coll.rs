@@ -256,9 +256,14 @@ impl<'m> RankCtx<'m> {
     /// that stream down the tree, so the critical path is
     /// `O(α·log P + β·size)` instead of the binomial tree's
     /// `O((α + β·size)·log P)` — what production MPI switches to above a
-    /// few kilobytes. Falls back to the binomial tree for payloads of at
-    /// most one chunk. Interior ranks forward each chunk to both subtrees
-    /// as the same shared buffer.
+    /// few kilobytes. Every payload takes the binary tree, however small:
+    /// a one-element length header first, then `max(1, ⌈len / chunk⌉)`
+    /// chunks, so each tree edge carries `1 + chunks` messages
+    /// (`ime::par::predict_traffic` counts the header,
+    /// `model::comm::bcast_pipelined` prices it). Callers that want the
+    /// binomial [`Self::bcast_f64`] for small payloads pick it themselves.
+    /// Interior ranks forward each chunk to both subtrees as the same
+    /// shared buffer.
     pub fn bcast_pipelined_f64(
         &mut self,
         comm: &Comm,

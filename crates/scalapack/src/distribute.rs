@@ -36,18 +36,27 @@ impl DistMatrix {
             (desc.m, desc.n),
             "global shape mismatch"
         );
-        let mut dm = Self::zeros(grid, desc);
-        for lj in 0..dm.local.cols() {
-            let gj = desc.gcol(lj, dm.mycol);
-            for li in 0..dm.local.rows() {
-                let gi = desc.grow(li, dm.myrow);
-                dm.local[(li, lj)] = a[(gi, gj)];
+        let (myrow, mycol) = (grid.myrow(), grid.mycol());
+        let (rows, cols) = (desc.local_rows(myrow), desc.local_cols(mycol));
+        let mut local = Vec::with_capacity(rows * cols);
+        for lj in 0..cols {
+            let src = a.col(desc.gcol(lj, mycol));
+            // My rows of a global column come in runs of `mb` that are
+            // contiguous there too.
+            for l0 in (0..rows).step_by(desc.mb) {
+                let g0 = desc.grow(l0, myrow);
+                local.extend_from_slice(&src[g0..g0 + desc.mb.min(rows - l0)]);
             }
         }
         // Allocation phase: the local block is written once, the source read
         // once.
-        ctx.touch_memory(2 * 8 * (dm.local.rows() * dm.local.cols()) as u64);
-        dm
+        ctx.touch_memory(2 * 8 * (rows * cols) as u64);
+        Self {
+            desc,
+            myrow,
+            mycol,
+            local: Matrix::from_col_major(rows, cols, local),
+        }
     }
 
     /// Number of my local rows whose global index is `< g`.

@@ -14,7 +14,7 @@ use crate::error::LuError;
 use crate::grid::ProcessGrid;
 use greenla_linalg::blas3::{dgemm, dtrsm_left_lower_unit};
 use greenla_linalg::flops;
-use greenla_linalg::{BlockMut, BlockRef};
+use greenla_linalg::{BlockMut, BlockRef, Matrix};
 use greenla_mpi::RankCtx;
 
 /// Tag base for the row-interchange point-to-point exchanges.
@@ -92,12 +92,54 @@ fn swap_rows_local_cols(
     }
 }
 
+/// Phase A's step for pivot column `j` once the pivot row segment
+/// `rowseg = a[j, j..end]` is known: every local multiplier below the pivot
+/// (local rows `lbelow..`) becomes `a / rowseg[0]`, and every entry of
+/// those rows in global column `j + t` (`t ≥ 1`) becomes `a − m·rowseg[t]`
+/// with its row's multiplier `m`.
+type PanelStep = fn(&mut Matrix, &BlockDesc, usize, usize, &[f64]);
+
+/// [`PanelStep`] in storage order: scale the multiplier column, then update
+/// the panel one contiguous local column at a time. A panel is one block
+/// column, so the columns right of `j` are the next local columns.
+fn panel_step(local: &mut Matrix, d: &BlockDesc, j: usize, lbelow: usize, rowseg: &[f64]) {
+    let (&piv, u) = rowseg
+        .split_first()
+        .expect("the segment starts at the pivot");
+    let (rows, lj) = (local.rows(), d.lcol(j));
+    if lbelow == rows {
+        return;
+    }
+    debug_assert_eq!(d.lcol(j + u.len()), lj + u.len(), "panel spans two blocks");
+    let (left, right) = local.as_mut_slice().split_at_mut((lj + 1) * rows);
+    let m = &mut left[lj * rows + lbelow..];
+    for v in m.iter_mut() {
+        *v /= piv;
+    }
+    for (col, &ut) in right.chunks_exact_mut(rows).zip(u) {
+        for (a, &mi) in col[lbelow..].iter_mut().zip(&*m) {
+            *a -= mi * ut;
+        }
+    }
+}
+
 /// Factor the distributed matrix in place; returns the global pivot vector
 /// (replicated on every process).
 pub fn pdgetrf(
     ctx: &mut RankCtx,
     grid: &ProcessGrid,
     a: &mut DistMatrix,
+) -> Result<Vec<usize>, LuError> {
+    factor(ctx, grid, a, panel_step)
+}
+
+/// [`pdgetrf`] with its in-panel step passed in, so the tests can hold
+/// [`panel_step`] to a copy of the row walk it replaced.
+fn factor(
+    ctx: &mut RankCtx,
+    grid: &ProcessGrid,
+    a: &mut DistMatrix,
+    step: PanelStep,
 ) -> Result<Vec<usize>, LuError> {
     let d: BlockDesc = a.desc;
     assert_eq!(d.m, d.n, "pdgetrf needs a square matrix");
@@ -151,17 +193,9 @@ pub fn pdgetrf(
                     (j..k + kb).map(|g| a.local[(lr, d.lcol(g))]).collect()
                 });
                 let rowseg = ctx.bcast_shared_f64(&col_comm, ow, seg);
-                let piv = rowseg[0];
-                // Scale multipliers and rank-1 update inside the panel.
                 let lbelow = a.local_rows_below(j + 1);
                 let mloc = a.local.rows() - lbelow;
-                for li in lbelow..a.local.rows() {
-                    let m = a.local[(li, lj)] / piv;
-                    a.local[(li, lj)] = m;
-                    for (t, g) in (j + 1..k + kb).enumerate() {
-                        a.local[(li, d.lcol(g))] -= m * rowseg[t + 1];
-                    }
-                }
+                step(&mut a.local, &d, j, lbelow, &rowseg);
                 let width = k + kb - j;
                 ctx.compute(
                     (mloc * (1 + 2 * (width - 1))) as u64,
@@ -280,4 +314,97 @@ pub fn pdgetrf(
         k += kb;
     }
     Ok(ipiv)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use greenla_cluster::placement::Placement;
+    use greenla_cluster::spec::ClusterSpec;
+    use greenla_cluster::PowerModel;
+    use greenla_mpi::Machine;
+    use rand::distributions::{Distribution, Uniform};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    /// The in-panel step as it was before [`panel_step`]: row by row over
+    /// column-major storage, `lcol` once per element.
+    fn row_walk_step(local: &mut Matrix, d: &BlockDesc, j: usize, lbelow: usize, rowseg: &[f64]) {
+        let lj = d.lcol(j);
+        let piv = rowseg[0];
+        for li in lbelow..local.rows() {
+            let m = local[(li, lj)] / piv;
+            local[(li, lj)] = m;
+            for (t, g) in (j + 1..j + rowseg.len()).enumerate() {
+                local[(li, d.lcol(g))] -= m * rowseg[t + 1];
+            }
+        }
+    }
+
+    /// A random matrix that makes partial pivoting swap rows.
+    fn random(n: usize, seed: u64) -> Matrix {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let dist = Uniform::new_inclusive(-1.0, 1.0);
+        Matrix::from_fn(n, n, |_, _| dist.sample(&mut rng))
+    }
+
+    /// Factor `a` on an `nprow × npcol` grid once with each step; asserts
+    /// that every rank got the same outcome and the same local factors bit
+    /// for bit, and returns that outcome.
+    fn factor_both_ways(
+        a: &Matrix,
+        nb: usize,
+        nprow: usize,
+        npcol: usize,
+    ) -> Result<Vec<usize>, LuError> {
+        let spec = ClusterSpec::test_cluster(4, 4);
+        let placement = Placement::packed(&spec.node, nprow * npcol).unwrap();
+        let machine = Machine::new(spec, placement, PowerModel::deterministic(), 7).unwrap();
+        let out = machine.run(|ctx| {
+            let world = ctx.world();
+            let grid = ProcessGrid::new(ctx, &world, nprow, npcol);
+            let desc = BlockDesc::square(a.rows(), nb, nprow, npcol);
+            let mut by_cols = DistMatrix::from_global(ctx, &grid, desc, a);
+            let mut by_rows = DistMatrix::from_global(ctx, &grid, desc, a);
+            let got = factor(ctx, &grid, &mut by_cols, panel_step);
+            let want = factor(ctx, &grid, &mut by_rows, row_walk_step);
+            let bits = |m: &DistMatrix| -> Vec<u64> {
+                m.local.as_slice().iter().map(|v| v.to_bits()).collect()
+            };
+            (got == want && bits(&by_cols) == bits(&by_rows), got)
+        });
+        let what = format!("n={} nb={nb} grid {nprow}x{npcol}", a.rows());
+        assert!(out.results.iter().all(|(same, _)| *same), "{what}");
+        let first = out.results[0].1.clone();
+        assert!(out.results.iter().all(|(_, r)| *r == first), "{what}");
+        first
+    }
+
+    const GRIDS: [(usize, usize); 4] = [(1, 1), (2, 2), (2, 3), (4, 4)];
+
+    #[test]
+    fn the_column_walk_factors_exactly_as_the_row_walk_did() {
+        for (nprow, npcol) in GRIDS {
+            for n in [24, 33, 64, 130] {
+                let a = random(n, n as u64);
+                for nb in [4, 5, 32] {
+                    let ipiv = factor_both_ways(&a, nb, nprow, npcol).expect("non-singular");
+                    assert!(
+                        ipiv.iter().enumerate().any(|(j, &p)| p != j),
+                        "no row swapped"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_singular_panel_reports_the_same_column() {
+        for (nprow, npcol) in GRIDS {
+            let mut a = random(33, 5);
+            a.col_mut(17).fill(0.0);
+            let err = factor_both_ways(&a, 5, nprow, npcol).unwrap_err();
+            assert_eq!(err, LuError::Singular { col: 17 });
+        }
+    }
 }
