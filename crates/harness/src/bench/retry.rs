@@ -1,5 +1,6 @@
-//! Deflaking statistics shared by the bench suites and the roofline
-//! acceptance: the outlier-resistant median behind every timed entry, the
+//! Deflaking statistics shared by the roofline acceptance, the sparse
+//! campaign's model check and `benchmark/`: the outlier-resistant median
+//! behind every timed kernel, the
 //! symmetric ratio band every predicted-vs-measured comparison gates on,
 //! and the best-of-N envelope that re-measures a whole check set when a
 //! shared runner's background load bursts through one attempt.
@@ -18,7 +19,7 @@ pub fn median_wall(reps: usize, mut f: impl FnMut()) -> f64 {
         .map(|_| {
             #[expect(
                 clippy::disallowed_methods,
-                reason = "the bench suites time the host, not the simulation"
+                reason = "the kernel probes time the host, not the simulation"
             )]
             let t = Instant::now();
             f();

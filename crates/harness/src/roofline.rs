@@ -1,54 +1,41 @@
-//! Host-side roofline calibration and bench-suite validation.
+//! Host-side roofline calibration and the measured kernels it predicts.
 //!
 //! [`greenla_model::roofline::Roofline`] needs machine ceilings. The
 //! spec-derived constructor models the *simulated* machine; this module
-//! builds the *measured* counterpart for the host the benchmarks actually
-//! run on, from five short kernel probes (one per code class) and
-//! a streaming-triad bandwidth probe. [`validate_suite`] then replays the
-//! closed-form profiles of every pinned `kernel_suite` entry through the
-//! calibrated roofline and reports predicted-vs-measured attainable
-//! GFLOP/s — the bench CI asserts the ratio stays inside
-//! [`RELEASE_REL_TOL`].
+//! builds the *measured* counterpart for the host the kernels actually run
+//! on, from five short kernel probes (one per code class) and a
+//! streaming-triad bandwidth probe. [`measure_kernels`] then times every
+//! pinned kernel next to its closed-form [`KernelProfile`] and reports
+//! predicted-vs-measured attainable GFLOP/s — the release roofline
+//! acceptance asserts the ratio stays inside [`REL_TOL`].
 //!
-//! Probes deliberately reuse the bench suite's `median_wall` statistic so
-//! correlated background load (the usual failure mode on shared runners)
-//! shifts calibration and measurement together and cancels in the ratio.
-//! Probe sizes are *not* suite sizes — the model must extrapolate, not
-//! memorize.
+//! Probes and kernels share the `median_wall` statistic so correlated
+//! background load (the usual failure mode on shared runners) shifts
+//! calibration and measurement together and cancels in the ratio. Probe
+//! sizes are *not* kernel sizes — the model must extrapolate, not memorize.
 
-use crate::bench::{median_wall, BenchSuite};
+use crate::bench::retry::median_wall;
+use greenla_cg::partition::{RowBlocks, RowSplit};
 use greenla_linalg::blas3::{
-    dgemm_blocked, dgemm_blocked_path, dgemm_reference, dtrsm_left_lower_unit, TRSM_BLOCK,
+    dgemm_blocked, dgemm_blocked_path, dgemm_reference, dtrsm_left_lower_unit, dtrsm_left_upper,
+    TRSM_BLOCK,
 };
 use greenla_linalg::flops;
+use greenla_linalg::par::dgemm_parallel_blocked;
 use greenla_linalg::simd::{self, KernelPath};
+use greenla_linalg::sparse::{default_spmv_workers, laplace2d};
 use greenla_linalg::tune::Blocking;
 use greenla_linalg::Matrix;
 use greenla_model::roofline::{KernelProfile, Roofline};
 
-/// Relative tolerance the release-mode validation asserts: predicted
-/// attainable GFLOP/s within ±30% of measured for every suite entry
+/// Relative tolerance the acceptance asserts: predicted attainable GFLOP/s
+/// within ±30% of measured for every kernel
 /// (`1/1.3 ≤ predicted/measured ≤ 1.3`).
-pub const RELEASE_REL_TOL: f64 = 0.30;
-
-/// Debug builds get a wider band: unoptimized codegen disperses the
-/// per-class rates (bounds checks dominate some loops and not others), and
-/// the scaled-down probes are short. The debug run is a plumbing smoke
-/// test; the release run is the acceptance check.
-pub const DEBUG_REL_TOL: f64 = 0.60;
-
-/// The tolerance appropriate for the build actually running.
-pub fn rel_tol() -> f64 {
-    if cfg!(debug_assertions) {
-        DEBUG_REL_TOL
-    } else {
-        RELEASE_REL_TOL
-    }
-}
+pub const REL_TOL: f64 = 0.30;
 
 /// A roofline calibrated on the running host, plus the kernel path the
-/// dispatched probes resolved to (recorded so artifacts stay comparable —
-/// the same contract as `BenchReport::kernel_path`).
+/// dispatched probes resolved to (kernel rates are only comparable within
+/// one path).
 #[derive(Clone, Copy, Debug)]
 pub struct HostRoofline {
     pub rf: Roofline,
@@ -59,28 +46,23 @@ pub struct HostRoofline {
 /// that per-call and packing overheads sit at their large-`n` asymptote
 /// (a size sweep showed 320 still reads a few percent off the 512/1024
 /// regime on the scalar nest), small enough that the batched repetitions
-/// stay under a second per class — and not a suite size, so the model
+/// stay under a second per class — and not a kernel size, so the model
 /// extrapolates rather than memorizes.
 const PROBE_N: usize = 448;
 
-/// Triad length per array for the bandwidth probe: 3 × 8 MiB in debug
-/// (keeps `cargo test` fast; debug predictions are compute-bound anyway),
-/// 3 × 128 MiB in release — comfortably past the dev box's 105 MiB L3, so
-/// the probe streams DRAM, not cache.
-fn triad_len() -> usize {
-    if cfg!(debug_assertions) {
-        1 << 20
-    } else {
-        1 << 24
-    }
-}
+/// Triad length per array for the bandwidth probe: 3 × 128 MiB,
+/// comfortably past the dev box's 105 MiB L3, so the probe streams DRAM,
+/// not cache.
+const TRIAD_LEN: usize = 1 << 24;
 
-fn probe_n() -> usize {
-    if cfg!(debug_assertions) {
-        64
-    } else {
-        PROBE_N
-    }
+/// Grid edge of the sparse kernels: 6.25 million rows, 50 MB per vector.
+/// The CG iteration re-touches five vectors back to back, so the working
+/// set must dwarf the last-level cache (105 MB on the reference runner) or
+/// the measured rate floats above the DRAM ceiling it is validated against.
+const LAPLACE_K: usize = 2500;
+
+fn test_matrix(n: usize, salt: usize) -> Matrix {
+    Matrix::from_fn(n, n, |i, j| ((i * (7 + salt) + j * 13) % 17) as f64 - 8.0)
 }
 
 /// Flop rate of `f` (which performs `flops` per call), batched `iters`
@@ -99,17 +81,13 @@ fn rate_of(flops: u64, iters: usize, reps: usize, mut f: impl FnMut()) -> f64 {
 /// dispatched microkernel on square and thin panels, the scalar-pinned
 /// packed nest, the reference nest) plus a streaming triad; cores from the
 /// OS. Under `GREENLA_KERNEL=scalar` the dispatched probes calibrate the
-/// scalar path, so predictions keep matching what the suite then measures.
+/// scalar path, so predictions keep matching what the kernels then measure.
 pub fn calibrate() -> HostRoofline {
-    let n = probe_n();
-    let (reps, iters) = if cfg!(debug_assertions) {
-        (3, 1)
-    } else {
-        (9, 4)
-    };
+    let n = PROBE_N;
+    let (reps, iters) = (9, 4);
     let tune = Blocking::default_blocking();
-    let a = crate::bench::test_matrix(n, 0);
-    let b = crate::bench::test_matrix(n, 2);
+    let a = test_matrix(n, 0);
+    let b = test_matrix(n, 2);
     let mut c = Matrix::zeros(n, n);
     let sq_flops = flops::dgemm(n, n, n);
 
@@ -147,19 +125,16 @@ pub fn calibrate() -> HostRoofline {
     });
 
     // Substitution probe, in context: a full triangular solve at a
-    // non-suite size (same 2:1 aspect as the pinned entries). Substitution
-    // never executes in isolation — every diagonal block's solve is
-    // interleaved with packed trailing updates that disturb the caches,
-    // and a pure m = TRSM_BLOCK probe measured the loop ~1.5× faster than
-    // it runs inside a real solve. Timing the whole solve and removing the
-    // update share predicted by the thin-panel rate calibrates the
-    // substitution loop with that interference priced in. The floor guards
-    // against a burst-inflated thin rate swallowing the whole wall.
-    let (ms, ns) = if cfg!(debug_assertions) {
-        (2 * kt, kt)
-    } else {
-        (384, 192)
-    };
+    // non-kernel size (same 2:1 aspect as the pinned dtrsm kernels).
+    // Substitution never executes in isolation — every diagonal block's
+    // solve is interleaved with packed trailing updates that disturb the
+    // caches, and a pure m = TRSM_BLOCK probe measured the loop ~1.5×
+    // faster than it runs inside a real solve. Timing the whole solve and
+    // removing the update share predicted by the thin-panel rate
+    // calibrates the substitution loop with that interference priced in.
+    // The floor guards against a burst-inflated thin rate swallowing the
+    // whole wall.
+    let (ms, ns) = (384, 192);
     let ls = Matrix::from_fn(ms, ms, |i, j| {
         use std::cmp::Ordering::*;
         match i.cmp(&j) {
@@ -171,8 +146,8 @@ pub fn calibrate() -> HostRoofline {
     let bs = Matrix::from_fn(ms, ns, |i, j| ((i * 7 + j * 13) % 17) as f64 - 8.0);
     let mut xs = bs.as_slice().to_vec();
     let ps = flops::dtrsm_packed_profile(ms, ns, &tune);
-    // Per-call RHS restore mirrors the suite's dtrsm entries, which also
-    // time the copy — probe and measurement pay the same overhead.
+    // Per-call RHS restore mirrors the dtrsm kernels, which also time the
+    // copy — probe and measurement pay the same overhead.
     let subst_wall = median_wall(reps, || {
         xs.copy_from_slice(bs.as_slice());
         dtrsm_left_lower_unit(ms, ns, ls.as_slice(), ms, &mut xs, ms);
@@ -182,18 +157,16 @@ pub fn calibrate() -> HostRoofline {
     let subst_flops = ps.subst_flops as f64 / subst_s;
 
     // Streaming triad c ← a + 3·b: 3 × 8 bytes per element per pass.
-    let len = triad_len();
-    let ta: Vec<f64> = (0..len).map(|i| (i % 17) as f64).collect();
-    let tb: Vec<f64> = (0..len).map(|i| (i % 13) as f64).collect();
-    let mut tc = vec![0.0f64; len];
-    let triad_reps = if cfg!(debug_assertions) { 3 } else { 5 };
-    let wall = median_wall(triad_reps, || {
+    let ta: Vec<f64> = (0..TRIAD_LEN).map(|i| (i % 17) as f64).collect();
+    let tb: Vec<f64> = (0..TRIAD_LEN).map(|i| (i % 13) as f64).collect();
+    let mut tc = vec![0.0f64; TRIAD_LEN];
+    let wall = median_wall(5, || {
         for ((y, &x), &z) in tc.iter_mut().zip(&ta).zip(&tb) {
             *y = x + 3.0 * z;
         }
         std::hint::black_box(&mut tc);
     });
-    let mem_bw = (3 * 8 * len) as f64 / wall;
+    let mem_bw = (3 * 8 * TRIAD_LEN) as f64 / wall;
 
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let host = HostRoofline {
@@ -212,106 +185,292 @@ pub fn calibrate() -> HostRoofline {
     host
 }
 
-/// Closed-form [`KernelProfile`] of a pinned `kernel_suite` entry, by its
-/// stable id. Sizes mirror `bench::kernel_suite` — a new suite entry must
-/// be added here too or [`validate_suite`] fails loudly (by design: the
-/// roofline acceptance covers *every* entry).
-pub fn entry_profile(id: &str, tune: &Blocking) -> Option<KernelProfile> {
-    let packed = |n: usize, workers: usize| {
-        KernelProfile::simd(
-            flops::dgemm(n, n, n) as f64,
-            flops::dgemm_packed_bytes(n, n, n, tune) as f64,
-            workers,
-        )
-    };
-    let trsm = || {
-        let p = flops::dtrsm_packed_profile(512, 256, tune);
-        KernelProfile {
-            thin_simd_flops: p.dgemm_flops as f64,
-            subst_flops: p.subst_flops as f64,
-            bytes: p.bytes as f64,
-            workers: 1,
-            ..KernelProfile::default()
-        }
-    };
-    // The sparse entries' shapes come from the closed form, not from
-    // materialising the million-row matrix.
-    let (sn, snnz) = crate::bench::laplace2d_shape(crate::bench::LAPLACE_BENCH_K);
-    Some(match id {
-        "spmv_2d_6m" => {
-            KernelProfile::sparse(flops::spmv(snnz), flops::spmv_csr_bytes(sn, snnz), 1)
-        }
-        "cg_iter_2d_6m" => {
-            let c = greenla_cg::formulas::cg_iter_cost(sn, snnz, 0, false);
-            KernelProfile::sparse(c.flops, c.bytes, 1)
-        }
-        // Same matrix and byte model as `spmv_2d_6m`, spread over the
-        // worker count the bench actually ran with (`GREENLA_SPMV_THREADS`
-        // or the host's cores) — this is the entry the acceptance pins to
-        // the *multi-core* memory ceiling.
-        "spmv_par_2d_6m" => KernelProfile::sparse(
-            flops::spmv(snnz),
-            flops::spmv_csr_bytes(sn, snnz),
-            greenla_linalg::sparse::default_spmv_workers(),
-        ),
-        // The overlapped solver's split sweep is an exact repartition of
-        // the block SpMV, so the iteration profile is `cg_iter_2d_6m`'s.
-        "cg_overlap_iter" => {
-            let c = greenla_cg::formulas::cg_iter_cost(sn, snnz, 0, false);
-            KernelProfile::sparse(c.flops, c.bytes, 1)
-        }
-        "dgemm_packed_128" => packed(128, 1),
-        "dgemm_packed_256" => packed(256, 1),
-        "dgemm_packed_512" => packed(512, 1),
-        "dgemm_seq_1024" => packed(1024, 1),
-        "dgemm_par_1024_w4" => packed(1024, 4),
-        "dgemm_scalar_512" => KernelProfile::reference(
-            flops::dgemm(512, 512, 512) as f64,
-            flops::dgemm_reference_bytes(512, 512, 512) as f64,
-        ),
-        "dgemm_packed_scalar_512" => KernelProfile::packed_scalar(
-            flops::dgemm(512, 512, 512) as f64,
-            flops::dgemm_packed_bytes(512, 512, 512, tune) as f64,
-        ),
-        "dtrsm_lower_512x256" | "dtrsm_upper_512x256" => trsm(),
-        _ => return None,
-    })
+/// Packed dgemm at `n³` on `workers` threads: every flop through the
+/// dispatched microkernel.
+fn packed_profile(n: usize, workers: usize, tune: &Blocking) -> KernelProfile {
+    KernelProfile::simd(
+        flops::dgemm(n, n, n) as f64,
+        flops::dgemm_packed_bytes(n, n, n, tune) as f64,
+        workers,
+    )
 }
 
-/// One predicted-vs-measured comparison from [`validate_suite`].
-#[derive(Clone, Debug)]
-pub struct RooflineCheck {
-    pub id: String,
-    pub predicted_gflops: f64,
-    pub measured_gflops: f64,
-    /// `predicted / measured`; the acceptance band is
-    /// `[1/(1+tol), 1+tol]`.
-    pub ratio: f64,
-    pub compute_bound: bool,
-}
-
-impl RooflineCheck {
-    pub fn within(&self, rel_tol: f64) -> bool {
-        crate::bench::retry::within_band(self.ratio, rel_tol)
+/// Blocked triangular solve of `m × m` against `nrhs` columns: thin-panel
+/// updates plus the substitution loops.
+fn trsm_profile(m: usize, nrhs: usize, tune: &Blocking) -> KernelProfile {
+    let p = flops::dtrsm_packed_profile(m, nrhs, tune);
+    KernelProfile {
+        thin_simd_flops: p.dgemm_flops as f64,
+        subst_flops: p.subst_flops as f64,
+        bytes: p.bytes as f64,
+        workers: 1,
+        ..KernelProfile::default()
     }
 }
 
-/// Predict every measured suite entry through the calibrated roofline.
-/// Panics if an entry with a flop rate has no closed-form profile — the
-/// validation must not silently shrink its coverage when the suite grows.
-pub fn validate_suite(host: &HostRoofline, suite: &BenchSuite) -> Vec<RooflineCheck> {
+/// Serial CSR SpMV over `n` rows and `nnz` stored entries.
+fn spmv_profile(n: usize, nnz: usize) -> KernelProfile {
+    KernelProfile::sparse(flops::spmv(nnz), flops::spmv_csr_bytes(n, nnz), 1)
+}
+
+/// The row-block SpMV: the serial byte model spread over the worker count
+/// it actually runs with (`GREENLA_SPMV_THREADS` or the host's cores).
+fn spmv_par_profile(n: usize, nnz: usize) -> KernelProfile {
+    KernelProfile {
+        workers: default_spmv_workers(),
+        ..spmv_profile(n, nnz)
+    }
+}
+
+/// One unpreconditioned CG iteration: the SpMV plus the BLAS1 sweep
+/// `greenla_cg::formulas::blas1_iter_cost` counts.
+fn cg_iter_profile(n: usize, nnz: usize) -> KernelProfile {
+    let c = greenla_cg::formulas::cg_iter_cost(n, nnz, 0, false);
+    KernelProfile::sparse(c.flops, c.bytes, 1)
+}
+
+/// The BLAS1 half of one unpreconditioned CG iteration after `q = A·p`,
+/// operation for operation what `blas1_iter_cost` charges: three dots, two
+/// axpys, the identity-preconditioner copy and the direction update.
+fn cg_blas1(x: &mut [f64], r: &mut [f64], z: &mut [f64], p: &mut [f64], q: &[f64]) {
+    let pq: f64 = p.iter().zip(q).map(|(a, b)| a * b).sum();
+    let rz: f64 = r.iter().zip(z.iter()).map(|(a, b)| a * b).sum();
+    let alpha = if pq != 0.0 { rz / pq } else { 0.0 };
+    for (xi, pi) in x.iter_mut().zip(p.iter()) {
+        *xi += alpha * pi;
+    }
+    for (ri, qi) in r.iter_mut().zip(q) {
+        *ri -= alpha * qi;
+    }
+    let rr: f64 = r.iter().map(|v| v * v).sum();
+    z.copy_from_slice(r);
+    let beta = if rz != 0.0 { rr / rz } else { 0.0 };
+    for (pi, zi) in p.iter_mut().zip(z.iter()) {
+        *pi = zi + beta * *pi;
+    }
+    std::hint::black_box(p);
+}
+
+/// Time `calls` back-to-back calls of `body` per repetition (small kernels
+/// batch so every repetition measures milliseconds, not timer granularity)
+/// and return the median wall seconds per call next to the kernel's id and
+/// profile.
+fn timed(
+    id: &'static str,
+    profile: KernelProfile,
+    reps: usize,
+    calls: usize,
+    mut body: impl FnMut(),
+) -> (&'static str, KernelProfile, f64) {
+    let wall = median_wall(reps, || {
+        for _ in 0..calls {
+            body();
+        }
+    });
+    (id, profile, wall / calls as f64)
+}
+
+/// Time every pinned kernel next to its closed-form profile: packed dgemm
+/// at three sizes, the scalar reference and the scalar-pinned packed nest
+/// (so the packing and SIMD wins stay visible), the sequential-vs-parallel
+/// pair at 1024, both blocked triangular solves, and the sparse set on the
+/// million-row 5-point Laplacian (SpMV serial and row-block parallel, the
+/// CG iteration in plain and overlapped row order) — and predict each
+/// through `host`. Sizes are not probe sizes. Takes a few seconds and
+/// ~1 GB in release.
+pub fn measure_kernels(host: &HostRoofline) -> Vec<RooflineCheck> {
+    const REPS: usize = 9;
+    const SPARSE_REPS: usize = 5;
     let tune = Blocking::default_blocking();
-    suite
-        .entries
-        .iter()
-        .filter(|e| e.gflops.is_some())
-        .map(|e| {
-            let profile = entry_profile(&e.id, &tune)
-                .unwrap_or_else(|| panic!("no roofline profile for suite entry `{}`", e.id));
+    let mut kernels = Vec::new();
+
+    for (id, n, calls) in [
+        ("dgemm_packed_128", 128usize, 16),
+        ("dgemm_packed_256", 256, 4),
+        ("dgemm_packed_512", 512, 1),
+    ] {
+        let a = test_matrix(n, 0);
+        let b = test_matrix(n, 2);
+        let mut c = Matrix::zeros(n, n);
+        kernels.push(timed(id, packed_profile(n, 1, &tune), REPS, calls, || {
+            dgemm_blocked(1.0, a.block(), b.block(), 0.0, c.block_mut(), &tune);
+        }));
+    }
+
+    {
+        let n = 512;
+        let a = test_matrix(n, 0);
+        let b = test_matrix(n, 2);
+        let mut c = Matrix::zeros(n, n);
+        let fl = flops::dgemm(n, n, n) as f64;
+        kernels.push(timed(
+            "dgemm_scalar_512",
+            KernelProfile::reference(fl, flops::dgemm_reference_bytes(n, n, n) as f64),
+            REPS,
+            1,
+            || dgemm_reference(1.0, a.block(), b.block(), 0.0, c.block_mut()),
+        ));
+        kernels.push(timed(
+            "dgemm_packed_scalar_512",
+            KernelProfile::packed_scalar(fl, flops::dgemm_packed_bytes(n, n, n, &tune) as f64),
+            REPS,
+            1,
+            || {
+                dgemm_blocked_path(
+                    KernelPath::Scalar,
+                    1.0,
+                    a.block(),
+                    b.block(),
+                    0.0,
+                    c.block_mut(),
+                    &tune,
+                )
+            },
+        ));
+    }
+
+    {
+        let n = 1024;
+        let a = test_matrix(n, 0);
+        let b = test_matrix(n, 2);
+        let mut c = Matrix::zeros(n, n);
+        kernels.push(timed(
+            "dgemm_seq_1024",
+            packed_profile(n, 1, &tune),
+            REPS,
+            1,
+            || dgemm_blocked(1.0, a.block(), b.block(), 0.0, c.block_mut(), &tune),
+        ));
+        kernels.push(timed(
+            "dgemm_par_1024_w4",
+            packed_profile(n, 4, &tune),
+            REPS,
+            1,
+            || dgemm_parallel_blocked(1.0, a.block(), b.block(), 0.0, c.block_mut(), &tune, 4),
+        ));
+    }
+
+    // One well-conditioned system per triangle, re-solved from a pristine
+    // right-hand side every repetition.
+    {
+        let (m, nrhs) = (512, 256);
+        let mut l = test_matrix(m, 4);
+        let mut u = test_matrix(m, 6);
+        for j in 0..m {
+            for i in 0..=j {
+                l[(i, j)] = if i == j { 1.0 } else { 0.0 };
+            }
+            for i in j + 1..m {
+                l[(i, j)] *= 0.001;
+                u[(i, j)] = 0.0;
+            }
+            u[(j, j)] = 4.0;
+        }
+        let b0: Vec<f64> = (0..m * nrhs).map(|i| ((i % 23) as f64) - 11.0).collect();
+        let mut x = b0.clone();
+        kernels.push(timed(
+            "dtrsm_lower_512x256",
+            trsm_profile(m, nrhs, &tune),
+            REPS,
+            1,
+            || {
+                x.copy_from_slice(&b0);
+                dtrsm_left_lower_unit(m, nrhs, l.as_slice(), m, &mut x, m);
+            },
+        ));
+        kernels.push(timed(
+            "dtrsm_upper_512x256",
+            trsm_profile(m, nrhs, &tune),
+            REPS,
+            1,
+            || {
+                x.copy_from_slice(&b0);
+                dtrsm_left_upper(m, nrhs, u.as_slice(), m, &mut x, m);
+            },
+        ));
+    }
+
+    // The sparse set streams DRAM well past any cache, so it exercises the
+    // bandwidth ceiling, not the flop ceilings.
+    {
+        let s = laplace2d(LAPLACE_K);
+        let (n, nnz) = (s.a.n(), s.a.nnz());
+        let ones = vec![1.0f64; n];
+        let mut y = vec![0.0f64; n];
+        kernels.push(timed(
+            "spmv_2d_6m",
+            spmv_profile(n, nnz),
+            SPARSE_REPS,
+            1,
+            || {
+                s.a.spmv(&ones, &mut y);
+                std::hint::black_box(&mut y);
+            },
+        ));
+
+        let mut x = vec![0.0f64; n];
+        let mut r = s.b.clone();
+        let mut z = r.clone();
+        let mut p = z.clone();
+        let mut q = vec![0.0f64; n];
+        kernels.push(timed(
+            "cg_iter_2d_6m",
+            cg_iter_profile(n, nnz),
+            SPARSE_REPS,
+            1,
+            || {
+                s.a.spmv(&p, &mut q);
+                cg_blas1(&mut x, &mut r, &mut z, &mut p, &q);
+            },
+        ));
+
+        kernels.push(timed(
+            "spmv_par_2d_6m",
+            spmv_par_profile(n, nnz),
+            SPARSE_REPS,
+            1,
+            || {
+                s.a.spmv_parallel(&ones, &mut y);
+                std::hint::black_box(&mut y);
+            },
+        ));
+
+        // The overlapped solver's sweep order: every 16-way row block's
+        // interior rows first, then its boundary rows. An exact
+        // repartition of the SpMV, so the profile is the plain
+        // iteration's and the rate gap is the price of the indexed sweep.
+        let blocks = RowBlocks::new(n, 16);
+        let (mut interior, mut boundary) = (Vec::new(), Vec::new());
+        for rank in 0..16 {
+            let split = RowSplit::build(&s.a, blocks, rank);
+            let lo = blocks.lo(rank);
+            interior.extend(split.interior.iter().map(|i| lo + i));
+            boundary.extend(split.boundary.iter().map(|i| lo + i));
+        }
+        let mut x = vec![0.0f64; n];
+        let mut r = s.b.clone();
+        let mut z = r.clone();
+        let mut p = z.clone();
+        kernels.push(timed(
+            "cg_overlap_iter",
+            cg_iter_profile(n, nnz),
+            SPARSE_REPS,
+            1,
+            || {
+                s.a.spmv_rows(&interior, &p, &mut q);
+                s.a.spmv_rows(&boundary, &p, &mut q);
+                cg_blas1(&mut x, &mut r, &mut z, &mut p, &q);
+            },
+        ));
+    }
+    kernels
+        .into_iter()
+        .map(|(id, profile, wall_s)| {
             let pred = host.rf.predict(&profile);
-            let measured = e.gflops.expect("filtered to measured entries");
+            let measured = profile.total_flops() / wall_s / 1e9;
             RooflineCheck {
-                id: e.id.clone(),
+                id,
+                workers: profile.workers,
                 predicted_gflops: pred.gflops,
                 measured_gflops: measured,
                 ratio: pred.gflops / measured,
@@ -321,34 +480,36 @@ pub fn validate_suite(host: &HostRoofline, suite: &BenchSuite) -> Vec<RooflineCh
         .collect()
 }
 
+/// One predicted-vs-measured comparison from [`measure_kernels`].
+#[derive(Clone, Debug)]
+pub struct RooflineCheck {
+    pub id: &'static str,
+    /// Worker threads the kernel's profile runs on.
+    pub workers: usize,
+    pub predicted_gflops: f64,
+    pub measured_gflops: f64,
+    /// `predicted / measured`.
+    pub ratio: f64,
+    pub compute_bound: bool,
+}
+
+impl RooflineCheck {
+    /// The ratio the acceptance band `[1/(1+tol), 1+tol]` judges. A kernel
+    /// on more than one worker cannot beat its `workers ×` ceiling, but
+    /// shared caches and the memory controller may keep it below, so only
+    /// the lower side of the band applies: any undershoot reads as 1.
+    pub fn banded_ratio(&self) -> f64 {
+        if self.workers > 1 {
+            self.ratio.min(1.0)
+        } else {
+            self.ratio
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn every_suite_id_has_a_profile() {
-        // The ids pinned by bench::kernel_suite, spelled out so a rename
-        // on either side breaks this test instead of the bench CI.
-        let tune = Blocking::default_blocking();
-        for id in [
-            "dgemm_packed_128",
-            "dgemm_packed_256",
-            "dgemm_packed_512",
-            "dgemm_scalar_512",
-            "dgemm_packed_scalar_512",
-            "dgemm_seq_1024",
-            "dgemm_par_1024_w4",
-            "dtrsm_lower_512x256",
-            "dtrsm_upper_512x256",
-            "spmv_2d_6m",
-            "spmv_par_2d_6m",
-            "cg_iter_2d_6m",
-            "cg_overlap_iter",
-        ] {
-            assert!(entry_profile(id, &tune).is_some(), "missing profile {id}");
-        }
-        assert!(entry_profile("nonexistent", &tune).is_none());
-    }
 
     #[test]
     fn sparse_profiles_sit_under_the_memory_ceiling() {
@@ -356,20 +517,14 @@ mod tests {
         // plus u32 indices) and the CG iteration's (~1/10) are both far
         // below any realistic machine balance, so the acceptance exercises
         // the bandwidth ceiling, not the flop ceilings.
-        let tune = Blocking::default_blocking();
-        for id in [
-            "spmv_2d_6m",
-            "spmv_par_2d_6m",
-            "cg_iter_2d_6m",
-            "cg_overlap_iter",
+        let s = laplace2d(40);
+        let (n, nnz) = (s.a.n(), s.a.nnz());
+        for (id, p) in [
+            ("spmv", spmv_profile(n, nnz)),
+            ("spmv_par", spmv_par_profile(n, nnz)),
+            ("cg_iter", cg_iter_profile(n, nnz)),
         ] {
-            let p = entry_profile(id, &tune).unwrap();
-            let flops = p.simd_flops
-                + p.thin_simd_flops
-                + p.packed_scalar_flops
-                + p.reference_flops
-                + p.subst_flops;
-            let ai = flops / p.bytes;
+            let ai = p.total_flops() / p.bytes;
             assert!(ai < 0.5, "{id}: AI {ai} is not memory-bound");
         }
     }
@@ -377,32 +532,52 @@ mod tests {
     #[test]
     fn trsm_profile_splits_classes() {
         let tune = Blocking::default_blocking();
-        let p = entry_profile("dtrsm_lower_512x256", &tune).unwrap();
+        let p = trsm_profile(512, 256, &tune);
         assert!(p.thin_simd_flops > 0.0 && p.subst_flops > 0.0);
         assert_eq!(p.simd_flops, 0.0);
-        assert_eq!(
-            p.thin_simd_flops + p.subst_flops,
-            flops::dtrsm(512, 256) as f64
-        );
+        assert_eq!(p.total_flops(), flops::dtrsm(512, 256) as f64);
     }
 
     #[test]
     fn parallel_entry_requests_four_workers() {
+        // The parallel dgemm is the sequential one's work spread over four
+        // workers — same flops, same bytes.
         let tune = Blocking::default_blocking();
-        let p = entry_profile("dgemm_par_1024_w4", &tune).unwrap();
-        assert_eq!(p.workers, 4);
+        let par = packed_profile(1024, 4, &tune);
+        assert_eq!(par.workers, 4);
+        assert_eq!(
+            KernelProfile { workers: 1, ..par },
+            packed_profile(1024, 1, &tune)
+        );
     }
 
     #[test]
     fn parallel_spmv_entry_rides_the_worker_knob() {
-        // The profile must request exactly the worker count the bench ran
-        // with, so the CI `GREENLA_SPMV_THREADS` matrix leg validates the
-        // prediction at the swept count.
-        let tune = Blocking::default_blocking();
-        let p = entry_profile("spmv_par_2d_6m", &tune).unwrap();
-        assert_eq!(p.workers, greenla_linalg::sparse::default_spmv_workers());
-        let serial = entry_profile("spmv_2d_6m", &tune).unwrap();
-        assert_eq!(p.bytes, serial.bytes, "same closed-form byte model");
-        assert_eq!(p.reference_flops, serial.reference_flops);
+        // The profile must request exactly the worker count the kernel
+        // runs with, so a `GREENLA_SPMV_THREADS` override validates the
+        // prediction at that count.
+        let p = spmv_par_profile(100, 460);
+        assert_eq!(p.workers, default_spmv_workers());
+        assert_eq!(
+            KernelProfile { workers: 1, ..p },
+            spmv_profile(100, 460),
+            "same closed-form byte model"
+        );
+    }
+
+    #[test]
+    fn only_multi_worker_checks_forgive_undershoot() {
+        let check = |workers, ratio| RooflineCheck {
+            id: "k",
+            workers,
+            predicted_gflops: ratio,
+            measured_gflops: 1.0,
+            ratio,
+            compute_bound: true,
+        };
+        assert_eq!(check(1, 1.6).banded_ratio(), 1.6);
+        assert_eq!(check(4, 1.6).banded_ratio(), 1.0);
+        // Beating the ceiling is a model error at any worker count.
+        assert_eq!(check(4, 0.5).banded_ratio(), 0.5);
     }
 }

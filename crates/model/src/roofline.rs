@@ -131,7 +131,8 @@ impl KernelProfile {
         }
     }
 
-    fn total_flops(&self) -> f64 {
+    /// Flops over every code class.
+    pub fn total_flops(&self) -> f64 {
         self.simd_flops
             + self.thin_simd_flops
             + self.packed_scalar_flops
