@@ -93,7 +93,7 @@ fn roofline_reproduces_the_iterations_virtual_time() {
                 solve.iterations as u64,
                 0,
             );
-            rf.predict(&KernelProfile::sparse(cost.flops, cost.bytes, 1))
+            rf.predict(&KernelProfile::sparse(cost.flops, cost.bytes))
                 .time_s
         })
         .collect();
@@ -120,7 +120,7 @@ fn spmv_sits_on_the_memory_ceiling_of_the_spec_roofline() {
     let spec = ClusterSpec::test_cluster(1, 2);
     let rf = Roofline::from_spec(&spec);
     let cost = formulas::spmv_block_cost(rows, nnz, 0);
-    let pred = rf.predict(&KernelProfile::sparse(cost.flops, cost.bytes, 1));
+    let pred = rf.predict(&KernelProfile::sparse(cost.flops, cost.bytes));
     assert!(
         !pred.compute_bound,
         "SpMV must be memory-bound (AI {:.3})",

@@ -29,7 +29,8 @@
 //! ```
 //!
 //! `--exp none` runs no experiment (with `--trace-out`, only the trace
-//! export); any other unknown name exits 2.
+//! export); any other unknown name exits 2, as does an unknown `--tier` or
+//! `--scheduler` value or a `--reps` that is not a positive count.
 //!
 //! `--exp scale` is the large-P smoke: it skips the solver campaign and
 //! drives one barrier + broadcast + allreduce workout at the largest
@@ -92,7 +93,14 @@ fn parse_args() -> Args {
                 }
                 args.exp = v;
             }
-            "--tier" => args.tier = it.next().expect("--tier needs a value"),
+            "--tier" => {
+                let v = it.next().expect("--tier needs a value");
+                if !["functional", "model", "both"].contains(&v.as_str()) {
+                    eprintln!("--tier wants functional|model|both, got {v:?}");
+                    std::process::exit(2);
+                }
+                args.tier = v;
+            }
             "--reps" => {
                 let v = it.next().expect("--reps needs a value");
                 args.reps = v.parse().ok().filter(|&r| r > 0).unwrap_or_else(|| {

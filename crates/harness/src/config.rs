@@ -32,15 +32,6 @@ impl SolverChoice {
         }
     }
 
-    pub fn ime_paper() -> Self {
-        let o = ImepOptions::paper();
-        SolverChoice::Ime {
-            collect_last_rows: o.collect_last_rows,
-            centralized_h: o.centralized_h,
-            pipelined_bcast: o.pipelined_bcast,
-        }
-    }
-
     pub fn scalapack() -> Self {
         SolverChoice::ScaLapack { nb: 32 }
     }

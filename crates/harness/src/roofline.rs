@@ -7,7 +7,9 @@
 //! streaming-triad bandwidth probe. [`measure_kernels`] then times every
 //! pinned kernel next to its closed-form [`KernelProfile`] and reports
 //! predicted-vs-measured attainable GFLOP/s — the release roofline
-//! acceptance asserts the ratio stays inside [`REL_TOL`].
+//! acceptance asserts the ratio stays inside [`REL_TOL`] on both sides.
+//! Every kernel runs on the calling thread, as it does inside a solver
+//! rank.
 //!
 //! Probes and kernels share the `median_wall` statistic so correlated
 //! background load (the usual failure mode on shared runners) shifts
@@ -21,9 +23,8 @@ use greenla_linalg::blas3::{
     TRSM_BLOCK,
 };
 use greenla_linalg::flops;
-use greenla_linalg::par::dgemm_parallel_blocked;
 use greenla_linalg::simd::{self, KernelPath};
-use greenla_linalg::sparse::{default_spmv_workers, laplace2d};
+use greenla_linalg::sparse::laplace2d;
 use greenla_linalg::tune::Blocking;
 use greenla_linalg::Matrix;
 use greenla_model::roofline::{KernelProfile, Roofline};
@@ -79,9 +80,9 @@ fn rate_of(flops: u64, iters: usize, reps: usize, mut f: impl FnMut()) -> f64 {
 
 /// Calibrate a [`Roofline`] on the running host. Four kernel probes (the
 /// dispatched microkernel on square and thin panels, the scalar-pinned
-/// packed nest, the reference nest) plus a streaming triad; cores from the
-/// OS. Under `GREENLA_KERNEL=scalar` the dispatched probes calibrate the
-/// scalar path, so predictions keep matching what the kernels then measure.
+/// packed nest, the reference nest) plus a streaming triad. Under
+/// `GREENLA_KERNEL=scalar` the dispatched probes calibrate the scalar
+/// path, so predictions keep matching what the kernels then measure.
 pub fn calibrate() -> HostRoofline {
     let n = PROBE_N;
     let (reps, iters) = (9, 4);
@@ -168,7 +169,6 @@ pub fn calibrate() -> HostRoofline {
     });
     let mem_bw = (3 * 8 * TRIAD_LEN) as f64 / wall;
 
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let host = HostRoofline {
         rf: Roofline {
             simd_flops,
@@ -177,7 +177,6 @@ pub fn calibrate() -> HostRoofline {
             reference_flops,
             subst_flops,
             mem_bw,
-            cores,
         },
         path: simd::resolved(),
     };
@@ -185,13 +184,11 @@ pub fn calibrate() -> HostRoofline {
     host
 }
 
-/// Packed dgemm at `n³` on `workers` threads: every flop through the
-/// dispatched microkernel.
-fn packed_profile(n: usize, workers: usize, tune: &Blocking) -> KernelProfile {
+/// Packed dgemm at `n³`: every flop through the dispatched microkernel.
+fn packed_profile(n: usize, tune: &Blocking) -> KernelProfile {
     KernelProfile::simd(
         flops::dgemm(n, n, n) as f64,
         flops::dgemm_packed_bytes(n, n, n, tune) as f64,
-        workers,
     )
 }
 
@@ -203,30 +200,20 @@ fn trsm_profile(m: usize, nrhs: usize, tune: &Blocking) -> KernelProfile {
         thin_simd_flops: p.dgemm_flops as f64,
         subst_flops: p.subst_flops as f64,
         bytes: p.bytes as f64,
-        workers: 1,
         ..KernelProfile::default()
     }
 }
 
 /// Serial CSR SpMV over `n` rows and `nnz` stored entries.
 fn spmv_profile(n: usize, nnz: usize) -> KernelProfile {
-    KernelProfile::sparse(flops::spmv(nnz), flops::spmv_csr_bytes(n, nnz), 1)
-}
-
-/// The row-block SpMV: the serial byte model spread over the worker count
-/// it actually runs with (`GREENLA_SPMV_THREADS` or the host's cores).
-fn spmv_par_profile(n: usize, nnz: usize) -> KernelProfile {
-    KernelProfile {
-        workers: default_spmv_workers(),
-        ..spmv_profile(n, nnz)
-    }
+    KernelProfile::sparse(flops::spmv(nnz), flops::spmv_csr_bytes(n, nnz))
 }
 
 /// One unpreconditioned CG iteration: the SpMV plus the BLAS1 sweep
 /// `greenla_cg::formulas::blas1_iter_cost` counts.
 fn cg_iter_profile(n: usize, nnz: usize) -> KernelProfile {
     let c = greenla_cg::formulas::cg_iter_cost(n, nnz, 0, false);
-    KernelProfile::sparse(c.flops, c.bytes, 1)
+    KernelProfile::sparse(c.flops, c.bytes)
 }
 
 /// The BLAS1 half of one unpreconditioned CG iteration after `q = A·p`,
@@ -271,12 +258,11 @@ fn timed(
 }
 
 /// Time every pinned kernel next to its closed-form profile: packed dgemm
-/// at three sizes, the scalar reference and the scalar-pinned packed nest
-/// (so the packing and SIMD wins stay visible), the sequential-vs-parallel
-/// pair at 1024, both blocked triangular solves, and the sparse set on the
-/// million-row 5-point Laplacian (SpMV serial and row-block parallel, the
-/// CG iteration in plain and overlapped row order) — and predict each
-/// through `host`. Sizes are not probe sizes. Takes a few seconds and
+/// at four sizes, the scalar reference and the scalar-pinned packed nest
+/// (so the packing and SIMD wins stay visible), both blocked triangular
+/// solves, and the sparse set on the million-row 5-point Laplacian (the
+/// SpMV, the CG iteration in plain and overlapped row order) — and predict
+/// each through `host`. Sizes are not probe sizes. Takes a few seconds and
 /// ~1 GB in release.
 pub fn measure_kernels(host: &HostRoofline) -> Vec<RooflineCheck> {
     const REPS: usize = 9;
@@ -288,11 +274,12 @@ pub fn measure_kernels(host: &HostRoofline) -> Vec<RooflineCheck> {
         ("dgemm_packed_128", 128usize, 16),
         ("dgemm_packed_256", 256, 4),
         ("dgemm_packed_512", 512, 1),
+        ("dgemm_seq_1024", 1024, 1),
     ] {
         let a = test_matrix(n, 0);
         let b = test_matrix(n, 2);
         let mut c = Matrix::zeros(n, n);
-        kernels.push(timed(id, packed_profile(n, 1, &tune), REPS, calls, || {
+        kernels.push(timed(id, packed_profile(n, &tune), REPS, calls, || {
             dgemm_blocked(1.0, a.block(), b.block(), 0.0, c.block_mut(), &tune);
         }));
     }
@@ -326,27 +313,6 @@ pub fn measure_kernels(host: &HostRoofline) -> Vec<RooflineCheck> {
                     &tune,
                 )
             },
-        ));
-    }
-
-    {
-        let n = 1024;
-        let a = test_matrix(n, 0);
-        let b = test_matrix(n, 2);
-        let mut c = Matrix::zeros(n, n);
-        kernels.push(timed(
-            "dgemm_seq_1024",
-            packed_profile(n, 1, &tune),
-            REPS,
-            1,
-            || dgemm_blocked(1.0, a.block(), b.block(), 0.0, c.block_mut(), &tune),
-        ));
-        kernels.push(timed(
-            "dgemm_par_1024_w4",
-            packed_profile(n, 4, &tune),
-            REPS,
-            1,
-            || dgemm_parallel_blocked(1.0, a.block(), b.block(), 0.0, c.block_mut(), &tune, 4),
         ));
     }
 
@@ -424,17 +390,6 @@ pub fn measure_kernels(host: &HostRoofline) -> Vec<RooflineCheck> {
             },
         ));
 
-        kernels.push(timed(
-            "spmv_par_2d_6m",
-            spmv_par_profile(n, nnz),
-            SPARSE_REPS,
-            1,
-            || {
-                s.a.spmv_parallel(&ones, &mut y);
-                std::hint::black_box(&mut y);
-            },
-        ));
-
         // The overlapped solver's sweep order: every 16-way row block's
         // interior rows first, then its boundary rows. An exact
         // repartition of the SpMV, so the profile is the plain
@@ -470,7 +425,6 @@ pub fn measure_kernels(host: &HostRoofline) -> Vec<RooflineCheck> {
             let measured = profile.total_flops() / wall_s / 1e9;
             RooflineCheck {
                 id,
-                workers: profile.workers,
                 predicted_gflops: pred.gflops,
                 measured_gflops: measured,
                 ratio: pred.gflops / measured,
@@ -484,27 +438,11 @@ pub fn measure_kernels(host: &HostRoofline) -> Vec<RooflineCheck> {
 #[derive(Clone, Debug)]
 pub struct RooflineCheck {
     pub id: &'static str,
-    /// Worker threads the kernel's profile runs on.
-    pub workers: usize,
     pub predicted_gflops: f64,
     pub measured_gflops: f64,
     /// `predicted / measured`.
     pub ratio: f64,
     pub compute_bound: bool,
-}
-
-impl RooflineCheck {
-    /// The ratio the acceptance band `[1/(1+tol), 1+tol]` judges. A kernel
-    /// on more than one worker cannot beat its `workers ×` ceiling, but
-    /// shared caches and the memory controller may keep it below, so only
-    /// the lower side of the band applies: any undershoot reads as 1.
-    pub fn banded_ratio(&self) -> f64 {
-        if self.workers > 1 {
-            self.ratio.min(1.0)
-        } else {
-            self.ratio
-        }
-    }
 }
 
 #[cfg(test)]
@@ -521,7 +459,6 @@ mod tests {
         let (n, nnz) = (s.a.n(), s.a.nnz());
         for (id, p) in [
             ("spmv", spmv_profile(n, nnz)),
-            ("spmv_par", spmv_par_profile(n, nnz)),
             ("cg_iter", cg_iter_profile(n, nnz)),
         ] {
             let ai = p.total_flops() / p.bytes;
@@ -536,48 +473,5 @@ mod tests {
         assert!(p.thin_simd_flops > 0.0 && p.subst_flops > 0.0);
         assert_eq!(p.simd_flops, 0.0);
         assert_eq!(p.total_flops(), flops::dtrsm(512, 256) as f64);
-    }
-
-    #[test]
-    fn parallel_entry_requests_four_workers() {
-        // The parallel dgemm is the sequential one's work spread over four
-        // workers — same flops, same bytes.
-        let tune = Blocking::default_blocking();
-        let par = packed_profile(1024, 4, &tune);
-        assert_eq!(par.workers, 4);
-        assert_eq!(
-            KernelProfile { workers: 1, ..par },
-            packed_profile(1024, 1, &tune)
-        );
-    }
-
-    #[test]
-    fn parallel_spmv_entry_rides_the_worker_knob() {
-        // The profile must request exactly the worker count the kernel
-        // runs with, so a `GREENLA_SPMV_THREADS` override validates the
-        // prediction at that count.
-        let p = spmv_par_profile(100, 460);
-        assert_eq!(p.workers, default_spmv_workers());
-        assert_eq!(
-            KernelProfile { workers: 1, ..p },
-            spmv_profile(100, 460),
-            "same closed-form byte model"
-        );
-    }
-
-    #[test]
-    fn only_multi_worker_checks_forgive_undershoot() {
-        let check = |workers, ratio| RooflineCheck {
-            id: "k",
-            workers,
-            predicted_gflops: ratio,
-            measured_gflops: 1.0,
-            ratio,
-            compute_bound: true,
-        };
-        assert_eq!(check(1, 1.6).banded_ratio(), 1.6);
-        assert_eq!(check(4, 1.6).banded_ratio(), 1.0);
-        // Beating the ceiling is a model error at any worker count.
-        assert_eq!(check(4, 0.5).banded_ratio(), 0.5);
     }
 }

@@ -368,13 +368,12 @@ fn model_check(
         .enumerate()
         .max_by(|(_, a), (_, b)| {
             let t = |c: &formulas::IterCost| {
-                rf.predict(&KernelProfile::sparse(c.flops, c.bytes, 1))
-                    .time_s
+                rf.predict(&KernelProfile::sparse(c.flops, c.bytes)).time_s
             };
             t(a).total_cmp(&t(b))
         })
         .expect("at least one rank");
-    let per_rank = KernelProfile::sparse(worst.flops, worst.bytes, 1);
+    let per_rank = KernelProfile::sparse(worst.flops, worst.bytes);
     let pred = rf.predict(&per_rank);
 
     // Communication side: everything is intra-node on the single-node
@@ -413,7 +412,7 @@ fn model_check(
             plans[worst_rank].recv_elems(),
         );
         rf.overlap_credit(
-            &KernelProfile::sparse(interior.flops, interior.bytes, 1),
+            &KernelProfile::sparse(interior.flops, interior.bytes),
             halo_s,
         )
     } else {

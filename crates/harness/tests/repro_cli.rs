@@ -1,24 +1,34 @@
-//! `repro --exp` accepts exactly the experiments it knows: `none` runs
-//! nothing and succeeds, a misspelt name exits 2 instead of silently doing
-//! nothing.
+//! `repro` refuses values it does not know: a misspelt `--exp`, `--tier`
+//! or `--scheduler`, or a `--reps` that is not a positive count, exits 2
+//! naming the value instead of silently doing nothing; `--exp none` runs
+//! nothing and succeeds.
 
 use std::process::Command;
 
-fn repro_exp(name: &str) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["--exp", name, "--out"])
-        .arg(std::env::temp_dir().join("greenla-repro-cli"))
-        .output()
-        .expect("spawn repro")
-}
+/// `(flag and value, expected exit code)`. Every row runs with
+/// `--exp none` appended, so a value that slips through finishes at once
+/// with exit 0 instead of starting a campaign.
+const CASES: [(&[&str], i32); 5] = [
+    (&["--exp", "fig8"], 2),
+    (&["--tier", "bogus"], 2),
+    (&["--scheduler", "fifo"], 2),
+    (&["--reps", "0"], 2),
+    (&[], 0),
+];
 
 #[test]
-fn exp_rejects_unknown_names_and_accepts_none() {
-    let bad = repro_exp("fig8");
-    assert_eq!(bad.status.code(), Some(2), "{bad:?}");
-    let stderr = String::from_utf8_lossy(&bad.stderr);
-    assert!(stderr.contains("\"fig8\""), "{stderr}");
-
-    let none = repro_exp("none");
-    assert!(none.status.success(), "{none:?}");
+fn unknown_values_exit_2_and_exp_none_succeeds() {
+    for (args, code) in CASES {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .args(["--exp", "none", "--out"])
+            .arg(std::env::temp_dir().join("greenla-repro-cli"))
+            .output()
+            .expect("spawn repro");
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {out:?}");
+        if let Some(value) = args.get(1) {
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains(&format!("{value:?}")), "{args:?}: {stderr}");
+        }
+    }
 }

@@ -61,7 +61,7 @@ fn roofline_matches_simulated_rapl_on_compute_dominated_run() {
     // Per-rank work: this implementation's IMe flop model (2n³ + O(n²) —
     // 4/3× the paper's 3/2·n³, see greenla_ime::formulas), split evenly.
     // The roofline only ever sees the closed form, never the run.
-    let per_rank = KernelProfile::simd(formulas::flops_ime_ours(n) as f64 / ranks as f64, 0.0, 1);
+    let per_rank = KernelProfile::simd(formulas::flops_ime_ours(n) as f64 / ranks as f64, 0.0);
     let pred = rf.predict(&per_rank);
     assert!(
         within(pred.time_s, m.duration_s),

@@ -9,8 +9,7 @@
 //! microkernel shape is fixed at compile time, but the microkernel *body*
 //! is runtime-dispatched by [`crate::simd`] (scalar / AVX2+FMA / AVX-512F,
 //! overridable via `GREENLA_KERNEL`); [`dgemm_blocked_path`] pins an
-//! explicit path for tests and benchmarks. [`crate::par`] layers a
-//! column-partitioned multithreaded front end over the same loop nest.
+//! explicit path for tests and benchmarks.
 //!
 //! `dtrsm` is blocked the same way: small diagonal blocks are solved with a
 //! short substitution loop and the (dominant) trailing updates are routed
@@ -66,7 +65,7 @@ pub fn dgemm_blocked_path(
 
 /// The packed loop nest, generic over the dispatched kernel set;
 /// everything above is a thin wrapper choosing `set`.
-pub(crate) fn dgemm_with(
+fn dgemm_with(
     set: KernelSet,
     alpha: f64,
     a: BlockRef,

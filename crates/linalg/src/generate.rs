@@ -200,9 +200,8 @@ pub fn banded(n: usize, band: usize, seed: u64) -> LinearSystem {
 
 /// Deliberately ill-conditioned system: geometric singular-value decay
 /// `σ_k = decay^k` imposed on a random orthogonal-ish basis (via two
-/// Householder reflections). Condition number ≈ `decay^{-(n-1)}`. Used by
-/// iterative-refinement and stability tests; `decay` close to 1 stays
-/// benign, `0.7` at n=40 is already cond ≈ 10⁶.
+/// Householder reflections). Condition number ≈ `decay^{-(n-1)}`: `decay`
+/// close to 1 stays benign, `0.7` at n=40 is already cond ≈ 10⁶.
 pub fn ill_conditioned(n: usize, decay: f64, seed: u64) -> LinearSystem {
     assert!(n > 0, "empty system");
     assert!((0.0..=1.0).contains(&decay) && decay > 0.0);

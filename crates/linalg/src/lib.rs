@@ -25,7 +25,6 @@ pub mod generate;
 pub mod io;
 pub mod matrix;
 pub mod norms;
-pub mod par;
 pub mod permutation;
 #[allow(
     unsafe_code,

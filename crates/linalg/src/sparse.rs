@@ -11,12 +11,11 @@
 
 use crate::generate::{reference_solution, LinearSystem};
 use crate::matrix::Matrix;
-use crate::simd::{self, KernelPath, SpmvKernel};
+use crate::simd::{self, KernelPath};
 use rand::distributions::{Distribution, Uniform};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
 
 /// Square sparse matrix in compressed-sparse-row form.
 ///
@@ -232,87 +231,6 @@ impl CsrMatrix {
             y[i] = acc;
         }
     }
-
-    /// Multithreaded row-block SpMV with [`default_spmv_workers`] threads
-    /// on the dispatched kernel path. Row-partitioned: each `y[i]` is
-    /// produced by exactly one worker running the same per-row
-    /// accumulation as the sequential kernel, so the result is *bitwise*
-    /// identical to [`Self::spmv_block`] for every worker count.
-    pub fn spmv_parallel(&self, x: &[f64], y: &mut [f64]) {
-        self.spmv_parallel_with(x, y, default_spmv_workers());
-    }
-
-    /// [`Self::spmv_parallel`] with an explicit worker count.
-    pub fn spmv_parallel_with(&self, x: &[f64], y: &mut [f64], workers: usize) {
-        self.spmv_parallel_kernel(simd::active_spmv_kernel(), x, y, workers);
-    }
-
-    /// [`Self::spmv_parallel`] pinned to an explicit [`KernelPath`] and
-    /// worker count (panics when the CPU cannot execute the path) — the
-    /// cross-path property tests compare parallel results against the
-    /// sequential oracle per path through here.
-    pub fn spmv_parallel_path(&self, path: KernelPath, x: &[f64], y: &mut [f64], workers: usize) {
-        self.spmv_parallel_kernel(simd::spmv_kernel(path), x, y, workers);
-    }
-
-    fn spmv_parallel_kernel(&self, kernel: SpmvKernel, x: &[f64], y: &mut [f64], workers: usize) {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(y.len(), self.local_rows());
-        let rows = self.local_rows();
-        let chunks = workers.min(rows / MIN_ROWS_PER_WORKER.max(1)).max(1);
-        if chunks <= 1 {
-            kernel(&self.row_ptr, &self.col_idx, &self.values, x, y);
-            return;
-        }
-        // Carve y into `chunks` contiguous row ranges tiling [0, rows);
-        // each worker gets the matching row_ptr window over the shared
-        // entry streams. Disjoint `split_at_mut` slices — no locks, no
-        // write sharing beyond cache-line spill at chunk edges.
-        let mut jobs: Vec<(&[usize], &mut [f64])> = Vec::with_capacity(chunks);
-        let mut rest = y;
-        let mut lo = 0usize;
-        for i in 0..chunks {
-            let hi = if i + 1 == chunks {
-                rows
-            } else {
-                (i + 1) * rows / chunks
-            };
-            debug_assert!(hi > lo);
-            let (chunk, tail) = rest.split_at_mut(hi - lo);
-            rest = tail;
-            jobs.push((&self.row_ptr[lo..=hi], chunk));
-            lo = hi;
-        }
-        let run = |(rp, yc): (&[usize], &mut [f64])| {
-            kernel(rp, &self.col_idx, &self.values, x, yc);
-        };
-        std::thread::scope(|s| {
-            let mut it = jobs.into_iter();
-            // The first chunk runs on the calling thread; only the rest
-            // spawn.
-            let head = it.next();
-            let handles: Vec<_> = it.map(|job| s.spawn(move || run(job))).collect();
-            if let Some(job) = head {
-                run(job);
-            }
-            for h in handles {
-                h.join().expect("spmv worker panicked");
-            }
-        });
-    }
-}
-
-/// Row chunks below this height run sequentially: thread spawn overhead
-/// (~10 µs) dwarfs a few thousand rows of memory-bound work.
-const MIN_ROWS_PER_WORKER: usize = 1024;
-
-/// Worker count used by [`CsrMatrix::spmv_parallel`]: the
-/// `GREENLA_SPMV_THREADS` environment variable when set (must parse to
-/// ≥ 1), otherwise the host's available parallelism. Resolved once and
-/// cached — the same contract as [`crate::par::default_workers`].
-pub fn default_spmv_workers() -> usize {
-    static WORKERS: OnceLock<usize> = OnceLock::new();
-    *WORKERS.get_or_init(|| crate::par::env_workers("GREENLA_SPMV_THREADS"))
 }
 
 /// A sparse SPD linear system `A·x = b` with a known reference solution.
@@ -613,8 +531,8 @@ mod tests {
         let _ = SparseKind::Laplace2d.generate(10, 0);
     }
 
-    /// Seeded awkward shapes for the parallel/dispatch property tests:
-    /// empty rows, a dense row, single-entry rows, n = 0 and n = 1.
+    /// Seeded awkward shapes for the dispatch property test: empty rows, a
+    /// dense row, single-entry rows, n = 0 and n = 1.
     fn awkward_shapes() -> Vec<CsrMatrix> {
         let n = 37;
         let mixed = CsrMatrix::from_rows(
@@ -632,29 +550,9 @@ mod tests {
             CsrMatrix::from_rows(Vec::new()),           // n = 0
             CsrMatrix::from_rows(vec![vec![(0, 2.5)]]), // n = 1
             CsrMatrix::from_rows(vec![Vec::new()]),     // n = 1, empty row
-            laplace2d(96).a,                            // 9216 rows: real splits at 8 workers
+            laplace2d(96).a,                            // 9216 rows
             random_spd(1500, 5, 3).a,
         ]
-    }
-
-    #[test]
-    fn spmv_parallel_is_bitwise_equal_to_sequential_for_any_worker_count() {
-        for a in awkward_shapes() {
-            let x: Vec<f64> = (0..a.n()).map(|i| (i as f64 * 0.31).cos()).collect();
-            let mut want = vec![0.0; a.local_rows()];
-            a.spmv(&x, &mut want);
-            for workers in [1, 3, 8] {
-                let mut got = vec![f64::NAN; a.local_rows()];
-                a.spmv_parallel_with(&x, &mut got, workers);
-                assert!(
-                    got.iter()
-                        .zip(&want)
-                        .all(|(g, w)| g.to_bits() == w.to_bits()),
-                    "n={} workers={workers}",
-                    a.n()
-                );
-            }
-        }
     }
 
     #[test]
@@ -668,17 +566,15 @@ mod tests {
                 if !path.supported() {
                     continue;
                 }
-                for workers in [1, 3] {
-                    let mut got = vec![f64::NAN; a.local_rows()];
-                    a.spmv_parallel_path(path, &x, &mut got, workers);
-                    assert!(
-                        got.iter()
-                            .zip(&want)
-                            .all(|(g, w)| g.to_bits() == w.to_bits()),
-                        "n={} {path} workers={workers}",
-                        a.n()
-                    );
-                }
+                let mut got = vec![f64::NAN; a.local_rows()];
+                a.spmv_path(path, &x, &mut got);
+                assert!(
+                    got.iter()
+                        .zip(&want)
+                        .all(|(g, w)| g.to_bits() == w.to_bits()),
+                    "n={} {path}",
+                    a.n()
+                );
             }
         }
     }
@@ -700,16 +596,6 @@ mod tests {
             .iter()
             .zip(&want)
             .all(|(g, w)| g.to_bits() == w.to_bits()));
-    }
-
-    #[test]
-    fn default_spmv_workers_is_cached_and_honours_the_env() {
-        let w = default_spmv_workers();
-        assert!(w >= 1);
-        if let Ok(v) = std::env::var("GREENLA_SPMV_THREADS") {
-            assert_eq!(w, v.parse::<usize>().unwrap(), "env override respected");
-        }
-        assert_eq!(default_spmv_workers(), w);
     }
 
     #[test]

@@ -2,16 +2,15 @@
 //! ceilings and closed-form kernel profiles.
 //!
 //! A [`Roofline`] is a set of machine ceilings — in-core flop rates for the
-//! code classes the linear-algebra crate actually ships, a per-core DRAM
-//! bandwidth, and a core count. A [`KernelProfile`] is the matching
-//! closed-form description of one kernel invocation: how many flops it
-//! executes in each code class, how many DRAM bytes it moves
-//! (`greenla_linalg::flops` provides the closed forms), and how many
-//! workers it runs on. [`Roofline::predict`] combines the two the classic
-//! way:
+//! code classes the linear-algebra crate actually ships and a per-core DRAM
+//! bandwidth. A [`KernelProfile`] is the matching closed-form description
+//! of one kernel invocation on one core: how many flops it executes in each
+//! code class and how many DRAM bytes it moves (`greenla_linalg::flops`
+//! provides the closed forms). [`Roofline::predict`] combines the two the
+//! classic way:
 //!
 //! ```text
-//! time = max( Σ_class flops_class / rate_class ,  bytes / bandwidth ) / workers
+//! time = max( Σ_class flops_class / rate_class ,  bytes / bandwidth )
 //! ```
 //!
 //! Two calibrations exist. [`Roofline::from_spec`] reads the ceilings off a
@@ -20,8 +19,8 @@
 //! collapse to `sustained_flops_per_core`; the harness validates its
 //! predictions against the simulator's RAPL readings. The harness also
 //! builds a second, *measured* roofline from short host probes
-//! (`greenla_harness::roofline`) and validates that one against the bench
-//! suite's wall-clock GFLOP/s.
+//! (`greenla_harness::roofline`) and validates that one against the
+//! wall-clock GFLOP/s of the single-threaded kernels the solvers run.
 //!
 //! Energy prediction reuses [`crate::energy::energy`] — the same power
 //! coefficients the simulated RAPL integrates — on the roofline-predicted
@@ -34,8 +33,8 @@ use greenla_cluster::spec::{ClusterSpec, NodeSpec};
 use greenla_cluster::PowerModel;
 
 /// Machine ceilings for [`predict`](Roofline::predict): five in-core flop
-/// rates (one per code class in `greenla-linalg`), a per-core memory
-/// bandwidth, and the core budget that caps worker scaling.
+/// rates (one per code class in `greenla-linalg`) and a per-core memory
+/// bandwidth.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Roofline {
     /// In-core flop/s of one core running the dispatched packed
@@ -58,8 +57,6 @@ pub struct Roofline {
     pub subst_flops: f64,
     /// DRAM bytes/s available to one core.
     pub mem_bw: f64,
-    /// Cores available; [`KernelProfile::workers`] is clamped to this.
-    pub cores: usize,
 }
 
 /// Closed-form description of one kernel invocation, split by code class.
@@ -79,18 +76,15 @@ pub struct KernelProfile {
     pub subst_flops: f64,
     /// DRAM-level bytes moved.
     pub bytes: f64,
-    /// Worker threads the kernel runs on (0 is treated as 1).
-    pub workers: usize,
 }
 
 impl KernelProfile {
     /// Profile of a kernel whose flops all go through the dispatched
     /// microkernel on square-ish panels.
-    pub fn simd(flops: f64, bytes: f64, workers: usize) -> Self {
+    pub fn simd(flops: f64, bytes: f64) -> Self {
         Self {
             simd_flops: flops,
             bytes,
-            workers,
             ..Self::default()
         }
     }
@@ -100,7 +94,6 @@ impl KernelProfile {
         Self {
             packed_scalar_flops: flops,
             bytes,
-            workers: 1,
             ..Self::default()
         }
     }
@@ -110,7 +103,6 @@ impl KernelProfile {
         Self {
             reference_flops: flops,
             bytes,
-            workers: 1,
             ..Self::default()
         }
     }
@@ -122,11 +114,10 @@ impl KernelProfile {
     /// intensity the prediction pins to the memory ceiling on every
     /// machine this workspace models — the inversion the sparse campaign
     /// demonstrates.
-    pub fn sparse(flops: u64, bytes: u64, workers: usize) -> Self {
+    pub fn sparse(flops: u64, bytes: u64) -> Self {
         Self {
             reference_flops: flops as f64,
             bytes: bytes as f64,
-            workers,
             ..Self::default()
         }
     }
@@ -174,7 +165,6 @@ impl Roofline {
             reference_flops: rate,
             subst_flops: rate,
             mem_bw: spec.node.dram_bw_bytes_per_s / spec.node.cpu.cores_per_socket as f64,
-            cores: spec.node.cores(),
         }
     }
 
@@ -191,23 +181,20 @@ impl Roofline {
         ] {
             assert!(v.is_finite() && v > 0.0, "roofline ceiling {name} = {v}");
         }
-        assert!(self.cores >= 1, "roofline needs at least one core");
     }
 
     /// Predicted time/rate for one kernel invocation: the slower of the
     /// in-core term (each flop class at its own ceiling) and the memory
-    /// term, with both scaled by the worker count (clamped to
-    /// [`Self::cores`] — oversubscription does not add throughput).
+    /// term.
     pub fn predict(&self, p: &KernelProfile) -> RooflinePrediction {
         self.validate();
-        let w = p.workers.clamp(1, self.cores) as f64;
         let in_core = p.simd_flops / self.simd_flops
             + p.thin_simd_flops / self.thin_simd_flops
             + p.packed_scalar_flops / self.packed_scalar_flops
             + p.reference_flops / self.reference_flops
             + p.subst_flops / self.subst_flops;
         let mem = p.bytes / self.mem_bw;
-        let time_s = in_core.max(mem) / w;
+        let time_s = in_core.max(mem);
         let flops = p.total_flops();
         RooflinePrediction {
             time_s,
@@ -293,7 +280,6 @@ mod tests {
             reference_flops: 6e9,
             subst_flops: 3e9,
             mem_bw: 20e9,
-            cores: 4,
         }
     }
 
@@ -305,7 +291,6 @@ mod tests {
         let sustained = spec.node.cpu.sustained_flops_per_core;
         assert_eq!(r.simd_flops, sustained);
         assert_eq!(r.reference_flops, sustained);
-        assert_eq!(r.cores, spec.node.cores());
         // Per-core bandwidth is the *socket* share — the same figure the
         // simulator's `compute` charge divides by, not the node total.
         assert_eq!(
@@ -318,7 +303,7 @@ mod tests {
     fn compute_bound_kernel_hits_its_class_ceiling() {
         // High AI: the in-core term dominates and the attainable rate is
         // exactly the class ceiling.
-        let p = KernelProfile::simd(4e9, 1e6, 1);
+        let p = KernelProfile::simd(4e9, 1e6);
         let out = rf().predict(&p);
         assert!(out.compute_bound);
         assert!((out.gflops - 40.0).abs() < 1e-9, "gflops {}", out.gflops);
@@ -329,7 +314,7 @@ mod tests {
     fn memory_bound_kernel_hits_the_bandwidth_ceiling() {
         // AI = 0.1 flop/byte on a 2 flop/byte machine balance: bandwidth
         // bound, attainable = AI × bw.
-        let p = KernelProfile::simd(1e8, 1e9, 1);
+        let p = KernelProfile::simd(1e8, 1e9);
         let out = rf().predict(&p);
         assert!(!out.compute_bound);
         assert!((out.time_s - 0.05).abs() < 1e-12);
@@ -342,24 +327,11 @@ mod tests {
             thin_simd_flops: 25e9,
             subst_flops: 3e9,
             bytes: 1.0,
-            workers: 1,
             ..KernelProfile::default()
         };
         // One second per class.
         let out = rf().predict(&p);
         assert!((out.time_s - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn workers_scale_and_clamp_to_cores() {
-        let r = rf();
-        let p1 = KernelProfile::simd(4e9, 1e6, 1);
-        let p4 = KernelProfile { workers: 4, ..p1 };
-        let p64 = KernelProfile { workers: 64, ..p1 };
-        let t1 = r.predict(&p1).time_s;
-        assert!((r.predict(&p4).time_s - t1 / 4.0).abs() < 1e-15);
-        // 64 requested workers on 4 cores: same as 4.
-        assert_eq!(r.predict(&p64).time_s, r.predict(&p4).time_s);
     }
 
     #[test]
@@ -383,8 +355,8 @@ mod tests {
         let r = rf();
         // Memory-bound slices: 1e9 bytes interior (0.05 s), 4e8 boundary
         // (0.02 s) at 20 GB/s.
-        let interior = KernelProfile::sparse(1_000_000, 1_000_000_000, 1);
-        let boundary = KernelProfile::sparse(400_000, 400_000_000, 1);
+        let interior = KernelProfile::sparse(1_000_000, 1_000_000_000);
+        let boundary = KernelProfile::sparse(400_000, 400_000_000);
         let (ti, tb) = (0.05, 0.02);
         // Halo shorter than the interior: fully hidden.
         let t = r.overlapped_phase_s(&interior, &boundary, 0.01);
@@ -411,7 +383,7 @@ mod tests {
         let spec = ClusterSpec::test_cluster(1, 8);
         let r = Roofline::from_spec(&spec);
         let power = PowerModel::scaled_for(&spec.node);
-        let per_rank = KernelProfile::simd(8e9, 1e8, 1);
+        let per_rank = KernelProfile::simd(8e9, 1e8);
         let ranks = spec.node.cores();
         let e = r.predict_energy(
             &spec.node,

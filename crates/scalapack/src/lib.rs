@@ -22,11 +22,9 @@ pub mod error;
 pub mod getrf;
 pub mod getrs;
 pub mod grid;
-pub mod pblas;
 pub mod pdgesv;
 pub mod pdgetrf;
 pub mod pdgetrs;
-pub mod pdpotrf;
 pub mod potrf;
 
 pub use desc::BlockDesc;

@@ -30,76 +30,6 @@ pub fn pdgesv(
     pdgesv_on_grid(ctx, &grid, sys, nb)
 }
 
-/// Result of a refined solve.
-#[derive(Clone, Debug)]
-pub struct RefinedSolve {
-    pub x: Vec<f64>,
-    /// Refinement iterations actually performed.
-    pub iterations: usize,
-    /// ∞-norm of the final residual `b − A·x`.
-    pub residual_inf: f64,
-}
-
-/// `pdgesv` followed by classical iterative refinement: factor once, then
-/// repeat `r = b − A·x; A·d = r; x += d` (reusing the factors) until the
-/// residual stops improving or `max_iters` is hit. Squeezes the last
-/// correct digits out of an ill-conditioned system at `O(n²)` per sweep —
-/// the standard companion to LU in production solvers.
-pub fn pdgesv_refined(
-    ctx: &mut RankCtx,
-    comm: &Comm,
-    sys: &LinearSystem,
-    nb: usize,
-    max_iters: usize,
-) -> Result<RefinedSolve, LuError> {
-    let p = comm.size();
-    let (nprow, npcol) = ProcessGrid::square_shape(p);
-    let grid = ProcessGrid::new(ctx, comm, nprow, npcol);
-    let n = sys.n();
-    let nb = nb.max(1).min(n);
-    let desc = BlockDesc::square(n, nb, grid.nprow(), grid.npcol());
-    // Keep a pristine copy of A for residuals; factor the distributed one.
-    let a_orig = DistMatrix::from_global(ctx, &grid, desc, &sys.a);
-    let mut lu = DistMatrix::from_global(ctx, &grid, desc, &sys.a);
-    let ipiv = pdgetrf(ctx, &grid, &mut lu)?;
-    let mut x = sys.b.clone();
-    pdgetrs(ctx, &grid, &lu, &ipiv, &mut x);
-
-    let inf = |v: &[f64]| v.iter().fold(0.0f64, |m, &y| m.max(y.abs()));
-    let mut best = f64::INFINITY;
-    let mut iterations = 0;
-    for _ in 0..max_iters {
-        let ax = crate::pblas::pdgemv_replicated(ctx, &grid, &a_orig, &x);
-        let r: Vec<f64> = sys.b.iter().zip(&ax).map(|(b, y)| b - y).collect();
-        let rn = inf(&r);
-        if !rn.is_finite() || rn >= best {
-            break; // converged to roundoff (or diverging): stop.
-        }
-        best = rn;
-        if rn == 0.0 {
-            break;
-        }
-        let mut d = r;
-        pdgetrs(ctx, &grid, &lu, &ipiv, &mut d);
-        for (xi, di) in x.iter_mut().zip(&d) {
-            *xi += di;
-        }
-        iterations += 1;
-    }
-    let ax = crate::pblas::pdgemv_replicated(ctx, &grid, &a_orig, &x);
-    let residual_inf = inf(&sys
-        .b
-        .iter()
-        .zip(&ax)
-        .map(|(b, y)| b - y)
-        .collect::<Vec<_>>());
-    Ok(RefinedSolve {
-        x,
-        iterations,
-        residual_inf,
-    })
-}
-
 /// As [`pdgesv`] but over an existing grid (lets benchmarks control the
 /// grid shape).
 pub fn pdgesv_on_grid(
@@ -241,66 +171,6 @@ mod tests {
         for x in out.results {
             assert!(sys.residual(&x) < 1e-11);
         }
-    }
-
-    #[test]
-    fn refinement_improves_or_matches_plain_solve() {
-        // A moderately conditioned system (SPD with clustered spectrum).
-        let sys = generate::spd(32, 10);
-        let m = machine(4);
-        let out = m.run(|ctx| {
-            let world = ctx.world();
-            let plain = pdgesv(ctx, &world, &sys, 4).unwrap();
-            let refined = pdgesv_refined(ctx, &world, &sys, 4, 5).unwrap();
-            (plain, refined.x, refined.iterations, refined.residual_inf)
-        });
-        let (plain, refined, iters, rnorm) = &out.results[0];
-        let r_plain = sys.residual(plain);
-        let r_refined = sys.residual(refined);
-        assert!(
-            r_refined <= r_plain * 1.01,
-            "refined {r_refined} vs plain {r_plain}"
-        );
-        assert!(*iters <= 5);
-        assert!(rnorm.is_finite() && *rnorm >= 0.0);
-    }
-
-    #[test]
-    fn refinement_safe_on_ill_conditioned_systems() {
-        // LU with partial pivoting is backward stable, so even on an
-        // ill-conditioned system the plain residual already sits at
-        // roundoff; fixed-precision refinement must not make it worse and
-        // must terminate (it stops as soon as the residual stalls).
-        let sys = generate::ill_conditioned(28, 0.75, 3);
-        let m = machine(4);
-        let out = m.run(|ctx| {
-            let world = ctx.world();
-            let plain = pdgesv(ctx, &world, &sys, 4).unwrap();
-            let refined = pdgesv_refined(ctx, &world, &sys, 4, 8).unwrap();
-            (
-                sys.residual(&plain),
-                sys.residual(&refined.x),
-                refined.iterations,
-            )
-        });
-        let (r_plain, r_refined, iters) = out.results[0];
-        assert!(
-            r_refined <= (r_plain * 5.0).max(1e-14),
-            "refined {r_refined} vs plain {r_plain}"
-        );
-        assert!(r_refined < 1e-13, "refined residual {r_refined}");
-        assert!(iters < 8, "refinement must stop once the residual stalls");
-    }
-
-    #[test]
-    fn refinement_converges_in_few_sweeps_on_well_conditioned_systems() {
-        let sys = generate::diag_dominant(24, 11);
-        let m = machine(4);
-        let out = m.run(|ctx| {
-            let world = ctx.world();
-            pdgesv_refined(ctx, &world, &sys, 4, 10).unwrap().iterations
-        });
-        assert!(out.results[0] <= 3, "took {} sweeps", out.results[0]);
     }
 
     #[test]
