@@ -28,7 +28,9 @@ use crate::table::init_column;
 use greenla_linalg::blas1::{daxpy, ddot};
 use greenla_linalg::flops;
 use greenla_linalg::generate::LinearSystem;
+use greenla_linalg::simd::{self, DaxpyChainKernel, DAXPY_CHAIN_CHUNK};
 use greenla_mpi::{Comm, RankCtx};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Chunk size (f64 elements) of the pipelined column broadcast: 8 KiB —
@@ -46,14 +48,27 @@ pub const BCAST_CHUNK: usize = 1024;
 /// flops/byte balance point — the paper's observed IMe durations are
 /// compute-bound, not 50× memory-bound.
 ///
-/// The *host* kernel does not fuse: [`reduce_table`] applies one level at
-/// a time through `apply_level`. Fusing eight levels on the host was
-/// measured (−0.045 s on the benchmark's `large_n` pass) and left out,
-/// because a rank then holds eight pending `h` vectors and
-/// `dense_campaign`'s peak RSS rose from 32 to 34–39 MiB. Nothing virtual
-/// depends on the choice: flops and bytes are charged from this constant,
-/// not from what the host loop did.
+/// The *host* fuses too, less deeply: [`reduce_table`] defers each level's
+/// update and applies blocks of `B` consecutive levels in one sweep of the
+/// rank's columns (the dispatched [`simd::DaxpyChainKernel`]). `B` comes
+/// from the rank's own column count, `clamp(cols / 32, 1, 8)`: a rank with
+/// many long columns gains most and holds `B` pending `h` vectors, while a
+/// rank with fewer than 64 columns (every `dense_campaign` point) keeps
+/// `B = 1`, today's per-level `apply_level` loop with no extra buffer. A
+/// run that reads the table between levels — an armed checksum guard, or
+/// `collect_last_rows` — also keeps `B = 1`. Nothing virtual depends on
+/// `B`: every level still charges its flops and `1/LEVEL_FUSE` of its
+/// bytes where it did, and the fused sweep gives every table entry the same
+/// bits as the per-level loop.
 pub const LEVEL_FUSE: u64 = 64;
+
+/// The host's deepest level block (`B`'s upper clamp).
+const MAX_FUSE: usize = 8;
+
+/// Levels per host sweep for a rank holding `cols` table columns.
+fn fuse_depth(cols: usize) -> usize {
+    (cols / 32).clamp(1, MAX_FUSE)
+}
 
 /// The IMeP protocol variants: the paper's, the tuned one the figures run,
 /// and the single-switch steps between them that ablation A-1 prices.
@@ -180,6 +195,18 @@ pub fn reduce_table(
     sys: &LinearSystem,
     opts: ImepOptions,
 ) -> Result<ReducedTable, ImeError> {
+    reduce_table_with(ctx, comm, sys, opts, fuse_depth)
+}
+
+/// [`reduce_table`] with the host's level-block depth taken from `depth`
+/// (of the rank's column count) instead of [`fuse_depth`].
+fn reduce_table_with(
+    ctx: &mut RankCtx,
+    comm: &Comm,
+    sys: &LinearSystem,
+    opts: ImepOptions,
+    depth: fn(usize) -> usize,
+) -> Result<ReducedTable, ImeError> {
     let n = sys.n();
     let nranks = comm.size();
     let me = comm.rank();
@@ -210,17 +237,36 @@ pub fn reduce_table(
     // Armed only where the fault plan can lose a column.
     let mut guard = Checksum::arm(ctx, comm, &my_cols, n);
 
+    // Host level fusion (see `LEVEL_FUSE`): levels whose update is still
+    // owed to my columns, and each column's `α` per owed level.
+    let fuse = if guard.is_some() || opts.collect_last_rows {
+        1
+    } else {
+        depth(my_cols.len())
+    };
+    let mut pending: Vec<Pending> = Vec::new();
+    let mut alphas = vec![[0.0; MAX_FUSE]; if fuse > 1 { my_cols.len() } else { 0 }];
+    let chain = simd::active_daxpy_chain_kernel();
+
     // ----- levels -----
     for l in (0..n).rev() {
         if let Some(guard) = &guard {
             guard.before_level(ctx, comm, &mut my_cols, l);
         }
 
-        // 1. Owner of column n+l broadcasts it. All downstream uses are
-        //    reads, so the binomial branch hands every rank the one shared
-        //    replica; the pipelined branch assembles chunks into an owned
-        //    buffer by construction.
+        // 1. Owner of column n+l broadcasts it, first bringing it up to
+        //    date if levels are pending. All downstream uses are reads, so
+        //    the binomial branch hands every rank the one shared replica;
+        //    the pipelined branch assembles chunks into an owned buffer by
+        //    construction.
         let last_col_owner = owner(n + l, nranks);
+        if me == last_col_owner && !pending.is_empty() {
+            let i = my_cols
+                .iter()
+                .position(|(c, _)| *c == n + l)
+                .expect("owner must hold the level column");
+            apply_pending(&mut my_cols[i..=i], n, &pending, &mut alphas, chain);
+        }
         let own_col = || {
             let (_, col) = my_cols
                 .iter()
@@ -282,20 +328,33 @@ pub fn reduce_table(
 
         // 3. Fundamental update on my active columns (left `l..n`, right
         //    `< l`); column n+l itself is eliminated to a basis vector.
+        //    Fused, the update is owed until the block's sweep.
         let mut touched = 0usize;
         for (c, col) in my_cols.iter_mut() {
-            let active = if *c < n { *c >= l } else { *c - n <= l };
-            if !active {
+            if !active(*c, n, l) {
                 continue;
             }
             if *c == n + l {
-                for (i, v) in col.iter_mut().enumerate() {
-                    *v = if i == l { 1.0 } else { 0.0 };
-                }
+                col.fill(0.0);
+                col[l] = 1.0;
                 continue;
             }
-            apply_level(col, l, h, hl);
+            if fuse == 1 {
+                apply_level(col, l, h, hl);
+            }
             touched += 1;
+        }
+        if fuse > 1 {
+            pending.push(Pending {
+                l,
+                hl,
+                h: Arc::clone(&h_buf),
+                off: h_off,
+            });
+            if pending.len() == fuse || l == 0 {
+                apply_pending(&mut my_cols, n, &pending, &mut alphas, chain);
+                pending.clear();
+            }
         }
         ctx.compute(
             2 * (n * touched) as u64,
@@ -309,7 +368,7 @@ pub fn reduce_table(
         if opts.collect_last_rows {
             let row_l: Vec<f64> = my_cols
                 .iter()
-                .filter(|(c, _)| if *c < n { *c >= l } else { *c - n <= l })
+                .filter(|(c, _)| active(*c, n, l))
                 .map(|(_, col)| col[l])
                 .collect();
             if let Some(chunks) = ctx.gather_f64(comm, MASTER, &row_l) {
@@ -336,6 +395,88 @@ pub(crate) fn apply_level(col: &mut [f64], l: usize, h: &[f64], hl: f64) {
     daxpy(-tl, &h[..l], above);
     daxpy(-tl, &h[l + 1..], &mut rest[1..]);
     rest[0] = hl * tl;
+}
+
+/// Does level `l` update table column `c` (left `l..n`, right `0..=l`)?
+fn active(c: usize, n: usize, l: usize) -> bool {
+    if c < n {
+        c >= l
+    } else {
+        c - n <= l
+    }
+}
+
+/// A level whose update is still owed to the rank's columns.
+struct Pending {
+    l: usize,
+    hl: f64,
+    /// `h` is `h[off..]` (the paper protocol's buffer leads with `h_l`).
+    h: Arc<Vec<f64>>,
+    off: usize,
+}
+
+impl Pending {
+    fn h(&self) -> &[f64] {
+        &self.h[self.off..]
+    }
+}
+
+/// Apply the `pending` levels (consecutive, descending) to every column
+/// of `cols` that still owes them: left column `c` the levels `≤ c`, a
+/// right column below the block all of them. A right column inside the
+/// block was the level column — brought up to date before its broadcast
+/// and snapped to a basis vector — and is skipped.
+///
+/// Per column the pivot rows `lmin..=lmax` are replayed level by level
+/// with `apply_level`, which yields each level's `α = −t_l`; every other
+/// row then takes the whole block in one `daxpy_chain`. Rows go in
+/// [`DAXPY_CHAIN_CHUNK`]s, the outer loop, so the block's `h` chunks stay in
+/// L1 across all columns. Each entry sees exactly the per-level loop's
+/// operations in the same order, so the result is bit-identical to it.
+fn apply_pending(
+    cols: &mut [(usize, Vec<f64>)],
+    n: usize,
+    pending: &[Pending],
+    alphas: &mut [[f64; MAX_FUSE]],
+    chain: DaxpyChainKernel,
+) {
+    let depth = pending.len();
+    let (lmax, lmin) = (pending[0].l, pending[depth - 1].l);
+    // Column `c` owes the levels `pending[first(c)..]`.
+    let first = |c: usize| {
+        if c < n {
+            lmax.saturating_sub(c).min(depth)
+        } else if c - n < lmin {
+            0
+        } else {
+            depth
+        }
+    };
+    let pivots = lmin..lmax + 1;
+    for ((c, col), a) in cols.iter_mut().zip(alphas.iter_mut()) {
+        for (k, p) in pending.iter().enumerate().skip(first(*c)) {
+            let h = &p.h()[pivots.clone()];
+            a[k] = -col[p.l];
+            apply_level(&mut col[pivots.clone()], p.l - lmin, h, p.hl);
+        }
+    }
+    let chunks = |rows: Range<usize>| {
+        rows.clone()
+            .step_by(DAXPY_CHAIN_CHUNK)
+            .map(move |r| r..(r + DAXPY_CHAIN_CHUNK).min(rows.end))
+    };
+    for rows in chunks(0..lmin).chain(chunks(lmax + 1..n)) {
+        let mut xs: [&[f64]; MAX_FUSE] = [&[]; MAX_FUSE];
+        for (x, p) in xs.iter_mut().zip(pending) {
+            *x = &p.h()[rows.clone()];
+        }
+        for ((c, col), a) in cols.iter_mut().zip(alphas.iter()) {
+            let k = first(*c);
+            if k < depth {
+                chain(&a[k..depth], &xs[k..depth], &mut col[rows.clone()]);
+            }
+        }
+    }
 }
 
 /// Solve a replicated system with IMeP over all ranks of `comm`. Returns
@@ -398,16 +539,13 @@ pub fn predict_traffic(n: usize, nranks: usize, opts: ImepOptions) -> (u64, u64)
         if opts.collect_last_rows {
             // linear gather: each slave sends its active-column row entries.
             msgs += edges;
-            let active = (n - l) + (l + 1); // left l..n plus right 0..=l
-                                            // Split of active columns across ranks: master's share excluded.
-            let mut master_share = 0u64;
-            for c in 0..2 * n {
-                let a = if c < n { c >= l } else { c - n <= l };
-                if a && owner(c, nranks) == 0 {
-                    master_share += 1;
-                }
-            }
-            elems += active as u64 - master_share;
+            // Active columns (left l..n plus right 0..=l) less the
+            // master's share.
+            let cols = (n - l) + (l + 1);
+            let master_share = (0..2 * n)
+                .filter(|&c| active(c, n, l) && owner(c, nranks) == 0)
+                .count();
+            elems += (cols - master_share) as u64;
         }
     }
     // termination: gather x components + broadcast x.
@@ -415,4 +553,58 @@ pub fn predict_traffic(n: usize, nranks: usize, opts: ImepOptions) -> (u64, u64)
     let master_left = (0..n).filter(|&c| owner(c, nranks) == 0).count() as u64;
     elems += (nn - master_left) + edges * nn;
     (msgs, elems)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use greenla_cluster::placement::Placement;
+    use greenla_cluster::spec::ClusterSpec;
+    use greenla_cluster::PowerModel;
+    use greenla_linalg::generate;
+    use greenla_mpi::Machine;
+
+    #[test]
+    fn few_column_ranks_update_per_level() {
+        // dense_campaign's IMe points (n ≤ 480 on 16+ ranks) hold < 64
+        // columns a rank; large_n's (n = 1024 on 4 ranks) hold 512.
+        assert_eq!(fuse_depth(0), 1);
+        assert_eq!(fuse_depth(2 * 480 / 16), 1);
+        assert_eq!(fuse_depth(64), 2);
+        assert_eq!(fuse_depth(2 * 1024 / 4), MAX_FUSE);
+    }
+
+    #[test]
+    fn every_block_depth_gives_the_sequential_bits() {
+        // Depths forced past what the column count would pick, including
+        // blocks deeper than a rank's column count and ragged last blocks.
+        let depths: [fn(usize) -> usize; 4] = [|_| 2, |_| 3, |_| 5, |_| MAX_FUSE];
+        let centralized = ImepOptions {
+            centralized_h: true,
+            ..ImepOptions::optimized()
+        };
+        for sys in [generate::diag_dominant(37, 3), generate::poisson2d(6, 0)] {
+            let (x_seq, _) = crate::solve_seq(&sys).unwrap();
+            let want: Vec<u64> = x_seq.iter().map(|v| v.to_bits()).collect();
+            for ranks in [1, 2, 3, 5] {
+                for (d, depth) in depths.into_iter().enumerate() {
+                    for opts in [ImepOptions::optimized(), centralized] {
+                        let spec = ClusterSpec::test_cluster(2, 4);
+                        let placement = Placement::packed(&spec.node, ranks).unwrap();
+                        let power = PowerModel::deterministic();
+                        let m = Machine::new(spec, placement, power, 1).unwrap();
+                        let out = m.run(|ctx| {
+                            let world = ctx.world();
+                            let t = reduce_table_with(ctx, &world, &sys, opts, depth).unwrap();
+                            t.solve(ctx, &world, &sys.b)
+                        });
+                        for x in &out.results {
+                            let got: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+                            assert_eq!(got, want, "n={} ranks={ranks} depth #{d}", sys.n());
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

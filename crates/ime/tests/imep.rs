@@ -60,14 +60,35 @@ fn assert_close(xs: &[Vec<f64>], x_ref: &[f64], tol: f64, what: &str) {
     }
 }
 
+/// Every rank's solution has `x_seq`'s bits.
+fn assert_bits(xs: &[Vec<f64>], x_seq: &[f64], what: &str) {
+    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for x in xs {
+        assert_eq!(bits(x), bits(x_seq), "{what}");
+    }
+}
+
 #[test]
 fn imep_matches_sequential_exactly() {
-    let sys = generate::diag_dominant(33, 4);
-    let (x_seq, _) = solve_seq(&sys).unwrap();
-    for ranks in [1, 2, 4, 7] {
-        let m = machine(ranks, 1);
-        let out = run_imep(&m, &sys, ImepOptions::default());
-        assert_close(&out.results, &x_seq, 1e-12, &format!("ranks={ranks}"));
+    // The level loop — per level, or fused over blocks of levels when a
+    // rank holds 64+ columns — against the sequential oracle, bit for
+    // bit. n = 1 and 2 leave ranks without a column; n = 33 and 130 end
+    // on a ragged block. Poisson2d's zeros skip levels (α = 0).
+    let centralized = ImepOptions {
+        centralized_h: true,
+        ..ImepOptions::optimized()
+    };
+    let dense = [1, 2, 7, 33, 64, 130].map(|n| generate::diag_dominant(n, 4 + n as u64));
+    let stencil = [1, 2, 3, 6, 8, 11].map(|k| generate::poisson2d(k, 0));
+    for sys in dense.iter().chain(&stencil) {
+        let (x_seq, _) = solve_seq(sys).unwrap();
+        for ranks in [1, 2, 3, 4, 7] {
+            for opts in [ImepOptions::paper(), ImepOptions::optimized(), centralized] {
+                let out = run_imep(&machine(ranks, 1), sys, opts);
+                let what = format!("n={} ranks={ranks} {opts:?}", sys.n());
+                assert_bits(&out.results, &x_seq, &what);
+            }
+        }
     }
 }
 

@@ -198,42 +198,6 @@ pub fn banded(n: usize, band: usize, seed: u64) -> LinearSystem {
     with_reference_rhs(a)
 }
 
-/// Deliberately ill-conditioned system: geometric singular-value decay
-/// `σ_k = decay^k` imposed on a random orthogonal-ish basis (via two
-/// Householder reflections). Condition number ≈ `decay^{-(n-1)}`: `decay`
-/// close to 1 stays benign, `0.7` at n=40 is already cond ≈ 10⁶.
-pub fn ill_conditioned(n: usize, decay: f64, seed: u64) -> LinearSystem {
-    assert!(n > 0, "empty system");
-    assert!((0.0..=1.0).contains(&decay) && decay > 0.0);
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x111c0d);
-    let dist = Uniform::new_inclusive(-1.0, 1.0);
-    // A = H1 · D · H2 with Householder H = I − 2vvᵀ (orthogonal, exact).
-    let unit_vec = |rng: &mut ChaCha8Rng| {
-        let mut v: Vec<f64> = (0..n).map(|_| dist.sample(rng)).collect();
-        let norm = crate::blas1::dnrm2(&v);
-        for x in &mut v {
-            *x /= norm;
-        }
-        v
-    };
-    let v1 = unit_vec(&mut rng);
-    let v2 = unit_vec(&mut rng);
-    let mut a = Matrix::zeros(n, n);
-    // (H1 D H2)_{ij} = Σ_k H1_{ik} σ_k H2_{kj}
-    for i in 0..n {
-        for j in 0..n {
-            let mut s = 0.0;
-            for k in 0..n {
-                let h1 = (if i == k { 1.0 } else { 0.0 }) - 2.0 * v1[i] * v1[k];
-                let h2 = (if k == j { 1.0 } else { 0.0 }) - 2.0 * v2[k] * v2[j];
-                s += h1 * decay.powi(k as i32) * h2;
-            }
-            a[(i, j)] = s;
-        }
-    }
-    with_reference_rhs(a)
-}
-
 /// Named generator kinds for configuration files and the harness CLI.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SystemKind {
@@ -350,18 +314,6 @@ mod tests {
             assert!(sys.a[(i, i)] > off);
         }
         assert!(sys.residual(&sys.x_ref.clone().unwrap()) < 1e-13);
-    }
-
-    #[test]
-    fn ill_conditioned_has_geometric_spectrum() {
-        let n = 20;
-        let decay = 0.6f64;
-        let sys = ill_conditioned(n, decay, 5);
-        // ‖A‖₂ = σ_max = 1; Frobenius² = Σ σ_k² (orthogonal invariance).
-        let fro2: f64 = sys.a.as_slice().iter().map(|v| v * v).sum();
-        let expect: f64 = (0..n).map(|k| decay.powi(2 * k as i32)).sum();
-        assert!((fro2 - expect).abs() < 1e-9, "{fro2} vs {expect}");
-        assert!(sys.residual(&sys.x_ref.clone().unwrap()) < 1e-10);
     }
 
     #[test]

@@ -6,6 +6,9 @@
 //! microkernel — the portable scalar loop (the bit-exact oracle the
 //! property tests compare against), an explicit AVX2+FMA kernel, and an
 //! AVX-512F kernel — plus the **dispatch** that picks one at runtime.
+//! The same dispatch serves two kernels whose paths must agree bit for
+//! bit: the CSR SpMV row kernel ([`SpmvKernel`]) and the chained axpy
+//! IMe's table update runs on ([`DaxpyChainKernel`]).
 //!
 //! Dispatch is resolved **once per process** (cached in a [`OnceLock`])
 //! from the `GREENLA_KERNEL` environment variable:
@@ -292,6 +295,105 @@ fn spmv_range_avx512_entry(
     // panics unless `is_x86_feature_detected!` confirmed avx512f; the
     // kernel body uses bounds-checked indexing throughout.
     unsafe { isa::spmv_range_avx512(row_ptr, col_idx, values, x, y) }
+}
+
+/// Rows per pass of a chained axpy: the `y` chunk and the matching chunk
+/// of every `x` (eight levels × 2 KiB) stay in L1 while the levels run
+/// over them. IMe's fused table sweep cuts its rows at the same size.
+pub const DAXPY_CHAIN_CHUNK: usize = 256;
+
+/// A chained axpy, `y ← (((y + α₀·x₀) + α₁·x₁) + …)`: one
+/// `blas1::daxpy(alphas[k], xs[k], y)` per `k`, in order, with every
+/// `xs[k]` as long as `y`. IMe's fused table update applies a block of
+/// levels to one column with it, so `y` travels to memory once per block
+/// instead of once per level.
+///
+/// Like the SpMV kernels, **every** path multiplies and adds separately
+/// and keeps each element's terms in `k` order, and each skips a term
+/// whose `α` is zero exactly as `daxpy`'s quick return does (a `NaN` or
+/// `Inf` in that `x` never reaches `y`, and a `−0.0` in `y` survives). All
+/// paths therefore equal the `daxpy` sequence bit for bit; they differ only
+/// in how many rows they hold in registers.
+pub type DaxpyChainKernel = fn(alphas: &[f64], xs: &[&[f64]], y: &mut [f64]);
+
+/// The chained-axpy kernel for `path`. Panics when the CPU cannot execute
+/// it — the same refused-dispatch contract as [`microkernel`].
+pub fn daxpy_chain_kernel(path: KernelPath) -> DaxpyChainKernel {
+    assert!(
+        path.supported(),
+        "kernel path {path} is not supported by this CPU"
+    );
+    match path {
+        KernelPath::Scalar => daxpy_chain_scalar,
+        #[cfg(target_arch = "x86_64")]
+        KernelPath::Avx2 => daxpy_chain_avx2_entry,
+        #[cfg(target_arch = "x86_64")]
+        KernelPath::Avx512 => daxpy_chain_avx512_entry,
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("non-scalar paths are never supported off x86_64"),
+    }
+}
+
+/// The chained-axpy kernel the dispatcher picked for this process.
+pub fn active_daxpy_chain_kernel() -> DaxpyChainKernel {
+    daxpy_chain_kernel(resolved())
+}
+
+/// The portable scalar chained axpy — the oracle of the other paths. Rows
+/// go in [`DAXPY_CHAIN_CHUNK`]s, the outer loop, and every level sweeps
+/// the chunk before the next one starts.
+pub fn daxpy_chain_scalar(alphas: &[f64], xs: &[&[f64]], y: &mut [f64]) {
+    assert_chain_shapes(alphas, xs, y);
+    for (c, yc) in y.chunks_mut(DAXPY_CHAIN_CHUNK).enumerate() {
+        daxpy_chain_rows(alphas, xs, yc, c * DAXPY_CHAIN_CHUNK);
+    }
+}
+
+/// The shape contract every chained-axpy path checks first: one `α` per
+/// `x`, and every `x` as long as `y`.
+fn assert_chain_shapes(alphas: &[f64], xs: &[&[f64]], y: &[f64]) {
+    assert_eq!(alphas.len(), xs.len(), "one alpha per x");
+    assert!(
+        xs.iter().all(|x| x.len() == y.len()),
+        "daxpy_chain length mismatch"
+    );
+}
+
+/// `y[j] ← y[j] + α_k·x_k[from + j]`, level by level, skipping a zero
+/// `α`: the scalar oracle's chunk body and the vector paths' ragged end.
+#[inline(always)]
+fn daxpy_chain_rows(alphas: &[f64], xs: &[&[f64]], y: &mut [f64], from: usize) {
+    let rows = from..from + y.len();
+    for (&a, x) in alphas.iter().zip(xs) {
+        if a == 0.0 {
+            continue;
+        }
+        for (yi, xi) in y.iter_mut().zip(&x[rows.clone()]) {
+            *yi += a * xi;
+        }
+    }
+}
+
+/// Safe entry for the AVX2 chained axpy, handed out only by
+/// [`daxpy_chain_kernel`].
+#[cfg(target_arch = "x86_64")]
+fn daxpy_chain_avx2_entry(alphas: &[f64], xs: &[&[f64]], y: &mut [f64]) {
+    debug_assert!(KernelPath::Avx2.supported());
+    // SAFETY: this entry is only reachable through `daxpy_chain_kernel`,
+    // which panics unless `is_x86_feature_detected!` confirmed avx2+fma;
+    // the kernel's own shape contract is asserted inside.
+    unsafe { isa::daxpy_chain_avx2(alphas, xs, y) }
+}
+
+/// Safe entry for the AVX-512F chained axpy, handed out only by
+/// [`daxpy_chain_kernel`].
+#[cfg(target_arch = "x86_64")]
+fn daxpy_chain_avx512_entry(alphas: &[f64], xs: &[&[f64]], y: &mut [f64]) {
+    debug_assert!(KernelPath::Avx512.supported());
+    // SAFETY: this entry is only reachable through `daxpy_chain_kernel`,
+    // which panics unless `is_x86_feature_detected!` confirmed avx512f;
+    // the kernel's own shape contract is asserted inside.
+    unsafe { isa::daxpy_chain_avx512(alphas, xs, y) }
 }
 
 /// The portable scalar microkernel: `MR`/`NR` are compile-time constants

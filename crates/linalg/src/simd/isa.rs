@@ -100,6 +100,124 @@ pub(super) unsafe fn spmv_range_avx512(
     spmv_range_unrolled_body(row_ptr, col_idx, values, x, y);
 }
 
+/// AVX2 chained axpy ([`super::DaxpyChainKernel`]): sixteen rows of `y`
+/// live in four `ymm` registers while every level's term is added, so a
+/// strip of `y` is loaded and stored once however many levels there are;
+/// a four-row strip and the scalar loop take the ragged end. Multiply and
+/// add stay separate instructions (no FMA) and a zero `α` skips its level,
+/// so the result is [`super::daxpy_chain_scalar`]'s bit for bit.
+///
+/// # Safety
+///
+/// Dispatch contract: the caller must have verified `avx2` and `fma` via
+/// `is_x86_feature_detected!` (the [`super::daxpy_chain_kernel`]
+/// dispatcher is the only caller and does exactly that). Every `x` must be
+/// as long as `y` — asserted below, so the raw loads stay in bounds.
+#[target_feature(enable = "avx2,fma")]
+pub(super) unsafe fn daxpy_chain_avx2(alphas: &[f64], xs: &[&[f64]], y: &mut [f64]) {
+    use std::arch::x86_64::*;
+    super::assert_chain_shapes(alphas, xs, y);
+    let len = y.len();
+    let yp = y.as_mut_ptr();
+    let mut i = 0;
+    // SAFETY: each strip covers rows `i..i + 16` (or `i..i + 4`) with its
+    // end ≤ `len`, so every pointer stays inside `y` and inside each `x`
+    // (all as long as `y`, asserted above). Unaligned load/store
+    // intrinsics are used throughout, so no alignment obligation exists.
+    unsafe {
+        while i + 16 <= len {
+            let mut acc = [_mm256_setzero_pd(); 4];
+            for (r, acc) in acc.iter_mut().enumerate() {
+                *acc = _mm256_loadu_pd(yp.add(i + 4 * r));
+            }
+            for (&a, x) in alphas.iter().zip(xs) {
+                if a == 0.0 {
+                    continue;
+                }
+                let (av, xp) = (_mm256_set1_pd(a), x.as_ptr().add(i));
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let t = _mm256_mul_pd(av, _mm256_loadu_pd(xp.add(4 * r)));
+                    *acc = _mm256_add_pd(*acc, t);
+                }
+            }
+            for (r, acc) in acc.iter().enumerate() {
+                _mm256_storeu_pd(yp.add(i + 4 * r), *acc);
+            }
+            i += 16;
+        }
+        while i + 4 <= len {
+            let mut acc = _mm256_loadu_pd(yp.add(i));
+            for (&a, x) in alphas.iter().zip(xs) {
+                if a != 0.0 {
+                    let t = _mm256_mul_pd(_mm256_set1_pd(a), _mm256_loadu_pd(x.as_ptr().add(i)));
+                    acc = _mm256_add_pd(acc, t);
+                }
+            }
+            _mm256_storeu_pd(yp.add(i), acc);
+            i += 4;
+        }
+    }
+    super::daxpy_chain_rows(alphas, xs, &mut y[i..], i);
+}
+
+/// AVX-512F chained axpy: [`daxpy_chain_avx2`]'s shape at twice the width
+/// — 32 rows of `y` in four `zmm` registers, then an eight-row strip, then
+/// the scalar loop. Bit-identical to [`super::daxpy_chain_scalar`] for the
+/// same reasons (separate multiply and add, zero `α` skipped).
+///
+/// # Safety
+///
+/// Dispatch contract: the caller must have verified `avx512f` via
+/// `is_x86_feature_detected!` (the [`super::daxpy_chain_kernel`]
+/// dispatcher is the only caller and does exactly that). Every `x` must be
+/// as long as `y` — asserted below, so the raw loads stay in bounds.
+#[target_feature(enable = "avx512f")]
+pub(super) unsafe fn daxpy_chain_avx512(alphas: &[f64], xs: &[&[f64]], y: &mut [f64]) {
+    use std::arch::x86_64::*;
+    super::assert_chain_shapes(alphas, xs, y);
+    let len = y.len();
+    let yp = y.as_mut_ptr();
+    let mut i = 0;
+    // SAFETY: each strip covers rows `i..i + 32` (or `i..i + 8`) with its
+    // end ≤ `len`, so every pointer stays inside `y` and inside each `x`
+    // (all as long as `y`, asserted above). Unaligned load/store
+    // intrinsics are used throughout, so no alignment obligation exists.
+    unsafe {
+        while i + 32 <= len {
+            let mut acc = [_mm512_setzero_pd(); 4];
+            for (r, acc) in acc.iter_mut().enumerate() {
+                *acc = _mm512_loadu_pd(yp.add(i + 8 * r));
+            }
+            for (&a, x) in alphas.iter().zip(xs) {
+                if a == 0.0 {
+                    continue;
+                }
+                let (av, xp) = (_mm512_set1_pd(a), x.as_ptr().add(i));
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let t = _mm512_mul_pd(av, _mm512_loadu_pd(xp.add(8 * r)));
+                    *acc = _mm512_add_pd(*acc, t);
+                }
+            }
+            for (r, acc) in acc.iter().enumerate() {
+                _mm512_storeu_pd(yp.add(i + 8 * r), *acc);
+            }
+            i += 32;
+        }
+        while i + 8 <= len {
+            let mut acc = _mm512_loadu_pd(yp.add(i));
+            for (&a, x) in alphas.iter().zip(xs) {
+                if a != 0.0 {
+                    let t = _mm512_mul_pd(_mm512_set1_pd(a), _mm512_loadu_pd(x.as_ptr().add(i)));
+                    acc = _mm512_add_pd(acc, t);
+                }
+            }
+            _mm512_storeu_pd(yp.add(i), acc);
+            i += 8;
+        }
+    }
+    super::daxpy_chain_rows(alphas, xs, &mut y[i..], i);
+}
+
 /// AVX2 + FMA microkernel. The 8×8 `f64` accumulator tile would need all
 /// sixteen `ymm` registers by itself, starving the operand loads, so the
 /// tile is computed as two 8×4 half-tiles: eight accumulator `ymm`s, two

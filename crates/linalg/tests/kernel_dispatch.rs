@@ -1,6 +1,7 @@
 //! Cross-path dispatch properties: every SIMD microkernel the host can
 //! execute must agree with the scalar oracle within the documented ulp
-//! tolerance and never touch `ld` padding, and a path the CPU cannot
+//! tolerance and never touch `ld` padding, every chained-axpy path must
+//! equal its `daxpy` sequence bit for bit, and a path the CPU cannot
 //! execute is refused.
 //!
 //! Seeded loops per the vendored-stub convention: deterministic per seed,
@@ -111,6 +112,68 @@ fn simd_paths_agree_with_scalar_within_ulp_tolerance() {
             assert_ulp_close(&c, &want, &format!("case {case} ({m}×{n}×{k}) {path:?}"));
         }
     }
+}
+
+#[test]
+fn daxpy_chain_is_the_daxpy_sequence_bit_for_bit() {
+    // Unlike the dgemm microkernels, every chained-axpy path promises the
+    // exact bits of one `blas1::daxpy` per level. Specials sit in `x_k` at
+    // row `k` only, so no row ever meets two of them.
+    let chunk = simd::DAXPY_CHAIN_CHUNK;
+    let mut rng = ChaCha8Rng::seed_from_u64(0xC4A1);
+    for len in [0, 1, 7, chunk - 1, chunk + 1, 1000] {
+        for levels in [1, 2, 8] {
+            let xs: Vec<Vec<f64>> = (0..levels)
+                .map(|k| {
+                    let mut x: Vec<f64> = (0..len).map(|_| rng.gen_range(-2.0..2.0)).collect();
+                    if k < len {
+                        x[k] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][k % 3];
+                    }
+                    x
+                })
+                .collect();
+            let mut y0: Vec<f64> = (0..len).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            for v in y0.iter_mut().skip(2).step_by(5) {
+                *v = -0.0;
+            }
+            // Every level live; then zero and negative-zero α mixed in.
+            let live: Vec<f64> = (0..levels).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let zeroed = |zeros: [f64; 2]| -> Vec<f64> {
+                live.iter()
+                    .enumerate()
+                    .map(|(k, &a)| [zeros[0], a, zeros[1]][k % 3])
+                    .collect()
+            };
+            for alphas in [live.clone(), zeroed([0.0, -0.0]), zeroed([-0.0, 0.0])] {
+                let mut want = y0.clone();
+                for (&a, x) in alphas.iter().zip(&xs) {
+                    greenla_linalg::blas1::daxpy(a, x, &mut want);
+                }
+                for k in (0..levels).filter(|&k| k < len) {
+                    let reached = !want[k].is_finite();
+                    assert_eq!(
+                        reached,
+                        alphas[k] != 0.0,
+                        "the daxpy oracle itself, row {k}"
+                    );
+                }
+                if alphas.iter().all(|&a| a == 0.0) {
+                    assert_eq!(bits(&want), bits(&y0), "all-zero α leaves y (and its −0.0)");
+                }
+                let x_refs: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
+                for path in PATHS.into_iter().filter(|p| p.supported()) {
+                    let mut got = y0.clone();
+                    simd::daxpy_chain_kernel(path)(&alphas, &x_refs, &mut got);
+                    let what = format!("{path:?} len={len} levels={levels} alphas={alphas:?}");
+                    assert_eq!(bits(&got), bits(&want), "{what}");
+                }
+            }
+        }
+    }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 #[test]
