@@ -138,21 +138,6 @@ impl Ledger {
             .sum()
     }
 
-    /// Total flops charged on `(node, socket)` up to time `t` (by interval
-    /// start time).
-    pub fn socket_flops_until(&self, node: usize, socket: usize, t: f64) -> u64 {
-        (0..self.node_spec.cpu.cores_per_socket)
-            .map(|c| {
-                self.core_slot(CoreId::new(node, socket, c))
-                    .lock()
-                    .iter()
-                    .filter(|iv| iv.start < t)
-                    .map(|iv| iv.flops)
-                    .sum::<u64>()
-            })
-            .sum()
-    }
-
     /// Total flops across the whole run.
     pub fn total_flops(&self) -> u64 {
         self.cores
@@ -168,16 +153,6 @@ impl Ledger {
             .iter()
             .map(|m| m.lock().last().map_or(0.0, |iv| iv.end))
             .fold(0.0, f64::max)
-    }
-
-    /// Did any rank run on this socket? (Used to verify idle-socket layouts.)
-    pub fn socket_touched(&self, node: usize, socket: usize) -> bool {
-        (0..self.node_spec.cpu.cores_per_socket).any(|c| {
-            !self
-                .core_slot(CoreId::new(node, socket, c))
-                .lock()
-                .is_empty()
-        })
     }
 }
 
@@ -237,7 +212,6 @@ mod tests {
             iv(0.0, 5.0, ActivityKind::Compute, 40),
         );
         assert_eq!(l.socket_busy_until(1, 0, ActivityKind::Compute, 10.0), 3.0);
-        assert_eq!(l.socket_flops_until(1, 0, 10.0), 30);
         assert_eq!(l.total_flops(), 70);
     }
 
@@ -265,8 +239,8 @@ mod tests {
     fn socket_touched_detects_idle_socket() {
         let l = ledger();
         l.record(CoreId::new(0, 0, 0), iv(0.0, 1.0, ActivityKind::Compute, 1));
-        assert!(l.socket_touched(0, 0));
-        assert!(!l.socket_touched(0, 1));
+        assert_eq!(l.socket_busy_until(0, 0, ActivityKind::Compute, 2.0), 1.0);
+        assert_eq!(l.socket_busy_until(0, 1, ActivityKind::Compute, 2.0), 0.0);
     }
 
     #[test]

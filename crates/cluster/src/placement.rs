@@ -240,13 +240,6 @@ impl Placement {
         self.cores[rank].node
     }
 
-    /// All ranks placed on `node`, in rank order.
-    pub fn ranks_on_node(&self, node: usize) -> Vec<usize> {
-        (0..self.ntasks())
-            .filter(|&r| self.cores[r].node == node)
-            .collect()
-    }
-
     /// Ranks per node (uniform by construction).
     pub fn ranks_per_node(&self) -> usize {
         self.ntasks() / self.nodes_used
@@ -370,7 +363,6 @@ mod tests {
         assert_eq!(p.node_of(47), 0);
         assert_eq!(p.node_of(48), 1);
         assert_eq!(p.node_of(143), 2);
-        assert_eq!(p.ranks_on_node(1), (48..96).collect::<Vec<_>>());
     }
 
     #[test]

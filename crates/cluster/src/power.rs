@@ -207,17 +207,6 @@ impl PowerModel {
         (stat + dynamic) * jitter::node_power(seed, node, self.power_sigma)
     }
 
-    /// Whole-node energy (all packages + all DRAM domains) up to `t`.
-    pub fn node_energy_j(&self, ledger: &Ledger, node: usize, t: f64, seed: u64) -> f64 {
-        let sockets = ledger.node_spec().sockets;
-        (0..sockets)
-            .map(|s| {
-                self.pkg_energy_j(ledger, node, s, t, seed)
-                    + self.dram_energy_j(ledger, node, s, t, seed)
-            })
-            .sum()
-    }
-
     /// Per-node performance multiplier (applied by the MPI engine when
     /// charging compute time).
     pub fn perf_multiplier(&self, seed: u64, node: usize) -> f64 {
@@ -306,19 +295,6 @@ mod tests {
         let with_traffic = pm.dram_energy_j(&ledger, 0, 0, 1.0, 0);
         assert!((static_only - pm.dram_static_w).abs() < 1e-12);
         assert!((with_traffic - static_only - 1.0e9 * pm.dram_energy_per_byte_j).abs() < 1e-9);
-    }
-
-    #[test]
-    fn node_energy_sums_domains() {
-        let pm = PowerModel::deterministic();
-        let ledger = Ledger::new(NodeSpec::marconi_a3(), 2);
-        let n = pm.node_energy_j(&ledger, 1, 3.0, 0);
-        let by_hand: f64 = (0..2)
-            .map(|s| {
-                pm.pkg_energy_j(&ledger, 1, s, 3.0, 0) + pm.dram_energy_j(&ledger, 1, s, 3.0, 0)
-            })
-            .sum();
-        assert_eq!(n, by_hand);
     }
 
     #[test]

@@ -171,16 +171,6 @@ impl ClusterSpec {
             net: Interconnect::omni_path(),
         }
     }
-
-    /// Total cores in the cluster.
-    pub fn total_cores(&self) -> usize {
-        self.nodes * self.node.cores()
-    }
-
-    /// Peak sustained flop/s of one fully-loaded node.
-    pub fn node_flops(&self) -> f64 {
-        self.node.cores() as f64 * self.node.cpu.sustained_flops_per_core
-    }
 }
 
 #[cfg(test)]
@@ -224,7 +214,14 @@ mod tests {
 
     #[test]
     fn cluster_totals() {
+        // Table 1: 27 full-load Marconi nodes hold the paper's 1296 ranks.
         let c = ClusterSpec::marconi_a3(27);
-        assert_eq!(c.total_cores(), 27 * 48);
+        let p = crate::placement::Placement::layout(
+            &c.node,
+            1296,
+            crate::placement::LoadLayout::FullLoad,
+        )
+        .unwrap();
+        assert_eq!(p.nodes_used(), c.nodes);
     }
 }

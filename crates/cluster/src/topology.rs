@@ -20,16 +20,6 @@ impl CoreId {
     pub fn flat_in_node(&self, node: &NodeSpec) -> usize {
         self.socket * node.cpu.cores_per_socket + self.core
     }
-
-    /// Inverse of [`CoreId::flat_in_node`].
-    pub fn from_flat(node_idx: usize, flat: usize, node: &NodeSpec) -> Self {
-        let cps = node.cpu.cores_per_socket;
-        Self {
-            node: node_idx,
-            socket: flat / cps,
-            core: flat % cps,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -41,8 +31,7 @@ mod tests {
     fn flat_roundtrip() {
         let node = NodeSpec::marconi_a3();
         for flat in [0, 1, 23, 24, 47] {
-            let id = CoreId::from_flat(3, flat, &node);
-            assert_eq!(id.node, 3);
+            let id = CoreId::new(3, flat / 24, flat % 24);
             assert_eq!(id.flat_in_node(&node), flat);
         }
     }
@@ -50,7 +39,7 @@ mod tests {
     #[test]
     fn socket_boundary() {
         let node = NodeSpec::marconi_a3();
-        assert_eq!(CoreId::from_flat(0, 23, &node).socket, 0);
-        assert_eq!(CoreId::from_flat(0, 24, &node).socket, 1);
+        assert_eq!(CoreId::new(0, 0, 23).flat_in_node(&node), 23);
+        assert_eq!(CoreId::new(0, 1, 0).flat_in_node(&node), 24);
     }
 }

@@ -38,8 +38,9 @@
 //! `scale_smoke.json` artifact with wall/virtual timings.
 //!
 //! Functional-tier figures come from real monitored solves on the scaled
-//! simulated cluster; model-tier figures evaluate the calibrated analytic
-//! model at the paper's exact configurations (8640…34560 × 144/576/1296).
+//! simulated cluster; model-tier figures are the same slices of the
+//! calibrated analytic model evaluated at the paper's exact configurations
+//! (8640…34560 × 144/576/1296).
 
 use greenla_harness::charts;
 use greenla_harness::config::FunctionalGrid;
@@ -333,6 +334,10 @@ fn main() {
         );
     }
 
+    // The model tier is one dataset too: every paper-scale figure and claim
+    // slices it.
+    let paper = model.then(exp::paper_dataset);
+
     if wants("table1") {
         let t = exp::table1();
         write_artifact(&args.out, "table1.csv", &t.to_csv()).expect("write");
@@ -344,8 +349,8 @@ fn main() {
             let ranks = ds.points.iter().map(|p| p.ranks).min().unwrap_or(16);
             emit(&args.out, &exp::fig3_functional(ds, ranks));
         }
-        if model {
-            emit(&args.out, &exp::fig3_model(144));
+        if let Some(ds) = &paper {
+            emit(&args.out, &exp::fig3_model(ds, 144));
         }
     }
 
@@ -355,8 +360,8 @@ fn main() {
             emit(&args.out, &fe);
             emit(&args.out, &ft);
         }
-        if model {
-            let (fe, ft) = exp::fig4_model();
+        if let Some(ds) = &paper {
+            let (fe, ft) = exp::fig4_model(ds);
             emit(&args.out, &fe);
             emit(&args.out, &ft);
         }
@@ -368,8 +373,8 @@ fn main() {
             emit(&args.out, &fe);
             emit(&args.out, &ft);
         }
-        if model {
-            let (fe, ft) = exp::fig5_model();
+        if let Some(ds) = &paper {
+            let (fe, ft) = exp::fig5_model(ds);
             emit(&args.out, &fe);
             emit(&args.out, &ft);
         }
@@ -382,8 +387,8 @@ fn main() {
             emit(&args.out, &fe);
             emit(&args.out, &fp);
         }
-        if model {
-            let (fe, fp) = exp::fig6_model(144);
+        if let Some(ds) = &paper {
+            let (fe, fp) = exp::fig6_model(ds, 144);
             emit(&args.out, &fe);
             emit(&args.out, &fp);
         }
@@ -396,8 +401,8 @@ fn main() {
             emit(&args.out, &fe);
             emit(&args.out, &fp);
         }
-        if model {
-            let (fe, fp) = exp::fig7_model(17280);
+        if let Some(ds) = &paper {
+            let (fe, fp) = exp::fig7_model(ds, 17280);
             emit(&args.out, &fe);
             emit(&args.out, &fp);
         }
@@ -415,8 +420,8 @@ fn main() {
             write_json(&args.out, "summary_functional.json", &checks).expect("write");
             println!("{}", t.to_text());
         }
-        if model {
-            let checks = summary::check_model();
+        if let Some(ds) = &paper {
+            let checks = summary::check_model(ds);
             let t = summary::claims_table(
                 "summary-model",
                 "Paper claims vs model tier (paper scale)",
@@ -545,7 +550,7 @@ fn main() {
         };
         let report = measure_overhead(build, |ctx| {
             let world = ctx.world();
-            solve(ctx, &world, solver, true, &inputs);
+            solve(ctx, &world, true, &inputs);
         });
         let text = format!(
             "monitored makespan: {:.6} s\nraw makespan:       {:.6} s\noverhead:           {:.2} %\n",

@@ -1,17 +1,18 @@
 //! Per-artefact experiment definitions: one function per paper table or
-//! figure, for each tier.
+//! figure.
 //!
-//! Functional-tier figures slice the measured [`Dataset`]; model-tier
-//! figures evaluate the calibrated analytic model at the paper's exact
-//! configurations. Figure numbering follows the paper (§5.2).
+//! Every figure slices a [`Dataset`]. The functional tier slices the
+//! measured one; the model tier is the same slice of [`paper_dataset`], the
+//! calibrated analytic model evaluated at the paper's exact configurations.
+//! Figure numbering follows the paper (§5.2).
 
 use crate::config::paper;
 use crate::output::{Figure, Series, Table};
-use crate::run::Dataset;
+use crate::run::{DataPoint, Dataset, Measurement};
 use greenla_cluster::placement::{table1_rows, LoadLayout, PAPER_RANKS};
 use greenla_cluster::spec::{ClusterSpec, NodeSpec};
 use greenla_cluster::PowerModel;
-use greenla_model::{predict, Prediction, Scenario, Solver};
+use greenla_model::{predict, Scenario, Solver};
 
 /// Table 1: the test configurations (nodes, ranks, sockets).
 pub fn table1() -> Table {
@@ -47,15 +48,51 @@ pub fn table1() -> Table {
 
 const SOLVERS: [&str; 2] = ["IMe", "ScaLAPACK"];
 
-/// Evaluate the model at a paper-scale scenario.
-fn model_point(solver: &str, n: usize, ranks: usize, layout: LoadLayout) -> Prediction {
+/// The model tier as a dataset: `greenla_model::predict` on Marconi A3 at
+/// every paper `(n, ranks, layout)` for IMe-optimized and ScaLAPACK
+/// `nb = paper::NB`, in [`Dataset::campaign`] order with one repetition
+/// each. Residual and traffic are 0: nothing is solved.
+pub fn paper_dataset() -> Dataset {
     let spec = ClusterSpec::marconi_a3(64);
     let power = PowerModel::marconi_a3();
-    let s = match solver {
-        "IMe" => Solver::ImeOptimized,
-        _ => Solver::ScaLapack { nb: paper::NB },
-    };
-    predict(s, Scenario { n, ranks, layout }, &spec, &power)
+    let mut points = Vec::new();
+    for n in paper::PAPER_DIMS {
+        for ranks in paper::PAPER_RANKS {
+            for layout in LoadLayout::all() {
+                for solver in [Solver::ImeOptimized, Solver::ScaLapack { nb: paper::NB }] {
+                    let p = predict(solver, Scenario { n, ranks, layout }, &spec, &power);
+                    let predicted = Measurement {
+                        duration_s: p.time_s,
+                        total_energy_j: p.energy.total_j,
+                        pkg_energy_j: p.energy.pkg_j,
+                        dram_energy_j: p.energy.dram_j,
+                        pkg_by_socket_j: p.energy.per_socket_pkg,
+                        dram_by_socket_j: p.energy.per_socket_dram,
+                        mean_power_w: p.energy.mean_power_w,
+                        residual: 0.0,
+                        msgs: 0,
+                        volume_elems: 0,
+                        nodes: ranks / layout.ranks_per_node(&spec.node),
+                        violations: Vec::new(),
+                        fault_report: None,
+                        iterations: None,
+                        refreshes: None,
+                    };
+                    let label = solver.label();
+                    points.push(DataPoint::from_runs(label, n, ranks, layout, &[predicted]));
+                }
+            }
+        }
+    }
+    Dataset { points }
+}
+
+/// A functional figure drawn from [`paper_dataset`], relabelled as its
+/// model-tier twin.
+fn model(mut fig: Figure, title: impl Into<String>) -> Figure {
+    fig.id.push_str("-model");
+    fig.title = title.into();
+    fig
 }
 
 /// Figure 3: total energy for full-loaded vs half-loaded processors, per
@@ -81,27 +118,12 @@ pub fn fig3_functional(ds: &Dataset, ranks: usize) -> Figure {
     fig
 }
 
-/// Figure 3 at paper scale (model tier).
-pub fn fig3_model(ranks: usize) -> Figure {
-    let mut fig = Figure::new(
-        "fig3-model",
+/// Figure 3 at paper scale: [`fig3_functional`] on [`paper_dataset`].
+pub fn fig3_model(ds: &Dataset, ranks: usize) -> Figure {
+    model(
+        fig3_functional(ds, ranks),
         format!("Fig.3 (paper scale, model) — load levels (ranks={ranks})"),
-        "matrix dimension",
-        "total energy [J]",
-    );
-    for solver in SOLVERS {
-        for layout in LoadLayout::all() {
-            let mut s = Series::new(format!("{solver} {layout}"));
-            for &n in &paper::PAPER_DIMS {
-                s.push(
-                    n as f64,
-                    model_point(solver, n, ranks, layout).energy.total_j,
-                );
-            }
-            fig.series.push(s);
-        }
-    }
-    fig
+    )
 }
 
 /// Figure 4: energy and time vs matrix dimension at fixed rank counts
@@ -147,34 +169,19 @@ pub fn fig4_functional(ds: &Dataset) -> (Figure, Figure) {
     (fe, ft)
 }
 
-/// Figure 4 at paper scale.
-pub fn fig4_model() -> (Figure, Figure) {
-    let mut fe = Figure::new(
-        "fig4-energy-model",
-        "Fig.4 (paper scale, model) — energy vs dimension at fixed ranks",
-        "matrix dimension",
-        "total energy [J]",
-    );
-    let mut ft = Figure::new(
-        "fig4-time-model",
-        "Fig.4 (paper scale, model) — duration vs dimension at fixed ranks",
-        "matrix dimension",
-        "duration [s]",
-    );
-    for solver in SOLVERS {
-        for &ranks in &paper::PAPER_RANKS {
-            let mut se = Series::new(format!("{solver} {ranks} ranks"));
-            let mut st = Series::new(format!("{solver} {ranks} ranks"));
-            for &n in &paper::PAPER_DIMS {
-                let p = model_point(solver, n, ranks, LoadLayout::FullLoad);
-                se.push(n as f64, p.energy.total_j);
-                st.push(n as f64, p.time_s);
-            }
-            fe.series.push(se);
-            ft.series.push(st);
-        }
-    }
-    (fe, ft)
+/// Figure 4 at paper scale: [`fig4_functional`] on [`paper_dataset`].
+pub fn fig4_model(ds: &Dataset) -> (Figure, Figure) {
+    let (fe, ft) = fig4_functional(ds);
+    (
+        model(
+            fe,
+            "Fig.4 (paper scale, model) — energy vs dimension at fixed ranks",
+        ),
+        model(
+            ft,
+            "Fig.4 (paper scale, model) — duration vs dimension at fixed ranks",
+        ),
+    )
 }
 
 /// Figure 5: energy and time vs rank count at fixed matrix dimensions
@@ -215,34 +222,19 @@ pub fn fig5_functional(ds: &Dataset) -> (Figure, Figure) {
     (fe, ft)
 }
 
-/// Figure 5 at paper scale.
-pub fn fig5_model() -> (Figure, Figure) {
-    let mut fe = Figure::new(
-        "fig5-energy-model",
-        "Fig.5 (paper scale, model) — energy vs ranks at fixed matrix size",
-        "ranks",
-        "total energy [J]",
-    );
-    let mut ft = Figure::new(
-        "fig5-time-model",
-        "Fig.5 (paper scale, model) — duration vs ranks at fixed matrix size",
-        "ranks",
-        "duration [s]",
-    );
-    for solver in SOLVERS {
-        for &n in &paper::PAPER_DIMS {
-            let mut se = Series::new(format!("{solver} n={n}"));
-            let mut st = Series::new(format!("{solver} n={n}"));
-            for &ranks in &paper::PAPER_RANKS {
-                let p = model_point(solver, n, ranks, LoadLayout::FullLoad);
-                se.push(ranks as f64, p.energy.total_j);
-                st.push(ranks as f64, p.time_s);
-            }
-            fe.series.push(se);
-            ft.series.push(st);
-        }
-    }
-    (fe, ft)
+/// Figure 5 at paper scale: [`fig5_functional`] on [`paper_dataset`].
+pub fn fig5_model(ds: &Dataset) -> (Figure, Figure) {
+    let (fe, ft) = fig5_functional(ds);
+    (
+        model(
+            fe,
+            "Fig.5 (paper scale, model) — energy vs ranks at fixed matrix size",
+        ),
+        model(
+            ft,
+            "Fig.5 (paper scale, model) — duration vs ranks at fixed matrix size",
+        ),
+    )
 }
 
 /// Figure 6: energy and mean power vs matrix dimension at fixed ranks.
@@ -274,32 +266,19 @@ pub fn fig6_functional(ds: &Dataset, ranks: usize) -> (Figure, Figure) {
     (fe, fp)
 }
 
-/// Figure 6 at paper scale.
-pub fn fig6_model(ranks: usize) -> (Figure, Figure) {
-    let mut fe = Figure::new(
-        "fig6-energy-model",
-        format!("Fig.6 (paper scale, model) — energy vs dimension (ranks={ranks})"),
-        "matrix dimension",
-        "total energy [J]",
-    );
-    let mut fp = Figure::new(
-        "fig6-power-model",
-        format!("Fig.6 (paper scale, model) — power vs dimension (ranks={ranks})"),
-        "matrix dimension",
-        "mean power [W]",
-    );
-    for solver in SOLVERS {
-        let mut se = Series::new(solver);
-        let mut sp = Series::new(solver);
-        for &n in &paper::PAPER_DIMS {
-            let p = model_point(solver, n, ranks, LoadLayout::FullLoad);
-            se.push(n as f64, p.energy.total_j);
-            sp.push(n as f64, p.energy.mean_power_w);
-        }
-        fe.series.push(se);
-        fp.series.push(sp);
-    }
-    (fe, fp)
+/// Figure 6 at paper scale: [`fig6_functional`] on [`paper_dataset`].
+pub fn fig6_model(ds: &Dataset, ranks: usize) -> (Figure, Figure) {
+    let (fe, fp) = fig6_functional(ds, ranks);
+    (
+        model(
+            fe,
+            format!("Fig.6 (paper scale, model) — energy vs dimension (ranks={ranks})"),
+        ),
+        model(
+            fp,
+            format!("Fig.6 (paper scale, model) — power vs dimension (ranks={ranks})"),
+        ),
+    )
 }
 
 /// Figure 7: energy and mean power vs rank count at a fixed dimension.
@@ -331,32 +310,19 @@ pub fn fig7_functional(ds: &Dataset, n: usize) -> (Figure, Figure) {
     (fe, fp)
 }
 
-/// Figure 7 at paper scale.
-pub fn fig7_model(n: usize) -> (Figure, Figure) {
-    let mut fe = Figure::new(
-        "fig7-energy-model",
-        format!("Fig.7 (paper scale, model) — energy vs ranks (n={n})"),
-        "ranks",
-        "total energy [J]",
-    );
-    let mut fp = Figure::new(
-        "fig7-power-model",
-        format!("Fig.7 (paper scale, model) — power vs ranks (n={n})"),
-        "ranks",
-        "mean power [W]",
-    );
-    for solver in SOLVERS {
-        let mut se = Series::new(solver);
-        let mut sp = Series::new(solver);
-        for &ranks in &paper::PAPER_RANKS {
-            let p = model_point(solver, n, ranks, LoadLayout::FullLoad);
-            se.push(ranks as f64, p.energy.total_j);
-            sp.push(ranks as f64, p.energy.mean_power_w);
-        }
-        fe.series.push(se);
-        fp.series.push(sp);
-    }
-    (fe, fp)
+/// Figure 7 at paper scale: [`fig7_functional`] on [`paper_dataset`].
+pub fn fig7_model(ds: &Dataset, n: usize) -> (Figure, Figure) {
+    let (fe, fp) = fig7_functional(ds, n);
+    (
+        model(
+            fe,
+            format!("Fig.7 (paper scale, model) — energy vs ranks (n={n})"),
+        ),
+        model(
+            fp,
+            format!("Fig.7 (paper scale, model) — power vs ranks (n={n})"),
+        ),
+    )
 }
 
 #[cfg(test)]
@@ -373,7 +339,7 @@ mod tests {
 
     #[test]
     fn model_figures_have_expected_series() {
-        let (fe, ft) = fig4_model();
+        let (fe, ft) = fig4_model(&paper_dataset());
         assert_eq!(fe.series.len(), 6); // 2 solvers × 3 rank counts
         assert_eq!(ft.series.len(), 6);
         for s in &fe.series {
@@ -390,7 +356,7 @@ mod tests {
 
     #[test]
     fn fig5_model_strong_scaling_time_decreases() {
-        let (_, ft) = fig5_model();
+        let (_, ft) = fig5_model(&paper_dataset());
         for s in &ft.series {
             // Duration decreases as ranks grow, except that the smallest
             // matrix may hit the latency floor at the largest rank count
@@ -408,7 +374,7 @@ mod tests {
 
     #[test]
     fn fig6_model_power_flat_in_dimension() {
-        let (_, fp) = fig6_model(144);
+        let (_, fp) = fig6_model(&paper_dataset(), 144);
         for s in &fp.series {
             let min = s.y.iter().cloned().fold(f64::INFINITY, f64::min);
             let max = s.y.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -423,7 +389,7 @@ mod tests {
 
     #[test]
     fn fig7_model_power_grows_with_ranks() {
-        let (_, fp) = fig7_model(17280);
+        let (_, fp) = fig7_model(&paper_dataset(), 17280);
         for s in &fp.series {
             assert!(
                 s.y.last().unwrap() > s.y.first().unwrap(),

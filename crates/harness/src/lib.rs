@@ -12,10 +12,13 @@
 //!   paper's exact configurations (8640…34560 × 144/576/1296 ranks),
 //!   printing the same rows/series the paper reports.
 //!
-//! A single measurement [`campaign`](run::Dataset::campaign) produces the dataset
-//! all figures slice, as in the paper; [`summary`] distils the headline
-//! claims (energy gap, power gap, load-level ordering, crossovers) and
-//! checks them against the paper's stated bands.
+//! Every figure slices a [`Dataset`], and each tier is one:
+//! a single measurement [`campaign`](run::Dataset::campaign) produces the
+//! functional dataset, as in the paper, and
+//! [`paper_dataset`](experiments::paper_dataset) evaluates the model into
+//! the same schema, so each figure has one body for both tiers. [`summary`]
+//! distils the headline claims (energy gap, power gap, load-level ordering,
+//! crossovers) of either and checks them against the paper's stated bands.
 
 pub mod bench;
 pub mod charts;

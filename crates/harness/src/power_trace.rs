@@ -46,7 +46,7 @@ pub fn power_trace(
             &rapl,
             &MonitorConfig::default(),
             sample_period_s,
-            |ctx, app| solve(ctx, app, solver, true, &inputs),
+            |ctx, app| solve(ctx, app, true, &inputs),
         )
         .unwrap()
         .report

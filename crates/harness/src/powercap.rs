@@ -77,7 +77,7 @@ pub fn sweep(n: usize, ranks: usize, fractions: &[f64], seed: u64) -> Vec<CapPoi
                             }
                         }
                     }
-                    solve(ctx, &world, solver, true, &inputs)
+                    solve(ctx, &world, true, &inputs)
                 })
                 .unwrap()
                 .report

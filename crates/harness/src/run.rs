@@ -7,14 +7,15 @@
 //! harness that simulates a solve is built from them.
 //!
 //! 1. [`build_machine`] — node → placement → cluster → `Machine`;
-//! 2. [`Inputs`] — the input system, dense for IMe and `pdgesv`, CSR for
-//!    CG;
-//! 3. [`solve`] — one solve on a running rank, whichever solver;
+//! 2. [`Inputs`] — the input system with its solver's parameters: dense
+//!    for IMe and `pdgesv`, CSR for CG;
+//! 3. [`solve`] — one solve of those inputs on a running rank;
 //! 4. [`run_prepared`] — the Figure-2 monitored window (allocation phase,
 //!    `batch` solves, execution phase) and the reports → [`Measurement`]
 //!    tail.
 //!
-//! `run_once`, both campaigns and the Chrome-trace export go through all
+//! `run_once`, both campaigns (through one repetition loop and
+//! `DataPoint::from_runs`) and the Chrome-trace export go through all
 //! four, so a trace is a trace of the run the campaign measures. The
 //! power-cap sweep and the black-box power trace are different procedures
 //! on purpose (an MSR write, a sampling daemon) and wrap steps 1–3 in
@@ -25,6 +26,7 @@ use greenla_cg::solver::{pcg, CgConfig};
 use greenla_cluster::placement::{LoadLayout, Placement};
 use greenla_cluster::spec::{ClusterSpec, NodeSpec};
 use greenla_cluster::{Interconnect, PowerModel};
+use greenla_ime::par::ImepOptions;
 use greenla_ime::solve_imep;
 use greenla_linalg::flops;
 use greenla_linalg::generate::{LinearSystem, SystemKind};
@@ -39,6 +41,7 @@ use greenla_mpi::{
 use greenla_rapl::RaplSim;
 use greenla_scalapack::pdgesv::pdgesv;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One run's configuration.
@@ -150,29 +153,37 @@ pub fn build_machine(
         .with_scheduler(scheduler)
 }
 
-/// Step 2 — the input system of a run, in the one format its solver reads.
-/// Prepared outside the measured region (the paper's jobs load their input
-/// from a file the same way) and shared by every repetition of a
-/// configuration.
+/// Step 2 — the input system of a run, in the one format its solver reads,
+/// with that solver's parameters. Prepared outside the measured region (the
+/// paper's jobs load their input from a file the same way) and shared by
+/// every repetition of a configuration.
 pub enum Inputs {
-    /// IMe and `pdgesv`: the replicated dense system.
-    Dense(LinearSystem),
-    /// CG: the system in CSR — never a dense matrix when the configuration
-    /// names a stencil.
-    Sparse(SparseSystem),
+    /// IMeP with its protocol options, on the replicated dense system.
+    Ime(LinearSystem, ImepOptions),
+    /// `pdgesv` with block size `nb`, on the replicated dense system.
+    ScaLapack(LinearSystem, usize),
+    /// CG (`true`: Jacobi-preconditioned) on the system in CSR — never a
+    /// dense matrix when the configuration names a stencil.
+    Cg(SparseSystem, bool),
 }
 
 impl Inputs {
     /// Wrap a system the caller generated; CG runs sparsify it here, once.
     pub fn from_system(solver: SolverChoice, dense: LinearSystem) -> Inputs {
-        if !matches!(solver, SolverChoice::Cg { .. }) {
-            return Inputs::Dense(dense);
+        match solver {
+            SolverChoice::Ime { .. } => {
+                Inputs::Ime(dense, solver.imep_options().expect("IMe has options"))
+            }
+            SolverChoice::ScaLapack { nb } => Inputs::ScaLapack(dense, nb),
+            SolverChoice::Cg { jacobi } => Inputs::Cg(
+                SparseSystem {
+                    a: CsrMatrix::from_dense(&dense.a),
+                    b: dense.b,
+                    x_ref: dense.x_ref.unwrap_or_default(),
+                },
+                jacobi,
+            ),
         }
-        Inputs::Sparse(SparseSystem {
-            a: CsrMatrix::from_dense(&dense.a),
-            b: dense.b,
-            x_ref: dense.x_ref.unwrap_or_default(),
-        })
     }
 
     /// The system a configuration names. Its seed derives from `(n, ranks)`
@@ -182,8 +193,8 @@ impl Inputs {
     pub fn prepare(cfg: &RunConfig) -> Inputs {
         let system_seed = (cfg.n as u64) << 32 | cfg.ranks as u64;
         match (cfg.solver, cfg.system) {
-            (SolverChoice::Cg { .. }, SystemKind::Poisson2d) => {
-                Inputs::Sparse(SparseKind::Laplace2d.generate(cfg.n, system_seed))
+            (SolverChoice::Cg { jacobi }, SystemKind::Poisson2d) => {
+                Inputs::Cg(SparseKind::Laplace2d.generate(cfg.n, system_seed), jacobi)
             }
             _ => Inputs::from_system(cfg.solver, cfg.system.generate(cfg.n, system_seed)),
         }
@@ -193,44 +204,40 @@ impl Inputs {
     /// image for a sparse run, the dense square otherwise.
     pub fn alloc_bytes(&self) -> u64 {
         match self {
-            Inputs::Dense(d) => 8 * (d.n() * d.n()) as u64,
-            Inputs::Sparse(s) => flops::spmv_csr_bytes(s.n(), s.a.nnz()),
+            Inputs::Ime(d, _) | Inputs::ScaLapack(d, _) => 8 * (d.n() * d.n()) as u64,
+            Inputs::Cg(s, _) => flops::spmv_csr_bytes(s.n(), s.a.nnz()),
         }
     }
 
     /// Scaled residual of a solution, computed in the input's own format.
     pub fn residual(&self, x: &[f64]) -> f64 {
         match self {
-            Inputs::Dense(d) => d.residual(x),
-            Inputs::Sparse(s) => s.residual(x),
+            Inputs::Ime(d, _) | Inputs::ScaLapack(d, _) => d.residual(x),
+            Inputs::Cg(s, _) => s.residual(x),
         }
     }
 }
 
-/// Step 3 — one solve over `comm` on a running rank: the solution and, for
-/// CG, the `(iterations, refreshes)` counts. Every run of a solver is the
-/// same program: IMe protects itself with a checksum exactly when the
-/// machine's fault plan schedules a `column_loss` (`reduce_table` reads the
-/// plan; nothing is chosen here). A solver error aborts the run as
+/// Step 3 — one solve of `inputs` over `comm` on a running rank: the
+/// solution and, for CG, the `(iterations, refreshes)` counts. Every run of a
+/// solver is the same program: IMe protects itself with a checksum exactly
+/// when the machine's fault plan schedules a `column_loss` (`reduce_table`
+/// reads the plan; nothing is chosen here). A solver error aborts the run as
 /// [`AbortKind::Solver`].
 pub fn solve(
     ctx: &mut RankCtx,
     comm: &Comm,
-    solver: SolverChoice,
     cg_overlap: bool,
     inputs: &Inputs,
 ) -> (Vec<f64>, Option<(u64, u64)>) {
-    let x = match (solver, inputs) {
-        (SolverChoice::Ime { .. }, Inputs::Dense(sys)) => {
-            let opts = solver.imep_options().expect("IMe options");
-            solve_imep(ctx, comm, sys, opts)
-                .unwrap_or_else(|e| ctx.abort(AbortKind::Solver, format!("IMe solve: {e}")))
-        }
-        (SolverChoice::ScaLapack { nb }, Inputs::Dense(sys)) => pdgesv(ctx, comm, sys, nb)
+    let x = match inputs {
+        Inputs::Ime(sys, opts) => solve_imep(ctx, comm, sys, *opts)
+            .unwrap_or_else(|e| ctx.abort(AbortKind::Solver, format!("IMe solve: {e}"))),
+        Inputs::ScaLapack(sys, nb) => pdgesv(ctx, comm, sys, *nb)
             .unwrap_or_else(|e| ctx.abort(AbortKind::Solver, format!("pdgesv solve: {e}"))),
-        (SolverChoice::Cg { jacobi }, Inputs::Sparse(sys)) => {
+        Inputs::Cg(sys, jacobi) => {
             let cg_cfg = CgConfig {
-                jacobi,
+                jacobi: *jacobi,
                 overlap: cg_overlap,
                 ..CgConfig::default()
             };
@@ -239,7 +246,6 @@ pub fn solve(
                 .unwrap_or_else(|e| ctx.abort(AbortKind::Solver, e.to_string()));
             return (s.x, Some((s.iterations as u64, s.refreshes as u64)));
         }
-        _ => panic!("inputs prepared for another solver than {}", solver.label()),
     };
     (x, None)
 }
@@ -265,6 +271,15 @@ pub fn run_prepared(
     inputs: &Inputs,
     trace: TraceSink,
 ) -> Result<MonitoredRun, Abort> {
+    debug_assert!(
+        matches!(
+            (cfg.solver, inputs),
+            (SolverChoice::Ime { .. }, Inputs::Ime(..))
+                | (SolverChoice::ScaLapack { .. }, Inputs::ScaLapack(..))
+                | (SolverChoice::Cg { .. }, Inputs::Cg(..))
+        ),
+        "inputs prepared for another solver than cfg.solver"
+    );
     let node = NodeSpec::test_node(cfg.cores_per_socket);
     let power = PowerModel::scaled_for(&node);
     let mut machine = build_machine(&node, cfg.ranks, cfg.layout, power, cfg.seed, cfg.scheduler)
@@ -307,7 +322,7 @@ pub fn run_prepared(
             // [`RunConfig::batch`] for why short kernels need this.
             let mut last = None;
             for _ in 0..cfg.batch.max(1) {
-                last = Some(solve(ctx, &world, cfg.solver, cfg.cg_overlap, inputs));
+                last = Some(solve(ctx, &world, cfg.cg_overlap, inputs));
             }
             handle
                 .phase(ctx, "execution")
@@ -398,6 +413,22 @@ pub fn per_solve(mut m: Measurement, batch: usize) -> Measurement {
     m
 }
 
+/// The repetitions `reps` of `cfg` on prepared inputs, untraced: repetition
+/// `rep` reseeds the machine to `cfg.seed + rep`, and each measurement is
+/// normalised to one solve of its batch. Panics if a run aborts.
+pub(crate) fn measure(cfg: &RunConfig, inputs: &Inputs, reps: Range<usize>) -> Vec<Measurement> {
+    reps.map(|rep| {
+        let cfg = RunConfig {
+            seed: cfg.seed + rep as u64,
+            ..cfg.clone()
+        };
+        let run = run_prepared(&cfg, inputs, TraceSink::disabled())
+            .unwrap_or_else(|abort| cfg.aborted(abort));
+        per_solve(run.measurement, cfg.batch)
+    })
+    .collect()
+}
+
 /// Simple per-metric statistics over repetitions.
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
 pub struct Stats {
@@ -482,7 +513,31 @@ pub struct DataPoint {
     pub fault_reports: Vec<FaultReport>,
 }
 
-/// The full functional-tier dataset all figures slice.
+impl DataPoint {
+    /// Aggregate the repetitions of one grid point, with every diagnostic
+    /// and fault report they carry.
+    pub(crate) fn from_runs(
+        solver: &str,
+        n: usize,
+        ranks: usize,
+        layout: LoadLayout,
+        runs: &[Measurement],
+    ) -> DataPoint {
+        DataPoint {
+            solver: solver.to_string(),
+            n,
+            ranks,
+            layout,
+            agg: Aggregated::from_runs(runs),
+            violations: runs.iter().flat_map(|m| m.violations.clone()).collect(),
+            fault_reports: runs.iter().filter_map(|m| m.fault_report.clone()).collect(),
+        }
+    }
+}
+
+/// A grid of aggregated points, as every figure slices it: the measured
+/// functional tier, the sparse campaign, or the model tier at paper scale
+/// (`experiments::paper_dataset`).
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct Dataset {
     pub points: Vec<DataPoint>,
@@ -511,14 +566,14 @@ impl Dataset {
                 "n={n} ranks={ranks} layout={layout} solver={}",
                 solver.label()
             ));
-            let cfg = |rep: usize| RunConfig {
+            let cfg = RunConfig {
                 n,
                 ranks,
                 layout,
                 solver,
                 system: SystemKind::DiagDominant,
                 cores_per_socket: grid.cores_per_socket,
-                seed: grid.base_seed + rep as u64,
+                seed: grid.base_seed,
                 check: grid.check,
                 faults: grid.faults.clone(),
                 scheduler: grid.scheduler,
@@ -526,24 +581,8 @@ impl Dataset {
                 cg_overlap: true,
             };
             // Repetitions differ in the machine seed only: one input system.
-            let inputs = Inputs::prepare(&cfg(0));
-            let runs: Vec<Measurement> = (0..grid.reps)
-                .map(|rep| {
-                    let cfg = cfg(rep);
-                    let run = run_prepared(&cfg, &inputs, TraceSink::disabled())
-                        .unwrap_or_else(|abort| cfg.aborted(abort));
-                    per_solve(run.measurement, grid.batch)
-                })
-                .collect();
-            DataPoint {
-                solver: solver.label().to_string(),
-                n,
-                ranks,
-                layout,
-                agg: Aggregated::from_runs(&runs),
-                violations: runs.iter().flat_map(|m| m.violations.clone()).collect(),
-                fault_reports: runs.iter().filter_map(|m| m.fault_report.clone()).collect(),
-            }
+            let runs = measure(&cfg, &Inputs::prepare(&cfg), 0..grid.reps);
+            DataPoint::from_runs(solver.label(), n, ranks, layout, &runs)
         });
         Dataset { points }
     }
@@ -643,30 +682,35 @@ mod tests {
 
     fn sparse(inputs: Inputs) -> SparseSystem {
         match inputs {
-            Inputs::Sparse(s) => s,
-            Inputs::Dense(_) => panic!("CG inputs are CSR"),
+            Inputs::Cg(s, _) => s,
+            _ => panic!("CG inputs are CSR"),
         }
     }
 
     #[test]
     fn each_solver_gets_its_inputs_in_the_format_it_reads() {
         for system in [SystemKind::Poisson2d, SystemKind::DiagDominant] {
-            let of = |solver| RunConfig {
-                system,
-                ..cfg(solver)
+            let of = |solver| {
+                Inputs::prepare(&RunConfig {
+                    system,
+                    ..cfg(solver)
+                })
             };
-            let cg = sparse(Inputs::prepare(&of(SolverChoice::cg())));
-            assert_eq!(cg.n(), 36);
-            for solver in [SolverChoice::ime_optimized(), SolverChoice::scalapack()] {
-                assert!(matches!(Inputs::prepare(&of(solver)), Inputs::Dense(d) if d.n() == 36));
-            }
+            assert!(matches!(of(SolverChoice::cg_jacobi()), Inputs::Cg(s, true) if s.n() == 36));
+            assert!(matches!(
+                of(SolverChoice::ime_optimized()),
+                Inputs::Ime(d, o) if d.n() == 36 && o == ImepOptions::optimized()
+            ));
+            assert!(
+                matches!(of(SolverChoice::scalapack()), Inputs::ScaLapack(d, 32) if d.n() == 36)
+            );
         }
         // A caller's dense system is sparsified for CG, kept for the rest.
         let sys = SystemKind::Spd.generate(20, 3);
         let cg = sparse(Inputs::from_system(SolverChoice::cg(), sys.clone()));
         assert_eq!(cg.a, CsrMatrix::from_dense(&sys.a));
         let direct = Inputs::from_system(SolverChoice::scalapack(), sys.clone());
-        assert!(matches!(direct, Inputs::Dense(d) if d.a == sys.a));
+        assert!(matches!(direct, Inputs::ScaLapack(d, 32) if d.a == sys.a));
     }
 
     /// The switch from the dense detour to `laplace2d` moves no bit: at every
@@ -703,7 +747,7 @@ mod tests {
             let solved = machine
                 .run(|ctx| {
                     let world = ctx.world();
-                    solve(ctx, &world, cfg.solver, true, &inputs).0
+                    solve(ctx, &world, true, &inputs).0
                 })
                 .results
                 .swap_remove(0);

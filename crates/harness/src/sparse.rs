@@ -14,9 +14,7 @@
 //! roofline validation uses.
 
 use crate::config::SolverChoice;
-use crate::run::{
-    per_solve, run_prepared, Aggregated, DataPoint, Dataset, Inputs, Measurement, RunConfig,
-};
+use crate::run::{measure, DataPoint, Dataset, Inputs, Measurement, RunConfig};
 use greenla_cg::formulas;
 use greenla_cg::partition::{HaloPlan, RowBlocks, RowSplit};
 use greenla_cluster::placement::LoadLayout;
@@ -27,7 +25,7 @@ use greenla_linalg::sparse::CsrMatrix;
 use greenla_model::comm;
 use greenla_model::params::MachineParams;
 use greenla_model::roofline::{KernelProfile, Roofline};
-use greenla_mpi::{SchedulerKind, TraceSink};
+use greenla_mpi::SchedulerKind;
 use serde::{Deserialize, Serialize};
 
 /// The band shared with the dense roofline validations (host and
@@ -194,58 +192,35 @@ pub fn campaign(grid: &SparseGrid, progress: impl Fn(&str) + Sync) -> (Dataset, 
             // One input system per (n, solver): the probe, every repetition
             // and the closed-form checks below all read the same one.
             let inputs = Inputs::prepare(&cfg);
-            let measure = |cfg: &RunConfig| {
-                run_prepared(cfg, &inputs, TraceSink::disabled())
-                    .unwrap_or_else(|abort| cfg.aborted(abort))
-                    .measurement
-            };
             // Probe at batch 1 to size the monitored window, then measure.
-            let probe = measure(&cfg);
+            let probe = measure(&cfg, &inputs, 0..1).remove(0);
             let batch = if probe.duration_s >= TARGET_WINDOW_S {
                 1
             } else {
                 ((TARGET_WINDOW_S / probe.duration_s).ceil() as usize).clamp(1, MAX_BATCH)
             };
-            let mut runs: Vec<Measurement> = Vec::with_capacity(grid.reps);
-            if batch == 1 {
-                // The probe is already rep 0 (same seed, same window).
-                runs.push(probe);
-            }
-            while runs.len() < grid.reps {
-                let rep = runs.len();
-                runs.push(per_solve(
-                    measure(&RunConfig {
-                        seed: grid.base_seed + rep as u64,
-                        batch,
-                        ..cfg.clone()
-                    }),
-                    batch,
-                ));
-            }
-            let agg = Aggregated::from_runs(&runs);
-            let flops = solve_flops(&cfg, &inputs, &runs[0]);
-            let point = SparsePoint {
-                solver: solver.label().to_string(),
+            // At batch 1 the probe is already rep 0 (same seed, same window).
+            let mut runs = if batch == 1 { vec![probe] } else { Vec::new() };
+            let batched = RunConfig {
+                batch,
+                ..cfg.clone()
+            };
+            runs.extend(measure(&batched, &inputs, runs.len()..grid.reps));
+            let point = DataPoint::from_runs(solver.label(), n, grid.ranks, cfg.layout, &runs);
+            let row = SparsePoint {
+                solver: point.solver.clone(),
                 n,
-                duration_s: agg.duration_s.mean,
-                energy_j: agg.total_energy_j.mean,
-                gflops: flops / agg.duration_s.mean / 1e9,
+                duration_s: point.agg.duration_s.mean,
+                energy_j: point.agg.total_energy_j.mean,
+                gflops: solve_flops(&cfg, &inputs, &runs[0]) / point.agg.duration_s.mean / 1e9,
                 iterations: runs[0].iterations,
                 batch,
             };
-            if matches!(solver, SolverChoice::Cg { .. }) {
-                checks.push(model_check(&cfg, &inputs, &point, &runs[0]));
+            if let Inputs::Cg(sys, jacobi) = &inputs {
+                checks.push(model_check(&cfg, &sys.a, *jacobi, &runs[0]));
             }
-            rows.push(point);
-            points.push(DataPoint {
-                solver: solver.label().to_string(),
-                n,
-                ranks: grid.ranks,
-                layout: LoadLayout::FullLoad,
-                agg,
-                violations: runs.iter().flat_map(|m| m.violations.clone()).collect(),
-                fault_reports: Vec::new(),
-            });
+            rows.push(row);
+            points.push(point);
         }
     }
     let inversions: Vec<InversionCheck> = grid
@@ -298,24 +273,16 @@ pub fn campaign(grid: &SparseGrid, progress: impl Fn(&str) + Sync) -> (Dataset, 
 /// `greenla_ime::formulas`, the classic ²⁄₃·n³ LU factor + 2n² solve for
 /// ScaLAPACK, and the summed per-rank CG recurrence cost.
 fn solve_flops(cfg: &RunConfig, inputs: &Inputs, m: &Measurement) -> f64 {
-    match cfg.solver {
-        SolverChoice::Ime { .. } => greenla_ime::formulas::flops_ime_ours(cfg.n) as f64,
-        SolverChoice::ScaLapack { .. } => {
+    match inputs {
+        Inputs::Ime(..) => greenla_ime::formulas::flops_ime_ours(cfg.n) as f64,
+        Inputs::ScaLapack(..) => {
             let n = cfg.n as f64;
             2.0 * n * n * n / 3.0 + 2.0 * n * n
         }
-        SolverChoice::Cg { jacobi } => cg_rank_costs(cfg, csr(inputs), jacobi, m)
+        Inputs::Cg(sys, jacobi) => cg_rank_costs(cfg, &sys.a, *jacobi, m)
             .iter()
             .map(|c| c.flops as f64)
             .sum(),
-    }
-}
-
-/// The CSR operator a CG run solved.
-fn csr(inputs: &Inputs) -> &CsrMatrix {
-    match inputs {
-        Inputs::Sparse(s) => &s.a,
-        Inputs::Dense(_) => panic!("CG inputs are CSR"),
     }
 }
 
@@ -340,14 +307,9 @@ fn cg_rank_costs(
         .collect()
 }
 
-/// Re-derive one CG measurement from the closed forms and gate it.
-fn model_check(
-    cfg: &RunConfig,
-    inputs: &Inputs,
-    point: &SparsePoint,
-    m: &Measurement,
-) -> ModelCheck {
-    let jacobi = matches!(cfg.solver, SolverChoice::Cg { jacobi: true });
+/// Re-derive one CG measurement — CSR operator `a`, Jacobi-preconditioned
+/// or not — from the closed forms and gate it.
+fn model_check(cfg: &RunConfig, a: &CsrMatrix, jacobi: bool, m: &Measurement) -> ModelCheck {
     let node = NodeSpec::test_node(cfg.cores_per_socket);
     let spec = ClusterSpec {
         node: node.clone(),
@@ -355,7 +317,6 @@ fn model_check(
         net: greenla_cluster::Interconnect::omni_path(),
     };
     let rf = Roofline::from_spec(&spec);
-    let a = csr(inputs);
     let costs = cg_rank_costs(cfg, a, jacobi, m);
     let iters = m.iterations.expect("CG run records iterations");
     let refreshes = m.refreshes.expect("CG run records refreshes");
@@ -441,7 +402,7 @@ fn model_check(
     let wall_ratio = pred_wall_s / m.duration_s;
     let energy_ratio = e.total_j / m.total_energy_j;
     ModelCheck {
-        solver: point.solver.clone(),
+        solver: cfg.solver.label().to_string(),
         n: cfg.n,
         iterations: iters,
         pred_wall_s,

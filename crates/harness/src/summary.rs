@@ -1,13 +1,10 @@
-//! Headline-claim checking (experiment E-S1): distil the dataset (or the
-//! paper-scale model) into the quantitative statements of §5.3/§5.4 and
-//! compare each against the band the paper reports.
+//! Headline-claim checking (experiment E-S1): distil a dataset — measured,
+//! or the paper-scale model tier — into the quantitative statements of
+//! §5.3/§5.4 and compare each against the band the paper reports.
 
 use crate::output::Table;
-use crate::run::Dataset;
-use greenla_cluster::placement::{LoadLayout, PAPER_DIMS, PAPER_RANKS};
-use greenla_cluster::spec::ClusterSpec;
-use greenla_cluster::PowerModel;
-use greenla_model::{predict, Scenario, Solver};
+use crate::run::{DataPoint, Dataset};
+use greenla_cluster::placement::LoadLayout;
 use serde::{Deserialize, Serialize};
 
 /// One checked claim.
@@ -139,7 +136,7 @@ pub fn check_dataset(ds: &Dataset) -> Vec<ClaimCheck> {
     // whole dataset is below that scale, fall back to every point rather
     // than dividing by zero.
     const MIN_MONITORABLE_S: f64 = 2.0e-3;
-    let drop_of = |p: &&crate::run::DataPoint| {
+    let drop_of = |p: &&DataPoint| {
         let loaded = p.agg.pkg0_j.mean;
         let idle = p.agg.pkg1_j.mean;
         (p.layout == LoadLayout::HalfOneSocket && loaded > 0.0).then(|| 1.0 - idle / loaded)
@@ -207,23 +204,23 @@ pub fn check_dataset(ds: &Dataset) -> Vec<ClaimCheck> {
     out
 }
 
-/// Claims evaluated with the calibrated model at the paper's scale.
-pub fn check_model() -> Vec<ClaimCheck> {
-    let spec = ClusterSpec::marconi_a3(64);
-    let power = PowerModel::marconi_a3();
-    let p =
-        |solver, n, ranks, layout| predict(solver, Scenario { n, ranks, layout }, &spec, &power);
+/// Claims evaluated on the model tier at the paper's scale
+/// (`experiments::paper_dataset`).
+pub fn check_model(ds: &Dataset) -> Vec<ClaimCheck> {
+    // Every full-load IMe point against its ScaLAPACK twin, in grid order.
+    let pairs: Vec<(&DataPoint, &DataPoint)> = ds
+        .points
+        .iter()
+        .filter(|p| p.solver == "IMe" && p.layout == LoadLayout::FullLoad)
+        .filter_map(|p| Some((p, ds.get("ScaLAPACK", p.n, p.ranks, p.layout)?)))
+        .collect();
     let mut out = Vec::new();
 
     // Energy gap at paper scale.
-    let mut gaps = Vec::new();
-    for &n in &PAPER_DIMS {
-        for &ranks in &PAPER_RANKS {
-            let ime = p(Solver::ImeOptimized, n, ranks, LoadLayout::FullLoad);
-            let ge = p(Solver::ScaLapack { nb: 64 }, n, ranks, LoadLayout::FullLoad);
-            gaps.push(1.0 - ge.energy.total_j / ime.energy.total_j);
-        }
-    }
+    let gaps: Vec<f64> = pairs
+        .iter()
+        .map(|(ime, ge)| 1.0 - ge.agg.total_energy_j.mean / ime.agg.total_energy_j.mean)
+        .collect();
     let mean_gap = gaps.iter().sum::<f64>() / gaps.len() as f64;
     out.push(ClaimCheck {
         id: "M1-energy-gap".into(),
@@ -238,14 +235,14 @@ pub fn check_model() -> Vec<ClaimCheck> {
     });
 
     // Power gap at paper scale.
-    let ime = p(Solver::ImeOptimized, 17280, 144, LoadLayout::FullLoad);
-    let ge = p(
-        Solver::ScaLapack { nb: 64 },
-        17280,
-        144,
-        LoadLayout::FullLoad,
-    );
-    let pgap = 1.0 - ge.energy.mean_power_w / ime.energy.mean_power_w;
+    let power = |solver: &str| {
+        ds.get(solver, 17280, 144, LoadLayout::FullLoad)
+            .expect("the paper grid has n=17280 at 144 ranks")
+            .agg
+            .mean_power_w
+            .mean
+    };
+    let pgap = 1.0 - power("ScaLAPACK") / power("IMe");
     out.push(ClaimCheck {
         id: "M2-power-gap".into(),
         claim: "power gap 12–18% at paper scale (§5.4)".into(),
@@ -254,19 +251,11 @@ pub fn check_model() -> Vec<ClaimCheck> {
     });
 
     // Crossover at paper scale.
-    let mut ime_wins = Vec::new();
-    let mut ge_wins = Vec::new();
-    for &n in &PAPER_DIMS {
-        for &ranks in &PAPER_RANKS {
-            let ti = p(Solver::ImeOptimized, n, ranks, LoadLayout::FullLoad).time_s;
-            let tg = p(Solver::ScaLapack { nb: 64 }, n, ranks, LoadLayout::FullLoad).time_s;
-            if ti < tg {
-                ime_wins.push((n, ranks));
-            } else {
-                ge_wins.push((n, ranks));
-            }
-        }
-    }
+    let (ime_wins, ge_wins): (Vec<_>, Vec<_>) = pairs
+        .iter()
+        .partition(|(ime, ge)| ime.agg.duration_s.mean < ge.agg.duration_s.mean);
+    let ime_wins: Vec<(usize, usize)> = ime_wins.iter().map(|(p, _)| (p.n, p.ranks)).collect();
+    let ge_wins: Vec<(usize, usize)> = ge_wins.iter().map(|(p, _)| (p.n, p.ranks)).collect();
     let ime_wins_distributed = ime_wins.iter().any(|&(n, r)| n <= 17280 && r >= 576);
     let ge_wins_dense = ge_wins.iter().any(|&(n, r)| n >= 25920 && r == 144);
     out.push(ClaimCheck {
@@ -307,9 +296,11 @@ pub fn claims_table(id: &str, title: &str, checks: &[ClaimCheck]) -> Table {
 mod tests {
     use super::*;
 
+    use crate::experiments::paper_dataset;
+
     #[test]
     fn model_claims_pass_at_paper_scale() {
-        let checks = check_model();
+        let checks = check_model(&paper_dataset());
         for c in &checks {
             assert!(c.pass, "claim {} failed: {}", c.id, c.measured);
         }
@@ -317,7 +308,7 @@ mod tests {
 
     #[test]
     fn claims_render_as_table() {
-        let t = claims_table("x", "claims", &check_model());
+        let t = claims_table("x", "claims", &check_model(&paper_dataset()));
         assert!(t.rows.len() >= 3);
         assert!(t.to_text().contains("claims"));
     }

@@ -269,8 +269,8 @@ fn a_trace_is_a_trace_of_the_measured_run() {
             .last()
             .and_then(|e| e.get("args")?.get("dram_bytes")?.as_f64());
         let bytes = match &inputs {
-            Inputs::Sparse(s) => spmv_csr_bytes(N, s.a.nnz()),
-            Inputs::Dense(_) => 8 * (N * N) as u64,
+            Inputs::Cg(s, _) => spmv_csr_bytes(N, s.a.nnz()),
+            Inputs::Ime(..) | Inputs::ScaLapack(..) => 8 * (N * N) as u64,
         };
         assert_eq!(charged, Some((bytes / RANKS as u64) as f64), "{what}");
     }

@@ -29,21 +29,6 @@ pub fn dgemv(alpha: f64, a: BlockRef, x: &[f64], beta: f64, y: &mut [f64]) {
     }
 }
 
-/// `y ← α·Aᵀ·x + β·y` for an `m × n` block view (`y` has length `n`).
-pub fn dgemv_t(alpha: f64, a: BlockRef, x: &[f64], beta: f64, y: &mut [f64]) {
-    let (m, n, lda) = (a.rows(), a.cols(), a.ld());
-    let a = a.data();
-    assert!(x.len() >= m && y.len() >= n, "vector length mismatch");
-    for j in 0..n {
-        let col = &a[j * lda..j * lda + m];
-        let mut s = 0.0;
-        for i in 0..m {
-            s += col[i] * x[i];
-        }
-        y[j] = alpha * s + if beta == 0.0 { 0.0 } else { beta * y[j] };
-    }
-}
-
 /// Rank-1 update `A ← A + α·x·yᵀ` on an `m × n` block.
 pub fn dger(m: usize, n: usize, alpha: f64, x: &[f64], y: &[f64], a: &mut [f64], lda: usize) {
     assert!(lda >= m.max(1), "lda too small");
@@ -128,14 +113,6 @@ mod tests {
         let mut y = vec![10.0, 20.0];
         dgemv(2.0, a.block(), &[1.0, 1.0], 0.5, &mut y);
         approx(&y, &[7.0, 12.0]);
-    }
-
-    #[test]
-    fn dgemv_t_transposes() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let mut y = vec![0.0; 2];
-        dgemv_t(1.0, a.block(), &[1.0, 1.0], 0.0, &mut y);
-        approx(&y, &[4.0, 6.0]);
     }
 
     #[test]

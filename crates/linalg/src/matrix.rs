@@ -107,12 +107,6 @@ impl Matrix {
         &mut self.data[j * self.rows..(j + 1) * self.rows]
     }
 
-    /// Copy row `i` out into a new vector (rows are strided).
-    pub fn row_to_vec(&self, i: usize) -> Vec<f64> {
-        assert!(i < self.rows);
-        (0..self.cols).map(|j| self[(i, j)]).collect()
-    }
-
     /// Swap rows `a` and `b` over the column range `jlo..jhi`.
     pub fn swap_rows(&mut self, a: usize, b: usize, jlo: usize, jhi: usize) {
         assert!(a < self.rows && b < self.rows && jhi <= self.cols && jlo <= jhi);
@@ -123,11 +117,6 @@ impl Matrix {
             let base = j * self.rows;
             self.data.swap(base + a, base + b);
         }
-    }
-
-    /// Transposed copy.
-    pub fn transposed(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
     }
 
     /// View the whole matrix as a column-major block.
@@ -151,17 +140,6 @@ impl Matrix {
             }
         }
         y
-    }
-
-    /// Extract the contiguous sub-matrix `rows lo_i..hi_i`, `cols lo_j..hi_j`.
-    pub fn submatrix(&self, lo_i: usize, hi_i: usize, lo_j: usize, hi_j: usize) -> Matrix {
-        assert!(hi_i <= self.rows && hi_j <= self.cols && lo_i <= hi_i && lo_j <= hi_j);
-        Matrix::from_fn(hi_i - lo_i, hi_j - lo_j, |i, j| self[(lo_i + i, lo_j + j)])
-    }
-
-    /// Maximum absolute element (∞-norm of the vectorised matrix).
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
     }
 }
 
@@ -246,14 +224,7 @@ mod tests {
     fn swap_rows_partial_range() {
         let mut m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         m.swap_rows(0, 1, 1, 3);
-        assert_eq!(m.row_to_vec(0), vec![1.0, 5.0, 6.0]);
-        assert_eq!(m.row_to_vec(1), vec![4.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn transpose_roundtrip() {
-        let m = Matrix::from_fn(3, 5, |i, j| (i * 10 + j) as f64);
-        assert_eq!(m.transposed().transposed(), m);
+        assert_eq!(m, Matrix::from_rows(&[&[1.0, 5.0, 6.0], &[4.0, 2.0, 3.0]]));
     }
 
     #[test]
@@ -261,16 +232,6 @@ mod tests {
         let m = Matrix::identity(3);
         let x = vec![1.0, -2.0, 3.0];
         assert_eq!(m.matvec(&x), x);
-    }
-
-    #[test]
-    fn submatrix_extracts_block() {
-        let m = Matrix::from_fn(4, 4, |i, j| (i * 4 + j) as f64);
-        let s = m.submatrix(1, 3, 2, 4);
-        assert_eq!(s.rows(), 2);
-        assert_eq!(s.cols(), 2);
-        assert_eq!(s[(0, 0)], m[(1, 2)]);
-        assert_eq!(s[(1, 1)], m[(2, 3)]);
     }
 
     #[test]

@@ -1,22 +1,11 @@
 //! Vector and matrix norms plus the scaled residual used to judge solver
 //! exactness throughout the workspace.
 
-use crate::blas1;
 use crate::matrix::Matrix;
 
 /// Vector ∞-norm.
 pub fn vec_inf(x: &[f64]) -> f64 {
     x.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
-}
-
-/// Vector 1-norm.
-pub fn vec_one(x: &[f64]) -> f64 {
-    blas1::dasum(x)
-}
-
-/// Vector 2-norm.
-pub fn vec_two(x: &[f64]) -> f64 {
-    blas1::dnrm2(x)
 }
 
 /// `sums[i] += |col[i]|` — one column's share of the per-row absolute
@@ -42,20 +31,6 @@ pub fn mat_inf(a: &Matrix) -> f64 {
         add_abs(&mut sums, a.col(j));
     }
     max_row_sum(&sums)
-}
-
-/// Matrix 1-norm (max column sum).
-pub fn mat_one(a: &Matrix) -> f64 {
-    let mut best = 0.0f64;
-    for j in 0..a.cols() {
-        best = best.max(blas1::dasum(a.col(j)));
-    }
-    best
-}
-
-/// Frobenius norm.
-pub fn mat_fro(a: &Matrix) -> f64 {
-    blas1::dnrm2(a.as_slice())
 }
 
 /// Componentwise backward-style scaled residual
@@ -107,7 +82,6 @@ mod tests {
     fn inf_norm_picks_max_row() {
         let a = Matrix::from_rows(&[&[1.0, -2.0], &[3.0, 4.0]]);
         assert_eq!(mat_inf(&a), 7.0);
-        assert_eq!(mat_one(&a), 6.0);
     }
 
     #[test]
@@ -141,16 +115,8 @@ mod tests {
     }
 
     #[test]
-    fn fro_norm() {
-        let a = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]);
-        assert_eq!(mat_fro(&a), 5.0);
-    }
-
-    #[test]
     fn vec_norms() {
         let x = [3.0, -4.0];
         assert_eq!(vec_inf(&x), 4.0);
-        assert_eq!(vec_one(&x), 7.0);
-        assert_eq!(vec_two(&x), 5.0);
     }
 }

@@ -12,24 +12,6 @@ pub fn apply_ipiv_forward(ipiv: &[usize], x: &mut [f64]) {
     }
 }
 
-/// Undo an LAPACK-style pivot sequence (reverse direction).
-pub fn apply_ipiv_backward(ipiv: &[usize], x: &mut [f64]) {
-    for (k, &p) in ipiv.iter().enumerate().rev() {
-        assert!(p >= k && p < x.len(), "invalid pivot {p} at step {k}");
-        x.swap(k, p);
-    }
-}
-
-/// Expand an `ipiv` sequence into an explicit row permutation `perm`, where
-/// `perm[i]` is the original index of the row that ends up at position `i`.
-pub fn ipiv_to_permutation(ipiv: &[usize], n: usize) -> Vec<usize> {
-    let mut perm: Vec<usize> = (0..n).collect();
-    for (k, &p) in ipiv.iter().enumerate() {
-        perm.swap(k, p);
-    }
-    perm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -41,7 +23,10 @@ mod tests {
         let orig = x.clone();
         apply_ipiv_forward(&ipiv, &mut x);
         assert_ne!(x, orig);
-        apply_ipiv_backward(&ipiv, &mut x);
+        // The same swaps in reverse order undo it.
+        for (k, &p) in ipiv.iter().enumerate().rev() {
+            x.swap(k, p);
+        }
         assert_eq!(x, orig);
     }
 
@@ -57,7 +42,11 @@ mod tests {
     fn permutation_expansion_matches_application() {
         let ipiv = vec![1, 2, 2];
         let n = 3;
-        let perm = ipiv_to_permutation(&ipiv, n);
+        // `perm[i]`: the original index of the row that ends up at `i`.
+        let mut perm: Vec<usize> = (0..n).collect();
+        for (k, &p) in ipiv.iter().enumerate() {
+            perm.swap(k, p);
+        }
         let mut x = vec![10.0, 20.0, 30.0];
         apply_ipiv_forward(&ipiv, &mut x);
         for i in 0..n {

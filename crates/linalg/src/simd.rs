@@ -184,11 +184,6 @@ pub fn microkernel(path: KernelPath) -> Microkernel {
     }
 }
 
-/// The microkernel the dispatcher picked for this process.
-pub fn active_microkernel() -> Microkernel {
-    microkernel(resolved())
-}
-
 /// The full kernel set for `path` (same support check as [`microkernel`]).
 pub fn kernel_set(path: KernelPath) -> KernelSet {
     let ukr = microkernel(path);

@@ -11,7 +11,7 @@
 
 use crate::generate::{reference_solution, LinearSystem};
 use crate::matrix::Matrix;
-use crate::simd::{self, KernelPath};
+use crate::simd;
 use rand::distributions::{Distribution, Uniform};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -150,15 +150,6 @@ impl CsrMatrix {
         assert_eq!(x.len(), self.n);
         assert_eq!(y.len(), self.n);
         simd::active_spmv_kernel()(&self.row_ptr, &self.col_idx, &self.values, x, y);
-    }
-
-    /// [`Self::spmv`] pinned to an explicit [`KernelPath`] (panics when
-    /// the CPU cannot execute it) — the cross-path property tests compare
-    /// kernels through here.
-    pub fn spmv_path(&self, path: KernelPath, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(y.len(), self.local_rows());
-        simd::spmv_kernel(path)(&self.row_ptr, &self.col_idx, &self.values, x, y);
     }
 
     /// Convenience allocating SpMV (tests and reference paths).
@@ -557,17 +548,20 @@ mod tests {
 
     #[test]
     fn spmv_kernel_paths_are_bit_identical_on_matrices() {
-        use crate::simd::KernelPath;
+        use crate::simd::{spmv_kernel, KernelPath};
         for a in awkward_shapes() {
             let x: Vec<f64> = (0..a.n()).map(|i| 1.0 / (1.0 + i as f64)).collect();
+            let spmv_path = |path, y: &mut [f64]| {
+                spmv_kernel(path)(&a.row_ptr, &a.col_idx, &a.values, &x, y);
+            };
             let mut want = vec![0.0; a.local_rows()];
-            a.spmv_path(KernelPath::Scalar, &x, &mut want);
+            spmv_path(KernelPath::Scalar, &mut want);
             for path in [KernelPath::Avx2, KernelPath::Avx512] {
                 if !path.supported() {
                     continue;
                 }
                 let mut got = vec![f64::NAN; a.local_rows()];
-                a.spmv_path(path, &x, &mut got);
+                spmv_path(path, &mut got);
                 assert!(
                     got.iter()
                         .zip(&want)

@@ -77,19 +77,6 @@ impl BlackboxReport {
             })
             .collect()
     }
-
-    /// Per-domain energy in joules at the final sample.
-    pub fn energy_j_by_event(&self) -> Vec<(String, f64)> {
-        let last = match self.samples.last() {
-            Some(s) => s,
-            None => return Vec::new(),
-        };
-        self.events
-            .iter()
-            .cloned()
-            .zip(last.values_uj.iter().map(|&v| v as f64 / 1e6))
-            .collect()
-    }
 }
 
 /// Result of a black-box run on one rank.

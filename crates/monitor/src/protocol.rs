@@ -42,10 +42,6 @@ pub struct MonitorHandle {
     node_comm: Comm,
     session: Option<Session>,
     monitor_rank_world: usize,
-    /// The node runs unmeasured: monitoring failed and
-    /// [`MonitorConfig::degrade_on_fault`] turned that into a downgrade
-    /// instead of an abort.
-    degraded: bool,
     degrade_on_fault: bool,
 }
 
@@ -124,10 +120,10 @@ impl MonitorHandle {
             }
         }
         // The monitoring rank shares its bring-up status with its node;
-        // everyone only reads it, so it travels as one shared word.
+        // everyone only reads it, so it travels as one shared word. The
+        // `FaultNote::Degraded` event above is the record of a downgrade.
         let root = node_comm.size() - 1;
-        let status = ctx.bcast_shared_u64(&node_comm, root, is_monitor.then_some(status));
-        let degraded = status[0] == STATUS_DEGRADED;
+        ctx.bcast_shared_u64(&node_comm, root, is_monitor.then_some(status));
         // General execution synchronisation. A degraded node still joins:
         // the rest of the job must not notice the downgrade.
         ctx.barrier(&world);
@@ -137,7 +133,6 @@ impl MonitorHandle {
             node_comm,
             session,
             monitor_rank_world,
-            degraded,
             degrade_on_fault: cfg.degrade_on_fault,
         })
     }
@@ -160,7 +155,6 @@ impl MonitorHandle {
                         return Err(e);
                     }
                     ctx.emit(RankEvent::Fault(FaultNote::Degraded));
-                    self.degraded = true;
                 }
             }
         }
@@ -217,11 +211,6 @@ impl MonitorHandle {
     /// Is this rank its node's monitoring rank?
     pub fn is_monitor(&self) -> bool {
         self.session.is_some()
-    }
-
-    /// Is this rank's node running unmeasured after a monitoring fault?
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
     }
 }
 

@@ -69,13 +69,6 @@ impl DistMatrix {
         crate::desc::numroc_below(g, self.desc.nb, self.mycol, self.desc.npcol)
     }
 
-    /// Value at global coordinates (must be owned by this process).
-    pub fn at_global(&self, gi: usize, gj: usize) -> f64 {
-        debug_assert_eq!(self.desc.row_owner(gi), self.myrow);
-        debug_assert_eq!(self.desc.col_owner(gj), self.mycol);
-        self.local[(self.desc.lrow(gi), self.desc.lcol(gj))]
-    }
-
     /// Gather the distributed matrix to the grid's rank 0 (communicator
     /// index 0 of `grid.all()`), which returns the assembled global matrix.
     pub fn gather_to_root(&self, ctx: &mut RankCtx, grid: &ProcessGrid) -> Option<Matrix> {

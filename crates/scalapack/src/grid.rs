@@ -90,12 +90,6 @@ impl ProcessGrid {
     pub fn coords_of(&self, index: usize) -> (usize, usize) {
         (index / self.npcol, index % self.npcol)
     }
-
-    /// Communicator index of grid coordinates.
-    pub fn index_of(&self, row: usize, col: usize) -> usize {
-        debug_assert!(row < self.nprow && col < self.npcol);
-        row * self.npcol + col
-    }
 }
 
 #[cfg(test)]
