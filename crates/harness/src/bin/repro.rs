@@ -18,10 +18,10 @@
 //!       [--scheduler thread|event]       (what carries the ranks of every
 //!                                         simulated run; virtual results
 //!                                         are engine-invariant. Default
+//!                                         `event`, fibers, where the build
+//!                                         has them (x86_64 Linux), else
 //!                                         `thread`, one OS thread per
-//!                                         rank; `event` runs them as
-//!                                         fibers, about 3× faster on the
-//!                                         host, x86_64 only)
+//!                                         rank)
 //!       [--ranks P1,P2,...]              (override the campaign's rank
 //!                                         counts; on fibers, counts way
 //!                                         past the ~1296 practical ceiling
@@ -177,14 +177,14 @@ fn main() {
         use greenla_cluster::placement::{LoadLayout, Placement};
         use greenla_cluster::spec::ClusterSpec;
         use greenla_cluster::PowerModel;
-        use greenla_mpi::{Machine, SchedulerKind};
+        use greenla_mpi::Machine;
 
         let ranks = args
             .ranks
             .as_ref()
             .and_then(|r| r.iter().copied().max())
             .unwrap_or(10_000);
-        let scheduler = args.scheduler.unwrap_or(SchedulerKind::EventDriven);
+        let scheduler = args.scheduler.unwrap_or_default();
         eprintln!("scale smoke: {ranks} ranks on the {scheduler} engine");
         let spec = ClusterSpec::test_cluster(ranks.div_ceil(8), 4);
         let placement = Placement::layout(&spec.node, ranks, LoadLayout::FullLoad)

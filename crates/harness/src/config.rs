@@ -96,8 +96,9 @@ pub struct FunctionalGrid {
     #[serde(default = "Default::default")]
     pub faults: Option<FaultPlan>,
     /// Rank-scheduling engine for every run of the campaign
-    /// (`repro --scheduler event`). Virtual-time results are engine-
-    /// invariant; the knob trades OS threads for fibers at large P.
+    /// (`repro --scheduler thread|event`; by default fibers where the
+    /// build has them, OS threads otherwise). Virtual-time results are
+    /// engine-invariant.
     #[serde(default = "Default::default")]
     pub scheduler: SchedulerKind,
     /// Back-to-back solves per monitored window for every run of the

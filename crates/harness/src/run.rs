@@ -64,7 +64,8 @@ pub struct RunConfig {
     /// Which rank-scheduling engine executes the run. The engine never
     /// changes measured (virtual-time) results — see the
     /// scheduler-invariance contract in `greenla_mpi::sched` — so older
-    /// datasets deserialize to the thread-per-rank default losslessly.
+    /// datasets deserialize to the platform's default carrier (fibers
+    /// where the build has them) losslessly.
     #[serde(default = "Default::default")]
     pub scheduler: SchedulerKind,
     /// Back-to-back solves inside the measured region. The simulated RAPL

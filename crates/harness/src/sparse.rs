@@ -59,7 +59,8 @@ pub struct SparseGrid {
     pub cores_per_socket: usize,
     pub base_seed: u64,
     /// Rank-scheduling engine for every run of the campaign
-    /// (`repro --exp sparse --scheduler thread|event`); virtual-time
+    /// (`repro --exp sparse --scheduler thread|event`; by default fibers
+    /// where the build has them, OS threads otherwise); virtual-time
     /// results are engine-invariant.
     #[serde(default = "Default::default")]
     pub scheduler: SchedulerKind,

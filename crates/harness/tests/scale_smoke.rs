@@ -8,9 +8,9 @@
 //! shows up as a CI timeout here. CI runs it as the dedicated `scale`
 //! step (see .github/workflows/ci.yml) with its own `timeout-minutes`.
 //!
-//! Fibers only exist on x86_64; the thread engine would need 10k OS
+//! Fibers only exist on x86_64 Linux; the thread engine would need 10k OS
 //! threads for this, so the whole file is gated.
-#![cfg(target_arch = "x86_64")]
+#![cfg(all(target_arch = "x86_64", target_os = "linux"))]
 
 use greenla_cluster::placement::{LoadLayout, Placement};
 use greenla_cluster::spec::ClusterSpec;

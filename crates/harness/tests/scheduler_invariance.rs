@@ -468,11 +468,11 @@ fn listeners_hear_the_same_run_whoever_else_listens() {
 
 // ---------------------------------------------------------------------------
 // Cross-carrier invariance: OS threads (the reference) vs fibers. Fibers
-// only exist on x86_64; elsewhere the fiber carrier refuses to start, so
+// only exist on x86_64 Linux; elsewhere the fiber carrier refuses to start, so
 // these cases are gated rather than silently vacuous.
 // ---------------------------------------------------------------------------
 
-#[cfg(target_arch = "x86_64")]
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod cross_engine {
     use super::*;
 

@@ -217,8 +217,12 @@ fn pack_b(bp: &mut [f64], b: &[f64], ldb: usize, pc: usize, jc: usize, kb: usize
 
 thread_local! {
     /// Per-thread packing scratch, reused across calls so the hot path
-    /// performs no steady-state allocation (each simulated rank is one OS
-    /// thread, so the buffers are effectively per-rank).
+    /// performs no steady-state allocation. On the fiber carrier every rank
+    /// homed on a worker thread shares that worker's buffers. That is sound
+    /// because no kernel blocks or yields while the `RefCell` is borrowed,
+    /// so a pack is finished before another rank can run on the thread; a
+    /// kernel that broke this would panic on the second borrow, not corrupt
+    /// a pack.
     static PACK_SCRATCH: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 

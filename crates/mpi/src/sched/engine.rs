@@ -9,7 +9,7 @@
 //! * **Fibers** (`EventDriven`, after the dytor runtime): every task has a
 //!   *home worker*; a wake pushes the task onto its home worker's run
 //!   queue and only that worker ever resumes it. Stacks come from one
-//!   pooled allocation, and workers are `thread::scope` threads that park
+//!   anonymous mapping, and workers are `thread::scope` threads that park
 //!   on a condvar when their queue drains. Blocking switches stacks.
 //! * **OS threads** (`ThreadPerRank`): every task's body runs directly on
 //!   its own scoped thread. Blocking waits on the task's condvar, a wake
@@ -114,35 +114,48 @@ unsafe impl Send for TaskSlot {}
 // rest.
 unsafe impl Sync for TaskSlot {}
 
-/// All fiber stacks in one allocation: 10k ranks × 512 KiB is ~5 GiB of
-/// *virtual* address space in a single mapping (the untouched pages cost
-/// nothing resident, and one mapping sidesteps `vm.max_map_count`).
+/// All fiber stacks in one anonymous mapping: 10k ranks × 512 KiB is
+/// ~5 GiB of *virtual* address space (untouched pages cost nothing
+/// resident, and one mapping sidesteps `vm.max_map_count`). The pool is
+/// mapped directly rather than allocated: glibc serves a multi-MiB request
+/// with a mapping of its own, and freeing that raises its dynamic mmap and
+/// trim thresholds to the pool's size, so every later matrix of the
+/// process would come from heap arenas that keep freed pages resident.
 struct StackPool {
-    /// Owns the allocation; only ever read through `base`-derived raw
-    /// pointers.
-    _mem: Vec<u8>,
-    base: usize,
+    base: *mut u8,
+    len: usize,
     stack_bytes: usize,
 }
 
 impl StackPool {
     fn new(ntasks: usize, stack_bytes: usize) -> Self {
         let stack_bytes = (stack_bytes + 15) & !15;
-        let mut mem = Vec::with_capacity(ntasks * stack_bytes + 16);
-        let base = ((mem.as_mut_ptr() as usize) + 15) & !15;
+        let len = ntasks
+            .max(1)
+            .checked_mul(stack_bytes)
+            .expect("fiber stack pool size overflows usize");
         StackPool {
-            _mem: mem,
-            base,
+            base: fiber::map_stacks(len),
+            len,
             stack_bytes,
         }
     }
 
     fn top(&self, i: usize) -> *mut u8 {
-        (self.base + (i + 1) * self.stack_bytes) as *mut u8
+        self.base.wrapping_add((i + 1) * self.stack_bytes)
     }
 
     fn bottom(&self, i: usize) -> *mut u64 {
-        (self.base + i * self.stack_bytes) as *mut u64
+        self.base.wrapping_add(i * self.stack_bytes).cast()
+    }
+}
+
+impl Drop for StackPool {
+    fn drop(&mut self) {
+        // SAFETY: `base`/`len` are this pool's own mapping, and nothing
+        // runs on it any more: the engine that owns the pool is dropped
+        // only after `run` returned, and `run` joins every worker first.
+        unsafe { fiber::unmap_stacks(self.base, self.len) }
     }
 }
 
@@ -490,7 +503,8 @@ impl Engine {
             assert!(
                 v == CANARY,
                 "fiber stack overflow on task {} (canary clobbered); raise \
-                 GREENLA_STACK_KB or use SchedulerKind::ThreadPerRank",
+                 GREENLA_STACK_KB or run on OS threads (`--scheduler thread`, \
+                 SchedulerKind::ThreadPerRank)",
                 slot.id
             );
         }
@@ -692,6 +706,71 @@ mod tests {
                 }
             });
             assert!(saw_orphan.load(Ordering::SeqCst));
+        }
+    }
+
+    #[test]
+    fn stack_pool_slots_are_disjoint_and_writable_end_to_end() {
+        if !fiber::supported() {
+            return;
+        }
+        // Each fiber fills its own slot with a pattern of its own, from
+        // just under its live frames down to the word above its canary.
+        // Once all have run, every canary and every pattern must be
+        // intact: the slots do not overlap, and each is writable over its
+        // whole length.
+        const TASKS: usize = 5;
+        // Left unwritten under the filling frame, for the calls the loop
+        // itself makes in an unoptimised build.
+        const FRAME_ROOM: usize = 16 * 1024;
+        let engine = Engine::new(TASKS, SchedulerKind::EventDriven, Some(2));
+        let Carrier::Fibers { pool, .. } = &engine.carrier else {
+            unreachable!("fibers were asked for");
+        };
+        let slots: Vec<(usize, usize)> = (0..TASKS)
+            .map(|i| (pool.bottom(i) as usize, pool.top(i) as usize))
+            .collect();
+        let word = |tid: usize, addr: usize| ((tid as u64 + 1) << 56) ^ addr as u64;
+        let filled_to: Vec<AtomicUsize> = (0..TASKS).map(|_| AtomicUsize::new(0)).collect();
+        let (slots, filled_to) = (&slots, &filled_to);
+        engine.run(
+            (0..TASKS)
+                .map(|tid| {
+                    Box::new(move || {
+                        let (bottom, top) = slots[tid];
+                        let probe = 0u8;
+                        let frame = std::hint::black_box(&probe) as *const u8 as usize;
+                        assert!(
+                            bottom < frame && frame < top,
+                            "task {tid} runs off its slot"
+                        );
+                        let end = (frame - FRAME_ROOM) & !7;
+                        for addr in (bottom + 8..end).step_by(8) {
+                            // SAFETY: below this fiber's live frames and
+                            // above its canary, inside its own slot.
+                            unsafe { (addr as *mut u64).write_volatile(word(tid, addr)) };
+                        }
+                        filled_to[tid].store(end, Ordering::SeqCst);
+                    }) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect(),
+        );
+        for (tid, &(bottom, _)) in slots.iter().enumerate() {
+            // SAFETY: the pool stays mapped while the engine lives, and no
+            // fiber runs any more.
+            let canary = unsafe { (bottom as *const u64).read() };
+            assert_eq!(canary, CANARY, "task {tid}'s canary");
+            let end = filled_to[tid].load(Ordering::SeqCst);
+            assert!(end > bottom + 8, "task {tid} filled nothing");
+            for addr in (bottom + 8..end).step_by(8) {
+                // SAFETY: as above.
+                let v = unsafe { (addr as *const u64).read_volatile() };
+                assert_eq!(
+                    v,
+                    word(tid, addr),
+                    "task {tid}'s slot overwritten at {addr:#x}"
+                );
+            }
         }
     }
 

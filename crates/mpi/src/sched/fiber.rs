@@ -10,15 +10,20 @@
 //! makes parking a *rank* (a fiber) cheap enough to do tens of thousands
 //! of times where parking a *thread* would involve the kernel.
 //!
-//! Only `x86_64` is implemented; [`supported`] reports availability, and
-//! the OS-thread carrier is what runs everywhere else.
+//! Only `x86_64` Linux is implemented (the switch, and the stack mapping
+//! with Linux's `mmap` flags); [`supported`] reports availability, and the
+//! OS-thread carrier is what runs everywhere else.
 
-/// Is the fiber switch usable in this build? True on `x86_64`, unless the
-/// build passes `--cfg greenla_no_fibers` — for tools that cannot follow a
-/// hand-rolled stack switch (ThreadSanitizer), same standing as
-/// `cfg(miri)`. Public as [`super::SchedulerKind::supported`].
+/// Is the fiber switch usable in this build? True on `x86_64` Linux,
+/// unless the build passes `--cfg greenla_no_fibers` — for tools that
+/// cannot follow a hand-rolled stack switch (ThreadSanitizer), same
+/// standing as `cfg(miri)`. Public as [`super::SchedulerKind::supported`].
 pub fn supported() -> bool {
-    cfg!(all(target_arch = "x86_64", not(greenla_no_fibers)))
+    cfg!(all(
+        target_arch = "x86_64",
+        target_os = "linux",
+        not(greenla_no_fibers)
+    ))
 }
 
 /// A fiber's saved execution context. Everything except the stack pointer
@@ -44,9 +49,10 @@ impl Context {
 /// the context that resumed them instead.
 pub(crate) type Entry = extern "C" fn(*mut u8) -> !;
 
-#[cfg(target_arch = "x86_64")]
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod imp {
     use super::{Context, Entry};
+    use std::ffi::{c_int, c_void};
 
     // The switch saves the System V callee-saved registers on the current
     // stack, parks `rsp` in `*save`, and resumes from `*load` by popping
@@ -95,6 +101,60 @@ greenla_fiber_boot:
         // Never called from Rust; only its address is planted in fresh
         // fibers' initial frames.
         fn greenla_fiber_boot();
+        // libc (std already links it): the stack pool's mapping.
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: i64,
+        ) -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    }
+
+    // Linux's values (<sys/mman.h>).
+    const PROT_READ: c_int = 0x1;
+    const PROT_WRITE: c_int = 0x2;
+    const MAP_PRIVATE: c_int = 0x02;
+    const MAP_ANONYMOUS: c_int = 0x20;
+    const MAP_NORESERVE: c_int = 0x4000;
+
+    /// Map `len` bytes of zeroed, page-aligned, read-write memory for fiber
+    /// stacks. A page is committed only when first touched, and
+    /// `MAP_NORESERVE` keeps untouched pages out of the commit charge.
+    pub(crate) fn map_stacks(len: usize) -> *mut u8 {
+        // SAFETY: a fresh private anonymous mapping at an address the
+        // kernel picks aliases no memory this process uses; every argument
+        // is a plain value.
+        let base = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                len,
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE,
+                -1,
+                0,
+            )
+        };
+        assert!(
+            base as isize != -1,
+            "mapping {len} bytes of fiber stacks failed: {}",
+            std::io::Error::last_os_error()
+        );
+        base.cast()
+    }
+
+    /// Return a mapping of [`map_stacks`] to the kernel.
+    ///
+    /// # Safety
+    /// `base` and `len` must be exactly one earlier [`map_stacks`] call's
+    /// result and argument, and no stack in it may run or be resumed again.
+    pub(crate) unsafe fn unmap_stacks(base: *mut u8, len: usize) {
+        // SAFETY: the caller hands back a whole mapping nothing uses any
+        // more. A failure (only possible for a bad range) leaks the
+        // mapping, which is all a `Drop` may do about it.
+        unsafe { munmap(base.cast(), len) };
     }
 
     /// Save the current context into `*save` and resume `*load`.
@@ -143,17 +203,17 @@ greenla_fiber_boot:
     }
 }
 
-#[cfg(not(target_arch = "x86_64"))]
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
 mod imp {
     use super::{Context, Entry};
 
     /// # Safety
     /// Never dereferences its arguments: this stub exists only so the
-    /// crate still compiles on non-x86_64 targets, and it diverges before
+    /// crate still compiles on other targets, and it diverges before
     /// touching anything. The signature stays `unsafe` to mirror the real
     /// implementation.
     pub(crate) unsafe fn switch(_save: *mut Context, _load: *mut Context) {
-        unreachable!("fiber switching is only implemented on x86_64");
+        unreachable!("fiber switching is only implemented on x86_64 Linux");
     }
 
     /// # Safety
@@ -161,15 +221,26 @@ mod imp {
     /// [`switch`]). `unsafe` only to mirror the x86_64 signature.
     pub(crate) unsafe fn prepare(_stack_top: *mut u8, _entry: Entry, _arg: *mut u8) -> Context {
         panic!(
-            "the event-driven scheduler requires x86_64 (no fiber switch for this \
-             architecture); use SchedulerKind::ThreadPerRank"
+            "the event-driven scheduler requires x86_64 Linux (no fiber switch for \
+             this target); use SchedulerKind::ThreadPerRank"
         );
+    }
+
+    pub(crate) fn map_stacks(_len: usize) -> *mut u8 {
+        unreachable!("fiber stacks are only mapped on x86_64 Linux");
+    }
+
+    /// # Safety
+    /// Never dereferences its arguments; diverges immediately (see
+    /// [`switch`]). `unsafe` only to mirror the x86_64 signature.
+    pub(crate) unsafe fn unmap_stacks(_base: *mut u8, _len: usize) {
+        unreachable!("fiber stacks are only mapped on x86_64 Linux");
     }
 }
 
-pub(crate) use imp::{prepare, switch};
+pub(crate) use imp::{map_stacks, prepare, switch, unmap_stacks};
 
-#[cfg(all(test, target_arch = "x86_64"))]
+#[cfg(all(test, target_arch = "x86_64", target_os = "linux"))]
 mod tests {
     use super::*;
 

@@ -18,8 +18,9 @@
 //!   user space (~12 instructions) instead of parking a kernel thread,
 //!   which is what makes 10k–100k-rank simulations tractable and the
 //!   message-bound campaigns about 3× faster on the host. The switch is
-//!   hand-written x86_64 assembly ([`SchedulerKind::supported`] says
-//!   whether this build has it).
+//!   hand-written x86_64 assembly and the stacks are one anonymous Linux
+//!   mapping ([`SchedulerKind::supported`] says whether this build has
+//!   them).
 //! * **OS threads** ([`SchedulerKind::ThreadPerRank`]): every task's body
 //!   runs on its own scoped thread and parks on a per-task condvar. No
 //!   assembly and no `unsafe`, so it exists on every target, works under
@@ -27,7 +28,9 @@
 //!   cross-engine tests hold the fibers to — but the OS caps practical
 //!   world sizes at a few thousand ranks.
 //!
-//! [`SchedulerKind::default`] is OS threads: the carrier every build has.
+//! [`SchedulerKind::default`] is fibers wherever this build has them and
+//! OS threads otherwise: the portable fallback, and what a
+//! `--cfg greenla_no_fibers` (ThreadSanitizer) build runs.
 //!
 //! # The scheduler-invariance contract
 //!
@@ -90,21 +93,33 @@ pub(crate) fn assert_no_guard_held(point: &str) {
 /// });
 /// assert!(out.results.iter().all(|&r| r == 8.0));
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum SchedulerKind {
-    /// One OS thread per rank (the default): runs on every target, and is
-    /// the portable reference the fibers are held to.
-    #[default]
+    /// One OS thread per rank: runs on every target, so it is the default
+    /// where the build has no fibers, the ThreadSanitizer target, and the
+    /// portable reference the fibers are held to.
     ThreadPerRank,
-    /// Fibers over a small worker pool: about 3× faster on message-bound
+    /// Fibers over a small worker pool (the default wherever
+    /// [`SchedulerKind::supported`]): about 3× faster on message-bound
     /// work and the only way to world sizes of 10k+ ranks. Needs the
-    /// hand-written x86_64 switch (see [`SchedulerKind::supported`]).
+    /// hand-written x86_64 switch and Linux's `mmap`.
     EventDriven,
+}
+
+impl Default for SchedulerKind {
+    /// Fibers where this build has them, OS threads otherwise.
+    fn default() -> Self {
+        if SchedulerKind::EventDriven.supported() {
+            SchedulerKind::EventDriven
+        } else {
+            SchedulerKind::ThreadPerRank
+        }
+    }
 }
 
 impl SchedulerKind {
     /// Can this build run the carrier? OS threads always; fibers on
-    /// x86_64, unless the build passes `--cfg greenla_no_fibers`.
+    /// x86_64 Linux, unless the build passes `--cfg greenla_no_fibers`.
     pub fn supported(self) -> bool {
         match self {
             SchedulerKind::ThreadPerRank => true,
@@ -141,6 +156,18 @@ mod tests {
             assert_eq!(SchedulerKind::parse(&kind.to_string()), Some(kind));
         }
         assert_eq!(SchedulerKind::parse("fifo"), None);
+    }
+
+    #[test]
+    fn default_is_fibers_exactly_where_the_build_has_them() {
+        // A `--cfg greenla_no_fibers` (ThreadSanitizer) build must still
+        // default to OS threads.
+        let default = SchedulerKind::default();
+        assert_eq!(
+            default == SchedulerKind::EventDriven,
+            SchedulerKind::EventDriven.supported()
+        );
+        assert!(default.supported());
     }
 
     #[test]
