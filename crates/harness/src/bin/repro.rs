@@ -30,7 +30,8 @@
 //!
 //! `--exp none` runs no experiment (with `--trace-out`, only the trace
 //! export); any other unknown name exits 2, as does an unknown `--tier` or
-//! `--scheduler` value or a `--reps` that is not a positive count.
+//! `--scheduler` value, a `--reps` that is not a positive count, or a
+//! `--ranks` count that does not fill whole nodes under every layout.
 //!
 //! `--exp scale` is the large-P smoke: it skips the solver campaign and
 //! drives one barrier + broadcast + allreduce workout at the largest
@@ -42,6 +43,7 @@
 //! calibrated analytic model evaluated at the paper's exact configurations
 //! (8640…34560 × 144/576/1296).
 
+use greenla_cluster::placement::{LoadLayout, Placement};
 use greenla_harness::charts;
 use greenla_harness::config::FunctionalGrid;
 use greenla_harness::experiments as exp;
@@ -123,17 +125,20 @@ fn parse_args() -> Args {
             }
             "--ranks" => {
                 let v = it.next().expect("--ranks needs a value");
-                let parsed: Vec<usize> = v
+                let node = FunctionalGrid::default().node();
+                let places = |r| {
+                    LoadLayout::all()
+                        .iter()
+                        .all(|&l| Placement::layout(&node, r, l).is_ok())
+                };
+                let parsed = v
                     .split(',')
-                    .map(|s| {
-                        s.trim().parse().unwrap_or_else(|e| {
-                            eprintln!("--ranks wants comma-separated counts, got {v:?}: {e}");
-                            std::process::exit(2);
-                        })
-                    })
-                    .collect();
-                assert!(!parsed.is_empty(), "--ranks needs at least one count");
-                args.ranks = Some(parsed);
+                    .map(|s| s.trim().parse().ok().filter(|&r| places(r)));
+                args.ranks = Some(parsed.collect::<Option<_>>().unwrap_or_else(|| {
+                    let cores = node.cores();
+                    eprintln!("--ranks wants counts that fill whole {cores}-core nodes, got {v:?}");
+                    std::process::exit(2);
+                }));
             }
             "--out" => args.out = PathBuf::from(it.next().expect("--out needs a value")),
             "--trace-out" => {
@@ -174,7 +179,6 @@ fn main() {
     // spins up, synchronises and tears down five-digit rank counts inside
     // a CI step timeout, and leave a machine-readable artifact behind.
     if args.exp == "scale" {
-        use greenla_cluster::placement::{LoadLayout, Placement};
         use greenla_cluster::spec::ClusterSpec;
         use greenla_cluster::PowerModel;
         use greenla_mpi::Machine;
@@ -503,7 +507,7 @@ fn main() {
         let run = traced_solve(&RunConfig {
             n,
             ranks,
-            layout: greenla_cluster::placement::LoadLayout::FullLoad,
+            layout: LoadLayout::FullLoad,
             solver: SolverChoice::ime_optimized(),
             system: greenla_linalg::generate::SystemKind::DiagDominant,
             cores_per_socket: 2,
@@ -530,7 +534,6 @@ fn main() {
     }
 
     if wants("overhead") && functional {
-        use greenla_cluster::placement::Placement;
         use greenla_cluster::spec::ClusterSpec;
         use greenla_cluster::PowerModel;
         use greenla_harness::config::SolverChoice;

@@ -14,7 +14,8 @@
 //!    `batch` solves, execution phase) and the reports → [`Measurement`]
 //!    tail.
 //!
-//! `run_once`, both campaigns (through one repetition loop and
+//! `run_once`, both campaigns (through one campaign loop that fans the
+//! points out and folds each point's repetitions with
 //! `DataPoint::from_runs`) and the Chrome-trace export go through all
 //! four, so a trace is a trace of the run the campaign measures. The
 //! power-cap sweep and the black-box power trace are different procedures
@@ -41,7 +42,6 @@ use greenla_mpi::{
 use greenla_rapl::RaplSim;
 use greenla_scalapack::pdgesv::pdgesv;
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
 use std::sync::Arc;
 
 /// One run's configuration.
@@ -72,7 +72,7 @@ pub struct RunConfig {
     /// refreshes its counters once per millisecond like the real thing, so
     /// a sub-millisecond solve cannot be measured on its own; batching
     /// stretches the monitored window across many counter updates and the
-    /// caller divides the measured figures by `batch` (the sparse campaign
+    /// caller divides the measured figures by `batch` (the campaign loop
     /// does). `1` — the default every pre-existing dataset deserializes
     /// to — measures a single solve.
     #[serde(default = "one_batch")]
@@ -414,20 +414,83 @@ pub fn per_solve(mut m: Measurement, batch: usize) -> Measurement {
     m
 }
 
-/// The repetitions `reps` of `cfg` on prepared inputs, untraced: repetition
-/// `rep` reseeds the machine to `cfg.seed + rep`, and each measurement is
-/// normalised to one solve of its batch. Panics if a run aborts.
-pub(crate) fn measure(cfg: &RunConfig, inputs: &Inputs, reps: Range<usize>) -> Vec<Measurement> {
-    reps.map(|rep| {
-        let cfg = RunConfig {
-            seed: cfg.seed + rep as u64,
-            ..cfg.clone()
+/// Minimum monitored window under [`BatchRule::Window`]: it must span many
+/// ~1 ms RAPL counter updates for the ±1-update read error to amortise to
+/// a few percent.
+pub(crate) const TARGET_WINDOW_S: f64 = 0.05;
+
+/// Cap on a window-sized batch, so a mis-probed duration cannot stall a run.
+pub(crate) const MAX_BATCH: usize = 1024;
+
+/// How a campaign sizes each point's monitored window.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum BatchRule {
+    /// `cfg.batch` as configured (the dense grid's `FunctionalGrid::batch`).
+    Fixed,
+    /// A batch-1 probe sizes the window to [`TARGET_WINDOW_S`], at most
+    /// [`MAX_BATCH`] solves; a probe that fills it is kept as rep 0.
+    Window,
+}
+
+impl BatchRule {
+    /// The batch of one point and its `reps` runs, where `run(batch, rep)`
+    /// measures repetition `rep` at `batch` solves per window.
+    fn runs(
+        self,
+        fixed: usize,
+        reps: usize,
+        run: impl Fn(usize, usize) -> Measurement,
+    ) -> (usize, Vec<Measurement>) {
+        let (batch, mut runs) = match self {
+            BatchRule::Fixed => (fixed, Vec::new()),
+            BatchRule::Window => {
+                let probe = run(1, 0);
+                // 1 for a probe that already fills the window.
+                let batch =
+                    ((TARGET_WINDOW_S / probe.duration_s).ceil() as usize).clamp(1, MAX_BATCH);
+                (batch, if batch == 1 { vec![probe] } else { Vec::new() })
+            }
         };
-        let run = run_prepared(&cfg, inputs, TraceSink::disabled())
-            .unwrap_or_else(|abort| cfg.aborted(abort));
-        per_solve(run.measurement, cfg.batch)
+        runs.extend((runs.len()..reps).map(|rep| run(batch, rep)));
+        (batch, runs)
+    }
+}
+
+/// The campaign loop: every configuration, `reps` repetitions each, fanned
+/// out over [`parallel_map`] in order. A point prepares its inputs once,
+/// runs them untraced (machine seed `cfg.seed + rep`) at the batch `rule`
+/// gives, normalises each run to one solve and drops its inputs when it
+/// finishes. Returns, per point, its [`DataPoint`], its batch and its
+/// first measurement. Panics if a run aborts.
+pub(crate) fn campaign(
+    configs: &[RunConfig],
+    reps: usize,
+    rule: BatchRule,
+    progress: impl Fn(&str) + Sync,
+) -> Vec<(DataPoint, usize, Measurement)> {
+    parallel_map(configs, |cfg| {
+        progress(&format!(
+            "n={} ranks={} layout={} solver={} engine={}",
+            cfg.n,
+            cfg.ranks,
+            cfg.layout,
+            cfg.solver.label(),
+            cfg.scheduler
+        ));
+        let inputs = Inputs::prepare(cfg);
+        let (batch, runs) = rule.runs(cfg.batch, reps, |batch, rep| {
+            let cfg = RunConfig {
+                seed: cfg.seed + rep as u64,
+                batch,
+                ..cfg.clone()
+            };
+            let run = run_prepared(&cfg, &inputs, TraceSink::disabled())
+                .unwrap_or_else(|abort| cfg.aborted(abort));
+            per_solve(run.measurement, batch)
+        });
+        let point = DataPoint::from_runs(cfg.solver.label(), cfg.n, cfg.ranks, cfg.layout, &runs);
+        (point, batch, runs.into_iter().next().expect("reps >= 1"))
     })
-    .collect()
 }
 
 /// Simple per-metric statistics over repetitions.
@@ -546,45 +609,38 @@ pub struct Dataset {
 
 impl Dataset {
     /// Run the whole measurement campaign for a grid (both solvers, every
-    /// dim × ranks × layout, `reps` repetitions each). Independent
-    /// configurations run in parallel on a scoped thread pool; each
-    /// simulation is deterministic, so the dataset is identical regardless
-    /// of scheduling.
+    /// dim × ranks × layout, `reps` repetitions of `grid.batch` solves
+    /// each). Independent configurations run in parallel on a scoped
+    /// thread pool; each simulation is deterministic, so the dataset is
+    /// identical regardless of scheduling.
     pub fn campaign(grid: &FunctionalGrid, progress: impl Fn(&str) + Sync) -> Dataset {
-        let solvers = [SolverChoice::ime_optimized(), SolverChoice::scalapack()];
         let mut configs = Vec::new();
         for &n in &grid.dims {
             for &ranks in &grid.ranks {
                 for &layout in &grid.layouts {
-                    for solver in solvers {
-                        configs.push((n, ranks, layout, solver));
+                    for solver in [SolverChoice::ime_optimized(), SolverChoice::scalapack()] {
+                        configs.push(RunConfig {
+                            n,
+                            ranks,
+                            layout,
+                            solver,
+                            system: SystemKind::DiagDominant,
+                            cores_per_socket: grid.cores_per_socket,
+                            seed: grid.base_seed,
+                            check: grid.check,
+                            faults: grid.faults.clone(),
+                            scheduler: grid.scheduler,
+                            batch: grid.batch,
+                            cg_overlap: true,
+                        });
                     }
                 }
             }
         }
-        let points: Vec<DataPoint> = parallel_map(&configs, |&(n, ranks, layout, solver)| {
-            progress(&format!(
-                "n={n} ranks={ranks} layout={layout} solver={}",
-                solver.label()
-            ));
-            let cfg = RunConfig {
-                n,
-                ranks,
-                layout,
-                solver,
-                system: SystemKind::DiagDominant,
-                cores_per_socket: grid.cores_per_socket,
-                seed: grid.base_seed,
-                check: grid.check,
-                faults: grid.faults.clone(),
-                scheduler: grid.scheduler,
-                batch: grid.batch,
-                cg_overlap: true,
-            };
-            // Repetitions differ in the machine seed only: one input system.
-            let runs = measure(&cfg, &Inputs::prepare(&cfg), 0..grid.reps);
-            DataPoint::from_runs(solver.label(), n, ranks, layout, &runs)
-        });
+        let points = campaign(&configs, grid.reps, BatchRule::Fixed, progress)
+            .into_iter()
+            .map(|(point, ..)| point)
+            .collect();
         Dataset { points }
     }
 
@@ -623,9 +679,6 @@ impl Dataset {
 /// configurations don't serialise behind a fixed chunking.
 fn parallel_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
     use std::sync::atomic::{AtomicUsize, Ordering};
-    if items.is_empty() {
-        return Vec::new();
-    }
     let workers = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1)
@@ -635,15 +688,10 @@ fn parallel_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Ve
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut produced = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        produced.push((i, f(&items[i])));
-                    }
-                    produced
+                    std::iter::repeat_with(|| next.fetch_add(1, Ordering::Relaxed))
+                        .take_while(|&i| i < items.len())
+                        .map(|i| (i, f(&items[i])))
+                        .collect::<Vec<_>>()
                 })
             })
             .collect();
@@ -786,6 +834,57 @@ mod tests {
         );
         let sys = sparse(inputs);
         assert_eq!(sys.residual(&sys.x_ref), 0.0);
+    }
+
+    /// A window of `duration_s` that measured nothing else.
+    fn lasting(duration_s: f64) -> Measurement {
+        Measurement {
+            duration_s,
+            total_energy_j: 0.0,
+            pkg_energy_j: 0.0,
+            dram_energy_j: 0.0,
+            pkg_by_socket_j: [0.0; 2],
+            dram_by_socket_j: [0.0; 2],
+            mean_power_w: 0.0,
+            residual: 0.0,
+            msgs: 0,
+            volume_elems: 0,
+            nodes: 1,
+            violations: Vec::new(),
+            fault_report: None,
+            iterations: None,
+            refreshes: None,
+        }
+    }
+
+    #[test]
+    fn batch_rules_size_the_window_and_a_full_probe_is_rep_0() {
+        // A 3-rep point whose every window lasts `window_s`: its batch and
+        // the `(batch, rep)` runs the rule made, in order.
+        let point = |rule: BatchRule, fixed: usize, window_s: f64| {
+            let made = std::cell::RefCell::new(Vec::new());
+            let (batch, runs) = rule.runs(fixed, 3, |batch, rep| {
+                made.borrow_mut().push((batch, rep));
+                lasting(window_s)
+            });
+            assert_eq!(runs.len(), 3, "{rule:?} at {window_s} s");
+            (batch, made.into_inner())
+        };
+        // A probe that fills the window is rep 0: three runs, not four.
+        for window_s in [TARGET_WINDOW_S, 1.0] {
+            let ran = vec![(1, 0), (1, 1), (1, 2)];
+            assert_eq!(point(BatchRule::Window, 7, window_s), (1, ran));
+        }
+        // A short probe sizes the batch to ceil(0.05 / 0.004) = 13.
+        let ran = vec![(1, 0), (13, 0), (13, 1), (13, 2)];
+        assert_eq!(point(BatchRule::Window, 7, 0.004), (13, ran));
+        // A 0 s probe asks for an infinite batch and gets the cap.
+        assert_eq!(point(BatchRule::Window, 7, 0.0).0, MAX_BATCH);
+        // A fixed batch probes nothing and passes `cfg.batch` through.
+        for fixed in [0, 1, 7] {
+            let ran = vec![(fixed, 0), (fixed, 1), (fixed, 2)];
+            assert_eq!(point(BatchRule::Fixed, fixed, 0.0), (fixed, ran));
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! roofline validation uses.
 
 use crate::config::SolverChoice;
-use crate::run::{measure, DataPoint, Dataset, Inputs, Measurement, RunConfig};
+use crate::run::{self, BatchRule, Dataset, Inputs, Measurement, RunConfig};
 use greenla_cg::formulas;
 use greenla_cg::partition::{HaloPlan, RowBlocks, RowSplit};
 use greenla_cluster::placement::LoadLayout;
@@ -35,17 +35,6 @@ pub const REL_TOL: f64 = 0.30;
 fn within_band(ratio: f64) -> bool {
     crate::bench::retry::within_band(ratio, REL_TOL)
 }
-
-/// Minimum monitored-window length. The simulated RAPL refreshes its MSR
-/// counters once per ~1 ms like the real hardware, so a window must span
-/// many update periods before the start/stop deltas mean anything; a CG
-/// solve on these dimensions finishes in well under a millisecond and is
-/// batched up to this length (the ±1-update read error then amortises to
-/// a few percent). Dense solves long enough on their own keep `batch = 1`.
-const TARGET_WINDOW_S: f64 = 0.05;
-
-/// Upper bound on the batch so a mis-probed duration cannot stall a run.
-const MAX_BATCH: usize = 1024;
 
 /// Grid of the sparse campaign. Dimensions must be perfect squares
 /// ([`SystemKind::Poisson2d`] is a k×k 5-point stencil); all ranks run
@@ -87,17 +76,6 @@ impl SparseGrid {
             reps: 1,
             ..Self::default()
         }
-    }
-
-    /// The four solvers every dimension runs: both CG variants against
-    /// both dense direct solvers.
-    pub fn solvers() -> [SolverChoice; 4] {
-        [
-            SolverChoice::cg(),
-            SolverChoice::cg_jacobi(),
-            SolverChoice::ime_optimized(),
-            SolverChoice::scalapack(),
-        ]
     }
 }
 
@@ -163,15 +141,23 @@ pub struct SparseReport {
 }
 
 /// Run the dense-vs-sparse campaign: every solver at every dimension,
-/// `reps` repetitions, on `ranks` full-load ranks of one node. Returns
-/// the dataset (same schema the dense campaign writes) and the report.
+/// `reps` repetitions, on `ranks` full-load ranks of one node, each point's
+/// window sized past the RAPL update period by a batch-1 probe. Returns
+/// the dataset (same schema the dense campaign writes) and the report,
+/// whose model checks and inversions are passes over the measured points.
 pub fn campaign(grid: &SparseGrid, progress: impl Fn(&str) + Sync) -> (Dataset, SparseReport) {
-    let mut points = Vec::new();
-    let mut rows = Vec::new();
-    let mut checks = Vec::new();
-    for &n in &grid.dims {
-        for solver in SparseGrid::solvers() {
-            let cfg = RunConfig {
+    let configs: Vec<RunConfig> = grid
+        .dims
+        .iter()
+        .flat_map(|&n| {
+            // Both CG variants against both dense direct solvers.
+            let solvers = [
+                SolverChoice::cg(),
+                SolverChoice::cg_jacobi(),
+                SolverChoice::ime_optimized(),
+                SolverChoice::scalapack(),
+            ];
+            solvers.map(|solver| RunConfig {
                 n,
                 ranks: grid.ranks,
                 layout: LoadLayout::FullLoad,
@@ -184,69 +170,57 @@ pub fn campaign(grid: &SparseGrid, progress: impl Fn(&str) + Sync) -> (Dataset, 
                 scheduler: grid.scheduler,
                 batch: 1,
                 cg_overlap: true,
+            })
+        })
+        .collect();
+    let measured = run::campaign(&configs, grid.reps, BatchRule::Window, progress);
+    let mut checks = Vec::new();
+    let rows: Vec<SparsePoint> = configs
+        .iter()
+        .zip(&measured)
+        .map(|(cfg, (point, batch, first))| {
+            // Closed-form flops of one solve: the IMe model, the classic
+            // ²⁄₃·n³ LU factor + 2n² solve, the summed per-rank CG cost.
+            let flops = match cfg.solver {
+                SolverChoice::Ime { .. } => greenla_ime::formulas::flops_ime_ours(cfg.n) as f64,
+                SolverChoice::ScaLapack { .. } => {
+                    let n = cfg.n as f64;
+                    2.0 * n * n * n / 3.0 + 2.0 * n * n
+                }
+                SolverChoice::Cg { jacobi } => {
+                    // The point's CSR again: O(nnz), and the loop keeps none.
+                    let Inputs::Cg(sys, _) = Inputs::prepare(cfg) else {
+                        unreachable!("CG inputs are CSR")
+                    };
+                    let (check, flops) = model_check(cfg, &sys.a, jacobi, first);
+                    checks.push(check);
+                    flops
+                }
             };
-            progress(&format!(
-                "n={n} solver={} engine={}",
-                solver.label(),
-                cfg.scheduler
-            ));
-            // One input system per (n, solver): the probe, every repetition
-            // and the closed-form checks below all read the same one.
-            let inputs = Inputs::prepare(&cfg);
-            // Probe at batch 1 to size the monitored window, then measure.
-            let probe = measure(&cfg, &inputs, 0..1).remove(0);
-            let batch = if probe.duration_s >= TARGET_WINDOW_S {
-                1
-            } else {
-                ((TARGET_WINDOW_S / probe.duration_s).ceil() as usize).clamp(1, MAX_BATCH)
-            };
-            // At batch 1 the probe is already rep 0 (same seed, same window).
-            let mut runs = if batch == 1 { vec![probe] } else { Vec::new() };
-            let batched = RunConfig {
-                batch,
-                ..cfg.clone()
-            };
-            runs.extend(measure(&batched, &inputs, runs.len()..grid.reps));
-            let point = DataPoint::from_runs(solver.label(), n, grid.ranks, cfg.layout, &runs);
-            let row = SparsePoint {
+            let duration_s = point.agg.duration_s.mean;
+            SparsePoint {
                 solver: point.solver.clone(),
-                n,
-                duration_s: point.agg.duration_s.mean,
+                n: cfg.n,
+                duration_s,
                 energy_j: point.agg.total_energy_j.mean,
-                gflops: solve_flops(&cfg, &inputs, &runs[0]) / point.agg.duration_s.mean / 1e9,
-                iterations: runs[0].iterations,
-                batch,
-            };
-            if let Inputs::Cg(sys, jacobi) = &inputs {
-                checks.push(model_check(&cfg, &sys.a, *jacobi, &runs[0]));
+                gflops: flops / duration_s / 1e9,
+                iterations: first.iterations,
+                batch: *batch,
             }
-            rows.push(row);
-            points.push(point);
-        }
-    }
+        })
+        .collect();
     let inversions: Vec<InversionCheck> = grid
         .dims
         .iter()
         .map(|&n| {
-            let here: Vec<&SparsePoint> = rows.iter().filter(|p| p.n == n).collect();
-            let cg_gflops = here
-                .iter()
-                .filter(|p| p.solver.starts_with("CG"))
-                .map(|p| p.gflops)
-                .fold(0.0, f64::max);
-            let cg_energy_j = here
-                .iter()
-                .filter(|p| p.solver.starts_with("CG"))
-                .map(|p| p.energy_j)
-                .fold(f64::INFINITY, f64::min);
-            let min_dense_gflops = here
-                .iter()
-                .filter(|p| !p.solver.starts_with("CG"))
-                .map(|p| p.gflops)
-                .fold(f64::INFINITY, f64::min);
-            let min_dense_energy_j = here
-                .iter()
-                .filter(|p| !p.solver.starts_with("CG"))
+            let side = |cg: bool| {
+                rows.iter()
+                    .filter(move |p| p.n == n && p.solver.starts_with("CG") == cg)
+            };
+            let cg_gflops = side(true).map(|p| p.gflops).fold(0.0, f64::max);
+            let cg_energy_j = side(true).map(|p| p.energy_j).fold(f64::INFINITY, f64::min);
+            let min_dense_gflops = side(false).map(|p| p.gflops).fold(f64::INFINITY, f64::min);
+            let min_dense_energy_j = side(false)
                 .map(|p| p.energy_j)
                 .fold(f64::INFINITY, f64::min);
             InversionCheck {
@@ -267,50 +241,14 @@ pub fn campaign(grid: &SparseGrid, progress: impl Fn(&str) + Sync) -> (Dataset, 
         checks,
         inversions,
     };
+    let points = measured.into_iter().map(|(point, ..)| point).collect();
     (Dataset { points }, report)
 }
 
-/// Closed-form flop count of one solve, per solver: the IMe model from
-/// `greenla_ime::formulas`, the classic ²⁄₃·n³ LU factor + 2n² solve for
-/// ScaLAPACK, and the summed per-rank CG recurrence cost.
-fn solve_flops(cfg: &RunConfig, inputs: &Inputs, m: &Measurement) -> f64 {
-    match inputs {
-        Inputs::Ime(..) => greenla_ime::formulas::flops_ime_ours(cfg.n) as f64,
-        Inputs::ScaLapack(..) => {
-            let n = cfg.n as f64;
-            2.0 * n * n * n / 3.0 + 2.0 * n * n
-        }
-        Inputs::Cg(sys, jacobi) => cg_rank_costs(cfg, &sys.a, *jacobi, m)
-            .iter()
-            .map(|c| c.flops as f64)
-            .sum(),
-    }
-}
-
-/// Per-rank closed-form solve costs of a CG run, derived from the system
-/// the run solved and the measured iteration counts.
-fn cg_rank_costs(
-    cfg: &RunConfig,
-    a: &CsrMatrix,
-    jacobi: bool,
-    m: &Measurement,
-) -> Vec<formulas::IterCost> {
-    let blocks = RowBlocks::new(cfg.n, cfg.ranks);
-    let plans = HaloPlan::build_all(a, blocks);
-    let iters = m.iterations.expect("CG run records iterations");
-    let refreshes = m.refreshes.expect("CG run records refreshes");
-    (0..cfg.ranks)
-        .map(|r| {
-            let rows = blocks.rows(r);
-            let nnz = a.row_block(blocks.lo(r), blocks.hi(r)).nnz();
-            formulas::cg_solve_cost(rows, nnz, plans[r].recv_elems(), jacobi, iters, refreshes)
-        })
-        .collect()
-}
-
 /// Re-derive one CG measurement — CSR operator `a`, Jacobi-preconditioned
-/// or not — from the closed forms and gate it.
-fn model_check(cfg: &RunConfig, a: &CsrMatrix, jacobi: bool, m: &Measurement) -> ModelCheck {
+/// or not — from the closed forms and gate it. Also returns the summed
+/// closed-form flops of one solve, the row's GFLOP/s numerator.
+fn model_check(cfg: &RunConfig, a: &CsrMatrix, jacobi: bool, m: &Measurement) -> (ModelCheck, f64) {
     let node = NodeSpec::test_node(cfg.cores_per_socket);
     let spec = ClusterSpec {
         node: node.clone(),
@@ -318,9 +256,18 @@ fn model_check(cfg: &RunConfig, a: &CsrMatrix, jacobi: bool, m: &Measurement) ->
         net: greenla_cluster::Interconnect::omni_path(),
     };
     let rf = Roofline::from_spec(&spec);
-    let costs = cg_rank_costs(cfg, a, jacobi, m);
     let iters = m.iterations.expect("CG run records iterations");
     let refreshes = m.refreshes.expect("CG run records refreshes");
+    let blocks = RowBlocks::new(cfg.n, cfg.ranks);
+    let plans = HaloPlan::build_all(a, blocks);
+    // Per-rank closed-form solve costs at the measured iteration counts.
+    let costs: Vec<formulas::IterCost> = (0..cfg.ranks)
+        .map(|r| {
+            let rows = blocks.rows(r);
+            let nnz = a.row_block(blocks.lo(r), blocks.hi(r)).nnz();
+            formulas::cg_solve_cost(rows, nnz, plans[r].recv_elems(), jacobi, iters, refreshes)
+        })
+        .collect();
 
     // Compute side: the straggler rank's closed-form time through the
     // spec roofline (ranks run concurrently, each on its own core).
@@ -346,8 +293,6 @@ fn model_check(cfg: &RunConfig, a: &CsrMatrix, jacobi: bool, m: &Measurement) ->
         beta: mp.beta_intra,
         ..mp
     };
-    let blocks = RowBlocks::new(cfg.n, cfg.ranks);
-    let plans = HaloPlan::build_all(a, blocks);
     // One exchange: the bottleneck rank drains its incoming messages.
     let halo_s = plans
         .iter()
@@ -402,7 +347,7 @@ fn model_check(cfg: &RunConfig, a: &CsrMatrix, jacobi: bool, m: &Measurement) ->
     );
     let wall_ratio = pred_wall_s / m.duration_s;
     let energy_ratio = e.total_j / m.total_energy_j;
-    ModelCheck {
+    let check = ModelCheck {
         solver: cfg.solver.label().to_string(),
         n: cfg.n,
         iterations: iters,
@@ -417,7 +362,8 @@ fn model_check(cfg: &RunConfig, a: &CsrMatrix, jacobi: bool, m: &Measurement) ->
         compute_bound: pred.compute_bound,
         gbps: bytes_total / m.duration_s / 1e9,
         within_band: within_band(wall_ratio) && within_band(energy_ratio),
-    }
+    };
+    (check, costs.iter().map(|c| c.flops as f64).sum())
 }
 
 /// Render the report as the terminal table `repro --exp sparse` prints.

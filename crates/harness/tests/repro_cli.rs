@@ -1,18 +1,21 @@
 //! `repro` refuses values it does not know: a misspelt `--exp`, `--tier`
-//! or `--scheduler`, or a `--reps` that is not a positive count, exits 2
-//! naming the value instead of silently doing nothing; `--exp none` runs
-//! nothing and succeeds.
+//! or `--scheduler`, a `--reps` that is not a positive count, or a
+//! `--ranks` count that does not fill whole nodes under every layout,
+//! exits 2 naming the value instead of silently doing nothing or
+//! panicking mid-campaign; `--exp none` runs nothing and succeeds.
 
 use std::process::Command;
 
 /// `(flag and value, expected exit code)`. Every row runs with
 /// `--exp none` appended, so a value that slips through finishes at once
 /// with exit 0 instead of starting a campaign.
-const CASES: [(&[&str], i32); 5] = [
+const CASES: [(&[&str], i32); 7] = [
     (&["--exp", "fig8"], 2),
     (&["--tier", "bogus"], 2),
     (&["--scheduler", "fifo"], 2),
     (&["--reps", "0"], 2),
+    (&["--ranks", "6"], 2),
+    (&["--ranks", "0"], 2),
     (&[], 0),
 ];
 

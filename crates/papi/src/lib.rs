@@ -6,12 +6,14 @@
 //!
 //! * a **Portable Layer** with the low-level API ([`low::Papi`]: library and
 //!   thread initialisation, event sets, named-event translation,
-//!   start/stop/read/reset with PAPI's state machine and error codes) and a
-//!   **high-level API** ([`high::HighLevel`]) that wraps it for quick
-//!   instrumentation;
+//!   start/stop/read/reset with PAPI's state machine and error codes);
 //! * a **Machine Specific Layer** (the [`reader::EnergyReader`] trait plus
 //!   the [`powercap`] component) that performs the actual counter access —
 //!   in this workspace, reads of the simulated RAPL device.
+//!
+//! The monitoring framework, like the paper's Figure 2, drives the
+//! low-level API directly; Figure 1's high-level API, a convenience wrapper
+//! over the same calls, is not emulated.
 //!
 //! One deliberate deviation from the C API: because time in this workspace
 //! is *virtual*, the operations that sample counters (`start`, `stop`,
@@ -21,7 +23,6 @@
 
 pub mod error;
 pub mod events;
-pub mod high;
 pub mod low;
 pub mod powercap;
 pub mod reader;

@@ -33,7 +33,6 @@ struct EventSet {
 /// machine-specific counter access.
 pub struct Papi<R: EnergyReader> {
     reader: R,
-    thread_inited: bool,
     sets: Vec<Option<EventSet>>,
 }
 
@@ -49,19 +48,14 @@ impl<R: EnergyReader> Papi<R> {
         }
         Ok(Self {
             reader,
-            thread_inited: false,
             sets: Vec::new(),
         })
     }
 
-    /// `PAPI_thread_init`.
+    /// `PAPI_thread_init`. Every simulated rank reads its own node's
+    /// counters, so there is no per-thread state to set up.
     pub fn thread_init(&mut self) -> Result<(), PapiError> {
-        self.thread_inited = true;
         Ok(())
-    }
-
-    pub fn is_thread_inited(&self) -> bool {
-        self.thread_inited
     }
 
     /// Access to the underlying reader (the component layer).

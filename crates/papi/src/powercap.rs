@@ -1,40 +1,11 @@
-//! The powercap component: event enumeration.
+//! The powercap component's event names.
 //!
 //! The paper's `papi_monitoring.h` keeps an `event_names` array holding
-//! "all the powercap event set displayed by PAPI". This module produces that
-//! enumeration for a node — what `PAPI_enum_cmp_event` would list.
+//! the powercap events its framework monitors; this module produces that
+//! list for a node.
 
 use crate::events::{EventCode, EventKind};
-use crate::reader::EnergyReader;
 use greenla_rapl::Domain;
-
-/// Enumerate every powercap event available on a node: for each socket, the
-/// package, core and DRAM energies plus their wrap ranges.
-pub fn enumerate_events<R: EnergyReader>(reader: &R) -> Vec<EventCode> {
-    let mut out = Vec::new();
-    if !reader.supports_energy() {
-        return out;
-    }
-    for socket in 0..reader.sockets() {
-        for domain in [Domain::Package, Domain::Pp0, Domain::Dram] {
-            out.push(EventCode {
-                kind: EventKind::EnergyUj,
-                socket,
-                domain,
-            });
-        }
-    }
-    for socket in 0..reader.sockets() {
-        for domain in [Domain::Package, Domain::Pp0, Domain::Dram] {
-            out.push(EventCode {
-                kind: EventKind::MaxEnergyRangeUj,
-                socket,
-                domain,
-            });
-        }
-    }
-    out
-}
 
 /// The energy events the paper's framework monitors: "CPU packages 0 and 1,
 /// as well as DRAM 0 and 1" — package and DRAM energies for every socket.
@@ -66,29 +37,6 @@ pub fn paper_event_names(sockets: usize) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::low::test_support::MockReader;
-
-    #[test]
-    fn enumeration_covers_sockets_and_domains() {
-        let r = MockReader {
-            sockets: 2,
-            supports: true,
-        };
-        let evs = enumerate_events(&r);
-        assert_eq!(evs.len(), 12); // 2 sockets × 3 domains × 2 kinds
-        assert!(evs
-            .iter()
-            .any(|e| e.socket == 1 && e.domain == Domain::Dram));
-    }
-
-    #[test]
-    fn unsupported_platform_enumerates_nothing() {
-        let r = MockReader {
-            sockets: 2,
-            supports: false,
-        };
-        assert!(enumerate_events(&r).is_empty());
-    }
 
     #[test]
     fn paper_events_are_pkg01_dram01() {

@@ -1,20 +1,8 @@
-//! PAPI timing helpers over virtual time (`PAPI_get_real_usec` /
-//! `PAPI_get_real_nsec` equivalents).
+//! PAPI timing over virtual time (the `PAPI_get_real_usec` equivalent).
 
 /// Virtual seconds → whole microseconds, as `PAPI_get_real_usec` reports.
 pub fn real_usec(t_s: f64) -> u64 {
     (t_s * 1e6) as u64
-}
-
-/// Virtual seconds → whole nanoseconds.
-pub fn real_nsec(t_s: f64) -> u64 {
-    (t_s * 1e9) as u64
-}
-
-/// Microseconds between two instants (the paper's `PAPI_start_AND_time` /
-/// `PAPI_stop_AND_time` pair measures durations this way).
-pub fn elapsed_usec(start_s: f64, end_s: f64) -> u64 {
-    real_usec(end_s).saturating_sub(real_usec(start_s))
 }
 
 #[cfg(test)]
@@ -24,8 +12,5 @@ mod tests {
     #[test]
     fn conversions() {
         assert_eq!(real_usec(1.5), 1_500_000);
-        assert_eq!(real_nsec(0.002), 2_000_000);
-        assert_eq!(elapsed_usec(1.0, 3.5), 2_500_000);
-        assert_eq!(elapsed_usec(3.0, 1.0), 0);
     }
 }
