@@ -25,8 +25,7 @@ pub enum CollKind {
     /// apart by the element count they are selected on, so divergent
     /// algorithm selection surfaces as COLL001).
     Allreduce,
-    /// Ring allgather (same discriminator role as Allreduce: the tree
-    /// fallback records Gather + Bcast sites instead).
+    /// Ring allgather, the only allgather algorithm.
     Allgather,
 }
 

@@ -30,8 +30,9 @@
 //!
 //! `--exp none` runs no experiment (with `--trace-out`, only the trace
 //! export); any other unknown name exits 2, as does an unknown `--tier` or
-//! `--scheduler` value, a `--reps` that is not a positive count, or a
-//! `--ranks` count that does not fill whole nodes under every layout.
+//! `--scheduler` value, a `--reps` that is not a positive count, a
+//! `--ranks` count that does not fill whole nodes under every layout, or
+//! `--check`/`--faults` with `--tier model` (which runs no campaign).
 //!
 //! `--exp scale` is the large-P smoke: it skips the solver campaign and
 //! drives one barrier + broadcast + allreduce workout at the largest
@@ -153,6 +154,13 @@ fn parse_args() -> Args {
                 std::process::exit(2);
             }
         }
+    }
+    if args.tier == "model" && (args.check || args.faults.is_some()) {
+        eprintln!(
+            "--check and --faults act on the functional campaign, which --tier {:?} does not run",
+            args.tier
+        );
+        std::process::exit(2);
     }
     args
 }

@@ -287,7 +287,7 @@ pub fn run_prepared(
         .with_trace(trace);
     let nodes = machine.placement().nodes_used();
     if cfg.check {
-        machine.set_check(CheckSink::enabled());
+        machine = machine.with_check(CheckSink::enabled());
     }
     // A non-empty fault plan arms the sink shared by the machine (message
     // and crash faults) and the RAPL simulator (counter faults); an absent
@@ -299,7 +299,7 @@ pub fn run_prepared(
         .map(|p| FaultSink::with_plan(p.clone()));
     let mut rapl = RaplSim::new(machine.ledger(), machine.power().clone(), cfg.seed);
     if let Some(sink) = &fault_sink {
-        machine.set_faults(sink.clone());
+        machine = machine.with_faults(sink.clone());
         rapl = rapl.with_faults(sink.clone());
     }
     let rapl = Arc::new(rapl);

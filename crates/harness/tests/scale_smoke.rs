@@ -23,10 +23,10 @@ const RANKS: usize = 10_000;
 fn ten_thousand_ranks_barrier_and_bcast() {
     let spec = ClusterSpec::test_cluster(RANKS.div_ceil(8), 4);
     let placement = Placement::layout(&spec.node, RANKS, LoadLayout::FullLoad).unwrap();
-    let mut m = Machine::new(spec, placement, PowerModel::deterministic(), 42)
+    let m = Machine::new(spec, placement, PowerModel::deterministic(), 42)
         .unwrap()
-        .with_scheduler(SchedulerKind::EventDriven);
-    m.set_sched_workers(4);
+        .with_scheduler(SchedulerKind::EventDriven)
+        .with_sched_workers(4);
     let out = m.run(|ctx| {
         let world = ctx.world();
         ctx.barrier(&world);

@@ -295,11 +295,10 @@ fn collectives_straddling_the_size_switch_are_scheduler_invariant() {
                 let mine = vec![ctx.rank() as f64 + elems as f64; elems];
                 acc.push(ctx.allreduce_sum_f64(&world, &mine));
             }
-            // 16 × 4 = 64 elems total rides the tree composition,
-            // 16 × 5 = 80 the ring.
+            // And the ring allgather, which takes every size.
             for per in [4usize, 5] {
                 let mine = vec![ctx.rank() as f64; per];
-                let all = ctx.allgather_sized_f64(&world, &mine, 16 * per);
+                let all = ctx.allgather_f64(&world, &mine);
                 acc.push(all.into_iter().flatten().collect());
             }
             acc

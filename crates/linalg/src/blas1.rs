@@ -36,30 +36,6 @@ pub fn daxpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// `x ← α·x`.
-#[inline]
-pub fn dscal(alpha: f64, x: &mut [f64]) {
-    for xi in x {
-        *xi *= alpha;
-    }
-}
-
-/// `y ← x`.
-#[inline]
-pub fn dcopy(x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "dcopy length mismatch");
-    y.copy_from_slice(x);
-}
-
-/// Swap `x` and `y` element-wise.
-#[inline]
-pub fn dswap(x: &mut [f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "dswap length mismatch");
-    for (a, b) in x.iter_mut().zip(y.iter_mut()) {
-        std::mem::swap(a, b);
-    }
-}
-
 /// Index of the element with the largest absolute value (first on ties),
 /// the LAPACK pivot-search primitive. Panics on an empty slice.
 #[inline]
@@ -75,33 +51,6 @@ pub fn idamax(x: &[f64]) -> usize {
         }
     }
     best
-}
-
-/// Euclidean norm with scaling to avoid overflow/underflow.
-#[inline]
-pub fn dnrm2(x: &[f64]) -> f64 {
-    let mut scale = 0.0f64;
-    let mut ssq = 1.0f64;
-    for &v in x {
-        if v != 0.0 {
-            let a = v.abs();
-            if scale < a {
-                let r = scale / a;
-                ssq = 1.0 + ssq * r * r;
-                scale = a;
-            } else {
-                let r = a / scale;
-                ssq += r * r;
-            }
-        }
-    }
-    scale * ssq.sqrt()
-}
-
-/// Sum of absolute values.
-#[inline]
-pub fn dasum(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
 }
 
 #[cfg(test)]
@@ -136,13 +85,6 @@ mod tests {
     }
 
     #[test]
-    fn dscal_scales() {
-        let mut x = vec![1.0, -2.0];
-        dscal(-3.0, &mut x);
-        assert_eq!(x, vec![-3.0, 6.0]);
-    }
-
-    #[test]
     fn idamax_finds_largest_abs() {
         assert_eq!(idamax(&[1.0, -5.0, 3.0]), 1);
         assert_eq!(idamax(&[2.0]), 0);
@@ -151,31 +93,5 @@ mod tests {
     #[test]
     fn idamax_first_on_tie() {
         assert_eq!(idamax(&[-4.0, 4.0]), 0);
-    }
-
-    #[test]
-    fn dnrm2_resists_overflow() {
-        let big = 1e300;
-        let n = dnrm2(&[big, big]);
-        assert!((n - big * 2.0_f64.sqrt()).abs() / n < 1e-14);
-    }
-
-    #[test]
-    fn dnrm2_zero_vector() {
-        assert_eq!(dnrm2(&[0.0, 0.0, 0.0]), 0.0);
-    }
-
-    #[test]
-    fn dswap_swaps() {
-        let mut a = vec![1.0, 2.0];
-        let mut b = vec![3.0, 4.0];
-        dswap(&mut a, &mut b);
-        assert_eq!(a, vec![3.0, 4.0]);
-        assert_eq!(b, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn dasum_sums_abs() {
-        assert_eq!(dasum(&[-1.0, 2.0, -3.0]), 6.0);
     }
 }

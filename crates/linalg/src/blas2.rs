@@ -29,25 +29,6 @@ pub fn dgemv(alpha: f64, a: BlockRef, x: &[f64], beta: f64, y: &mut [f64]) {
     }
 }
 
-/// Rank-1 update `A ← A + α·x·yᵀ` on an `m × n` block.
-pub fn dger(m: usize, n: usize, alpha: f64, x: &[f64], y: &[f64], a: &mut [f64], lda: usize) {
-    assert!(lda >= m.max(1), "lda too small");
-    assert!(x.len() >= m && y.len() >= n, "vector length mismatch");
-    if alpha == 0.0 {
-        return;
-    }
-    for j in 0..n {
-        let ayj = alpha * y[j];
-        if ayj == 0.0 {
-            continue;
-        }
-        let col = &mut a[j * lda..j * lda + m];
-        for i in 0..m {
-            col[i] += x[i] * ayj;
-        }
-    }
-}
-
 /// Solve `L·x = b` in place where `L` is the unit lower triangle of the
 /// leading `n × n` block of `a`.
 pub fn dtrsv_lower_unit(n: usize, a: &[f64], lda: usize, x: &mut [f64]) {
@@ -113,17 +94,6 @@ mod tests {
         let mut y = vec![10.0, 20.0];
         dgemv(2.0, a.block(), &[1.0, 1.0], 0.5, &mut y);
         approx(&y, &[7.0, 12.0]);
-    }
-
-    #[test]
-    fn dger_rank1() {
-        let mut a = Matrix::zeros(2, 2);
-        let lda = a.ld();
-        dger(2, 2, 1.0, &[1.0, 2.0], &[3.0, 4.0], a.as_mut_slice(), lda);
-        assert_eq!(a[(0, 0)], 3.0);
-        assert_eq!(a[(1, 0)], 6.0);
-        assert_eq!(a[(0, 1)], 4.0);
-        assert_eq!(a[(1, 1)], 8.0);
     }
 
     #[test]

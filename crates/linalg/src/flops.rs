@@ -16,18 +16,8 @@ pub fn daxpy(n: usize) -> u64 {
     2 * n as u64
 }
 
-/// Flops for `dscal` of length `n`.
-pub fn dscal(n: usize) -> u64 {
-    n as u64
-}
-
 /// Flops for `dgemv` on an `m × n` block.
 pub fn dgemv(m: usize, n: usize) -> u64 {
-    2 * (m as u64) * (n as u64)
-}
-
-/// Flops for `dger` on an `m × n` block.
-pub fn dger(m: usize, n: usize) -> u64 {
     2 * (m as u64) * (n as u64)
 }
 

@@ -9,9 +9,10 @@
 //!   payloads, where latency dominates and `α·log P` depth wins. A tree
 //!   broadcast over `P` ranks performs `P − 1` sends — the count the
 //!   paper's closed-form message formulas assume.
-//! * **Recursive doubling** (allreduce) and a **ring** (allgather) for
-//!   mid-size payloads, replacing the old reduce-to-0-then-broadcast and
-//!   gather-then-broadcast compositions: the critical path drops from
+//! * **Recursive doubling** (allreduce) for mid-size payloads and a
+//!   **ring** (allgather, at every size), replacing the old
+//!   reduce-to-0-then-broadcast and gather-then-broadcast compositions:
+//!   the critical path drops from
 //!   `O((α + β·s)·log P + root serialization)` to `log P·(α + β·s)`
 //!   (allreduce) and the bandwidth-optimal `(P−1)·(α + β·s/P)`
 //!   (allgather).
@@ -45,8 +46,8 @@ const PLAIN_CHUNK: u64 = 0xfffff;
 /// Chunk id of the pipelined-broadcast header message.
 const HEADER_CHUNK: u64 = 0xffffe;
 
-/// Payloads at or below this many bytes take the latency-optimized tree
-/// algorithms; larger ones take recursive doubling / the ring. 512 B is
+/// Allreduce payloads at or below this many bytes take the
+/// latency-optimized tree pair; larger ones take recursive doubling. 512 B is
 /// where the α and β terms cross for the simulated network (α ≈ 1.8 µs,
 /// β ≈ 1/12.5 GB/s: β·512 ≈ 41 ns ≪ α, so halving byte volume cannot pay
 /// for even one extra latency on the critical path below this size).
@@ -353,18 +354,6 @@ impl<'m> RankCtx<'m> {
 
     fn send_payload_u64(&mut self, comm: &Comm, dst_index: usize, tag: u64, data: &[u64]) {
         self.send_payload(comm, dst_index, tag, Payload::u64(data.to_vec()));
-    }
-
-    /// `MPI_Bcast` of u64 values.
-    fn bcast_u64(&mut self, comm: &Comm, root: usize, buf: &mut Vec<u64>) {
-        self.coll_span("bcast", |ctx| {
-            let payload = if comm.rank() == root {
-                Some(Payload::u64(std::mem::take(buf)))
-            } else {
-                None
-            };
-            *buf = ctx.bcast_payload(comm, root, payload).expect_u64();
-        });
     }
 
     /// Binomial-tree reduction of f64 vectors toward `root` with a custom
@@ -745,51 +734,6 @@ impl<'m> RankCtx<'m> {
                 .map(Payload::into_shared_f64)
                 .collect()
         })
-    }
-
-    /// Size-adaptive allgather for callers that know the combined element
-    /// count up front (the hint must be communicator-uniform, like
-    /// `expected_len` in `pdgetrf::bcast_sized` — ranks switching
-    /// algorithms independently would deadlock, since per-rank chunk sizes
-    /// legitimately differ, including empty chunks on non-contributing
-    /// ranks). At or below [`COLL_SMALL_BYTES`] total, the latency-bound
-    /// tree composition wins; above it, the ring.
-    pub fn allgather_sized_f64(
-        &mut self,
-        comm: &Comm,
-        data: &[f64],
-        total_elems: usize,
-    ) -> Vec<Vec<f64>> {
-        if 8 * total_elems as u64 <= COLL_SMALL_BYTES {
-            self.coll_span("allgather_tree", |ctx| ctx.allgather_f64_tree(comm, data))
-        } else {
-            self.allgather_f64(comm, data)
-        }
-    }
-
-    /// The tree allgather composition — gather to rank 0, then broadcast
-    /// counts and the flattened payload: the small-payload arm of
-    /// [`RankCtx::allgather_sized_f64`].
-    fn allgather_f64_tree(&mut self, comm: &Comm, data: &[f64]) -> Vec<Vec<f64>> {
-        let gathered = self.gather_f64(comm, 0, data);
-        let (mut counts, mut flat) = match gathered {
-            Some(chunks) => {
-                let counts: Vec<u64> = chunks.iter().map(|c| c.len() as u64).collect();
-                let flat: Vec<f64> = chunks.into_iter().flatten().collect();
-                (counts, flat)
-            }
-            None => (Vec::new(), Vec::new()),
-        };
-        self.bcast_u64(comm, 0, &mut counts);
-        self.bcast_f64(comm, 0, &mut flat);
-        let mut out = Vec::with_capacity(counts.len());
-        let mut off = 0usize;
-        for c in counts {
-            let c = c as usize;
-            out.push(flat[off..off + c].to_vec());
-            off += c;
-        }
-        out
     }
 }
 

@@ -5,7 +5,7 @@ use crate::envelope::{Envelope, Payload};
 use crate::error::AbortKind;
 use crate::event::{Observers, RankEvent};
 use crate::mailbox::Mailboxes;
-use crate::registry::{leave_run, Registry, SplitEntry};
+use crate::registry::{Registry, SplitEntry};
 use crate::sched::WakeReason;
 use crate::traffic::Traffic;
 use greenla_check::{CollEvent, CollKind};
@@ -327,11 +327,14 @@ impl<'m> RankCtx<'m> {
         self.emit(RankEvent::SendEnd);
     }
 
-    /// Move the next wire envelope into the pending queue, blocking until
-    /// one arrives. Blocking is the engine's business: the rank parks in
-    /// [`crate::sched::Engine::block_current`] and a post, a poison
-    /// broadcast or the scheduler's orphan signal wakes it — no polling,
-    /// checked or not, and the virtual clocks never see the wait.
+    /// Take the next wire envelope, blocking until one arrives. An
+    /// injected duplicate is discarded on sight — it never reaches the
+    /// pending queue, so matching logic and the checker never see it —
+    /// and everything else queues for matching. Blocking is the engine's
+    /// business: the rank parks in [`crate::sched::Engine::block_current`]
+    /// and a post, a poisoned run's wake-all or the scheduler's orphan
+    /// signal wakes it — no polling, checked or not, and the virtual
+    /// clocks never see the wait.
     fn pump_mailbox(&mut self, src: usize, tag: u64) {
         let engine = self.mail.engine();
         let env = loop {
@@ -358,17 +361,6 @@ impl<'m> RankCtx<'m> {
                 WakeReason::Quiescent => self.registry.report_quiescent_deadlock(),
             }
         };
-        self.admit(env);
-    }
-
-    /// Take one envelope off the wire: a control message means the run is
-    /// over, an injected duplicate is discarded on sight — it never reaches
-    /// the pending queue, so matching logic and the checker never see it —
-    /// and everything else queues for matching.
-    fn admit(&mut self, env: Envelope) {
-        if env.is_control() {
-            leave_run();
-        }
         if env.dup {
             self.emit(RankEvent::Fault(FaultNote::DupDiscarded));
         } else {
@@ -523,22 +515,6 @@ impl<'m> RankCtx<'m> {
         out.into_iter()
             .map(|p| p.expect("all slots filled"))
             .collect()
-    }
-
-    /// Non-blocking probe (`MPI_Iprobe`): has a message from `src` with
-    /// `tag` on `comm` *arrived by this rank's current virtual time*?
-    /// Drains the wire into the pending queue without blocking. A message
-    /// whose arrival timestamp lies in this rank's future is not yet
-    /// visible — exactly the semantics a causally-correct simulation needs.
-    pub fn iprobe(&mut self, comm: &Comm, src_index: usize, tag: u64) -> bool {
-        let src = comm.global_rank(src_index);
-        let cid = comm.id();
-        while let Some(env) = self.mail.try_pop(self.rank) {
-            self.admit(env);
-        }
-        self.pending
-            .iter()
-            .any(|e| e.src == src && e.comm_id == cid && e.tag == tag && e.arrival <= self.clock)
     }
 
     /// Blocking receive that waits *idle* instead of spinning: the waiting

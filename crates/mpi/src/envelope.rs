@@ -34,7 +34,7 @@ pub mod copy_audit {
 }
 
 /// Typed message payload. The solvers exchange `f64` matrix data and `u64`
-/// index/pivot metadata; raw bytes cover everything else.
+/// index/pivot metadata.
 ///
 /// Buffers are `Arc`-shared: cloning a payload (tree fan-out, duplicate
 /// faults, retries) bumps a reference count instead of copying the data.
@@ -48,7 +48,6 @@ pub mod copy_audit {
 pub enum Payload {
     F64(Arc<Vec<f64>>),
     U64(Arc<Vec<u64>>),
-    Bytes(Arc<Vec<u8>>),
 }
 
 impl Payload {
@@ -62,17 +61,11 @@ impl Payload {
         Payload::U64(Arc::new(v))
     }
 
-    /// Wrap an owned buffer (no copy).
-    pub fn bytes(v: Vec<u8>) -> Self {
-        Payload::Bytes(Arc::new(v))
-    }
-
     /// Payload size in bytes (what the network transfers).
     pub fn size_bytes(&self) -> u64 {
         match self {
             Payload::F64(v) => 8 * v.len() as u64,
             Payload::U64(v) => 8 * v.len() as u64,
-            Payload::Bytes(v) => v.len() as u64,
         }
     }
 
@@ -134,10 +127,6 @@ impl Payload {
     }
 }
 
-/// Communicator id reserved for runtime control messages. Real ids are
-/// allocated upward from 0 (the world), so they can never collide with it.
-pub const CONTROL_COMM: u64 = u64::MAX;
-
 /// A message travelling between ranks.
 #[derive(Debug)]
 pub struct Envelope {
@@ -158,28 +147,6 @@ pub struct Envelope {
     pub delayed: bool,
 }
 
-impl Envelope {
-    /// The abort control message the registry posts to every mailbox on
-    /// poison, so ranks parked in a blocking receive wake up and leave the
-    /// run instead of waiting on a message that will never come.
-    pub fn control_abort() -> Self {
-        Envelope {
-            src: usize::MAX,
-            comm_id: CONTROL_COMM,
-            tag: 0,
-            arrival: f64::INFINITY,
-            payload: Payload::bytes(Vec::new()),
-            dup: false,
-            delayed: false,
-        }
-    }
-
-    /// Is this a runtime control message (not rank traffic)?
-    pub fn is_control(&self) -> bool {
-        self.comm_id == CONTROL_COMM
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,13 +155,12 @@ mod tests {
     fn sizes() {
         assert_eq!(Payload::f64(vec![0.0; 3]).size_bytes(), 24);
         assert_eq!(Payload::u64(vec![0; 2]).size_bytes(), 16);
-        assert_eq!(Payload::bytes(vec![0; 5]).size_bytes(), 5);
     }
 
     #[test]
     #[should_panic(expected = "expected F64")]
     fn type_confusion_panics() {
-        Payload::bytes(vec![]).expect_f64();
+        Payload::u64(vec![]).expect_f64();
     }
 
     #[test]

@@ -45,15 +45,4 @@ impl Mailboxes {
     pub(crate) fn try_pop(&self, rank: usize) -> Option<Envelope> {
         self.inboxes[rank].lock().pop_front()
     }
-
-    /// Post the abort control message to every inbox and wake everyone:
-    /// how [`crate::registry::Registry::poison`] reaches blocked ranks.
-    pub(crate) fn poison_broadcast(&self) {
-        #[cfg(debug_assertions)]
-        crate::sched::assert_no_guard_held("Mailboxes::poison_broadcast");
-        for inbox in &self.inboxes {
-            inbox.lock().push_back(Envelope::control_abort());
-        }
-        self.engine.wake_all();
-    }
 }

@@ -5,7 +5,9 @@
 //! tree-of-messages implementation only approximates. The registry gives
 //! each collective call site a rendezvous cell keyed by
 //! `(communicator id, per-communicator sequence number)`; the last arrival
-//! computes the outcome and wakes the rest. Sequence numbers stay consistent
+//! computes the outcome and wakes the rest. Both kinds share one wait loop
+//! and cleanup (`Registry::rendezvous`) and differ only in what an arrival
+//! contributes and what each member leaves with. Sequence numbers stay consistent
 //! because MPI programs must issue collectives in the same order on every
 //! member — the same invariant real MPI relies on.
 //!
@@ -33,7 +35,7 @@ pub(crate) struct RankExit;
 
 /// A casualty's exit: the run is failing for a cause already on record,
 /// so the calling rank just leaves.
-pub(crate) fn leave_run() -> ! {
+fn leave_run() -> ! {
     resume_unwind(Box::new(RankExit))
 }
 
@@ -71,28 +73,27 @@ pub struct SplitEntry {
     pub cost: f64,
 }
 
-struct BarrierState {
+/// One rendezvous call site: how many members it waits for, what the
+/// arrivals so far contribute (`S`, the completion rule's state), and
+/// who is parked on it.
+struct Cell<S> {
     expected: usize,
     arrived: usize,
-    max_t: f64,
-    cost: f64,
-    release_t: Option<f64>,
     left: usize,
-    /// Task ids parked on this cell; the completing arrival (or poison)
-    /// wakes them.
+    state: S,
+    /// Task ids parked on this cell; the completing arrival wakes them.
     waiters: Vec<usize>,
 }
 
+/// A split cell: every arrival's entry and — once the last member is
+/// in — each global rank's new communicator.
+#[derive(Default)]
 struct SplitState {
-    expected: usize,
-    /// (global rank, color, key, arrival time)
-    entries: Vec<(usize, u64, u64, f64)>,
-    cost: f64,
-    outcome: Option<HashMap<usize, SplitOutcome>>,
-    left: usize,
-    /// See [`BarrierState::waiters`].
-    waiters: Vec<usize>,
+    entries: Vec<SplitEntry>,
+    outcome: HashMap<usize, SplitOutcome>,
 }
+
+type Cells<S> = Mutex<HashMap<(u64, u64), Cell<S>>>;
 
 /// Shared rendezvous state for one machine run.
 pub struct Registry {
@@ -100,13 +101,15 @@ pub struct Registry {
     /// Why the run died. Set once, and set *is* poisoned: there is no
     /// separate flag a rank could see raised before the cause is on record.
     cause: OnceLock<Abort>,
-    barriers: Mutex<HashMap<(u64, u64), BarrierState>>,
-    splits: Mutex<HashMap<(u64, u64), SplitState>>,
+    /// Barrier cells hold `(max arrival, max cost)`: no per-arrival state,
+    /// whatever the world size.
+    barriers: Cells<(f64, f64)>,
+    splits: Cells<SplitState>,
     /// Checking sink of the owning machine (disabled by default): names
     /// the wait-for cycle when the engine reports quiescence.
     check: CheckSink,
-    /// The run's mailboxes — how [`Registry::poison`] reaches every rank
-    /// — and, through them, the engine that parks and wakes waiters.
+    /// The run's mailboxes, and through them the engine that parks and
+    /// wakes waiters.
     mail: Arc<Mailboxes>,
 }
 
@@ -123,12 +126,15 @@ impl Registry {
     }
 
     /// Fail the run because of `cause`: record it unless an earlier cause
-    /// already stands, then make every blocked rank leave — each inbox
-    /// gets an abort control message and every task is woken, and a woken
-    /// waiter re-checks the flag before it parks again.
+    /// already stands, then wake every task. Every blocking wait checks
+    /// the flag after each wake (a wake that lands on a running task is
+    /// kept for its next park), so no blocked rank can miss it. Must not
+    /// hold a lock guard.
     pub(crate) fn poison(&self, cause: Abort) {
+        #[cfg(debug_assertions)]
+        sched::assert_no_guard_held("Registry::poison");
         let _ = self.cause.set(cause);
-        self.mail.poison_broadcast();
+        self.mail.engine().wake_all();
     }
 
     /// The one way a rank dies ([`crate::RankCtx::abort`]): poison the run
@@ -145,15 +151,10 @@ impl Registry {
         self.cause.get()
     }
 
-    /// Has the run been poisoned by a peer's failure?
-    pub fn is_poisoned(&self) -> bool {
-        self.cause().is_some()
-    }
-
     /// Where a blocked rank notices the run is failing: the one check it
     /// makes before and after every park.
     pub(crate) fn leave_if_poisoned(&self) {
-        if self.is_poisoned() {
+        if self.cause().is_some() {
             leave_run();
         }
     }
@@ -174,37 +175,46 @@ impl Registry {
         self.abort(rank, AbortKind::Deadlock, detail)
     }
 
-    /// Enter a barrier on `(comm_id, seq)` with `expected` participants at
-    /// virtual time `t`; returns the common release time `max(t_i) + cost`.
-    pub fn barrier(&self, comm_id: u64, seq: u64, expected: usize, t: f64, cost: f64) -> f64 {
-        let key = (comm_id, seq);
-        let mut map = self.barriers.lock();
-        let st = map.entry(key).or_insert(BarrierState {
+    /// The one rendezvous. Join the cell `key` of `cells` (creating it
+    /// with `init` on first arrival) and fold this arrival in with
+    /// `arrive`, whose flag says it is the last; park until the cell is
+    /// complete, then leave with `leave` of its state. The last member to
+    /// leave removes the cell, so the key can be reused.
+    fn rendezvous<S, R>(
+        &self,
+        cells: &Cells<S>,
+        key: (u64, u64),
+        expected: usize,
+        init: S,
+        arrive: impl FnOnce(&mut S, bool),
+        leave: impl FnOnce(&S) -> R,
+    ) -> R {
+        let mut map = cells.lock();
+        let cell = map.entry(key).or_insert(Cell {
             expected,
             arrived: 0,
-            max_t: f64::NEG_INFINITY,
-            cost,
-            release_t: None,
             left: 0,
+            state: init,
             waiters: Vec::new(),
         });
         assert_eq!(
-            st.expected, expected,
-            "barrier participant mismatch on {key:?}"
+            cell.expected, expected,
+            "rendezvous participant mismatch on {key:?}"
         );
-        st.arrived += 1;
-        st.max_t = st.max_t.max(t);
-        st.cost = st.cost.max(cost);
-        let mut released = Vec::new();
-        if st.arrived == st.expected {
-            st.release_t = Some(st.max_t + st.cost);
-            released = std::mem::take(&mut st.waiters);
-        }
+        cell.arrived += 1;
+        let complete = cell.arrived == cell.expected;
+        arrive(&mut cell.state, complete);
+        let released = if complete {
+            std::mem::take(&mut cell.waiters)
+        } else {
+            Vec::new()
+        };
         loop {
-            let st = map.get_mut(&key).expect("barrier state vanished");
-            if let Some(rt) = st.release_t {
-                st.left += 1;
-                if st.left == st.expected {
+            let cell = map.get_mut(&key).expect("rendezvous cell vanished");
+            if cell.arrived == cell.expected {
+                let out = leave(&cell.state);
+                cell.left += 1;
+                if cell.left == cell.expected {
                     map.remove(&key);
                 }
                 // The completing arrival wakes the rest only after letting
@@ -213,12 +223,12 @@ impl Registry {
                 for tid in released {
                     self.mail.engine().wake(tid);
                 }
-                return rt;
+                return out;
             }
             // Register on the cell and park. Poison wakes every task
             // (not just registered waiters), so the poison check after a
             // wake cannot be missed.
-            st.waiters
+            cell.waiters
                 .push(sched::current_task().expect("rank outside an engine task"));
             drop(map);
             self.leave_if_poisoned();
@@ -227,106 +237,73 @@ impl Registry {
                 WakeReason::Quiescent => self.report_quiescent_deadlock(),
             }
             self.leave_if_poisoned();
-            map = self.barriers.lock();
+            map = cells.lock();
         }
+    }
+
+    /// Enter a barrier on `(comm_id, seq)` with `expected` participants at
+    /// virtual time `t`; returns the common release time `max(t_i) + cost`.
+    pub fn barrier(&self, comm_id: u64, seq: u64, expected: usize, t: f64, cost: f64) -> f64 {
+        self.rendezvous(
+            &self.barriers,
+            (comm_id, seq),
+            expected,
+            (f64::NEG_INFINITY, f64::NEG_INFINITY),
+            |(max_t, max_cost), _| {
+                *max_t = max_t.max(t);
+                *max_cost = max_cost.max(cost);
+            },
+            |&(max_t, max_cost)| max_t + max_cost,
+        )
     }
 
     /// Enter a split call site with this rank's [`SplitEntry`]; blocks
     /// until all expected members arrive and returns this rank's new
     /// communicator.
     pub fn split(&self, entry: SplitEntry) -> SplitOutcome {
-        let SplitEntry {
-            parent_id,
-            seq,
-            expected,
-            grank,
-            color,
-            key,
-            t,
-            cost,
-        } = entry;
-        let map_key = (parent_id, seq);
-        let mut map = self.splits.lock();
-        let st = map.entry(map_key).or_insert(SplitState {
-            expected,
-            entries: Vec::new(),
-            cost,
-            outcome: None,
-            left: 0,
-            waiters: Vec::new(),
-        });
-        assert_eq!(
-            st.expected, expected,
-            "split participant mismatch on {map_key:?}"
-        );
-        st.entries.push((grank, color, key, t));
-        st.cost = st.cost.max(cost);
-        let mut released = Vec::new();
-        if st.entries.len() == st.expected {
-            let release_t = st
-                .entries
-                .iter()
-                .map(|e| e.3)
-                .fold(f64::NEG_INFINITY, f64::max)
-                + st.cost;
-            // Group by color, order by (key, global rank).
-            let mut by_color: HashMap<u64, Vec<(u64, usize)>> = HashMap::new();
-            for &(g, c, k, _) in &st.entries {
-                by_color.entry(c).or_default().push((k, g));
-            }
-            let mut outcome = HashMap::with_capacity(st.expected);
-            // Deterministic comm-id assignment: colors in ascending order.
-            let mut colors: Vec<u64> = by_color.keys().copied().collect();
-            colors.sort_unstable();
-            for color in colors {
-                let mut group = by_color.remove(&color).unwrap();
-                group.sort_unstable();
-                let members: Arc<Vec<usize>> = Arc::new(group.iter().map(|&(_, g)| g).collect());
-                let comm_id = self.next_comm_id.fetch_add(1, Ordering::Relaxed);
-                for (idx, &(_, g)) in group.iter().enumerate() {
-                    outcome.insert(
-                        g,
-                        SplitOutcome {
-                            comm_id,
-                            members: Arc::clone(&members),
-                            my_index: idx,
-                            release_t,
-                        },
-                    );
+        self.rendezvous(
+            &self.splits,
+            (entry.parent_id, entry.seq),
+            entry.expected,
+            SplitState::default(),
+            |st, last| {
+                st.entries.push(entry);
+                if last {
+                    self.settle_split(st);
                 }
-            }
-            st.outcome = Some(outcome);
-            released = std::mem::take(&mut st.waiters);
-        }
-        loop {
-            let st = map.get_mut(&map_key).expect("split state vanished");
-            if let Some(out) = &st.outcome {
-                let mine = out
-                    .get(&grank)
+            },
+            |st| {
+                st.outcome
+                    .get(&entry.grank)
                     .expect("rank missing from split outcome")
-                    .clone();
-                st.left += 1;
-                if st.left == st.expected {
-                    map.remove(&map_key);
-                }
-                // As in `barrier`: wake outside the map lock.
-                drop(map);
-                for tid in released {
-                    self.mail.engine().wake(tid);
-                }
-                return mine;
+                    .clone()
+            },
+        )
+    }
+
+    /// The completing arrival's work for a split: one communicator per
+    /// color, allocated in ascending color order, members ordered by
+    /// `(key, global rank)`, all released at `max(t_i) + cost`.
+    fn settle_split(&self, st: &mut SplitState) {
+        let max =
+            |f: fn(&SplitEntry) -> f64| st.entries.iter().map(f).fold(f64::NEG_INFINITY, f64::max);
+        let release_t = max(|e| e.t) + max(|e| e.cost);
+        st.entries
+            .sort_unstable_by_key(|e| (e.color, e.key, e.grank));
+        for group in st.entries.chunk_by(|a, b| a.color == b.color) {
+            let members: Arc<Vec<usize>> = Arc::new(group.iter().map(|e| e.grank).collect());
+            let comm_id = self.next_comm_id.fetch_add(1, Ordering::Relaxed);
+            for (my_index, e) in group.iter().enumerate() {
+                st.outcome.insert(
+                    e.grank,
+                    SplitOutcome {
+                        comm_id,
+                        members: Arc::clone(&members),
+                        my_index,
+                        release_t,
+                    },
+                );
             }
-            // See `barrier` for the wake/poison ordering argument.
-            st.waiters
-                .push(sched::current_task().expect("rank outside an engine task"));
-            drop(map);
-            self.leave_if_poisoned();
-            match self.mail.engine().block_current() {
-                WakeReason::Woken => {}
-                WakeReason::Quiescent => self.report_quiescent_deadlock(),
-            }
-            self.leave_if_poisoned();
-            map = self.splits.lock();
         }
     }
 }

@@ -47,7 +47,6 @@ use parking_lot::{Condvar, Mutex};
 use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// Why `Engine::block_current` (the crate-internal yield point every
 /// blocking wait funnels through) returned.
@@ -114,6 +113,12 @@ unsafe impl Send for TaskSlot {}
 // rest.
 unsafe impl Sync for TaskSlot {}
 
+/// Per-fiber stack size. Rank closures in this codebase are shallow
+/// (solver frames plus the runtime), so 512 KiB is generous; the pool is
+/// mapped without reserving swap and pages are only committed on touch,
+/// so 10k ranks cost virtual address space, not resident memory.
+const FIBER_STACK_BYTES: usize = 512 * 1024;
+
 /// All fiber stacks in one anonymous mapping: 10k ranks × 512 KiB is
 /// ~5 GiB of *virtual* address space (untouched pages cost nothing
 /// resident, and one mapping sidesteps `vm.max_map_count`). The pool is
@@ -124,29 +129,26 @@ unsafe impl Sync for TaskSlot {}
 struct StackPool {
     base: *mut u8,
     len: usize,
-    stack_bytes: usize,
 }
 
 impl StackPool {
-    fn new(ntasks: usize, stack_bytes: usize) -> Self {
-        let stack_bytes = (stack_bytes + 15) & !15;
+    fn new(ntasks: usize) -> Self {
         let len = ntasks
             .max(1)
-            .checked_mul(stack_bytes)
+            .checked_mul(FIBER_STACK_BYTES)
             .expect("fiber stack pool size overflows usize");
         StackPool {
             base: fiber::map_stacks(len),
             len,
-            stack_bytes,
         }
     }
 
     fn top(&self, i: usize) -> *mut u8 {
-        self.base.wrapping_add((i + 1) * self.stack_bytes)
+        self.base.wrapping_add((i + 1) * FIBER_STACK_BYTES)
     }
 
     fn bottom(&self, i: usize) -> *mut u64 {
-        self.base.wrapping_add(i * self.stack_bytes).cast()
+        self.base.wrapping_add(i * FIBER_STACK_BYTES).cast()
     }
 }
 
@@ -189,26 +191,6 @@ fn default_workers() -> usize {
         .map(|n| n.get())
         .unwrap_or(4)
         .clamp(2, 8)
-}
-
-/// Per-fiber stack size. Rank closures in this codebase are shallow
-/// (solver frames plus the runtime), so the default 512 KiB is generous;
-/// pages are only committed on touch, so 10k ranks cost virtual address
-/// space, not resident memory. Override with the `GREENLA_STACK_KB`
-/// environment variable (floor 64 KiB). Resolved once and cached.
-fn fiber_stack_bytes() -> usize {
-    static BYTES: OnceLock<usize> = OnceLock::new();
-    *BYTES.get_or_init(|| stack_bytes_from(std::env::var("GREENLA_STACK_KB").ok().as_deref()))
-}
-
-/// [`fiber_stack_bytes`] for a given value of the variable (`None`: unset).
-fn stack_bytes_from(stack_kb: Option<&str>) -> usize {
-    let kb = stack_kb.map_or(512, |v| {
-        v.parse::<usize>().unwrap_or_else(|_| {
-            panic!("GREENLA_STACK_KB must be a non-negative integer of KiB, got `{v}`")
-        })
-    });
-    kb.max(64) * 1024
 }
 
 /// The rank scheduler for one machine run. Public so runtime internals
@@ -266,7 +248,7 @@ impl Engine {
                             cv: Condvar::new(),
                         })
                         .collect(),
-                    pool: StackPool::new(ntasks, fiber_stack_bytes()),
+                    pool: StackPool::new(ntasks),
                 }
             }
         };
@@ -502,9 +484,8 @@ impl Engine {
             let v = unsafe { canary.read() };
             assert!(
                 v == CANARY,
-                "fiber stack overflow on task {} (canary clobbered); raise \
-                 GREENLA_STACK_KB or run on OS threads (`--scheduler thread`, \
-                 SchedulerKind::ThreadPerRank)",
+                "fiber stack overflow on task {} (canary clobbered); run on \
+                 OS threads (`--scheduler thread`, SchedulerKind::ThreadPerRank)",
                 slot.id
             );
         }
@@ -582,24 +563,6 @@ mod tests {
                 .map(|i| Box::new(move || f(i, engine)) as Box<dyn FnOnce() + Send + '_>)
                 .collect(),
         );
-    }
-
-    #[test]
-    fn stack_size_knob_is_parsed_strictly() {
-        assert_eq!(stack_bytes_from(None), 512 * 1024);
-        assert_eq!(stack_bytes_from(Some("1024")), 1024 * 1024);
-        assert_eq!(
-            stack_bytes_from(Some("8")),
-            64 * 1024,
-            "floored, not refused"
-        );
-        for malformed in ["1m", "-4", "abc", ""] {
-            let refused = std::panic::catch_unwind(|| stack_bytes_from(Some(malformed)));
-            assert!(
-                refused.is_err(),
-                "`{malformed}` must be refused, not defaulted"
-            );
-        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Every simulated rank is a task of one [`Engine`]. A rank that cannot
 //! make progress — an empty mailbox in `recv`, an incomplete barrier or
 //! split — calls `Engine::block_current`; whoever completes the
-//! condition (a sender, the last arrival of a collective, a poison
-//! broadcast) calls [`Engine::wake`]. There is no other way to wait
+//! condition (a sender, the last arrival of a collective, a poisoned
+//! run's wake-all) calls [`Engine::wake`]. There is no other way to wait
 //! anywhere in this crate, and no timer: the engine counts runnable
 //! tasks, so it knows the exact moment nothing can ever run again and
 //! reports it ([`WakeReason::Quiescent`], or the orphan flag when the last

@@ -206,7 +206,7 @@ fn checked_run_timings_are_bit_identical_to_unchecked() {
         let placement = Placement::layout(&spec.node, 16, LoadLayout::FullLoad).unwrap();
         let mut m = Machine::new(spec, placement, PowerModel::deterministic(), 7).unwrap();
         if check {
-            m.set_check(CheckSink::enabled());
+            m = m.with_check(CheckSink::enabled());
         }
         let out = m.run(program);
         assert!(m.check().violations().is_empty());

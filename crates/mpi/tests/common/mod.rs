@@ -50,7 +50,7 @@ pub fn abort_of(
     };
     let mut m = machine(ranks, kind).with_check(sink.clone());
     if let Some(plan) = plan {
-        m.set_faults(FaultSink::with_plan(plan));
+        m = m.with_faults(FaultSink::with_plan(plan));
     }
     let leg = format!("{kind} engine, checked={checked}");
     let (tx, rx) = mpsc::channel();

@@ -32,50 +32,7 @@ pub struct EventCode {
     pub domain: Domain,
 }
 
-/// Component id of the powercap component (arbitrary but stable).
-pub const POWERCAP_COMPONENT: u32 = 0x0a;
-
 impl EventCode {
-    /// Pack into PAPI's `unsigned int` event-code space.
-    pub fn to_raw(self) -> u32 {
-        let kind = match self.kind {
-            EventKind::EnergyUj => 0u32,
-            EventKind::MaxEnergyRangeUj => 1,
-        };
-        let dom = match self.domain {
-            Domain::Package => 0u32,
-            Domain::Pp0 => 1,
-            Domain::Dram => 2,
-            Domain::Pp1 => 3,
-        };
-        (POWERCAP_COMPONENT << 24) | (kind << 16) | ((self.socket as u32) << 8) | dom
-    }
-
-    /// Unpack from a raw code.
-    pub fn from_raw(raw: u32) -> Result<Self, PapiError> {
-        if raw >> 24 != POWERCAP_COMPONENT {
-            return Err(PapiError::NoSuchEvent);
-        }
-        let kind = match (raw >> 16) & 0xff {
-            0 => EventKind::EnergyUj,
-            1 => EventKind::MaxEnergyRangeUj,
-            _ => return Err(PapiError::NoSuchEvent),
-        };
-        let socket = ((raw >> 8) & 0xff) as usize;
-        let domain = match raw & 0xff {
-            0 => Domain::Package,
-            1 => Domain::Pp0,
-            2 => Domain::Dram,
-            3 => Domain::Pp1,
-            _ => return Err(PapiError::NoSuchEvent),
-        };
-        Ok(Self {
-            kind,
-            socket,
-            domain,
-        })
-    }
-
     /// The canonical event name.
     pub fn name(&self) -> String {
         let kind = match self.kind {
@@ -145,16 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn raw_roundtrip() {
-        let ev = EventCode {
-            kind: EventKind::EnergyUj,
-            socket: 1,
-            domain: Domain::Dram,
-        };
-        assert_eq!(EventCode::from_raw(ev.to_raw()).unwrap(), ev);
-    }
-
-    #[test]
     fn paper_event_names_parse() {
         let e = event_name_to_code("powercap:::ENERGY_UJ:ZONE0").unwrap();
         assert_eq!(e.domain, Domain::Package);
@@ -180,10 +127,5 @@ mod tests {
                 "{bad}"
             );
         }
-    }
-
-    #[test]
-    fn foreign_component_raw_code_rejected() {
-        assert_eq!(EventCode::from_raw(0x0b000000), Err(PapiError::NoSuchEvent));
     }
 }

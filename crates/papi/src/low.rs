@@ -58,11 +58,6 @@ impl<R: EnergyReader> Papi<R> {
         Ok(())
     }
 
-    /// Access to the underlying reader (the component layer).
-    pub fn reader(&self) -> &R {
-        &self.reader
-    }
-
     /// `PAPI_create_eventset`.
     pub fn create_eventset(&mut self) -> Result<EventSetId, PapiError> {
         let id = self.sets.len();
@@ -115,16 +110,6 @@ impl<R: EnergyReader> Papi<R> {
         }
         set.events.push(code);
         Ok(())
-    }
-
-    /// Number of events in a set.
-    pub fn num_events(&self, id: EventSetId) -> Result<usize, PapiError> {
-        Ok(self.set_ref(id)?.events.len())
-    }
-
-    /// Events in the set, in add order.
-    pub fn events(&self, id: EventSetId) -> Result<Vec<EventCode>, PapiError> {
-        Ok(self.set_ref(id)?.events.clone())
     }
 
     fn sample(&self, events: &[EventCode], t: f64) -> Result<Vec<u64>, PapiError> {
@@ -182,22 +167,6 @@ impl<R: EnergyReader> Papi<R> {
             return Err(PapiError::NotRunning);
         }
         self.counts_since_start(set, t)
-    }
-
-    /// `PAPI_reset`: re-baseline the running counters at `t`.
-    pub fn reset(&mut self, id: EventSetId, t: f64) -> Result<(), PapiError> {
-        let events = {
-            let set = self.set_ref(id)?;
-            if set.state != SetState::Running {
-                return Err(PapiError::NotRunning);
-            }
-            set.events.clone()
-        };
-        let baseline = self.sample(&events, t)?;
-        let set = self.set_mut(id)?;
-        set.start_uj = baseline;
-        set.start_time = t;
-        Ok(())
     }
 
     /// `PAPI_stop` at virtual time `t`: final counts, set returns to
@@ -400,18 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_rebaselines() {
-        let mut p = papi();
-        let set = p.create_eventset().unwrap();
-        p.add_named_event(set, "powercap:::ENERGY_UJ:ZONE0")
-            .unwrap();
-        p.start(set, 0.0).unwrap();
-        p.reset(set, 10.0).unwrap();
-        let vals = p.read(set, 11.0).unwrap();
-        assert_eq!(vals, vec![100_000_000]); // only 1 s since reset
-    }
-
-    #[test]
     fn read_is_cumulative_and_monotone() {
         let mut p = papi();
         let set = p.create_eventset().unwrap();
@@ -432,7 +389,7 @@ mod tests {
         assert_eq!(p.destroy_eventset(set), Err(PapiError::InvalidArgument));
         p.cleanup_eventset(set).unwrap();
         p.destroy_eventset(set).unwrap();
-        assert_eq!(p.num_events(set), Err(PapiError::NoSuchEventSet));
+        assert_eq!(p.read(set, 0.0), Err(PapiError::NoSuchEventSet));
     }
 
     #[test]

@@ -38,17 +38,6 @@ impl Domain {
             _ => None,
         }
     }
-
-    /// Linux powercap-style zone name for socket `s` (what PAPI's powercap
-    /// component shows as event names).
-    pub fn zone_name(&self, socket: usize) -> String {
-        match self {
-            Domain::Package => format!("package-{socket}"),
-            Domain::Pp0 => format!("package-{socket}/core"),
-            Domain::Pp1 => format!("package-{socket}/uncore"),
-            Domain::Dram => format!("package-{socket}/dram"),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -61,11 +50,5 @@ mod tests {
             assert_eq!(Domain::from_msr(d.msr()), Some(d));
         }
         assert_eq!(Domain::from_msr(0x123), None);
-    }
-
-    #[test]
-    fn zone_names() {
-        assert_eq!(Domain::Package.zone_name(1), "package-1");
-        assert_eq!(Domain::Dram.zone_name(0), "package-0/dram");
     }
 }

@@ -84,11 +84,6 @@ impl RaplSim {
 
     /// Attach a fault-injection sink (shared with the machine running the
     /// job, so one `FaultReport` covers runtime and measurement faults).
-    pub fn set_faults(&mut self, sink: FaultSink) {
-        self.faults = sink;
-    }
-
-    /// Builder-style [`RaplSim::set_faults`].
     pub fn with_faults(mut self, sink: FaultSink) -> Self {
         self.faults = sink;
         self
