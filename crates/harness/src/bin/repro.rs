@@ -3,7 +3,6 @@
 //!
 //! ```text
 //! repro [--exp all|table1|fig3|fig4|fig5|fig6|fig7|summary|overhead|powercap|trace|scale|sparse|none]
-//!       [--tier functional|model|both]   (default: both)
 //!       [--reps N]                       (default: 3)
 //!       [--smoke]                        (tiny grid for CI)
 //!       [--out DIR]                      (default: results)
@@ -29,20 +28,21 @@
 //! ```
 //!
 //! `--exp none` runs no experiment (with `--trace-out`, only the trace
-//! export); any other unknown name exits 2, as does an unknown `--tier` or
+//! export); any other unknown name exits 2, as does an unknown
 //! `--scheduler` value, a `--reps` that is not a positive count, a
-//! `--ranks` count that does not fill whole nodes under every layout, or
-//! `--check`/`--faults` with `--tier model` (which runs no campaign).
+//! `--ranks` count that does not fill whole nodes under every layout, or a
+//! fault plan that cannot be read or parsed, has a key `FaultPlan` does
+//! not, or injects nothing.
 //!
 //! `--exp scale` is the large-P smoke: it skips the solver campaign and
 //! drives one barrier + broadcast + allreduce workout at the largest
 //! `--ranks` value (default 10000) on fibers, writing a
 //! `scale_smoke.json` artifact with wall/virtual timings.
 //!
-//! Functional-tier figures come from real monitored solves on the scaled
-//! simulated cluster; model-tier figures are the same slices of the
-//! calibrated analytic model evaluated at the paper's exact configurations
-//! (8640…34560 × 144/576/1296).
+//! Every figure `--exp figN` selects is written twice: the functional tier
+//! from real monitored solves on the scaled simulated cluster, then the
+//! model tier, the same slice of the calibrated analytic model evaluated
+//! at the paper's exact configurations (8640…34560 × 144/576/1296).
 
 use greenla_cluster::placement::{LoadLayout, Placement};
 use greenla_harness::charts;
@@ -51,7 +51,8 @@ use greenla_harness::experiments as exp;
 use greenla_harness::output::{write_artifact, write_json, Figure};
 use greenla_harness::run::Dataset;
 use greenla_harness::summary;
-use std::path::PathBuf;
+use greenla_mpi::FaultPlan;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Every `--exp` value `repro` knows.
@@ -62,13 +63,12 @@ const EXPERIMENTS: [&str; 14] = [
 
 struct Args {
     exp: String,
-    tier: String,
     reps: usize,
     smoke: bool,
     out: PathBuf,
     trace_out: Option<PathBuf>,
     check: bool,
-    faults: Option<PathBuf>,
+    faults: Option<FaultPlan>,
     scheduler: Option<greenla_mpi::SchedulerKind>,
     ranks: Option<Vec<usize>>,
 }
@@ -76,7 +76,6 @@ struct Args {
 fn parse_args() -> Args {
     let mut args = Args {
         exp: "all".into(),
-        tier: "both".into(),
         reps: 3,
         smoke: false,
         out: PathBuf::from("results"),
@@ -97,14 +96,6 @@ fn parse_args() -> Args {
                 }
                 args.exp = v;
             }
-            "--tier" => {
-                let v = it.next().expect("--tier needs a value");
-                if !["functional", "model", "both"].contains(&v.as_str()) {
-                    eprintln!("--tier wants functional|model|both, got {v:?}");
-                    std::process::exit(2);
-                }
-                args.tier = v;
-            }
             "--reps" => {
                 let v = it.next().expect("--reps needs a value");
                 args.reps = v.parse().ok().filter(|&r| r > 0).unwrap_or_else(|| {
@@ -115,7 +106,11 @@ fn parse_args() -> Args {
             "--smoke" => args.smoke = true,
             "--check" => args.check = true,
             "--faults" => {
-                args.faults = Some(PathBuf::from(it.next().expect("--faults needs a value")))
+                let path = PathBuf::from(it.next().expect("--faults needs a value"));
+                args.faults = Some(read_fault_plan(&path).unwrap_or_else(|e| {
+                    eprintln!("--faults {path:?}: {e}");
+                    std::process::exit(2);
+                }));
             }
             "--scheduler" => {
                 let v = it.next().expect("--scheduler needs a value");
@@ -146,7 +141,7 @@ fn parse_args() -> Args {
                 args.trace_out = Some(PathBuf::from(it.next().expect("--trace-out needs a value")))
             }
             "--help" | "-h" => {
-                println!("usage: repro [--exp all|table1|fig3..fig7|summary|overhead|powercap|trace|scale|sparse|none] [--tier functional|model|both] [--reps N] [--smoke] [--out DIR] [--trace-out PATH] [--check] [--faults PLAN.json] [--scheduler thread|event] [--ranks P1,P2,...]");
+                println!("usage: repro [--exp all|table1|fig3..fig7|summary|overhead|powercap|trace|scale|sparse|none] [--reps N] [--smoke] [--out DIR] [--trace-out PATH] [--check] [--faults PLAN.json] [--scheduler thread|event] [--ranks P1,P2,...]");
                 std::process::exit(0);
             }
             other => {
@@ -155,17 +150,30 @@ fn parse_args() -> Args {
             }
         }
     }
-    if args.tier == "model" && (args.check || args.faults.is_some()) {
-        eprintln!(
-            "--check and --faults act on the functional campaign, which --tier {:?} does not run",
-            args.tier
-        );
-        std::process::exit(2);
-    }
     args
 }
 
-fn emit(out: &std::path::Path, fig: &Figure) {
+/// The fault plan at `path`, refused if it cannot be read or parsed, has a
+/// top-level key `FaultPlan` does not (which would drop its faults
+/// silently), or injects nothing.
+fn read_fault_plan(path: &Path) -> Result<FaultPlan, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read it: {e}"))?;
+    let value: serde_json::Value = serde_json::from_str(&text).map_err(|e| e.to_string())?;
+    let known = serde_json::to_value(&FaultPlan::default()).map_err(|e| e.to_string())?;
+    let known = known.as_object().unwrap_or_default();
+    for (key, _) in value.as_object().unwrap_or_default() {
+        if !known.iter().any(|(k, _)| k == key) {
+            return Err(format!("unknown key {key:?}"));
+        }
+    }
+    let plan: FaultPlan = serde_json::from_str(&text).map_err(|e| e.to_string())?;
+    if plan.is_empty() {
+        return Err("the plan injects no fault".into());
+    }
+    Ok(plan)
+}
+
+fn emit(out: &Path, fig: &Figure) {
     let name = format!("{}.csv", fig.id);
     write_artifact(out, &name, &fig.to_csv()).expect("write csv");
     write_json(out, &format!("{}.json", fig.id), fig).expect("write json");
@@ -174,8 +182,6 @@ fn emit(out: &std::path::Path, fig: &Figure) {
 
 fn main() {
     let args = parse_args();
-    let functional = args.tier == "functional" || args.tier == "both";
-    let model = args.tier == "model" || args.tier == "both";
     let wants = |e: &str| args.exp == "all" || args.exp == e;
     #[expect(
         clippy::disallowed_methods,
@@ -247,23 +253,13 @@ fn main() {
         return;
     }
 
-    // A fault plan turns the campaign into a chaos run: parse it up front
-    // so a malformed plan fails before any work happens.
-    let fault_plan = args.faults.as_ref().map(|path| {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("read fault plan {}: {e}", path.display()));
-        serde_json::from_str::<greenla_mpi::FaultPlan>(&text)
-            .unwrap_or_else(|e| panic!("parse fault plan {}: {e}", path.display()))
-    });
-
     // Experiments that need the measurement campaign (--check or --faults
     // alone also run it: the campaign is what gets checked/faulted).
-    let needs_data = functional
-        && (args.check
-            || fault_plan.is_some()
-            || ["fig3", "fig4", "fig5", "fig6", "fig7", "summary"]
-                .iter()
-                .any(|e| wants(e)));
+    let needs_data = args.check
+        || args.faults.is_some()
+        || ["fig3", "fig4", "fig5", "fig6", "fig7", "summary"]
+            .iter()
+            .any(|e| wants(e));
     let dataset: Option<Dataset> = needs_data.then(|| {
         let mut grid = if args.smoke {
             FunctionalGrid::smoke()
@@ -272,7 +268,7 @@ fn main() {
         };
         grid.reps = args.reps;
         grid.check = args.check;
-        grid.faults = fault_plan.clone();
+        grid.faults = args.faults.clone();
         if let Some(kind) = args.scheduler {
             grid.scheduler = kind;
         }
@@ -323,7 +319,7 @@ fn main() {
         }
     }
 
-    if fault_plan.is_some() {
+    if args.faults.is_some() {
         use greenla_mpi::FaultReport;
         let ds = dataset.as_ref().expect("--faults implies a campaign");
         let mut agg = FaultReport::default();
@@ -348,7 +344,7 @@ fn main() {
 
     // The model tier is one dataset too: every paper-scale figure and claim
     // slices it.
-    let paper = model.then(exp::paper_dataset);
+    let paper = exp::paper_dataset();
 
     if wants("table1") {
         let t = exp::table1();
@@ -356,68 +352,15 @@ fn main() {
         println!("{}", t.to_text());
     }
 
-    if wants("fig3") {
-        if let Some(ds) = &dataset {
-            let ranks = ds.points.iter().map(|p| p.ranks).min().unwrap_or(16);
-            emit(&args.out, &exp::fig3_functional(ds, ranks));
-        }
-        if let Some(ds) = &paper {
-            emit(&args.out, &exp::fig3_model(ds, 144));
-        }
-    }
-
-    if wants("fig4") {
-        if let Some(ds) = &dataset {
-            let (fe, ft) = exp::fig4_functional(ds);
-            emit(&args.out, &fe);
-            emit(&args.out, &ft);
-        }
-        if let Some(ds) = &paper {
-            let (fe, ft) = exp::fig4_model(ds);
-            emit(&args.out, &fe);
-            emit(&args.out, &ft);
-        }
-    }
-
-    if wants("fig5") {
-        if let Some(ds) = &dataset {
-            let (fe, ft) = exp::fig5_functional(ds);
-            emit(&args.out, &fe);
-            emit(&args.out, &ft);
-        }
-        if let Some(ds) = &paper {
-            let (fe, ft) = exp::fig5_model(ds);
-            emit(&args.out, &fe);
-            emit(&args.out, &ft);
-        }
-    }
-
-    if wants("fig6") {
-        if let Some(ds) = &dataset {
-            let ranks = ds.points.iter().map(|p| p.ranks).min().unwrap_or(16);
-            let (fe, fp) = exp::fig6_functional(ds, ranks);
-            emit(&args.out, &fe);
-            emit(&args.out, &fp);
-        }
-        if let Some(ds) = &paper {
-            let (fe, fp) = exp::fig6_model(ds, 144);
-            emit(&args.out, &fe);
-            emit(&args.out, &fp);
-        }
-    }
-
-    if wants("fig7") {
-        if let Some(ds) = &dataset {
-            let n = ds.points.iter().map(|p| p.n).max().unwrap_or(960);
-            let (fe, fp) = exp::fig7_functional(ds, n);
-            emit(&args.out, &fe);
-            emit(&args.out, &fp);
-        }
-        if let Some(ds) = &paper {
-            let (fe, fp) = exp::fig7_model(ds, 17280);
-            emit(&args.out, &fe);
-            emit(&args.out, &fp);
-        }
+    // Each selected figure, grouped by `--exp` name; the sort is stable, so
+    // a functional figure stays ahead of its model twin.
+    let functional = dataset.as_ref().map(exp::functional_figures);
+    let mut figures = functional.unwrap_or_default();
+    figures.extend(exp::model_figures(&paper));
+    figures.retain(|fig| wants(exp::experiment(fig)));
+    figures.sort_by(|a, b| exp::experiment(a).cmp(exp::experiment(b)));
+    for fig in &figures {
+        emit(&args.out, fig);
     }
 
     if wants("summary") {
@@ -432,20 +375,18 @@ fn main() {
             write_json(&args.out, "summary_functional.json", &checks).expect("write");
             println!("{}", t.to_text());
         }
-        if let Some(ds) = &paper {
-            let checks = summary::check_model(ds);
-            let t = summary::claims_table(
-                "summary-model",
-                "Paper claims vs model tier (paper scale)",
-                &checks,
-            );
-            write_artifact(&args.out, "summary_model.csv", &t.to_csv()).expect("write");
-            write_json(&args.out, "summary_model.json", &checks).expect("write");
-            println!("{}", t.to_text());
-        }
+        let checks = summary::check_model(&paper);
+        let t = summary::claims_table(
+            "summary-model",
+            "Paper claims vs model tier (paper scale)",
+            &checks,
+        );
+        write_artifact(&args.out, "summary_model.csv", &t.to_csv()).expect("write");
+        write_json(&args.out, "summary_model.json", &checks).expect("write");
+        println!("{}", t.to_text());
     }
 
-    if wants("sparse") && functional {
+    if wants("sparse") {
         use greenla_harness::sparse::{self, SparseGrid};
         let mut grid = if args.smoke {
             SparseGrid::smoke()
@@ -490,7 +431,7 @@ fn main() {
         eprintln!("sparse campaign ok: CG memory-bound, model within ±30%, energy inversion holds");
     }
 
-    if wants("powercap") && functional {
+    if wants("powercap") {
         let (n, ranks) = if args.smoke { (96, 8) } else { (360, 16) };
         let pts = greenla_harness::powercap::sweep(n, ranks, &[1.0, 0.85, 0.7, 0.55, 0.4], 7);
         let t = greenla_harness::powercap::table(&pts);
@@ -499,7 +440,7 @@ fn main() {
         println!("{}", t.to_text());
     }
 
-    if wants("trace") && functional {
+    if wants("trace") {
         let (n, ranks) = if args.smoke { (128, 8) } else { (480, 16) };
         let fig = greenla_harness::power_trace::figure(n, ranks, 1e-3, 7);
         emit(&args.out, &fig);
@@ -541,7 +482,7 @@ fn main() {
         );
     }
 
-    if wants("overhead") && functional {
+    if wants("overhead") {
         use greenla_cluster::spec::ClusterSpec;
         use greenla_cluster::PowerModel;
         use greenla_harness::config::SolverChoice;

@@ -2,13 +2,13 @@
 //!
 //! Every figure and claim table in `results/` is a slice of a dataset: the
 //! functional ones of the committed `results/dataset.json`, the model ones of
-//! `experiments::paper_dataset()`. This test re-slices both exactly as
-//! `repro` does (fig3/fig6 at the smallest rank count, fig7 at the largest
-//! n; the model tier at 144 ranks and n = 17280) and renders each artefact
-//! the way `repro` writes it — `to_csv` and pretty JSON — so a change to any
-//! slice, claim or model evaluation shows up as a diff against the
-//! committed file. `dataset.json` itself is only read: it predates fields
-//! that now have serde defaults, so it does not round-trip.
+//! `experiments::paper_dataset()`. This test takes the figures from the two
+//! lists `repro` writes (`experiments::{functional_figures, model_figures}`)
+//! and renders each artefact the way `repro` writes it — `to_csv` and
+//! pretty JSON — so a change to any slice, claim or model evaluation shows
+//! up as a diff against the committed file. `dataset.json` itself is only
+//! read: it predates fields that now have serde defaults, so it does not
+//! round-trip.
 
 use greenla_harness::experiments as exp;
 use greenla_harness::output::Figure;
@@ -50,17 +50,8 @@ fn committed_results_are_what_repro_renders_from_their_datasets() {
 
     let ds: Dataset =
         serde_json::from_str(&committed("dataset.json")).expect("parse results/dataset.json");
-    let ranks = ds.points.iter().map(|p| p.ranks).min().expect("points");
-    let n = ds.points.iter().map(|p| p.n).max().expect("points");
-    figure(&mut artefacts, exp::fig3_functional(&ds, ranks));
-    for (a, b) in [
-        exp::fig4_functional(&ds),
-        exp::fig5_functional(&ds),
-        exp::fig6_functional(&ds, ranks),
-        exp::fig7_functional(&ds, n),
-    ] {
-        figure(&mut artefacts, a);
-        figure(&mut artefacts, b);
+    for fig in exp::functional_figures(&ds) {
+        figure(&mut artefacts, fig);
     }
     let checks = summary::check_dataset(&ds);
     claims(
@@ -71,15 +62,8 @@ fn committed_results_are_what_repro_renders_from_their_datasets() {
     );
 
     let paper = exp::paper_dataset();
-    figure(&mut artefacts, exp::fig3_model(&paper, 144));
-    for (a, b) in [
-        exp::fig4_model(&paper),
-        exp::fig5_model(&paper),
-        exp::fig6_model(&paper, 144),
-        exp::fig7_model(&paper, 17280),
-    ] {
-        figure(&mut artefacts, a);
-        figure(&mut artefacts, b);
+    for fig in exp::model_figures(&paper) {
+        figure(&mut artefacts, fig);
     }
     let checks = summary::check_model(&paper);
     claims(

@@ -9,41 +9,10 @@
 //! max-synchronising barriers. The traffic closed forms (`*_traffic`) give
 //! the exact message/element counts the runtime's `greenla_mpi::Traffic`
 //! tally must reproduce. [`allreduce`] and [`allreduce_traffic`] select
-//! the arm by the runtime's rule; `tests/coll_traffic.rs` pins both
-//! thresholds and the rule to `greenla_mpi::coll`.
+//! the arm by the runtime's own rule, `greenla_mpi::coll::allreduce_arm`.
 
 use crate::params::MachineParams;
-
-/// Mirror of `greenla_mpi::coll::COLL_SMALL_BYTES`: sum-allreduces at or
-/// below this payload size keep the latency-optimal reduce+bcast tree
-/// composition; larger ones use recursive doubling.
-pub const COLL_SMALL_BYTES: f64 = 512.0;
-
-/// Mirror of `greenla_mpi::coll::COLL_LARGE_BYTES` (derived there):
-/// sum-allreduces of at least this payload size use Rabenseifner's
-/// reduce-scatter + allgather, given at least four butterfly participants
-/// and one element for each.
-pub const COLL_LARGE_BYTES: f64 = 131072.0;
-
-/// The algorithm a sum-allreduce runs.
-enum AllreduceArm {
-    Trees,
-    RecursiveDoubling,
-    Rabenseifner,
-}
-
-/// Mirror of the runtime's selection rule, a pure function of the rank
-/// count and the payload.
-fn allreduce_arm(p: usize, bytes: f64) -> AllreduceArm {
-    let p2 = prev_pow2(p);
-    if bytes <= COLL_SMALL_BYTES {
-        AllreduceArm::Trees
-    } else if p2 >= 4 && bytes >= 8.0 * p2 as f64 && bytes >= COLL_LARGE_BYTES {
-        AllreduceArm::Rabenseifner
-    } else {
-        AllreduceArm::RecursiveDoubling
-    }
-}
+use greenla_mpi::coll::{allreduce_arm, AllreduceArm};
 
 fn log2c(p: usize) -> f64 {
     if p <= 1 {
@@ -119,12 +88,15 @@ pub fn allreduce_rsag(p: usize, bytes: f64, m: &MachineParams) -> f64 {
     fold + 2.0 * halving
 }
 
-/// Allreduce as the runtime selects it: reduce + broadcast trees at or
-/// below [`COLL_SMALL_BYTES`], Rabenseifner from [`COLL_LARGE_BYTES`] up,
-/// recursive doubling between. (The scalar max/maxloc variants carry
-/// 8–16 bytes and therefore always resolve to the trees.)
+/// Allreduce of a whole number of f64s, `bytes` in all, as the runtime
+/// selects it: reduce + broadcast trees at or below
+/// `greenla_mpi::coll::COLL_SMALL_BYTES`, Rabenseifner from
+/// `COLL_LARGE_BYTES` up, recursive doubling between. (The scalar
+/// max/maxloc variants carry 8–16 bytes and therefore always resolve to
+/// the trees.)
 pub fn allreduce(p: usize, bytes: f64, m: &MachineParams) -> f64 {
-    match allreduce_arm(p, bytes) {
+    debug_assert_eq!(bytes % 8.0, 0.0, "{bytes} B is not a whole f64 payload");
+    match allreduce_arm(p, (bytes / 8.0) as usize) {
         AllreduceArm::Trees => reduce_binomial(p, bytes, m) + bcast_binomial(p, bytes, m),
         AllreduceArm::RecursiveDoubling => allreduce_rd(p, bytes, m),
         AllreduceArm::Rabenseifner => allreduce_rsag(p, bytes, m),
@@ -178,7 +150,7 @@ pub fn allreduce_rsag_traffic(p: usize, elems: u64) -> (u64, u64) {
 /// Exact traffic of the sum-allreduce the runtime selects for `elems`
 /// f64 elements over `p` ranks (the arm [`allreduce`] prices).
 pub fn allreduce_traffic(p: usize, elems: u64) -> (u64, u64) {
-    match allreduce_arm(p, 8.0 * elems as f64) {
+    match allreduce_arm(p, elems as usize) {
         AllreduceArm::Trees => allreduce_tree_traffic(p, elems),
         AllreduceArm::RecursiveDoubling => allreduce_rd_traffic(p, elems),
         AllreduceArm::Rabenseifner => allreduce_rsag_traffic(p, elems),
@@ -200,7 +172,7 @@ pub fn allgather_ring_traffic(p: usize, total_elems: u64) -> (u64, u64) {
 /// rank 0 + binomial rebroadcast) over `p` ranks with `elems` elements:
 /// every non-root rank moves one full payload in each half, so
 /// `2·(p − 1)` messages of `elems` elements. This is the path every
-/// ≤ [`COLL_SMALL_BYTES`] sum-allreduce takes — including CG's 8- and
+/// ≤ `COLL_SMALL_BYTES` sum-allreduce takes — including CG's 8- and
 /// 16-byte per-iteration reductions.
 pub fn allreduce_tree_traffic(p: usize, elems: u64) -> (u64, u64) {
     if p <= 1 {
@@ -319,9 +291,10 @@ mod tests {
             reduce_binomial(64, 512.0, &m) + bcast_binomial(64, 512.0, &m)
         );
         assert_eq!(allreduce(64, 520.0, &m), allreduce_rd(64, 520.0, &m));
-        let below = COLL_LARGE_BYTES - 8.0;
+        let large = greenla_mpi::coll::COLL_LARGE_BYTES as f64;
+        let below = large - 8.0;
         assert_eq!(allreduce(64, below, &m), allreduce_rd(64, below, &m));
-        let at = COLL_LARGE_BYTES;
+        let at = large;
         assert_eq!(allreduce(64, at, &m), allreduce_rsag(64, at, &m));
         // Fewer than four participants, or fewer elements than pieces:
         // recursive doubling whatever the size.

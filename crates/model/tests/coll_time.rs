@@ -24,6 +24,9 @@ use greenla_mpi::{Machine, RankCtx};
 /// same terms.
 const BAND: f64 = 1e-9;
 
+/// The runtime's large-payload allreduce threshold, in bytes.
+const LARGE: f64 = greenla_mpi::coll::COLL_LARGE_BYTES as f64;
+
 fn params() -> (MachineParams, MachineParams) {
     let inter = MachineParams::from_spec(&ClusterSpec::test_cluster(1, 4));
     let intra = MachineParams {
@@ -95,7 +98,7 @@ fn allreduce_makespan_matches_the_selected_form() {
                 continue;
             }
             let bytes = 8.0 * elems as f64;
-            let folded_rd = !p.is_power_of_two() && bytes < comm::COLL_LARGE_BYTES;
+            let folded_rd = !p.is_power_of_two() && bytes < LARGE;
             assert_priced(
                 &format!("allreduce of {size} over {p} ranks"),
                 p,
@@ -140,13 +143,13 @@ fn the_large_arm_never_loses_where_it_is_selected() {
     let (inter, intra) = params();
     for p in 4..=4096usize {
         for (name, m) in [("inter-node", &inter), ("intra-node", &intra)] {
-            let rsag = comm::allreduce_rsag(p, comm::COLL_LARGE_BYTES, m);
-            let rd = comm::allreduce_rd(p, comm::COLL_LARGE_BYTES, m);
+            let rsag = comm::allreduce_rsag(p, LARGE, m);
+            let rd = comm::allreduce_rd(p, LARGE, m);
             assert!(rsag <= rd, "p={p}, {name}: rsag {rsag:e} s > rd {rd:e} s");
         }
     }
     // And the threshold is not slack by a power of two: at half the size
     // four inter-node participants are still better off doubling.
-    let half = comm::COLL_LARGE_BYTES / 2.0;
+    let half = LARGE / 2.0;
     assert!(comm::allreduce_rsag(4, half, &inter) > comm::allreduce_rd(4, half, &inter));
 }

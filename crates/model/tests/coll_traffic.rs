@@ -82,18 +82,6 @@ fn ring_allgather_traffic_matches_the_closed_form() {
 }
 
 #[test]
-fn thresholds_mirror_the_runtime_constants() {
-    assert_eq!(
-        comm::COLL_SMALL_BYTES,
-        greenla_mpi::coll::COLL_SMALL_BYTES as f64
-    );
-    assert_eq!(
-        comm::COLL_LARGE_BYTES,
-        greenla_mpi::coll::COLL_LARGE_BYTES as f64
-    );
-}
-
-#[test]
 fn allreduce_traffic_follows_the_runtime_size_rule() {
     // Both sides of both thresholds, power-of-two and folded rank counts,
     // even and uneven halvings. The collective runs over the first `p`

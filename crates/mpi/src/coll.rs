@@ -51,7 +51,6 @@ const HEADER_CHUNK: u64 = 0xffffe;
 /// where the α and β terms cross for the simulated network (α ≈ 1.8 µs,
 /// β ≈ 1/12.5 GB/s: β·512 ≈ 41 ns ≪ α, so halving byte volume cannot pay
 /// for even one extra latency on the critical path below this size).
-/// `model::comm` mirrors this constant for its closed-form predictions.
 pub const COLL_SMALL_BYTES: u64 = 512;
 
 /// Sum-allreduces of at least this many bytes take Rabenseifner's
@@ -67,14 +66,14 @@ pub const COLL_SMALL_BYTES: u64 = 512;
 /// 128 KiB is the first power of two above every crossing, so the arm
 /// never loses to recursive doubling where it is selected (at p₂ = 2 the
 /// denominator is zero: same volume, twice the latency, never selected).
-/// `model::comm` mirrors this constant too.
 pub const COLL_LARGE_BYTES: u64 = 128 * 1024;
 
 /// The algorithm a sum-allreduce runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum AllreduceArm {
+pub enum AllreduceArm {
     /// Binomial reduce to rank 0 + binomial broadcast.
     Trees,
+    /// Full-payload exchanges over the butterfly.
     RecursiveDoubling,
     /// Recursive-halving reduce-scatter + recursive-doubling allgather.
     Rabenseifner,
@@ -84,8 +83,8 @@ enum AllreduceArm {
 /// runs — a pure function of the two, so every member of a communicator
 /// picks the same one. Recursive doubling keeps the payloads that are
 /// large in bytes but shorter than the `p₂` pieces the reduce-scatter
-/// must cut them into.
-fn allreduce_arm(p: usize, len: usize) -> AllreduceArm {
+/// must cut them into. `greenla_model::comm` prices the same rule.
+pub fn allreduce_arm(p: usize, len: usize) -> AllreduceArm {
     let bytes = 8 * len as u64;
     let p2 = prev_pow2(p);
     if bytes <= COLL_SMALL_BYTES {
