@@ -70,9 +70,10 @@ pub struct CrashFault {
 /// How a RAPL counter misbehaves from `from_s` onward.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum CounterFaultKind {
-    /// The counter accumulates an extra `extra_w` watts of phantom power,
-    /// wrapping the 32-bit register many times between reads (the
-    /// multi-wrap case `delta_joules_with_hint` reconstructs).
+    /// The counter accumulates an extra `extra_w` watts of phantom power:
+    /// every read of the socket from `from_s` on carries
+    /// `extra_w × (t − from_s)` joules it never drew. Nothing reconstructs
+    /// them, so the fault is injected and observed but never recovered.
     WrapStorm { extra_w: f64 },
     /// The counter freezes at its value at `from_s`.
     Stuck,

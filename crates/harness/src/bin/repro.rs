@@ -30,9 +30,11 @@
 //! `--exp none` runs no experiment (with `--trace-out`, only the trace
 //! export); any other unknown name exits 2, as does an unknown
 //! `--scheduler` value, a `--reps` that is not a positive count, a
-//! `--ranks` count that does not fill whole nodes under every layout, or a
-//! fault plan that cannot be read or parsed, has a key `FaultPlan` does
-//! not, or injects nothing.
+//! `--ranks` count that does not fill whole nodes under every layout, a
+//! `--ranks` given to a run that has no rank grid (neither the functional
+//! campaign — `fig3`…`fig7`, `summary`, `all`, `--check`, `--faults` —
+//! nor `scale`), or a fault plan that cannot be read or parsed, has a key
+//! `FaultPlan` does not, or injects nothing.
 //!
 //! `--exp scale` is the large-P smoke: it skips the solver campaign and
 //! drives one barrier + broadcast + allreduce workout at the largest
@@ -260,6 +262,14 @@ fn main() {
         || ["fig3", "fig4", "fig5", "fig6", "fig7", "summary"]
             .iter()
             .any(|e| wants(e));
+    // Only the campaign and `scale` (handled above) have a rank grid.
+    if args.ranks.is_some() && !needs_data {
+        eprintln!(
+            "--ranks sets the functional campaign's rank counts, which --exp {:?} does not run",
+            args.exp
+        );
+        std::process::exit(2);
+    }
     let dataset: Option<Dataset> = needs_data.then(|| {
         let mut grid = if args.smoke {
             FunctionalGrid::smoke()

@@ -4,10 +4,11 @@
 //! IMe and ScaLAPACK under different power configurations" (§6).
 //!
 //! Sweeps a RAPL package power cap from uncapped down to deep throttling,
-//! running both solvers under each cap on the simulated cluster: the cap
-//! programs `MSR_PKG_POWER_LIMIT` (via the simulated RAPL device) and the
-//! machine's DVFS model slows compute by `1/f` while dynamic power drops by
-//! `f³` — the classic energy/time trade-off surface.
+//! running both solvers under each cap on the simulated cluster. The cap is
+//! the machine's DVFS model ([`PowerModel::with_power_cap`]), fixed when the
+//! machine is built because a run's timing cannot be re-derived
+//! retroactively: compute slows by `1/f` while dynamic power drops by `f³`
+//! — the classic energy/time trade-off surface.
 
 use crate::config::SolverChoice;
 use crate::output::Table;
@@ -20,8 +21,7 @@ use greenla_monitor::monitoring::MonitorConfig;
 use greenla_monitor::protocol::monitored_run;
 use greenla_monitor::report::JobSummary;
 use greenla_mpi::SchedulerKind;
-use greenla_rapl::units::encode_power_limit;
-use greenla_rapl::{RaplSim, MSR_PKG_POWER_LIMIT};
+use greenla_rapl::RaplSim;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -63,20 +63,9 @@ pub fn sweep(n: usize, ranks: usize, fractions: &[f64], seed: u64) -> Vec<CapPoi
                 machine.power().clone(),
                 seed,
             ));
-            let limit = encode_power_limit(cap_w, &rapl.units());
             let run = machine.run(|ctx| {
                 let world = ctx.world();
                 monitored_run(ctx, &rapl, &MonitorConfig::default(), |ctx, _| {
-                    // The monitoring rank programs the cap into the MSR,
-                    // as a power-capping agent would.
-                    if ctx.rank() == 0 {
-                        for node_i in 0..ctx.placement().nodes_used() {
-                            for s in 0..2 {
-                                rapl.write_msr(node_i, s, MSR_PKG_POWER_LIMIT, limit)
-                                    .expect("program power cap");
-                            }
-                        }
-                    }
                     solve(ctx, &world, true, &inputs)
                 })
                 .unwrap()

@@ -19,7 +19,7 @@
 //! `DataPoint::from_runs`) and the Chrome-trace export go through all
 //! four, so a trace is a trace of the run the campaign measures. The
 //! power-cap sweep and the black-box power trace are different procedures
-//! on purpose (an MSR write, a sampling daemon) and wrap steps 1–3 in
+//! on purpose (a capped power model, a sampling daemon) and wrap steps 1–3 in
 //! their own choreography.
 
 use crate::config::{default_false, default_true, one_batch, FunctionalGrid, SolverChoice};

@@ -208,7 +208,8 @@ fn planned_crash_aborts_end_to_end() {
 fn wrap_storm_completes_and_is_accounted() {
     // A wrap-storm inflates the counters without killing the reads: the
     // run completes, stays numerically correct, and the report counts one
-    // counter fault.
+    // counter fault. Nothing reconstructs the phantom joules, so nothing
+    // is counted as recovered.
     let plan = FaultPlan {
         counters: vec![CounterFault {
             node: 0,
@@ -224,6 +225,7 @@ fn wrap_storm_completes_and_is_accounted() {
             let rep = m.fault_report.clone().expect("fault report present");
             assert_eq!(rep.injected.counter, 1, "{rep:?}");
             assert_eq!(rep.observed.counter, 1);
+            assert_eq!(rep.recovered.counter, 0, "{rep:?}");
         }
         Err(abort) => panic!("wrap storm must not abort: {abort}"),
     }

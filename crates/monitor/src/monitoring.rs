@@ -11,7 +11,7 @@ use crate::error::MonitorError;
 use crate::report::{NodeReport, PhaseReport};
 use greenla_papi::low::{EventSetId, Papi, PAPI_VER_CURRENT};
 use greenla_papi::powercap::paper_event_names;
-use greenla_papi::reader::NodeRapl;
+use greenla_papi::reader::{EnergyReader, NodeRapl};
 use greenla_papi::timer::real_usec;
 use greenla_rapl::RaplSim;
 use std::sync::Arc;
@@ -51,7 +51,7 @@ pub fn start_monitoring(
     now: f64,
 ) -> Result<Session, MonitorError> {
     let reader = NodeRapl::new(Arc::clone(rapl), node);
-    let sockets = reader.node_sockets();
+    let sockets = reader.sockets();
     // PWCAP_plot_init(): library + thread initialisation.
     let mut papi = Papi::library_init(PAPI_VER_CURRENT, reader)?;
     papi.thread_init()?;
@@ -131,17 +131,4 @@ pub fn end_monitoring(
         totals_uj: totals,
         phases,
     })
-}
-
-/// Socket count helper on [`NodeRapl`] (the PAPI reader hides it behind the
-/// component trait).
-trait NodeSockets {
-    fn node_sockets(&self) -> usize;
-}
-
-impl NodeSockets for NodeRapl {
-    fn node_sockets(&self) -> usize {
-        use greenla_papi::EnergyReader;
-        self.sockets()
-    }
 }

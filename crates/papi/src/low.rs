@@ -26,7 +26,6 @@ struct EventSet {
     state: SetState,
     /// µJ values latched at `start`, same order as `events`.
     start_uj: Vec<u64>,
-    start_time: f64,
 }
 
 /// An initialised PAPI library instance for one node, parameterised by its
@@ -65,7 +64,6 @@ impl<R: EnergyReader> Papi<R> {
             events: Vec::new(),
             state: SetState::Stopped,
             start_uj: Vec::new(),
-            start_time: 0.0,
         }));
         Ok(EventSetId(id))
     }
@@ -140,7 +138,6 @@ impl<R: EnergyReader> Papi<R> {
         let baseline = self.sample(&events, t)?;
         let set = self.set_mut(id)?;
         set.start_uj = baseline;
-        set.start_time = t;
         set.state = SetState::Running;
         Ok(())
     }
@@ -238,7 +235,7 @@ pub(crate) mod test_support {
                 Domain::Package => 100.0 * (socket + 1) as f64,
                 Domain::Pp0 => 60.0,
                 Domain::Dram => 10.0,
-                Domain::Pp1 => return Err(MsrError::UnsupportedRegister(0x641)),
+                Domain::Pp1 => return Err(MsrError::UnsupportedDomain(domain)),
             };
             Ok((w * t * 1e6) as u64)
         }

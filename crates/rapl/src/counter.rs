@@ -1,5 +1,4 @@
-//! Energy-status counter behaviour: unit conversion, 32-bit wrap-around and
-//! ~1 ms update quantisation.
+//! Energy-status counter behaviour: the ~1 ms update quantisation.
 
 /// Counters are updated "approximately once a millisecond (due to jitter)"
 /// (paper §2.3). We quantise reads onto a 1 ms grid shifted by a per-domain
@@ -15,56 +14,6 @@ pub fn quantize_read_time(t: f64, phase: f64) -> f64 {
     }
     let ticks = ((t - phase) / UPDATE_PERIOD_S).floor();
     (ticks * UPDATE_PERIOD_S + phase).max(0.0)
-}
-
-/// Convert cumulative joules into a wrapped 32-bit count in the given energy
-/// unit.
-pub fn joules_to_count(joules: f64, unit_j: f64) -> u64 {
-    debug_assert!(joules >= 0.0 && unit_j > 0.0);
-    let counts = (joules / unit_j) as u128;
-    (counts % (1u128 << 32)) as u64
-}
-
-/// Reconstruct the energy delta between two wrapped counter reads
-/// (`later` read after `earlier`) — the correction every RAPL consumer
-/// must apply.
-///
-/// **Single-wrap assumption.** Two reads of a 32-bit counter are
-/// ambiguous modulo the wrap range (≈ 262144 J at the 2⁻¹⁴ J package
-/// unit): this function assumes *at most one* wrap happened between them,
-/// which holds whenever the sampling interval is shorter than
-/// `range / power` (~ half an hour at 150 W). A misbehaving counter — or
-/// a wrap-storm fault — can cross the range several times between reads;
-/// use [`delta_joules_with_hint`] with an independent energy estimate to
-/// disambiguate those.
-pub fn delta_joules(earlier: u64, later: u64, unit_j: f64) -> f64 {
-    let diff = if later >= earlier {
-        later - earlier
-    } else {
-        later + (1u64 << 32) - earlier
-    };
-    diff as f64 * unit_j
-}
-
-/// The full span of a 32-bit counter in joules (the wrap period).
-pub fn wrap_range_j(unit_j: f64) -> f64 {
-    unit_j * (1u64 << 32) as f64
-}
-
-/// Reconstruct the energy delta between two wrapped reads when *multiple*
-/// wraps may have occurred, using `expected_j` — an independent estimate
-/// of the energy consumed between the reads (power model × elapsed time,
-/// nominal TDP × interval, …) — to pick the number of extra wraps.
-///
-/// The counter pins the delta modulo the wrap range; the hint selects the
-/// congruent value closest to the expectation. The result is exact (up to
-/// one counter unit) whenever the hint is within half a wrap range
-/// (≈ ±131072 J for the package domain) of the true delta.
-pub fn delta_joules_with_hint(earlier: u64, later: u64, unit_j: f64, expected_j: f64) -> f64 {
-    let base = delta_joules(earlier, later, unit_j); // in [0, range)
-    let range = wrap_range_j(unit_j);
-    let extra_wraps = ((expected_j - base) / range).round().max(0.0);
-    base + extra_wraps * range
 }
 
 #[cfg(test)]
@@ -83,112 +32,5 @@ mod tests {
         let a = quantize_read_time(0.00540, 0.0);
         let b = quantize_read_time(0.00599, 0.0);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn wrap_around() {
-        let unit = 6.103515625e-5; // 2^-14 J
-        let range = unit * 4.294967296e9; // 2^32 counts ≈ 262144 J
-        let just_under = range - unit;
-        let just_over = range + unit;
-        let c_under = joules_to_count(just_under, unit);
-        let c_over = joules_to_count(just_over, unit);
-        assert_eq!(c_under, (1u64 << 32) - 1);
-        assert_eq!(c_over, 1);
-    }
-
-    #[test]
-    fn delta_handles_single_wrap() {
-        let unit = 2.0f64.powi(-14);
-        let e1 = 262_100.0; // J, near wrap (range ≈ 262144 J)
-        let e2 = 262_200.0; // J, past wrap
-        let c1 = joules_to_count(e1, unit);
-        let c2 = joules_to_count(e2, unit);
-        assert!(c2 < c1, "expected wrapped counter");
-        let d = delta_joules(c1, c2, unit);
-        assert!((d - 100.0).abs() < 0.01, "delta {d}");
-    }
-
-    #[test]
-    fn hinted_delta_recovers_multi_wrap() {
-        let unit = 2.0f64.powi(-14);
-        let range = wrap_range_j(unit); // ≈ 262144 J
-        let e1 = 1000.0;
-        // 3 full wraps plus a bit between the reads — the single-wrap
-        // reconstruction is off by exactly 3 ranges.
-        let true_delta = 3.0 * range + 5000.0;
-        let e2 = e1 + true_delta;
-        let c1 = joules_to_count(e1, unit);
-        let c2 = joules_to_count(e2, unit);
-        let naive = delta_joules(c1, c2, unit);
-        assert!((naive - 5000.0).abs() < 0.01, "naive sees only the residue");
-        // Hints anywhere within ±range/2 of the truth disambiguate.
-        for hint in [
-            true_delta,
-            true_delta - 0.4 * range,
-            true_delta + 0.4 * range,
-        ] {
-            let d = delta_joules_with_hint(c1, c2, unit, hint);
-            assert!(
-                (d - true_delta).abs() < 0.01,
-                "hint {hint}: got {d}, want {true_delta}"
-            );
-        }
-    }
-
-    #[test]
-    fn hinted_delta_at_the_wrap_boundary() {
-        // The 262144 J boundary itself: deltas of exactly 0, 1 and 2 wrap
-        // ranges all produce identical counter readings; only the hint
-        // separates them.
-        let unit = 2.0f64.powi(-14);
-        let range = wrap_range_j(unit);
-        assert!((range - 262144.0).abs() < 1e-6, "range is 262144 J");
-        let c1 = joules_to_count(100.0, unit);
-        for wraps in 0..3 {
-            let true_delta = wraps as f64 * range;
-            let c2 = joules_to_count(100.0 + true_delta, unit);
-            assert_eq!(c1, c2, "boundary crossings are invisible in the count");
-            let d = delta_joules_with_hint(c1, c2, unit, true_delta + 10.0);
-            assert!(
-                (d - true_delta).abs() < 0.01,
-                "wraps={wraps}: got {d}, want {true_delta}"
-            );
-        }
-    }
-
-    #[test]
-    fn hinted_delta_matches_plain_delta_below_one_wrap() {
-        // With a sane hint and < 1 wrap, the hinted variant degenerates to
-        // the classic reconstruction (including the single-wrap case).
-        let unit = 2.0f64.powi(-14);
-        let pairs = [(10.0, 20.0), (262_100.0, 262_200.0)];
-        for (e1, e2) in pairs {
-            let c1 = joules_to_count(e1, unit);
-            let c2 = joules_to_count(e2, unit);
-            let plain = delta_joules(c1, c2, unit);
-            let hinted = delta_joules_with_hint(c1, c2, unit, e2 - e1);
-            assert_eq!(plain.to_bits(), hinted.to_bits());
-        }
-    }
-
-    #[test]
-    fn hinted_delta_never_goes_negative() {
-        let unit = 2.0f64.powi(-14);
-        let c1 = joules_to_count(50.0, unit);
-        let c2 = joules_to_count(60.0, unit);
-        // A wildly wrong (negative-ish) hint must not drag the delta below
-        // the counter-pinned residue.
-        let d = delta_joules_with_hint(c1, c2, unit, -1.0e9);
-        assert!((d - 10.0).abs() < 0.01, "got {d}");
-    }
-
-    #[test]
-    fn monotone_without_wrap() {
-        let unit = 2.0f64.powi(-14);
-        let c1 = joules_to_count(10.0, unit);
-        let c2 = joules_to_count(20.0, unit);
-        assert!(c2 > c1);
-        assert!((delta_joules(c1, c2, unit) - 10.0).abs() < 1e-3);
     }
 }

@@ -2,38 +2,31 @@
 //! # greenla-rapl
 //!
 //! A functional simulation of Intel's Running Average Power Limit (RAPL)
-//! energy-reporting interface, faithful to the properties real RAPL readers
-//! must deal with:
+//! energy counters as PAPI's powercap component exposes them: one
+//! cumulative microjoule read per `(node, socket, domain)` at a virtual
+//! time, faithful to the properties real RAPL readers must deal with:
 //!
-//! * energy is exposed through **model-specific registers** at the real
-//!   addresses (`MSR_RAPL_POWER_UNIT` 0x606, `PKG_ENERGY_STATUS` 0x611,
-//!   `DRAM_ENERGY_STATUS` 0x619, `PP0_ENERGY_STATUS` 0x639);
-//! * counters are **32-bit and wrap around**;
-//! * raw counts are in **RAPL energy units** that must be decoded from
-//!   `MSR_RAPL_POWER_UNIT` — and on Skylake-SP the DRAM domain uses a fixed
-//!   2⁻¹⁶ J unit regardless of what the unit register says, a real-world
-//!   quirk reproduced here;
 //! * counters update roughly **once per millisecond with jitter**, so two
 //!   immediate reads may return the same value;
-//! * access requires the **msr driver** with read permission, and reading
-//!   an unsupported domain fails.
+//! * the advertised wrap range (`max_energy_range_uj`) is 2³² counts of
+//!   the **RAPL energy unit** decoded for the CPU model — and on
+//!   Skylake-SP the DRAM domain uses a fixed 2⁻¹⁶ J unit regardless of
+//!   what the unit register says, a real-world quirk reproduced here;
+//! * reading a node, socket or domain the machine does not have fails
+//!   (server parts have no PP1 plane), and planned counter faults can
+//!   freeze a counter, pile phantom joules on it or fail its reads.
 //!
 //! The counters are backed by the [`greenla_cluster`] power model integrated
 //! over the activity ledger that the simulated MPI runtime fills in, so a
 //! read at virtual time *t* reports exactly the energy the model says the
-//! domain consumed in `[0, t]`.
+//! domain consumed in `[0, t]`, quantised to the counter's update grid.
 
 pub mod counter;
 pub mod cpuid;
 pub mod domains;
-pub mod msr;
 pub mod sim;
 pub mod units;
 
 pub use domains::Domain;
-pub use msr::{
-    MsrError, MSR_DRAM_ENERGY_STATUS, MSR_PKG_ENERGY_STATUS, MSR_PKG_POWER_LIMIT,
-    MSR_PP0_ENERGY_STATUS, MSR_RAPL_POWER_UNIT,
-};
-pub use sim::RaplSim;
+pub use sim::{MsrError, RaplSim};
 pub use units::RaplUnits;

@@ -1,6 +1,7 @@
-//! RAPL unit decoding.
+//! RAPL unit decoding: the energy unit behind each domain's wrap range.
 //!
-//! `MSR_RAPL_POWER_UNIT` packs three fields:
+//! The power-unit register (`MSR_RAPL_POWER_UNIT` on hardware) packs three
+//! fields:
 //!
 //! * bits 3:0 — power unit, `1 / 2^PU` watts;
 //! * bits 12:8 — energy status unit, `1 / 2^ESU` joules;
@@ -20,7 +21,7 @@ pub const SKX_RAPL_POWER_UNIT: u64 = (10 << 16) | (14 << 8) | 3;
 /// Decoded RAPL units for one CPU.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RaplUnits {
-    /// Watts per power-limit count.
+    /// Watts per power count.
     pub power_w: f64,
     /// Joules per energy count (PKG and PP0 domains).
     pub energy_j: f64,
@@ -51,37 +52,10 @@ impl RaplUnits {
     }
 }
 
-/// Encode a package power limit in watts into the `MSR_PKG_POWER_LIMIT`
-/// PL1 field (bits 14:0 = limit in power units, bit 15 = enable).
-pub fn encode_power_limit(watts: f64, units: &RaplUnits) -> u64 {
-    let counts = (watts / units.power_w).round().min(0x7fff as f64).max(0.0) as u64;
-    counts | (1 << 15)
-}
-
-/// Decode the PL1 field of `MSR_PKG_POWER_LIMIT`; `None` when the enable
-/// bit is clear.
-pub fn decode_power_limit(raw: u64, units: &RaplUnits) -> Option<f64> {
-    if raw & (1 << 15) == 0 {
-        return None;
-    }
-    Some((raw & 0x7fff) as f64 * units.power_w)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cpuid::CpuModel;
-
-    #[test]
-    fn power_limit_roundtrip() {
-        let u = RaplUnits::decode(SKX_RAPL_POWER_UNIT, CpuModel::skylake_sp());
-        for w in [50.0, 100.0, 150.0] {
-            let raw = encode_power_limit(w, &u);
-            let back = decode_power_limit(raw, &u).unwrap();
-            assert!((back - w).abs() <= u.power_w, "{back} vs {w}");
-        }
-        assert_eq!(decode_power_limit(0x1000, &u), None, "enable bit clear");
-    }
 
     #[test]
     fn skylake_units() {

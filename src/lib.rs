@@ -13,7 +13,8 @@
 //!   Slurm-style placement (the paper's Table 1), power model;
 //! * [`mpi`] — the virtual-time MPI runtime (rank threads, communicators,
 //!   collectives, traffic accounting);
-//! * [`rapl`] — simulated RAPL MSRs (units, 32-bit wrap, ~1 ms updates);
+//! * [`rapl`] — simulated RAPL energy counters (powercap µJ reads, ~1 ms
+//!   updates, unit-decoded wrap ranges, counter faults);
 //! * [`papi`] — the PAPI-like counter API with the powercap component;
 //! * [`monitor`] — the paper's white-box per-node monitoring framework;
 //! * [`ime`] — the Inhibition Method (sequential, parallel, fault-tolerant);
