@@ -7,7 +7,7 @@ use crate::event::{Observers, RankEvent};
 use crate::mailbox::Mailboxes;
 use crate::registry::{Registry, SplitEntry};
 use crate::sched::WakeReason;
-use crate::traffic::Traffic;
+use crate::traffic::TrafficSnapshot;
 use greenla_check::{CollEvent, CollKind};
 use greenla_cluster::ledger::{ActivityKind, Interval, Ledger};
 use greenla_cluster::placement::Placement;
@@ -32,7 +32,9 @@ pub struct RankCtx<'m> {
     pub(crate) spec: &'m ClusterSpec,
     pub(crate) perf_mult: f64,
     pub(crate) ledger: &'m Ledger,
-    pub(crate) traffic: &'m Traffic,
+    /// This rank's own sends; the machine adds them to its [`crate::Traffic`]
+    /// when the body ends, so sends touch no shared counter.
+    pub(crate) traffic: TrafficSnapshot,
     pub(crate) registry: &'m Registry,
     pub(crate) placement: &'m Placement,
     pub(crate) mail: &'m Mailboxes,

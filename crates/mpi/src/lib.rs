@@ -20,9 +20,10 @@
 //!
 //! While ranks run, the engine records every busy interval into the
 //! [`greenla_cluster::Ledger`], which the simulated RAPL layer integrates
-//! into energy counters. Message counts and volumes are tallied in
-//! [`traffic::Traffic`] so the paper's closed-form communication formulas
-//! can be checked against actual runs.
+//! into energy counters. Each rank tallies the messages it sends and their
+//! volume, and adds the tally to [`traffic::Traffic`] when it ends, so the
+//! paper's closed-form communication formulas can be checked against
+//! actual runs.
 //!
 //! The API mirrors the MPI subset the paper's framework uses:
 //! `MPI_Comm_split_type(MPI_COMM_TYPE_SHARED)` → [`RankCtx::split_shared`],

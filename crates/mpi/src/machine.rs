@@ -254,7 +254,7 @@ impl Machine {
                 spec: &self.spec,
                 perf_mult,
                 ledger: &self.ledger,
-                traffic: &self.traffic,
+                traffic: TrafficSnapshot::default(),
                 registry: &registry,
                 placement: &self.placement,
                 mail: &mail,
@@ -293,6 +293,9 @@ impl Machine {
                     });
                 }
             }
+            // Every exit path: what an aborted rank sent still crossed the
+            // wire.
+            self.traffic.add(&ctx.traffic);
         };
         let run_rank = &run_rank;
         mail.engine().run(
@@ -481,6 +484,37 @@ mod tests {
         let diff = m.traffic().snapshot().since(&before);
         assert_eq!(diff.msgs, 7, "binomial bcast must send P-1 messages");
         assert_eq!(diff.volume_elems(), 700);
+    }
+
+    #[test]
+    fn an_aborted_run_still_counts_what_its_ranks_sent() {
+        // Rank 0 sends and then panics; rank 1 sends and then waits for a
+        // message that never comes, so it leaves by the poison unwind.
+        // Both sends crossed the wire and must be in the tally.
+        let m = machine(8);
+        let abort = m
+            .try_run(|ctx| {
+                let world = ctx.world();
+                match ctx.rank() {
+                    0 => {
+                        ctx.send_f64(&world, 1, 7, &[1.0; 4]);
+                        panic!("rank 0 dies after its send");
+                    }
+                    1 => {
+                        ctx.send_f64(&world, 2, 7, &[1.0; 2]);
+                        ctx.recv_f64(&world, 0, 8);
+                    }
+                    2 => {
+                        ctx.recv_f64(&world, 1, 7);
+                    }
+                    _ => {}
+                }
+            })
+            .err()
+            .expect("the panic aborts the run");
+        assert_eq!((abort.rank, abort.kind), (0, AbortKind::Panic));
+        let sent = m.traffic().snapshot();
+        assert_eq!((sent.msgs, sent.volume_elems()), (2, 6));
     }
 
     #[test]

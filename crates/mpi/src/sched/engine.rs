@@ -10,7 +10,10 @@
 //!   *home worker*; a wake pushes the task onto its home worker's run
 //!   queue and only that worker ever resumes it. Stacks come from one
 //!   anonymous mapping, and workers are `thread::scope` threads that park
-//!   on a condvar when their queue drains. Blocking switches stacks.
+//!   on a condvar when their queue drains. A wake signals that condvar
+//!   only when the home worker is parked on it — a worker that is awake
+//!   (the waker itself, often) finds the task on its next pop, so the
+//!   common wake costs no syscall. Blocking switches stacks.
 //! * **OS threads** (`ThreadPerRank`): every task's body runs directly on
 //!   its own scoped thread. Blocking waits on the task's condvar, a wake
 //!   notifies it. No stack pool, no assembly, no `unsafe` — so this
@@ -161,9 +164,20 @@ impl Drop for StackPool {
     }
 }
 
+/// One fiber worker's run queue and the condvar it sleeps on.
 struct WorkerQueue {
-    q: Mutex<VecDeque<usize>>,
+    q: Mutex<RunQueue>,
     cv: Condvar,
+}
+
+/// What a worker's mutex guards: its queued task ids, and whether the
+/// worker is asleep on `cv` — set just before it waits, cleared when the
+/// wait returns, both under the lock, so a waker that reads `parked` under
+/// the same lock knows whether anyone needs the signal.
+#[derive(Default)]
+struct RunQueue {
+    tasks: VecDeque<usize>,
+    parked: bool,
 }
 
 /// The one worker that ever resumes fiber `tid` (see the module docs).
@@ -244,7 +258,7 @@ impl Engine {
                 Carrier::Fibers {
                     workers: (0..workers.min(ntasks.max(1)))
                         .map(|_| WorkerQueue {
-                            q: Mutex::new(VecDeque::new()),
+                            q: Mutex::new(RunQueue::default()),
                             cv: Condvar::new(),
                         })
                         .collect(),
@@ -337,7 +351,7 @@ impl Engine {
         }
         // Seed each task on its home worker in ascending id order.
         for tid in 0..self.tasks.len() {
-            home(workers, tid).q.lock().push_back(tid);
+            home(workers, tid).q.lock().tasks.push_back(tid);
         }
         std::thread::scope(|scope| {
             for w in workers {
@@ -352,13 +366,15 @@ impl Engine {
             let tid = {
                 let mut q = w.q.lock();
                 loop {
-                    if let Some(t) = q.pop_front() {
+                    if let Some(t) = q.tasks.pop_front() {
                         break Some(t);
                     }
                     if self.done.load(Ordering::SeqCst) == n {
                         break None;
                     }
+                    q.parked = true;
                     w.cv.wait(&mut q);
+                    q.parked = false;
                 }
             };
             match tid {
@@ -460,8 +476,17 @@ impl Engine {
                     Carrier::Threads => slot.parked.notify_one(),
                     Carrier::Fibers { workers, .. } => {
                         let w = home(workers, tid);
-                        w.q.lock().push_back(tid);
-                        w.cv.notify_one();
+                        let parked = {
+                            let mut q = w.q.lock();
+                            q.tasks.push_back(tid);
+                            q.parked
+                        };
+                        // An awake home worker pops the task before it
+                        // can park again, so only a sleeping one needs
+                        // the signal.
+                        if parked {
+                            w.cv.notify_one();
+                        }
                     }
                 }
             }
@@ -669,6 +694,108 @@ mod tests {
                 }
             });
             assert!(saw_orphan.load(Ordering::SeqCst));
+        }
+    }
+
+    /// The OS-thread carrier once, and the fiber carrier on 1, 2 and 3
+    /// workers: every way the wake protocol can split tasks across homes.
+    fn stress_carriers() -> Vec<(SchedulerKind, Option<usize>)> {
+        let mut all = carriers(1);
+        if fiber::supported() {
+            all.extend([2, 3].map(|w| (SchedulerKind::EventDriven, Some(w))));
+        }
+        all
+    }
+
+    /// Run `f` on a thread of its own and fail if it has not returned
+    /// within a minute. A lost wake leaves a task queued on a sleeping
+    /// worker; `active` still counts it runnable, so no peer ever sees
+    /// `Quiescent` and the run would hang instead of failing.
+    fn terminates(what: String, f: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            f();
+            let _ = tx.send(());
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(()) => {}
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("{what}: still running after 60 s (lost wakeup?)")
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => panic!("{what}: panicked"),
+        }
+    }
+
+    #[test]
+    fn cross_worker_ping_pong_loses_no_wake() {
+        // Tasks 0 and 1 (different homes on 2 and 3 workers) hand a turn
+        // back and forth; each wakes the other and blocks until its turn
+        // comes round again.
+        const ROUNDS: usize = 10_000;
+        for carrier in stress_carriers() {
+            terminates(format!("ping-pong on {carrier:?}"), move || {
+                let turn = AtomicUsize::new(0);
+                run_engine(2, carrier, |i, engine| loop {
+                    let t = turn.load(Ordering::SeqCst);
+                    if t >= 2 * ROUNDS {
+                        break;
+                    }
+                    if t % 2 == i {
+                        turn.store(t + 1, Ordering::SeqCst);
+                        engine.wake(1 - i);
+                    } else {
+                        assert_eq!(engine.block_current(), WakeReason::Woken);
+                    }
+                });
+                assert_eq!(turn.load(Ordering::SeqCst), 2 * ROUNDS);
+            });
+        }
+    }
+
+    #[test]
+    fn fan_in_wake_storm_loses_no_wake() {
+        // Senders 1..=N each post ROUNDS times to task 0 and wake it,
+        // waiting for task 0's acknowledgement between posts; task 0
+        // acknowledges every post it finds and wakes its sender. Task 0's
+        // home sees a storm of concurrent wakes from every other worker.
+        const SENDERS: usize = 63;
+        const ROUNDS: usize = 200;
+        for carrier in stress_carriers() {
+            terminates(format!("fan-in on {carrier:?}"), move || {
+                let sent: Vec<AtomicUsize> = (0..=SENDERS).map(|_| AtomicUsize::new(0)).collect();
+                let acked: Vec<AtomicUsize> = (0..=SENDERS).map(|_| AtomicUsize::new(0)).collect();
+                run_engine(SENDERS + 1, carrier, |i, engine| {
+                    if i == 0 {
+                        let mut received = 0;
+                        while received < SENDERS * ROUNDS {
+                            let mut progress = false;
+                            for s in 1..=SENDERS {
+                                let posted = sent[s].load(Ordering::SeqCst);
+                                if posted > acked[s].load(Ordering::SeqCst) {
+                                    acked[s].store(posted, Ordering::SeqCst);
+                                    received += 1;
+                                    progress = true;
+                                    engine.wake(s);
+                                }
+                            }
+                            if !progress {
+                                assert_eq!(engine.block_current(), WakeReason::Woken);
+                            }
+                        }
+                    } else {
+                        for r in 0..ROUNDS {
+                            while acked[i].load(Ordering::SeqCst) < r {
+                                assert_eq!(engine.block_current(), WakeReason::Woken);
+                            }
+                            sent[i].store(r + 1, Ordering::SeqCst);
+                            engine.wake(0);
+                        }
+                    }
+                });
+                assert!(acked[1..]
+                    .iter()
+                    .all(|a| a.load(Ordering::SeqCst) == ROUNDS));
+            });
         }
     }
 

@@ -2,15 +2,17 @@
 //!
 //! The paper characterises IMeP by its total number of messages `M` and
 //! volume `V` (in floating-point elements); these counters let tests compare
-//! a real simulated run against those closed forms. Counters are updated by
-//! every point-to-point send — collectives are trees of sends, so a
-//! broadcast over `P` ranks counts `P − 1` messages, matching the paper's
-//! accounting.
+//! a real simulated run against those closed forms. Every point-to-point
+//! send is counted — collectives are trees of sends, so a broadcast over
+//! `P` ranks counts `P − 1` messages, matching the paper's accounting.
+//! Each rank tallies its own sends in a plain [`TrafficSnapshot`] and adds
+//! it to the machine's [`Traffic`] once, when its body ends.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Cluster-wide traffic counters (lock-free; relaxed ordering is fine for
-/// statistics that are only read after the run joins).
+/// Cluster-wide traffic counters. Ranks add their tallies when their
+/// bodies end, so the counters are complete — and only meant to be read —
+/// once the run joins (relaxed ordering suffices: the join orders them).
 #[derive(Default)]
 pub struct Traffic {
     msgs: AtomicU64,
@@ -19,8 +21,8 @@ pub struct Traffic {
     intra_node_bytes: AtomicU64,
 }
 
-/// A point-in-time copy of the counters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// A point-in-time copy of the counters, or one rank's running tally.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TrafficSnapshot {
     /// Total point-to-point messages.
     pub msgs: u64,
@@ -36,6 +38,16 @@ impl TrafficSnapshot {
     /// Volume in f64 elements, the unit the paper uses.
     pub fn volume_elems(&self) -> u64 {
         self.bytes / 8
+    }
+
+    /// Count one message of `bytes` payload bytes.
+    pub fn record(&mut self, bytes: u64, intra_node: bool) {
+        self.msgs += 1;
+        self.bytes += bytes;
+        if intra_node {
+            self.intra_node_msgs += 1;
+            self.intra_node_bytes += bytes;
+        }
     }
 
     /// Counters accumulated since an earlier snapshot.
@@ -54,14 +66,14 @@ impl Traffic {
         Self::default()
     }
 
-    /// Record one message of `bytes` payload bytes.
-    pub fn record(&self, bytes: u64, intra_node: bool) {
-        self.msgs.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        if intra_node {
-            self.intra_node_msgs.fetch_add(1, Ordering::Relaxed);
-            self.intra_node_bytes.fetch_add(bytes, Ordering::Relaxed);
-        }
+    /// Add one rank's tally.
+    pub fn add(&self, tally: &TrafficSnapshot) {
+        self.msgs.fetch_add(tally.msgs, Ordering::Relaxed);
+        self.bytes.fetch_add(tally.bytes, Ordering::Relaxed);
+        self.intra_node_msgs
+            .fetch_add(tally.intra_node_msgs, Ordering::Relaxed);
+        self.intra_node_bytes
+            .fetch_add(tally.intra_node_bytes, Ordering::Relaxed);
     }
 
     /// Copy the current counter values.
@@ -79,12 +91,21 @@ impl Traffic {
 mod tests {
     use super::*;
 
+    /// The machine's counters after one rank that sent one message of
+    /// each of `sizes` (`(bytes, intra_node)`).
+    fn one_rank(sizes: &[(u64, bool)]) -> Traffic {
+        let mut tally = TrafficSnapshot::default();
+        for &(bytes, intra) in sizes {
+            tally.record(bytes, intra);
+        }
+        let t = Traffic::new();
+        t.add(&tally);
+        t
+    }
+
     #[test]
     fn records_and_splits_by_locality() {
-        let t = Traffic::new();
-        t.record(100, true);
-        t.record(50, false);
-        let s = t.snapshot();
+        let s = one_rank(&[(100, true), (50, false)]).snapshot();
         assert_eq!(s.msgs, 2);
         assert_eq!(s.bytes, 150);
         assert_eq!(s.intra_node_msgs, 1);
@@ -93,17 +114,14 @@ mod tests {
 
     #[test]
     fn volume_in_elements() {
-        let t = Traffic::new();
-        t.record(80, false);
-        assert_eq!(t.snapshot().volume_elems(), 10);
+        assert_eq!(one_rank(&[(80, false)]).snapshot().volume_elems(), 10);
     }
 
     #[test]
     fn since_subtracts() {
-        let t = Traffic::new();
-        t.record(8, false);
+        let t = one_rank(&[(8, false)]);
         let early = t.snapshot();
-        t.record(16, true);
+        t.add(&one_rank(&[(16, true)]).snapshot());
         let diff = t.snapshot().since(&early);
         assert_eq!(diff.msgs, 1);
         assert_eq!(diff.bytes, 16);

@@ -8,9 +8,6 @@ pub enum LuError {
     /// `U(col, col)` is exactly zero: the matrix is singular to working
     /// precision and the solve cannot proceed.
     Singular { col: usize },
-    /// Cholesky hit a non-positive diagonal pivot: the matrix is not
-    /// positive definite (LAPACK `dpotrf`'s `INFO > 0`).
-    NotPositiveDefinite { col: usize },
 }
 
 impl fmt::Display for LuError {
@@ -18,12 +15,6 @@ impl fmt::Display for LuError {
         match self {
             LuError::Singular { col } => {
                 write!(f, "matrix is singular: zero pivot at column {col}")
-            }
-            LuError::NotPositiveDefinite { col } => {
-                write!(
-                    f,
-                    "matrix is not positive definite: non-positive pivot at column {col}"
-                )
             }
         }
     }

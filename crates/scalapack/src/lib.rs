@@ -25,7 +25,6 @@ pub mod grid;
 pub mod pdgesv;
 pub mod pdgetrf;
 pub mod pdgetrs;
-pub mod potrf;
 
 pub use desc::BlockDesc;
 pub use error::LuError;
