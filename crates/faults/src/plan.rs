@@ -182,16 +182,9 @@ impl FaultPlan {
         plan
     }
 
-    /// A seeded plan containing only *recoverable* faults: every injected
-    /// fault is absorbed by a retry, a discard, a degradation or a
-    /// checksum recovery, so the run completes and produces a
-    /// [`crate::FaultReport`]. Used by determinism tests, which compare
-    /// completed runs bit for bit across schedulers.
-    pub fn recoverable_seeded(seed: u64, shape: &PlanShape) -> FaultPlan {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5AFE_5AFE);
-        Self::recoverable_draws(&mut rng, seed, shape)
-    }
-
+    /// The recoverable share of a [`seeded`](Self::seeded) plan: every
+    /// fault it draws is absorbed by a retry, a discard, a degradation or a
+    /// checksum recovery.
     fn recoverable_draws(rng: &mut ChaCha8Rng, seed: u64, shape: &PlanShape) -> FaultPlan {
         let mut plan = FaultPlan {
             seed,
@@ -264,25 +257,6 @@ mod tests {
                 FaultPlan::seeded(seed, &shape()),
                 FaultPlan::seeded(seed, &shape())
             );
-            assert_eq!(
-                FaultPlan::recoverable_seeded(seed, &shape()),
-                FaultPlan::recoverable_seeded(seed, &shape())
-            );
-        }
-    }
-
-    #[test]
-    fn recoverable_plans_have_no_fatal_faults() {
-        for seed in 0..200 {
-            let p = FaultPlan::recoverable_seeded(seed, &shape());
-            assert!(p.crashes.is_empty(), "seed {seed}");
-            for m in &p.messages {
-                if let MsgFaultKind::Drop { count } = m.kind {
-                    assert!(count <= MAX_SEND_RETRIES, "seed {seed}");
-                }
-            }
-            assert!(p.monitor_deaths.len() < shape().nodes, "seed {seed}");
-            assert!(!p.is_empty(), "seeded plans always inject something");
         }
     }
 

@@ -30,7 +30,7 @@ use greenla_cluster::{Interconnect, PowerModel};
 use greenla_ime::par::ImepOptions;
 use greenla_ime::solve_imep;
 use greenla_linalg::flops;
-use greenla_linalg::generate::{LinearSystem, SystemKind};
+use greenla_linalg::generate::{DenseSystem, LinearSystem, SystemKind};
 use greenla_linalg::sparse::{CsrMatrix, SparseKind, SparseSystem};
 use greenla_monitor::monitoring::MonitorConfig;
 use greenla_monitor::protocol::monitored_run;
@@ -40,7 +40,7 @@ use greenla_mpi::{
     SchedulerKind, TraceSink, Violation,
 };
 use greenla_rapl::RaplSim;
-use greenla_scalapack::pdgesv::pdgesv;
+use greenla_scalapack::pdgesv::pdgesv_columns;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -161,8 +161,10 @@ pub fn build_machine(
 pub enum Inputs {
     /// IMeP with its protocol options, on the replicated dense system.
     Ime(LinearSystem, ImepOptions),
-    /// `pdgesv` with block size `nb`, on the replicated dense system.
-    ScaLapack(LinearSystem, usize),
+    /// `pdgesv` with block size `nb`. Each rank reads only its own blocks,
+    /// so a seeded system (`DiagDominant` from [`Inputs::prepare`]) is
+    /// never built whole.
+    ScaLapack(DenseSystem, usize),
     /// CG (`true`: Jacobi-preconditioned) on the system in CSR — never a
     /// dense matrix when the configuration names a stencil.
     Cg(SparseSystem, bool),
@@ -175,7 +177,7 @@ impl Inputs {
             SolverChoice::Ime { .. } => {
                 Inputs::Ime(dense, solver.imep_options().expect("IMe has options"))
             }
-            SolverChoice::ScaLapack { nb } => Inputs::ScaLapack(dense, nb),
+            SolverChoice::ScaLapack { nb } => Inputs::ScaLapack(DenseSystem::Stored(dense), nb),
             SolverChoice::Cg { jacobi } => Inputs::Cg(
                 SparseSystem {
                     a: CsrMatrix::from_dense(&dense.a),
@@ -191,11 +193,17 @@ impl Inputs {
     /// only — the same system for every repetition, as the paper's
     /// file-based inputs guarantee. CG on `Poisson2d` is built in CSR
     /// directly: `laplace2d` is `poisson2d` entry for entry and bit for bit.
+    /// `pdgesv` gets its system as [`DenseSystem::generate`] makes it:
+    /// seeded for `DiagDominant` (O(n) held, the ranks draw their blocks),
+    /// stored otherwise.
     pub fn prepare(cfg: &RunConfig) -> Inputs {
         let system_seed = (cfg.n as u64) << 32 | cfg.ranks as u64;
         match (cfg.solver, cfg.system) {
             (SolverChoice::Cg { jacobi }, SystemKind::Poisson2d) => {
                 Inputs::Cg(SparseKind::Laplace2d.generate(cfg.n, system_seed), jacobi)
+            }
+            (SolverChoice::ScaLapack { nb }, kind) => {
+                Inputs::ScaLapack(DenseSystem::generate(kind, cfg.n, system_seed), nb)
             }
             _ => Inputs::from_system(cfg.solver, cfg.system.generate(cfg.n, system_seed)),
         }
@@ -205,7 +213,8 @@ impl Inputs {
     /// image for a sparse run, the dense square otherwise.
     pub fn alloc_bytes(&self) -> u64 {
         match self {
-            Inputs::Ime(d, _) | Inputs::ScaLapack(d, _) => 8 * (d.n() * d.n()) as u64,
+            Inputs::Ime(d, _) => 8 * (d.n() * d.n()) as u64,
+            Inputs::ScaLapack(d, _) => 8 * (d.n() * d.n()) as u64,
             Inputs::Cg(s, _) => flops::spmv_csr_bytes(s.n(), s.a.nnz()),
         }
     }
@@ -213,7 +222,8 @@ impl Inputs {
     /// Scaled residual of a solution, computed in the input's own format.
     pub fn residual(&self, x: &[f64]) -> f64 {
         match self {
-            Inputs::Ime(d, _) | Inputs::ScaLapack(d, _) => d.residual(x),
+            Inputs::Ime(d, _) => d.residual(x),
+            Inputs::ScaLapack(d, _) => d.residual(x),
             Inputs::Cg(s, _) => s.residual(x),
         }
     }
@@ -234,7 +244,7 @@ pub fn solve(
     let x = match inputs {
         Inputs::Ime(sys, opts) => solve_imep(ctx, comm, sys, *opts)
             .unwrap_or_else(|e| ctx.abort(AbortKind::Solver, format!("IMe solve: {e}"))),
-        Inputs::ScaLapack(sys, nb) => pdgesv(ctx, comm, sys, *nb)
+        Inputs::ScaLapack(sys, nb) => pdgesv_columns(ctx, comm, sys, sys.b(), *nb)
             .unwrap_or_else(|e| ctx.abort(AbortKind::Solver, format!("pdgesv solve: {e}"))),
         Inputs::Cg(sys, jacobi) => {
             let cg_cfg = CgConfig {
@@ -750,16 +760,20 @@ mod tests {
                 of(SolverChoice::ime_optimized()),
                 Inputs::Ime(d, o) if d.n() == 36 && o == ImepOptions::optimized()
             ));
-            assert!(
-                matches!(of(SolverChoice::scalapack()), Inputs::ScaLapack(d, 32) if d.n() == 36)
-            );
+            // pdgesv never holds a seeded system whole.
+            let seeded = system == SystemKind::DiagDominant;
+            assert!(matches!(
+                of(SolverChoice::scalapack()),
+                Inputs::ScaLapack(d, 32)
+                    if d.n() == 36 && matches!(d, DenseSystem::Seeded(_)) == seeded
+            ));
         }
         // A caller's dense system is sparsified for CG, kept for the rest.
         let sys = SystemKind::Spd.generate(20, 3);
         let cg = sparse(Inputs::from_system(SolverChoice::cg(), sys.clone()));
         assert_eq!(cg.a, CsrMatrix::from_dense(&sys.a));
         let direct = Inputs::from_system(SolverChoice::scalapack(), sys.clone());
-        assert!(matches!(direct, Inputs::ScaLapack(d, 32) if d.a == sys.a));
+        assert!(matches!(direct, Inputs::ScaLapack(DenseSystem::Stored(d), 32) if d.a == sys.a));
     }
 
     /// The switch from the dense detour to `laplace2d` moves no bit: at every

@@ -7,11 +7,13 @@
 //! scaled) so residual checks need no factorisation.
 
 use crate::matrix::Matrix;
-use crate::norms::add_abs;
+use crate::norms::{add_abs, ResidualSweep};
+use crate::simd;
 use rand::distributions::{Distribution, Uniform};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// A square dense linear system `A·x = b`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -73,27 +75,293 @@ fn with_reference_rhs(a: Matrix) -> LinearSystem {
 /// Strictly row-diagonally-dominant random system: entries U(−1, 1), the
 /// diagonal inflated above the row sum. Always non-singular, condition
 /// number modest; the workhorse input for solver exactness tests.
+///
+/// [`DiagDominantStream`] filled out into a matrix: entry `(i, j)` is the
+/// `(j·n + i)`-th U(−1, 1) draw of `ChaCha8Rng::seed_from_u64(seed)`, and
+/// diagonal `i` is `sign(a_ii) · (Σ_{j≠i} |a_ij| + 1)`, summed in
+/// ascending `j`.
 pub fn diag_dominant(n: usize, seed: u64) -> LinearSystem {
-    assert!(n > 0, "empty system");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let dist = Uniform::new_inclusive(-1.0, 1.0);
-    let mut a = Matrix::zeros(n, n);
-    // Off-diagonal row sums, gathered column by column while the freshly
-    // drawn column is still in cache (each row adds in ascending `j`).
-    let mut off = vec![0.0; n];
-    for j in 0..n {
-        let col = a.col_mut(j);
-        for v in col.iter_mut() {
-            *v = dist.sample(&mut rng);
+    DiagDominantStream::new(n, seed).into_system()
+}
+
+/// A dense `rows × cols` matrix read one column at a time, in runs of rows:
+/// what one rank of a block-cyclic grid needs of it (its rows of each of
+/// its columns).
+pub trait ColumnSource {
+    /// `(rows, cols)`.
+    fn shape(&self) -> (usize, usize);
+
+    /// Write rows `runs[0]`, then `runs[1]`, … of column `j` into `out`,
+    /// back to back. The runs ascend without overlapping, and `out` is as
+    /// long as they are together.
+    fn fill_column(&self, j: usize, runs: &[Range<usize>], out: &mut [f64]);
+}
+
+impl ColumnSource for Matrix {
+    fn shape(&self) -> (usize, usize) {
+        (self.rows(), self.cols())
+    }
+
+    fn fill_column(&self, j: usize, runs: &[Range<usize>], out: &mut [f64]) {
+        let src = self.col(j);
+        let mut at = 0;
+        for r in runs {
+            out[at..at + r.len()].copy_from_slice(&src[r.clone()]);
+            at += r.len();
         }
-        add_abs(&mut off[..j], &col[..j]);
-        add_abs(&mut off[j + 1..], &col[j + 1..]);
     }
-    for (i, row_sum) in off.into_iter().enumerate() {
-        let sign = if a[(i, i)] >= 0.0 { 1.0 } else { -1.0 };
-        a[(i, i)] = sign * (row_sum + 1.0);
+}
+
+/// [`diag_dominant`]'s system with O(n) state: the key, the diagonal, `b`
+/// and `x_ref`. Any run of any column is drawn from the seed on demand —
+/// the keystream is counter-mode, so entry `e = j·n + i` (the `e`-th
+/// `next_u64`, words `2e` and `2e + 1`) lies in block `e / 8` whatever was
+/// drawn before it.
+///
+/// Three streaming passes replay the stored matrix's arithmetic in its own
+/// order, so every value is `diag_dominant`'s bit for bit: the row sums
+/// behind the diagonal (pass 1, in [`new`](Self::new)), `b = A·x_ref` in
+/// `Matrix::matvec`'s column order (pass 2, also in `new`) and
+/// [`residual`](Self::residual) in `norms::scaled_residual`'s.
+#[derive(Clone, Debug)]
+pub struct DiagDominantStream {
+    n: usize,
+    key: [u32; 8],
+    /// The finished diagonal.
+    diag: Vec<f64>,
+    /// Right-hand side `A·x_ref`.
+    pub b: Vec<f64>,
+    /// Reference solution used to build `b`.
+    pub x_ref: Vec<f64>,
+}
+
+impl DiagDominantStream {
+    /// The system of order `n` for `seed`: two passes over the keystream,
+    /// O(n) memory.
+    pub fn new(n: usize, seed: u64) -> Self {
+        assert!(n > 0, "empty system");
+        let seed_bytes = ChaCha8Rng::seed_from_u64(seed).get_seed();
+        let key = std::array::from_fn(|k| {
+            u32::from_le_bytes(
+                seed_bytes[4 * k..4 * k + 4]
+                    .try_into()
+                    .expect("4-byte chunk"),
+            )
+        });
+        // Pass 1: off-diagonal row sums, gathered column by column (each row
+        // adds in ascending `j`); the sign comes from the drawn diagonal.
+        let mut entries = EntryStream::new(key);
+        let mut col = vec![0.0; n];
+        let mut off = vec![0.0; n];
+        let mut diag = Vec::with_capacity(n);
+        for j in 0..n {
+            entries.draw(j * n, std::slice::from_ref(&(0..n)), &mut col);
+            add_abs(&mut off[..j], &col[..j]);
+            add_abs(&mut off[j + 1..], &col[j + 1..]);
+            diag.push(if col[j] >= 0.0 { 1.0 } else { -1.0 });
+        }
+        for (d, row_sum) in diag.iter_mut().zip(off) {
+            *d *= row_sum + 1.0;
+        }
+        let mut sys = Self {
+            n,
+            key,
+            diag,
+            b: Vec::new(),
+            x_ref: reference_solution(n),
+        };
+        // Pass 2: `b = A·x_ref`, `Matrix::matvec`'s loop column by column.
+        let mut b = vec![0.0; n];
+        sys.for_each_column(|j, col| {
+            let xj = sys.x_ref[j];
+            for (bi, &av) in b.iter_mut().zip(col) {
+                *bi += av * xj;
+            }
+        });
+        sys.b = b;
+        sys
     }
-    with_reference_rhs(a)
+
+    /// Order of the system.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Scaled residual of a candidate solution: one more pass, bit for bit
+    /// [`LinearSystem::residual`] of the stored system.
+    pub fn residual(&self, x: &[f64]) -> f64 {
+        assert_eq!(x.len(), self.n);
+        let mut sweep = ResidualSweep::new(self.n);
+        self.for_each_column(|j, col| sweep.column(col, x[j]));
+        sweep.finish(x, &self.b)
+    }
+
+    /// The stored system: every column drawn once more.
+    pub fn into_system(self) -> LinearSystem {
+        let mut a = Matrix::zeros(self.n, self.n);
+        self.for_each_column(|j, col| a.col_mut(j).copy_from_slice(col));
+        LinearSystem {
+            a,
+            b: self.b,
+            x_ref: Some(self.x_ref),
+        }
+    }
+
+    /// `f(j, column j)` for every `j` in order, diagonal in place.
+    fn for_each_column(&self, mut f: impl FnMut(usize, &[f64])) {
+        let n = self.n;
+        let mut entries = EntryStream::new(self.key);
+        let mut col = vec![0.0; n];
+        for j in 0..n {
+            entries.draw(j * n, std::slice::from_ref(&(0..n)), &mut col);
+            col[j] = self.diag[j];
+            f(j, &col);
+        }
+    }
+}
+
+impl ColumnSource for DiagDominantStream {
+    fn shape(&self) -> (usize, usize) {
+        (self.n, self.n)
+    }
+
+    fn fill_column(&self, j: usize, runs: &[Range<usize>], out: &mut [f64]) {
+        EntryStream::new(self.key).draw(j * self.n, runs, out);
+        let mut at = 0;
+        for r in runs {
+            if r.contains(&j) {
+                out[at + j - r.start] = self.diag[j];
+                break;
+            }
+            at += r.len();
+        }
+    }
+}
+
+/// `diag_dominant`'s entries straight from the keystream, whole blocks at a
+/// time through the dispatched [`simd::Chacha8Kernel`].
+struct EntryStream {
+    key: [u32; 8],
+    kernel: simd::Chacha8Kernel,
+    counters: Vec<u64>,
+    blocks: Vec<[u32; 16]>,
+}
+
+impl EntryStream {
+    fn new(key: [u32; 8]) -> Self {
+        Self {
+            key,
+            kernel: simd::active_chacha8_kernel(),
+            counters: Vec::new(),
+            blocks: Vec::new(),
+        }
+    }
+
+    /// Entries `base + r` for each `r` of each run, back to back into
+    /// `out`: one kernel call computes every block the runs touch (a run
+    /// of `len` entries spans at most `⌈len/8⌉ + 1`), then each entry maps
+    /// its two words as a sequential `Uniform` draw would.
+    fn draw(&mut self, base: usize, runs: &[Range<usize>], out: &mut [f64]) {
+        const ENTRIES_PER_BLOCK: usize = 8;
+        let block_of = |e: usize| (e / ENTRIES_PER_BLOCK) as u64;
+        self.counters.clear();
+        for r in runs.iter().filter(|r| !r.is_empty()) {
+            let (first, last) = (block_of(base + r.start), block_of(base + r.end - 1));
+            // Adjacent runs may share a block.
+            let from = match self.counters.last() {
+                Some(&c) if c >= first => c + 1,
+                _ => first,
+            };
+            self.counters.extend(from..=last);
+        }
+        self.blocks.resize(self.counters.len(), [0; 16]);
+        (self.kernel)(&self.key, &self.counters, &mut self.blocks);
+        let words = self.blocks.as_flattened();
+        let (mut at, mut filled) = (0, 0);
+        for r in runs.iter().filter(|r| !r.is_empty()) {
+            let e0 = base + r.start;
+            while self.counters[at] != block_of(e0) {
+                at += 1;
+            }
+            let first_word = 16 * at + 2 * (e0 % ENTRIES_PER_BLOCK);
+            let pairs = words[first_word..].chunks_exact(2);
+            for (v, pair) in out[filled..filled + r.len()].iter_mut().zip(pairs) {
+                *v = unit_entry(pair[0] as u64 | (pair[1] as u64) << 32);
+            }
+            filled += r.len();
+        }
+        debug_assert_eq!(filled, out.len(), "out is as long as the runs");
+    }
+}
+
+/// The entry one `next_u64` makes: `Uniform::new_inclusive(-1.0, 1.0)`
+/// written out, `lo + (hi − lo)·u` with `u` the draw's top 53 bits over
+/// 2^53. Those bits convert to `f64` exactly through `i64`, one instruction
+/// where the unsigned conversion is a branchy sequence; the batteries hold
+/// the result to sequential `Uniform` draws bit for bit.
+#[inline(always)]
+fn unit_entry(bits: u64) -> f64 {
+    -1.0 + 2.0 * ((bits >> 11) as i64 as f64 / (1u64 << 53) as f64)
+}
+
+/// A dense system as a distributed solver reads it: stored, or drawn from
+/// its seed one column run at a time (only O(n) held).
+pub enum DenseSystem {
+    /// A materialised system.
+    Stored(LinearSystem),
+    /// [`SystemKind::DiagDominant`], seeded.
+    Seeded(DiagDominantStream),
+}
+
+impl DenseSystem {
+    /// `kind`'s system of order `n`: seeded for `DiagDominant`, stored for
+    /// every other kind.
+    pub fn generate(kind: SystemKind, n: usize, seed: u64) -> DenseSystem {
+        match kind {
+            SystemKind::DiagDominant => DenseSystem::Seeded(DiagDominantStream::new(n, seed)),
+            _ => DenseSystem::Stored(kind.generate(n, seed)),
+        }
+    }
+
+    /// Order of the system.
+    pub fn n(&self) -> usize {
+        match self {
+            DenseSystem::Stored(s) => s.n(),
+            DenseSystem::Seeded(s) => s.n(),
+        }
+    }
+
+    /// Right-hand side.
+    pub fn b(&self) -> &[f64] {
+        match self {
+            DenseSystem::Stored(s) => &s.b,
+            DenseSystem::Seeded(s) => &s.b,
+        }
+    }
+
+    /// Scaled residual of a candidate solution.
+    pub fn residual(&self, x: &[f64]) -> f64 {
+        match self {
+            DenseSystem::Stored(s) => s.residual(x),
+            DenseSystem::Seeded(s) => s.residual(x),
+        }
+    }
+}
+
+impl ColumnSource for DenseSystem {
+    fn shape(&self) -> (usize, usize) {
+        match self {
+            DenseSystem::Stored(s) => s.a.shape(),
+            DenseSystem::Seeded(s) => s.shape(),
+        }
+    }
+
+    fn fill_column(&self, j: usize, runs: &[Range<usize>], out: &mut [f64]) {
+        match self {
+            DenseSystem::Stored(s) => s.a.fill_column(j, runs, out),
+            DenseSystem::Seeded(s) => s.fill_column(j, runs, out),
+        }
+    }
 }
 
 /// Symmetric positive-definite system `A = Mᵀ·M + n·I` with random `M`.

@@ -43,18 +43,46 @@ pub fn mat_inf(a: &Matrix) -> f64 {
 pub fn scaled_residual(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.cols(), x.len());
     assert_eq!(a.rows(), b.len());
-    let mut r = vec![0.0; a.rows()];
-    let mut sums = vec![0.0; a.rows()];
+    let mut sweep = ResidualSweep::new(a.rows());
     for (j, &xj) in x.iter().enumerate() {
-        for ((yi, si), &av) in r.iter_mut().zip(&mut sums).zip(a.col(j)) {
+        sweep.column(a.col(j), xj);
+    }
+    sweep.finish(x, b)
+}
+
+/// [`scaled_residual`]'s sweep, one column at a time. A seeded system that
+/// never stores `A` feeds it the same columns in the same order, so its
+/// residual is the stored matrix's bit for bit.
+pub(crate) struct ResidualSweep {
+    /// `A·x`, accumulated in ascending `j` per row.
+    ax: Vec<f64>,
+    /// Per-row absolute sums behind `‖A‖∞`.
+    sums: Vec<f64>,
+}
+
+impl ResidualSweep {
+    pub(crate) fn new(rows: usize) -> Self {
+        Self {
+            ax: vec![0.0; rows],
+            sums: vec![0.0; rows],
+        }
+    }
+
+    /// Add column `j` of `A`, the one `x[j]` multiplies.
+    pub(crate) fn column(&mut self, col: &[f64], xj: f64) {
+        for ((yi, si), &av) in self.ax.iter_mut().zip(&mut self.sums).zip(col) {
             *yi += av * xj;
             *si += av.abs();
         }
     }
-    for (ri, bi) in r.iter_mut().zip(b) {
-        *ri -= bi;
+
+    /// The scaled residual once every column went in.
+    pub(crate) fn finish(mut self, x: &[f64], b: &[f64]) -> f64 {
+        for (ri, bi) in self.ax.iter_mut().zip(b) {
+            *ri -= bi;
+        }
+        scale_residual(&self.ax, max_row_sum(&self.sums), x, b)
     }
-    scale_residual(&r, max_row_sum(&sums), x, b)
 }
 
 /// `‖r‖∞ / (a_inf·‖x‖∞ + ‖b‖∞)` for `r = A·x − b` (`‖r‖∞` alone when the

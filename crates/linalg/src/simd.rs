@@ -6,9 +6,11 @@
 //! microkernel — the portable scalar loop (the bit-exact oracle the
 //! property tests compare against), an explicit AVX2+FMA kernel, and an
 //! AVX-512F kernel — plus the **dispatch** that picks one at runtime.
-//! The same dispatch serves two kernels whose paths must agree bit for
-//! bit: the CSR SpMV row kernel ([`SpmvKernel`]) and the chained axpy
-//! IMe's table update runs on ([`DaxpyChainKernel`]).
+//! The same dispatch serves three kernels whose paths must agree bit for
+//! bit: the CSR SpMV row kernel ([`SpmvKernel`]), the chained axpy IMe's
+//! table update runs on ([`DaxpyChainKernel`]) and the ChaCha8 block
+//! kernel the seeded input generators draw their keystream from
+//! ([`Chacha8Kernel`]).
 //!
 //! Dispatch is resolved **once per process** (cached in a [`OnceLock`])
 //! from the `GREENLA_KERNEL` environment variable:
@@ -389,6 +391,72 @@ fn daxpy_chain_avx512_entry(alphas: &[f64], xs: &[&[f64]], y: &mut [f64]) {
     // which panics unless `is_x86_feature_detected!` confirmed avx512f;
     // the kernel's own shape contract is asserted inside.
     unsafe { isa::daxpy_chain_avx512(alphas, xs, y) }
+}
+
+/// A ChaCha8 block kernel: `out[k]` becomes keystream block `counters[k]`
+/// of `key`, i.e. [`rand_chacha::chacha8_block`]`(key, counters[k])`, for
+/// every `k`. The seeded input generators draw whole columns through it:
+/// the vector paths compute eight (AVX2) or sixteen (AVX-512) blocks per
+/// pass, one block per lane, so a run of `r` matrix entries costs
+/// `⌈r/8⌉ + 1` blocks at most instead of `r` sequential draws.
+///
+/// The kernel is integer-only (wrapping adds, xors, rotations), so every
+/// path equals the scalar block function bit for bit, not within an ulp
+/// bound.
+pub type Chacha8Kernel = fn(key: &[u32; 8], counters: &[u64], out: &mut [[u32; 16]]);
+
+/// The ChaCha8 block kernel for `path`. Panics when the CPU cannot execute
+/// it — the same refused-dispatch contract as [`microkernel`].
+pub fn chacha8_kernel(path: KernelPath) -> Chacha8Kernel {
+    assert!(
+        path.supported(),
+        "kernel path {path} is not supported by this CPU"
+    );
+    match path {
+        KernelPath::Scalar => chacha8_blocks_scalar,
+        #[cfg(target_arch = "x86_64")]
+        KernelPath::Avx2 => chacha8_blocks_avx2_entry,
+        #[cfg(target_arch = "x86_64")]
+        KernelPath::Avx512 => chacha8_blocks_avx512_entry,
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("non-scalar paths are never supported off x86_64"),
+    }
+}
+
+/// The ChaCha8 block kernel the dispatcher picked for this process.
+pub fn active_chacha8_kernel() -> Chacha8Kernel {
+    chacha8_kernel(resolved())
+}
+
+/// The scalar ChaCha8 block kernel: the vendored block function once per
+/// counter — the oracle of the vector paths.
+pub fn chacha8_blocks_scalar(key: &[u32; 8], counters: &[u64], out: &mut [[u32; 16]]) {
+    assert_eq!(counters.len(), out.len(), "one counter per block");
+    for (block, &counter) in out.iter_mut().zip(counters) {
+        *block = rand_chacha::chacha8_block(key, counter);
+    }
+}
+
+/// Safe entry for the AVX2 ChaCha8 block kernel, handed out only by
+/// [`chacha8_kernel`].
+#[cfg(target_arch = "x86_64")]
+fn chacha8_blocks_avx2_entry(key: &[u32; 8], counters: &[u64], out: &mut [[u32; 16]]) {
+    debug_assert!(KernelPath::Avx2.supported());
+    // SAFETY: this entry is only reachable through `chacha8_kernel`, which
+    // panics unless `is_x86_feature_detected!` confirmed avx2+fma; the
+    // kernel's own shape contract is asserted inside.
+    unsafe { isa::chacha8_blocks_avx2(key, counters, out) }
+}
+
+/// Safe entry for the AVX-512F ChaCha8 block kernel, handed out only by
+/// [`chacha8_kernel`].
+#[cfg(target_arch = "x86_64")]
+fn chacha8_blocks_avx512_entry(key: &[u32; 8], counters: &[u64], out: &mut [[u32; 16]]) {
+    debug_assert!(KernelPath::Avx512.supported());
+    // SAFETY: this entry is only reachable through `chacha8_kernel`, which
+    // panics unless `is_x86_feature_detected!` confirmed avx512f; the
+    // kernel's own shape contract is asserted inside.
+    unsafe { isa::chacha8_blocks_avx512(key, counters, out) }
 }
 
 /// The portable scalar microkernel: `MR`/`NR` are compile-time constants

@@ -373,3 +373,222 @@ pub(super) unsafe fn microkernel_avx512_x2(
         }
     }
 }
+
+/// AVX2 ChaCha8 block kernel ([`super::Chacha8Kernel`]): eight blocks per
+/// pass, block `l` of the pass in lane `l` of sixteen `ymm` state rows, so
+/// each quarter-round step is one instruction for all eight. The 16- and
+/// 8-bit rotations are byte shuffles, the 12- and 7-bit ones shift pairs.
+/// Two 8×8 transposes turn the rows back into blocks. A pass with fewer
+/// than eight counters left computes its spare lanes on counter 0 and
+/// writes only the lanes it owes. Integer-only, so the result is
+/// [`super::chacha8_blocks_scalar`]'s bit for bit.
+///
+/// # Safety
+///
+/// Dispatch contract: the caller must have verified `avx2` and `fma` via
+/// `is_x86_feature_detected!` (the [`super::chacha8_kernel`] dispatcher is
+/// the only caller and does exactly that). `counters` and `out` must have
+/// the same length — asserted below, so every store stays inside `out`.
+#[target_feature(enable = "avx2,fma")]
+pub(super) unsafe fn chacha8_blocks_avx2(key: &[u32; 8], counters: &[u64], out: &mut [[u32; 16]]) {
+    use std::arch::x86_64::*;
+    assert_eq!(counters.len(), out.len(), "one counter per block");
+    let rot16 = _mm256_setr_epi8(
+        2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13, 2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9,
+        14, 15, 12, 13,
+    );
+    let rot8 = _mm256_setr_epi8(
+        3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14, 3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10,
+        15, 12, 13, 14,
+    );
+    let qr = |x: &mut [__m256i; 16], a: usize, b: usize, c: usize, d: usize| {
+        x[a] = _mm256_add_epi32(x[a], x[b]);
+        x[d] = _mm256_shuffle_epi8(_mm256_xor_si256(x[d], x[a]), rot16);
+        x[c] = _mm256_add_epi32(x[c], x[d]);
+        let t = _mm256_xor_si256(x[b], x[c]);
+        x[b] = _mm256_or_si256(_mm256_slli_epi32::<12>(t), _mm256_srli_epi32::<20>(t));
+        x[a] = _mm256_add_epi32(x[a], x[b]);
+        x[d] = _mm256_shuffle_epi8(_mm256_xor_si256(x[d], x[a]), rot8);
+        x[c] = _mm256_add_epi32(x[c], x[d]);
+        let t = _mm256_xor_si256(x[b], x[c]);
+        x[b] = _mm256_or_si256(_mm256_slli_epi32::<7>(t), _mm256_srli_epi32::<25>(t));
+    };
+    for (ctrs, blocks) in counters.chunks(8).zip(out.chunks_mut(8)) {
+        let lane = |l: usize, shift: u32| ctrs.get(l).map_or(0, |&c| (c >> shift) as u32 as i32);
+        let mut x = [_mm256_setzero_si256(); 16];
+        for (row, &w) in x.iter_mut().zip(rand_chacha::CONSTANTS.iter().chain(key)) {
+            *row = _mm256_set1_epi32(w as i32);
+        }
+        for (row, shift) in [(12, 0), (13, 32)] {
+            x[row] = _mm256_setr_epi32(
+                lane(0, shift),
+                lane(1, shift),
+                lane(2, shift),
+                lane(3, shift),
+                lane(4, shift),
+                lane(5, shift),
+                lane(6, shift),
+                lane(7, shift),
+            );
+        }
+        let input = x;
+        for _ in 0..4 {
+            qr(&mut x, 0, 4, 8, 12);
+            qr(&mut x, 1, 5, 9, 13);
+            qr(&mut x, 2, 6, 10, 14);
+            qr(&mut x, 3, 7, 11, 15);
+            qr(&mut x, 0, 5, 10, 15);
+            qr(&mut x, 1, 6, 11, 12);
+            qr(&mut x, 2, 7, 8, 13);
+            qr(&mut x, 3, 4, 9, 14);
+        }
+        for (row, inp) in x.iter_mut().zip(input) {
+            *row = _mm256_add_epi32(*row, inp);
+        }
+        // Rows 0–7 and 8–15 transpose separately: `half[h][l]` holds words
+        // `8h..8h + 8` of lane `l`'s block.
+        let mut half = [[_mm256_setzero_si256(); 8]; 2];
+        for (h, cols) in half.iter_mut().enumerate() {
+            let r = &x[8 * h..8 * h + 8];
+            let t: [__m256i; 8] = std::array::from_fn(|k| {
+                let (a, b) = (r[k & !1], r[k | 1]);
+                if k % 2 == 0 {
+                    _mm256_unpacklo_epi32(a, b)
+                } else {
+                    _mm256_unpackhi_epi32(a, b)
+                }
+            });
+            // `u[q]` holds rows 0–3 (q < 4) or 4–7 of lanes q%4 and q%4 + 4.
+            let u: [__m256i; 8] = std::array::from_fn(|q| {
+                let g = 4 * (q / 4);
+                let (a, b) = (t[g + (q % 4) / 2], t[g + 2 + (q % 4) / 2]);
+                if q % 2 == 0 {
+                    _mm256_unpacklo_epi64(a, b)
+                } else {
+                    _mm256_unpackhi_epi64(a, b)
+                }
+            });
+            for m in 0..4 {
+                cols[m] = _mm256_permute2x128_si256::<0x20>(u[m], u[m + 4]);
+                cols[m + 4] = _mm256_permute2x128_si256::<0x31>(u[m], u[m + 4]);
+            }
+        }
+        for (l, block) in blocks.iter_mut().enumerate() {
+            let p = block.as_mut_ptr().cast::<__m256i>();
+            // SAFETY: `block` is a `[u32; 16]`, 64 bytes: the two unaligned
+            // 32-byte stores cover exactly its words 0–7 and 8–15.
+            unsafe {
+                _mm256_storeu_si256(p, half[0][l]);
+                _mm256_storeu_si256(p.add(1), half[1][l]);
+            }
+        }
+    }
+}
+
+/// AVX-512F ChaCha8 block kernel: [`chacha8_blocks_avx2`]'s shape at
+/// sixteen blocks per pass, with native 32-bit rotations and one 16×16
+/// transpose (32-bit and 64-bit unpacks, then two rounds of 128-bit lane
+/// shuffles). Bit-identical to [`super::chacha8_blocks_scalar`].
+///
+/// # Safety
+///
+/// Dispatch contract: the caller must have verified `avx512f` via
+/// `is_x86_feature_detected!` (the [`super::chacha8_kernel`] dispatcher is
+/// the only caller and does exactly that). `counters` and `out` must have
+/// the same length — asserted below, so every store stays inside `out`.
+#[target_feature(enable = "avx512f")]
+pub(super) unsafe fn chacha8_blocks_avx512(
+    key: &[u32; 8],
+    counters: &[u64],
+    out: &mut [[u32; 16]],
+) {
+    use std::arch::x86_64::*;
+    assert_eq!(counters.len(), out.len(), "one counter per block");
+    let qr = |x: &mut [__m512i; 16], a: usize, b: usize, c: usize, d: usize| {
+        x[a] = _mm512_add_epi32(x[a], x[b]);
+        x[d] = _mm512_rol_epi32::<16>(_mm512_xor_si512(x[d], x[a]));
+        x[c] = _mm512_add_epi32(x[c], x[d]);
+        x[b] = _mm512_rol_epi32::<12>(_mm512_xor_si512(x[b], x[c]));
+        x[a] = _mm512_add_epi32(x[a], x[b]);
+        x[d] = _mm512_rol_epi32::<8>(_mm512_xor_si512(x[d], x[a]));
+        x[c] = _mm512_add_epi32(x[c], x[d]);
+        x[b] = _mm512_rol_epi32::<7>(_mm512_xor_si512(x[b], x[c]));
+    };
+    for (ctrs, blocks) in counters.chunks(16).zip(out.chunks_mut(16)) {
+        let lane = |l: usize, shift: u32| ctrs.get(l).map_or(0, |&c| (c >> shift) as u32 as i32);
+        let mut x = [_mm512_setzero_si512(); 16];
+        for (row, &w) in x.iter_mut().zip(rand_chacha::CONSTANTS.iter().chain(key)) {
+            *row = _mm512_set1_epi32(w as i32);
+        }
+        for (row, shift) in [(12, 0), (13, 32)] {
+            x[row] = _mm512_setr_epi32(
+                lane(0, shift),
+                lane(1, shift),
+                lane(2, shift),
+                lane(3, shift),
+                lane(4, shift),
+                lane(5, shift),
+                lane(6, shift),
+                lane(7, shift),
+                lane(8, shift),
+                lane(9, shift),
+                lane(10, shift),
+                lane(11, shift),
+                lane(12, shift),
+                lane(13, shift),
+                lane(14, shift),
+                lane(15, shift),
+            );
+        }
+        let input = x;
+        for _ in 0..4 {
+            qr(&mut x, 0, 4, 8, 12);
+            qr(&mut x, 1, 5, 9, 13);
+            qr(&mut x, 2, 6, 10, 14);
+            qr(&mut x, 3, 7, 11, 15);
+            qr(&mut x, 0, 5, 10, 15);
+            qr(&mut x, 1, 6, 11, 12);
+            qr(&mut x, 2, 7, 8, 13);
+            qr(&mut x, 3, 4, 9, 14);
+        }
+        for (row, inp) in x.iter_mut().zip(input) {
+            *row = _mm512_add_epi32(*row, inp);
+        }
+        // Within each 128-bit lane q: `a` pairs rows, `b[4i + m]` holds
+        // rows 4i..4i + 4 of block 4q + m.
+        let a: [__m512i; 16] = std::array::from_fn(|k| {
+            let (r0, r1) = (x[k & !1], x[k | 1]);
+            if k % 2 == 0 {
+                _mm512_unpacklo_epi32(r0, r1)
+            } else {
+                _mm512_unpackhi_epi32(r0, r1)
+            }
+        });
+        let b: [__m512i; 16] = std::array::from_fn(|k| {
+            let (i, m) = (k / 4, k % 4);
+            let (p, q) = (a[4 * i + m / 2], a[4 * i + 2 + m / 2]);
+            if m % 2 == 0 {
+                _mm512_unpacklo_epi64(p, q)
+            } else {
+                _mm512_unpackhi_epi64(p, q)
+            }
+        });
+        // A 4×4 transpose of 128-bit lanes per `m` gathers block 4q + m.
+        let mut cols = [_mm512_setzero_si512(); 16];
+        for m in 0..4 {
+            let s0 = _mm512_shuffle_i32x4::<0x88>(b[m], b[4 + m]);
+            let s1 = _mm512_shuffle_i32x4::<0xDD>(b[m], b[4 + m]);
+            let s2 = _mm512_shuffle_i32x4::<0x88>(b[8 + m], b[12 + m]);
+            let s3 = _mm512_shuffle_i32x4::<0xDD>(b[8 + m], b[12 + m]);
+            cols[m] = _mm512_shuffle_i32x4::<0x88>(s0, s2);
+            cols[4 + m] = _mm512_shuffle_i32x4::<0x88>(s1, s3);
+            cols[8 + m] = _mm512_shuffle_i32x4::<0xDD>(s0, s2);
+            cols[12 + m] = _mm512_shuffle_i32x4::<0xDD>(s1, s3);
+        }
+        for (block, col) in blocks.iter_mut().zip(cols) {
+            // SAFETY: `block` is a `[u32; 16]`, exactly the 64 bytes one
+            // unaligned store writes.
+            unsafe { _mm512_storeu_si512(block.as_mut_ptr().cast(), col) };
+        }
+    }
+}

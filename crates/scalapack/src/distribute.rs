@@ -2,8 +2,10 @@
 
 use crate::desc::BlockDesc;
 use crate::grid::ProcessGrid;
+use greenla_linalg::generate::ColumnSource;
 use greenla_linalg::Matrix;
 use greenla_mpi::RankCtx;
+use std::ops::Range;
 
 /// The local part of a block-cyclically distributed matrix on one process.
 pub struct DistMatrix {
@@ -29,24 +31,34 @@ impl DistMatrix {
 
     /// Fill the local part from a replicated global matrix (the paper loads
     /// the input system from a file visible to every rank, so distribution
-    /// is a local copy). Charges the allocation-phase memory traffic.
+    /// is a local copy): [`from_columns`](Self::from_columns) over `a`.
     pub fn from_global(ctx: &mut RankCtx, grid: &ProcessGrid, desc: BlockDesc, a: &Matrix) -> Self {
-        assert_eq!(
-            (a.rows(), a.cols()),
-            (desc.m, desc.n),
-            "global shape mismatch"
-        );
+        Self::from_columns(ctx, grid, desc, a)
+    }
+
+    /// Fill the local part column by column from `src`, asking it for my
+    /// rows of each of my global columns — runs of `mb` rows, every
+    /// `nprow·mb`-th. A stored matrix copies them; a seeded one draws them
+    /// and never exists whole. Charges the allocation-phase memory traffic.
+    pub fn from_columns(
+        ctx: &mut RankCtx,
+        grid: &ProcessGrid,
+        desc: BlockDesc,
+        src: &(impl ColumnSource + ?Sized),
+    ) -> Self {
+        assert_eq!(src.shape(), (desc.m, desc.n), "global shape mismatch");
         let (myrow, mycol) = (grid.myrow(), grid.mycol());
         let (rows, cols) = (desc.local_rows(myrow), desc.local_cols(mycol));
-        let mut local = Vec::with_capacity(rows * cols);
-        for lj in 0..cols {
-            let src = a.col(desc.gcol(lj, mycol));
-            // My rows of a global column come in runs of `mb` that are
-            // contiguous there too.
-            for l0 in (0..rows).step_by(desc.mb) {
+        let runs: Vec<Range<usize>> = (0..rows)
+            .step_by(desc.mb)
+            .map(|l0| {
                 let g0 = desc.grow(l0, myrow);
-                local.extend_from_slice(&src[g0..g0 + desc.mb.min(rows - l0)]);
-            }
+                g0..g0 + desc.mb.min(rows - l0)
+            })
+            .collect();
+        let mut local = Matrix::zeros(rows, cols);
+        for lj in 0..cols {
+            src.fill_column(desc.gcol(lj, mycol), &runs, local.col_mut(lj));
         }
         // Allocation phase: the local block is written once, the source read
         // once.
@@ -55,7 +67,7 @@ impl DistMatrix {
             desc,
             myrow,
             mycol,
-            local: Matrix::from_col_major(rows, cols, local),
+            local,
         }
     }
 

@@ -7,7 +7,7 @@ use crate::error::LuError;
 use crate::grid::ProcessGrid;
 use crate::pdgetrf::pdgetrf;
 use crate::pdgetrs::pdgetrs;
-use greenla_linalg::generate::LinearSystem;
+use greenla_linalg::generate::{ColumnSource, LinearSystem};
 use greenla_mpi::{Comm, RankCtx};
 
 /// Default ScaLAPACK block size.
@@ -24,26 +24,39 @@ pub fn pdgesv(
     sys: &LinearSystem,
     nb: usize,
 ) -> Result<Vec<f64>, LuError> {
+    pdgesv_columns(ctx, comm, &sys.a, &sys.b, nb)
+}
+
+/// As [`pdgesv`] for any [`ColumnSource`]: each rank reads only its own
+/// block-cyclic share of `a`, so a seeded source never builds the matrix.
+pub fn pdgesv_columns(
+    ctx: &mut RankCtx,
+    comm: &Comm,
+    a: &(impl ColumnSource + ?Sized),
+    b: &[f64],
+    nb: usize,
+) -> Result<Vec<f64>, LuError> {
     let p = comm.size();
     let (nprow, npcol) = ProcessGrid::square_shape(p);
     let grid = ProcessGrid::new(ctx, comm, nprow, npcol);
-    pdgesv_on_grid(ctx, &grid, sys, nb)
+    pdgesv_on_grid(ctx, &grid, a, b, nb)
 }
 
-/// As [`pdgesv`] but over an existing grid (lets benchmarks control the
-/// grid shape).
+/// As [`pdgesv_columns`] but over an existing grid (lets benchmarks
+/// control the grid shape).
 pub fn pdgesv_on_grid(
     ctx: &mut RankCtx,
     grid: &ProcessGrid,
-    sys: &LinearSystem,
+    a: &(impl ColumnSource + ?Sized),
+    b: &[f64],
     nb: usize,
 ) -> Result<Vec<f64>, LuError> {
-    let n = sys.n();
+    let n = b.len();
     let nb = nb.max(1).min(n);
     let desc = BlockDesc::square(n, nb, grid.nprow(), grid.npcol());
-    let mut a = DistMatrix::from_global(ctx, grid, desc, &sys.a);
+    let mut a = DistMatrix::from_columns(ctx, grid, desc, a);
     let ipiv = pdgetrf(ctx, grid, &mut a)?;
-    let mut x = sys.b.clone();
+    let mut x = b.to_vec();
     pdgetrs(ctx, grid, &a, &ipiv, &mut x);
     Ok(x)
 }
@@ -166,7 +179,7 @@ mod tests {
         let out = m.run(|ctx| {
             let world = ctx.world();
             let grid = ProcessGrid::new(ctx, &world, 2, 3);
-            pdgesv_on_grid(ctx, &grid, &sys, 4).unwrap()
+            pdgesv_on_grid(ctx, &grid, &sys.a, &sys.b, 4).unwrap()
         });
         for x in out.results {
             assert!(sys.residual(&x) < 1e-11);
