@@ -9,8 +9,8 @@ pub struct CpuSpec {
     pub name: String,
     /// CPUID display family (6 for all modern Intel).
     pub family: u32,
-    /// CPUID display model (0x55 for Skylake-SP); RAPL unit decoding keys
-    /// off this, exactly as real RAPL readers must.
+    /// CPUID display model (0x55 for Skylake-SP); whether the CPU has RAPL
+    /// counters at all keys off this, exactly as real RAPL readers must.
     pub model: u32,
     /// Physical cores per socket.
     pub cores_per_socket: usize,

@@ -5,7 +5,7 @@
 //! paper's evaluation (§5). Two tiers:
 //!
 //! * **functional tier** — real solves through the whole simulated stack
-//!   (rank threads, actual numerics, PAPI-read energies) on scaled-down
+//!   (rank threads, actual numerics, counter-read energies) on scaled-down
 //!   configurations that keep Table 1's geometry (three load layouts,
 //!   square rank counts, four matrix dimensions in fixed ratio);
 //! * **model tier** — the calibrated analytic model evaluated at the

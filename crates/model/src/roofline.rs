@@ -212,23 +212,13 @@ impl Roofline {
         }
     }
 
-    /// Predicted virtual time of one overlapped SpMV phase: the halo
-    /// exchange is posted first, the interior rows are computed while the
-    /// payloads are in flight, and the boundary rows run after the drain —
-    /// so the phase costs `max(halo_s, interior) + boundary`, exactly the
-    /// recurrence the overlapped solver's clock follows.
-    pub fn overlapped_phase_s(
-        &self,
-        interior: &KernelProfile,
-        boundary: &KernelProfile,
-        halo_s: f64,
-    ) -> f64 {
-        self.predict(interior).time_s.max(halo_s) + self.predict(boundary).time_s
-    }
-
     /// Communication seconds one overlapped exchange hides under the
-    /// interior compute: `min(halo_s, interior)`. A whole-solve makespan
-    /// prediction subtracts this credit once per exchange from the
+    /// interior compute: `min(halo_s, interior)`. An overlapped SpMV phase
+    /// posts the halo exchange, computes the interior rows while the
+    /// payloads are in flight and the boundary rows after the drain, so it
+    /// costs `max(halo_s, interior) + boundary`: the blocking
+    /// `halo_s + interior + boundary` minus this credit. A whole-solve
+    /// makespan prediction subtracts the credit once per exchange from the
     /// blocking-model wall time — the harness's sparse `model_check` does
     /// exactly that, and feeds the reduced communication share into
     /// [`Self::predict_energy`] so the predicted joules drop with the
@@ -358,18 +348,16 @@ mod tests {
         let interior = KernelProfile::sparse(1_000_000, 1_000_000_000);
         let boundary = KernelProfile::sparse(400_000, 400_000_000);
         let (ti, tb) = (0.05, 0.02);
+        assert!((r.predict(&interior).time_s - ti).abs() < 1e-12);
+        assert!((r.predict(&boundary).time_s - tb).abs() < 1e-12);
         // Halo shorter than the interior: fully hidden.
-        let t = r.overlapped_phase_s(&interior, &boundary, 0.01);
-        assert!((t - (ti + tb)).abs() < 1e-12, "t {t}");
         assert!((r.overlap_credit(&interior, 0.01) - 0.01).abs() < 1e-15);
         // Halo longer: the exchange sets the pace, credit caps at interior.
-        let t = r.overlapped_phase_s(&interior, &boundary, 0.09);
-        assert!((t - (0.09 + tb)).abs() < 1e-12, "t {t}");
         assert!((r.overlap_credit(&interior, 0.09) - ti).abs() < 1e-12);
         // Identity: blocking time minus the credit is the overlapped time.
         for halo in [0.0, 0.01, 0.05, 0.09] {
             let blocking = halo + ti + tb;
-            let overlapped = r.overlapped_phase_s(&interior, &boundary, halo);
+            let overlapped = f64::max(halo, ti) + tb;
             let credit = r.overlap_credit(&interior, halo);
             assert!(
                 (blocking - credit - overlapped).abs() < 1e-12,

@@ -17,10 +17,9 @@
 //! without racing the wall clock.
 
 use crate::error::MonitorError;
+use crate::events::{paper_events, read_all};
 use crate::monitoring::MonitorConfig;
 use greenla_mpi::{Comm, RankCtx};
-use greenla_papi::events::event_name_to_code;
-use greenla_papi::powercap::paper_event_names;
 use greenla_rapl::RaplSim;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -111,14 +110,7 @@ pub fn blackbox_run<R>(
 
     if is_daemon {
         let node = ctx.node();
-        let events = cfg
-            .events
-            .clone()
-            .unwrap_or_else(|| paper_event_names(rapl.sockets_per_node()));
-        let codes: Vec<_> = events
-            .iter()
-            .map(|n| event_name_to_code(n).map_err(MonitorError::from))
-            .collect::<Result<_, _>>()?;
+        let events = paper_events(rapl.sockets_per_node());
         // Wait (idle, like a daemon sleeping in epoll) for every
         // application rank of this node to report completion.
         let workers = node_comm.size() - 1;
@@ -133,14 +125,10 @@ pub fn blackbox_run<R>(
         let mut t = 0.0f64;
         loop {
             let t_read = t.min(end_s);
-            let values: Vec<i64> = codes
-                .iter()
-                .map(|c: &greenla_papi::EventCode| {
-                    rapl.energy_uj(node, c.socket, c.domain, t_read)
-                        .map(|v| v as i64)
-                        .map_err(|_| MonitorError::Papi(-4))
-                })
-                .collect::<Result<_, _>>()?;
+            let values = read_all(rapl, node, &events, t_read)?
+                .into_iter()
+                .map(|v| v as i64)
+                .collect();
             samples.push(PowerSample {
                 t_s: t_read,
                 values_uj: values,
@@ -153,7 +141,7 @@ pub fn blackbox_run<R>(
         let report = BlackboxReport {
             node,
             monitor_rank: ctx.rank(),
-            events,
+            events: events.iter().map(|e| e.name()).collect(),
             sample_period_s,
             samples,
             end_s,

@@ -64,7 +64,22 @@ pub fn write_node_report(dir: &Path, report: &NodeReport) -> io::Result<PathBuf>
     Ok(path)
 }
 
-/// Parse a rendered report back.
+/// Fill a header record's slot from its value; a second record of the same
+/// key is an error.
+fn set_once<T: std::str::FromStr>(
+    slot: &mut Option<T>,
+    key: &str,
+    value: Option<&str>,
+) -> Result<(), String> {
+    if slot.is_some() {
+        return Err(format!("repeated {key} record"));
+    }
+    *slot = value.and_then(|v| v.parse().ok());
+    Ok(())
+}
+
+/// Parse a rendered report back. Rejects a file whose header records
+/// repeat or whose phase rows do not carry one value per event.
 pub fn parse(text: &str) -> Result<NodeReport, String> {
     let mut lines = text.lines();
     if lines.next().map(str::trim) != Some(MAGIC) {
@@ -84,10 +99,10 @@ pub fn parse(text: &str) -> Result<NodeReport, String> {
         }
         let mut it = line.split_whitespace();
         match it.next() {
-            Some("node") => node = it.next().and_then(|v| v.parse().ok()),
-            Some("monitor_rank") => monitor_rank = it.next().and_then(|v| v.parse().ok()),
-            Some("start_usec") => start_usec = it.next().and_then(|v| v.parse().ok()),
-            Some("end_usec") => end_usec = it.next().and_then(|v| v.parse().ok()),
+            Some("node") => set_once(&mut node, "node", it.next())?,
+            Some("monitor_rank") => set_once(&mut monitor_rank, "monitor_rank", it.next())?,
+            Some("start_usec") => set_once(&mut start_usec, "start_usec", it.next())?,
+            Some("end_usec") => set_once(&mut end_usec, "end_usec", it.next())?,
             Some("event") => {
                 let name = it.next().ok_or("event without name")?;
                 let val: i64 = it
@@ -115,6 +130,14 @@ pub fn parse(text: &str) -> Result<NodeReport, String> {
             Some(other) => return Err(format!("unknown record {other:?}")),
             None => {}
         }
+    }
+    if let Some(p) = phases.iter().find(|p| p.values_uj.len() != events.len()) {
+        return Err(format!(
+            "phase {} has {} values for {} events",
+            p.label,
+            p.values_uj.len(),
+            events.len()
+        ));
     }
     Ok(NodeReport {
         node: node.ok_or("missing node")?,
@@ -209,5 +232,27 @@ mod tests {
     fn rejects_garbage() {
         assert!(parse("nonsense").is_err());
         assert!(parse("# greenla monitor report v1\nwhat 1\n").is_err());
+    }
+
+    #[test]
+    fn rejects_inconsistent_files() {
+        let good = render(&report());
+        assert!(parse(&good).is_ok());
+        let mut short = report();
+        short.phases[0].values_uj.pop();
+        let mut long = report();
+        long.phases[1].values_uj.push(7);
+        // A second header record, slipped in before the first event row.
+        let repeat = |line: &str| good.replacen("\nevent ", &format!("\n{line}\nevent "), 1);
+        for (case, text) in [
+            ("phase row with a value too few", render(&short)),
+            ("phase row with a value too many", render(&long)),
+            ("repeated node", repeat("node 4")),
+            ("repeated monitor_rank", repeat("monitor_rank 191")),
+            ("repeated start_usec", repeat("start_usec 1")),
+            ("repeated end_usec", repeat("end_usec 99042")),
+        ] {
+            assert!(parse(&text).is_err(), "{case} accepted:\n{text}");
+        }
     }
 }

@@ -1,31 +1,27 @@
 //! `start_monitoring` / `end_monitoring` — the paper's `papi_monitoring.h`.
 //!
-//! `start_monitoring` performs, on the designated monitoring rank only, the
-//! full PAPI bring-up the paper lists: library initialisation, thread
-//! initialisation, event-set creation, addition of all desired powercap
-//! events (name → code translation included), then `PAPI_start_AND_time`.
-//! `end_monitoring` stops the counters (`PAPI_stop_AND_time`), collects the
-//! values and destroys the event set (`PAPI_term` equivalent).
+//! The paper's monitoring rank brings PAPI up (library and thread
+//! initialisation, an event set holding the powercap events), starts the
+//! counters with `PAPI_start_AND_time`, reads them at phase boundaries and
+//! stops them with `PAPI_stop_AND_time`. Those calls always run in that one
+//! order, so PAPI's own event-set state machine is not emulated: the
+//! [`Session`] reads each event straight from the simulated RAPL device —
+//! a baseline at the start, then one read of every event per phase mark
+//! and at the stop, reported as the µJ counted since the baseline.
 
 use crate::error::MonitorError;
+use crate::events::{paper_events, read_all, EventCode};
 use crate::report::{NodeReport, PhaseReport};
-use greenla_papi::low::{EventSetId, Papi, PAPI_VER_CURRENT};
-use greenla_papi::powercap::paper_event_names;
-use greenla_papi::reader::{EnergyReader, NodeRapl};
-use greenla_papi::timer::real_usec;
 use greenla_rapl::RaplSim;
 use std::sync::Arc;
 
 /// Monitoring configuration.
 #[derive(Clone, Debug, Default)]
 pub struct MonitorConfig {
-    /// Events to monitor; `None` selects the paper's standard set (package
-    /// and DRAM energy for every socket).
-    pub events: Option<Vec<String>>,
     /// Directory for per-processor result files; `None` skips file output.
     pub output_dir: Option<std::path::PathBuf>,
     /// Graceful degradation: when the node's monitoring fails — the
-    /// monitoring rank dies during bring-up, or PAPI/powercap reads fail
+    /// monitoring rank dies during bring-up, or a counter read fails
     /// mid-protocol — downgrade the node to "unmeasured" (no
     /// [`NodeReport`], run continues) instead of failing the whole job.
     /// Off by default: a fault-free campaign wants loud failures.
@@ -34,78 +30,65 @@ pub struct MonitorConfig {
 
 /// A live measurement on a monitoring rank.
 pub struct Session {
-    papi: Papi<NodeRapl>,
-    set: EventSetId,
-    names: Vec<String>,
+    rapl: Arc<RaplSim>,
+    node: usize,
+    events: Vec<EventCode>,
     start_t: f64,
-    /// Phase boundaries: (label, boundary time, cumulative counts at the
-    /// boundary).
+    /// µJ of every event at `start_t`, same order as `events`.
+    base_uj: Vec<u64>,
+    /// Phase boundaries: (label, boundary time, counts since the start).
     marks: Vec<(String, f64, Vec<i64>)>,
 }
 
-/// Bring up PAPI on this node and start counting at virtual time `now`.
+/// Start counting the paper's events of `node` at virtual time `now`.
 pub fn start_monitoring(
     rapl: &Arc<RaplSim>,
     node: usize,
-    cfg: &MonitorConfig,
     now: f64,
 ) -> Result<Session, MonitorError> {
-    let reader = NodeRapl::new(Arc::clone(rapl), node);
-    let sockets = reader.sockets();
-    // PWCAP_plot_init(): library + thread initialisation.
-    let mut papi = Papi::library_init(PAPI_VER_CURRENT, reader)?;
-    papi.thread_init()?;
-    // Event-set creation and event addition.
-    let names = cfg
-        .events
-        .clone()
-        .unwrap_or_else(|| paper_event_names(sockets));
-    let set = papi.create_eventset()?;
-    for name in &names {
-        papi.add_named_event(set, name)?;
-    }
-    // PAPI_start_AND_time().
-    papi.start(set, now)?;
+    let events = paper_events(rapl.sockets_per_node());
+    let base_uj = read_all(rapl, node, &events, now)?;
     Ok(Session {
-        papi,
-        set,
-        names,
+        rapl: Arc::clone(rapl),
+        node,
+        events,
         start_t: now,
+        base_uj,
         marks: Vec::new(),
     })
 }
 
 impl Session {
-    /// Record a phase boundary at virtual time `now` (a `PAPI_read`).
+    /// µJ counted by every event since the start, read at `now`.
+    fn counts(&self, now: f64) -> Result<Vec<i64>, MonitorError> {
+        let cur = read_all(&self.rapl, self.node, &self.events, now)?;
+        Ok(cur
+            .iter()
+            .zip(&self.base_uj)
+            .map(|(&cur, &base)| cur.wrapping_sub(base) as i64)
+            .collect())
+    }
+
+    /// Record a phase boundary at virtual time `now`.
     pub fn mark_phase(&mut self, label: &str, now: f64) -> Result<(), MonitorError> {
-        let vals = self.papi.read(self.set, now)?;
+        let vals = self.counts(now)?;
         self.marks.push((label.to_string(), now, vals));
         Ok(())
     }
-
-    /// Event names being counted.
-    pub fn names(&self) -> &[String] {
-        &self.names
-    }
 }
 
-/// Stop the counters at `now`, tear PAPI down and produce the node report.
+/// Stop counting at `now` and produce the node report.
 pub fn end_monitoring(
-    mut session: Session,
-    node: usize,
+    session: Session,
     monitor_rank: usize,
     now: f64,
 ) -> Result<NodeReport, MonitorError> {
-    // PAPI_stop_AND_time().
-    let totals = session.papi.stop(session.set, now)?;
-    // PAPI_term(): clean up and destroy the event set.
-    session.papi.cleanup_eventset(session.set)?;
-    session.papi.destroy_eventset(session.set)?;
+    let totals = session.counts(now)?;
 
     // Build phase deltas from the cumulative marks (+ implicit final phase).
     let mut phases = Vec::new();
     let mut prev_t = session.start_t;
-    let mut prev_vals = vec![0i64; session.names.len()];
+    let mut prev_vals = vec![0i64; session.events.len()];
     for (label, t, vals) in &session.marks {
         phases.push(PhaseReport {
             label: label.clone(),
@@ -123,11 +106,11 @@ pub fn end_monitoring(
         });
     }
     Ok(NodeReport {
-        node,
+        node: session.node,
         monitor_rank,
-        events: session.names,
-        start_usec: real_usec(session.start_t),
-        end_usec: real_usec(now),
+        events: session.events.iter().map(EventCode::name).collect(),
+        start_usec: (session.start_t * 1e6) as u64,
+        end_usec: (now * 1e6) as u64,
         totals_uj: totals,
         phases,
     })

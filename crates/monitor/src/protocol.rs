@@ -28,7 +28,7 @@ use greenla_rapl::RaplSim;
 use std::sync::Arc;
 
 /// In-band status word the monitoring rank broadcasts over the node
-/// communicator after PAPI bring-up: the node is measured.
+/// communicator after the counters' bring-up: the node is measured.
 const STATUS_OK: u64 = 0;
 
 /// Status word for a node that downgraded itself to "unmeasured" after a
@@ -99,7 +99,7 @@ impl MonitorHandle {
                 ctx.emit(RankEvent::Fault(FaultNote::Degraded));
                 status = vec![STATUS_DEGRADED];
             } else {
-                match start_monitoring(rapl, ctx.node(), cfg, ctx.now()) {
+                match start_monitoring(rapl, ctx.node(), ctx.now()) {
                     Ok(s) => {
                         ctx.emit(RankEvent::Monitor(MonitorStep::Start));
                         session = Some(s);
@@ -177,7 +177,7 @@ impl MonitorHandle {
         let mut report = Ok(None);
         if let Some(session) = self.session {
             ctx.emit(RankEvent::Monitor(MonitorStep::End));
-            match end_monitoring(session, ctx.node(), self.monitor_rank_world, ctx.now()) {
+            match end_monitoring(session, self.monitor_rank_world, ctx.now()) {
                 Ok(r) => {
                     ctx.trace_instant("end_monitoring");
                     report = match &cfg.output_dir {
@@ -201,16 +201,6 @@ impl MonitorHandle {
         ctx.barrier(&world);
         ctx.trace_end("monitor", "monitor_finish");
         report
-    }
-
-    /// The node communicator (for tests and phase-aware workloads).
-    pub fn node_comm(&self) -> &Comm {
-        &self.node_comm
-    }
-
-    /// Is this rank its node's monitoring rank?
-    pub fn is_monitor(&self) -> bool {
-        self.session.is_some()
     }
 }
 

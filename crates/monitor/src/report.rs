@@ -1,6 +1,6 @@
 //! Per-node reports and cross-node aggregation.
 
-use greenla_papi::events::{event_name_to_code, EventCode};
+use crate::events;
 use greenla_rapl::Domain;
 use serde::{Deserialize, Serialize};
 
@@ -24,9 +24,10 @@ pub struct NodeReport {
     pub monitor_rank: usize,
     /// Monitored event names.
     pub events: Vec<String>,
-    /// Virtual time at `PAPI_start` (µs, as `PAPI_get_real_usec` reports).
+    /// Virtual time at `start_monitoring` (µs, as `PAPI_get_real_usec`
+    /// reports).
     pub start_usec: u64,
-    /// Virtual time at `PAPI_stop` (µs).
+    /// Virtual time at `end_monitoring` (µs).
     pub end_usec: u64,
     /// Total per-event counts over the monitored region (µJ).
     pub totals_uj: Vec<i64>,
@@ -46,7 +47,7 @@ impl NodeReport {
             .iter()
             .zip(&self.totals_uj)
             .filter_map(|(name, &uj)| {
-                let code: EventCode = event_name_to_code(name).ok()?;
+                let code = events::parse(name)?;
                 (code.domain == domain).then_some(uj as f64 / 1e6)
             })
             .sum()
@@ -58,7 +59,7 @@ impl NodeReport {
             .iter()
             .zip(&self.totals_uj)
             .find_map(|(name, &uj)| {
-                let code = event_name_to_code(name).ok()?;
+                let code = events::parse(name)?;
                 (code.domain == domain && code.socket == socket).then_some(uj as f64 / 1e6)
             })
     }

@@ -130,7 +130,6 @@ fn blackbox_writes_trace_files() {
     let m = machine(1, 8, 3);
     let rapl = Arc::new(RaplSim::new(m.ledger(), m.power().clone(), 3));
     let cfg = MonitorConfig {
-        events: None,
         output_dir: Some(dir.clone()),
         degrade_on_fault: false,
     };

@@ -5,12 +5,13 @@
 use greenla_cluster::placement::{LoadLayout, Placement};
 use greenla_cluster::spec::ClusterSpec;
 use greenla_cluster::PowerModel;
+use greenla_monitor::blackbox::blackbox_run;
 use greenla_monitor::monitoring::MonitorConfig;
 use greenla_monitor::protocol::monitored_run;
 use greenla_monitor::report::JobSummary;
 use greenla_monitor::MonitorError;
 use greenla_mpi::{AbortKind, Machine, SchedulerKind};
-use greenla_rapl::{Domain, RaplSim};
+use greenla_rapl::{Domain, MsrError, RaplSim};
 use std::sync::Arc;
 
 fn machine(nodes: usize, ranks: usize) -> Machine {
@@ -174,7 +175,6 @@ fn per_processor_files_written_and_parse_back() {
     let m = machine(2, 16);
     let rapl = rapl_for(&m);
     let cfg = MonitorConfig {
-        events: None,
         output_dir: Some(dir.clone()),
         degrade_on_fault: false,
     };
@@ -242,8 +242,9 @@ fn idle_socket_draws_half_ish_under_one_socket_layout() {
 
 #[test]
 fn papi_failure_reported_on_every_rank_of_the_node() {
-    // Node 0's monitoring rank cannot start measuring (a bogus event name:
-    // `add_named_event` fails with PAPI_ENOEVNT) and may not degrade. The
+    use greenla_mpi::{CounterFault, CounterFaultKind, FaultPlan, FaultSink};
+    // Node 0's monitoring rank cannot start measuring (its package-0
+    // counter fails every read from t = 0) and may not degrade. The
     // failure must reach every rank of its node *and* of every other node
     // as the run's one typed cause, recorded where it happened — an `Err`
     // handed to node 0 alone left node 1 waiting in the job-wide barrier
@@ -254,18 +255,25 @@ fn papi_failure_reported_on_every_rank_of_the_node() {
                 continue;
             }
             let m = machine(nodes, ranks).with_scheduler(kind);
-            let rapl = rapl_for(&m);
+            let plan = FaultPlan {
+                counters: vec![CounterFault {
+                    node: 0,
+                    socket: 0,
+                    from_s: 0.0,
+                    kind: CounterFaultKind::Glitch,
+                }],
+                ..Default::default()
+            };
+            let rapl = Arc::new(
+                RaplSim::new(m.ledger(), m.power().clone(), m.seed())
+                    .with_faults(FaultSink::with_plan(plan)),
+            );
             // On a watchdog thread, so a carrier that parks forever fails
             // this leg instead of stalling the suite.
             let (tx, rx) = std::sync::mpsc::channel();
             let run = std::thread::spawn(move || {
                 let out = m.try_run(|ctx| {
-                    let cfg = MonitorConfig {
-                        events: (ctx.node() == 0)
-                            .then(|| vec!["powercap:::ENERGY_UJ:ZONE99".into()]),
-                        output_dir: None,
-                        degrade_on_fault: false,
-                    };
+                    let cfg = MonitorConfig::default();
                     monitored_run(ctx, &rapl, &cfg, |ctx, _| ctx.compute(1000, 0)).map(|_| ())
                 });
                 let _ = tx.send(out.err());
@@ -412,4 +420,110 @@ fn glitched_counter_degrades_node_mid_run() {
     assert_eq!(reports.len(), 1, "only the healthy node reports");
     assert_eq!(reports[0].node, 1);
     assert_eq!(sink.report().degraded_nodes, vec![0]);
+}
+
+#[test]
+fn cpu_without_rapl_refuses_both_monitoring_modes() {
+    // A Nehalem node has no RAPL counters: the white-box monitoring rank
+    // cannot start, and every black-box daemon must refuse alike instead
+    // of sampling counters the CPU does not have.
+    let machine = || {
+        let mut spec = ClusterSpec::test_cluster(2, 4);
+        spec.node.cpu.model = 0x1a;
+        let placement = Placement::layout(&spec.node, 16, LoadLayout::FullLoad).unwrap();
+        Machine::new(spec, placement, PowerModel::deterministic(), 21).unwrap()
+    };
+    let m = machine();
+    let rapl = rapl_for(&m);
+    let abort = m
+        .try_run(|ctx| {
+            monitored_run(ctx, &rapl, &MonitorConfig::default(), |ctx, _| {
+                ctx.compute(1000, 0)
+            })
+            .map(|_| ())
+        })
+        .err()
+        .expect("white-box monitoring must abort without RAPL");
+    assert_eq!(abort.kind, AbortKind::Monitor, "{abort}");
+
+    let m = machine();
+    let rapl = rapl_for(&m);
+    let cpu = rapl.cpu();
+    let out = m.run(|ctx| {
+        blackbox_run(ctx, &rapl, &MonitorConfig::default(), 1e-3, |ctx, _| {
+            ctx.compute(1000, 0)
+        })
+        .map(|o| o.report.is_some())
+    });
+    for (rank, result) in out.results.iter().enumerate() {
+        if rank % 8 == 7 {
+            assert_eq!(
+                result,
+                &Err(MonitorError::Counter(MsrError::NoRapl(cpu))),
+                "daemon rank {rank}"
+            );
+        } else {
+            assert_eq!(result, &Ok(false), "application rank {rank}");
+        }
+    }
+}
+
+#[test]
+fn session_reads_are_the_direct_counter_differences() {
+    use greenla_monitor::monitoring::{end_monitoring, start_monitoring};
+    // After a run, replay one node's measurement at fixed virtual times:
+    // every total and phase value must be the plain difference of two
+    // `energy_uj` reads, bit for bit, in the order PKG0, PKG1, DRAM0, DRAM1.
+    let m = machine(2, 16);
+    let rapl = rapl_for(&m);
+    m.run(|ctx| ctx.compute(5_000_000 * (1 + ctx.rank() as u64), 1 << 20));
+    let order = [
+        (0, Domain::Package),
+        (1, Domain::Package),
+        (0, Domain::Dram),
+        (1, Domain::Dram),
+    ];
+    let (t0, t1, t2, t3) = (0.000_25, 0.001_7, 0.003_1, 0.009_9);
+    for node in 0..2 {
+        let read = |t: f64| -> Vec<u64> {
+            order
+                .iter()
+                .map(|&(s, d)| rapl.energy_uj(node, s, d, t).unwrap())
+                .collect()
+        };
+        let diff = |a: &[u64], b: &[u64]| -> Vec<i64> {
+            a.iter()
+                .zip(b)
+                .map(|(a, b)| a.wrapping_sub(*b) as i64)
+                .collect()
+        };
+        let (e0, e1, e2, e3) = (read(t0), read(t1), read(t2), read(t3));
+        let mut s = start_monitoring(&rapl, node, t0).unwrap();
+        s.mark_phase("allocation", t1).unwrap();
+        s.mark_phase("execution", t2).unwrap();
+        let r = end_monitoring(s, 8 * node + 7, t3).unwrap();
+        assert_eq!(
+            r.events,
+            [
+                "powercap:::ENERGY_UJ:ZONE0",
+                "powercap:::ENERGY_UJ:ZONE1",
+                "powercap:::ENERGY_UJ:ZONE0_SUBZONE1",
+                "powercap:::ENERGY_UJ:ZONE1_SUBZONE1",
+            ]
+        );
+        assert_eq!((r.node, r.monitor_rank), (node, 8 * node + 7));
+        assert_eq!((r.start_usec, r.end_usec), (250, 9_900));
+        assert_eq!(r.totals_uj, diff(&e3, &e0), "node {node} totals");
+        let labels: Vec<_> = r.phases.iter().map(|p| p.label.as_str()).collect();
+        assert_eq!(labels, ["allocation", "execution", "final"]);
+        for (p, (a, b, dt)) in r.phases.iter().zip([
+            (&e1, &e0, t1 - t0),
+            (&e2, &e1, t2 - t1),
+            (&e3, &e2, t3 - t2),
+        ]) {
+            assert_eq!(p.values_uj, diff(a, b), "node {node} phase {}", p.label);
+            assert_eq!(p.duration_s.to_bits(), dt.to_bits(), "{}", p.label);
+            assert!(p.values_uj.iter().all(|&v| v > 0), "{}", p.label);
+        }
+    }
 }

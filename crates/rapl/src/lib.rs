@@ -8,10 +8,8 @@
 //!
 //! * counters update roughly **once per millisecond with jitter**, so two
 //!   immediate reads may return the same value;
-//! * the advertised wrap range (`max_energy_range_uj`) is 2³² counts of
-//!   the **RAPL energy unit** decoded for the CPU model — and on
-//!   Skylake-SP the DRAM domain uses a fixed 2⁻¹⁶ J unit regardless of
-//!   what the unit register says, a real-world quirk reproduced here;
+//! * a CPU model that predates RAPL has no counters, so every read on it
+//!   fails ([`MsrError::NoRapl`]);
 //! * reading a node, socket or domain the machine does not have fails
 //!   (server parts have no PP1 plane), and planned counter faults can
 //!   freeze a counter, pile phantom joules on it or fail its reads.
@@ -25,8 +23,6 @@ pub mod counter;
 pub mod cpuid;
 pub mod domains;
 pub mod sim;
-pub mod units;
 
 pub use domains::Domain;
 pub use sim::{MsrError, RaplSim};
-pub use units::RaplUnits;

@@ -4,15 +4,17 @@
 use crate::counter::{quantize_read_time, UPDATE_PERIOD_S};
 use crate::cpuid::CpuModel;
 use crate::domains::Domain;
-use crate::units::{RaplUnits, SKX_RAPL_POWER_UNIT};
 use greenla_cluster::ledger::Ledger;
 use greenla_cluster::PowerModel;
 use greenla_faults::{CounterFaultKind, FaultSink};
 use std::sync::Arc;
 
 /// Failures of a simulated RAPL counter read.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MsrError {
+    /// The CPU model predates RAPL (anything before Sandy Bridge): there
+    /// are no energy counters to read.
+    NoRapl(CpuModel),
     /// The domain does not exist on this CPU model (e.g. PP1 on
     /// Skylake-SP).
     UnsupportedDomain(Domain),
@@ -28,6 +30,11 @@ pub enum MsrError {
 impl std::fmt::Display for MsrError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            MsrError::NoRapl(cpu) => write!(
+                f,
+                "CPU family {} model {:#x} has no RAPL energy counters",
+                cpu.family, cpu.model
+            ),
             MsrError::UnsupportedDomain(d) => write!(f, "unsupported RAPL domain {d:?}"),
             MsrError::NoSuchSocket(s) => write!(f, "no such socket {s}"),
             MsrError::NoSuchNode(n) => write!(f, "no such node {n}"),
@@ -94,11 +101,6 @@ impl RaplSim {
 
     pub fn sockets_per_node(&self) -> usize {
         self.ledger.node_spec().sockets
-    }
-
-    /// Decoded units for this CPU.
-    pub fn units(&self) -> RaplUnits {
-        RaplUnits::decode(SKX_RAPL_POWER_UNIT, self.cpu)
     }
 
     /// Does `(node, socket, domain)` exist on this machine?
@@ -182,7 +184,7 @@ impl RaplSim {
     /// `t`, as powercap's `energy_uj` reports it: quantised to the
     /// counter's update grid and never wrapped (the powercap reader
     /// accumulates wraps; we model one attached since t = 0). This is the
-    /// device's only counter read.
+    /// device's only counter read, and a CPU without RAPL refuses it.
     pub fn energy_uj(
         &self,
         node: usize,
@@ -190,22 +192,13 @@ impl RaplSim {
         domain: Domain,
         t: f64,
     ) -> Result<u64, MsrError> {
+        if !self.cpu.supports_rapl() {
+            return Err(MsrError::NoRapl(self.cpu));
+        }
         self.check(node, socket, domain)?;
         let tq = quantize_read_time(t, self.phase(node, socket, domain));
         let joules = self.register_energy_j(node, socket, domain, tq)?;
         Ok((joules * 1e6) as u64)
-    }
-
-    /// powercap's advertised wrap range for a domain, in µJ: 2³² counts of
-    /// the domain's energy unit.
-    pub fn max_energy_range_uj(&self, domain: Domain) -> u64 {
-        let units = self.units();
-        let unit_j = if domain == Domain::Dram {
-            units.dram_energy_j
-        } else {
-            units.energy_j
-        };
-        (unit_j * 4.294967296e9 * 1e6) as u64
     }
 }
 
@@ -254,17 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn dram_counter_uses_fixed_unit() {
-        // Skylake-SP counts DRAM in 2⁻¹⁶ J, a quarter of the 2⁻¹⁴ J package
-        // unit, so its 2³²-count wrap range is a quarter as wide.
-        let sim = sim_with_activity();
-        assert_eq!(
-            sim.max_energy_range_uj(Domain::Dram),
-            sim.max_energy_range_uj(Domain::Package) / 4
-        );
-    }
-
-    #[test]
     fn counters_are_monotone_before_wrap() {
         let sim = sim_with_activity();
         let mut last = 0;
@@ -294,6 +276,19 @@ mod tests {
             sim.energy_uj(0, 0, Domain::Pp1, 1.0),
             Err(MsrError::UnsupportedDomain(Domain::Pp1))
         );
+    }
+
+    #[test]
+    fn cpu_without_rapl_refuses_reads_but_not_the_meter() {
+        let mut spec = NodeSpec::marconi_a3();
+        spec.cpu.model = 0x1a; // Nehalem
+        let sim = RaplSim::new(
+            Arc::new(Ledger::new(spec, 1)),
+            PowerModel::deterministic(),
+            0,
+        );
+        assert_eq!(pkg_uj(&sim, 0, 1.0), Err(MsrError::NoRapl(sim.cpu())));
+        assert!(sim.ground_truth_j(0, 0, Domain::Package, 1.0).unwrap() > 0.0);
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! * [`mpi`] — the virtual-time MPI runtime (rank threads, communicators,
 //!   collectives, traffic accounting);
 //! * [`rapl`] — simulated RAPL energy counters (powercap µJ reads, ~1 ms
-//!   updates, unit-decoded wrap ranges, counter faults);
-//! * [`papi`] — the PAPI-like counter API with the powercap component;
-//! * [`monitor`] — the paper's white-box per-node monitoring framework;
+//!   updates, CPU-model detection, counter faults);
+//! * [`monitor`] — the paper's white-box per-node monitoring framework,
+//!   reading the powercap events straight from [`rapl`];
 //! * [`ime`] — the Inhibition Method (sequential, parallel, fault-tolerant);
 //! * [`scalapack`] — ScaLAPACK-lite distributed LU with partial pivoting;
 //! * [`model`] — calibrated analytic models for paper-scale extrapolation;
@@ -59,6 +59,5 @@ pub use greenla_linalg as linalg;
 pub use greenla_model as model;
 pub use greenla_monitor as monitor;
 pub use greenla_mpi as mpi;
-pub use greenla_papi as papi;
 pub use greenla_rapl as rapl;
 pub use greenla_scalapack as scalapack;

@@ -1,5 +1,5 @@
 //! Workspace-level integration tests: the full stack (solver → MPI → ledger
-//! → RAPL → PAPI → monitor → aggregation) exercised through the facade
+//! → RAPL → monitor → aggregation) exercised through the facade
 //! crate, plus cross-solver consistency properties.
 
 use greenla::cluster::placement::{LoadLayout, Placement};
@@ -151,9 +151,10 @@ fn repetitions_vary_with_seed_but_runs_are_reproducible() {
 
 #[test]
 fn papi_counters_match_external_ground_truth_meter() {
-    // The paper's future work: validate PAPI numbers against an external
-    // power meter. Our RaplSim exposes the un-quantised model as that
-    // ground truth; the full PAPI-read path must agree closely.
+    // The paper's future work: validate the PAPI-read counters against an
+    // external power meter. Our RaplSim exposes the un-quantised model as
+    // that ground truth; the monitor's counter-read path must agree
+    // closely.
     let machine = make_machine(8, LoadLayout::FullLoad, 13);
     let rapl = Arc::new(RaplSim::new(machine.ledger(), machine.power().clone(), 13));
     let rapl2 = Arc::clone(&rapl);
