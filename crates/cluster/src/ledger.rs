@@ -1,19 +1,37 @@
 //! Per-core activity ledger.
 //!
 //! The simulated MPI runtime records, for every core, the virtual-time
-//! intervals during which the core was busy computing or communicating, and
-//! per-socket DRAM traffic events. The RAPL layer later integrates the power
-//! model over these records to answer "energy consumed up to time *t*" —
-//! which is exactly what the hardware's energy-status MSRs report.
+//! spans during which the core was busy computing or communicating, and
+//! the DRAM traffic its compute charged. The RAPL layer later integrates
+//! the power model over these records to answer "energy consumed up to time
+//! *t*" — which is exactly what the hardware's energy-status MSRs report.
 //!
-//! Each core is driven by exactly one rank thread, so per-core interval
-//! vectors are `Mutex`-protected but effectively uncontended; the mutex only
-//! arbitrates against concurrent *readers* (RAPL queries from monitoring
-//! ranks on the same node).
+//! Each core keeps one log behind a mutex that arbitrates between the rank
+//! writing it and RAPL readers on the same node. Spans are stored per
+//! [`ActivityKind`] as `(start, end)` pairs, 16 bytes each, in record
+//! order. Starts never decrease on a core, so the spans that started before
+//! `t` are a prefix. Every 64 spans a checkpoint keeps the running left
+//! fold of the durations and the running maximum end.
+//!
+//! A read costs two binary searches and a few dozen additions. The first
+//! search finds the prefix. The second finds the last checkpoint inside it
+//! whose spans all ended by `t`; each of those spans contributes exactly
+//! its duration. The remaining spans of the prefix are clipped at `t` and
+//! folded on top: at most 64 of them, since the runtime's spans on one core
+//! never overlap, so only the last one before `t` can end after it. That is the left fold `Iterator::sum::<f64>` computes
+//! over every clipped span of the prefix, from the same initial value and
+//! in the same order, so a read returns the bits of a full scan.
+//!
+//! DRAM traffic is kept per core as `(t, running byte total)`, with events
+//! at one instant merged. A socket's bytes up to `t` take one binary search
+//! per core; the sum is in `u64`, so any grouping gives the same total.
 
 use crate::spec::NodeSpec;
 use crate::topology::CoreId;
 use parking_lot::Mutex;
+
+/// Spans between two checkpoints of a [`KindLog`].
+const STRIDE: usize = 64;
 
 /// What a core was doing during a busy interval.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,12 +52,89 @@ pub struct Interval {
     pub flops: u64,
 }
 
-/// One DRAM traffic event: `bytes` moved at virtual time `t` on a socket's
-/// memory controller.
-#[derive(Clone, Copy, Debug)]
-pub struct DramEvent {
-    pub t: f64,
-    pub bytes: u64,
+/// The running state of a [`KindLog`] after some prefix of its spans.
+#[derive(Clone, Copy)]
+struct Fold {
+    /// Left fold of the durations, as `Iterator::sum::<f64>` folds them.
+    busy: f64,
+    /// Latest end among the spans.
+    max_end: f64,
+}
+
+impl Fold {
+    fn empty() -> Self {
+        Self {
+            busy: std::iter::empty::<f64>().sum(),
+            max_end: f64::NEG_INFINITY,
+        }
+    }
+}
+
+/// One core's spans of one [`ActivityKind`].
+struct KindLog {
+    /// `(start, end)` in record order, so starts never decrease.
+    spans: Vec<[f64; 2]>,
+    /// `checkpoints[k]` is the fold of `spans[..(k + 1) * STRIDE]`.
+    checkpoints: Vec<Fold>,
+    /// The fold of every span so far.
+    all: Fold,
+}
+
+impl KindLog {
+    fn new() -> Self {
+        Self {
+            spans: Vec::new(),
+            checkpoints: Vec::new(),
+            all: Fold::empty(),
+        }
+    }
+
+    fn push(&mut self, start: f64, end: f64) {
+        self.spans.push([start, end]);
+        self.all.busy += end - start;
+        self.all.max_end = self.all.max_end.max(end);
+        if self.spans.len().is_multiple_of(STRIDE) {
+            self.checkpoints.push(self.all);
+        }
+    }
+
+    /// `Σ min(end, t) − start` over the spans with `start < t`, in record
+    /// order.
+    fn busy_until(&self, t: f64) -> f64 {
+        let prefix = self.spans.partition_point(|&[start, _]| start < t);
+        // Checkpoints wholly inside the prefix whose spans all ended by `t`
+        // contribute unclipped durations.
+        let inside = &self.checkpoints[..prefix / STRIDE];
+        let (from, init) = match inside.partition_point(|cp| cp.max_end <= t) {
+            0 => (0, Fold::empty().busy),
+            k => (k * STRIDE, inside[k - 1].busy),
+        };
+        self.spans[from..prefix]
+            .iter()
+            .fold(init, |acc, &[start, end]| acc + (end.min(t) - start))
+    }
+}
+
+/// Everything the ledger keeps about one core.
+struct CoreLog {
+    /// Indexed by `ActivityKind as usize`.
+    kinds: [KindLog; 2],
+    flops: u64,
+    /// `(start, end)` of the latest span of either kind.
+    last: Option<[f64; 2]>,
+    /// `(t, bytes moved up to and including t)`, one entry per instant.
+    dram: Vec<(f64, u64)>,
+}
+
+impl CoreLog {
+    fn new() -> Self {
+        Self {
+            kinds: [KindLog::new(), KindLog::new()],
+            flops: 0,
+            last: None,
+            dram: Vec::new(),
+        }
+    }
 }
 
 /// The cluster-wide activity record for one run.
@@ -47,24 +142,18 @@ pub struct Ledger {
     node_spec: NodeSpec,
     nodes: usize,
     /// `cores[node * cores_per_node + flat_core]`
-    cores: Vec<Mutex<Vec<Interval>>>,
-    /// `dram[node * sockets + socket]`
-    dram: Vec<Mutex<Vec<DramEvent>>>,
+    cores: Vec<Mutex<CoreLog>>,
 }
 
 impl Ledger {
     pub fn new(node_spec: NodeSpec, nodes: usize) -> Self {
         let cores = (0..nodes * node_spec.cores())
-            .map(|_| Mutex::new(Vec::new()))
-            .collect();
-        let dram = (0..nodes * node_spec.sockets)
-            .map(|_| Mutex::new(Vec::new()))
+            .map(|_| Mutex::new(CoreLog::new()))
             .collect();
         Self {
             node_spec,
             nodes,
             cores,
-            dram,
         }
     }
 
@@ -76,13 +165,9 @@ impl Ledger {
         self.nodes
     }
 
-    fn core_slot(&self, core: CoreId) -> &Mutex<Vec<Interval>> {
+    fn core_slot(&self, core: CoreId) -> &Mutex<CoreLog> {
         let idx = core.node * self.node_spec.cores() + core.flat_in_node(&self.node_spec);
         &self.cores[idx]
-    }
-
-    fn dram_slot(&self, node: usize, socket: usize) -> &Mutex<Vec<DramEvent>> {
-        &self.dram[node * self.node_spec.sockets + socket]
     }
 
     /// Record a busy interval on a core. Intervals of one core must be
@@ -93,31 +178,37 @@ impl Ledger {
             interval.end >= interval.start,
             "interval ends before it starts: {interval:?}"
         );
-        let mut v = self.core_slot(core).lock();
-        if let Some(last) = v.last() {
+        let mut log = self.core_slot(core).lock();
+        if let Some([last_start, last_end]) = log.last {
             assert!(
-                interval.start >= last.start - 1e-12,
-                "non-monotonic interval on {core:?}: {interval:?} after {last:?}"
+                interval.start >= last_start,
+                "non-monotonic interval on {core:?}: {interval:?} after \
+                 [{last_start}, {last_end}]"
             );
         }
-        v.push(interval);
+        log.kinds[interval.kind as usize].push(interval.start, interval.end);
+        log.flops += interval.flops;
+        log.last = Some([interval.start, interval.end]);
     }
 
-    /// Record DRAM traffic on a node's socket.
-    pub fn record_dram(&self, node: usize, socket: usize, t: f64, bytes: u64) {
-        self.dram_slot(node, socket)
-            .lock()
-            .push(DramEvent { t, bytes });
+    /// Record `bytes` of DRAM traffic charged by `core` at virtual time
+    /// `t`. A core's events must arrive in non-decreasing time order.
+    pub fn record_dram(&self, core: CoreId, t: f64, bytes: u64) {
+        let mut log = self.core_slot(core).lock();
+        let (last_t, before) = log.dram.last().copied().unwrap_or((f64::NEG_INFINITY, 0));
+        assert!(
+            t >= last_t,
+            "non-monotonic DRAM event on {core:?}: t = {t} after {last_t}"
+        );
+        match log.dram.last_mut() {
+            Some((at, total)) if *at == t => *total += bytes,
+            _ => log.dram.push((t, before + bytes)),
+        }
     }
 
     /// Seconds core `core` spent in activity `kind` up to virtual time `t`.
     pub fn core_busy_until(&self, core: CoreId, kind: ActivityKind, t: f64) -> f64 {
-        self.core_slot(core)
-            .lock()
-            .iter()
-            .filter(|iv| iv.kind == kind && iv.start < t)
-            .map(|iv| iv.end.min(t) - iv.start)
-            .sum()
+        self.core_slot(core).lock().kinds[kind as usize].busy_until(t)
     }
 
     /// Total busy seconds in `kind`, summed over every core of `(node,
@@ -130,20 +221,20 @@ impl Ledger {
 
     /// DRAM bytes moved on `(node, socket)` up to time `t`.
     pub fn dram_bytes_until(&self, node: usize, socket: usize, t: f64) -> u64 {
-        self.dram_slot(node, socket)
-            .lock()
-            .iter()
-            .filter(|e| e.t <= t)
-            .map(|e| e.bytes)
+        (0..self.node_spec.cpu.cores_per_socket)
+            .map(|c| {
+                let log = self.core_slot(CoreId::new(node, socket, c)).lock();
+                match log.dram.partition_point(|&(et, _)| et <= t) {
+                    0 => 0,
+                    k => log.dram[k - 1].1,
+                }
+            })
             .sum()
     }
 
     /// Total flops across the whole run.
     pub fn total_flops(&self) -> u64 {
-        self.cores
-            .iter()
-            .map(|m| m.lock().iter().map(|iv| iv.flops).sum::<u64>())
-            .sum()
+        self.cores.iter().map(|m| m.lock().flops).sum()
     }
 
     /// Latest interval end across the cluster (the run's virtual makespan so
@@ -151,7 +242,7 @@ impl Ledger {
     pub fn max_time(&self) -> f64 {
         self.cores
             .iter()
-            .map(|m| m.lock().last().map_or(0.0, |iv| iv.end))
+            .map(|m| m.lock().last.map_or(0.0, |[_, end]| end))
             .fold(0.0, f64::max)
     }
 }
@@ -218,9 +309,9 @@ mod tests {
     #[test]
     fn dram_accounting() {
         let l = ledger();
-        l.record_dram(0, 0, 0.5, 1000);
-        l.record_dram(0, 0, 1.5, 500);
-        l.record_dram(0, 1, 0.1, 42);
+        l.record_dram(CoreId::new(0, 0, 0), 0.5, 1000);
+        l.record_dram(CoreId::new(0, 0, 0), 1.5, 500);
+        l.record_dram(CoreId::new(0, 1, 0), 0.1, 42);
         assert_eq!(l.dram_bytes_until(0, 0, 1.0), 1000);
         assert_eq!(l.dram_bytes_until(0, 0, 2.0), 1500);
         assert_eq!(l.dram_bytes_until(0, 1, 2.0), 42);
@@ -253,9 +344,205 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-monotonic")]
     fn rejects_out_of_order_intervals() {
+        let c = CoreId::new(0, 0, 0);
+        let l = ledger();
+        l.record(c, iv(5.0, 6.0, ActivityKind::Compute, 0));
+        let earlier = std::panic::catch_unwind(|| {
+            l.record(c, iv(1.0, 2.0, ActivityKind::Compute, 0));
+        });
+        assert!(earlier.is_err(), "a start 4 s early was accepted");
+        // The binary search needs exact order: a start a hair before the
+        // last one, on the other kind, is refused too.
+        let l = ledger();
+        l.record(c, iv(5.0, 6.0, ActivityKind::Compute, 0));
+        l.record(c, iv(5.0 - 1e-13, 6.0, ActivityKind::Comm, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "non-monotonic DRAM event")]
+    fn rejects_out_of_order_dram_events() {
         let l = ledger();
         let c = CoreId::new(0, 0, 0);
-        l.record(c, iv(5.0, 6.0, ActivityKind::Compute, 0));
-        l.record(c, iv(1.0, 2.0, ActivityKind::Compute, 0));
+        l.record_dram(c, 2.0, 1);
+        l.record_dram(c, 1.0, 1);
+    }
+
+    /// The scan every read replaced, verbatim: the differential oracle.
+    #[derive(Default)]
+    struct Scan {
+        cores: std::collections::HashMap<CoreId, Vec<Interval>>,
+        dram: std::collections::HashMap<(usize, usize), Vec<(f64, u64)>>,
+    }
+
+    impl Scan {
+        fn core_busy_until(&self, core: CoreId, kind: ActivityKind, t: f64) -> f64 {
+            self.cores
+                .get(&core)
+                .map_or(&[][..], |v| &v[..])
+                .iter()
+                .filter(|iv| iv.kind == kind && iv.start < t)
+                .map(|iv| iv.end.min(t) - iv.start)
+                .sum()
+        }
+
+        fn socket_busy_until(
+            &self,
+            spec: &NodeSpec,
+            node: usize,
+            socket: usize,
+            kind: ActivityKind,
+            t: f64,
+        ) -> f64 {
+            (0..spec.cpu.cores_per_socket)
+                .map(|c| self.core_busy_until(CoreId::new(node, socket, c), kind, t))
+                .sum()
+        }
+
+        fn dram_bytes_until(&self, node: usize, socket: usize, t: f64) -> u64 {
+            self.dram
+                .get(&(node, socket))
+                .map_or(&[][..], |v| &v[..])
+                .iter()
+                .filter(|e| e.0 <= t)
+                .map(|e| e.1)
+                .sum()
+        }
+
+        fn total_flops(&self) -> u64 {
+            self.cores
+                .values()
+                .map(|v| v.iter().map(|iv| iv.flops).sum::<u64>())
+                .sum()
+        }
+
+        fn max_time(&self) -> f64 {
+            self.cores
+                .values()
+                .map(|v| v.last().map_or(0.0, |iv| iv.end))
+                .fold(0.0, f64::max)
+        }
+    }
+
+    /// SplitMix64: a dependency-free stream for the random ledgers.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `[0, 1)`.
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    #[test]
+    fn reads_equal_the_full_scan_bit_for_bit() {
+        // More than 200 spans per kind, so reads cross several checkpoints;
+        // Miri gets a stream that still crosses one.
+        let (per_core, min_checkpoints, probe_step) = if cfg!(miri) {
+            (200, 1, 40)
+        } else {
+            (480, 3, 1)
+        };
+        let spec = NodeSpec::test_node(2);
+        let sockets = [(0, 0), (0, 1), (1, 0), (1, 1)];
+        let mut rng = Rng(0x5eed_1ed9);
+        let ledger = Ledger::new(spec.clone(), 2);
+        let mut scan = Scan::default();
+        for (node, socket) in sockets {
+            // Each socket is read at every start, end, in-span instant and
+            // DRAM time stamp of its own cores, and at the edges.
+            let mut probes = vec![f64::NEG_INFINITY, -1.0, 0.0, f64::INFINITY, f64::NAN];
+            for c in 0..spec.cpu.cores_per_socket {
+                let core = CoreId::new(node, socket, c);
+                // Some cores start late, so reads land before their first
+                // span.
+                let mut clock = rng.below(3) as f64 * 1e-3;
+                let mut dram_t = clock;
+                for _ in 0..per_core {
+                    let kind = if rng.below(2) == 0 {
+                        ActivityKind::Compute
+                    } else {
+                        ActivityKind::Comm
+                    };
+                    // A gap before the span, or none.
+                    if rng.below(3) == 0 {
+                        clock += rng.unit() * 1e-4;
+                    }
+                    let (len, flops) = match rng.below(6) {
+                        // A zero-length span that still carries flops.
+                        0 => (0.0, rng.below(1000) + 1),
+                        _ => (rng.unit() * 1e-4, rng.below(1 << 20)),
+                    };
+                    let span = iv(clock, clock + len, kind, flops);
+                    ledger.record(core, span);
+                    scan.cores.entry(core).or_default().push(span);
+                    probes.extend([span.start, span.end, span.start + len * rng.unit()]);
+                    // Usually the next span starts where this one ended;
+                    // now and then at the same start (spans then overlap,
+                    // so a checkpoint's max end can lie past a later start).
+                    if rng.below(5) != 0 {
+                        clock = span.end;
+                    }
+                    if rng.below(3) == 0 {
+                        // DRAM traffic; an event that does not move its
+                        // time stamp shares it with the previous one.
+                        if rng.below(2) == 0 {
+                            dram_t = dram_t.max(clock);
+                        }
+                        let bytes = rng.below(1 << 24);
+                        ledger.record_dram(core, dram_t, bytes);
+                        scan.dram
+                            .entry((node, socket))
+                            .or_default()
+                            .push((dram_t, bytes));
+                        probes.push(dram_t);
+                    }
+                }
+                probes.push(clock + 1.0);
+                let log = ledger.core_slot(core).lock();
+                assert!(
+                    log.kinds
+                        .iter()
+                        .all(|k| k.checkpoints.len() >= min_checkpoints),
+                    "{core:?}: the stream must cross checkpoints in both kinds"
+                );
+            }
+            for &t in probes.iter().step_by(probe_step) {
+                for kind in [ActivityKind::Compute, ActivityKind::Comm] {
+                    for c in 0..spec.cpu.cores_per_socket {
+                        let core = CoreId::new(node, socket, c);
+                        assert_eq!(
+                            ledger.core_busy_until(core, kind, t).to_bits(),
+                            scan.core_busy_until(core, kind, t).to_bits(),
+                            "{core:?} {kind:?} at t = {t}"
+                        );
+                    }
+                    assert_eq!(
+                        ledger.socket_busy_until(node, socket, kind, t).to_bits(),
+                        scan.socket_busy_until(&spec, node, socket, kind, t)
+                            .to_bits(),
+                        "socket ({node}, {socket}) {kind:?} at t = {t}"
+                    );
+                }
+                assert_eq!(
+                    ledger.dram_bytes_until(node, socket, t),
+                    scan.dram_bytes_until(node, socket, t),
+                    "DRAM ({node}, {socket}) at t = {t}"
+                );
+            }
+        }
+        assert_eq!(ledger.total_flops(), scan.total_flops());
+        assert_eq!(ledger.max_time().to_bits(), scan.max_time().to_bits());
     }
 }

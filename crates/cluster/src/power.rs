@@ -291,7 +291,7 @@ mod tests {
         let pm = PowerModel::deterministic();
         let ledger = Ledger::new(NodeSpec::marconi_a3(), 1);
         let static_only = pm.dram_energy_j(&ledger, 0, 0, 1.0, 0);
-        ledger.record_dram(0, 0, 0.5, 1_000_000_000); // 1 GB
+        ledger.record_dram(CoreId::new(0, 0, 0), 0.5, 1_000_000_000); // 1 GB
         let with_traffic = pm.dram_energy_j(&ledger, 0, 0, 1.0, 0);
         assert!((static_only - pm.dram_static_w).abs() < 1e-12);
         assert!((with_traffic - static_only - 1.0e9 * pm.dram_energy_per_byte_j).abs() < 1e-9);

@@ -99,6 +99,42 @@ fn repeated_runs_are_bit_identical() {
 }
 
 #[test]
+fn energy_read_at_a_barrier_release_is_wake_order_free() {
+    // The monitor reads its counters at the release of a node barrier.
+    // Every member's wait up to that instant must be in the ledger by
+    // then, however the host wakes the members; this point read 1.850768 J
+    // or 1.850770 J depending on wake order while each member recorded its
+    // own wait after waking.
+    let cfg = RunConfig {
+        n: 480,
+        ranks: 32,
+        layout: LoadLayout::HalfTwoSockets,
+        seed: 2024,
+        ..cfg(SolverChoice::scalapack(), false)
+    };
+    let inputs = Inputs::prepare(&cfg);
+    let mut first: Option<Measurement> = None;
+    for scheduler in [SchedulerKind::ThreadPerRank, SchedulerKind::EventDriven] {
+        if !scheduler.supported() {
+            continue;
+        }
+        let cfg = RunConfig {
+            scheduler,
+            ..cfg.clone()
+        };
+        for rep in 0..20 {
+            let m = run_prepared(&cfg, &inputs, TraceSink::disabled())
+                .expect("clean run")
+                .measurement;
+            match &first {
+                None => first = Some(m),
+                Some(first) => assert_bit_identical(first, &m, &format!("{scheduler} run {rep}")),
+            }
+        }
+    }
+}
+
+#[test]
 fn checked_and_unchecked_runs_agree() {
     // The checker only observes: every hook it adds on the blocking and
     // messaging paths must leave the virtual timeline untouched. CG rides

@@ -210,6 +210,15 @@ impl<'m> RankCtx<'m> {
         }
     }
 
+    /// Advance to an absolute time `t` without recording anything: the
+    /// wait up to it is already in the ledger (a registry rendezvous
+    /// records every member's wait before waking any of them).
+    fn advance_to(&mut self, t: f64) {
+        if t > self.clock {
+            self.clock = t;
+        }
+    }
+
     /// Charge `flops` floating-point operations touching `dram_bytes` bytes
     /// of memory. Virtual time advances by the larger of the flop time (at
     /// the node's jittered sustained rate) and the memory time (at this
@@ -222,8 +231,7 @@ impl<'m> RankCtx<'m> {
             self.spec.node.dram_bw_bytes_per_s / self.spec.node.cpu.cores_per_socket as f64;
         let t_mem = dram_bytes as f64 / per_core_bw;
         if dram_bytes > 0 {
-            self.ledger
-                .record_dram(self.core.node, self.core.socket, self.clock, dram_bytes);
+            self.ledger.record_dram(self.core, self.clock, dram_bytes);
         }
         let t0 = self.clock;
         self.busy(t_flops.max(t_mem), ActivityKind::Compute, flops);
@@ -609,8 +617,10 @@ impl<'m> RankCtx<'m> {
             if p > 1 {
                 let cost = ctx.coll_alpha(comm) * (p as f64).log2().ceil()
                     + ctx.spec.net.per_message_overhead_s;
-                let release = ctx.registry.barrier(comm.id(), seq, p, ctx.clock, cost);
-                ctx.busy_until(release, ActivityKind::Comm);
+                let release = ctx
+                    .registry
+                    .barrier(comm.id(), seq, p, ctx.core, ctx.clock, cost);
+                ctx.advance_to(release);
             }
             ctx.emit(RankEvent::CollDone);
         });
@@ -629,12 +639,13 @@ impl<'m> RankCtx<'m> {
                 seq,
                 expected: p,
                 grank: ctx.rank,
+                core: ctx.core,
                 color,
                 key,
                 t: ctx.clock,
                 cost,
             });
-            ctx.busy_until(out.release_t, ActivityKind::Comm);
+            ctx.advance_to(out.release_t);
             ctx.emit(RankEvent::CollDone);
             Comm::new(out.comm_id, out.members, out.my_index)
         })

@@ -229,7 +229,11 @@ impl Machine {
             self.scheduler,
             self.sched_workers,
         )));
-        let registry = Registry::new(Arc::clone(&mail), self.check.clone());
+        let registry = Registry::new(
+            Arc::clone(&mail),
+            self.check.clone(),
+            Arc::clone(&self.ledger),
+        );
         let world_members: Arc<Vec<usize>> = Arc::new((0..n).collect());
         let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let clocks: Vec<Mutex<f64>> = (0..n).map(|_| Mutex::new(0.0)).collect();

@@ -223,7 +223,7 @@ mod tests {
                 },
             );
         }
-        ledger.record_dram(0, 0, 1.0, 5_000_000_000);
+        ledger.record_dram(CoreId::new(0, 0, 0), 1.0, 5_000_000_000);
         RaplSim::new(ledger, PowerModel::deterministic(), 0)
     }
 
