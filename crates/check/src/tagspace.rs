@@ -12,8 +12,7 @@
 //! them.
 
 /// The tag bit that separates collective-internal messages from user tags
-/// (mirrors `greenla_mpi::context::COLL_TAG`; the runtime asserts they
-/// agree).
+/// (the runtime's `greenla_mpi::context::COLL_TAG` is defined as this bit).
 pub const COLL_TAG_BIT: u64 = 1 << 63;
 
 /// Bits reserved for the chunk id (low field).

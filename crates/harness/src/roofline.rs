@@ -29,9 +29,11 @@ use greenla_linalg::tune::Blocking;
 use greenla_linalg::Matrix;
 use greenla_model::roofline::{KernelProfile, Roofline};
 
-/// Relative tolerance the acceptance asserts: predicted attainable GFLOP/s
-/// within ±30% of measured for every kernel
-/// (`1/1.3 ≤ predicted/measured ≤ 1.3`).
+/// Relative tolerance of every roofline validation: predicted within ±30%
+/// of measured (`1/1.3 ≤ predicted/measured ≤ 1.3`). The host acceptance
+/// asserts it for every kernel's GFLOP/s, `tests/roofline_sim.rs` for a
+/// simulated run's makespan and Joules, and the sparse campaign's model
+/// checks for each grid point.
 pub const REL_TOL: f64 = 0.30;
 
 /// A roofline calibrated on the running host, plus the kernel path the

@@ -31,7 +31,7 @@ use greenla_ime::par::ImepOptions;
 use greenla_ime::solve_imep;
 use greenla_linalg::flops;
 use greenla_linalg::generate::{DenseSystem, LinearSystem, SystemKind};
-use greenla_linalg::sparse::{CsrMatrix, SparseKind, SparseSystem};
+use greenla_linalg::sparse::{laplace2d, CsrMatrix, SparseSystem};
 use greenla_monitor::monitoring::MonitorConfig;
 use greenla_monitor::protocol::monitored_run;
 use greenla_monitor::report::{JobSummary, NodeReport};
@@ -192,7 +192,8 @@ impl Inputs {
     /// The system a configuration names. Its seed derives from `(n, ranks)`
     /// only — the same system for every repetition, as the paper's
     /// file-based inputs guarantee. CG on `Poisson2d` is built in CSR
-    /// directly: `laplace2d` is `poisson2d` entry for entry and bit for bit.
+    /// directly: `laplace2d(√n)` is `poisson2d` entry for entry and bit for
+    /// bit (a non-square `n` panics).
     /// `pdgesv` gets its system as [`DenseSystem::generate`] makes it:
     /// seeded for `DiagDominant` (O(n) held, the ranks draw their blocks),
     /// stored otherwise.
@@ -200,7 +201,14 @@ impl Inputs {
         let system_seed = (cfg.n as u64) << 32 | cfg.ranks as u64;
         match (cfg.solver, cfg.system) {
             (SolverChoice::Cg { jacobi }, SystemKind::Poisson2d) => {
-                Inputs::Cg(SparseKind::Laplace2d.generate(cfg.n, system_seed), jacobi)
+                let k = (cfg.n as f64).sqrt().round() as usize;
+                assert_eq!(
+                    k * k,
+                    cfg.n,
+                    "Poisson2d needs a perfect square n, got {}",
+                    cfg.n
+                );
+                Inputs::Cg(laplace2d(k), jacobi)
             }
             (SolverChoice::ScaLapack { nb }, kind) => {
                 Inputs::ScaLapack(DenseSystem::generate(kind, cfg.n, system_seed), nb)
@@ -774,6 +782,15 @@ mod tests {
         assert_eq!(cg.a, CsrMatrix::from_dense(&sys.a));
         let direct = Inputs::from_system(SolverChoice::scalapack(), sys.clone());
         assert!(matches!(direct, Inputs::ScaLapack(DenseSystem::Stored(d), 32) if d.a == sys.a));
+    }
+
+    #[test]
+    #[should_panic(expected = "perfect square")]
+    fn cg_poisson_rejects_a_non_square_n() {
+        let _ = Inputs::prepare(&RunConfig {
+            n: 10,
+            ..cfg(SolverChoice::cg())
+        });
     }
 
     /// The switch from the dense detour to `laplace2d` moves no bit: at every

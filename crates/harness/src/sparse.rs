@@ -14,6 +14,7 @@
 //! roofline validation uses.
 
 use crate::config::SolverChoice;
+use crate::roofline::REL_TOL;
 use crate::run::{self, BatchRule, Dataset, Inputs, Measurement, RunConfig};
 use greenla_cg::formulas;
 use greenla_cg::partition::{HaloPlan, RowBlocks, RowSplit};
@@ -28,10 +29,8 @@ use greenla_model::roofline::{KernelProfile, Roofline};
 use greenla_mpi::SchedulerKind;
 use serde::{Deserialize, Serialize};
 
-/// The band shared with the dense roofline validations (host and
-/// simulated): predictions must land within ±30% of the measurement.
-pub const REL_TOL: f64 = 0.30;
-
+/// A model check passes when its predicted/measured ratio sits in the
+/// roofline validations' ±[`REL_TOL`] band.
 fn within_band(ratio: f64) -> bool {
     crate::bench::retry::within_band(ratio, REL_TOL)
 }

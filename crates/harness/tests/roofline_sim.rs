@@ -10,17 +10,16 @@
 use greenla_cluster::placement::LoadLayout;
 use greenla_cluster::spec::{ClusterSpec, NodeSpec};
 use greenla_cluster::{Interconnect, PowerModel};
+use greenla_harness::bench::retry::within_band;
+use greenla_harness::roofline::REL_TOL;
 use greenla_harness::run::{run_once, RunConfig};
 use greenla_harness::SolverChoice;
 use greenla_ime::formulas;
 use greenla_linalg::generate::SystemKind;
 use greenla_model::roofline::{KernelProfile, Roofline};
 
-const REL_TOL: f64 = 0.30;
-
 fn within(pred: f64, measured: f64) -> bool {
-    let ratio = pred / measured;
-    (1.0 / (1.0 + REL_TOL)..=1.0 + REL_TOL).contains(&ratio)
+    within_band(pred / measured, REL_TOL)
 }
 
 #[test]

@@ -246,7 +246,7 @@ fn reduce_table_with(
     };
     let mut pending: Vec<Pending> = Vec::new();
     let mut alphas = vec![[0.0; MAX_FUSE]; if fuse > 1 { my_cols.len() } else { 0 }];
-    let chain = simd::active_daxpy_chain_kernel();
+    let chain = simd::active().daxpy_chain;
 
     // ----- levels -----
     for l in (0..n).rev() {

@@ -23,7 +23,7 @@
 //! in the hottest loop of the workspace.
 
 use crate::block::{BlockMut, BlockRef};
-use crate::simd::{self, KernelPath, KernelSet};
+use crate::simd::{self, KernelPath, Kernels};
 use crate::tune::{Blocking, MR, NR};
 use std::cell::RefCell;
 
@@ -35,7 +35,7 @@ pub fn dgemm(alpha: f64, a: BlockRef, b: BlockRef, beta: f64, c: BlockMut) {
 
 /// [`dgemm`] with explicit cache-blocking parameters (benchmark sweeps and
 /// autotuning go through here). The microkernel is the process-wide
-/// dispatched one ([`crate::simd::resolved`]).
+/// dispatched one ([`crate::simd::active`]).
 pub fn dgemm_blocked(
     alpha: f64,
     a: BlockRef,
@@ -44,7 +44,7 @@ pub fn dgemm_blocked(
     c: BlockMut,
     tune: &Blocking,
 ) {
-    dgemm_with(simd::active_kernel_set(), alpha, a, b, beta, c, tune);
+    dgemm_with(simd::active(), alpha, a, b, beta, c, tune);
 }
 
 /// [`dgemm_blocked`] pinned to an explicit [`KernelPath`], bypassing the
@@ -60,13 +60,13 @@ pub fn dgemm_blocked_path(
     c: BlockMut,
     tune: &Blocking,
 ) {
-    dgemm_with(simd::kernel_set(path), alpha, a, b, beta, c, tune);
+    dgemm_with(&simd::kernels(path), alpha, a, b, beta, c, tune);
 }
 
-/// The packed loop nest, generic over the dispatched kernel set;
-/// everything above is a thin wrapper choosing `set`.
+/// The packed loop nest, generic over the dispatched kernel table;
+/// everything above is a thin wrapper choosing `kernels`.
 fn dgemm_with(
-    set: KernelSet,
+    kernels: &Kernels,
     alpha: f64,
     a: BlockRef,
     b: BlockRef,
@@ -119,11 +119,11 @@ fn dgemm_with(
                         // calls — see `simd::Microkernel2`); partial bottom
                         // panels always take the single-panel kernel.
                         while ir + 2 * MR <= mb {
-                            let Some(ukr2) = set.ukr2 else { break };
+                            let Some(gemm2) = kernels.gemm2 else { break };
                             let apan2 = &ap[(ir / MR) * MR * kb..][..2 * MR * kb];
                             let mut acc0 = [0.0f64; MR * NR];
                             let mut acc1 = [0.0f64; MR * NR];
-                            ukr2(kb, apan2, bpan, &mut acc0, &mut acc1);
+                            gemm2(kb, apan2, bpan, &mut acc0, &mut acc1);
                             add_tile(c, col0 + ir, ldc, w, MR, &acc0);
                             add_tile(c, col0 + ir + MR, ldc, w, MR, &acc1);
                             ir += 2 * MR;
@@ -132,7 +132,7 @@ fn dgemm_with(
                             let h = MR.min(mb - ir);
                             let apan = &ap[(ir / MR) * MR * kb..][..MR * kb];
                             let mut acc = [0.0f64; MR * NR];
-                            (set.ukr)(kb, apan, bpan, &mut acc);
+                            (kernels.gemm)(kb, apan, bpan, &mut acc);
                             add_tile(c, col0 + ir, ldc, w, h, &acc);
                             ir += MR;
                         }

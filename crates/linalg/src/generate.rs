@@ -251,7 +251,7 @@ impl EntryStream {
     fn new(key: [u32; 8]) -> Self {
         Self {
             key,
-            kernel: simd::active_chacha8_kernel(),
+            kernel: simd::active().chacha8,
             counters: Vec::new(),
             blocks: Vec::new(),
         }

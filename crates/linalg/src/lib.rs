@@ -2,10 +2,10 @@
 //! # greenla-linalg
 //!
 //! Dense linear-algebra substrate for the `greenla` workspace: a column-major
-//! [`Matrix`] type, a from-scratch mini-BLAS (levels 1–3), well-conditioned
-//! test-system generators, closed-form flop counts for every kernel, and the
-//! plain-text linear-system file format the paper uses to keep inputs
-//! identical across repeated measurements.
+//! [`Matrix`] type, a from-scratch mini-BLAS (levels 1–3), seeded,
+//! well-conditioned test-system generators (bit-reproducible, so repeated
+//! measurements see identical inputs) and closed-form flop counts for every
+//! kernel.
 //!
 //! Everything is `f64`; all kernels are deterministic and allocation-free on
 //! the hot path so higher layers can account flops and bytes exactly.
@@ -22,7 +22,6 @@ pub mod blas3;
 pub mod block;
 pub mod flops;
 pub mod generate;
-pub mod io;
 pub mod matrix;
 pub mod norms;
 pub mod permutation;

@@ -1,7 +1,8 @@
 //! The `#[target_feature]` kernels, and nothing else. The module is
 //! private to [`super`], so nothing here can be named from outside the
 //! dispatch module whatever its own visibility says: the only way to a
-//! kernel is a dispatch function that has verified CPU support.
+//! kernel is the table [`super::kernels`] builds after verifying CPU
+//! support.
 
 use crate::tune::{MR, NR};
 
@@ -64,10 +65,9 @@ fn spmv_range_unrolled_body(
 /// # Safety
 ///
 /// Dispatch contract: the caller must have verified `avx2` and `fma` via
-/// `is_x86_feature_detected!` (the [`super::spmv_kernel`] dispatcher is the only
-/// caller and does exactly that). All memory accesses in the body are
-/// bounds-checked slice indexing; the only raw-pointer use is the
-/// never-faulting prefetch hint.
+/// `is_x86_feature_detected!` (the one caller, [`super::kernels`], asserts
+/// exactly that). All memory accesses in the body are bounds-checked slice
+/// indexing; the only raw-pointer use is the never-faulting prefetch hint.
 #[target_feature(enable = "avx2,fma")]
 pub(super) unsafe fn spmv_range_avx2(
     row_ptr: &[usize],
@@ -85,10 +85,9 @@ pub(super) unsafe fn spmv_range_avx2(
 /// # Safety
 ///
 /// Dispatch contract: the caller must have verified `avx512f` via
-/// `is_x86_feature_detected!` (the [`super::spmv_kernel`] dispatcher is the only
-/// caller and does exactly that). All memory accesses in the body are
-/// bounds-checked slice indexing; the only raw-pointer use is the
-/// never-faulting prefetch hint.
+/// `is_x86_feature_detected!` (the one caller, [`super::kernels`], asserts
+/// exactly that). All memory accesses in the body are bounds-checked slice
+/// indexing; the only raw-pointer use is the never-faulting prefetch hint.
 #[target_feature(enable = "avx512f")]
 pub(super) unsafe fn spmv_range_avx512(
     row_ptr: &[usize],
@@ -110,9 +109,9 @@ pub(super) unsafe fn spmv_range_avx512(
 /// # Safety
 ///
 /// Dispatch contract: the caller must have verified `avx2` and `fma` via
-/// `is_x86_feature_detected!` (the [`super::daxpy_chain_kernel`]
-/// dispatcher is the only caller and does exactly that). Every `x` must be
-/// as long as `y` — asserted below, so the raw loads stay in bounds.
+/// `is_x86_feature_detected!` (the one caller, [`super::kernels`], asserts
+/// exactly that). Every `x` must be as long as `y` — asserted below, so the
+/// raw loads stay in bounds.
 #[target_feature(enable = "avx2,fma")]
 pub(super) unsafe fn daxpy_chain_avx2(alphas: &[f64], xs: &[&[f64]], y: &mut [f64]) {
     use std::arch::x86_64::*;
@@ -168,9 +167,9 @@ pub(super) unsafe fn daxpy_chain_avx2(alphas: &[f64], xs: &[&[f64]], y: &mut [f6
 /// # Safety
 ///
 /// Dispatch contract: the caller must have verified `avx512f` via
-/// `is_x86_feature_detected!` (the [`super::daxpy_chain_kernel`]
-/// dispatcher is the only caller and does exactly that). Every `x` must be
-/// as long as `y` — asserted below, so the raw loads stay in bounds.
+/// `is_x86_feature_detected!` (the one caller, [`super::kernels`], asserts
+/// exactly that). Every `x` must be as long as `y` — asserted below, so the
+/// raw loads stay in bounds.
 #[target_feature(enable = "avx512f")]
 pub(super) unsafe fn daxpy_chain_avx512(alphas: &[f64], xs: &[&[f64]], y: &mut [f64]) {
     use std::arch::x86_64::*;
@@ -231,10 +230,9 @@ pub(super) unsafe fn daxpy_chain_avx512(alphas: &[f64], xs: &[&[f64]], y: &mut [
 /// # Safety
 ///
 /// Dispatch contract: the caller must have verified `avx2` and `fma` via
-/// `is_x86_feature_detected!` (the [`super::microkernel`] dispatcher is the only
-/// caller and does exactly that). `apan`/`bpan` must hold at least
-/// `kb·MR` / `kb·NR` elements — asserted below, so the raw loads stay in
-/// bounds.
+/// `is_x86_feature_detected!` (the one caller, [`super::kernels`], asserts
+/// exactly that). `apan`/`bpan` must hold at least `kb·MR` / `kb·NR` elements
+/// — asserted below, so the raw loads stay in bounds.
 #[target_feature(enable = "avx2,fma")]
 pub(super) unsafe fn microkernel_avx2(
     kb: usize,
@@ -286,10 +284,9 @@ pub(super) unsafe fn microkernel_avx2(
 /// # Safety
 ///
 /// Dispatch contract: the caller must have verified `avx512f` via
-/// `is_x86_feature_detected!` (the [`super::microkernel`] dispatcher is the only
-/// caller and does exactly that). `apan`/`bpan` must hold at least
-/// `kb·MR` / `kb·NR` elements — asserted below, so the raw loads stay in
-/// bounds.
+/// `is_x86_feature_detected!` (the one caller, [`super::kernels`], asserts
+/// exactly that). `apan`/`bpan` must hold at least `kb·MR` / `kb·NR` elements
+/// — asserted below, so the raw loads stay in bounds.
 #[target_feature(enable = "avx512f")]
 pub(super) unsafe fn microkernel_avx512(
     kb: usize,
@@ -331,10 +328,9 @@ pub(super) unsafe fn microkernel_avx512(
 /// # Safety
 ///
 /// Dispatch contract: the caller must have verified `avx512f` via
-/// `is_x86_feature_detected!` (the [`super::kernel_set`] dispatcher is the only
-/// caller and does exactly that). `apan2`/`bpan` must hold at least
-/// `2·kb·MR` / `kb·NR` elements — asserted below, so the raw loads stay in
-/// bounds.
+/// `is_x86_feature_detected!` (the one caller, [`super::kernels`], asserts
+/// exactly that). `apan2`/`bpan` must hold at least `2·kb·MR` / `kb·NR`
+/// elements — asserted below, so the raw loads stay in bounds.
 #[target_feature(enable = "avx512f")]
 pub(super) unsafe fn microkernel_avx512_x2(
     kb: usize,
@@ -386,9 +382,9 @@ pub(super) unsafe fn microkernel_avx512_x2(
 /// # Safety
 ///
 /// Dispatch contract: the caller must have verified `avx2` and `fma` via
-/// `is_x86_feature_detected!` (the [`super::chacha8_kernel`] dispatcher is
-/// the only caller and does exactly that). `counters` and `out` must have
-/// the same length — asserted below, so every store stays inside `out`.
+/// `is_x86_feature_detected!` (the one caller, [`super::kernels`], asserts
+/// exactly that). `counters` and `out` must have the same length — asserted
+/// below, so every store stays inside `out`.
 #[target_feature(enable = "avx2,fma")]
 pub(super) unsafe fn chacha8_blocks_avx2(key: &[u32; 8], counters: &[u64], out: &mut [[u32; 16]]) {
     use std::arch::x86_64::*;
@@ -493,9 +489,9 @@ pub(super) unsafe fn chacha8_blocks_avx2(key: &[u32; 8], counters: &[u64], out: 
 /// # Safety
 ///
 /// Dispatch contract: the caller must have verified `avx512f` via
-/// `is_x86_feature_detected!` (the [`super::chacha8_kernel`] dispatcher is
-/// the only caller and does exactly that). `counters` and `out` must have
-/// the same length — asserted below, so every store stays inside `out`.
+/// `is_x86_feature_detected!` (the one caller, [`super::kernels`], asserts
+/// exactly that). `counters` and `out` must have the same length — asserted
+/// below, so every store stays inside `out`.
 #[target_feature(enable = "avx512f")]
 pub(super) unsafe fn chacha8_blocks_avx512(
     key: &[u32; 8],

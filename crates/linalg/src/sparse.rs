@@ -141,7 +141,7 @@ impl CsrMatrix {
     }
 
     /// Sequential SpMV: `y = A·x` on the dispatched
-    /// [`crate::simd::spmv_kernel`] path. Flop count is
+    /// [`crate::simd::active`] path. Flop count is
     /// [`crate::flops::spmv`]`(nnz)`, DRAM traffic
     /// [`crate::flops::spmv_csr_bytes`]`(n, nnz)`. Every kernel path
     /// accumulates rows in the same left-to-right order, so results are
@@ -149,7 +149,7 @@ impl CsrMatrix {
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.n);
         assert_eq!(y.len(), self.n);
-        simd::active_spmv_kernel()(&self.row_ptr, &self.col_idx, &self.values, x, y);
+        (simd::active().spmv)(&self.row_ptr, &self.col_idx, &self.values, x, y);
     }
 
     /// Convenience allocating SpMV (tests and reference paths).
@@ -200,7 +200,7 @@ impl CsrMatrix {
     pub fn spmv_block(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.n);
         assert_eq!(y.len(), self.local_rows());
-        simd::active_spmv_kernel()(&self.row_ptr, &self.col_idx, &self.values, x, y);
+        (simd::active().spmv)(&self.row_ptr, &self.col_idx, &self.values, x, y);
     }
 
     /// SpMV over an arbitrary subset of local rows: `y[i] = Σ A[i,j]·x[j]`
@@ -384,37 +384,6 @@ pub fn random_spd(n: usize, extra: usize, seed: u64) -> SparseSystem {
     SparseSystem::from_matrix(CsrMatrix::from_rows(rows))
 }
 
-/// Named sparse generator kinds for configuration files and the harness.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SparseKind {
-    /// [`laplace2d`] (n must be a perfect square)
-    Laplace2d,
-    /// [`laplace3d`] (n must be a perfect cube)
-    Laplace3d,
-    /// [`random_spd`] with ~4 off-diagonal pairs per row
-    RandomSpd,
-}
-
-impl SparseKind {
-    /// Generate a system of order `n` (stencil kinds round-trip `n`
-    /// through the grid edge and assert it matches).
-    pub fn generate(self, n: usize, seed: u64) -> SparseSystem {
-        match self {
-            SparseKind::Laplace2d => {
-                let k = (n as f64).sqrt().round() as usize;
-                assert_eq!(k * k, n, "Laplace2d needs a perfect square n, got {n}");
-                laplace2d(k)
-            }
-            SparseKind::Laplace3d => {
-                let k = (n as f64).cbrt().round() as usize;
-                assert_eq!(k * k * k, n, "Laplace3d needs a perfect cube n, got {n}");
-                laplace3d(k)
-            }
-            SparseKind::RandomSpd => random_spd(n, 4, seed),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,19 +478,6 @@ mod tests {
         assert!(sys.a.diagonal().iter().all(|&d| d == 4.0));
     }
 
-    #[test]
-    fn kind_dispatch_checks_shape() {
-        assert_eq!(SparseKind::Laplace2d.generate(49, 0).n(), 49);
-        assert_eq!(SparseKind::Laplace3d.generate(27, 0).n(), 27);
-        assert_eq!(SparseKind::RandomSpd.generate(10, 1).n(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "perfect square")]
-    fn laplace2d_rejects_non_square() {
-        let _ = SparseKind::Laplace2d.generate(10, 0);
-    }
-
     /// Seeded awkward shapes for the dispatch property test: empty rows, a
     /// dense row, single-entry rows, n = 0 and n = 1.
     fn awkward_shapes() -> Vec<CsrMatrix> {
@@ -547,12 +503,12 @@ mod tests {
     }
 
     #[test]
-    fn spmv_kernel_paths_are_bit_identical_on_matrices() {
-        use crate::simd::{spmv_kernel, KernelPath};
+    fn spmv_paths_are_bit_identical_on_matrices() {
+        use crate::simd::{kernels, KernelPath};
         for a in awkward_shapes() {
             let x: Vec<f64> = (0..a.n()).map(|i| 1.0 / (1.0 + i as f64)).collect();
             let spmv_path = |path, y: &mut [f64]| {
-                spmv_kernel(path)(&a.row_ptr, &a.col_idx, &a.values, &x, y);
+                (kernels(path).spmv)(&a.row_ptr, &a.col_idx, &a.values, &x, y);
             };
             let mut want = vec![0.0; a.local_rows()];
             spmv_path(KernelPath::Scalar, &mut want);

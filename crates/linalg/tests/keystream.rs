@@ -193,16 +193,8 @@ fn every_kernel_path_is_the_block_function_bit_for_bit() {
                 continue;
             }
             let mut got = vec![[0u32; 16]; len];
-            simd::chacha8_kernel(path)(&key, &counters, &mut got);
+            (simd::kernels(path).chacha8)(&key, &counters, &mut got);
             assert_eq!(got, want, "{path}, pair {pair}, {len} blocks");
         }
     }
-}
-
-#[test]
-fn the_dispatched_kernel_is_the_resolved_path() {
-    assert_eq!(
-        simd::active_chacha8_kernel() as usize,
-        simd::chacha8_kernel(simd::resolved()) as usize
-    );
 }

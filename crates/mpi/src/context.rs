@@ -18,8 +18,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Tag bit reserved for collective-internal messages; user tags must stay
-/// below it.
-pub const COLL_TAG: u64 = 1 << 63;
+/// below it. The bit layout is the checker's ([`greenla_check::tagspace`]).
+pub const COLL_TAG: u64 = greenla_check::tagspace::COLL_TAG_BIT;
 
 /// Execution context handed to each rank's closure by
 /// [`crate::Machine::run`]. All communication and virtual-time charging
@@ -656,17 +656,5 @@ impl<'m> RankCtx<'m> {
     /// node" designation used by the monitoring framework is well defined.
     pub fn split_shared(&mut self, comm: &Comm) -> Comm {
         self.split(comm, self.core.node as u64, self.rank as u64)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::COLL_TAG;
-
-    #[test]
-    fn coll_tag_bit_matches_checker_tagspace() {
-        // The checker describes tags and audits overflow against its own
-        // copy of the bit layout; the two must agree.
-        assert_eq!(COLL_TAG, greenla_check::tagspace::COLL_TAG_BIT);
     }
 }

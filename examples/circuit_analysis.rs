@@ -5,8 +5,7 @@
 //!
 //! Builds a random resistor network's nodal conductance matrix `G`, applies
 //! a current-injection vector, and solves `G·v = i` for the node voltages —
-//! sequentially, in parallel, and via LU as a cross-check. Also demonstrates
-//! the linear-system file format the paper uses for repeatable inputs.
+//! sequentially, in parallel, and via LU as a cross-check.
 //!
 //! ```text
 //! cargo run --release --example circuit_analysis
@@ -16,7 +15,7 @@ use greenla::cluster::placement::Placement;
 use greenla::cluster::spec::ClusterSpec;
 use greenla::cluster::PowerModel;
 use greenla::ime::{solve_imep, solve_seq, ImepOptions};
-use greenla::linalg::{generate, io, norms};
+use greenla::linalg::{generate, norms};
 use greenla::mpi::Machine;
 use greenla::scalapack::getrs::gesv;
 
@@ -32,12 +31,6 @@ fn main() {
     sys.b[0] = 1.0;
     sys.b[nodes - 1] = -1.0;
     sys.x_ref = None;
-
-    // Persist/reload through the repeatable-input file format.
-    let path = std::env::temp_dir().join("greenla_circuit.sys");
-    io::save(&sys, &path).expect("write system file");
-    let sys = io::load(&path).expect("reload system file");
-    println!("system written to and reloaded from {}", path.display());
 
     // Sequential IMe.
     let (v_seq, stats) = solve_seq(&sys).expect("sequential IMe");
@@ -89,5 +82,4 @@ fn main() {
         "\nKirchhoff checks out: residual {:.2e}",
         norms::scaled_residual(&sys.a, &v_seq, &sys.b)
     );
-    std::fs::remove_file(&path).ok();
 }

@@ -9,7 +9,7 @@
 use greenla::cluster::placement::{LoadLayout, Placement};
 use greenla::cluster::spec::NodeSpec;
 use greenla::ime::solve_seq;
-use greenla::linalg::{generate, io};
+use greenla::linalg::generate;
 use greenla::scalapack::desc::{g2l, l2g, numroc, owner};
 use greenla::scalapack::getrs::gesv;
 use rand::{Rng, SeedableRng};
@@ -68,20 +68,6 @@ fn lu_block_size_invariance() {
                 "n={n} seed={seed} nb1={nb1} nb2={nb2}: {a} vs {b}"
             );
         }
-    }
-}
-
-/// The linear-system file format round-trips bit-exactly.
-#[test]
-fn system_file_roundtrip() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0xD15C);
-    for _ in 0..48 {
-        let n = rng.gen_range(1usize..24);
-        let seed = rng.gen_range(0u64..5000);
-        let sys = generate::diag_dominant(n, seed);
-        let back = io::from_str(&io::to_string(&sys)).unwrap();
-        assert_eq!(back.a, sys.a, "n={n} seed={seed}");
-        assert_eq!(back.b, sys.b, "n={n} seed={seed}");
     }
 }
 
