@@ -7,11 +7,12 @@
 //! *t*" — which is exactly what the hardware's energy-status MSRs report.
 //!
 //! Each core keeps one log behind a mutex that arbitrates between the rank
-//! writing it and RAPL readers on the same node. Spans are stored per
-//! [`ActivityKind`] as `(start, end)` pairs, 16 bytes each, in record
-//! order. Starts never decrease on a core, so the spans that started before
-//! `t` are a prefix. Every 64 spans a checkpoint keeps the running left
-//! fold of the durations and the running maximum end.
+//! writing it and RAPL readers on the same node. Only the core's own rank
+//! writes its log. Spans are stored per [`ActivityKind`] as `(start, end)`
+//! pairs, 16 bytes each, in record order. Starts never decrease on a core,
+//! so the spans that started before `t` are a prefix. Every 64 spans a
+//! checkpoint keeps the running left fold of the durations and the running
+//! maximum end.
 //!
 //! A read costs two binary searches and a few dozen additions. The first
 //! search finds the prefix. The second finds the last checkpoint inside it
@@ -22,9 +23,21 @@
 //! over every clipped span of the prefix, from the same initial value and
 //! in the same order, so a read returns the bits of a full scan.
 //!
+//! A rank in a barrier or split opens its wait at its arrival
+//! ([`Ledger::open_wait`]) and closes it at the release. Open, it is its
+//! core's last span and reads as one ending at `+∞`, clipped at `t`: at any
+//! `t ≤ release` (every read the program makes of a waiting core) the
+//! closed span's value bit for bit, whether or not the rank has resumed.
+//!
 //! DRAM traffic is kept per core as `(t, running byte total)`, with events
 //! at one instant merged. A socket's bytes up to `t` take one binary search
 //! per core; the sum is in `u64`, so any grouping gives the same total.
+//! Unlike a span, an event stamped exactly at `t` counts: a read at a
+//! release `r` would count memory a peer charged at `r` only if that peer
+//! ran first. IMe's INITIME and CG's setup (not `pdgesv`, which splits
+//! first) charge memory right at the monitor's allocation release; only the
+//! counter grid keeps reads off `r` (`RaplSim::energy_uj` reads at the
+//! last update before `t`, which is `r` only by chance).
 
 use crate::spec::NodeSpec;
 use crate::topology::CoreId;
@@ -99,8 +112,8 @@ impl KindLog {
     }
 
     /// `Σ min(end, t) − start` over the spans with `start < t`, in record
-    /// order.
-    fn busy_until(&self, t: f64) -> f64 {
+    /// order, and last over a wait open since `open`, ending at `+∞`.
+    fn busy_until(&self, t: f64, open: Option<f64>) -> f64 {
         let prefix = self.spans.partition_point(|&[start, _]| start < t);
         // Checkpoints wholly inside the prefix whose spans all ended by `t`
         // contribute unclipped durations.
@@ -109,9 +122,13 @@ impl KindLog {
             0 => (0, Fold::empty().busy),
             k => (k * STRIDE, inside[k - 1].busy),
         };
-        self.spans[from..prefix]
+        let closed = self.spans[from..prefix]
             .iter()
-            .fold(init, |acc, &[start, end]| acc + (end.min(t) - start))
+            .fold(init, |acc, &[start, end]| acc + (end.min(t) - start));
+        match open {
+            Some(start) if start < t => closed + (t - start),
+            _ => closed,
+        }
     }
 }
 
@@ -122,6 +139,8 @@ struct CoreLog {
     flops: u64,
     /// `(start, end)` of the latest span of either kind.
     last: Option<[f64; 2]>,
+    /// Start of the core's open `Comm` wait, if it is in one.
+    wait: Option<f64>,
     /// `(t, bytes moved up to and including t)`, one entry per instant.
     dram: Vec<(f64, u64)>,
 }
@@ -132,8 +151,29 @@ impl CoreLog {
             kinds: [KindLog::new(), KindLog::new()],
             flops: 0,
             last: None,
+            wait: None,
             dram: Vec::new(),
         }
+    }
+
+    /// A span or wait starting at `start` may come next: no wait is open
+    /// and no earlier span started later.
+    fn assert_next_start(&self, core: CoreId, start: f64) {
+        assert!(
+            self.wait.is_none(),
+            "record on {core:?} while its wait is open"
+        );
+        let last = self.last.map_or(f64::NEG_INFINITY, |[start, _]| start);
+        assert!(
+            start >= last,
+            "non-monotonic interval on {core:?}: start {start} after {last}"
+        );
+    }
+
+    fn push(&mut self, kind: ActivityKind, start: f64, end: f64, flops: u64) {
+        self.kinds[kind as usize].push(start, end);
+        self.flops += flops;
+        self.last = Some([start, end]);
     }
 }
 
@@ -143,6 +183,35 @@ pub struct Ledger {
     nodes: usize,
     /// `cores[node * cores_per_node + flat_core]`
     cores: Vec<Mutex<CoreLog>>,
+}
+
+/// A core's open rendezvous wait ([`Ledger::open_wait`]). Dropping it
+/// unclosed, as a rank unwinding out of an abandoned rendezvous does,
+/// records nothing.
+#[must_use = "an open wait is dropped unrecorded unless closed"]
+pub struct OpenWait<'l> {
+    log: &'l Mutex<CoreLog>,
+    release: Option<f64>,
+}
+
+impl OpenWait<'_> {
+    /// End the wait at `release ≥ start`, under one lock recording
+    /// `[start, release]` in its place (nothing if `release = start`).
+    pub fn close(mut self, release: f64) {
+        self.release = Some(release);
+    }
+}
+
+impl Drop for OpenWait<'_> {
+    fn drop(&mut self) {
+        let mut log = self.log.lock();
+        match (log.wait.take(), self.release) {
+            (Some(start), Some(release)) if release > start => {
+                log.push(ActivityKind::Comm, start, release, 0);
+            }
+            _ => {}
+        }
+    }
 }
 
 impl Ledger {
@@ -179,16 +248,22 @@ impl Ledger {
             "interval ends before it starts: {interval:?}"
         );
         let mut log = self.core_slot(core).lock();
-        if let Some([last_start, last_end]) = log.last {
-            assert!(
-                interval.start >= last_start,
-                "non-monotonic interval on {core:?}: {interval:?} after \
-                 [{last_start}, {last_end}]"
-            );
+        log.assert_next_start(core, interval.start);
+        log.push(interval.kind, interval.start, interval.end, interval.flops);
+    }
+
+    /// Open `core`'s wait at its rank's arrival `t` in a rendezvous: until
+    /// the guard is closed or dropped, reads count `Comm` time from `t` on,
+    /// and nothing else may be recorded on the core.
+    pub fn open_wait(&self, core: CoreId, t: f64) -> OpenWait<'_> {
+        let slot = self.core_slot(core);
+        let mut log = slot.lock();
+        log.assert_next_start(core, t);
+        log.wait = Some(t);
+        OpenWait {
+            log: slot,
+            release: None,
         }
-        log.kinds[interval.kind as usize].push(interval.start, interval.end);
-        log.flops += interval.flops;
-        log.last = Some([interval.start, interval.end]);
     }
 
     /// Record `bytes` of DRAM traffic charged by `core` at virtual time
@@ -208,7 +283,9 @@ impl Ledger {
 
     /// Seconds core `core` spent in activity `kind` up to virtual time `t`.
     pub fn core_busy_until(&self, core: CoreId, kind: ActivityKind, t: f64) -> f64 {
-        self.core_slot(core).lock().kinds[kind as usize].busy_until(t)
+        let log = self.core_slot(core).lock();
+        let open = log.wait.filter(|_| kind == ActivityKind::Comm);
+        log.kinds[kind as usize].busy_until(t, open)
     }
 
     /// Total busy seconds in `kind`, summed over every core of `(node,
@@ -315,6 +392,34 @@ mod tests {
         assert_eq!(l.dram_bytes_until(0, 0, 1.0), 1000);
         assert_eq!(l.dram_bytes_until(0, 0, 2.0), 1500);
         assert_eq!(l.dram_bytes_until(0, 1, 2.0), 42);
+    }
+
+    #[test]
+    fn a_read_at_t_counts_dram_stamped_at_t_but_no_span_starting_there() {
+        // The rule the module docs state for a read at a barrier release:
+        // DRAM traffic charged exactly at `t` is in, a span or wait that
+        // starts exactly at `t` is not.
+        let l = ledger();
+        let c = CoreId::new(0, 0, 0);
+        l.record_dram(c, 1.0, 64);
+        l.record(c, iv(1.0, 2.0, ActivityKind::Compute, 10));
+        let wait = l.open_wait(c, 2.0);
+        assert_eq!(l.dram_bytes_until(0, 0, 1.0), 64);
+        assert_eq!(l.dram_bytes_until(0, 0, 1.0 - 1e-12), 0);
+        assert_eq!(l.core_busy_until(c, ActivityKind::Compute, 1.0), 0.0);
+        assert_eq!(l.core_busy_until(c, ActivityKind::Comm, 2.0), 0.0);
+        assert_eq!(l.core_busy_until(c, ActivityKind::Comm, 2.5), 0.5);
+        wait.close(3.0);
+        assert_eq!(l.core_busy_until(c, ActivityKind::Comm, 2.0), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "while its wait is open")]
+    fn rejects_a_record_under_an_open_wait() {
+        let l = ledger();
+        let c = CoreId::new(0, 0, 0);
+        let _wait = l.open_wait(c, 1.0);
+        l.record(c, iv(1.0, 2.0, ActivityKind::Compute, 0));
     }
 
     #[test]
@@ -445,6 +550,58 @@ mod tests {
         }
     }
 
+    /// Every read of `(node, socket)` at every probe, held to the scan by
+    /// `to_bits`.
+    fn assert_reads_match(
+        ledger: &Ledger,
+        scan: &Scan,
+        (node, socket): (usize, usize),
+        probes: impl IntoIterator<Item = f64>,
+    ) {
+        let spec = ledger.node_spec();
+        for t in probes {
+            for kind in [ActivityKind::Compute, ActivityKind::Comm] {
+                for c in 0..spec.cpu.cores_per_socket {
+                    let core = CoreId::new(node, socket, c);
+                    assert_eq!(
+                        ledger.core_busy_until(core, kind, t).to_bits(),
+                        scan.core_busy_until(core, kind, t).to_bits(),
+                        "{core:?} {kind:?} at t = {t}"
+                    );
+                }
+                assert_eq!(
+                    ledger.socket_busy_until(node, socket, kind, t).to_bits(),
+                    scan.socket_busy_until(spec, node, socket, kind, t)
+                        .to_bits(),
+                    "socket ({node}, {socket}) {kind:?} at t = {t}"
+                );
+            }
+            assert_eq!(
+                ledger.dram_bytes_until(node, socket, t),
+                scan.dram_bytes_until(node, socket, t),
+                "DRAM ({node}, {socket}) at t = {t}"
+            );
+        }
+    }
+
+    /// How the scan models a wait opened at `start`.
+    fn open_span(start: f64) -> Interval {
+        iv(start, f64::INFINITY, ActivityKind::Comm, 0)
+    }
+
+    /// Close `wait` at `release` in both records: the scan's open span (its
+    /// core's last, ending at `+∞`) ends at `release`, or goes when the
+    /// release is its start.
+    fn close_wait(scan: &mut Scan, core: CoreId, wait: OpenWait<'_>, release: f64) {
+        wait.close(release);
+        let spans = scan.cores.get_mut(&core).expect("the wait's core");
+        let open = spans.pop().expect("the open wait");
+        assert_eq!(open.end, f64::INFINITY, "the core's last span is its wait");
+        if release > open.start {
+            spans.push(iv(open.start, release, ActivityKind::Comm, 0));
+        }
+    }
+
     #[test]
     fn reads_equal_the_full_scan_bit_for_bit() {
         // More than 200 spans per kind, so reads cross several checkpoints;
@@ -463,6 +620,7 @@ mod tests {
             // Each socket is read at every start, end, in-span instant and
             // DRAM time stamp of its own cores, and at the edges.
             let mut probes = vec![f64::NEG_INFINITY, -1.0, 0.0, f64::INFINITY, f64::NAN];
+            let mut waits = Vec::new();
             for c in 0..spec.cpu.cores_per_socket {
                 let core = CoreId::new(node, socket, c);
                 // Some cores start late, so reads land before their first
@@ -509,6 +667,14 @@ mod tests {
                         probes.push(dram_t);
                     }
                 }
+                // Most cores end in an open wait, which the scan models
+                // as a span ending at +∞; the instants inside it are read
+                // too.
+                if rng.below(4) != 0 {
+                    waits.push((core, ledger.open_wait(core, clock)));
+                    scan.cores.entry(core).or_default().push(open_span(clock));
+                    probes.extend([clock + rng.unit() * 1e-4, clock + 0.5]);
+                }
                 probes.push(clock + 1.0);
                 let log = ledger.core_slot(core).lock();
                 assert!(
@@ -518,31 +684,65 @@ mod tests {
                     "{core:?}: the stream must cross checkpoints in both kinds"
                 );
             }
-            for &t in probes.iter().step_by(probe_step) {
-                for kind in [ActivityKind::Compute, ActivityKind::Comm] {
-                    for c in 0..spec.cpu.cores_per_socket {
-                        let core = CoreId::new(node, socket, c);
-                        assert_eq!(
-                            ledger.core_busy_until(core, kind, t).to_bits(),
-                            scan.core_busy_until(core, kind, t).to_bits(),
-                            "{core:?} {kind:?} at t = {t}"
-                        );
+            assert!(
+                !waits.is_empty(),
+                "socket ({node}, {socket}) has no open wait"
+            );
+            let probes = || probes.iter().copied().step_by(probe_step);
+            assert_reads_match(&ledger, &scan, (node, socket), probes());
+            // Close the waits: at a later release, at their own start
+            // (nothing recorded), or not at all (an abandoned rendezvous,
+            // nothing recorded either); then read everything again.
+            for (core, wait) in waits {
+                let start = scan.cores[&core].last().expect("the open wait").start;
+                match rng.below(3) {
+                    0 => close_wait(&mut scan, core, wait, start + rng.unit() * 1e-4),
+                    1 => close_wait(&mut scan, core, wait, start),
+                    _ => {
+                        drop(wait);
+                        scan.cores.get_mut(&core).expect("the wait's core").pop();
                     }
-                    assert_eq!(
-                        ledger.socket_busy_until(node, socket, kind, t).to_bits(),
-                        scan.socket_busy_until(&spec, node, socket, kind, t)
-                            .to_bits(),
-                        "socket ({node}, {socket}) {kind:?} at t = {t}"
-                    );
                 }
-                assert_eq!(
-                    ledger.dram_bytes_until(node, socket, t),
-                    scan.dram_bytes_until(node, socket, t),
-                    "DRAM ({node}, {socket}) at t = {t}"
-                );
             }
+            assert_reads_match(&ledger, &scan, (node, socket), probes());
         }
         assert_eq!(ledger.total_flops(), scan.total_flops());
         assert_eq!(ledger.max_time().to_bits(), scan.max_time().to_bits());
+
+        // A wait that closes as its core's 64th `Comm` span lands on a
+        // checkpoint; one closed at its own start records nothing.
+        let core = CoreId::new(0, 0, 0);
+        let ledger = Ledger::new(spec.clone(), 1);
+        let mut scan = Scan::default();
+        let mut probes = vec![f64::NEG_INFINITY, f64::INFINITY, f64::NAN];
+        for k in 0..STRIDE - 1 {
+            let span = iv(k as f64, k as f64 + 0.75, ActivityKind::Comm, 0);
+            ledger.record(core, span);
+            scan.cores.entry(core).or_default().push(span);
+            probes.extend([span.start, span.end, span.start + 0.5]);
+        }
+        let comm = |ledger: &Ledger| {
+            let log = ledger.core_slot(core).lock();
+            let k = &log.kinds[ActivityKind::Comm as usize];
+            (k.spans.len(), k.checkpoints.len())
+        };
+        let start = (STRIDE - 1) as f64;
+        for (release, spans) in [(start, STRIDE - 1), (start + 0.25, STRIDE)] {
+            let wait = ledger.open_wait(core, start);
+            scan.cores
+                .get_mut(&core)
+                .expect("the core")
+                .push(open_span(start));
+            probes.extend([start, start + 0.125, release, start + 1.0]);
+            assert_reads_match(&ledger, &scan, (0, 0), probes.iter().copied());
+            close_wait(&mut scan, core, wait, release);
+            assert_eq!(
+                comm(&ledger),
+                (spans, spans / STRIDE),
+                "closed at {release}"
+            );
+            assert_reads_match(&ledger, &scan, (0, 0), probes.iter().copied());
+        }
+        assert_eq!(ledger.max_time().to_bits(), (start + 0.25).to_bits());
     }
 }

@@ -135,6 +135,103 @@ fn energy_read_at_a_barrier_release_is_wake_order_free() {
 }
 
 #[test]
+fn phase_reads_are_wake_order_free() {
+    // `Measurement` keeps only the monitored window's totals; this holds
+    // every node's per-phase counter deltas, each read at the release of a
+    // node barrier, bit-equal across repeated runs on both carriers. It is
+    // `run_prepared`'s composition, keeping the reports it aggregates
+    // away. Release builds (CI's `scale` job) run the size that drifted;
+    // debug builds a smaller one.
+    use greenla_cluster::spec::NodeSpec;
+    use greenla_cluster::PowerModel;
+    use greenla_harness::run::{build_machine, solve};
+    use greenla_monitor::monitoring::MonitorConfig;
+    use greenla_monitor::protocol::monitored_run;
+    use greenla_monitor::report::NodeReport;
+    use greenla_rapl::RaplSim;
+    use std::sync::Arc;
+
+    let (n, reps) = if cfg!(debug_assertions) {
+        (96, 5)
+    } else {
+        (480, 20)
+    };
+    let reports = |cfg: &RunConfig, inputs: &Inputs| -> Vec<NodeReport> {
+        let node = NodeSpec::test_node(cfg.cores_per_socket);
+        let power = PowerModel::scaled_for(&node);
+        let machine = build_machine(&node, cfg.ranks, cfg.layout, power, cfg.seed, cfg.scheduler);
+        let rapl = Arc::new(RaplSim::new(
+            machine.ledger(),
+            machine.power().clone(),
+            cfg.seed,
+        ));
+        let mon = MonitorConfig::default();
+        let out = machine.run(|ctx| {
+            let world = ctx.world();
+            monitored_run(ctx, &rapl, &mon, |ctx, handle| {
+                ctx.touch_memory(inputs.alloc_bytes() / ctx.size() as u64);
+                handle.phase(ctx, "allocation").expect("phase mark");
+                solve(ctx, &world, cfg.cg_overlap, inputs);
+                handle.phase(ctx, "execution").expect("phase mark");
+            })
+            .expect("monitoring protocol")
+            .report
+        });
+        out.results.into_iter().flatten().collect()
+    };
+    for solver in [
+        SolverChoice::ime_optimized(),
+        SolverChoice::scalapack(),
+        SolverChoice::cg(),
+    ] {
+        let cfg = RunConfig {
+            n,
+            ranks: 32,
+            layout: LoadLayout::HalfTwoSockets,
+            seed: 2024,
+            ..cfg(solver, false)
+        };
+        let inputs = Inputs::prepare(&cfg);
+        let mut first: Option<Vec<NodeReport>> = None;
+        for scheduler in [SchedulerKind::ThreadPerRank, SchedulerKind::EventDriven] {
+            if !scheduler.supported() {
+                continue;
+            }
+            let cfg = RunConfig {
+                scheduler,
+                ..cfg.clone()
+            };
+            for rep in 0..reps {
+                let got = reports(&cfg, &inputs);
+                match &first {
+                    None => {
+                        assert!(
+                            got.len() > 1 && got.iter().all(|r| r.phases.len() >= 2),
+                            "{solver:?}: every node reports both phases"
+                        );
+                        first = Some(got);
+                    }
+                    Some(first) => {
+                        for (a, b) in first.iter().zip(&got) {
+                            for (pa, pb) in a.phases.iter().zip(&b.phases) {
+                                assert_eq!(
+                                    (&pa.values_uj, pa.duration_s.to_bits()),
+                                    (&pb.values_uj, pb.duration_s.to_bits()),
+                                    "{solver:?}, {scheduler} run {rep}: node {} phase {}",
+                                    a.node,
+                                    pa.label
+                                );
+                            }
+                        }
+                        assert_eq!(first, &got, "{solver:?}, {scheduler} run {rep}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn checked_and_unchecked_runs_agree() {
     // The checker only observes: every hook it adds on the blocking and
     // messaging paths must leave the virtual timeline untouched. CG rides

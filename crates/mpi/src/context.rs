@@ -178,45 +178,28 @@ impl<'m> RankCtx<'m> {
         if dt <= 0.0 && flops == 0 {
             return;
         }
-        let start = self.clock;
-        let end = start + dt;
-        self.ledger.record(
-            self.core,
-            Interval {
-                start,
-                end,
-                kind,
-                flops,
-            },
-        );
-        self.clock = end;
+        self.busy_to(self.clock + dt, kind, flops);
     }
 
     /// Advance to an absolute time `t`, recording the elapsed span as busy
     /// communication (spin-waiting, as blocking MPI calls do).
-    fn busy_until(&mut self, t: f64, kind: ActivityKind) {
+    fn busy_until(&mut self, t: f64) {
         if t > self.clock {
-            let start = self.clock;
-            self.ledger.record(
-                self.core,
-                Interval {
-                    start,
-                    end: t,
-                    kind,
-                    flops: 0,
-                },
-            );
-            self.clock = t;
+            self.busy_to(t, ActivityKind::Comm, 0);
         }
     }
 
-    /// Advance to an absolute time `t` without recording anything: the
-    /// wait up to it is already in the ledger (a registry rendezvous
-    /// records every member's wait before waking any of them).
-    fn advance_to(&mut self, t: f64) {
-        if t > self.clock {
-            self.clock = t;
-        }
+    /// Record `[clock, end]` as `kind` and advance the clock to `end`.
+    fn busy_to(&mut self, end: f64, kind: ActivityKind, flops: u64) {
+        let start = self.clock;
+        let span = Interval {
+            start,
+            end,
+            kind,
+            flops,
+        };
+        self.ledger.record(self.core, span);
+        self.clock = end;
     }
 
     /// Charge `flops` floating-point operations touching `dram_bytes` bytes
@@ -421,7 +404,7 @@ impl<'m> RankCtx<'m> {
             self.busy(o, ActivityKind::Comm, 0);
         } else {
             let done = (self.clock + o).max(env.arrival + o);
-            self.busy_until(done, ActivityKind::Comm);
+            self.busy_until(done);
         }
         self.emit(RankEvent::RecvEnd {
             span,
@@ -500,7 +483,7 @@ impl<'m> RankCtx<'m> {
                 args: &[("src", env.src as f64)],
             });
             let done = (self.clock + o).max(env.arrival + o);
-            self.busy_until(done, ActivityKind::Comm);
+            self.busy_until(done);
             self.trace_end("comm", "recv");
             max_arrival = max_arrival.max(env.arrival);
         }
@@ -617,10 +600,12 @@ impl<'m> RankCtx<'m> {
             if p > 1 {
                 let cost = ctx.coll_alpha(comm) * (p as f64).log2().ceil()
                     + ctx.spec.net.per_message_overhead_s;
-                let release = ctx
-                    .registry
-                    .barrier(comm.id(), seq, p, ctx.core, ctx.clock, cost);
-                ctx.advance_to(release);
+                // Open from the arrival on, the wait counts in a read at the
+                // release whether or not this rank has been resumed yet.
+                let wait = ctx.ledger.open_wait(ctx.core, ctx.clock);
+                let release = ctx.registry.barrier(comm.id(), seq, p, ctx.clock, cost);
+                wait.close(release);
+                ctx.clock = release;
             }
             ctx.emit(RankEvent::CollDone);
         });
@@ -634,18 +619,19 @@ impl<'m> RankCtx<'m> {
             let cost = ctx.coll_alpha(comm) * (p as f64).log2().ceil().max(1.0)
                 + ctx.spec.net.per_message_overhead_s;
             let seq = ctx.coll_site(comm, CollKind::Split, None, 0);
+            let wait = ctx.ledger.open_wait(ctx.core, ctx.clock);
             let out = ctx.registry.split(SplitEntry {
                 parent_id: comm.id(),
                 seq,
                 expected: p,
                 grank: ctx.rank,
-                core: ctx.core,
                 color,
                 key,
                 t: ctx.clock,
                 cost,
             });
-            ctx.advance_to(out.release_t);
+            wait.close(out.release_t);
+            ctx.clock = out.release_t;
             ctx.emit(RankEvent::CollDone);
             Comm::new(out.comm_id, out.members, out.my_index)
         })

@@ -97,9 +97,9 @@ impl Machine {
     }
 
     /// Pin the fiber carrier's worker-pool size instead of deriving it
-    /// from the host's parallelism. Benchmarks pin this so wall-clock
-    /// numbers are comparable across machines; virtual-time results
-    /// never depend on it. Ignored by the OS-thread carrier.
+    /// from the host's parallelism. Only tests pin it, to run a program
+    /// on pools of chosen sizes; virtual-time results never depend on it.
+    /// Ignored by the OS-thread carrier.
     pub fn with_sched_workers(mut self, workers: usize) -> Self {
         assert!(workers >= 1, "need at least one worker");
         self.sched_workers = Some(workers);
@@ -229,11 +229,7 @@ impl Machine {
             self.scheduler,
             self.sched_workers,
         )));
-        let registry = Registry::new(
-            Arc::clone(&mail),
-            self.check.clone(),
-            Arc::clone(&self.ledger),
-        );
+        let registry = Registry::new(Arc::clone(&mail), self.check.clone());
         let world_members: Arc<Vec<usize>> = Arc::new((0..n).collect());
         let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let clocks: Vec<Mutex<f64>> = (0..n).map(|_| Mutex::new(0.0)).collect();
@@ -355,6 +351,7 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::error::CollContractError;
+    use greenla_cluster::ledger::ActivityKind;
     use greenla_cluster::placement::LoadLayout;
 
     fn machine(ranks: usize) -> Machine {
@@ -437,6 +434,112 @@ mod tests {
         }
         // Barrier time ≥ slowest rank's work.
         assert!(t0 >= out.results[7] * 0.999);
+    }
+
+    /// Both carriers this build has.
+    fn carriers() -> impl Iterator<Item = SchedulerKind> {
+        [SchedulerKind::ThreadPerRank, SchedulerKind::EventDriven]
+            .into_iter()
+            .filter(|kind| kind.supported())
+    }
+
+    #[test]
+    fn every_wait_is_visible_at_the_release() {
+        // Whoever leaves first already reads every member's wait at the
+        // release, however many of them the host has resumed, and each
+        // wait is recorded once. A split keeps its waits the same way.
+        for kind in carriers() {
+            let m = machine(8).with_scheduler(kind);
+            let ledger = m.ledger();
+            let comm_at = |t: f64| -> Vec<f64> {
+                (0..8)
+                    .map(|r| {
+                        ledger.core_busy_until(m.placement().core_of(r), ActivityKind::Comm, t)
+                    })
+                    .collect()
+            };
+            // `(arrival, release, every core's Comm time read at the release)`
+            // of the barrier, then of the split.
+            let out = m.run(|ctx| {
+                let world = ctx.world();
+                let enter = |ctx: &mut RankCtx, split: bool| {
+                    let arrival = ctx.now();
+                    if split {
+                        ctx.split(&world, ctx.rank() as u64 % 2, 0);
+                    } else {
+                        ctx.barrier(&world);
+                    }
+                    (arrival, ctx.now(), comm_at(ctx.now()))
+                };
+                ctx.compute(1_000_000 * (ctx.rank() as u64 % 3 + 1), 0);
+                let barrier = enter(ctx, false);
+                ctx.compute(1_000_000 * (ctx.rank() as u64 % 5), 0);
+                (barrier, enter(ctx, true))
+            });
+            let (barrier_release, split_release) = (out.results[0].0 .1, out.results[0].1 .1);
+            let waits: Vec<f64> = out
+                .results
+                .iter()
+                .map(|r| barrier_release - r.0 .0)
+                .collect();
+            let both: Vec<f64> = (out.results.iter().zip(&waits))
+                .map(|(r, w)| w + (split_release - r.1 .0))
+                .collect();
+            for (rank, (barrier, split)) in out.results.iter().enumerate() {
+                assert_eq!((barrier.1, split.1), (barrier_release, split_release));
+                assert_eq!(barrier.2, waits, "{kind}: rank {rank} at the barrier");
+                assert_eq!(split.2, both, "{kind}: rank {rank} at the split");
+            }
+            assert_eq!(comm_at(f64::INFINITY), both, "{kind}: after the run");
+        }
+    }
+
+    #[test]
+    fn an_abandoned_wait_records_nothing() {
+        // Rank 0 panics while the others wait in a world barrier: each of
+        // them unwinds out with its wait open, which must leave its core's
+        // `Comm` time where it was before the barrier.
+        for kind in carriers() {
+            let m = machine(8).with_scheduler(kind);
+            let ledger = m.ledger();
+            let comm = |r: usize| {
+                ledger.core_busy_until(m.placement().core_of(r), ActivityKind::Comm, f64::INFINITY)
+            };
+            let before: Vec<Mutex<f64>> = (0..8).map(|_| Mutex::new(f64::NAN)).collect();
+            let abort = m
+                .try_run(|ctx| {
+                    let world = ctx.world();
+                    ctx.compute(1_000_000 * (ctx.rank() as u64 % 3 + 1), 0);
+                    ctx.barrier(&world);
+                    if ctx.rank() == 0 {
+                        // Every peer has left the first barrier once it
+                        // has sent. On OS threads, also wait until every
+                        // peer's second wait is open (it reads +∞ at +∞);
+                        // a fiber must not spin.
+                        for r in 1..8 {
+                            ctx.recv_f64(&world, r, 0);
+                        }
+                        while kind == SchedulerKind::ThreadPerRank
+                            && (1..8).any(|r| comm(r) != f64::INFINITY)
+                        {
+                            std::thread::yield_now();
+                        }
+                        panic!("rank 0 hit a bug");
+                    }
+                    ctx.compute(1_000_000 * (ctx.rank() as u64 % 5), 0);
+                    ctx.send_f64(&world, 0, 0, &[]);
+                    *before[ctx.rank()].lock() = comm(ctx.rank());
+                    ctx.barrier(&world);
+                })
+                .err()
+                .expect("a panicking rank must abort the run");
+            assert_eq!((abort.kind, abort.rank), (AbortKind::Panic, 0), "{kind}");
+            for (r, before) in before.iter().enumerate().skip(1) {
+                let before = *before.lock();
+                assert!(before > 0.0, "{kind}: rank {r} waited in the first barrier");
+                assert_eq!(comm(r).to_bits(), before.to_bits(), "{kind}: rank {r}");
+            }
+        }
     }
 
     #[test]

@@ -5,18 +5,15 @@
 //! tree-of-messages implementation only approximates. The registry gives
 //! each collective call site a rendezvous cell keyed by
 //! `(communicator id, per-communicator sequence number)`; the last arrival
-//! computes the outcome, records every member's wait in the ledger and
-//! wakes the rest. Both kinds share one wait loop
+//! computes the outcome and wakes the rest. Both kinds share one wait loop
 //! and cleanup (`Registry::rendezvous`) and differ only in what an arrival
 //! contributes and what each member leaves with. Sequence numbers stay consistent
 //! because MPI programs must issue collectives in the same order on every
 //! member — the same invariant real MPI relies on.
 //!
-//! The waits go into the ledger before anyone wakes because a RAPL read at
-//! the release instant must see all of them. Were each member to record
-//! its own wait once it woke, the monitoring rank's read right after a
-//! node barrier would see the waits of the peers the host happened to wake
-//! first, and the Joules would depend on wake order.
+//! The registry writes no activity ledger: each member keeps its own wait
+//! there, open from its arrival until it leaves (`RankCtx::barrier`,
+//! `RankCtx::split`), so a read at the release sees every member's wait.
 //!
 //! The registry is also the abort channel. The rank on which a run's
 //! cause of death occurs records it here as an [`Abort`] — first cause
@@ -28,8 +25,6 @@ use crate::error::{Abort, AbortKind};
 use crate::mailbox::Mailboxes;
 use crate::sched::{self, WakeReason};
 use greenla_check::CheckSink;
-use greenla_cluster::ledger::{ActivityKind, Interval, Ledger};
-use greenla_cluster::topology::CoreId;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::panic::resume_unwind;
@@ -71,8 +66,6 @@ pub struct SplitEntry {
     pub expected: usize,
     /// This rank's global rank.
     pub grank: usize,
-    /// The core this rank runs on, where its wait is recorded.
-    pub core: CoreId,
     /// Partition this rank chose.
     pub color: u64,
     /// Ordering key within the partition (ties broken by global rank).
@@ -96,15 +89,6 @@ struct Cell<S> {
     waiters: Vec<usize>,
 }
 
-/// A barrier cell: the release rule's `(max arrival, max cost)`, and each
-/// arrival's core and arrival time until the completing arrival records
-/// their waits.
-struct BarrierState {
-    max_t: f64,
-    max_cost: f64,
-    arrivals: Vec<(CoreId, f64)>,
-}
-
 /// A split cell: every arrival's entry and — once the last member is
 /// in — each global rank's new communicator.
 #[derive(Default)]
@@ -121,7 +105,8 @@ pub struct Registry {
     /// Why the run died. Set once, and set *is* poisoned: there is no
     /// separate flag a rank could see raised before the cause is on record.
     cause: OnceLock<Abort>,
-    barriers: Cells<BarrierState>,
+    /// Barrier cells: the release rule's `(max arrival, max cost)`.
+    barriers: Cells<(f64, f64)>,
     splits: Cells<SplitState>,
     /// Checking sink of the owning machine (disabled by default): names
     /// the wait-for cycle when the engine reports quiescence.
@@ -129,13 +114,10 @@ pub struct Registry {
     /// The run's mailboxes, and through them the engine that parks and
     /// wakes waiters.
     mail: Arc<Mailboxes>,
-    /// The run's activity ledger, where a completing arrival records the
-    /// waits.
-    ledger: Arc<Ledger>,
 }
 
 impl Registry {
-    pub(crate) fn new(mail: Arc<Mailboxes>, check: CheckSink, ledger: Arc<Ledger>) -> Self {
+    pub(crate) fn new(mail: Arc<Mailboxes>, check: CheckSink) -> Self {
         Self {
             next_comm_id: AtomicU64::new(1), // 0 is the world
             cause: OnceLock::new(),
@@ -143,7 +125,6 @@ impl Registry {
             splits: Mutex::new(HashMap::new()),
             check,
             mail,
-            ledger,
         }
     }
 
@@ -263,65 +244,25 @@ impl Registry {
         }
     }
 
-    /// The completing arrival's ledger work: each member's wait from its
-    /// arrival to `release`, as `Comm` on its core, wherever the release
-    /// lies after the arrival. Runs before anyone is woken; the members
-    /// then only move their clocks.
-    fn record_waits(&self, release: f64, arrivals: impl IntoIterator<Item = (CoreId, f64)>) {
-        for (core, t) in arrivals {
-            if release > t {
-                self.ledger.record(
-                    core,
-                    Interval {
-                        start: t,
-                        end: release,
-                        kind: ActivityKind::Comm,
-                        flops: 0,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Enter a barrier on `(comm_id, seq)` with `expected` participants,
-    /// from `core` at virtual time `t`; returns the common release time
-    /// `max(t_i) + cost`. Every member's wait up to it is in the ledger by
-    /// the time any member returns.
-    pub fn barrier(
-        &self,
-        comm_id: u64,
-        seq: u64,
-        expected: usize,
-        core: CoreId,
-        t: f64,
-        cost: f64,
-    ) -> f64 {
+    /// Enter a barrier on `(comm_id, seq)` with `expected` participants at
+    /// virtual time `t`; returns the common release time `max(t_i) + cost`.
+    pub fn barrier(&self, comm_id: u64, seq: u64, expected: usize, t: f64, cost: f64) -> f64 {
         self.rendezvous(
             &self.barriers,
             (comm_id, seq),
             expected,
-            BarrierState {
-                max_t: f64::NEG_INFINITY,
-                max_cost: f64::NEG_INFINITY,
-                arrivals: Vec::new(),
+            (f64::NEG_INFINITY, f64::NEG_INFINITY),
+            |(max_t, max_cost), _| {
+                *max_t = max_t.max(t);
+                *max_cost = max_cost.max(cost);
             },
-            |st, last| {
-                st.max_t = st.max_t.max(t);
-                st.max_cost = st.max_cost.max(cost);
-                st.arrivals.push((core, t));
-                if last {
-                    let arrivals = std::mem::take(&mut st.arrivals);
-                    self.record_waits(st.max_t + st.max_cost, arrivals);
-                }
-            },
-            |st| st.max_t + st.max_cost,
+            |&(max_t, max_cost)| max_t + max_cost,
         )
     }
 
     /// Enter a split call site with this rank's [`SplitEntry`]; blocks
     /// until all expected members arrive and returns this rank's new
-    /// communicator. Like a barrier, every member's wait is in the ledger
-    /// by the time any member returns.
+    /// communicator.
     pub fn split(&self, entry: SplitEntry) -> SplitOutcome {
         self.rendezvous(
             &self.splits,
@@ -350,7 +291,6 @@ impl Registry {
         let max =
             |f: fn(&SplitEntry) -> f64| st.entries.iter().map(f).fold(f64::NEG_INFINITY, f64::max);
         let release_t = max(|e| e.t) + max(|e| e.cost);
-        self.record_waits(release_t, st.entries.iter().map(|e| (e.core, e.t)));
         st.entries
             .sort_unstable_by_key(|e| (e.color, e.key, e.grank));
         for group in st.entries.chunk_by(|a, b| a.color == b.color) {
@@ -375,12 +315,6 @@ impl Registry {
 mod tests {
     use super::*;
     use crate::sched::{Engine, SchedulerKind};
-    use greenla_cluster::spec::NodeSpec;
-
-    /// Task `i`'s core in the registry tests' one-node ledger.
-    fn core(i: usize) -> CoreId {
-        CoreId::new(0, 0, i)
-    }
 
     /// Run `f(task, registry)` as the `n` tasks of an OS-thread engine —
     /// registry waits park in the engine, so they need one around them.
@@ -389,12 +323,7 @@ mod tests {
         f: impl Fn(usize, &Registry) -> R + Sync,
     ) -> (Registry, Vec<R>) {
         let engine = Engine::new(n, SchedulerKind::ThreadPerRank, None);
-        let ledger = Arc::new(Ledger::new(NodeSpec::test_node(4), 1));
-        let reg = Registry::new(
-            Arc::new(Mailboxes::new(engine)),
-            CheckSink::disabled(),
-            ledger,
-        );
+        let reg = Registry::new(Arc::new(Mailboxes::new(engine)), CheckSink::disabled());
         let out: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = (0..n)
             .map(|i| {
@@ -413,60 +342,16 @@ mod tests {
     #[test]
     fn barrier_releases_at_max_plus_cost() {
         let times = [1.0, 5.0, 3.0];
-        for release in run_tasks(3, |i, reg| reg.barrier(0, 0, 3, core(i), times[i], 0.5)).1 {
+        for release in run_tasks(3, |i, reg| reg.barrier(0, 0, 3, times[i], 0.5)).1 {
             assert_eq!(release, 5.5);
         }
-    }
-
-    #[test]
-    fn every_wait_is_recorded_before_anyone_leaves() {
-        // Whoever leaves first already sees every member's wait, its own
-        // included, and each wait is recorded once.
-        let times = [1.0, 5.0, 3.0, 5.5];
-        let comm = |reg: &Registry| {
-            (0..4)
-                .map(|i| {
-                    reg.ledger
-                        .core_busy_until(core(i), ActivityKind::Comm, f64::INFINITY)
-                })
-                .collect::<Vec<_>>()
-        };
-        let (reg, seen) = run_tasks(4, |i, reg| {
-            let release = reg.barrier(0, 0, 4, core(i), times[i], 0.5);
-            (release, comm(reg))
-        });
-        let waits = vec![5.0, 1.0, 3.0, 0.5];
-        for (release, busy) in seen {
-            assert_eq!(release, 6.0);
-            assert_eq!(busy, waits);
-        }
-        // A split records the same way; a zero wait records nothing.
-        let (_, seen) = run_tasks(2, |i, reg| {
-            let out = reg.split(SplitEntry {
-                parent_id: 0,
-                seq: 0,
-                expected: 2,
-                grank: i,
-                core: core(i),
-                color: 0,
-                key: 0,
-                t: [2.0, 1.0][i],
-                cost: 0.0,
-            });
-            (out.release_t, comm(reg))
-        });
-        for (release, busy) in seen {
-            assert_eq!(release, 2.0);
-            assert_eq!(busy, vec![0.0, 1.0, 0.0, 0.0]);
-        }
-        assert_eq!(comm(&reg), waits);
     }
 
     #[test]
     fn barrier_state_cleaned_up_for_reuse() {
         let (reg, out) = run_tasks(2, |i, reg| {
             (0..3)
-                .map(|seq| reg.barrier(7, seq, 2, core(i), i as f64, 0.0))
+                .map(|seq| reg.barrier(7, seq, 2, i as f64, 0.0))
                 .collect::<Vec<_>>()
         });
         assert_eq!(out, vec![vec![1.0; 3]; 2]);
@@ -483,7 +368,6 @@ mod tests {
                 seq: 0,
                 expected: 4,
                 grank: g,
-                core: core(g),
                 color: plan[g].0,
                 key: plan[g].1,
                 t: 0.0,
@@ -515,7 +399,7 @@ mod tests {
         let (reg, left_as_casualty) = run_tasks(2, |i, reg| {
             if i == 0 {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    reg.barrier(0, 0, 2, core(0), 0.0, 0.0)
+                    reg.barrier(0, 0, 2, 0.0, 0.0)
                 }))
                 .is_err_and(|payload| payload.is::<RankExit>())
             } else {
