@@ -259,8 +259,8 @@ impl Shared {
     /// scheduler has already proved every task is blocked and no wake is
     /// in flight, so there is no timer and no message to wait out:
     /// declare immediately if every unfinished rank holds a wait record.
-    /// Latches: DL001 is recorded exactly once, and later probes (several
-    /// orphaned ranks may ask at once) repeat that report.
+    /// Latches: DL001 is recorded exactly once, and a later probe repeats
+    /// that report.
     fn probe_quiescent(&self) -> Option<String> {
         let mut st = self.state.lock();
         if st.deadlock_msg.is_some() {

@@ -32,12 +32,10 @@
 //! DRAM traffic is kept per core as `(t, running byte total)`, with events
 //! at one instant merged. A socket's bytes up to `t` take one binary search
 //! per core; the sum is in `u64`, so any grouping gives the same total.
-//! Unlike a span, an event stamped exactly at `t` counts: a read at a
-//! release `r` would count memory a peer charged at `r` only if that peer
-//! ran first. IMe's INITIME and CG's setup (not `pdgesv`, which splits
-//! first) charge memory right at the monitor's allocation release; only the
-//! counter grid keeps reads off `r` (`RaplSim::energy_uj` reads at the
-//! last update before `t`, which is `r` only by chance).
+//! As with a span, only an event stamped strictly before `t` counts. IMe's
+//! INITIME and CG's setup (not `pdgesv`, which splits first) charge memory
+//! right at the monitor's allocation release `r`; a read at `r` leaves
+//! that memory out whichever rank the host ran first.
 
 use crate::spec::NodeSpec;
 use crate::topology::CoreId;
@@ -301,7 +299,7 @@ impl Ledger {
         (0..self.node_spec.cpu.cores_per_socket)
             .map(|c| {
                 let log = self.core_slot(CoreId::new(node, socket, c)).lock();
-                match log.dram.partition_point(|&(et, _)| et <= t) {
+                match log.dram.partition_point(|&(et, _)| et < t) {
                     0 => 0,
                     k => log.dram[k - 1].1,
                 }
@@ -395,17 +393,17 @@ mod tests {
     }
 
     #[test]
-    fn a_read_at_t_counts_dram_stamped_at_t_but_no_span_starting_there() {
+    fn a_read_at_t_counts_neither_dram_stamped_at_t_nor_a_span_starting_there() {
         // The rule the module docs state for a read at a barrier release:
-        // DRAM traffic charged exactly at `t` is in, a span or wait that
-        // starts exactly at `t` is not.
+        // DRAM traffic charged exactly at `t` is out, as is a span or wait
+        // that starts exactly at `t`.
         let l = ledger();
         let c = CoreId::new(0, 0, 0);
         l.record_dram(c, 1.0, 64);
         l.record(c, iv(1.0, 2.0, ActivityKind::Compute, 10));
         let wait = l.open_wait(c, 2.0);
-        assert_eq!(l.dram_bytes_until(0, 0, 1.0), 64);
-        assert_eq!(l.dram_bytes_until(0, 0, 1.0 - 1e-12), 0);
+        assert_eq!(l.dram_bytes_until(0, 0, 1.0), 0);
+        assert_eq!(l.dram_bytes_until(0, 0, 1.0 + 1e-12), 64);
         assert_eq!(l.core_busy_until(c, ActivityKind::Compute, 1.0), 0.0);
         assert_eq!(l.core_busy_until(c, ActivityKind::Comm, 2.0), 0.0);
         assert_eq!(l.core_busy_until(c, ActivityKind::Comm, 2.5), 0.5);
@@ -508,7 +506,7 @@ mod tests {
                 .get(&(node, socket))
                 .map_or(&[][..], |v| &v[..])
                 .iter()
-                .filter(|e| e.0 <= t)
+                .filter(|e| e.0 < t)
                 .map(|e| e.1)
                 .sum()
         }

@@ -122,9 +122,8 @@ impl FaultSink {
         Some((fault.kind, fault.from_s))
     }
 
-    /// Account for a duplicate envelope that was still sitting in a
-    /// mailbox when the run finished (the receiver returned before
-    /// pumping it). Called from the machine's finalisation audit so the
+    /// Account for a duplicate envelope that was still sitting in an
+    /// inbox when the run finished (no receive searched past it). Called from the machine's finalisation audit so the
     /// observed-duplicate count is deterministic regardless of wall-clock
     /// arrival order.
     pub fn note_dup_discarded(&self) {

@@ -104,9 +104,15 @@ fn energy_read_at_a_barrier_release_is_wake_order_free() {
     // Every member's wait up to that instant must be in the ledger by
     // then, however the host wakes the members; this point read 1.850768 J
     // or 1.850770 J depending on wake order while each member recorded its
-    // own wait after waking.
+    // own wait after waking. Release builds (CI's `scale` job) run that
+    // size; debug builds a smaller one over the same 32 ranks.
+    let (n, reps) = if cfg!(debug_assertions) {
+        (96, 5)
+    } else {
+        (480, 20)
+    };
     let cfg = RunConfig {
-        n: 480,
+        n,
         ranks: 32,
         layout: LoadLayout::HalfTwoSockets,
         seed: 2024,
@@ -122,7 +128,7 @@ fn energy_read_at_a_barrier_release_is_wake_order_free() {
             scheduler,
             ..cfg.clone()
         };
-        for rep in 0..20 {
+        for rep in 0..reps {
             let m = run_prepared(&cfg, &inputs, TraceSink::disabled())
                 .expect("clean run")
                 .measurement;

@@ -344,7 +344,7 @@ fn monitor_death_without_degradation_aborts_with_stable_diagnostic() {
         .err()
         .expect("strict mode must abort on monitoring-rank death");
     // Node 0's monitoring rank is its highest, and it stays runnable until
-    // it dies, so no peer can be orphaned or deadlocked first.
+    // it dies, so no peer can be deadlocked first.
     assert_eq!((abort.kind, abort.rank), (AbortKind::InjectedFault, 7));
 }
 

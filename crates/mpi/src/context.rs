@@ -6,7 +6,6 @@ use crate::error::AbortKind;
 use crate::event::{Observers, RankEvent};
 use crate::mailbox::Mailboxes;
 use crate::registry::{Registry, SplitEntry};
-use crate::sched::WakeReason;
 use crate::traffic::TrafficSnapshot;
 use greenla_check::{CollEvent, CollKind};
 use greenla_cluster::ledger::{ActivityKind, Interval, Ledger};
@@ -38,7 +37,6 @@ pub struct RankCtx<'m> {
     pub(crate) registry: &'m Registry,
     pub(crate) placement: &'m Placement,
     pub(crate) mail: &'m Mailboxes,
-    pub(crate) pending: Vec<Envelope>,
     /// Per-communicator collective sequence numbers (barrier/split/bcast/…
     /// all consume from the same stream, so ordering is consistent as long
     /// as ranks issue collectives in the same order — the MPI contract).
@@ -320,44 +318,22 @@ impl<'m> RankCtx<'m> {
         self.emit(RankEvent::SendEnd);
     }
 
-    /// Take the next wire envelope, blocking until one arrives. An
-    /// injected duplicate is discarded on sight — it never reaches the
-    /// pending queue, so matching logic and the checker never see it —
-    /// and everything else queues for matching. Blocking is the engine's
-    /// business: the rank parks in [`crate::sched::Engine::block_current`]
-    /// and a post, a poisoned run's wake-all or the scheduler's orphan
-    /// signal wakes it — no polling, checked or not, and the virtual
-    /// clocks never see the wait.
-    fn pump_mailbox(&mut self, src: usize, tag: u64) {
-        let engine = self.mail.engine();
-        let env = loop {
-            if let Some(env) = self.mail.try_pop(self.rank) {
-                break env;
+    /// Take the first envelope of this rank's inbox that `wanted`
+    /// accepts, in arrival order, parking until one arrives. Injected
+    /// duplicates the search passes are discarded on sight, so matching
+    /// and the checker never see them. Blocking is the engine's business:
+    /// a post or a poisoned run's wake-all resumes the rank — no polling,
+    /// checked or not, and the virtual clocks never see the wait.
+    fn take_envelope(&mut self, wanted: impl Fn(&Envelope) -> bool) -> Envelope {
+        loop {
+            let (env, dups) = self.mail.take(self.rank, &wanted);
+            for _ in 0..dups {
+                self.emit(RankEvent::Fault(FaultNote::DupDiscarded));
             }
-            self.registry.leave_if_poisoned();
-            if engine.orphaned() {
-                // Every runnable task finished and nobody can wake us.
-                // With checking on, the probe can name who we wait for.
-                if self.observers.checker.enabled() {
-                    self.registry.report_quiescent_deadlock();
-                }
-                self.abort(
-                    AbortKind::PeersGone,
-                    format!(
-                        "all peers gone while rank {} waits for ({src}, {tag})",
-                        self.rank
-                    ),
-                );
+            if let Some(env) = env {
+                return env;
             }
-            match engine.block_current() {
-                WakeReason::Woken => {}
-                WakeReason::Quiescent => self.registry.report_quiescent_deadlock(),
-            }
-        };
-        if env.dup {
-            self.emit(RankEvent::Fault(FaultNote::DupDiscarded));
-        } else {
-            self.pending.push(env);
+            self.registry.park();
         }
     }
 
@@ -382,16 +358,7 @@ impl<'m> RankCtx<'m> {
             tag,
             arg: ("src", src as f64),
         });
-        let env = loop {
-            if let Some(pos) = self
-                .pending
-                .iter()
-                .position(|e| e.src == src && e.comm_id == cid && e.tag == tag)
-            {
-                break self.pending.remove(pos);
-            }
-            self.pump_mailbox(src, tag);
-        };
+        let env = self.take_envelope(|e| e.src == src && e.comm_id == cid && e.tag == tag);
         if env.delayed {
             self.emit(RankEvent::Fault(FaultNote::DelayObserved));
         }
@@ -449,19 +416,11 @@ impl<'m> RankCtx<'m> {
             tag,
             arg: ("count", srcs_g.len() as f64),
         });
-        let mut got: Vec<Envelope> = Vec::with_capacity(srcs_g.len());
-        while got.len() < srcs_g.len() {
-            while let Some(pos) = self
-                .pending
-                .iter()
-                .position(|e| e.comm_id == cid && e.tag == tag && srcs_g.contains(&e.src))
-            {
-                got.push(self.pending.remove(pos));
-            }
-            if got.len() < srcs_g.len() {
-                self.pump_mailbox(srcs_g[0], tag);
-            }
-        }
+        let mut got: Vec<Envelope> = (0..srcs_g.len())
+            .map(|_| {
+                self.take_envelope(|e| e.comm_id == cid && e.tag == tag && srcs_g.contains(&e.src))
+            })
+            .collect();
         // Charge deterministically: earliest virtual arrival first, ties
         // broken by source rank.
         got.sort_by(|a, b| {

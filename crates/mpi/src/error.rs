@@ -33,11 +33,9 @@ pub enum AbortKind {
     /// A planned fault fired: a rank crash, a message lost past the retry
     /// budget, a monitoring rank's death.
     InjectedFault,
-    /// Every live rank is blocked and none can be woken.
+    /// Every unfinished rank is blocked and none can be woken — also when
+    /// the peers a rank waits on have already finished.
     Deadlock,
-    /// A rank waits for a message after every peer that could send it
-    /// finished.
-    PeersGone,
     /// A rank broke a collective's calling contract
     /// ([`CollContractError`]).
     CollectiveContract,

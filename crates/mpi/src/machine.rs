@@ -3,7 +3,6 @@
 //! threads).
 
 use crate::context::RankCtx;
-use crate::envelope::Envelope;
 use crate::error::{Abort, AbortKind, MachineError};
 use crate::event::{Observers, RankEvent};
 use crate::mailbox::Mailboxes;
@@ -210,12 +209,13 @@ impl Machine {
     /// carriers.
     ///
     /// A run dies when a rank calls [`RankCtx::abort`] — the runtime does
-    /// for planned faults, deadlocks, orphaned receives and broken
-    /// collective contracts; solvers and the monitor do for their own
-    /// errors — or when a rank body panics ([`AbortKind::Panic`], with the
-    /// panic's message as the detail). The first cause recorded is the one
-    /// returned: it is on record before the run is poisoned, and the ranks
-    /// the poison then unblocks leave without reporting anything.
+    /// for planned faults, deadlocks (every unfinished rank waits and none
+    /// can be woken, whether its peers are blocked or already finished)
+    /// and broken collective contracts; solvers and the monitor do for
+    /// their own errors — or when a rank body panics ([`AbortKind::Panic`],
+    /// with the panic's message as the detail). The first cause recorded is
+    /// the one returned: it is on record before the run is poisoned, and
+    /// the ranks the poison then unblocks leave without reporting anything.
     pub fn try_run<R, F>(&self, f: F) -> Result<RunOutput<R>, Abort>
     where
         R: Send,
@@ -233,11 +233,6 @@ impl Machine {
         let world_members: Arc<Vec<usize>> = Arc::new((0..n).collect());
         let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let clocks: Vec<Mutex<f64>> = (0..n).map(|_| Mutex::new(0.0)).collect();
-        // Each finished rank parks its matched-but-unreceived envelopes
-        // here so the message-hygiene audit can run after *every* rank has
-        // stopped sending — draining inside the rank body would race a
-        // slower peer's late send.
-        let leftovers: Vec<Mutex<Vec<Envelope>>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
 
         let observed =
             self.trace.is_enabled() || self.check.is_enabled() || self.faults.is_enabled();
@@ -258,7 +253,6 @@ impl Machine {
                 registry: &registry,
                 placement: &self.placement,
                 mail: &mail,
-                pending: Vec::new(),
                 seqs: Default::default(),
                 world_members: Arc::clone(&world_members),
                 observers: Observers {
@@ -273,7 +267,6 @@ impl Machine {
                     *results[rank].lock() = Some(r);
                     *clocks[rank].lock() = ctx.clock;
                     ctx.emit(RankEvent::Finished);
-                    *leftovers[rank].lock() = std::mem::take(&mut ctx.pending);
                 }
                 // The rank left an aborted run: its cause is on record.
                 Err(payload) if payload.is::<RankExit>() => {}
@@ -308,19 +301,15 @@ impl Machine {
             return Err(abort.clone());
         }
         if self.check.is_enabled() || self.faults.is_enabled() {
-            // Message hygiene: anything still sitting in a mailbox at
-            // finalize was sent but never received (MSG001). Injected
-            // duplicates a receiver finished before pumping are accounted
-            // here instead — whether a duplicate is discarded mid-run or at
-            // finalize is a wall-clock accident, but the total observed
-            // count is deterministic.
-            for (rank, pending) in leftovers.into_iter().enumerate() {
+            // Message hygiene, once every rank has stopped sending:
+            // anything still in an inbox at finalize was sent but never
+            // received (MSG001). Injected duplicates no receive searched
+            // past are accounted here instead — whether a duplicate is
+            // discarded mid-run or at finalize is a wall-clock accident,
+            // but the total observed count is deterministic.
+            for rank in 0..n {
                 let mut leaked: Vec<(usize, u64, u64, f64)> = Vec::new();
-                let unreceived = pending
-                    .into_inner()
-                    .into_iter()
-                    .chain(std::iter::from_fn(|| mail.try_pop(rank)));
-                for e in unreceived {
+                for e in mail.drain(rank) {
                     if e.dup {
                         self.faults.note_dup_discarded();
                     } else {
@@ -980,8 +969,8 @@ mod tests {
             })
             .err()
             .expect("lost message must abort the run");
-        // The sender is runnable until it gives up, so the receiver can
-        // be neither orphaned nor deadlocked before the cause is on record.
+        // The sender is runnable until it gives up, so the receiver cannot
+        // be deadlocked before the cause is on record.
         assert_eq!((abort.kind, abort.rank), (AbortKind::InjectedFault, 0));
     }
 
@@ -1014,7 +1003,7 @@ mod tests {
         assert_eq!(rep.injected.msg_dup, 1);
         assert_eq!(
             rep.observed.msg_dup, 1,
-            "duplicate accounted whether pumped or audited at finalize"
+            "duplicate accounted whether a receive discarded it or the audit did"
         );
     }
 

@@ -1,13 +1,14 @@
-//! Per-rank mailboxes: one mutex-guarded `VecDeque` per rank, owned by
-//! the run rather than by the rank.
+//! Per-rank inboxes: one mutex-guarded `VecDeque` per rank, in arrival
+//! order, owned by the run rather than by the rank.
 //!
-//! A post pushes the envelope and *wakes* the destination task; a receive
-//! pops, and when the queue is empty the receiver blocks in the engine
-//! ([`crate::sched::Engine::block_current`]) — waiting is the scheduler's
-//! job, never the queue's, so the same mailbox serves both carriers.
-//! Keeping the queues run-owned (rather than inside each rank) lets the
-//! machine drain every inbox after the run for the MSG001 leak audit and
-//! the duplicate accounting.
+//! A post appends the envelope and *wakes* the destination task. A
+//! receive searches its own inbox in arrival order and takes the first
+//! envelope it wants; when none matches, the receiver parks
+//! ([`crate::registry::Registry::park`]) — waiting is the scheduler's job,
+//! never the queue's, so the same inbox serves both carriers. An inbox is
+//! the rank's only queue: what a receive passes over stays where it
+//! arrived, so after the run the machine drains every inbox for the
+//! MSG001 leak audit and the duplicate accounting.
 
 use crate::envelope::Envelope;
 use crate::sched::Engine;
@@ -41,8 +42,33 @@ impl Mailboxes {
         self.engine.wake(dst);
     }
 
-    /// Pop the next queued envelope for `rank`, if any.
-    pub(crate) fn try_pop(&self, rank: usize) -> Option<Envelope> {
-        self.inboxes[rank].lock().pop_front()
+    /// Remove the first envelope of `rank`'s inbox that `wanted` accepts,
+    /// searching in arrival order. An injected duplicate the search
+    /// passes is discarded on sight, so no predicate ever sees one; the
+    /// count of those discarded comes back with the match.
+    pub(crate) fn take(
+        &self,
+        rank: usize,
+        wanted: impl Fn(&Envelope) -> bool,
+    ) -> (Option<Envelope>, usize) {
+        let mut inbox = self.inboxes[rank].lock();
+        let mut dups = 0;
+        let mut i = 0;
+        while i < inbox.len() {
+            if inbox[i].dup {
+                inbox.remove(i);
+                dups += 1;
+            } else if wanted(&inbox[i]) {
+                return (inbox.remove(i), dups);
+            } else {
+                i += 1;
+            }
+        }
+        (None, dups)
+    }
+
+    /// Everything still in `rank`'s inbox, in arrival order.
+    pub(crate) fn drain(&self, rank: usize) -> VecDeque<Envelope> {
+        std::mem::take(&mut *self.inboxes[rank].lock())
     }
 }

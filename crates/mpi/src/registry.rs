@@ -154,9 +154,24 @@ impl Registry {
         self.cause.get()
     }
 
-    /// Where a blocked rank notices the run is failing: the one check it
+    /// The one way a rank waits, for a message or a rendezvous: park in
+    /// the engine until a wake, leaving first if the run is failing. A
+    /// wake says only that something changed — the caller re-checks its
+    /// condition and parks again if it still does not hold. When nothing
+    /// can ever wake the rank (exact quiescence, however the last
+    /// runnable task stopped) the run aborts here as a deadlock. Must not
+    /// hold a lock guard.
+    pub(crate) fn park(&self) {
+        self.leave_if_poisoned();
+        if self.mail.engine().block_current() == WakeReason::Quiescent {
+            self.report_quiescent_deadlock();
+        }
+        self.leave_if_poisoned();
+    }
+
+    /// Where a waiting rank notices the run is failing: the one check it
     /// makes before and after every park.
-    pub(crate) fn leave_if_poisoned(&self) {
+    fn leave_if_poisoned(&self) {
         if self.cause().is_some() {
             leave_run();
         }
@@ -165,10 +180,7 @@ impl Registry {
     /// The engine detected machine-wide quiescence while the calling rank
     /// waited on something that can never complete: abort the run as
     /// deadlocked, with the probe's wait-for report when checking is on.
-    /// Must not hold a lock guard.
-    pub(crate) fn report_quiescent_deadlock(&self) -> ! {
-        #[cfg(debug_assertions)]
-        sched::assert_no_guard_held("Registry::report_quiescent_deadlock");
+    fn report_quiescent_deadlock(&self) -> ! {
         let detail = self.check.probe_deadlock_quiescent().unwrap_or_else(|| {
             "deadlock: every rank is blocked and none can be woken; run with \
              greenla-check attached for the wait-for cycle"
@@ -234,12 +246,7 @@ impl Registry {
             cell.waiters
                 .push(sched::current_task().expect("rank outside an engine task"));
             drop(map);
-            self.leave_if_poisoned();
-            match self.mail.engine().block_current() {
-                WakeReason::Woken => {}
-                WakeReason::Quiescent => self.report_quiescent_deadlock(),
-            }
-            self.leave_if_poisoned();
+            self.park();
             map = cells.lock();
         }
     }

@@ -38,18 +38,20 @@
 //! deadlocked *now*. [`Engine::block_current`] reports that as
 //! [`WakeReason::Quiescent`] instead of parking forever, which is what
 //! lets checked runs probe the wait-for graph with no grace timer and
-//! unchecked runs abort instead of hanging. The dual case — the last
-//! runnable task *finishing* while blocked peers remain — sets the orphan
-//! flag and wakes everyone so receivers can abort the run as orphaned.
-//! The argument never mentions what carries a task, so it holds for
-//! preemptively scheduled OS threads exactly as for fibers.
+//! unchecked runs abort instead of hanging. When the last runnable task
+//! *finishes* while blocked peers remain, `Engine::finish` wakes them
+//! all: each finds its condition still unmet and blocks again, and the
+//! last one to block sees the same exact quiescence — so a stuck run has
+//! one signal however its last runnable task stopped. The argument never
+//! mentions what carries a task, so it holds for preemptively scheduled
+//! OS threads exactly as for fibers.
 
 use super::fiber::{self, Context};
 use super::SchedulerKind;
 use parking_lot::{Condvar, Mutex};
 use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Why `Engine::block_current` (the crate-internal yield point every
 /// blocking wait funnels through) returned.
@@ -216,7 +218,6 @@ pub struct Engine {
     /// Tasks in `Ready`/`Running`/`Notified` (see module docs).
     active: AtomicUsize,
     done: AtomicUsize,
-    orphaned: AtomicBool,
 }
 
 // SAFETY: raw pointers inside are derived from storage the engine owns
@@ -283,19 +284,11 @@ impl Engine {
             carrier,
             active: AtomicUsize::new(ntasks),
             done: AtomicUsize::new(0),
-            orphaned: AtomicBool::new(false),
         }
     }
 
     pub(crate) fn ntasks(&self) -> usize {
         self.tasks.len()
-    }
-
-    /// Did the last runnable task finish while blocked peers remained?
-    /// Woken receivers consult this to abort the run as orphaned instead
-    /// of re-blocking.
-    pub(crate) fn orphaned(&self) -> bool {
-        self.orphaned.load(Ordering::SeqCst)
     }
 
     /// Run every task to completion. Blocks the calling thread until all
@@ -495,7 +488,8 @@ impl Engine {
         }
     }
 
-    /// Wake every blocked task (poison/orphan broadcast).
+    /// Wake every blocked task (poison broadcast, last runnable task
+    /// finished).
     pub fn wake_all(&self) {
         for tid in 0..self.tasks.len() {
             self.wake(tid);
@@ -523,10 +517,9 @@ impl Engine {
         let n = self.tasks.len();
         let all_done = self.done.fetch_add(1, Ordering::SeqCst) + 1 == n;
         if self.active.fetch_sub(1, Ordering::SeqCst) == 1 && self.done.load(Ordering::SeqCst) < n {
-            // Last runnable task gone while blocked peers remain: they
-            // wait for messages nobody will send. Wake them all so they
-            // abort the run as orphaned instead of hanging.
-            self.orphaned.store(true, Ordering::SeqCst);
+            // Last runnable task gone while blocked peers remain: nobody
+            // is left to meet their conditions. Wake them all; each blocks
+            // again, and the last to do so sees quiescence.
             self.wake_all();
         }
         if let (true, Carrier::Fibers { workers, .. }) = (all_done, &self.carrier) {
@@ -565,6 +558,7 @@ extern "C" fn fiber_entry(arg: *mut u8) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     /// Every carrier this target has: the protocol tests below run once
     /// per carrier, with the fiber pool at `workers`.
@@ -667,16 +661,16 @@ mod tests {
     }
 
     #[test]
-    fn orphan_flag_raised_when_last_runnable_finishes() {
+    fn a_blocked_peer_sees_quiescence_once_the_last_runnable_task_finishes() {
         // Task 0 parks until task 1 wakes it, then holds off finishing
         // until task 1 has parked too (`active` back down to one — on a
         // single fiber worker that is already true when task 0 resumes).
         // Task 0 finishing is then the last runnable task going away with
-        // a blocked peer left, so the engine must raise the orphan flag
-        // and wake task 1 to terminate the run.
+        // a blocked peer left: the engine wakes task 1, and when task 1
+        // blocks again nothing can ever wake it, which it must be told.
         for carrier in carriers(1) {
             let flag = AtomicBool::new(false);
-            let saw_orphan = AtomicBool::new(false);
+            let saw_quiescence = AtomicBool::new(false);
             run_engine(2, carrier, |i, engine| {
                 if i == 0 {
                     while !flag.load(Ordering::SeqCst) {
@@ -689,11 +683,16 @@ mod tests {
                     flag.store(true, Ordering::SeqCst);
                     engine.wake(0);
                     assert_eq!(engine.block_current(), WakeReason::Woken);
-                    assert!(engine.orphaned(), "woken without a wake source");
-                    saw_orphan.store(true, Ordering::SeqCst);
+                    assert_eq!(
+                        engine.done.load(Ordering::SeqCst),
+                        1,
+                        "woken before task 0 finished"
+                    );
+                    assert_eq!(engine.block_current(), WakeReason::Quiescent);
+                    saw_quiescence.store(true, Ordering::SeqCst);
                 }
             });
-            assert!(saw_orphan.load(Ordering::SeqCst));
+            assert!(saw_quiescence.load(Ordering::SeqCst));
         }
     }
 

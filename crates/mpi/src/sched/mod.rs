@@ -1,15 +1,16 @@
 //! Rank scheduling: one engine, one wait/wake protocol, two carriers.
 //!
 //! Every simulated rank is a task of one [`Engine`]. A rank that cannot
-//! make progress — an empty mailbox in `recv`, an incomplete barrier or
-//! split — calls `Engine::block_current`; whoever completes the
-//! condition (a sender, the last arrival of a collective, a poisoned
-//! run's wake-all) calls [`Engine::wake`]. There is no other way to wait
-//! anywhere in this crate, and no timer: the engine counts runnable
-//! tasks, so it knows the exact moment nothing can ever run again and
-//! reports it ([`WakeReason::Quiescent`], or the orphan flag when the last
-//! runnable task *finishes*) — the run then aborts as a deadlock or an
-//! orphaned receive (checked runs name the wait-for cycle), never hangs.
+//! make progress — no matching envelope in its inbox, an incomplete
+//! barrier or split — parks through `Registry::park`, the one caller of
+//! `Engine::block_current`; whoever completes the condition (a sender,
+//! the last arrival of a collective, a poisoned run's wake-all) calls
+//! [`Engine::wake`]. There is no other way to wait anywhere in this
+//! crate, and no timer: the engine counts runnable tasks, so it knows the
+//! exact moment nothing can ever run again and reports it
+//! ([`WakeReason::Quiescent`]) — whether the last runnable task blocked or
+//! finished, the run then aborts as a deadlock (checked runs name the
+//! wait-for cycle), never hangs.
 //!
 //! What a [`SchedulerKind`] selects is only what *carries* a task:
 //!
@@ -130,8 +131,8 @@ impl SchedulerKind {
     /// Parse a CLI-style name: `thread` | `event`.
     pub fn parse(s: &str) -> Option<Self> {
         match s {
-            "thread" | "thread-per-rank" => Some(SchedulerKind::ThreadPerRank),
-            "event" | "event-driven" => Some(SchedulerKind::EventDriven),
+            "thread" => Some(SchedulerKind::ThreadPerRank),
+            "event" => Some(SchedulerKind::EventDriven),
             _ => None,
         }
     }
@@ -155,7 +156,9 @@ mod tests {
         for kind in [SchedulerKind::ThreadPerRank, SchedulerKind::EventDriven] {
             assert_eq!(SchedulerKind::parse(&kind.to_string()), Some(kind));
         }
-        assert_eq!(SchedulerKind::parse("fifo"), None);
+        for other in ["fifo", "thread-per-rank", "event-driven"] {
+            assert_eq!(SchedulerKind::parse(other), None);
+        }
     }
 
     #[test]

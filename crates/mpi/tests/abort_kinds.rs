@@ -15,7 +15,7 @@ const CULPRIT: usize = 3;
 
 /// The culprit dies in `die`; everybody else waits on it, between them in
 /// each of the three places a rank can block. The culprit stays runnable
-/// until it dies, so no bystander can be orphaned or deadlocked first.
+/// until it dies, so no bystander can be deadlocked first.
 fn culprit_dies(ctx: &mut RankCtx, die: impl FnOnce(&mut RankCtx)) {
     let world = ctx.world();
     match ctx.rank() {
@@ -46,10 +46,9 @@ const TABLE: [Row; 7] = [
         }
     }),
     // Rank 1 waits for a message nobody sends while everyone else returns.
-    // Parked before the last peer finishes, it is orphaned; after, it is
-    // itself the last runnable rank — a deadlock, which is also what the
-    // checker's probe calls it either way.
-    (PeersGone, Some(1), |ctx| {
+    // Whether it parks before or after the last peer finishes, it ends up
+    // the only unfinished rank with nothing left to wake it: a deadlock.
+    (Deadlock, Some(1), |ctx| {
         if ctx.rank() == 1 {
             let world = ctx.world();
             ctx.recv_f64(&world, 0, 1);
@@ -87,8 +86,7 @@ fn every_abort_kind_is_reported_as_itself_on_every_carrier() {
                 let plan = (kind == InjectedFault).then(|| crash_plan.clone());
                 let (abort, _) = abort_of(RANKS, carrier, checked, plan, program);
                 let leg = format!("{kind:?} row, {carrier}, checked={checked}: {abort:?}");
-                let orphan_seen_as_deadlock = kind == PeersGone && abort.kind == Deadlock;
-                assert!(abort.kind == kind || orphan_seen_as_deadlock, "{leg}");
+                assert_eq!(abort.kind, kind, "{leg}");
                 assert!(rank.is_none_or(|rank| rank == abort.rank), "{leg}");
             }
         }

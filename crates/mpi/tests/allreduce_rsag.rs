@@ -87,7 +87,7 @@ fn lengths_straddling_a_threshold_abort_instead_of_hanging() {
     // Two genuine causes may race — a rank combining the odd buffer, a
     // rank left waiting by the mismatched schedules — and the first one
     // recorded wins.
-    use AbortKind::{CollectiveContract, Deadlock, PeersGone};
+    use AbortKind::{CollectiveContract, Deadlock};
     for kind in carriers() {
         for checked in [false, true] {
             for (name, odd_one_out, everyone_else) in cases {
@@ -101,10 +101,7 @@ fn lengths_straddling_a_threshold_abort_instead_of_hanging() {
                     ctx.allreduce_sum_owned_f64(&world, vec![1.0; len]);
                 });
                 let leg = format!("{name}, {kind}, checked={checked}: {abort}");
-                assert!(
-                    matches!(abort.kind, CollectiveContract | Deadlock | PeersGone),
-                    "{leg}"
-                );
+                assert!(matches!(abort.kind, CollectiveContract | Deadlock), "{leg}");
                 if checked {
                     assert!(
                         violations

@@ -146,6 +146,32 @@ fn unreceived_message_trips_msg001_with_src_dst_tag() {
 }
 
 #[test]
+fn a_message_passed_over_by_a_receive_still_leaks_at_finalize() {
+    // Rank 1's receive of tag 43 searches past tag 42, which arrived
+    // first; the envelope it passes over must still be audited.
+    let m = checked_machine(2);
+    m.run(|ctx| {
+        let world = ctx.world();
+        if ctx.rank() == 0 {
+            ctx.send_f64(&world, 1, 42, &[1.0]);
+            ctx.send_f64(&world, 1, 43, &[2.0]);
+        } else {
+            assert_eq!(ctx.recv_f64(&world, 0, 43), vec![2.0]);
+        }
+        ctx.barrier(&world);
+    });
+    let violations = m.check().violations();
+    assert_eq!(violations.len(), 1, "exactly one MSG001: {violations:#?}");
+    let v = &violations[0];
+    assert_eq!(v.rule, Rule::MessageLeak);
+    assert!(
+        v.message.contains("from rank 0") && v.message.contains("tag 42"),
+        "the passed-over message is the leak: {}",
+        v.message
+    );
+}
+
+#[test]
 fn clean_program_with_every_collective_is_violation_free() {
     let m = checked_machine(16);
     m.run(|ctx| {

@@ -1,6 +1,6 @@
 //! The rank engine, end to end, over both carriers: parity of fibers with
 //! OS threads on real programs, exact deadlock detection without timed
-//! polls, abort/orphan behaviour that never hangs on either carrier, and
+//! polls, abort behaviour that never hangs on either carrier, and
 //! world sizes only fibers can reach.
 //!
 //! Fibers exist where `SchedulerKind::EventDriven.supported()` (the
@@ -201,12 +201,12 @@ fn rank_panic_unblocks_ranks_in_recv_barrier_and_split() {
 }
 
 #[test]
-fn orphaned_receiver_aborts_with_all_peers_gone() {
+fn a_receiver_left_alone_by_finished_peers_aborts_as_deadlock() {
     // Rank 1 waits on a message nobody will ever send while everyone
-    // else returns. Which signal it dies on depends on whether it parks
-    // before the last peer finishes (the orphan wake: `PeersGone`) or
-    // after (it is itself the last runnable task: `Deadlock`); with the
-    // checker attached the probe names the finished peer either way.
+    // else returns. Whether it parks before or after the last peer
+    // finishes, it is the last to block with nothing left to wake it:
+    // one kind of stuck run, on rank 1, and with the checker attached the
+    // probe names the finished peer.
     for kind in carriers() {
         for checked in [false, true] {
             let (abort, v) = abort_of(64, kind, checked, None, |ctx| {
@@ -216,18 +216,12 @@ fn orphaned_receiver_aborts_with_all_peers_gone() {
                 }
             });
             let leg = format!("{kind}, checked={checked}: {abort}");
-            assert_eq!(abort.rank, 1, "{leg}");
+            assert_eq!((abort.kind, abort.rank), (AbortKind::Deadlock, 1), "{leg}");
             if checked {
-                assert_eq!(abort.kind, AbortKind::Deadlock, "{leg}");
                 assert!(
                     v.iter().any(|v| v.rule == Rule::Deadlock
                         && v.message.contains("rank 1 waits on rank 0")),
                     "{leg}: {v:?}"
-                );
-            } else {
-                assert!(
-                    matches!(abort.kind, AbortKind::PeersGone | AbortKind::Deadlock),
-                    "{leg}"
                 );
             }
         }
