@@ -6,16 +6,13 @@
 
 use crate::config::SolverChoice;
 use crate::output::{Figure, Series};
-use crate::run::{build_machine, solve, Inputs};
+use crate::run::{build_machine, solve, Inputs, Rig};
 use greenla_cluster::placement::LoadLayout;
 use greenla_cluster::spec::NodeSpec;
 use greenla_cluster::PowerModel;
 use greenla_linalg::generate;
 use greenla_monitor::blackbox::blackbox_run;
-use greenla_monitor::monitoring::MonitorConfig;
 use greenla_mpi::SchedulerKind;
-use greenla_rapl::RaplSim;
-use std::sync::Arc;
 
 /// Sample node-0 power over time for one solver run.
 pub fn power_trace(
@@ -26,28 +23,22 @@ pub fn power_trace(
     seed: u64,
 ) -> Vec<(f64, f64)> {
     let node = NodeSpec::test_node(4);
-    let machine = build_machine(
-        &node,
-        ranks,
-        LoadLayout::FullLoad,
-        PowerModel::scaled_for(&node),
-        seed,
-        SchedulerKind::default(),
+    let rig = Rig::new(
+        build_machine(
+            &node,
+            ranks,
+            LoadLayout::FullLoad,
+            PowerModel::scaled_for(&node),
+            seed,
+            SchedulerKind::default(),
+        ),
+        None,
     );
-    let rapl = Arc::new(RaplSim::new(
-        machine.ledger(),
-        machine.power().clone(),
-        seed,
-    ));
     let inputs = Inputs::from_system(solver, generate::diag_dominant(n, 3131));
-    let out = machine.run(|ctx| {
-        blackbox_run(
-            ctx,
-            &rapl,
-            &MonitorConfig::default(),
-            sample_period_s,
-            |ctx, app| solve(ctx, app, true, &inputs),
-        )
+    let out = rig.machine.run(|ctx| {
+        blackbox_run(ctx, &rig.rapl, &rig.monitor, sample_period_s, |ctx, app| {
+            solve(ctx, app, true, &inputs)
+        })
         .unwrap()
         .report
     });

@@ -12,18 +12,15 @@
 
 use crate::config::SolverChoice;
 use crate::output::Table;
-use crate::run::{build_machine, solve, Inputs};
+use crate::run::{build_machine, solve, Inputs, Rig};
 use greenla_cluster::placement::LoadLayout;
 use greenla_cluster::spec::NodeSpec;
 use greenla_cluster::PowerModel;
 use greenla_linalg::generate;
-use greenla_monitor::monitoring::MonitorConfig;
 use greenla_monitor::protocol::monitored_run;
 use greenla_monitor::report::JobSummary;
 use greenla_mpi::SchedulerKind;
-use greenla_rapl::RaplSim;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// One point of the power-cap sweep.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -50,22 +47,20 @@ pub fn sweep(n: usize, ranks: usize, fractions: &[f64], seed: u64) -> Vec<CapPoi
         for &frac in fractions {
             let cap_w = uncapped_w * frac;
             let power = base.with_power_cap(&node, node.cpu.cores_per_socket, cap_w);
-            let machine = build_machine(
-                &node,
-                ranks,
-                LoadLayout::FullLoad,
-                power.clone(),
-                seed,
-                SchedulerKind::default(),
+            let rig = Rig::new(
+                build_machine(
+                    &node,
+                    ranks,
+                    LoadLayout::FullLoad,
+                    power.clone(),
+                    seed,
+                    SchedulerKind::default(),
+                ),
+                None,
             );
-            let rapl = Arc::new(RaplSim::new(
-                machine.ledger(),
-                machine.power().clone(),
-                seed,
-            ));
-            let run = machine.run(|ctx| {
+            let run = rig.machine.run(|ctx| {
                 let world = ctx.world();
-                monitored_run(ctx, &rapl, &MonitorConfig::default(), |ctx, _| {
+                monitored_run(ctx, &rig.rapl, &rig.monitor, |ctx, _| {
                     solve(ctx, &world, true, &inputs)
                 })
                 .unwrap()

@@ -3,24 +3,31 @@
 //! repetitions per configuration; we default to fewer but keep the knob).
 //!
 //! The paper's white-box procedure is solver-agnostic, and so is this
-//! module: [`run_once`] composes four public steps, and everything in the
-//! harness that simulates a solve is built from them.
+//! module. A monitored run is four public steps, [`run_once`] composes
+//! them, and everything in the harness that simulates a solve is built
+//! from them:
 //!
-//! 1. [`build_machine`] — node → placement → cluster → `Machine`;
-//! 2. [`Inputs`] — the input system with its solver's parameters: dense
-//!    for IMe and `pdgesv`, CSR for CG;
-//! 3. [`solve`] — one solve of those inputs on a running rank;
-//! 4. [`run_prepared`] — the Figure-2 monitored window (allocation phase,
-//!    `batch` solves, execution phase) and the reports → [`Measurement`]
-//!    tail.
+//! 1. [`Inputs`] — the input system with its solver's parameters: dense
+//!    for IMe and `pdgesv`, CSR for CG; prepared once per configuration;
+//! 2. [`Rig::build`] — the instrumented machine: [`build_machine`] (node →
+//!    placement → cluster → `Machine`), the trace, check and fault sinks,
+//!    and the RAPL device on the machine's ledger ([`Rig::new`]);
+//! 3. [`rank_body`] — one rank's Figure-2 window, run inside
+//!    `Machine::try_run`: monitor begin, the allocation phase, `batch`
+//!    calls of [`solve`], the execution phase, finish. It reports each
+//!    [`Step`] boundary to a hook, a no-op in the program;
+//! 4. [`aggregate`] — the node reports → [`Measurement`], given the
+//!    residual [`Inputs::residual`] takes of rank 0's solution.
 //!
-//! `run_once`, both campaigns (through one campaign loop that fans the
-//! points out and folds each point's repetitions with
-//! `DataPoint::from_runs`) and the Chrome-trace export go through all
-//! four, so a trace is a trace of the run the campaign measures. The
-//! power-cap sweep and the black-box power trace are different procedures
-//! on purpose (a capped power model, a sampling daemon) and wrap steps 1–3 in
-//! their own choreography.
+//! [`run_prepared`] is nothing but steps 2–4, with the residual between 3
+//! and 4 and a no-op hook. `run_once`, both campaigns (through one campaign
+//! loop that fans the points out and folds each point's repetitions with
+//! `DataPoint::from_runs`) and the Chrome-trace export all go through it,
+//! so a trace is a trace of the run the campaign measures. The power-cap
+//! sweep and the black-box power trace are different procedures on purpose
+//! (a capped power model, a sampling daemon): they build their own machine,
+//! take its RAPL device from [`Rig::new`] and call [`solve`] in their own
+//! choreography.
 
 use crate::config::{default_false, default_true, one_batch, FunctionalGrid, SolverChoice};
 use greenla_cg::solver::{pcg, CgConfig};
@@ -33,11 +40,11 @@ use greenla_linalg::flops;
 use greenla_linalg::generate::{DenseSystem, LinearSystem, SystemKind};
 use greenla_linalg::sparse::{laplace2d, CsrMatrix, SparseSystem};
 use greenla_monitor::monitoring::MonitorConfig;
-use greenla_monitor::protocol::monitored_run;
+use greenla_monitor::protocol::{MonitorHandle, MonitorOutput};
 use greenla_monitor::report::{JobSummary, NodeReport};
 use greenla_mpi::{
     Abort, AbortKind, CheckSink, Comm, FaultPlan, FaultReport, FaultSink, Machine, RankCtx,
-    SchedulerKind, TraceSink, Violation,
+    RunOutput, SchedulerKind, TraceSink, Violation,
 };
 use greenla_rapl::RaplSim;
 use greenla_scalapack::pdgesv::pdgesv_columns;
@@ -130,11 +137,11 @@ pub struct Measurement {
     pub refreshes: Option<u64>,
 }
 
-/// Step 1 — the simulated cluster of one run: `ranks` ranks laid out over
-/// as many `node`s as `layout` needs, on the Omni-Path interconnect. The
-/// power model is the caller's because the experiments genuinely differ in
-/// it (jittered for measurements, deterministic and capped for the cap
-/// sweep).
+/// The simulated cluster of one run, step 2's machine: `ranks` ranks laid
+/// out over as many `node`s as `layout` needs, on the Omni-Path
+/// interconnect. The power model is the caller's because the experiments
+/// genuinely differ in it (jittered for measurements, deterministic and
+/// capped for the cap sweep).
 pub fn build_machine(
     node: &NodeSpec,
     ranks: usize,
@@ -154,7 +161,7 @@ pub fn build_machine(
         .with_scheduler(scheduler)
 }
 
-/// Step 2 — the input system of a run, in the one format its solver reads,
+/// Step 1 — the input system of a run, in the one format its solver reads,
 /// with that solver's parameters. Prepared outside the measured region (the
 /// paper's jobs load their input from a file the same way) and shared by
 /// every repetition of a configuration.
@@ -237,12 +244,12 @@ impl Inputs {
     }
 }
 
-/// Step 3 — one solve of `inputs` over `comm` on a running rank: the
-/// solution and, for CG, the `(iterations, refreshes)` counts. Every run of a
-/// solver is the same program: IMe protects itself with a checksum exactly
-/// when the machine's fault plan schedules a `column_loss` (`reduce_table`
-/// reads the plan; nothing is chosen here). A solver error aborts the run as
-/// [`AbortKind::Solver`].
+/// One solve of `inputs` over `comm` on a running rank, the work inside
+/// step 3's window: the solution and, for CG, the `(iterations, refreshes)`
+/// counts. Every run of a solver is the same program: IMe protects itself
+/// with a checksum exactly when the machine's fault plan schedules a
+/// `column_loss` (`reduce_table` reads the plan; nothing is chosen here). A
+/// solver error aborts the run as [`AbortKind::Solver`].
 pub fn solve(
     ctx: &mut RankCtx,
     comm: &Comm,
@@ -269,27 +276,108 @@ pub fn solve(
     (x, None)
 }
 
-/// A finished [`run_prepared`]: the measurement, plus what the Chrome-trace
-/// exporter samples after the fact.
-pub struct MonitoredRun {
-    pub measurement: Measurement,
-    /// Virtual makespan of the whole run, monitoring protocol included
-    /// (`measurement.duration_s` is the monitored window inside it).
-    pub makespan_s: f64,
-    /// The run's RAPL device, still attached to the run's activity ledger.
+/// Step 2 — the instrumented machine of one run: the [`Machine`] with its
+/// observer and fault sinks, and the RAPL device that reads its activity
+/// ledger.
+pub struct Rig {
+    pub machine: Machine,
+    /// The run's RAPL device: the machine's ledger, power model and seed.
     pub rapl: Arc<RaplSim>,
+    /// What [`rank_body`] monitors with. A faulted run monitors in degraded
+    /// mode: a dead monitoring rank costs its node's report, not the job.
+    pub monitor: MonitorConfig,
+    /// The one sink the machine (message and crash faults) and the RAPL
+    /// device (counter faults) share; `None` keeps the zero-overhead
+    /// disabled path.
+    faults: Option<FaultSink>,
 }
 
-/// Step 4 — run `cfg` on prepared inputs under the white-box monitoring
-/// framework and aggregate the per-node reports, or say why the run died
-/// (a planned fault, a solver or monitor error, a deadlock — see
-/// [`AbortKind`]). `trace` observes the run (pass [`TraceSink::disabled`]
-/// to measure only); it never moves a clock.
-pub fn run_prepared(
+impl Rig {
+    /// Instrument a built machine. A non-empty fault plan arms one sink on
+    /// both the machine and the RAPL device; an absent or empty one arms
+    /// none. The power-cap sweep and the power trace build their machines
+    /// themselves and take the device from here.
+    pub fn new(mut machine: Machine, faults: Option<&FaultPlan>) -> Rig {
+        let faults = faults
+            .filter(|p| !p.is_empty())
+            .map(|p| FaultSink::with_plan(p.clone()));
+        let mut rapl = RaplSim::new(machine.ledger(), machine.power().clone(), machine.seed());
+        if let Some(sink) = &faults {
+            machine = machine.with_faults(sink.clone());
+            rapl = rapl.with_faults(sink.clone());
+        }
+        Rig {
+            machine,
+            rapl: Arc::new(rapl),
+            monitor: MonitorConfig {
+                degrade_on_fault: faults.is_some(),
+                ..MonitorConfig::default()
+            },
+            faults,
+        }
+    }
+
+    /// The rig `cfg` runs on: [`build_machine`] on a test node with the
+    /// jittered measurement power model, `trace` attached (pass
+    /// [`TraceSink::disabled`] to measure only; it never moves a clock), the
+    /// checker when `cfg.check`, and `cfg.faults`.
+    pub fn build(cfg: &RunConfig, trace: TraceSink) -> Rig {
+        let node = NodeSpec::test_node(cfg.cores_per_socket);
+        let power = PowerModel::scaled_for(&node);
+        let mut machine =
+            build_machine(&node, cfg.ranks, cfg.layout, power, cfg.seed, cfg.scheduler)
+                .with_trace(trace);
+        if cfg.check {
+            machine = machine.with_check(CheckSink::enabled());
+        }
+        Rig::new(machine, cfg.faults.as_ref())
+    }
+}
+
+/// A boundary of [`rank_body`], in the order a rank reaches it. Between
+/// two consecutive boundaries lies one region of the monitored window:
+/// monitor bring-up, the allocation phase, the batch of solves, the
+/// execution mark, monitor teardown.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Step {
+    /// Before `MonitorHandle::begin`.
+    Start,
+    /// Monitoring has begun; the allocation touch is next.
+    Begun,
+    /// The allocation phase is marked; the first solve is next.
+    Allocated,
+    /// The batch's last solve has returned; the execution mark is next.
+    Solved,
+    /// The execution phase is marked; `MonitorHandle::finish` is next.
+    Executed,
+    /// Monitoring has finished; the rank's body returns.
+    Finished,
+}
+
+/// What [`rank_body`] returns on one rank: [`solve`]'s last result, and on
+/// a monitoring rank its node's report.
+pub type RankOutput = MonitorOutput<(Vec<f64>, Option<(u64, u64)>)>;
+
+/// Step 3 — one rank's monitored window (Figure 2): monitor begin, the
+/// allocation phase (this rank's share of the input image, then the
+/// `allocation` mark), `cfg.batch` back-to-back [`solve`]s (one at
+/// `batch = 0`), the `execution` mark and finish. Returns the last solution
+/// (every solve is deterministic; [`RunConfig::batch`] says why short
+/// solves are batched) and, on a monitoring rank, its node's report. A
+/// monitor error aborts the run as [`AbortKind::Monitor`].
+///
+/// `on_step` hears each [`Step`] once, in order, and moves no clock. The
+/// caller calls this inside its own `Machine::try_run` closure, so a
+/// per-rank hook needs no `Sync`; the program passes a no-op, and no host
+/// clock enters it.
+pub fn rank_body(
+    ctx: &mut RankCtx,
     cfg: &RunConfig,
     inputs: &Inputs,
-    trace: TraceSink,
-) -> Result<MonitoredRun, Abort> {
+    rapl: &Arc<RaplSim>,
+    monitor: &MonitorConfig,
+    mut on_step: impl FnMut(Step),
+) -> RankOutput {
     debug_assert!(
         matches!(
             (cfg.solver, inputs),
@@ -299,60 +387,61 @@ pub fn run_prepared(
         ),
         "inputs prepared for another solver than cfg.solver"
     );
-    let node = NodeSpec::test_node(cfg.cores_per_socket);
-    let power = PowerModel::scaled_for(&node);
-    let mut machine = build_machine(&node, cfg.ranks, cfg.layout, power, cfg.seed, cfg.scheduler)
-        .with_trace(trace);
-    let nodes = machine.placement().nodes_used();
-    if cfg.check {
-        machine = machine.with_check(CheckSink::enabled());
-    }
-    // A non-empty fault plan arms the sink shared by the machine (message
-    // and crash faults) and the RAPL simulator (counter faults); an absent
-    // or empty plan leaves the zero-overhead disabled path in place.
-    let fault_sink = cfg
-        .faults
-        .as_ref()
-        .filter(|p| !p.is_empty())
-        .map(|p| FaultSink::with_plan(p.clone()));
-    let mut rapl = RaplSim::new(machine.ledger(), machine.power().clone(), cfg.seed);
-    if let Some(sink) = &fault_sink {
-        machine = machine.with_faults(sink.clone());
-        rapl = rapl.with_faults(sink.clone());
-    }
-    let rapl = Arc::new(rapl);
-    // Faulted runs monitor in degraded mode: a dead monitoring rank costs
-    // its node's report, not the job.
-    let mon_cfg = MonitorConfig {
-        degrade_on_fault: fault_sink.is_some(),
-        ..MonitorConfig::default()
+    let mark = |ctx: &mut RankCtx, handle: &mut MonitorHandle, label| {
+        handle
+            .phase(ctx, label)
+            .unwrap_or_else(|e| ctx.abort(AbortKind::Monitor, format!("phase mark: {e}")))
     };
-    let out = machine.try_run(|ctx| {
-        let world = ctx.world();
-        let monitored = monitored_run(ctx, &rapl, &mon_cfg, |ctx, handle| {
-            // Allocation phase: the input system is materialised in each
-            // rank's memory (the paper loads it from a file).
-            ctx.touch_memory(inputs.alloc_bytes() / ctx.size() as u64);
-            handle
-                .phase(ctx, "allocation")
-                .unwrap_or_else(|e| ctx.abort(AbortKind::Monitor, format!("phase mark: {e}")));
-            // `batch` back-to-back solves of the same system; every solve is
-            // deterministic so only the last result needs keeping. See
-            // [`RunConfig::batch`] for why short kernels need this.
-            let mut last = None;
-            for _ in 0..cfg.batch.max(1) {
-                last = Some(solve(ctx, &world, cfg.cg_overlap, inputs));
-            }
-            handle
-                .phase(ctx, "execution")
-                .unwrap_or_else(|e| ctx.abort(AbortKind::Monitor, format!("phase mark: {e}")));
-            last.expect("batch >= 1")
-        })
+    let world = ctx.world();
+    on_step(Step::Start);
+    let mut handle = MonitorHandle::begin(ctx, rapl, monitor)
         .unwrap_or_else(|e| ctx.abort(AbortKind::Monitor, format!("monitoring protocol: {e}")));
-        (monitored.result, monitored.report)
-    })?;
-    let reports: Vec<NodeReport> = out.results.iter().filter_map(|(_, r)| r.clone()).collect();
-    let fault_report = fault_sink.as_ref().map(|s| s.report());
+    on_step(Step::Begun);
+    // The paper's jobs load the input system from a file into each rank.
+    ctx.touch_memory(inputs.alloc_bytes() / ctx.size() as u64);
+    mark(ctx, &mut handle, "allocation");
+    on_step(Step::Allocated);
+    let mut last = None;
+    for _ in 0..cfg.batch.max(1) {
+        last = Some(solve(ctx, &world, cfg.cg_overlap, inputs));
+    }
+    on_step(Step::Solved);
+    mark(ctx, &mut handle, "execution");
+    on_step(Step::Executed);
+    let report = handle
+        .finish(ctx, monitor)
+        .unwrap_or_else(|e| ctx.abort(AbortKind::Monitor, format!("monitoring protocol: {e}")));
+    on_step(Step::Finished);
+    MonitorOutput {
+        result: last.expect("batch >= 1"),
+        report,
+    }
+}
+
+/// A finished [`run_prepared`]: the measurement, the per-node reports it
+/// aggregates, and what the Chrome-trace exporter samples after the fact.
+pub struct MonitoredRun {
+    pub measurement: Measurement,
+    /// One report per measured node, in rank order of the monitoring ranks
+    /// (a degraded node has none).
+    pub reports: Vec<NodeReport>,
+    /// Virtual makespan of the whole run, monitoring protocol included
+    /// (`measurement.duration_s` is the monitored window inside it).
+    pub makespan_s: f64,
+    /// The run's RAPL device, still attached to the run's activity ledger.
+    pub rapl: Arc<RaplSim>,
+}
+
+/// Step 4 — fold the ranks' outputs of a finished run on `rig` into its
+/// [`MonitoredRun`]: node reports → [`JobSummary`] → [`Measurement`], with
+/// the run's traffic, checker diagnostics, fault report and rank 0's CG
+/// counts. `residual` is [`Inputs::residual`] of rank 0's solution, taken
+/// by the caller so that each can be timed on its own.
+pub fn aggregate(rig: &Rig, out: RunOutput<RankOutput>, residual: f64) -> MonitoredRun {
+    let nodes = rig.machine.placement().nodes_used();
+    let cg_counts = out.results[0].result.1;
+    let reports: Vec<NodeReport> = out.results.into_iter().filter_map(|r| r.report).collect();
+    let fault_report = rig.faults.as_ref().map(|s| s.report());
     let degraded = fault_report.as_ref().map_or(0, |r| r.degraded_nodes.len());
     assert_eq!(
         reports.len() + degraded,
@@ -375,7 +464,6 @@ pub fn run_prepared(
     } else {
         JobSummary::aggregate(&reports)
     };
-    let (x, cg_counts) = &out.results[0].0;
     let measurement = Measurement {
         duration_s: summary.duration_s,
         total_energy_j: summary.total_energy_j,
@@ -384,20 +472,39 @@ pub fn run_prepared(
         pkg_by_socket_j: summary.pkg_by_socket_j,
         dram_by_socket_j: summary.dram_by_socket_j,
         mean_power_w: summary.mean_power_w,
-        residual: inputs.residual(x),
+        residual,
         msgs: out.traffic.msgs,
         volume_elems: out.traffic.volume_elems(),
         nodes,
-        violations: machine.check().violations(),
+        violations: rig.machine.check().violations(),
         fault_report,
         iterations: cg_counts.map(|(i, _)| i),
         refreshes: cg_counts.map(|(_, r)| r),
     };
-    Ok(MonitoredRun {
+    MonitoredRun {
         measurement,
+        reports,
         makespan_s: out.makespan,
-        rapl,
-    })
+        rapl: Arc::clone(&rig.rapl),
+    }
+}
+
+/// Run `cfg` on prepared inputs under the white-box monitoring framework,
+/// or say why the run died (a planned fault, a solver or monitor error, a
+/// deadlock — see [`AbortKind`]): steps 2–4 with a no-op hook. `trace`
+/// observes the run (pass [`TraceSink::disabled`] to measure only); it
+/// never moves a clock.
+pub fn run_prepared(
+    cfg: &RunConfig,
+    inputs: &Inputs,
+    trace: TraceSink,
+) -> Result<MonitoredRun, Abort> {
+    let rig = Rig::build(cfg, trace);
+    let out = rig
+        .machine
+        .try_run(|ctx| rank_body(ctx, cfg, inputs, &rig.rapl, &rig.monitor, |_| {}))?;
+    let residual = inputs.residual(&out.results[0].result.0);
+    Ok(aggregate(&rig, out, residual))
 }
 
 /// Execute one configuration end to end: prepare its inputs, run them
@@ -865,6 +972,55 @@ mod tests {
         );
         let sys = sparse(inputs);
         assert_eq!(sys.residual(&sys.x_ref), 0.0);
+    }
+
+    /// The hook hears rank 0's six boundaries once each, in order, on both
+    /// carriers at batch 1 and 3, and a recording hook moves no bit of what
+    /// `run_prepared` measures with its no-op one.
+    #[test]
+    fn rank_body_hears_each_step_once_and_moves_nothing() {
+        use Step::*;
+        for scheduler in [SchedulerKind::ThreadPerRank, SchedulerKind::EventDriven] {
+            if !scheduler.supported() {
+                continue;
+            }
+            for batch in [1, 3] {
+                let cfg = RunConfig {
+                    scheduler,
+                    batch,
+                    ..cfg(SolverChoice::cg_jacobi())
+                };
+                let inputs = Inputs::prepare(&cfg);
+                let rig = Rig::build(&cfg, TraceSink::disabled());
+                let heard = std::sync::Mutex::new(Vec::new());
+                let out = rig
+                    .machine
+                    .try_run(|ctx| {
+                        let rank0 = ctx.rank() == 0;
+                        rank_body(ctx, &cfg, &inputs, &rig.rapl, &rig.monitor, |step| {
+                            if rank0 {
+                                heard.lock().expect("no hook panicked").push(step);
+                            }
+                        })
+                    })
+                    .expect("clean run");
+                let residual = inputs.residual(&out.results[0].result.0);
+                let hooked = aggregate(&rig, out, residual);
+                let what = format!("{scheduler}, batch {batch}");
+                assert_eq!(
+                    heard.into_inner().expect("no hook panicked"),
+                    [Start, Begun, Allocated, Solved, Executed, Finished],
+                    "{what}"
+                );
+                let plain = run_prepared(&cfg, &inputs, TraceSink::disabled()).expect("clean run");
+                let key = |r: &MonitoredRun| {
+                    let m = &r.measurement;
+                    let bits = [m.duration_s, m.total_energy_j, r.makespan_s].map(f64::to_bits);
+                    (bits, m.msgs)
+                };
+                assert_eq!(key(&hooked), key(&plain), "{what}");
+            }
+        }
     }
 
     /// A window of `duration_s` that measured nothing else.

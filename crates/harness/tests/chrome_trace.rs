@@ -7,8 +7,8 @@ use greenla_cluster::placement::LoadLayout;
 use greenla_harness::chrome_trace::traced_solve;
 use greenla_harness::config::SolverChoice;
 use greenla_harness::run::{run_once, run_prepared, Inputs, RunConfig};
-use greenla_linalg::flops::spmv_csr_bytes;
 use greenla_linalg::generate::SystemKind;
+use greenla_monitor::report::JobSummary;
 use greenla_mpi::TraceSink;
 use serde_json::Value;
 
@@ -258,6 +258,34 @@ fn a_trace_is_a_trace_of_the_measured_run() {
             "{what}"
         );
         assert!(traced.event_count > 0);
+        // The kept node reports aggregate to the measurement, bit for bit.
+        let (s, m) = (
+            JobSummary::aggregate(&untraced.reports),
+            &untraced.measurement,
+        );
+        assert_eq!(
+            [
+                s.duration_s,
+                s.total_energy_j,
+                s.pkg_energy_j,
+                s.dram_energy_j
+            ]
+            .map(f64::to_bits),
+            [
+                m.duration_s,
+                m.total_energy_j,
+                m.pkg_energy_j,
+                m.dram_energy_j
+            ]
+            .map(f64::to_bits),
+            "{what}"
+        );
+        let sockets = |pkg: [f64; 2], dram: [f64; 2]| [pkg, dram].map(|j| j.map(f64::to_bits));
+        assert_eq!(
+            sockets(s.pkg_by_socket_j, s.dram_by_socket_j),
+            sockets(m.pkg_by_socket_j, m.dram_by_socket_j),
+            "{what}"
+        );
         // Rank 0's last compute span before the allocation mark is the
         // allocation charge: the CSR image for CG, the dense square else.
         let is = |e: &Value, key: &str, v: &str| e.get(key).and_then(Value::as_str) == Some(v);
@@ -268,10 +296,7 @@ fn a_trace_is_a_trace_of_the_measured_run() {
             .filter(|e| is(e, "name", "compute") && is(e, "ph", "B"))
             .last()
             .and_then(|e| e.get("args")?.get("dram_bytes")?.as_f64());
-        let bytes = match &inputs {
-            Inputs::Cg(s, _) => spmv_csr_bytes(N, s.a.nnz()),
-            Inputs::Ime(..) | Inputs::ScaLapack(..) => 8 * (N * N) as u64,
-        };
-        assert_eq!(charged, Some((bytes / RANKS as u64) as f64), "{what}");
+        let bytes = inputs.alloc_bytes() / RANKS as u64;
+        assert_eq!(charged, Some(bytes as f64), "{what}");
     }
 }

@@ -16,6 +16,7 @@ use greenla_harness::chrome_trace::traced_solve;
 use greenla_harness::run::{run_once, run_prepared, Inputs, Measurement, RunConfig};
 use greenla_harness::SolverChoice;
 use greenla_linalg::generate::SystemKind;
+use greenla_monitor::report::NodeReport;
 use greenla_mpi::{EventKind, SchedulerKind, TraceEvent, TraceSink};
 
 mod common;
@@ -143,47 +144,14 @@ fn energy_read_at_a_barrier_release_is_wake_order_free() {
 #[test]
 fn phase_reads_are_wake_order_free() {
     // `Measurement` keeps only the monitored window's totals; this holds
-    // every node's per-phase counter deltas, each read at the release of a
-    // node barrier, bit-equal across repeated runs on both carriers. It is
-    // `run_prepared`'s composition, keeping the reports it aggregates
-    // away. Release builds (CI's `scale` job) run the size that drifted;
-    // debug builds a smaller one.
-    use greenla_cluster::spec::NodeSpec;
-    use greenla_cluster::PowerModel;
-    use greenla_harness::run::{build_machine, solve};
-    use greenla_monitor::monitoring::MonitorConfig;
-    use greenla_monitor::protocol::monitored_run;
-    use greenla_monitor::report::NodeReport;
-    use greenla_rapl::RaplSim;
-    use std::sync::Arc;
-
+    // every node's per-phase counter deltas (the reports `run_prepared`
+    // aggregates), each read at the release of a node barrier, bit-equal
+    // across repeated runs on both carriers. Release builds (CI's `scale`
+    // job) run the size that drifted; debug builds a smaller one.
     let (n, reps) = if cfg!(debug_assertions) {
         (96, 5)
     } else {
         (480, 20)
-    };
-    let reports = |cfg: &RunConfig, inputs: &Inputs| -> Vec<NodeReport> {
-        let node = NodeSpec::test_node(cfg.cores_per_socket);
-        let power = PowerModel::scaled_for(&node);
-        let machine = build_machine(&node, cfg.ranks, cfg.layout, power, cfg.seed, cfg.scheduler);
-        let rapl = Arc::new(RaplSim::new(
-            machine.ledger(),
-            machine.power().clone(),
-            cfg.seed,
-        ));
-        let mon = MonitorConfig::default();
-        let out = machine.run(|ctx| {
-            let world = ctx.world();
-            monitored_run(ctx, &rapl, &mon, |ctx, handle| {
-                ctx.touch_memory(inputs.alloc_bytes() / ctx.size() as u64);
-                handle.phase(ctx, "allocation").expect("phase mark");
-                solve(ctx, &world, cfg.cg_overlap, inputs);
-                handle.phase(ctx, "execution").expect("phase mark");
-            })
-            .expect("monitoring protocol")
-            .report
-        });
-        out.results.into_iter().flatten().collect()
     };
     for solver in [
         SolverChoice::ime_optimized(),
@@ -208,7 +176,9 @@ fn phase_reads_are_wake_order_free() {
                 ..cfg.clone()
             };
             for rep in 0..reps {
-                let got = reports(&cfg, &inputs);
+                let got = run_prepared(&cfg, &inputs, TraceSink::disabled())
+                    .expect("clean run")
+                    .reports;
                 match &first {
                     None => {
                         assert!(

@@ -60,8 +60,10 @@ impl MonitorHandle {
     /// A monitoring rank whose bring-up fails without leave to degrade
     /// ends the run as [`AbortKind::Monitor`]: an `Err` handed to its own
     /// node would strand every other node in the job-wide barrier below.
-    /// So this never returns `Err`; the `Result` stays because the frozen
-    /// `benchmark/` package calls `.expect` on it.
+    /// So this never returns `Err`. The `Result` stays only for the
+    /// benchmark's copy of the harness's run (`benchmark/src/exploded.rs`),
+    /// which calls `.expect` on it; it goes when that copy is replaced by
+    /// `greenla_harness::run::rank_body`, the one monitored rank body.
     pub fn begin(
         ctx: &mut RankCtx,
         rapl: &Arc<RaplSim>,
