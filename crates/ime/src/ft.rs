@@ -14,7 +14,7 @@
 //! plan schedules a column loss, and only then: a run that cannot lose a
 //! column is the unprotected program, clock for clock.
 
-use crate::par::{apply_level, owner, MASTER};
+use crate::par::{apply_level, owner, Pending, MASTER};
 use greenla_linalg::flops;
 use greenla_mpi::{Comm, FaultNote, RankCtx, RankEvent};
 
@@ -105,17 +105,13 @@ impl Checksum {
     /// row operation to it — with one correction: column `n+l` (`c_lvl`
     /// before the level) was snapped to `e_l` instead of being updated, so
     /// `S` absorbs the difference.
-    pub(crate) fn after_level(
-        &mut self,
-        ctx: &mut RankCtx,
-        l: usize,
-        c_lvl: &[f64],
-        h: &[f64],
-        hl: f64,
-    ) {
+    pub(crate) fn after_level(&mut self, ctx: &mut RankCtx, c_lvl: &[f64], level: &Pending) {
         if self.sum.is_empty() {
             return; // not the master
         }
+        let (l, hl) = (level.l, level.hl);
+        let mut scratch = vec![0.0; self.n];
+        let h = level.h(0..self.n, &mut scratch);
         let mut cl = c_lvl.to_vec();
         apply_level(&mut cl, l, h, hl);
         apply_level(&mut self.sum, l, h, hl);

@@ -30,6 +30,7 @@ use greenla_linalg::flops;
 use greenla_linalg::generate::LinearSystem;
 use greenla_linalg::simd::{self, DaxpyChainKernel, DAXPY_CHAIN_CHUNK};
 use greenla_mpi::{Comm, RankCtx};
+use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -49,26 +50,23 @@ pub const BCAST_CHUNK: usize = 1024;
 /// compute-bound, not 50× memory-bound.
 ///
 /// The *host* fuses too, less deeply: [`reduce_table`] defers each level's
-/// update and applies blocks of `B` consecutive levels in one sweep of the
-/// rank's columns (the dispatched [`simd::DaxpyChainKernel`]). `B` comes
-/// from the rank's own column count, `clamp(cols / 32, 1, 8)`: a rank with
-/// many long columns gains most and holds `B` pending `h` vectors, while a
-/// rank with fewer than 64 columns (every `dense_campaign` point) keeps
-/// `B = 1`, today's per-level `apply_level` loop with no extra buffer. A
-/// run that reads the table between levels — an armed checksum guard, or
-/// `collect_last_rows` — also keeps `B = 1`. Nothing virtual depends on
-/// `B`: every level still charges its flops and `1/LEVEL_FUSE` of its
-/// bytes where it did, and the fused sweep gives every table entry the same
-/// bits as the per-level loop.
+/// update and applies blocks of `B = 8` consecutive levels in one sweep
+/// of the rank's columns (the dispatched [`simd::DaxpyChainKernel`]). A
+/// deferred level holds one `Arc` clone of what its broadcast delivered —
+/// the level column and its pivot, or under the paper protocol the
+/// master's `h` — so every rank fuses to full depth whatever its column
+/// count, and no rank materialises `h`: the sweep forms each row chunk of
+/// `h = c / piv` in a per-thread scratch as it goes (see `apply_pending`).
+/// A run that reads the table between levels — an armed checksum guard, or
+/// `collect_last_rows` — keeps `B = 1`. Nothing virtual depends on `B`:
+/// every level still charges its flops and `1/LEVEL_FUSE` of its bytes
+/// where it did, and the fused sweep gives every table entry the same bits
+/// as the per-level loop (the division is the same IEEE operation, only
+/// done later).
 pub const LEVEL_FUSE: u64 = 64;
 
-/// The host's deepest level block (`B`'s upper clamp).
+/// The host's level block depth.
 const MAX_FUSE: usize = 8;
-
-/// Levels per host sweep for a rank holding `cols` table columns.
-fn fuse_depth(cols: usize) -> usize {
-    (cols / 32).clamp(1, MAX_FUSE)
-}
 
 /// The IMeP protocol variants: the paper's, the tuned one the figures run,
 /// and the single-switch steps between them that ablation A-1 prices.
@@ -195,18 +193,19 @@ pub fn reduce_table(
     sys: &LinearSystem,
     opts: ImepOptions,
 ) -> Result<ReducedTable, ImeError> {
-    reduce_table_with(ctx, comm, sys, opts, fuse_depth)
+    reduce_table_with(ctx, comm, sys, opts, MAX_FUSE)
 }
 
-/// [`reduce_table`] with the host's level-block depth taken from `depth`
-/// (of the rank's column count) instead of [`fuse_depth`].
+/// [`reduce_table`] with the host's level-block depth `depth` (at most
+/// [`MAX_FUSE`]) instead of [`MAX_FUSE`].
 fn reduce_table_with(
     ctx: &mut RankCtx,
     comm: &Comm,
     sys: &LinearSystem,
     opts: ImepOptions,
-    depth: fn(usize) -> usize,
+    depth: usize,
 ) -> Result<ReducedTable, ImeError> {
+    assert!((1..=MAX_FUSE).contains(&depth), "level block depth {depth}");
     let n = sys.n();
     let nranks = comm.size();
     let me = comm.rank();
@@ -242,10 +241,10 @@ fn reduce_table_with(
     let fuse = if guard.is_some() || opts.collect_last_rows {
         1
     } else {
-        depth(my_cols.len())
+        depth
     };
-    let mut pending: Vec<Pending> = Vec::new();
-    let mut alphas = vec![[0.0; MAX_FUSE]; if fuse > 1 { my_cols.len() } else { 0 }];
+    let mut pending: Vec<Pending> = Vec::with_capacity(fuse);
+    let mut alphas = vec![[0.0; MAX_FUSE]; my_cols.len()];
     let chain = simd::active().daxpy_chain;
 
     // ----- levels -----
@@ -255,45 +254,34 @@ fn reduce_table_with(
         }
 
         // 1. Owner of column n+l broadcasts it, first bringing it up to
-        //    date if levels are pending. All downstream uses are reads, so
-        //    the binomial branch hands every rank the one shared replica;
-        //    the pipelined branch assembles chunks into an owned buffer by
-        //    construction.
+        //    date if levels are pending. The column is about to be
+        //    eliminated, so it moves into the broadcast; every use
+        //    downstream is a read, so either tree hands every rank one
+        //    shared replica.
         let last_col_owner = owner(n + l, nranks);
-        if me == last_col_owner && !pending.is_empty() {
+        let data = (me == last_col_owner).then(|| {
             let i = my_cols
                 .iter()
                 .position(|(c, _)| *c == n + l)
                 .expect("owner must hold the level column");
-            apply_pending(&mut my_cols[i..=i], n, &pending, &mut alphas, chain);
-        }
-        let own_col = || {
-            let (_, col) = my_cols
-                .iter()
-                .find(|(c, _)| *c == n + l)
-                .expect("owner must hold the level column");
-            col.clone()
-        };
+            if !pending.is_empty() {
+                apply_pending(&mut my_cols[i..=i], n, &pending, &mut alphas, chain);
+            }
+            std::mem::take(&mut my_cols[i].1)
+        });
         let c_lvl: Arc<Vec<f64>> = if opts.pipelined_bcast {
-            let mut buf = if me == last_col_owner {
-                own_col()
-            } else {
-                Vec::new()
-            };
-            ctx.bcast_pipelined_f64(comm, last_col_owner, &mut buf, BCAST_CHUNK);
-            Arc::new(buf)
+            ctx.bcast_pipelined_shared_f64(comm, last_col_owner, data, BCAST_CHUNK)
         } else {
-            let data = (me == last_col_owner).then(own_col);
             ctx.bcast_shared_f64(comm, last_col_owner, data)
         };
 
         // 2. Auxiliary quantities h^(l): computed at the master and
-        //    broadcast (paper protocol), or derived locally by every rank
-        //    from the column it just received (optimised variant). A failed
-        //    level is signalled in-band / detected identically everywhere.
-        //    Under the paper protocol, h_l travels as the first element and
-        //    is read in place (no O(n) shift, no unwrap copy).
-        let (hl, h_buf, h_off): (f64, Arc<Vec<f64>>, usize) = if opts.centralized_h {
+        //    broadcast (paper protocol), or left for every rank's sweep to
+        //    derive from the column it just received (optimised variant). A
+        //    failed level is signalled in-band / detected identically
+        //    everywhere. Under the paper protocol, h_l travels as the first
+        //    element and `h` is read in place after it.
+        let level = if opts.centralized_h {
             let h = if me == MASTER {
                 let piv = c_lvl[l];
                 Some(if piv == 0.0 {
@@ -314,54 +302,50 @@ fn reduce_table_with(
             if h.len() == 1 {
                 return Err(ImeError::ZeroInhibitor { level: l });
             }
-            (h[0], h, 1)
+            Pending {
+                l,
+                hl: h[0],
+                h: LevelH::Broadcast(h),
+            }
         } else {
             let piv = c_lvl[l];
             if piv == 0.0 {
                 return Err(ImeError::ZeroInhibitor { level: l });
             }
-            let h: Vec<f64> = c_lvl.iter().map(|&v| v / piv).collect();
             ctx.compute((n + 1) as u64, flops::bytes_f64(n));
-            (1.0 / piv, Arc::new(h), 0)
+            Pending {
+                l,
+                hl: 1.0 / piv,
+                h: LevelH::Column(Arc::clone(&c_lvl), piv),
+            }
         };
-        let h = &h_buf[h_off..];
 
         // 3. Fundamental update on my active columns (left `l..n`, right
-        //    `< l`); column n+l itself is eliminated to a basis vector.
-        //    Fused, the update is owed until the block's sweep.
+        //    `< l`); column n+l itself is eliminated to a basis vector. The
+        //    update is owed until the block's sweep.
         let mut touched = 0usize;
         for (c, col) in my_cols.iter_mut() {
             if !active(*c, n, l) {
                 continue;
             }
             if *c == n + l {
-                col.fill(0.0);
+                *col = vec![0.0; n];
                 col[l] = 1.0;
                 continue;
             }
-            if fuse == 1 {
-                apply_level(col, l, h, hl);
-            }
             touched += 1;
-        }
-        if fuse > 1 {
-            pending.push(Pending {
-                l,
-                hl,
-                h: Arc::clone(&h_buf),
-                off: h_off,
-            });
-            if pending.len() == fuse || l == 0 {
-                apply_pending(&mut my_cols, n, &pending, &mut alphas, chain);
-                pending.clear();
-            }
         }
         ctx.compute(
             2 * (n * touched) as u64,
             flops::bytes_f64(2 * n * touched) / LEVEL_FUSE,
         );
         if let Some(guard) = &mut guard {
-            guard.after_level(ctx, l, &c_lvl, h, hl);
+            guard.after_level(ctx, &c_lvl, &level);
+        }
+        pending.push(level);
+        if pending.len() == fuse || l == 0 {
+            apply_pending(&mut my_cols, n, &pending, &mut alphas, chain);
+            pending.clear();
         }
 
         // 4. Slaves send their modified row-l entries to the master.
@@ -406,19 +390,52 @@ fn active(c: usize, n: usize, l: usize) -> bool {
     }
 }
 
-/// A level whose update is still owed to the rank's columns.
-struct Pending {
-    l: usize,
-    hl: f64,
-    /// `h` is `h[off..]` (the paper protocol's buffer leads with `h_l`).
-    h: Arc<Vec<f64>>,
-    off: usize,
+/// A level whose update is still owed to the rank's columns: its row, its
+/// `h_l`, and one `Arc` clone of what its broadcast delivered.
+pub(crate) struct Pending {
+    pub(crate) l: usize,
+    pub(crate) hl: f64,
+    h: LevelH,
+}
+
+/// Where a pending level's `h` comes from.
+enum LevelH {
+    /// The master's broadcast `[h_l, h…]`: `h` is read in place after `h_l`.
+    Broadcast(Arc<Vec<f64>>),
+    /// The level column `c` and its pivot: `h = c / piv`, formed where it
+    /// is used.
+    Column(Arc<Vec<f64>>, f64),
 }
 
 impl Pending {
-    fn h(&self) -> &[f64] {
-        &self.h[self.off..]
+    /// `h[rows]`: borrowed from a broadcast `h`, or formed into `scratch`
+    /// from the level column — the division the master performs under the
+    /// paper protocol, so the same bits.
+    pub(crate) fn h<'a>(&'a self, rows: Range<usize>, scratch: &'a mut [f64]) -> &'a [f64] {
+        match &self.h {
+            LevelH::Broadcast(h) => &h[1 + rows.start..1 + rows.end],
+            LevelH::Column(c, piv) => {
+                let out = &mut scratch[..rows.len()];
+                for (o, &v) in out.iter_mut().zip(&c[rows]) {
+                    *o = v / piv;
+                }
+                out
+            }
+        }
     }
+}
+
+thread_local! {
+    /// Per-thread `h` scratch of the fused sweep: one [`DAXPY_CHAIN_CHUNK`]
+    /// of rows for each of up to [`MAX_FUSE`] levels, reused across calls
+    /// so a sweep allocates nothing. On the fiber carrier every rank homed
+    /// on a worker thread shares that worker's buffer. That is sound
+    /// because the sweep never blocks or yields while the `RefCell` is
+    /// borrowed, so it is finished before another rank can run on the
+    /// thread; a sweep that broke this would panic on the second borrow,
+    /// not corrupt a chunk. (A buffer per rank — on its fiber stack or its
+    /// heap — would hold the same bytes once per rank.)
+    static H_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Apply the `pending` levels (consecutive, descending) to every column
@@ -428,11 +445,14 @@ impl Pending {
 /// and snapped to a basis vector — and is skipped.
 ///
 /// Per column the pivot rows `lmin..=lmax` are replayed level by level
-/// with `apply_level`, which yields each level's `α = −t_l`; every other
-/// row then takes the whole block in one `daxpy_chain`. Rows go in
-/// [`DAXPY_CHAIN_CHUNK`]s, the outer loop, so the block's `h` chunks stay in
-/// L1 across all columns. Each entry sees exactly the per-level loop's
-/// operations in the same order, so the result is bit-identical to it.
+/// with `apply_level`, which yields each level's `α = −t_l`; the levels'
+/// `h` on those rows is formed once, into a small array. Every other row
+/// then takes the whole block in one `daxpy_chain`. Rows go in
+/// [`DAXPY_CHAIN_CHUNK`]s, the outer loop: each level's `h` chunk is formed
+/// in the thread's [`H_SCRATCH`] (or borrowed from a broadcast `h`) and
+/// stays in L1 across all columns. Each entry sees exactly the per-level
+/// loop's operations in the same order, so the result is bit-identical to
+/// it.
 fn apply_pending(
     cols: &mut [(usize, Vec<f64>)],
     n: usize,
@@ -453,11 +473,15 @@ fn apply_pending(
         }
     };
     let pivots = lmin..lmax + 1;
+    let mut pivot_rows = [[0.0; MAX_FUSE]; MAX_FUSE];
+    let mut hp: [&[f64]; MAX_FUSE] = [&[]; MAX_FUSE];
+    for ((h, p), s) in hp.iter_mut().zip(pending).zip(&mut pivot_rows) {
+        *h = p.h(pivots.clone(), s);
+    }
     for ((c, col), a) in cols.iter_mut().zip(alphas.iter_mut()) {
         for (k, p) in pending.iter().enumerate().skip(first(*c)) {
-            let h = &p.h()[pivots.clone()];
             a[k] = -col[p.l];
-            apply_level(&mut col[pivots.clone()], p.l - lmin, h, p.hl);
+            apply_level(&mut col[pivots.clone()], p.l - lmin, hp[k], p.hl);
         }
     }
     let chunks = |rows: Range<usize>| {
@@ -465,18 +489,23 @@ fn apply_pending(
             .step_by(DAXPY_CHAIN_CHUNK)
             .map(move |r| r..(r + DAXPY_CHAIN_CHUNK).min(rows.end))
     };
-    for rows in chunks(0..lmin).chain(chunks(lmax + 1..n)) {
-        let mut xs: [&[f64]; MAX_FUSE] = [&[]; MAX_FUSE];
-        for (x, p) in xs.iter_mut().zip(pending) {
-            *x = &p.h()[rows.clone()];
-        }
-        for ((c, col), a) in cols.iter_mut().zip(alphas.iter()) {
-            let k = first(*c);
-            if k < depth {
-                chain(&a[k..depth], &xs[k..depth], &mut col[rows.clone()]);
+    H_SCRATCH.with(|cell| {
+        let mut scratch = cell.borrow_mut();
+        scratch.resize(MAX_FUSE * DAXPY_CHAIN_CHUNK, 0.0);
+        for rows in chunks(0..lmin).chain(chunks(lmax + 1..n)) {
+            let mut xs: [&[f64]; MAX_FUSE] = [&[]; MAX_FUSE];
+            let parts = scratch.chunks_exact_mut(DAXPY_CHAIN_CHUNK);
+            for ((x, p), s) in xs.iter_mut().zip(pending).zip(parts) {
+                *x = p.h(rows.clone(), s);
+            }
+            for ((c, col), a) in cols.iter_mut().zip(alphas.iter()) {
+                let k = first(*c);
+                if k < depth {
+                    chain(&a[k..depth], &xs[k..depth], &mut col[rows.clone()]);
+                }
             }
         }
-    }
+    });
 }
 
 /// Solve a replicated system with IMeP over all ranks of `comm`. Returns
@@ -565,42 +594,45 @@ mod tests {
     use greenla_mpi::Machine;
 
     #[test]
-    fn few_column_ranks_update_per_level() {
-        // dense_campaign's IMe points (n ≤ 480 on 16+ ranks) hold < 64
-        // columns a rank; large_n's (n = 1024 on 4 ranks) hold 512.
-        assert_eq!(fuse_depth(0), 1);
-        assert_eq!(fuse_depth(2 * 480 / 16), 1);
-        assert_eq!(fuse_depth(64), 2);
-        assert_eq!(fuse_depth(2 * 1024 / 4), MAX_FUSE);
-    }
-
-    #[test]
     fn every_block_depth_gives_the_sequential_bits() {
-        // Depths forced past what the column count would pick, including
-        // blocks deeper than a rank's column count and ragged last blocks.
-        let depths: [fn(usize) -> usize; 4] = [|_| 2, |_| 3, |_| 5, |_| MAX_FUSE];
+        // Every depth from per-level (1) to the default, including blocks
+        // deeper than a rank's column count and ragged last blocks, under
+        // the shared `h` the master broadcasts (read at offset 1) and the
+        // `h` each sweep forms from the level column. n = 300 crosses a
+        // `DAXPY_CHAIN_CHUNK` and ends on a partial one.
         let centralized = ImepOptions {
             centralized_h: true,
             ..ImepOptions::optimized()
         };
-        for sys in [generate::diag_dominant(37, 3), generate::poisson2d(6, 0)] {
-            let (x_seq, _) = crate::solve_seq(&sys).unwrap();
+        let small = [generate::diag_dominant(37, 3), generate::poisson2d(6, 0)];
+        let big = generate::diag_dominant(300, 7);
+        let cases = small
+            .iter()
+            .map(|sys| (sys, &[1, 2, 3, 5][..], &[1, 2, 3, 5, MAX_FUSE][..]))
+            .chain([(&big, &[3][..], &[1, 5, MAX_FUSE][..])]);
+        for (sys, ranks, depths) in cases {
+            let (x_seq, _) = crate::solve_seq(sys).unwrap();
             let want: Vec<u64> = x_seq.iter().map(|v| v.to_bits()).collect();
-            for ranks in [1, 2, 3, 5] {
-                for (d, depth) in depths.into_iter().enumerate() {
-                    for opts in [ImepOptions::optimized(), centralized] {
+            for &ranks in ranks {
+                for &depth in depths {
+                    for opts in [ImepOptions::optimized(), centralized, ImepOptions::paper()] {
                         let spec = ClusterSpec::test_cluster(2, 4);
                         let placement = Placement::packed(&spec.node, ranks).unwrap();
                         let power = PowerModel::deterministic();
                         let m = Machine::new(spec, placement, power, 1).unwrap();
                         let out = m.run(|ctx| {
                             let world = ctx.world();
-                            let t = reduce_table_with(ctx, &world, &sys, opts, depth).unwrap();
+                            let t = reduce_table_with(ctx, &world, sys, opts, depth).unwrap();
                             t.solve(ctx, &world, &sys.b)
                         });
                         for x in &out.results {
                             let got: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
-                            assert_eq!(got, want, "n={} ranks={ranks} depth #{d}", sys.n());
+                            assert_eq!(
+                                got,
+                                want,
+                                "n={} ranks={ranks} depth {depth} {opts:?}",
+                                sys.n()
+                            );
                         }
                     }
                 }

@@ -4,7 +4,7 @@
 use greenla_cluster::placement::Placement;
 use greenla_cluster::spec::ClusterSpec;
 use greenla_cluster::PowerModel;
-use greenla_ime::par::predict_traffic;
+use greenla_ime::par::{predict_traffic, BCAST_CHUNK};
 use greenla_ime::{solve_imep, solve_imep_multi, solve_seq, ImeError, ImepOptions};
 use greenla_linalg::generate::{self, LinearSystem};
 use greenla_mpi::{ColumnLoss, FaultPlan, FaultReport, FaultSink, Machine, RunOutput};
@@ -90,6 +90,19 @@ fn imep_matches_sequential_exactly() {
             }
         }
     }
+}
+
+/// The release-size case: n = 1100 exceeds `BCAST_CHUNK`, so every level
+/// column streams down the pipelined tree in two chunks, each rank
+/// assembles its own replica, and the fused sweep forms `h` from it.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-size case; run with --release")]
+fn release_size_case_matches_sequential_exactly() {
+    let sys = generate::diag_dominant(1100, 11);
+    assert!(sys.n() > BCAST_CHUNK);
+    let (x_seq, _) = solve_seq(&sys).unwrap();
+    let out = run_imep(&machine(3, 1), &sys, ImepOptions::optimized());
+    assert_bits(&out.results, &x_seq, "n=1100 ranks=3");
 }
 
 #[test]

@@ -216,8 +216,8 @@ impl<'m> RankCtx<'m> {
     }
 
     /// Zero-copy `MPI_Bcast` of doubles for read-only consumers: the root
-    /// passes `Some(data)`, everyone gets back a handle to one shared
-    /// allocation per delivery chain — no per-hop clone, no unwrap copy.
+    /// passes `Some(data)`, everyone gets back a handle to the root's one
+    /// allocation, whatever its length — no per-hop clone, no unwrap copy.
     pub fn bcast_shared_f64(
         &mut self,
         comm: &Comm,
@@ -226,7 +226,8 @@ impl<'m> RankCtx<'m> {
     ) -> Arc<Vec<f64>> {
         self.coll_span("bcast", |ctx| {
             let payload = if comm.rank() == root {
-                Some(Payload::f64(data.expect("root must supply the payload")))
+                let data = data.expect("root must supply the payload");
+                Some(Payload::shared_f64(Arc::new(data)))
             } else {
                 None
             };
@@ -243,7 +244,8 @@ impl<'m> RankCtx<'m> {
     ) -> Arc<Vec<u64>> {
         self.coll_span("bcast", |ctx| {
             let payload = if comm.rank() == root {
-                Some(Payload::u64(data.expect("root must supply the payload")))
+                let data = data.expect("root must supply the payload");
+                Some(Payload::shared_u64(Arc::new(data)))
             } else {
                 None
             };
@@ -261,9 +263,32 @@ impl<'m> RankCtx<'m> {
     /// chunks, so each tree edge carries `1 + chunks` messages
     /// (`ime::par::predict_traffic` counts the header,
     /// `model::comm::bcast_pipelined` prices it). Callers that want the
-    /// binomial [`Self::bcast_f64`] for small payloads pick it themselves.
-    /// Interior ranks forward each chunk to both subtrees as the same
-    /// shared buffer.
+    /// binomial [`Self::bcast_shared_f64`] for small payloads pick it
+    /// themselves.
+    ///
+    /// The root passes `Some(data)`; every rank gets back the read-only
+    /// replica. The header travels inline and each interior rank forwards
+    /// the one it received. A single-chunk payload is the root's own
+    /// allocation, forwarded down the tree, so every rank holds that same
+    /// `Arc`. A longer one is cut once at the root; each receiver appends
+    /// the chunks from borrows into its replica and forwards every chunk
+    /// to both subtrees as the same shared buffer.
+    pub fn bcast_pipelined_shared_f64(
+        &mut self,
+        comm: &Comm,
+        root: usize,
+        data: Option<Vec<f64>>,
+        chunk_elems: usize,
+    ) -> Arc<Vec<f64>> {
+        assert!(chunk_elems > 0, "chunk size must be positive");
+        self.coll_span("bcast_pipelined", |ctx| {
+            ctx.bcast_pipelined_impl(comm, root, data, chunk_elems)
+        })
+    }
+
+    /// Owned [`Self::bcast_pipelined_shared_f64`]: `buf` is the payload at
+    /// the root and is overwritten (and resized) everywhere else. A
+    /// multi-chunk replica is each rank's own and unwraps without a copy.
     pub fn bcast_pipelined_f64(
         &mut self,
         comm: &Comm,
@@ -271,19 +296,18 @@ impl<'m> RankCtx<'m> {
         buf: &mut Vec<f64>,
         chunk_elems: usize,
     ) {
-        assert!(chunk_elems > 0, "chunk size must be positive");
-        self.coll_span("bcast_pipelined", |ctx| {
-            ctx.bcast_pipelined_impl(comm, root, buf, chunk_elems)
-        });
+        let data = (comm.rank() == root).then(|| std::mem::take(buf));
+        let shared = self.bcast_pipelined_shared_f64(comm, root, data, chunk_elems);
+        *buf = Payload::shared_f64(shared).expect_f64();
     }
 
     fn bcast_pipelined_impl(
         &mut self,
         comm: &Comm,
         root: usize,
-        buf: &mut Vec<f64>,
+        data: Option<Vec<f64>>,
         chunk_elems: usize,
-    ) {
+    ) -> Arc<Vec<f64>> {
         let p = comm.size();
         let me = comm.rank();
         let seq = self.coll_site(
@@ -292,67 +316,64 @@ impl<'m> RankCtx<'m> {
             Some(root),
             chunk_elems as u64,
         );
+        let data = if me == root {
+            data.expect("root must supply the payload")
+        } else {
+            Vec::new()
+        };
         if p == 1 {
-            return;
+            return Arc::new(data);
         }
         let tag = |chunk: u64| compose_coll_tag(seq, chunk);
         let rel = (me + p - root) % p;
-        let parent = if rel == 0 {
-            None
-        } else {
-            Some(((rel - 1) / 2 + root) % p)
-        };
+        let parent = (rel != 0).then(|| ((rel - 1) / 2 + root) % p);
         let kids: Vec<usize> = [2 * rel + 1, 2 * rel + 2]
             .into_iter()
             .filter(|&c| c < p)
             .map(|c| (c + root) % p)
             .collect();
         // Header: total length (receivers cannot know it otherwise).
-        let mut header = if rel == 0 {
-            vec![buf.len() as u64]
-        } else {
-            Vec::new()
+        let header = match parent {
+            None => Payload::copy_u64(&[data.len() as u64]),
+            Some(par) => self.recv_payload(comm, par, tag(HEADER_CHUNK)),
         };
-        if let Some(par) = parent {
-            header = self.recv_payload_u64(comm, par, tag(HEADER_CHUNK));
-        }
+        let total = header.as_u64()[0] as usize;
         for &k in &kids {
-            self.send_payload_u64(comm, k, tag(HEADER_CHUNK), &header);
+            self.send_payload(comm, k, tag(HEADER_CHUNK), header.clone());
         }
-        let total = header[0] as usize;
         let nchunks = total.div_ceil(chunk_elems).max(1);
         self.tag_chunks(seq, nchunks as u64);
-        let mut out: Vec<f64> = if rel == 0 {
-            std::mem::take(buf)
+        if nchunks == 1 {
+            let piece = match parent {
+                None => Payload::shared_f64(Arc::new(data)),
+                Some(par) => self.recv_payload(comm, par, tag(0)),
+            };
+            for &k in &kids {
+                self.send_payload(comm, k, tag(0), piece.clone());
+            }
+            return piece.into_shared_f64();
+        }
+        // The root cuts each chunk once; everyone downstream appends from
+        // a borrow and forwards the same allocation.
+        let mut out = if parent.is_none() {
+            data
         } else {
             Vec::with_capacity(total)
         };
         for c in 0..nchunks {
-            let lo = c * chunk_elems;
-            let hi = total.min(lo + chunk_elems);
-            // The root materialises each chunk once; everyone downstream
-            // appends from a borrow and forwards the same allocation.
-            let piece: Payload = if rel == 0 {
-                Payload::f64(out[lo..hi].to_vec())
-            } else {
-                let got =
-                    self.recv_payload(comm, parent.expect("non-root has parent"), tag(c as u64));
-                out.extend_from_slice(got.as_f64());
-                got
+            let piece = match parent {
+                None => Payload::copy_f64(&out[c * chunk_elems..total.min((c + 1) * chunk_elems)]),
+                Some(par) => {
+                    let got = self.recv_payload(comm, par, tag(c as u64));
+                    out.extend_from_slice(got.as_f64());
+                    got
+                }
             };
             for &k in &kids {
                 self.send_payload(comm, k, tag(c as u64), piece.clone());
             }
         }
-        *buf = out;
-    }
-
-    fn recv_payload_u64(&mut self, comm: &Comm, src_index: usize, tag: u64) -> Vec<u64> {
-        self.recv_payload(comm, src_index, tag).expect_u64()
-    }
-
-    fn send_payload_u64(&mut self, comm: &Comm, dst_index: usize, tag: u64, data: &[u64]) {
-        self.send_payload(comm, dst_index, tag, Payload::u64(data.to_vec()));
+        Arc::new(out)
     }
 
     /// Binomial-tree reduction of f64 vectors toward `root` with a custom
@@ -459,7 +480,7 @@ impl<'m> RankCtx<'m> {
         } else if me & 1 == 0 {
             self.recv_payload(comm, me + 1, tag).expect_f64()
         } else {
-            self.send_payload(comm, me - 1, tag, Payload::f64(acc.clone()));
+            self.send_payload(comm, me - 1, tag, Payload::copy_f64(&acc));
             acc
         }
     }
@@ -494,7 +515,7 @@ impl<'m> RankCtx<'m> {
         if let Some(nr) = self.allreduce_fold(comm, tag(0), &mut acc, &op) {
             for s in 0..steps {
                 let partner = rd_participant_rank(nr ^ (1usize << s), r);
-                self.send_payload(comm, partner, tag(1 + s), Payload::f64(acc.clone()));
+                self.send_payload(comm, partner, tag(1 + s), Payload::copy_f64(&acc));
                 let other = self.recv_payload(comm, partner, tag(1 + s));
                 self.check_reduce_len(comm, other.as_f64().len(), acc.len());
                 op(&mut acc, other.as_f64());
@@ -657,7 +678,7 @@ impl<'m> RankCtx<'m> {
     /// member's chunk (its own included), ordered by communicator rank.
     pub fn gather_f64(&mut self, comm: &Comm, root: usize, data: &[f64]) -> Option<Vec<Vec<f64>>> {
         self.coll_span("gather", |ctx| {
-            ctx.gather_payloads(comm, root, Payload::f64(data.to_vec()))
+            ctx.gather_payloads(comm, root, Payload::copy_f64(data))
                 .map(|chunks| chunks.into_iter().map(Payload::expect_f64).collect())
         })
     }
@@ -671,7 +692,7 @@ impl<'m> RankCtx<'m> {
         data: &[f64],
     ) -> Option<Vec<Arc<Vec<f64>>>> {
         self.coll_span("gather", |ctx| {
-            ctx.gather_payloads(comm, root, Payload::f64(data.to_vec()))
+            ctx.gather_payloads(comm, root, Payload::copy_f64(data))
                 .map(|chunks| chunks.into_iter().map(Payload::into_shared_f64).collect())
         })
     }
@@ -688,7 +709,7 @@ impl<'m> RankCtx<'m> {
         let seq = self.coll_site(comm, CollKind::Allgather, None, 0);
         let me = comm.rank();
         let mut chunks: Vec<Option<Payload>> = (0..p).map(|_| None).collect();
-        chunks[me] = Some(Payload::f64(data.to_vec()));
+        chunks[me] = Some(Payload::copy_f64(data));
         if p > 1 {
             self.tag_chunks(seq, (p - 1) as u64);
             let right = (me + 1) % p;

@@ -482,7 +482,7 @@ impl<'m> RankCtx<'m> {
     /// Send a slice of doubles to `dst` (communicator index) with `tag`.
     pub fn send_f64(&mut self, comm: &Comm, dst: usize, tag: u64, data: &[f64]) {
         assert!(tag < COLL_TAG, "user tag too large");
-        self.send_payload(comm, dst, tag, Payload::f64(data.to_vec()));
+        self.send_payload(comm, dst, tag, Payload::copy_f64(data));
     }
 
     /// Receive doubles from `src` (communicator index) with `tag`.

@@ -3,7 +3,8 @@
 //! clone a still-shared allocation) stays at zero across broadcast
 //! fan-out, pipelined streaming, gathers, the ring allgather and the
 //! large-message allreduce, and the returned handles are pointer-identical
-//! across ranks.
+//! across ranks. Unwrapping an inline (at most four-word) payload is not
+//! a copy of a shared buffer and is not counted either.
 //!
 //! Everything lives in ONE test function: the audit counter is global to
 //! the process, so concurrently running `#[test]`s would see each other's
@@ -68,6 +69,28 @@ fn shared_collectives_never_copy_a_payload() {
         assert_eq!(got[4095], 4095.0);
     }
 
+    // --- single-chunk pipelined broadcast: the root's allocation itself
+    // travels down the tree, so every rank holds it ---
+    copy_audit::reset();
+    let out = machine(P).run(|ctx| {
+        let world = ctx.world();
+        let data = (ctx.rank() == 3).then(|| vec![1.5; 600]);
+        ctx.bcast_pipelined_shared_f64(&world, 3, data, 1024)
+    });
+    assert_eq!(
+        copy_audit::count(),
+        0,
+        "a single-chunk pipelined broadcast must not copy the payload"
+    );
+    let root = &out.results[3];
+    for (r, got) in out.results.iter().enumerate() {
+        assert!(
+            Arc::ptr_eq(root, got),
+            "rank {r} must hold the root's allocation, not a copy"
+        );
+        assert_eq!(**got, vec![1.5; 600]);
+    }
+
     // --- gather: the root borrows every sender's allocation ---
     copy_audit::reset();
     machine(P).run(|ctx| {
@@ -130,4 +153,13 @@ fn shared_collectives_never_copy_a_payload() {
     assert_eq!(q.expect_f64(), vec![1.0; 8]);
     drop(p);
     assert_eq!(copy_audit::count(), 1, "the audit counter must be live");
+
+    // --- an inline payload has no shared buffer: unwrapping a clone of
+    // one is not a copy the audit counts ---
+    copy_audit::reset();
+    let p = greenla_mpi::Payload::copy_f64(&[1.0, 2.0]);
+    let q = p.clone();
+    assert_eq!(q.expect_f64(), vec![1.0, 2.0]);
+    assert_eq!(p.expect_f64(), vec![1.0, 2.0]);
+    assert_eq!(copy_audit::count(), 0, "inline payloads are never audited");
 }
