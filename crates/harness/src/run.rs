@@ -49,6 +49,8 @@ use greenla_mpi::{
 use greenla_rapl::RaplSim;
 use greenla_scalapack::pdgesv::pdgesv_columns;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
+use std::cmp::Reverse;
 use std::sync::Arc;
 
 /// One run's configuration.
@@ -141,7 +143,9 @@ pub struct Measurement {
 /// out over as many `node`s as `layout` needs, on the Omni-Path
 /// interconnect. The power model is the caller's because the experiments
 /// genuinely differ in it (jittered for measurements, deterministic and
-/// capped for the cap sweep).
+/// capped for the cap sweep). Built on a thread of the campaign fan-out,
+/// the machine pins that thread's share of the host's fiber workers;
+/// anywhere else it keeps the engine's default pool.
 pub fn build_machine(
     node: &NodeSpec,
     ranks: usize,
@@ -156,9 +160,13 @@ pub fn build_machine(
         nodes: placement.nodes_used(),
         net: Interconnect::omni_path(),
     };
-    Machine::new(spec, placement, power, seed)
+    let machine = Machine::new(spec, placement, power, seed)
         .expect("valid machine")
-        .with_scheduler(scheduler)
+        .with_scheduler(scheduler);
+    match FANOUT_WORKERS.get() {
+        Some(workers) => machine.with_sched_workers(workers),
+        None => machine,
+    }
 }
 
 /// Step 1 — the input system of a run, in the one format its solver reads,
@@ -582,18 +590,19 @@ impl BatchRule {
 }
 
 /// The campaign loop: every configuration, `reps` repetitions each, fanned
-/// out over [`parallel_map`] in order. A point prepares its inputs once,
-/// runs them untraced (machine seed `cfg.seed + rep`) at the batch `rule`
-/// gives, normalises each run to one solve and drops its inputs when it
-/// finishes. Returns, per point, its [`DataPoint`], its batch and its
-/// first measurement. Panics if a run aborts.
+/// out over [`parallel_map`], largest points first ([`largest_first`]). A
+/// point prepares its inputs once, runs them untraced (machine seed
+/// `cfg.seed + rep`) at the batch `rule` gives, normalises each run to one
+/// solve and drops its inputs when it finishes. Returns, per point in
+/// `configs` order, its [`DataPoint`], its batch and its first
+/// measurement. Panics if a run aborts.
 pub(crate) fn campaign(
     configs: &[RunConfig],
     reps: usize,
     rule: BatchRule,
     progress: impl Fn(&str) + Sync,
 ) -> Vec<(DataPoint, usize, Measurement)> {
-    parallel_map(configs, |cfg| {
+    parallel_map(configs, &largest_first(configs), |cfg| {
         progress(&format!(
             "n={} ranks={} layout={} solver={} engine={}",
             cfg.n,
@@ -799,23 +808,56 @@ impl Dataset {
     }
 }
 
-/// Order-preserving parallel map over a slice on scoped worker threads.
-/// Workers pull indices from a shared atomic counter, so long-running
-/// configurations don't serialise behind a fixed chunking.
-fn parallel_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
+thread_local! {
+    /// The fiber workers [`build_machine`] pins on this thread: a
+    /// [`parallel_map`] thread's share of the host's cores, `None` on every
+    /// other thread.
+    static FANOUT_WORKERS: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Fiber workers each of `threads` fan-out threads gets on a host of
+/// `cores` cores: the cores divided among the threads, never none.
+fn worker_share(cores: usize, threads: usize) -> usize {
+    (cores / threads.max(1)).max(1)
+}
+
+/// The order a campaign starts its points in: descending `(n, ranks)`,
+/// grid order among equals. The last point to start is then the cheapest,
+/// so the serial tail of the fan-out is as short as it can be.
+fn largest_first(configs: &[RunConfig]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..configs.len()).collect();
+    order.sort_by_key(|&i| Reverse((configs[i].n, configs[i].ranks)));
+    order
+}
+
+/// Order-preserving parallel map over a slice on scoped threads, one per
+/// core (at most one per item). The threads pull positions of `order` (a
+/// permutation of the item indices) from a shared atomic counter, so a
+/// long item never holds a fixed chunk back, and the results come back in
+/// item order. The threads divide the cores rather than multiply them:
+/// each pins [`worker_share`] fiber workers on every machine
+/// [`build_machine`] makes on it (the OS-thread carrier ignores the pin).
+/// Virtual-time results never depend on the pool size, so neither the
+/// order nor the share moves a bit of the output.
+fn parallel_map<T: Sync, U: Send>(
+    items: &[T],
+    order: &[usize],
+    f: impl Fn(&T) -> U + Sync,
+) -> Vec<U> {
     use std::sync::atomic::{AtomicUsize, Ordering};
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(items.len());
+    debug_assert_eq!(order.len(), items.len(), "order must permute the items");
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let threads = cores.min(items.len());
+    let share = worker_share(cores, threads);
     let next = AtomicUsize::new(0);
     let mut indexed: Vec<(usize, U)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
+        let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
+                    FANOUT_WORKERS.set(Some(share));
                     std::iter::repeat_with(|| next.fetch_add(1, Ordering::Relaxed))
-                        .take_while(|&i| i < items.len())
-                        .map(|i| (i, f(&items[i])))
+                        .map_while(|k| order.get(k))
+                        .map(|&i| (i, f(&items[i])))
                         .collect::<Vec<_>>()
                 })
             })
@@ -1071,6 +1113,97 @@ mod tests {
         for fixed in [0, 1, 7] {
             let ran = vec![(fixed, 0), (fixed, 1), (fixed, 2)];
             assert_eq!(point(BatchRule::Fixed, fixed, 0.0), (fixed, ran));
+        }
+    }
+
+    #[test]
+    fn worker_share_divides_the_cores_among_the_fanout_threads() {
+        for ((cores, threads), share) in [((2, 2), 1), ((8, 3), 2), ((1, 1), 1), ((2, 1), 2)] {
+            assert_eq!(
+                worker_share(cores, threads),
+                share,
+                "{cores} cores, {threads} threads"
+            );
+        }
+        // Every fan-out thread carries the share; no other thread does.
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let items = [(); 3];
+        let seen = parallel_map(&items, &[0, 1, 2], |_| FANOUT_WORKERS.get());
+        let share = worker_share(cores, cores.min(items.len()));
+        assert_eq!(seen, [Some(share); 3]);
+        assert_eq!(FANOUT_WORKERS.get(), None);
+    }
+
+    #[test]
+    fn points_start_largest_first_and_come_back_in_grid_order() {
+        let at = |n, ranks| RunConfig {
+            n,
+            ranks,
+            ..cfg(SolverChoice::cg())
+        };
+        let configs = [
+            at(16, 4),
+            at(36, 4),
+            at(16, 8),
+            at(36, 4),
+            at(16, 4),
+            at(64, 2),
+        ];
+        assert_eq!(largest_first(&configs), [5, 1, 3, 2, 0, 4]);
+        let order = largest_first(&configs);
+        let got = parallel_map(&configs, &order, |c| (c.n, c.ranks));
+        let want: Vec<_> = configs.iter().map(|c| (c.n, c.ranks)).collect();
+        assert_eq!(got, want);
+    }
+
+    /// A campaign over 2 dims × 2 solvers, on both carriers, gives exactly
+    /// the points of the same configurations run one at a time through
+    /// `run_prepared` on a machine with the engine's default pool: neither
+    /// the start order nor the pinned worker share moves a bit.
+    #[test]
+    fn campaign_points_equal_the_same_points_run_one_at_a_time() {
+        for scheduler in [SchedulerKind::ThreadPerRank, SchedulerKind::EventDriven] {
+            if !scheduler.supported() {
+                continue;
+            }
+            let configs: Vec<RunConfig> = [24, 48]
+                .into_iter()
+                .flat_map(|n| {
+                    [SolverChoice::ime_optimized(), SolverChoice::scalapack()].map(|solver| {
+                        RunConfig {
+                            n,
+                            system: SystemKind::DiagDominant,
+                            scheduler,
+                            batch: 2,
+                            ..cfg(solver)
+                        }
+                    })
+                })
+                .collect();
+            let reps = 2;
+            let fanned = campaign(&configs, reps, BatchRule::Fixed, |_| {});
+            for (cfg, (point, batch, first)) in configs.iter().zip(&fanned) {
+                let inputs = Inputs::prepare(cfg);
+                let runs: Vec<Measurement> = (0..reps)
+                    .map(|rep| {
+                        let cfg = RunConfig {
+                            seed: cfg.seed + rep as u64,
+                            ..cfg.clone()
+                        };
+                        let run =
+                            run_prepared(&cfg, &inputs, TraceSink::disabled()).expect("clean run");
+                        per_solve(run.measurement, cfg.batch)
+                    })
+                    .collect();
+                let alone =
+                    DataPoint::from_runs(cfg.solver.label(), cfg.n, cfg.ranks, cfg.layout, &runs);
+                // `{:?}` prints every f64 in its shortest round-trip form, so
+                // equal text is equal bits.
+                let what = format!("{scheduler}, n={} {}", cfg.n, cfg.solver.label());
+                assert_eq!(format!("{point:?}"), format!("{alone:?}"), "{what}");
+                assert_eq!(format!("{first:?}"), format!("{:?}", runs[0]), "{what}");
+                assert_eq!(*batch, cfg.batch, "{what}");
+            }
         }
     }
 

@@ -96,9 +96,10 @@ impl Machine {
     }
 
     /// Pin the fiber carrier's worker-pool size instead of deriving it
-    /// from the host's parallelism. Only tests pin it, to run a program
-    /// on pools of chosen sizes; virtual-time results never depend on it.
-    /// Ignored by the OS-thread carrier.
+    /// from the host's parallelism. A campaign's fan-out pins each
+    /// machine to its thread's share of the host's cores, and tests pin
+    /// it to run a program on pools of chosen sizes; virtual-time results
+    /// never depend on it. Ignored by the OS-thread carrier.
     pub fn with_sched_workers(mut self, workers: usize) -> Self {
         assert!(workers >= 1, "need at least one worker");
         self.sched_workers = Some(workers);

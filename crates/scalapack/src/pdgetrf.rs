@@ -16,6 +16,7 @@ use greenla_linalg::blas3::{dgemm, dtrsm_left_lower_unit};
 use greenla_linalg::flops;
 use greenla_linalg::{BlockMut, BlockRef, Matrix};
 use greenla_mpi::RankCtx;
+use std::sync::Arc;
 
 /// Tag base for the row-interchange point-to-point exchanges.
 const SWAP_TAG: u64 = 1 << 20;
@@ -32,20 +33,21 @@ pub const GEMM_CACHE_REUSE: u64 = 4;
 /// Pipeline chunk: 8 KiB.
 const PIPELINE_CHUNK: usize = 1024;
 
-/// Broadcast that picks the binomial or pipelined algorithm by size
-/// (consistent across the communicator because every member computes the
-/// same `expected_len`).
+/// Read-only broadcast that picks the binomial or pipelined algorithm by
+/// size (consistent across the communicator because every member computes
+/// the same `expected_len`). The root passes `Some(data)`; every rank gets
+/// the shared replica back, so no rank copies a buffer still in flight.
 fn bcast_sized(
     ctx: &mut RankCtx,
     comm: &greenla_mpi::Comm,
     root: usize,
-    buf: &mut Vec<f64>,
+    data: Option<Vec<f64>>,
     expected_len: usize,
-) {
+) -> Arc<Vec<f64>> {
     if expected_len > PIPELINE_THRESHOLD {
-        ctx.bcast_pipelined_f64(comm, root, buf, PIPELINE_CHUNK);
+        ctx.bcast_pipelined_shared_f64(comm, root, data, PIPELINE_CHUNK)
     } else {
-        ctx.bcast_f64(comm, root, buf);
+        ctx.bcast_shared_f64(comm, root, data)
     }
 }
 
@@ -224,17 +226,15 @@ fn factor(
         }
         // Panel data: my grid row's local slice of columns k..k+kb.
         let lrows = a.local.rows();
-        let mut panel: Vec<f64> = if mycol == pcol_k {
+        let panel_own = (mycol == pcol_k).then(|| {
             let mut v = Vec::with_capacity(lrows * kb);
             for g in k..k + kb {
                 let lj = d.lcol(g);
                 v.extend_from_slice(a.local.col(lj));
             }
             v
-        } else {
-            Vec::new()
-        };
-        bcast_sized(ctx, &row_comm, pcol_k, &mut panel, lrows * kb);
+        });
+        let panel = bcast_sized(ctx, &row_comm, pcol_k, panel_own, lrows * kb);
         assert_eq!(panel.len(), lrows * kb);
 
         // ----- phase C: row interchanges outside the panel -----
@@ -253,7 +253,7 @@ fn factor(
             // ----- phase D: U block row = L11⁻¹ · A12, on grid row prow_k -----
             let lc_start = a.local_cols_below(rest);
             let n2_loc = a.local.cols() - lc_start;
-            let mut u12: Vec<f64> = Vec::new();
+            let mut u12_own = None;
             if myrow == prow_k {
                 // L11 sits in the broadcast panel at my local rows of k..k+kb.
                 let lr0 = d.lrow(k);
@@ -277,10 +277,10 @@ fn factor(
                         a.local[(lr0 + ii, lj)] = a12[ii + t * kb];
                     }
                 }
-                u12 = a12;
+                u12_own = Some(a12);
             }
             let col_comm = grid.col_comm().clone();
-            bcast_sized(ctx, &col_comm, prow_k, &mut u12, kb * n2_loc);
+            let u12 = bcast_sized(ctx, &col_comm, prow_k, u12_own, kb * n2_loc);
             assert_eq!(u12.len(), kb * n2_loc);
 
             // ----- phase E: local trailing update A22 −= L21 · U12 -----

@@ -72,17 +72,13 @@ pub fn pdgetrs(
                 }
                 ctx.compute(flops::dtrsm(kb, 1), 0);
             }
-            ctx.bcast_f64(&row_comm, pcol_bk, &mut z);
+            let z = ctx.bcast_shared_f64(&row_comm, pcol_bk, (mycol == pcol_bk).then_some(z));
             b[r0..r1].copy_from_slice(&z);
         }
         // Propagate the solved block to every grid row.
         let col_comm = grid.col_comm().clone();
-        let mut zz = if myrow == prow_bk {
-            b[r0..r1].to_vec()
-        } else {
-            Vec::new()
-        };
-        ctx.bcast_f64(&col_comm, prow_bk, &mut zz);
+        let zz = (myrow == prow_bk).then(|| b[r0..r1].to_vec());
+        let zz = ctx.bcast_shared_f64(&col_comm, prow_bk, zz);
         if myrow != prow_bk {
             b[r0..r1].copy_from_slice(&zz);
         }
@@ -132,16 +128,12 @@ pub fn pdgetrs(
                 }
                 ctx.compute(flops::dtrsm(kb, 1), 0);
             }
-            ctx.bcast_f64(&row_comm, pcol_bk, &mut z);
+            let z = ctx.bcast_shared_f64(&row_comm, pcol_bk, (mycol == pcol_bk).then_some(z));
             b[r0..r1].copy_from_slice(&z);
         }
         let col_comm = grid.col_comm().clone();
-        let mut zz = if myrow == prow_bk {
-            b[r0..r1].to_vec()
-        } else {
-            Vec::new()
-        };
-        ctx.bcast_f64(&col_comm, prow_bk, &mut zz);
+        let zz = (myrow == prow_bk).then(|| b[r0..r1].to_vec());
+        let zz = ctx.bcast_shared_f64(&col_comm, prow_bk, zz);
         if myrow != prow_bk {
             b[r0..r1].copy_from_slice(&zz);
         }
