@@ -147,7 +147,7 @@ pub fn pcg(
     if bnorm == 0.0 {
         // b = 0 ⇒ x = 0 exactly; gather the (zero) blocks so the traffic
         // shape matches every other completed solve.
-        let x = gather_solution(ctx, comm, &x_l);
+        let x = gather_solution(ctx, comm, &x_l, n);
         return Ok(CgSolve {
             x,
             iterations: 0,
@@ -254,7 +254,7 @@ pub fn pcg(
             p_full[lo + i] = z[i] + beta * p_full[lo + i];
         }
         if rr.sqrt() <= cfg.tol * bnorm {
-            let x = gather_solution(ctx, comm, &x_l);
+            let x = gather_solution(ctx, comm, &x_l, n);
             return Ok(CgSolve {
                 x,
                 iterations: k,
@@ -373,7 +373,12 @@ fn halo_exchange(
     ctx.trace_end("comm", "halo_exchange");
 }
 
-/// Ring-allgather the owned blocks into the replicated full solution.
-fn gather_solution(ctx: &mut RankCtx, comm: &Comm, x_l: &[f64]) -> Vec<f64> {
-    ctx.allgather_f64(comm, x_l).concat()
+/// Ring-allgather the owned blocks into the replicated full solution,
+/// copied once from the shared blocks into this rank's own `x`.
+fn gather_solution(ctx: &mut RankCtx, comm: &Comm, x_l: &[f64], n: usize) -> Vec<f64> {
+    let mut x = Vec::with_capacity(n);
+    for block in ctx.allgather_f64(comm, x_l) {
+        x.extend_from_slice(&block);
+    }
+    x
 }

@@ -408,7 +408,7 @@ fn collectives_straddling_the_size_switch_are_scheduler_invariant() {
             for per in [4usize, 5] {
                 let mine = vec![ctx.rank() as f64; per];
                 let all = ctx.allgather_f64(&world, &mine);
-                acc.push(all.into_iter().flatten().collect());
+                acc.push(all.iter().flat_map(|c| c.iter().copied()).collect());
             }
             acc
         });

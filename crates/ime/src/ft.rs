@@ -52,7 +52,7 @@ impl Checksum {
         let (level, column) = ctx.faults_mut().app_column_loss()?;
         let local = sum_columns(cols, n, None);
         ctx.compute(flops::daxpy(n) * cols.len() as u64 / 2, 0);
-        let sum = ctx.reduce_sum_owned_f64(comm, MASTER, local);
+        let sum = ctx.reduce_sum_f64(comm, MASTER, local);
         Some(Self {
             n,
             level: level % n,
@@ -82,7 +82,7 @@ impl Checksum {
             ctx.emit(RankEvent::Fault(FaultNote::ColumnLossInjected));
         }
         let survivors = sum_columns(cols, self.n, Some(self.column));
-        let total = ctx.reduce_sum_owned_f64(comm, MASTER, survivors);
+        let total = ctx.reduce_sum_f64(comm, MASTER, survivors);
         let rec: Option<Vec<f64>> = total.map(|total| {
             ctx.compute(flops::daxpy(self.n), 0);
             self.sum.iter().zip(&total).map(|(s, t)| s - t).collect()

@@ -163,9 +163,10 @@ impl ReducedTable {
             flops::dgemv(my_x.len(), n),
             flops::bytes_f64(n * my_x.len()),
         );
-        let gathered = ctx.gather_shared_f64(comm, MASTER, &my_x);
-        let mut x = vec![0.0; n];
-        if let Some(chunks) = gathered {
+        // Only the master assembles `x`; every rank then takes its own copy
+        // of the broadcast replica.
+        let x = ctx.gather_f64(comm, MASTER, &my_x).map(|chunks| {
+            let mut x = vec![0.0; n];
             for (r, chunk) in chunks.iter().enumerate() {
                 // Rank r owns left columns r, r+N, r+2N, … in that order.
                 for (t, &v) in chunk.iter().enumerate() {
@@ -174,9 +175,9 @@ impl ReducedTable {
                     x[j] = v;
                 }
             }
-        }
-        ctx.bcast_f64(comm, MASTER, &mut x);
-        x
+            x
+        });
+        Arc::unwrap_or_clone(ctx.bcast_shared_f64(comm, MASTER, x))
     }
 }
 
@@ -356,7 +357,7 @@ fn reduce_table_with(
                 .map(|(_, col)| col[l])
                 .collect();
             if let Some(chunks) = ctx.gather_f64(comm, MASTER, &row_l) {
-                archived_rows.push(chunks.into_iter().flatten().collect());
+                archived_rows.push(chunks.iter().flat_map(|c| c.iter().copied()).collect());
             }
         }
     }

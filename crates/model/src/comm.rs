@@ -37,7 +37,7 @@ pub fn bcast_binomial(p: usize, bytes: f64, m: &MachineParams) -> f64 {
 }
 
 /// Chunked binary-tree pipelined broadcast (see
-/// `RankCtx::bcast_pipelined_f64`): a depth term per chunk-sized hop plus a
+/// `RankCtx::bcast_pipelined_shared_f64`): a depth term per chunk-sized hop plus a
 /// streaming term, and the one-word header.
 pub fn bcast_pipelined(p: usize, bytes: f64, chunk_bytes: f64, m: &MachineParams) -> f64 {
     if p <= 1 {

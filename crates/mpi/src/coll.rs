@@ -30,6 +30,14 @@
 //! per-column message counts (one reduce tree + one broadcast tree per
 //! pivot) intact. Payload fan-out everywhere shares one `Arc` allocation
 //! per buffer — see [`crate::envelope::Payload`].
+//!
+//! Every collective has one entry, and what it returns follows one rule.
+//! A collective that distributes one replica — the broadcasts, the gather
+//! and the allgather — returns the shared `Arc` the payload travelled in.
+//! A reduction returns the rank's own `Vec`: the reduce root's
+//! accumulator, the allreduce's per-rank result. A caller that needs to
+//! mutate a replica copies it at its own call site
+//! (`Arc::unwrap_or_clone`, `extend_from_slice`), where the copy is seen.
 
 use crate::comm::Comm;
 use crate::context::{RankCtx, COLL_TAG};
@@ -200,24 +208,9 @@ impl<'m> RankCtx<'m> {
         data.expect("broadcast produced no data")
     }
 
-    /// `MPI_Bcast` of doubles: `buf` is the payload at the root and is
-    /// overwritten (and resized) everywhere else. Receivers that only read
-    /// the result should prefer [`RankCtx::bcast_shared_f64`], which skips
-    /// the copy-on-unwrap of a buffer still shared with in-flight sends.
-    pub fn bcast_f64(&mut self, comm: &Comm, root: usize, buf: &mut Vec<f64>) {
-        self.coll_span("bcast", |ctx| {
-            let payload = if comm.rank() == root {
-                Some(Payload::f64(std::mem::take(buf)))
-            } else {
-                None
-            };
-            *buf = ctx.bcast_payload(comm, root, payload).expect_f64();
-        });
-    }
-
-    /// Zero-copy `MPI_Bcast` of doubles for read-only consumers: the root
-    /// passes `Some(data)`, everyone gets back a handle to the root's one
-    /// allocation, whatever its length — no per-hop clone, no unwrap copy.
+    /// `MPI_Bcast` of doubles: the root passes `Some(data)` and every rank
+    /// gets back the one replica, a handle to the root's allocation
+    /// whatever its length — no per-hop clone, no unwrap copy.
     pub fn bcast_shared_f64(
         &mut self,
         comm: &Comm,
@@ -235,7 +228,7 @@ impl<'m> RankCtx<'m> {
         })
     }
 
-    /// Zero-copy `MPI_Bcast` of u64 values for read-only consumers.
+    /// `MPI_Bcast` of u64 values (see [`Self::bcast_shared_f64`]).
     pub fn bcast_shared_u64(
         &mut self,
         comm: &Comm,
@@ -284,21 +277,6 @@ impl<'m> RankCtx<'m> {
         self.coll_span("bcast_pipelined", |ctx| {
             ctx.bcast_pipelined_impl(comm, root, data, chunk_elems)
         })
-    }
-
-    /// Owned [`Self::bcast_pipelined_shared_f64`]: `buf` is the payload at
-    /// the root and is overwritten (and resized) everywhere else. A
-    /// multi-chunk replica is each rank's own and unwraps without a copy.
-    pub fn bcast_pipelined_f64(
-        &mut self,
-        comm: &Comm,
-        root: usize,
-        buf: &mut Vec<f64>,
-        chunk_elems: usize,
-    ) {
-        let data = (comm.rank() == root).then(|| std::mem::take(buf));
-        let shared = self.bcast_pipelined_shared_f64(comm, root, data, chunk_elems);
-        *buf = Payload::shared_f64(shared).expect_f64();
     }
 
     fn bcast_pipelined_impl(
@@ -377,69 +355,66 @@ impl<'m> RankCtx<'m> {
     }
 
     /// Binomial-tree reduction of f64 vectors toward `root` with a custom
-    /// element-wise combiner. Returns `Some(result)` at the root, `None`
-    /// elsewhere.
-    pub fn reduce_f64_with(
-        &mut self,
-        comm: &Comm,
-        root: usize,
-        acc: Vec<f64>,
-        op: impl Fn(&mut [f64], &[f64]),
-    ) -> Option<Vec<f64>> {
-        self.coll_span("reduce", |ctx| {
-            ctx.reduce_f64_with_impl(comm, root, acc, op)
-        })
-    }
-
-    fn reduce_f64_with_impl(
+    /// element-wise combiner. Returns `Some(result)` at the root — its own
+    /// accumulator — and `None` elsewhere.
+    fn reduce_f64_with(
         &mut self,
         comm: &Comm,
         root: usize,
         mut acc: Vec<f64>,
         op: impl Fn(&mut [f64], &[f64]),
     ) -> Option<Vec<f64>> {
-        let p = comm.size();
-        let seq = self.coll_site(comm, CollKind::Reduce, Some(root), acc.len() as u64);
-        let tag = compose_coll_tag(seq, PLAIN_CHUNK);
-        if p == 1 {
-            return Some(acc);
-        }
-        let me = comm.rank();
-        let rel = (me + p - root) % p;
-        let mut mask = 1usize;
-        while mask < p {
-            if rel & mask == 0 {
-                let src_rel = rel | mask;
-                if src_rel < p {
-                    let src_index = (src_rel + root) % p;
-                    let other = self.recv_payload(comm, src_index, tag);
-                    self.check_reduce_len(comm, other.as_f64().len(), acc.len());
-                    op(&mut acc, other.as_f64());
-                }
-            } else {
-                let dst_index = (rel - mask + root) % p;
-                self.send_payload(comm, dst_index, tag, Payload::f64(acc));
-                return None;
+        self.coll_span("reduce", |ctx| {
+            let p = comm.size();
+            let seq = ctx.coll_site(comm, CollKind::Reduce, Some(root), acc.len() as u64);
+            let tag = compose_coll_tag(seq, PLAIN_CHUNK);
+            if p == 1 {
+                return Some(acc);
             }
-            mask <<= 1;
-        }
-        Some(acc)
+            let me = comm.rank();
+            let rel = (me + p - root) % p;
+            let mut mask = 1usize;
+            while mask < p {
+                if rel & mask == 0 {
+                    let src_rel = rel | mask;
+                    if src_rel < p {
+                        let src_index = (src_rel + root) % p;
+                        let other = ctx.recv_payload(comm, src_index, tag);
+                        ctx.check_reduce_len(comm, other.as_f64().len(), acc.len());
+                        op(&mut acc, other.as_f64());
+                    }
+                } else {
+                    let dst_index = (rel - mask + root) % p;
+                    ctx.send_payload(comm, dst_index, tag, Payload::f64(acc));
+                    return None;
+                }
+                mask <<= 1;
+            }
+            Some(acc)
+        })
     }
 
-    /// `MPI_Reduce(MPI_SUM)` of f64 vectors.
-    pub fn reduce_sum_f64(&mut self, comm: &Comm, root: usize, data: &[f64]) -> Option<Vec<f64>> {
-        self.reduce_sum_owned_f64(comm, root, data.to_vec())
+    /// `MPI_Reduce(MPI_SUM)` of f64 vectors. The contribution is moved in,
+    /// and the root gets its own accumulator back.
+    pub fn reduce_sum_f64(&mut self, comm: &Comm, root: usize, data: Vec<f64>) -> Option<Vec<f64>> {
+        self.reduce_f64_with(comm, root, data, sum_op)
     }
 
-    /// `MPI_Reduce(MPI_SUM)` taking ownership of the contribution: callers
-    /// that already own the buffer skip the `to_vec` the slice API pays.
-    pub fn reduce_sum_owned_f64(
+    /// The tree pair: a binomial reduce to rank 0, then a binomial
+    /// broadcast of its result. Every rank unwraps the broadcast into its
+    /// own `Vec`, which copies a still-shared buffer of at most
+    /// [`COLL_SMALL_BYTES`].
+    fn allreduce_trees(
         &mut self,
         comm: &Comm,
-        root: usize,
         data: Vec<f64>,
-    ) -> Option<Vec<f64>> {
-        self.reduce_f64_with(comm, root, data, sum_op)
+        op: impl Fn(&mut [f64], &[f64]),
+    ) -> Vec<f64> {
+        let reduced = self.reduce_f64_with(comm, 0, data, op);
+        self.coll_span("bcast", |ctx| {
+            ctx.bcast_payload(comm, 0, reduced.map(Payload::f64))
+                .expect_f64()
+        })
     }
 
     /// Non-power-of-two fold of the butterfly allreduces, per the standard
@@ -611,12 +586,9 @@ impl<'m> RankCtx<'m> {
     /// the contribution skip the copy.
     pub fn allreduce_sum_owned_f64(&mut self, comm: &Comm, data: Vec<f64>) -> Vec<f64> {
         match allreduce_arm(comm.size(), data.len()) {
-            AllreduceArm::Trees => self.coll_span("allreduce", |ctx| {
-                let reduced = ctx.reduce_f64_with(comm, 0, data, sum_op);
-                let mut buf = reduced.unwrap_or_default();
-                ctx.bcast_f64(comm, 0, &mut buf);
-                buf
-            }),
+            AllreduceArm::Trees => {
+                self.coll_span("allreduce", |ctx| ctx.allreduce_trees(comm, data, sum_op))
+            }
             AllreduceArm::RecursiveDoubling => {
                 self.coll_span("allreduce_rd", |ctx| ctx.allreduce_rd(comm, data, sum_op))
             }
@@ -634,124 +606,83 @@ impl<'m> RankCtx<'m> {
     /// paper's per-column message formulas count.
     pub fn allreduce_maxloc_abs(&mut self, comm: &Comm, v: f64, loc: u64) -> (f64, u64) {
         self.coll_span("allreduce_maxloc", |ctx| {
-            let reduced = ctx.reduce_f64_with(comm, 0, vec![v, loc as f64], |a, b| {
+            let buf = ctx.allreduce_trees(comm, vec![v, loc as f64], |a, b| {
                 let better = b[0].abs() > a[0].abs() || (b[0].abs() == a[0].abs() && b[1] < a[1]);
                 if better {
                     a[0] = b[0];
                     a[1] = b[1];
                 }
             });
-            let mut buf = reduced.unwrap_or_default();
-            ctx.bcast_f64(comm, 0, &mut buf);
             (buf[0], buf[1] as u64)
         })
     }
 
-    /// Gather every member's payload at the root, receiving in completion
-    /// order (earliest virtual arrival first) and slotting by source —
-    /// never head-of-line blocking on a slow low rank while faster high
-    /// ranks sit fully arrived.
-    fn gather_payloads(&mut self, comm: &Comm, root: usize, own: Payload) -> Option<Vec<Payload>> {
-        let p = comm.size();
-        let seq = self.coll_site(comm, CollKind::Gather, Some(root), 0);
-        let tag = compose_coll_tag(seq, PLAIN_CHUNK);
-        let me = comm.rank();
-        if me == root {
-            let srcs: Vec<usize> = (0..p).filter(|&i| i != me).collect();
-            let mut payloads = self.recv_payload_set(comm, &srcs, tag).into_iter();
-            let mut out: Vec<Payload> = Vec::with_capacity(p);
-            for i in 0..p {
-                if i == me {
-                    out.push(own.clone());
-                } else {
-                    out.push(payloads.next().expect("one payload per source"));
-                }
-            }
-            Some(out)
-        } else {
-            self.send_payload(comm, root, tag, own);
-            None
-        }
-    }
-
-    /// `MPI_Gather` of variable-length f64 chunks: the root receives every
-    /// member's chunk (its own included), ordered by communicator rank.
-    pub fn gather_f64(&mut self, comm: &Comm, root: usize, data: &[f64]) -> Option<Vec<Vec<f64>>> {
-        self.coll_span("gather", |ctx| {
-            ctx.gather_payloads(comm, root, Payload::copy_f64(data))
-                .map(|chunks| chunks.into_iter().map(Payload::expect_f64).collect())
-        })
-    }
-
-    /// Zero-copy `MPI_Gather` for read-only roots: each received chunk is
-    /// handed over as the sender's own allocation.
-    pub fn gather_shared_f64(
+    /// `MPI_Gather` of variable-length f64 chunks: the root gets every
+    /// member's chunk (its own included), ordered by communicator rank,
+    /// each as its sender's own allocation. The root receives in
+    /// completion order (earliest virtual arrival first) and slots by
+    /// source — never head-of-line blocking on a slow low rank while
+    /// faster high ranks sit fully arrived.
+    pub fn gather_f64(
         &mut self,
         comm: &Comm,
         root: usize,
         data: &[f64],
     ) -> Option<Vec<Arc<Vec<f64>>>> {
         self.coll_span("gather", |ctx| {
-            ctx.gather_payloads(comm, root, Payload::copy_f64(data))
-                .map(|chunks| chunks.into_iter().map(Payload::into_shared_f64).collect())
-        })
-    }
-
-    /// Ring allgather core: step `s` sends chunk `(me − s) mod p` to the
-    /// right neighbour and receives chunk `(me − 1 − s) mod p` from the
-    /// left, so after `p − 1` steps everyone holds every chunk. Forwarded
-    /// chunks travel as the originator's shared allocation (an `Arc` bump
-    /// per hop). Handles variable-length (including empty) chunks
-    /// natively, which the old gather-then-broadcast needed a counts
-    /// round-trip for.
-    fn allgather_ring(&mut self, comm: &Comm, data: &[f64]) -> Vec<Payload> {
-        let p = comm.size();
-        let seq = self.coll_site(comm, CollKind::Allgather, None, 0);
-        let me = comm.rank();
-        let mut chunks: Vec<Option<Payload>> = (0..p).map(|_| None).collect();
-        chunks[me] = Some(Payload::copy_f64(data));
-        if p > 1 {
-            self.tag_chunks(seq, (p - 1) as u64);
-            let right = (me + 1) % p;
-            let left = (me + p - 1) % p;
-            for s in 0..p - 1 {
-                let send_idx = (me + p - s) % p;
-                let recv_idx = (me + p - 1 - s) % p;
-                let tag = compose_coll_tag(seq, s as u64);
-                let outgoing = chunks[send_idx]
-                    .as_ref()
-                    .expect("ring invariant: chunk present before step")
-                    .clone();
-                self.send_payload(comm, right, tag, outgoing);
-                chunks[recv_idx] = Some(self.recv_payload(comm, left, tag));
+            let p = comm.size();
+            let seq = ctx.coll_site(comm, CollKind::Gather, Some(root), 0);
+            let tag = compose_coll_tag(seq, PLAIN_CHUNK);
+            let own = Payload::copy_f64(data);
+            if comm.rank() != root {
+                ctx.send_payload(comm, root, tag, own);
+                return None;
             }
-        }
-        chunks
-            .into_iter()
-            .map(|c| c.expect("ring complete"))
-            .collect()
+            let srcs: Vec<usize> = (0..p).filter(|&i| i != root).collect();
+            let mut chunks: Vec<Arc<Vec<f64>>> = ctx
+                .recv_payload_set(comm, &srcs, tag)
+                .into_iter()
+                .map(Payload::into_shared_f64)
+                .collect();
+            chunks.insert(root, own.into_shared_f64());
+            Some(chunks)
+        })
     }
 
     /// `MPI_Allgather` of variable-length f64 chunks via the ring
-    /// algorithm. Read-only consumers should prefer
-    /// [`RankCtx::allgather_shared_f64`], which skips materialising owned
-    /// copies of chunks still shared with in-flight forwards.
-    pub fn allgather_f64(&mut self, comm: &Comm, data: &[f64]) -> Vec<Vec<f64>> {
+    /// algorithm: step `s` sends chunk `(me − s) mod p` to the right
+    /// neighbour and receives chunk `(me − 1 − s) mod p` from the left, so
+    /// after `p − 1` steps everyone holds every chunk. Forwarded chunks
+    /// travel as the originator's shared allocation (an `Arc` bump per
+    /// hop), and every rank gets each chunk back as that allocation.
+    /// Handles variable-length (including empty) chunks natively, which the
+    /// old gather-then-broadcast needed a counts round-trip for.
+    pub fn allgather_f64(&mut self, comm: &Comm, data: &[f64]) -> Vec<Arc<Vec<f64>>> {
         self.coll_span("allgather_ring", |ctx| {
-            ctx.allgather_ring(comm, data)
+            let p = comm.size();
+            let seq = ctx.coll_site(comm, CollKind::Allgather, None, 0);
+            let me = comm.rank();
+            let mut chunks: Vec<Option<Payload>> = (0..p).map(|_| None).collect();
+            chunks[me] = Some(Payload::copy_f64(data));
+            if p > 1 {
+                ctx.tag_chunks(seq, (p - 1) as u64);
+                let right = (me + 1) % p;
+                let left = (me + p - 1) % p;
+                for s in 0..p - 1 {
+                    let send_idx = (me + p - s) % p;
+                    let recv_idx = (me + p - 1 - s) % p;
+                    let tag = compose_coll_tag(seq, s as u64);
+                    let outgoing = chunks[send_idx]
+                        .as_ref()
+                        .expect("ring invariant: chunk present before step")
+                        .clone();
+                    ctx.send_payload(comm, right, tag, outgoing);
+                    chunks[recv_idx] = Some(ctx.recv_payload(comm, left, tag));
+                }
+            }
+            chunks
                 .into_iter()
-                .map(Payload::expect_f64)
-                .collect()
-        })
-    }
-
-    /// Zero-copy ring allgather: every chunk comes back as its
-    /// originator's shared allocation.
-    pub fn allgather_shared_f64(&mut self, comm: &Comm, data: &[f64]) -> Vec<Arc<Vec<f64>>> {
-        self.coll_span("allgather_ring", |ctx| {
-            ctx.allgather_ring(comm, data)
-                .into_iter()
-                .map(Payload::into_shared_f64)
+                .map(|c| c.expect("ring complete").into_shared_f64())
                 .collect()
         })
     }

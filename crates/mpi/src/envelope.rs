@@ -8,8 +8,8 @@ use std::sync::Arc;
 /// streaming a chunk down two subtrees, a ring allgather forwarding a
 /// neighbour's chunk, a fault-injected duplicate crossing the wire twice —
 /// shares a single allocation. The only place a buffer may be duplicated
-/// is [`Payload::expect_f64`]-style unwrapping of a heap payload that is
-/// still shared, and tests pin the hot paths to zero such copies. Reading
+/// is [`Payload::expect_f64`] unwrapping a heap payload that is still
+/// shared, and tests pin the hot paths to zero such copies. Reading
 /// an inline payload out into a `Vec` is not counted: nothing was shared.
 pub mod copy_audit {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -166,28 +166,16 @@ impl Payload {
     /// read-only receivers should borrow via [`Payload::as_f64`] instead.
     pub fn expect_f64(self) -> Vec<f64> {
         match self.0 {
-            Repr::F64(v) => unwrap_or_copy(v),
+            // The buffer itself when this was its last holder, else an
+            // audited copy.
+            Repr::F64(v) => Arc::try_unwrap(v).unwrap_or_else(|shared| {
+                copy_audit::note();
+                shared.as_ref().clone()
+            }),
             Repr::InlineF64(len, words) => words[..len as usize].to_vec(),
             other => panic!("expected F64 payload, got {other:?}"),
         }
     }
-
-    /// Unwrap into an owned `Vec`, copying only if the buffer is shared.
-    pub fn expect_u64(self) -> Vec<u64> {
-        match self.0 {
-            Repr::U64(v) => unwrap_or_copy(v),
-            Repr::InlineU64(len, words) => words[..len as usize].to_vec(),
-            other => panic!("expected U64 payload, got {other:?}"),
-        }
-    }
-}
-
-/// The buffer itself when this was its last holder, else an audited copy.
-fn unwrap_or_copy<T: Clone>(v: Arc<Vec<T>>) -> Vec<T> {
-    Arc::try_unwrap(v).unwrap_or_else(|shared| {
-        copy_audit::note();
-        shared.as_ref().clone()
-    })
 }
 
 /// A message travelling between ranks.
@@ -255,7 +243,6 @@ mod tests {
             let u = Payload::copy_u64(&words);
             assert_eq!(f.clone().expect_f64(), data);
             assert_eq!(*f.into_shared_f64(), data);
-            assert_eq!(u.clone().expect_u64(), words);
             assert_eq!(*u.into_shared_u64(), words);
         }
     }
@@ -276,12 +263,6 @@ mod tests {
     #[should_panic(expected = "expected F64")]
     fn inline_u64_does_not_share_as_f64() {
         Payload::copy_u64(&[]).into_shared_f64();
-    }
-
-    #[test]
-    #[should_panic(expected = "expected U64")]
-    fn inline_f64_is_not_u64() {
-        Payload::copy_f64(&[1.0, 2.0]).expect_u64();
     }
 
     #[test]

@@ -552,16 +552,11 @@ mod tests {
         let m = machine(8);
         let out = m.run(|ctx| {
             let world = ctx.world();
-            let mut buf = if ctx.rank() == 3 {
-                vec![9.0, 8.0, 7.0]
-            } else {
-                Vec::new()
-            };
-            ctx.bcast_f64(&world, 3, &mut buf);
-            buf
+            let data = (ctx.rank() == 3).then(|| vec![9.0, 8.0, 7.0]);
+            ctx.bcast_shared_f64(&world, 3, data)
         });
         for r in out.results {
-            assert_eq!(r, vec![9.0, 8.0, 7.0]);
+            assert_eq!(*r, vec![9.0, 8.0, 7.0]);
         }
     }
 
@@ -571,12 +566,8 @@ mod tests {
         let before = m.traffic().snapshot();
         m.run(|ctx| {
             let world = ctx.world();
-            let mut buf = if ctx.rank() == 0 {
-                vec![0.0; 100]
-            } else {
-                Vec::new()
-            };
-            ctx.bcast_f64(&world, 0, &mut buf);
+            let data = (ctx.rank() == 0).then(|| vec![0.0; 100]);
+            ctx.bcast_shared_f64(&world, 0, data);
         });
         let diff = m.traffic().snapshot().since(&before);
         assert_eq!(diff.msgs, 7, "binomial bcast must send P-1 messages");
@@ -621,16 +612,11 @@ mod tests {
         let expected = payload.clone();
         let out = m.run(|ctx| {
             let world = ctx.world();
-            let mut buf = if ctx.rank() == 2 {
-                payload.clone()
-            } else {
-                Vec::new()
-            };
-            ctx.bcast_pipelined_f64(&world, 2, &mut buf, 128);
-            buf
+            let data = (ctx.rank() == 2).then(|| payload.clone());
+            ctx.bcast_pipelined_shared_f64(&world, 2, data, 128)
         });
         for r in out.results {
-            assert_eq!(r, expected);
+            assert_eq!(*r, expected);
         }
     }
 
@@ -643,15 +629,11 @@ mod tests {
             let p2 = payload.clone();
             let out = m.run(move |ctx| {
                 let world = ctx.world();
-                let mut buf = if ctx.rank() == 0 {
-                    p2.clone()
-                } else {
-                    Vec::new()
-                };
+                let data = (ctx.rank() == 0).then(|| p2.clone());
                 if pipelined {
-                    ctx.bcast_pipelined_f64(&world, 0, &mut buf, 64 * 1024);
+                    ctx.bcast_pipelined_shared_f64(&world, 0, data, 64 * 1024);
                 } else {
-                    ctx.bcast_f64(&world, 0, &mut buf);
+                    ctx.bcast_shared_f64(&world, 0, data);
                 }
                 ctx.now()
             });
@@ -670,22 +652,14 @@ mod tests {
         let m = machine(8);
         let out = m.run(|ctx| {
             let world = ctx.world();
-            let mut small = if ctx.rank() == 0 {
-                vec![42.0]
-            } else {
-                Vec::new()
-            };
-            ctx.bcast_pipelined_f64(&world, 0, &mut small, 1000);
-            let mut empty = if ctx.rank() == 0 {
-                Vec::new()
-            } else {
-                vec![9.9]
-            };
-            ctx.bcast_pipelined_f64(&world, 0, &mut empty, 4);
+            let small = (ctx.rank() == 0).then(|| vec![42.0]);
+            let small = ctx.bcast_pipelined_shared_f64(&world, 0, small, 1000);
+            let empty = (ctx.rank() == 0).then(Vec::new);
+            let empty = ctx.bcast_pipelined_shared_f64(&world, 0, empty, 4);
             (small, empty)
         });
         for (small, empty) in out.results {
-            assert_eq!(small, vec![42.0]);
+            assert_eq!(*small, vec![42.0]);
             assert!(empty.is_empty());
         }
     }
@@ -696,7 +670,7 @@ mod tests {
         let out = m.run(|ctx| {
             let world = ctx.world();
             let mine = vec![ctx.rank() as f64, 1.0];
-            let root_sum = ctx.reduce_sum_f64(&world, 2, &mine);
+            let root_sum = ctx.reduce_sum_f64(&world, 2, mine.clone());
             let all_sum = ctx.allreduce_sum_f64(&world, &mine);
             (root_sum, all_sum)
         });
@@ -754,7 +728,7 @@ mod tests {
             .try_run(|ctx| {
                 let world = ctx.world();
                 let len = if ctx.rank() == 5 { 3 } else { 2 };
-                ctx.reduce_sum_f64(&world, 0, &vec![1.0; len]);
+                ctx.reduce_sum_f64(&world, 0, vec![1.0; len]);
             })
             .err()
             .expect("mismatched lengths must abort");
@@ -784,7 +758,7 @@ mod tests {
                 ctx.gather_f64(&world, 0, &[ctx.rank() as f64])
             });
             let chunks = out.results[0].clone().unwrap();
-            let flat: Vec<f64> = chunks.into_iter().flatten().collect();
+            let flat: Vec<f64> = chunks.iter().flat_map(|c| c.iter().copied()).collect();
             assert_eq!(flat, (0..8).map(f64::from).collect::<Vec<_>>());
             out.final_clocks[0]
         };
@@ -806,7 +780,8 @@ mod tests {
             let world = ctx.world();
             ctx.allgather_f64(&world, &[ctx.rank() as f64 * 10.0])
         });
-        let expected: Vec<Vec<f64>> = (0..8).map(|r| vec![r as f64 * 10.0]).collect();
+        let expected: Vec<Arc<Vec<f64>>> =
+            (0..8).map(|r| Arc::new(vec![r as f64 * 10.0])).collect();
         for r in out.results {
             assert_eq!(r, expected);
         }

@@ -58,7 +58,7 @@ const TABLE: [Row; 7] = [
     (CollectiveContract, Some(4), |ctx| {
         let len = if ctx.rank() == 5 { 3 } else { 2 };
         let world = ctx.world();
-        ctx.reduce_sum_f64(&world, 0, &vec![1.0; len]);
+        ctx.reduce_sum_f64(&world, 0, vec![1.0; len]);
     }),
     (Solver, Some(CULPRIT), |ctx| {
         culprit_dies(ctx, |ctx| ctx.abort(Solver, "the solver gave up"))

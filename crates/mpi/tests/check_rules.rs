@@ -94,8 +94,7 @@ fn mismatched_bcast_root_trips_coll001() {
         // Each rank believes IT is the broadcast root: the sends cross in
         // flight and nobody receives, so the run completes — silently wrong
         // without the checker.
-        let mut buf = vec![ctx.rank() as f64];
-        ctx.bcast_f64(&world, ctx.rank(), &mut buf);
+        ctx.bcast_shared_f64(&world, ctx.rank(), Some(vec![ctx.rank() as f64]));
     });
     let violations = m.check().violations();
     let coll: Vec<_> = violations
@@ -184,19 +183,11 @@ fn clean_program_with_every_collective_is_violation_free() {
         ctx.send_f64(&world, next, 9, &[ctx.rank() as f64]);
         ctx.recv_f64(&world, prev, 9);
         // Every collective the runtime offers.
-        let mut buf = if ctx.rank() == 2 {
-            vec![1.0; 64]
-        } else {
-            vec![]
-        };
-        ctx.bcast_f64(&world, 2, &mut buf);
-        let mut big = if ctx.rank() == 0 {
-            vec![2.0; 4096]
-        } else {
-            vec![]
-        };
-        ctx.bcast_pipelined_f64(&world, 0, &mut big, 256);
-        ctx.reduce_sum_f64(&world, 1, &[ctx.rank() as f64]);
+        ctx.bcast_shared_f64(&world, 2, (ctx.rank() == 2).then(|| vec![1.0; 64]));
+        let big = (ctx.rank() == 0).then(|| vec![2.0; 4096]);
+        ctx.bcast_pipelined_shared_f64(&world, 0, big, 256);
+        ctx.bcast_shared_u64(&world, 1, (ctx.rank() == 1).then(|| vec![7; 8]));
+        ctx.reduce_sum_f64(&world, 1, vec![ctx.rank() as f64]);
         ctx.allreduce_sum_f64(&world, &[1.0]);
         ctx.allreduce_maxloc_abs(&world, ctx.rank() as f64, ctx.rank() as u64);
         ctx.gather_f64(&world, 0, &[ctx.rank() as f64]);
@@ -218,12 +209,8 @@ fn checked_run_timings_are_bit_identical_to_unchecked() {
         let world = ctx.world();
         ctx.compute(10_000_000 * (1 + ctx.rank() as u64 % 3), 512);
         ctx.barrier(&world);
-        let mut buf = if ctx.rank() == 0 {
-            vec![1.5; 2048]
-        } else {
-            vec![]
-        };
-        ctx.bcast_pipelined_f64(&world, 0, &mut buf, 128);
+        let buf = (ctx.rank() == 0).then(|| vec![1.5; 2048]);
+        ctx.bcast_pipelined_shared_f64(&world, 0, buf, 128);
         ctx.allreduce_sum_f64(&world, &[ctx.rank() as f64]);
         ctx.now()
     };

@@ -326,12 +326,7 @@ fn ten_thousand_rank_smoke_spins_up_and_synchronises() {
         for _ in 0..3 {
             ctx.barrier(&world);
         }
-        let mut root_word = if ctx.rank() == 0 {
-            vec![42.0]
-        } else {
-            Vec::new()
-        };
-        ctx.bcast_f64(&world, 0, &mut root_word);
+        let root_word = ctx.bcast_shared_f64(&world, 0, (ctx.rank() == 0).then(|| vec![42.0]));
         let total = ctx.allreduce_sum_f64(&world, &[1.0]);
         ctx.barrier(&world); // aligns every clock to the same release time
         (root_word[0], total[0])

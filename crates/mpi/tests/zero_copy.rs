@@ -1,5 +1,5 @@
-//! Proof that the shared-payload collectives never copy a buffer: the
-//! process-global `copy_audit` counter (bumped only when `expect_*` has to
+//! Proof that the collectives never copy a buffer: the process-global
+//! `copy_audit` counter (bumped only when `Payload::expect_f64` has to
 //! clone a still-shared allocation) stays at zero across broadcast
 //! fan-out, pipelined streaming, gathers, the ring allgather and the
 //! large-message allreduce, and the returned handles are pointer-identical
@@ -51,13 +51,8 @@ fn shared_collectives_never_copy_a_payload() {
     copy_audit::reset();
     let out = machine(P).run(|ctx| {
         let world = ctx.world();
-        let mut buf = if ctx.rank() == 0 {
-            (0..4096).map(|i| i as f64).collect()
-        } else {
-            Vec::new()
-        };
-        ctx.bcast_pipelined_f64(&world, 0, &mut buf, 512);
-        buf
+        let data = (ctx.rank() == 0).then(|| (0..4096).map(|i| i as f64).collect());
+        ctx.bcast_pipelined_shared_f64(&world, 0, data, 512)
     });
     assert_eq!(
         copy_audit::count(),
@@ -96,7 +91,7 @@ fn shared_collectives_never_copy_a_payload() {
     machine(P).run(|ctx| {
         let world = ctx.world();
         let mine = vec![ctx.rank() as f64; 100 * (1 + ctx.rank() % 3)];
-        if let Some(chunks) = ctx.gather_shared_f64(&world, 1, &mine) {
+        if let Some(chunks) = ctx.gather_f64(&world, 1, &mine) {
             for (src, c) in chunks.iter().enumerate() {
                 assert!(c.iter().all(|&v| v == src as f64));
             }
@@ -110,7 +105,7 @@ fn shared_collectives_never_copy_a_payload() {
     let out = machine(P).run(|ctx| {
         let world = ctx.world();
         let mine = vec![ctx.rank() as f64; 2000];
-        ctx.allgather_shared_f64(&world, &mine)
+        ctx.allgather_f64(&world, &mine)
     });
     assert_eq!(
         copy_audit::count(),

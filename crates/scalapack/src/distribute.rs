@@ -86,7 +86,7 @@ impl DistMatrix {
     pub fn gather_to_root(&self, ctx: &mut RankCtx, grid: &ProcessGrid) -> Option<Matrix> {
         // The root only reads each chunk while scattering it into the
         // assembled matrix, so it borrows the senders' allocations.
-        let chunks = ctx.gather_shared_f64(grid.all(), 0, self.local.as_slice())?;
+        let chunks = ctx.gather_f64(grid.all(), 0, self.local.as_slice())?;
         let desc = self.desc;
         let mut out = Matrix::zeros(desc.m, desc.n);
         for (idx, chunk) in chunks.iter().enumerate() {
@@ -144,8 +144,10 @@ mod tests {
             let grid = ProcessGrid::new(ctx, &world, 2, 2);
             let desc = BlockDesc::square(10, 3, 2, 2);
             let dm = DistMatrix::zeros(&grid, desc);
-            let rows_total = ctx.allreduce_sum_f64(grid.col_comm(), &[dm.local.rows() as f64]);
-            let cols_total = ctx.allreduce_sum_f64(grid.row_comm(), &[dm.local.cols() as f64]);
+            let rows_total =
+                ctx.allreduce_sum_owned_f64(grid.col_comm(), vec![dm.local.rows() as f64]);
+            let cols_total =
+                ctx.allreduce_sum_owned_f64(grid.row_comm(), vec![dm.local.cols() as f64]);
             rows_total[0] as usize == 10 && cols_total[0] as usize == 10
         });
     }

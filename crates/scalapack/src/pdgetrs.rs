@@ -57,7 +57,7 @@ pub fn pdgetrs(
             }
             ctx.compute(flops::dgemv(kb, lc_end), flops::bytes_f64(kb * lc_end));
             let row_comm = grid.row_comm().clone();
-            let summed = ctx.allreduce_sum_f64(&row_comm, &partial);
+            let summed = ctx.allreduce_sum_owned_f64(&row_comm, partial);
             let mut z: Vec<f64> = (0..kb).map(|i| b[r0 + i] - summed[i]).collect();
             if mycol == pcol_bk {
                 // Unit-lower solve on the diagonal block.
@@ -108,7 +108,7 @@ pub fn pdgetrs(
             }
             ctx.compute(flops::dgemv(kb, ncols), flops::bytes_f64(kb * ncols));
             let row_comm = grid.row_comm().clone();
-            let summed = ctx.allreduce_sum_f64(&row_comm, &partial);
+            let summed = ctx.allreduce_sum_owned_f64(&row_comm, partial);
             let mut z: Vec<f64> = (0..kb).map(|i| b[r0 + i] - summed[i]).collect();
             if mycol == pcol_bk {
                 // Non-unit upper solve on the diagonal block.
