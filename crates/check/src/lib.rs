@@ -13,10 +13,12 @@
 //!
 //! Five rule families:
 //!
-//! * **Deadlock (DL001)** — a wait-for graph over blocked ranks; the rank
+//! * **Deadlock (DL001)** — the runtime's own wait-for report. The rank
 //!   engine knows the exact moment every live rank is blocked with no wake
-//!   in flight and runs the probe then, which reports the cycle (ranks,
-//!   tags, communicators) so the run aborts instead of hanging.
+//!   in flight; the runtime then names what each parked rank waits on
+//!   (ranks, tags, communicators) and the cycle among them, aborts the run
+//!   with that report, and hands the same text to
+//!   [`CheckSink::report_deadlock`].
 //! * **Message hygiene (MSG001)** — mailbox residue at finalize: every
 //!   sent-but-never-received message is named.
 //! * **Collective lockstep (COLL001/COLL002)** — all members of a

@@ -1,5 +1,4 @@
-//! The checking sink: machine-wide shared state, per-rank hook handles,
-//! and the deadlock probe.
+//! The checking sink: machine-wide shared state and per-rank hook handles.
 
 use crate::tagspace;
 use crate::violation::{Rule, Violation};
@@ -67,22 +66,6 @@ fn fmt_root(root: Option<usize>) -> String {
     }
 }
 
-/// What a rank is blocked on right now (the wait-for graph's node labels).
-#[derive(Clone, Debug)]
-enum Wait {
-    Running,
-    Recv {
-        src: usize,
-        comm: u64,
-        tag: u64,
-    },
-    Coll {
-        comm: u64,
-        seq: u64,
-        members: Arc<Vec<usize>>,
-    },
-}
-
 /// Lockstep record for one `(communicator, sequence)` call site.
 struct CollSite {
     kind: CollKind,
@@ -104,8 +87,6 @@ struct MonState {
 
 struct State {
     node_of: Vec<usize>,
-    waits: Vec<Wait>,
-    finished: Vec<bool>,
     last_clock: Vec<f64>,
     clock_flagged: Vec<bool>,
     overflow_flagged: Vec<bool>,
@@ -114,7 +95,6 @@ struct State {
     colls: HashMap<(u64, u64), CollSite>,
     monitors: HashMap<usize, MonState>,
     straddle_flagged: HashSet<(usize, usize)>,
-    deadlock_msg: Option<String>,
     violations: Vec<Violation>,
 }
 
@@ -123,8 +103,6 @@ impl State {
         let n = node_of.len();
         Self {
             node_of,
-            waits: vec![Wait::Running; n],
-            finished: vec![false; n],
             last_clock: vec![0.0; n],
             clock_flagged: vec![false; n],
             overflow_flagged: vec![false; n],
@@ -133,7 +111,6 @@ impl State {
             colls: HashMap::new(),
             monitors: HashMap::new(),
             straddle_flagged: HashSet::new(),
-            deadlock_msg: None,
             violations: Vec::new(),
         }
     }
@@ -156,142 +133,6 @@ impl State {
             self.last_clock[rank] = t;
         }
     }
-
-    fn in_same_coll(&self, rank: usize, comm: u64, seq: u64) -> bool {
-        matches!(
-            &self.waits[rank],
-            Wait::Coll { comm: c, seq: s, .. } if *c == comm && *s == seq
-        )
-    }
-
-    /// Who is rank `r` waiting for? One representative edge of the
-    /// wait-for graph.
-    fn successor(&self, r: usize) -> Option<usize> {
-        match &self.waits[r] {
-            Wait::Running => None,
-            Wait::Recv { src, .. } => Some(*src),
-            Wait::Coll { comm, seq, members } => members
-                .iter()
-                .copied()
-                .find(|&m| m != r && !self.in_same_coll(m, *comm, *seq)),
-        }
-    }
-
-    fn find_cycle(&self, blocked: &[usize]) -> Option<Vec<usize>> {
-        let mut visited: HashSet<usize> = HashSet::new();
-        for &start in blocked {
-            if visited.contains(&start) {
-                continue;
-            }
-            let mut path = vec![start];
-            let mut on_path: HashMap<usize, usize> = HashMap::new();
-            on_path.insert(start, 0);
-            let mut cur = start;
-            while let Some(next) = self.successor(cur) {
-                if self.finished.get(next).copied().unwrap_or(true) {
-                    break;
-                }
-                if let Some(&pos) = on_path.get(&next) {
-                    let mut cyc = path[pos..].to_vec();
-                    cyc.push(next);
-                    return Some(cyc);
-                }
-                if visited.contains(&next) {
-                    break;
-                }
-                on_path.insert(next, path.len());
-                path.push(next);
-                cur = next;
-            }
-            visited.extend(path);
-        }
-        None
-    }
-
-    fn describe_deadlock(&self, blocked: &[usize]) -> String {
-        let mut s = format!(
-            "deadlock: {} blocked rank(s), no progress possible",
-            blocked.len()
-        );
-        for &r in blocked {
-            match &self.waits[r] {
-                Wait::Recv { src, comm, tag } => {
-                    s.push_str(&format!(
-                        "\n  rank {r}: recv(src={src}, comm={comm}, tag={})",
-                        tagspace::describe_tag(*tag)
-                    ));
-                }
-                Wait::Coll { comm, seq, members } => {
-                    let missing: Vec<usize> = members
-                        .iter()
-                        .copied()
-                        .filter(|&m| m != r && !self.in_same_coll(m, *comm, *seq))
-                        .collect();
-                    s.push_str(&format!(
-                        "\n  rank {r}: collective(comm={comm}, seq={seq}) waiting for ranks {missing:?}"
-                    ));
-                }
-                Wait::Running => {}
-            }
-        }
-        if let Some(cycle) = self.find_cycle(blocked) {
-            let chain: Vec<String> = cycle.iter().map(|r| r.to_string()).collect();
-            s.push_str(&format!("\n  cycle: {}", chain.join(" -> ")));
-        } else if let Some((w, fin)) = blocked.iter().find_map(|&r| {
-            self.successor(r)
-                .filter(|&n| self.finished.get(n).copied().unwrap_or(false))
-                .map(|n| (r, n))
-        }) {
-            s.push_str(&format!(
-                "\n  rank {w} waits on rank {fin}, which has already finished"
-            ));
-        }
-        s
-    }
-}
-
-struct Shared {
-    state: Mutex<State>,
-}
-
-impl Shared {
-    /// The deadlock probe, run on the engine's quiescence signal. The
-    /// scheduler has already proved every task is blocked and no wake is
-    /// in flight, so there is no timer and no message to wait out:
-    /// declare immediately if every unfinished rank holds a wait record.
-    /// Latches: DL001 is recorded exactly once, and a later probe repeats
-    /// that report.
-    fn probe_quiescent(&self) -> Option<String> {
-        let mut st = self.state.lock();
-        if st.deadlock_msg.is_some() {
-            return st.deadlock_msg.clone();
-        }
-        if st.waits.is_empty() {
-            return None;
-        }
-        let mut blocked = Vec::new();
-        for r in 0..st.waits.len() {
-            if st.finished[r] {
-                continue;
-            }
-            if matches!(st.waits[r], Wait::Running) {
-                return None;
-            }
-            blocked.push(r);
-        }
-        if blocked.is_empty() {
-            return None;
-        }
-        let msg = st.describe_deadlock(&blocked);
-        let t = blocked
-            .iter()
-            .map(|&r| st.last_clock[r])
-            .fold(0.0f64, f64::max);
-        st.violations
-            .push(Violation::new(Rule::Deadlock, blocked, t, msg.clone()));
-        st.deadlock_msg = Some(msg.clone());
-        Some(msg)
-    }
 }
 
 /// Machine-wide checking handle, mirroring `greenla_trace::TraceSink`:
@@ -300,7 +141,7 @@ impl Shared {
 /// ([`CheckSink::begin_run`] resets all state).
 #[derive(Clone, Default)]
 pub struct CheckSink {
-    shared: Option<Arc<Shared>>,
+    shared: Option<Arc<Mutex<State>>>,
 }
 
 impl CheckSink {
@@ -312,9 +153,7 @@ impl CheckSink {
     /// A sink that enforces the full rule set.
     pub fn enabled() -> Self {
         Self {
-            shared: Some(Arc::new(Shared {
-                state: Mutex::new(State::new(Vec::new())),
-            })),
+            shared: Some(Arc::new(Mutex::new(State::new(Vec::new())))),
         }
     }
 
@@ -328,7 +167,7 @@ impl CheckSink {
     /// rank `r` placed on node `node_of[r]`.
     pub fn begin_run(&self, node_of: Vec<usize>) {
         if let Some(sh) = &self.shared {
-            *sh.state.lock() = State::new(node_of);
+            *sh.lock() = State::new(node_of);
         }
     }
 
@@ -341,12 +180,19 @@ impl CheckSink {
         }
     }
 
-    /// Run the deadlock probe: `Some(diagnostic)` once a deadlock is
-    /// declared. The rank engine calls it at the moment it observes
-    /// quiescence (every task blocked, no wake in flight) — never on a
-    /// timer, so there is no grace period to tune.
-    pub fn probe_deadlock_quiescent(&self) -> Option<String> {
-        self.shared.as_ref().and_then(|sh| sh.probe_quiescent())
+    /// Record the runtime's deadlock report as DL001: the run stopped with
+    /// the ranks `blocked` parked for good, and `report` says what each
+    /// waits on. The runtime calls it once, at the moment it observes
+    /// quiescence (every task blocked, no wake in flight).
+    pub fn report_deadlock(&self, blocked: Vec<usize>, report: &str) {
+        if let Some(sh) = &self.shared {
+            let mut st = sh.lock();
+            let t = blocked
+                .iter()
+                .fold(0.0, |t: f64, &r| t.max(st.last_clock[r]));
+            let v = Violation::new(Rule::Deadlock, blocked, t, report.to_string());
+            st.violations.push(v);
+        }
     }
 
     /// Report mailbox residue found after rank `rank` returned: each
@@ -356,7 +202,7 @@ impl CheckSink {
         let Some(sh) = &self.shared else {
             return;
         };
-        let mut st = sh.state.lock();
+        let mut st = sh.lock();
         for &(src, comm, tag, arrival) in leftovers {
             let msg = format!(
                 "finalize: rank {rank}'s mailbox still holds a message from rank {src} \
@@ -376,7 +222,7 @@ impl CheckSink {
     pub fn violations(&self) -> Vec<Violation> {
         self.shared
             .as_ref()
-            .map(|sh| sh.state.lock().violations.clone())
+            .map(|sh| sh.lock().violations.clone())
             .unwrap_or_default()
     }
 }
@@ -385,7 +231,7 @@ impl CheckSink {
 /// parent sink is disabled, and none of them ever touches a virtual
 /// clock — checking a run cannot change its timings.
 pub struct RankChecker {
-    shared: Option<Arc<Shared>>,
+    shared: Option<Arc<Mutex<State>>>,
     rank: usize,
     node: usize,
 }
@@ -400,8 +246,8 @@ impl RankChecker {
 
     fn with_state(&self, f: impl FnOnce(&mut State, usize, usize)) {
         if let Some(sh) = &self.shared {
-            let mut st = sh.state.lock();
-            if self.rank < st.waits.len() {
+            let mut st = sh.lock();
+            if self.rank < st.node_of.len() {
                 f(&mut st, self.rank, self.node);
             }
         }
@@ -430,22 +276,15 @@ impl RankChecker {
         });
     }
 
-    /// A message left this rank at virtual time `t`.
-    pub fn sent(&mut self, t: f64) {
+    /// The rank's virtual clock reads `t` (a send, the start of a
+    /// receive, a collective's release, the rank's return): CLK001.
+    pub fn clock(&mut self, t: f64) {
         self.with_state(|st, rank, _| st.note_clock(rank, t));
-    }
-
-    /// The rank is about to block in a receive.
-    pub fn block_recv(&mut self, src: usize, comm: u64, tag: u64, t: f64) {
-        self.with_state(|st, rank, _| {
-            st.note_clock(rank, t);
-            st.waits[rank] = Wait::Recv { src, comm, tag };
-        });
     }
 
     /// The receive completed at `t` for a message that arrived at
     /// `arrival` (CLK002 checks causality).
-    pub fn unblock_recv(&mut self, arrival: f64, t: f64) {
+    pub fn recv_done(&mut self, arrival: f64, t: f64) {
         self.with_state(|st, rank, _| {
             st.note_clock(rank, t);
             if t + 1e-12 < arrival {
@@ -459,13 +298,11 @@ impl RankChecker {
                     ),
                 ));
             }
-            st.waits[rank] = Wait::Running;
         });
     }
 
-    /// The rank entered a collective. The [`CollEvent`] carries the
-    /// lockstep signature (COLL001); barrier/split also become wait-for
-    /// graph nodes until [`RankChecker::coll_done`].
+    /// The rank entered a collective over `members` (global ranks). The
+    /// [`CollEvent`] carries the lockstep signature (COLL001).
     pub fn enter_coll(&mut self, ev: CollEvent, members: &[usize], t: f64) {
         let CollEvent {
             comm,
@@ -519,21 +356,6 @@ impl RankChecker {
                     }
                 }
             }
-            if matches!(kind, CollKind::Barrier | CollKind::Split) {
-                st.waits[rank] = Wait::Coll {
-                    comm,
-                    seq,
-                    members: Arc::new(members.to_vec()),
-                };
-            }
-        });
-    }
-
-    /// A blocking collective (barrier/split) released this rank at `t`.
-    pub fn coll_done(&mut self, t: f64) {
-        self.with_state(|st, rank, _| {
-            st.note_clock(rank, t);
-            st.waits[rank] = Wait::Running;
         });
     }
 
@@ -675,16 +497,6 @@ impl RankChecker {
             }
         });
     }
-
-    /// The rank's closure returned at virtual time `t`; it no longer
-    /// participates in the wait-for graph.
-    pub fn rank_finished(&mut self, t: f64) {
-        self.with_state(|st, rank, _| {
-            st.note_clock(rank, t);
-            st.finished[rank] = true;
-            st.waits[rank] = Wait::Running;
-        });
-    }
 }
 
 #[cfg(test)]
@@ -714,8 +526,8 @@ mod tests {
         let mut c = s.checker(0, 0);
         assert!(!c.enabled());
         c.compute(1.0, 0.5); // would be CLK001 if enabled
-        c.block_recv(1, 0, 7, 0.0);
-        assert!(s.probe_deadlock_quiescent().is_none());
+        c.clock(0.0);
+        s.report_deadlock(vec![0], "deadlock");
         assert!(s.violations().is_empty());
     }
 
@@ -725,15 +537,13 @@ mod tests {
         let mut c0 = s.checker(0, 0);
         let mut c1 = s.checker(1, 0);
         c0.compute(0.0, 1.0);
-        c0.sent(1.0);
-        c1.block_recv(0, 0, 7, 0.0);
-        c1.unblock_recv(1.5, 1.5);
+        c0.clock(1.0);
+        c1.clock(0.0);
+        c1.recv_done(1.5, 1.5);
         c0.enter_coll(ev(0, 0, CollKind::Barrier, None, 0), &[0, 1], 1.0);
         c1.enter_coll(ev(0, 0, CollKind::Barrier, None, 0), &[0, 1], 1.5);
-        c0.coll_done(2.0);
-        c1.coll_done(2.0);
-        c0.rank_finished(2.0);
-        c1.rank_finished(2.0);
+        c0.clock(2.0);
+        c1.clock(2.0);
         assert!(s.violations().is_empty(), "{:?}", s.violations());
     }
 
@@ -754,8 +564,8 @@ mod tests {
     fn recv_before_arrival_flagged() {
         let s = sink(2);
         let mut c = s.checker(1, 0);
-        c.block_recv(0, 0, 3, 0.0);
-        c.unblock_recv(5.0, 1.0); // completes 4 s before the arrival
+        c.clock(0.0);
+        c.recv_done(5.0, 1.0); // completes 4 s before the arrival
         let v = s.violations();
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, Rule::RecvBeforeArrival);
@@ -787,7 +597,7 @@ mod tests {
         assert!(s.violations().is_empty());
         let sh = s.shared.as_ref().unwrap();
         assert!(
-            sh.state.lock().colls.is_empty(),
+            sh.lock().colls.is_empty(),
             "completed sites must be garbage-collected"
         );
     }
@@ -837,7 +647,7 @@ mod tests {
         mon.monitor_start(0.0);
         worker.compute(0.1, 9.0);
         mon.enter_coll(ev(5, 0, CollKind::Barrier, None, 0), &[0, 1], 0.2);
-        mon.coll_done(0.3);
+        mon.clock(0.3);
         mon.monitor_end(0.3);
         let rules: Vec<Rule> = s.violations().iter().map(|v| v.rule).collect();
         assert_eq!(rules, vec![Rule::MonitorWindowStraddle], "{rules:?}");
@@ -850,7 +660,7 @@ mod tests {
         mon2.monitor_node_comm(5, 0.0);
         mon2.monitor_start(0.0);
         mon2.enter_coll(ev(5, 0, CollKind::Barrier, None, 0), &[0, 1], 0.2);
-        mon2.coll_done(0.3);
+        mon2.clock(0.3);
         mon2.monitor_end(0.3);
         worker2.compute(0.1, 9.0);
         let rules2: Vec<Rule> = s2.violations().iter().map(|v| v.rule).collect();
@@ -866,49 +676,5 @@ mod tests {
         assert_eq!(v[0].rule, Rule::MessageLeak);
         assert_eq!(v[0].ranks, vec![0, 1]);
         assert!(v[0].message.contains("tag 7"), "{}", v[0].message);
-    }
-
-    #[test]
-    fn quiescent_probe_declares_without_grace() {
-        let s = sink(3);
-        let mut c0 = s.checker(0, 0);
-        let mut c1 = s.checker(1, 0);
-        let mut c2 = s.checker(2, 0);
-        c0.block_recv(1, 0, 7, 0.0);
-        c2.block_recv(0, 0, 3, 0.0);
-        // Rank 1 is Running: never a deadlock, however blocked the rest.
-        assert!(s.probe_deadlock_quiescent().is_none());
-        assert!(s.violations().is_empty());
-        // A finished rank is skipped, not counted as runnable.
-        c2.unblock_recv(0.0, 0.1);
-        c2.rank_finished(0.1);
-        assert!(s.probe_deadlock_quiescent().is_none(), "rank 1 still runs");
-        c1.block_recv(0, 0, 9, 0.0);
-        let msg = s
-            .probe_deadlock_quiescent()
-            .expect("quiescence needs no grace period");
-        assert!(msg.contains("cycle: 0 -> 1 -> 0"), "{msg}");
-        assert!(msg.contains("tag=7"), "{msg}");
-        let v = s.violations();
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::Deadlock);
-        assert_eq!(v[0].ranks, vec![0, 1], "finished rank 2 is not blocked");
-        // Declared once; later probes repeat the report.
-        assert_eq!(s.probe_deadlock_quiescent(), Some(msg));
-        assert_eq!(s.violations().len(), 1);
-    }
-
-    #[test]
-    fn wait_on_finished_rank_is_named() {
-        let s = sink(2);
-        let mut c0 = s.checker(0, 0);
-        let mut c1 = s.checker(1, 0);
-        c1.rank_finished(1.0);
-        c0.block_recv(1, 0, 4, 0.5);
-        let msg = s
-            .probe_deadlock_quiescent()
-            .expect("all live ranks are blocked");
-        assert!(msg.contains("rank 0 waits on rank 1"), "{msg}");
-        assert!(msg.contains("already finished"), "{msg}");
     }
 }

@@ -605,7 +605,7 @@ mod cross_engine {
 
     #[test]
     fn engines_agree_under_checking_with_zero_violations() {
-        // One protocol, one probe: the checker sees the same hooks in the
+        // One protocol: the checker sees the same hooks in the
         // same virtual order whatever carries the ranks, so it must agree
         // on the timeline and on the (empty) findings.
         let threads = run_once(&cfg(SolverChoice::ime_optimized(), true));

@@ -35,13 +35,6 @@ impl Matrix {
         m
     }
 
-    /// Build from a column-major buffer. Panics if the length is not
-    /// `rows * cols`.
-    pub fn from_col_major(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "buffer length mismatch");
-        Self { rows, cols, data }
-    }
-
     /// Build from row-major nested slices (convenient in tests).
     pub fn from_rows(rows: &[&[f64]]) -> Self {
         let r = rows.len();
@@ -205,15 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn col_major_layout() {
-        let m = Matrix::from_col_major(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(m[(0, 0)], 1.0);
-        assert_eq!(m[(1, 0)], 2.0);
-        assert_eq!(m[(0, 1)], 3.0);
-        assert_eq!(m[(1, 1)], 4.0);
-    }
-
-    #[test]
     fn from_rows_matches_indexing() {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(m[(0, 1)], 2.0);
@@ -232,11 +216,5 @@ mod tests {
         let m = Matrix::identity(3);
         let x = vec![1.0, -2.0, 3.0];
         assert_eq!(m.matvec(&x), x);
-    }
-
-    #[test]
-    #[should_panic(expected = "buffer length mismatch")]
-    fn from_col_major_length_checked() {
-        let _ = Matrix::from_col_major(2, 2, vec![0.0; 3]);
     }
 }

@@ -49,6 +49,11 @@ impl Comm {
         &self.members
     }
 
+    /// The shared member list itself, for state that outlives this handle.
+    pub(crate) fn shared_members(&self) -> &Arc<Vec<usize>> {
+        &self.members
+    }
+
     /// Does this rank hold the highest index in the communicator? (The
     /// paper designates the highest rank of each node communicator as the
     /// monitoring rank.)

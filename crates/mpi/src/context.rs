@@ -4,7 +4,7 @@ use crate::comm::{Comm, WORLD_ID};
 use crate::envelope::{Envelope, Payload};
 use crate::error::AbortKind;
 use crate::event::{Observers, RankEvent};
-use crate::mailbox::Mailboxes;
+use crate::mailbox::{Mailboxes, RecvWait};
 use crate::registry::{Registry, SplitEntry};
 use crate::traffic::TrafficSnapshot;
 use greenla_check::{CollEvent, CollKind};
@@ -319,14 +319,19 @@ impl<'m> RankCtx<'m> {
     }
 
     /// Take the first envelope of this rank's inbox that `wanted`
-    /// accepts, in arrival order, parking until one arrives. Injected
-    /// duplicates the search passes are discarded on sight, so matching
-    /// and the checker never see them. Blocking is the engine's business:
-    /// a post or a poisoned run's wake-all resumes the rank — no polling,
-    /// checked or not, and the virtual clocks never see the wait.
-    fn take_envelope(&mut self, wanted: impl Fn(&Envelope) -> bool) -> Envelope {
+    /// accepts, in arrival order, parking until one arrives — on record
+    /// as waiting for `waits_on()` while parked. Injected duplicates the
+    /// search passes are discarded on sight, so matching and the checker
+    /// never see them. Blocking is the engine's business: a post or a
+    /// poisoned run's wake-all resumes the rank — no polling, checked or
+    /// not, and the virtual clocks never see the wait.
+    fn take_envelope(
+        &mut self,
+        wanted: impl Fn(&Envelope) -> bool,
+        mut waits_on: impl FnMut() -> RecvWait,
+    ) -> Envelope {
         loop {
-            let (env, dups) = self.mail.take(self.rank, &wanted);
+            let (env, dups) = self.mail.take(self.rank, &wanted, &mut waits_on);
             for _ in 0..dups {
                 self.emit(RankEvent::Fault(FaultNote::DupDiscarded));
             }
@@ -353,12 +358,16 @@ impl<'m> RankCtx<'m> {
         let span = if idle { "recv_idle" } else { "recv" };
         self.emit(RankEvent::RecvBegin {
             span,
-            src,
-            comm: cid,
-            tag,
             arg: ("src", src as f64),
         });
-        let env = self.take_envelope(|e| e.src == src && e.comm_id == cid && e.tag == tag);
+        let env = self.take_envelope(
+            |e| e.src == src && e.comm_id == cid && e.tag == tag,
+            || RecvWait {
+                src,
+                comm: cid,
+                tag,
+            },
+        );
         if env.delayed {
             self.emit(RankEvent::Fault(FaultNote::DelayObserved));
         }
@@ -406,21 +415,29 @@ impl<'m> RankCtx<'m> {
         if srcs_g.is_empty() {
             return Vec::new();
         }
-        // One wait-for edge toward a representative source keeps the
-        // deadlock probe sound: if this rank can never be satisfied, the
-        // whole system is still blocked and the probe fires.
         self.emit(RankEvent::RecvBegin {
             span: "recv_set",
-            src: srcs_g[0],
-            comm: cid,
-            tag,
             arg: ("count", srcs_g.len() as f64),
         });
-        let mut got: Vec<Envelope> = (0..srcs_g.len())
-            .map(|_| {
-                self.take_envelope(|e| e.comm_id == cid && e.tag == tag && srcs_g.contains(&e.src))
-            })
-            .collect();
+        let mut got: Vec<Envelope> = Vec::with_capacity(srcs_g.len());
+        // Parked, the set waits on its first source not heard from yet.
+        let mut unheard = 0;
+        while got.len() < srcs_g.len() {
+            let env = self.take_envelope(
+                |e| e.comm_id == cid && e.tag == tag && srcs_g.contains(&e.src),
+                || {
+                    while got.iter().any(|e| e.src == srcs_g[unheard]) {
+                        unheard += 1;
+                    }
+                    RecvWait {
+                        src: srcs_g[unheard],
+                        comm: cid,
+                        tag,
+                    }
+                },
+            );
+            got.push(env);
+        }
         // Charge deterministically: earliest virtual arrival first, ties
         // broken by source rank.
         got.sort_by(|a, b| {
@@ -562,11 +579,10 @@ impl<'m> RankCtx<'m> {
                 // Open from the arrival on, the wait counts in a read at the
                 // release whether or not this rank has been resumed yet.
                 let wait = ctx.ledger.open_wait(ctx.core, ctx.clock);
-                let release = ctx.registry.barrier(comm.id(), seq, p, ctx.clock, cost);
+                let release = ctx.registry.barrier(comm, seq, ctx.clock, cost);
                 wait.close(release);
                 ctx.clock = release;
             }
-            ctx.emit(RankEvent::CollDone);
         });
     }
 
@@ -579,19 +595,19 @@ impl<'m> RankCtx<'m> {
                 + ctx.spec.net.per_message_overhead_s;
             let seq = ctx.coll_site(comm, CollKind::Split, None, 0);
             let wait = ctx.ledger.open_wait(ctx.core, ctx.clock);
-            let out = ctx.registry.split(SplitEntry {
-                parent_id: comm.id(),
-                seq,
-                expected: p,
-                grank: ctx.rank,
-                color,
-                key,
-                t: ctx.clock,
-                cost,
-            });
+            let out = ctx.registry.split(
+                comm,
+                SplitEntry {
+                    seq,
+                    grank: ctx.rank,
+                    color,
+                    key,
+                    t: ctx.clock,
+                    cost,
+                },
+            );
             wait.close(out.release_t);
             ctx.clock = out.release_t;
-            ctx.emit(RankEvent::CollDone);
             Comm::new(out.comm_id, out.members, out.my_index)
         })
     }

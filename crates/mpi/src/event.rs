@@ -69,14 +69,10 @@ pub enum RankEvent<'a> {
     },
     /// The send's envelope is posted.
     SendEnd,
-    /// The rank is about to block in the receive flavour `span` (`recv`,
-    /// `recv_idle`, `recv_set`) on a message from global rank `src`; `arg`
-    /// is what that flavour's trace span carries.
+    /// The rank starts a receive of flavour `span` (`recv`, `recv_idle`,
+    /// `recv_set`); `arg` is what that flavour's trace span carries.
     RecvBegin {
         span: &'static str,
-        src: usize,
-        comm: u64,
-        tag: u64,
         arg: (&'static str, f64),
     },
     /// That receive completed, for a message that arrived at `arrival`.
@@ -95,8 +91,6 @@ pub enum RankEvent<'a> {
         seq: u64,
         chunks: u64,
     },
-    /// A registry collective (barrier, split) released the rank.
-    CollDone,
     /// Something happened to a planned fault.
     Fault(FaultNote),
     Monitor(MonitorStep),
@@ -160,7 +154,6 @@ impl Observers {
             RankEvent::Monitor(MonitorStep::Start) => tracer.instant("start_monitoring", t),
             RankEvent::CollEnter { .. }
             | RankEvent::CollTagChunks { .. }
-            | RankEvent::CollDone
             | RankEvent::Monitor(MonitorStep::NodeComm(_) | MonitorStep::End)
             | RankEvent::Finished => {}
         }
@@ -170,19 +163,20 @@ impl Observers {
         let checker = &mut self.checker;
         match ev {
             RankEvent::Computed { t0, .. } => checker.compute(t0, t),
-            RankEvent::SendEnd => checker.sent(t),
-            RankEvent::RecvBegin { src, comm, tag, .. } => checker.block_recv(src, comm, tag, t),
-            RankEvent::RecvEnd { arrival, .. } => checker.unblock_recv(arrival, t),
+            // A collective's span closes at its release.
+            RankEvent::SendEnd
+            | RankEvent::RecvBegin { .. }
+            | RankEvent::SpanEnd { cat: "coll", .. }
+            | RankEvent::Finished => checker.clock(t),
+            RankEvent::RecvEnd { arrival, .. } => checker.recv_done(arrival, t),
             RankEvent::CollEnter { sig, members } => {
                 checker.coll_tag_space(sig.seq, 0, t);
                 checker.enter_coll(sig, members, t);
             }
             RankEvent::CollTagChunks { seq, chunks } => checker.coll_tag_space(seq, chunks, t),
-            RankEvent::CollDone => checker.coll_done(t),
             RankEvent::Monitor(MonitorStep::NodeComm(id)) => checker.monitor_node_comm(id, t),
             RankEvent::Monitor(MonitorStep::Start) => checker.monitor_start(t),
             RankEvent::Monitor(MonitorStep::End) => checker.monitor_end(t),
-            RankEvent::Finished => checker.rank_finished(t),
             RankEvent::SpanBegin { .. }
             | RankEvent::SpanEnd { .. }
             | RankEvent::Mark(_)

@@ -38,17 +38,20 @@
 //! (compute, point-to-point, every collective, the monitoring
 //! choreography). Attach a [`CheckSink`] with [`Machine::with_check`] and
 //! the same events feed [`greenla_check`], a MUST-style dynamic
-//! correctness checker that reports deadlocks (with the wait-for cycle,
-//! instead of hanging), collective lockstep mismatches, leaked messages at
-//! finalize, monitor protocol breaches, and clock-causality bugs as
-//! structured [`Violation`]s. Attach a [`FaultSink`] with
-//! [`Machine::with_faults`] and [`RankEvent::Fault`] notes become the
-//! [`FaultReport`]'s tallies. Listeners are handed the clock by value, so
-//! an observed run is bit-identical in timing to an unobserved one; only a
-//! fault plan's *injections* — direct calls on [`RankFaults`], not events —
-//! may move a clock. The always-on [`Traffic`] and ledger tallies are
-//! direct calls too: RAPL reads the ledger mid-run, so they are part of
-//! the simulation, not observers of it.
+//! correctness checker that reports collective lockstep mismatches, leaked
+//! messages at finalize, monitor protocol breaches, and clock-causality
+//! bugs as structured [`Violation`]s, plus the runtime's deadlock report as
+//! DL001. That report needs no listener: a stuck run, checked or not,
+//! aborts as [`AbortKind::Deadlock`] naming what every parked rank waits on
+//! and the cycle among them (see [`Machine::try_run`]). Attach a
+//! [`FaultSink`] with [`Machine::with_faults`] and [`RankEvent::Fault`]
+//! notes become the [`FaultReport`]'s tallies. Listeners are handed the
+//! clock by value, so an observed run is bit-identical in timing to an
+//! unobserved one; only a fault plan's *injections* — direct calls on
+//! [`RankFaults`], not events — may move a clock. The always-on
+//! [`Traffic`] and ledger tallies are direct calls too: RAPL reads the
+//! ledger mid-run, so they are part of the simulation, not observers of
+//! it.
 
 pub mod coll;
 pub mod comm;
@@ -58,7 +61,7 @@ pub mod error;
 pub mod event;
 pub mod machine;
 pub(crate) mod mailbox;
-pub mod registry;
+mod registry;
 pub mod sched;
 pub mod traffic;
 

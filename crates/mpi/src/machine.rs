@@ -211,8 +211,9 @@ impl Machine {
     ///
     /// A run dies when a rank calls [`RankCtx::abort`] — the runtime does
     /// for planned faults, deadlocks (every unfinished rank waits and none
-    /// can be woken, whether its peers are blocked or already finished)
-    /// and broken collective contracts; solvers and the monitor do for
+    /// can be woken, whether its peers are blocked or already finished;
+    /// the detail says what each parked rank waits on and names the cycle
+    /// or the finished rank it waits for) and broken collective contracts; solvers and the monitor do for
     /// their own errors — or when a rank body panics ([`AbortKind::Panic`],
     /// with the panic's message as the detail). The first cause recorded is
     /// the one returned: it is on record before the run is poisoned, and

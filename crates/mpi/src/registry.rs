@@ -1,4 +1,5 @@
-//! Rendezvous machinery for synchronising collectives.
+//! Rendezvous machinery for synchronising collectives, the abort channel,
+//! and the deadlock report.
 //!
 //! Barriers and communicator splits need *exact* max-of-clocks semantics
 //! (every participant leaves at the same virtual instant), which a
@@ -20,10 +21,22 @@
 //! wins — and only then poisons the run; every other rank notices the
 //! poison at its next wait and unwinds without a word, so a casualty can
 //! neither overwrite the cause nor be mistaken for it.
+//!
+//! A deadlock is named from the runtime's own wait state. When the engine
+//! reports quiescence, every unfinished rank is parked in a receive —
+//! its inbox notes the message it still needs — or on a rendezvous cell,
+//! which keeps its communicator's members next to the ranks parked on it.
+//! Those records and the engine's finished tasks are the whole wait-for
+//! graph: the report says what each parked rank waits on, then names a
+//! cycle or the finished rank a wait can never hear from. Every
+//! deadlocked run dies with that report, checked or not, and a checker
+//! records the same text as its one DL001.
 
+use crate::comm::Comm;
 use crate::error::{Abort, AbortKind};
-use crate::mailbox::Mailboxes;
+use crate::mailbox::{Mailboxes, RecvWait};
 use crate::sched::{self, WakeReason};
+use greenla_check::tagspace::describe_tag;
 use greenla_check::CheckSink;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -45,43 +58,40 @@ fn leave_run() -> ! {
 
 /// Outcome of a communicator split for one rank.
 #[derive(Clone, Debug)]
-pub struct SplitOutcome {
-    pub comm_id: u64,
-    pub members: Arc<Vec<usize>>,
-    pub my_index: usize,
+pub(crate) struct SplitOutcome {
+    pub(crate) comm_id: u64,
+    pub(crate) members: Arc<Vec<usize>>,
+    pub(crate) my_index: usize,
     /// Virtual time at which the collective completes.
-    pub release_t: f64,
+    pub(crate) release_t: f64,
 }
 
-/// One rank's entry into a communicator split: which call site it joins
-/// (`parent_id`, `seq`), its identity and ordering inputs, and its timing
+/// One rank's entry into a split of some communicator: which call site it
+/// joins (`seq`), its identity and ordering inputs, and its timing
 /// contribution.
 #[derive(Clone, Copy, Debug)]
-pub struct SplitEntry {
-    /// Communicator being split.
-    pub parent_id: u64,
+pub(crate) struct SplitEntry {
     /// Per-communicator sequence number of the call site.
-    pub seq: u64,
-    /// Number of members expected at this call site.
-    pub expected: usize,
+    pub(crate) seq: u64,
     /// This rank's global rank.
-    pub grank: usize,
+    pub(crate) grank: usize,
     /// Partition this rank chose.
-    pub color: u64,
+    pub(crate) color: u64,
     /// Ordering key within the partition (ties broken by global rank).
-    pub key: u64,
+    pub(crate) key: u64,
     /// This rank's arrival time (virtual seconds).
-    pub t: f64,
+    pub(crate) t: f64,
     /// This rank's estimate of the collective's cost; the largest entry
     /// wins.
-    pub cost: f64,
+    pub(crate) cost: f64,
 }
 
-/// One rendezvous call site: how many members it waits for, what the
-/// arrivals so far contribute (`S`, the completion rule's state), and
-/// who is parked on it.
+/// One rendezvous call site: the communicator's members it waits for,
+/// what the arrivals so far contribute (`S`, the completion rule's
+/// state), and who is parked on it.
 struct Cell<S> {
-    expected: usize,
+    /// Global ranks of the communicator, shared with its handles.
+    members: Arc<Vec<usize>>,
     arrived: usize,
     left: usize,
     state: S,
@@ -100,7 +110,7 @@ struct SplitState {
 type Cells<S> = Mutex<HashMap<(u64, u64), Cell<S>>>;
 
 /// Shared rendezvous state for one machine run.
-pub struct Registry {
+pub(crate) struct Registry {
     next_comm_id: AtomicU64,
     /// Why the run died. Set once, and set *is* poisoned: there is no
     /// separate flag a rank could see raised before the cause is on record.
@@ -108,8 +118,8 @@ pub struct Registry {
     /// Barrier cells: the release rule's `(max arrival, max cost)`.
     barriers: Cells<(f64, f64)>,
     splits: Cells<SplitState>,
-    /// Checking sink of the owning machine (disabled by default): names
-    /// the wait-for cycle when the engine reports quiescence.
+    /// Checking sink of the owning machine (disabled by default): records
+    /// the deadlock report as DL001.
     check: CheckSink,
     /// The run's mailboxes, and through them the engine that parks and
     /// wakes waiters.
@@ -159,12 +169,16 @@ impl Registry {
     /// wake says only that something changed — the caller re-checks its
     /// condition and parks again if it still does not hold. When nothing
     /// can ever wake the rank (exact quiescence, however the last
-    /// runnable task stopped) the run aborts here as a deadlock. Must not
+    /// runnable task stopped) the run aborts here as a deadlock, with
+    /// the wait-for report as the detail and a checker's DL001. Must not
     /// hold a lock guard.
     pub(crate) fn park(&self) {
         self.leave_if_poisoned();
         if self.mail.engine().block_current() == WakeReason::Quiescent {
-            self.report_quiescent_deadlock();
+            let (blocked, detail) = self.wait_graph().report();
+            self.check.report_deadlock(blocked, &detail);
+            let rank = sched::current_task().expect("rank outside an engine task");
+            self.abort(rank, AbortKind::Deadlock, detail)
         }
         self.leave_if_poisoned();
     }
@@ -177,47 +191,67 @@ impl Registry {
         }
     }
 
-    /// The engine detected machine-wide quiescence while the calling rank
-    /// waited on something that can never complete: abort the run as
-    /// deadlocked, with the probe's wait-for report when checking is on.
-    fn report_quiescent_deadlock(&self) -> ! {
-        let detail = self.check.probe_deadlock_quiescent().unwrap_or_else(|| {
-            "deadlock: every rank is blocked and none can be woken; run with \
-             greenla-check attached for the wait-for cycle"
-                .to_string()
-        });
-        let rank = sched::current_task().expect("rank outside an engine task");
-        self.abort(rank, AbortKind::Deadlock, detail)
+    /// The wait-for graph at quiescence, from the records the waits keep
+    /// anyway: each inbox's pending receive, the rendezvous cells' members
+    /// and parked ranks, and the engine's finished tasks.
+    fn wait_graph(&self) -> WaitGraph {
+        let engine = self.mail.engine();
+        let n = engine.ntasks();
+        let mut waits: Vec<Option<Wait>> = (0..n)
+            .map(|r| self.mail.waiting(r).map(Wait::Recv))
+            .collect();
+        let mut parked_on = |(comm, seq): (u64, u64), members: &[usize], waiters: &[usize]| {
+            let missing: Vec<usize> = members
+                .iter()
+                .copied()
+                .filter(|m| !waiters.contains(m))
+                .collect();
+            for &w in waiters {
+                let missing = missing.clone();
+                waits[w] = Some(Wait::Coll { comm, seq, missing });
+            }
+        };
+        for (&key, cell) in self.barriers.lock().iter() {
+            parked_on(key, &cell.members, &cell.waiters);
+        }
+        for (&key, cell) in self.splits.lock().iter() {
+            parked_on(key, &cell.members, &cell.waiters);
+        }
+        let finished = (0..n).map(|r| engine.finished(r)).collect();
+        WaitGraph { waits, finished }
     }
 
-    /// The one rendezvous. Join the cell `key` of `cells` (creating it
-    /// with `init` on first arrival) and fold this arrival in with
-    /// `arrive`, whose flag says it is the last; park until the cell is
-    /// complete, then leave with `leave` of its state. The last member to
-    /// leave removes the cell, so the key can be reused.
+    /// The one rendezvous. Join the cell `(comm, seq)` of `cells`
+    /// (creating it with `init` on first arrival) and fold this arrival in
+    /// with `arrive`, whose flag says it is the last; park until every
+    /// member of `comm` is in, then leave with `leave` of its state. The
+    /// last member to leave removes the cell, so the key can be reused.
     fn rendezvous<S, R>(
         &self,
         cells: &Cells<S>,
-        key: (u64, u64),
-        expected: usize,
+        comm: &Comm,
+        seq: u64,
         init: S,
         arrive: impl FnOnce(&mut S, bool),
         leave: impl FnOnce(&S) -> R,
     ) -> R {
+        let key = (comm.id(), seq);
         let mut map = cells.lock();
-        let cell = map.entry(key).or_insert(Cell {
-            expected,
+        let cell = map.entry(key).or_insert_with(|| Cell {
+            members: Arc::clone(comm.shared_members()),
             arrived: 0,
             left: 0,
             state: init,
             waiters: Vec::new(),
         });
+        let expected = cell.members.len();
         assert_eq!(
-            cell.expected, expected,
+            expected,
+            comm.size(),
             "rendezvous participant mismatch on {key:?}"
         );
         cell.arrived += 1;
-        let complete = cell.arrived == cell.expected;
+        let complete = cell.arrived == expected;
         arrive(&mut cell.state, complete);
         let released = if complete {
             std::mem::take(&mut cell.waiters)
@@ -226,10 +260,10 @@ impl Registry {
         };
         loop {
             let cell = map.get_mut(&key).expect("rendezvous cell vanished");
-            if cell.arrived == cell.expected {
+            if cell.arrived == expected {
                 let out = leave(&cell.state);
                 cell.left += 1;
-                if cell.left == cell.expected {
+                if cell.left == expected {
                     map.remove(&key);
                 }
                 // The completing arrival wakes the rest only after letting
@@ -251,13 +285,13 @@ impl Registry {
         }
     }
 
-    /// Enter a barrier on `(comm_id, seq)` with `expected` participants at
-    /// virtual time `t`; returns the common release time `max(t_i) + cost`.
-    pub fn barrier(&self, comm_id: u64, seq: u64, expected: usize, t: f64, cost: f64) -> f64 {
+    /// Enter the barrier at call site `seq` of `comm` at virtual time `t`;
+    /// returns the common release time `max(t_i) + cost`.
+    pub(crate) fn barrier(&self, comm: &Comm, seq: u64, t: f64, cost: f64) -> f64 {
         self.rendezvous(
             &self.barriers,
-            (comm_id, seq),
-            expected,
+            comm,
+            seq,
             (f64::NEG_INFINITY, f64::NEG_INFINITY),
             |(max_t, max_cost), _| {
                 *max_t = max_t.max(t);
@@ -267,14 +301,14 @@ impl Registry {
         )
     }
 
-    /// Enter a split call site with this rank's [`SplitEntry`]; blocks
-    /// until all expected members arrive and returns this rank's new
+    /// Enter a split of `comm` with this rank's [`SplitEntry`]; blocks
+    /// until every member arrives and returns this rank's new
     /// communicator.
-    pub fn split(&self, entry: SplitEntry) -> SplitOutcome {
+    pub(crate) fn split(&self, comm: &Comm, entry: SplitEntry) -> SplitOutcome {
         self.rendezvous(
             &self.splits,
-            (entry.parent_id, entry.seq),
-            entry.expected,
+            comm,
+            entry.seq,
             SplitState::default(),
             |st, last| {
                 st.entries.push(entry);
@@ -318,10 +352,112 @@ impl Registry {
     }
 }
 
+/// What a parked rank waits on: a node label of the wait-for graph.
+enum Wait {
+    Recv(RecvWait),
+    /// Parked on the rendezvous `(comm, seq)`, whose members `missing`
+    /// have not arrived.
+    Coll {
+        comm: u64,
+        seq: u64,
+        missing: Vec<usize>,
+    },
+}
+
+/// Every rank's wait at quiescence (`None` for a finished one).
+struct WaitGraph {
+    waits: Vec<Option<Wait>>,
+    finished: Vec<bool>,
+}
+
+impl WaitGraph {
+    /// The edge out of rank `r`: the rank it waits on (the first missing
+    /// member, for a collective).
+    fn successor(&self, r: usize) -> Option<usize> {
+        match self.waits[r].as_ref()? {
+            Wait::Recv(w) => Some(w.src),
+            Wait::Coll { missing, .. } => missing.first().copied(),
+        }
+    }
+
+    /// A cycle of waits among unfinished ranks, its first rank repeated
+    /// at the end. Each rank waits on at most one other, so a walk from
+    /// any rank ends at a finished rank, joins an earlier walk, or closes
+    /// a cycle.
+    fn find_cycle(&self) -> Option<Vec<usize>> {
+        let mut walked_from = vec![None; self.waits.len()];
+        for start in 0..self.waits.len() {
+            let mut path = Vec::new();
+            let mut cur = Some(start);
+            while let Some(r) = cur.filter(|&r| !self.finished[r]) {
+                if let Some(from) = walked_from[r] {
+                    if from != start {
+                        break;
+                    }
+                    let mut cycle = path.split_off(path.iter().position(|&p| p == r)?);
+                    cycle.push(r);
+                    return Some(cycle);
+                }
+                walked_from[r] = Some(start);
+                path.push(r);
+                cur = self.successor(r);
+            }
+        }
+        None
+    }
+
+    /// The blocked ranks and the report naming what each waits on, then
+    /// a cycle or a wait on a finished rank.
+    fn report(&self) -> (Vec<usize>, String) {
+        let blocked: Vec<usize> = (0..self.waits.len())
+            .filter(|&r| self.waits[r].is_some())
+            .collect();
+        let mut s = format!(
+            "deadlock: {} blocked rank(s), no progress possible",
+            blocked.len()
+        );
+        for (r, wait) in self.waits.iter().enumerate() {
+            s.push_str(&match wait {
+                Some(Wait::Recv(RecvWait { src, comm, tag })) => format!(
+                    "\n  rank {r}: recv(src={src}, comm={comm}, tag={})",
+                    describe_tag(*tag)
+                ),
+                Some(Wait::Coll { comm, seq, missing }) => format!(
+                    "\n  rank {r}: collective(comm={comm}, seq={seq}) waiting for ranks {missing:?}"
+                ),
+                None => continue,
+            });
+        }
+        if let Some(cycle) = self.find_cycle() {
+            let chain: Vec<String> = cycle.iter().map(|r| r.to_string()).collect();
+            s.push_str(&format!("\n  cycle: {}", chain.join(" -> ")));
+        } else if let Some((w, fin)) = blocked.iter().find_map(|&r| {
+            self.successor(r)
+                .filter(|&n| self.finished[n])
+                .map(|n| (r, n))
+        }) {
+            s.push_str(&format!(
+                "\n  rank {w} waits on rank {fin}, which has already finished"
+            ));
+        }
+        (blocked, s)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sched::{Engine, SchedulerKind};
+    use crate::{Machine, RankCtx};
+    use greenla_check::{Rule, Violation};
+    use greenla_cluster::placement::{LoadLayout, Placement};
+    use greenla_cluster::spec::ClusterSpec;
+    use greenla_cluster::PowerModel;
+
+    /// Rank `me`'s handle on a communicator `id` over global ranks `0..n`.
+    fn comm(id: u64, n: usize, me: usize) -> Comm {
+        Comm::new(id, Arc::new((0..n).collect()), me)
+    }
 
     /// Run `f(task, registry)` as the `n` tasks of an OS-thread engine —
     /// registry waits park in the engine, so they need one around them.
@@ -349,7 +485,7 @@ mod tests {
     #[test]
     fn barrier_releases_at_max_plus_cost() {
         let times = [1.0, 5.0, 3.0];
-        for release in run_tasks(3, |i, reg| reg.barrier(0, 0, 3, times[i], 0.5)).1 {
+        for release in run_tasks(3, |i, reg| reg.barrier(&comm(0, 3, i), 0, times[i], 0.5)).1 {
             assert_eq!(release, 5.5);
         }
     }
@@ -358,7 +494,7 @@ mod tests {
     fn barrier_state_cleaned_up_for_reuse() {
         let (reg, out) = run_tasks(2, |i, reg| {
             (0..3)
-                .map(|seq| reg.barrier(7, seq, 2, i as f64, 0.0))
+                .map(|seq| reg.barrier(&comm(7, 2, i), seq, i as f64, 0.0))
                 .collect::<Vec<_>>()
         });
         assert_eq!(out, vec![vec![1.0; 3]; 2]);
@@ -370,16 +506,17 @@ mod tests {
         // 4 ranks: colors 0,0,1,1; keys reversed within color 0.
         let plan = [(0u64, 9u64), (0, 1), (1, 0), (1, 5)];
         let (_, results) = run_tasks(4, |g, reg| {
-            reg.split(SplitEntry {
-                parent_id: 0,
-                seq: 0,
-                expected: 4,
-                grank: g,
-                color: plan[g].0,
-                key: plan[g].1,
-                t: 0.0,
-                cost: 0.1,
-            })
+            reg.split(
+                &comm(0, 4, g),
+                SplitEntry {
+                    seq: 0,
+                    grank: g,
+                    color: plan[g].0,
+                    key: plan[g].1,
+                    t: 0.0,
+                    cost: 0.1,
+                },
+            )
         });
         // color 0: keys 9 (rank0), 1 (rank1) → order [1, 0]
         assert_eq!(*results[0].members, vec![1, 0]);
@@ -406,7 +543,7 @@ mod tests {
         let (reg, left_as_casualty) = run_tasks(2, |i, reg| {
             if i == 0 {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    reg.barrier(0, 0, 2, 0.0, 0.0)
+                    reg.barrier(&comm(0, 2, 0), 0, 0.0, 0.0)
                 }))
                 .is_err_and(|payload| payload.is::<RankExit>())
             } else {
@@ -416,5 +553,78 @@ mod tests {
         });
         assert!(left_as_casualty[0], "waiter should have unwound out");
         assert_eq!(reg.cause(), Some(&cause));
+    }
+
+    /// Run `body` on four ranks of one node until it deadlocks, with a
+    /// checker attached when `checked`: the abort and the checker's
+    /// findings.
+    fn deadlock_of(checked: bool, body: impl Fn(&mut RankCtx) + Sync) -> (Abort, Vec<Violation>) {
+        let spec = ClusterSpec::test_cluster(1, 2);
+        let placement = Placement::layout(&spec.node, 4, LoadLayout::FullLoad).unwrap();
+        let sink = if checked {
+            CheckSink::enabled()
+        } else {
+            CheckSink::disabled()
+        };
+        let m = Machine::new(spec, placement, PowerModel::deterministic(), 1)
+            .unwrap()
+            .with_check(sink.clone());
+        let abort = m.try_run(body).err().expect("the run must deadlock");
+        assert_eq!(abort.kind, AbortKind::Deadlock, "{abort}");
+        (abort, sink.violations())
+    }
+
+    #[test]
+    fn quiescent_probe_declares_without_grace() {
+        // Rank 0 blocks while rank 1 still computes and rank 2 still
+        // waits for rank 1: no deadlock until rank 1 blocks too. Ranks 2
+        // and 3 finish first and are not counted as blocked.
+        let program = |ctx: &mut RankCtx| {
+            let world = ctx.world();
+            match ctx.rank() {
+                0 => {
+                    ctx.recv_f64(&world, 1, 7);
+                }
+                1 => {
+                    ctx.compute(50_000_000, 0);
+                    ctx.send_f64(&world, 2, 3, &[1.0]);
+                    ctx.recv_f64(&world, 0, 9);
+                }
+                2 => {
+                    ctx.recv_f64(&world, 1, 3);
+                }
+                _ => {}
+            }
+        };
+        let (unchecked, _) = deadlock_of(false, program);
+        let (abort, v) = deadlock_of(true, program);
+        assert_eq!(abort.detail, unchecked.detail, "checked or not, one report");
+        let msg = &abort.detail;
+        assert!(msg.starts_with("deadlock: 2 blocked rank(s)"), "{msg}");
+        assert!(msg.contains("rank 0: recv(src=1, comm=0, tag=7)"), "{msg}");
+        assert!(msg.contains("rank 1: recv(src=0, comm=0, tag=9)"), "{msg}");
+        assert!(msg.contains("cycle: 0 -> 1 -> 0"), "{msg}");
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, Rule::Deadlock);
+        assert_eq!(v[0].ranks, vec![0, 1], "finished ranks are not blocked");
+        assert_eq!(&v[0].message, msg);
+    }
+
+    #[test]
+    fn wait_on_finished_rank_is_named() {
+        for checked in [false, true] {
+            let (abort, _) = deadlock_of(checked, |ctx| {
+                let world = ctx.world();
+                if ctx.rank() == 0 {
+                    ctx.recv_f64(&world, 1, 4);
+                }
+            });
+            let msg = &abort.detail;
+            assert!(msg.starts_with("deadlock: 1 blocked rank(s)"), "{msg}");
+            assert!(
+                msg.contains("rank 0 waits on rank 1, which has already finished"),
+                "{msg}"
+            );
+        }
     }
 }

@@ -37,8 +37,8 @@
 //! zero there is provably no wake in flight: the whole machine is
 //! deadlocked *now*. [`Engine::block_current`] reports that as
 //! [`WakeReason::Quiescent`] instead of parking forever, which is what
-//! lets checked runs probe the wait-for graph with no grace timer and
-//! unchecked runs abort instead of hanging. When the last runnable task
+//! lets every run, checked or not, abort with its wait-for report at that
+//! instant — no grace timer, no hang. When the last runnable task
 //! *finishes* while blocked peers remain, `Engine::finish` wakes them
 //! all: each finds its condition still unmet and blocks again, and the
 //! last one to block sees the same exact quiescence — so a stuck run has
@@ -56,7 +56,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Why `Engine::block_current` (the crate-internal yield point every
 /// blocking wait funnels through) returned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WakeReason {
+pub(crate) enum WakeReason {
     /// A peer woke this task (message posted, collective completed,
     /// poison broadcast). Re-check the condition and block again if it
     /// still does not hold.
@@ -209,10 +209,9 @@ fn default_workers() -> usize {
         .clamp(2, 8)
 }
 
-/// The rank scheduler for one machine run. Public so runtime internals
-/// (mailboxes, the registry) can wake tasks; rank code never touches it
-/// directly.
-pub struct Engine {
+/// The rank scheduler for one machine run. Runtime internals (mailboxes,
+/// the registry) wake tasks through it; rank code never touches it.
+pub(crate) struct Engine {
     tasks: Vec<TaskSlot>,
     carrier: Carrier,
     /// Tasks in `Ready`/`Running`/`Notified` (see module docs).
@@ -289,6 +288,11 @@ impl Engine {
 
     pub(crate) fn ntasks(&self) -> usize {
         self.tasks.len()
+    }
+
+    /// Has task `tid` finished its body?
+    pub(crate) fn finished(&self, tid: usize) -> bool {
+        matches!(*self.tasks[tid].state.lock(), TaskState::Done)
     }
 
     /// Run every task to completion. Blocks the calling thread until all
@@ -453,7 +457,7 @@ impl Engine {
     /// Make task `tid` runnable if it is blocked. Running tasks are
     /// flagged `Notified` so the wake cannot be lost; `Ready`/`Done`
     /// tasks are left alone.
-    pub fn wake(&self, tid: usize) {
+    pub(crate) fn wake(&self, tid: usize) {
         let slot = &self.tasks[tid];
         let mut s = slot.state.lock();
         match *s {
@@ -490,7 +494,7 @@ impl Engine {
 
     /// Wake every blocked task (poison broadcast, last runnable task
     /// finished).
-    pub fn wake_all(&self) {
+    pub(crate) fn wake_all(&self) {
         for tid in 0..self.tasks.len() {
             self.wake(tid);
         }

@@ -1,16 +1,16 @@
 //! Rank scheduling: one engine, one wait/wake protocol, two carriers.
 //!
-//! Every simulated rank is a task of one [`Engine`]. A rank that cannot
+//! Every simulated rank is a task of one `Engine`. A rank that cannot
 //! make progress — no matching envelope in its inbox, an incomplete
 //! barrier or split — parks through `Registry::park`, the one caller of
 //! `Engine::block_current`; whoever completes the condition (a sender,
 //! the last arrival of a collective, a poisoned run's wake-all) calls
-//! [`Engine::wake`]. There is no other way to wait anywhere in this
+//! `Engine::wake`. There is no other way to wait anywhere in this
 //! crate, and no timer: the engine counts runnable tasks, so it knows the
 //! exact moment nothing can ever run again and reports it
-//! ([`WakeReason::Quiescent`]) — whether the last runnable task blocked or
-//! finished, the run then aborts as a deadlock (checked runs name the
-//! wait-for cycle), never hangs.
+//! (`WakeReason::Quiescent`) — whether the last runnable task blocked or
+//! finished, the run then aborts as a deadlock that names what every
+//! parked rank waits on and the cycle among them, never hangs.
 //!
 //! What a [`SchedulerKind`] selects is only what *carries* a task:
 //!
@@ -49,7 +49,7 @@ pub(crate) mod engine;
 pub(crate) mod fiber;
 
 pub(crate) use engine::current_task;
-pub use engine::{Engine, WakeReason};
+pub(crate) use engine::{Engine, WakeReason};
 
 /// Panic if the calling rank holds a `parking_lot` guard as it enters
 /// `point`: somewhere it may park, or that sweeps every inbox and task

@@ -35,8 +35,9 @@ fn a_skipped_barrier_is_always_reported_as_the_deadlock_it_is() {
                     (1..ranks).contains(&abort.rank),
                     "{leg}: rank 0 never blocked"
                 );
+                assert!(abort.detail.contains("waiting for ranks [0]"), "{leg}");
             }
-            // Checked, the cause is the probe's wait-for report, verbatim.
+            // Checked, the cause is the same wait-for report, verbatim.
             let (abort, violations) = abort_of(ranks, kind, true, None, rank_0_skips_the_barrier);
             let reports: Vec<_> = violations
                 .iter()

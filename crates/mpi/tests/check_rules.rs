@@ -42,8 +42,9 @@ fn send_recv_cycle_aborts_with_dl001_instead_of_hanging() {
     assert_eq!(dl.len(), 1, "exactly one DL001: {violations:#?}");
     assert_eq!(dl[0].ranks, vec![0, 1]);
     assert_eq!(dl[0].rule.id(), "DL001");
-    // The run dies with the checker's report, and the report spells out
-    // the cycle and the blocked receives.
+    // The run dies with the runtime's report, which the checker records
+    // as its DL001; the report spells out the cycle and the blocked
+    // receives.
     let report = &dl[0].message;
     assert_eq!(&abort.detail, report);
     assert!(

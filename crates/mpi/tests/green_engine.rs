@@ -109,7 +109,7 @@ fn recv_cycle(ctx: &mut RankCtx) {
 #[test]
 fn recv_deadlock_aborts_exactly_with_the_cycle_named() {
     // No poll, no grace timer, on either carrier: the engine's quiescence
-    // signal runs the probe the moment the last task blocks.
+    // signal triggers the report the moment the last task blocks.
     for kind in carriers() {
         let (abort, v) = abort_of(1000, kind, true, None, recv_cycle);
         assert_eq!(abort.kind, AbortKind::Deadlock, "{kind}: {abort}");
@@ -131,10 +131,49 @@ fn recv_deadlock_aborts_exactly_with_the_cycle_named() {
 #[test]
 fn unchecked_deadlock_aborts_instead_of_hanging() {
     // Same shape without the checker: quiescence is exact on both
-    // carriers, so the run aborts just the same, minus the cycle.
+    // carriers, so the run aborts just the same, and the runtime names
+    // the cycle from its own wait state.
     for kind in carriers() {
         let (abort, _) = abort_of(64, kind, false, None, recv_cycle);
         assert_eq!(abort.kind, AbortKind::Deadlock, "{kind}: {abort}");
+        assert!(
+            abort.detail.contains("cycle: 0 -> 1 -> 0")
+                || abort.detail.contains("cycle: 1 -> 0 -> 1"),
+            "{kind}: cycle must be named: {}",
+            abort.detail
+        );
+    }
+}
+
+#[test]
+fn gather_deadlock_names_the_rank_still_awaited() {
+    // Rank 2 waits on rank 0 before its share of a gather to root 0;
+    // every other rank gathers and returns. Root 0 has heard from every
+    // source but rank 2, so the cycle is 0 -> 2 -> 0 — not a wait on
+    // the set's first source, which has long finished.
+    for kind in carriers() {
+        for checked in [false, true] {
+            let (abort, v) = abort_of(8, kind, checked, None, |ctx| {
+                let world = ctx.world();
+                if ctx.rank() == 2 {
+                    ctx.recv_f64(&world, 0, 5);
+                }
+                ctx.gather_f64(&world, 0, &[ctx.rank() as f64]);
+            });
+            let leg = format!("{kind}, checked={checked}");
+            assert_eq!(abort.kind, AbortKind::Deadlock, "{leg}: {abort}");
+            let msg = &abort.detail;
+            assert!(msg.contains("rank 0: recv(src=2"), "{leg}: {msg}");
+            assert!(
+                msg.contains("cycle: 0 -> 2 -> 0") || msg.contains("cycle: 2 -> 0 -> 2"),
+                "{leg}: {msg}"
+            );
+            if checked {
+                let dl: Vec<_> = v.iter().filter(|v| v.rule == Rule::Deadlock).collect();
+                assert_eq!(dl.len(), 1, "{leg}: {v:?}");
+                assert_eq!(&dl[0].message, msg, "{leg}");
+            }
+        }
     }
 }
 
@@ -154,6 +193,7 @@ fn barrier_one_rank_never_enters_aborts() {
                 abort.rank, 5,
                 "{leg}: the reporter was blocked in the barrier"
             );
+            assert!(abort.detail.contains("waiting for ranks [5]"), "{leg}");
             if checked {
                 let dl: Vec<_> = v.iter().filter(|v| v.rule == Rule::Deadlock).collect();
                 assert_eq!(dl.len(), 1, "{leg}: {v:?}");
@@ -205,8 +245,8 @@ fn a_receiver_left_alone_by_finished_peers_aborts_as_deadlock() {
     // Rank 1 waits on a message nobody will ever send while everyone
     // else returns. Whether it parks before or after the last peer
     // finishes, it is the last to block with nothing left to wake it:
-    // one kind of stuck run, on rank 1, and with the checker attached the
-    // probe names the finished peer.
+    // one kind of stuck run, on rank 1, and its report names the finished
+    // peer.
     for kind in carriers() {
         for checked in [false, true] {
             let (abort, v) = abort_of(64, kind, checked, None, |ctx| {
@@ -217,6 +257,7 @@ fn a_receiver_left_alone_by_finished_peers_aborts_as_deadlock() {
             });
             let leg = format!("{kind}, checked={checked}: {abort}");
             assert_eq!((abort.kind, abort.rank), (AbortKind::Deadlock, 1), "{leg}");
+            assert!(abort.detail.contains("rank 1 waits on rank 0"), "{leg}");
             if checked {
                 assert!(
                     v.iter().any(|v| v.rule == Rule::Deadlock
