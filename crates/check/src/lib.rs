@@ -1,17 +1,22 @@
 #![forbid(unsafe_code)]
 //! # greenla-check
 //!
-//! A MUST-style dynamic correctness checker for the simulated MPI runtime.
-//! Real MPI deployments run verifiers like MUST or ISP next to the
-//! application to catch deadlocks and collective mismatches; the
+//! A MUST-style dynamic correctness checker for programs on the simulated
+//! MPI runtime. Real MPI deployments run verifiers like MUST or ISP next
+//! to the application to catch deadlocks and collective mismatches; the
 //! virtual-time runtime can do strictly better, because execution is
-//! deterministic and every envelope and clock advance is observable. This
-//! crate is the analysis layer: `greenla-mpi` calls its hooks from the
-//! runtime's hot paths, and the sink turns what it sees into structured
-//! diagnostics ([`Violation`]) instead of hangs or silently-wrong energy
-//! numbers.
+//! deterministic and every collective and monitor step is observable.
+//! This crate is the analysis layer: `greenla-mpi` hands it the
+//! collectives a program enters and the Figure-2 steps it takes, and the
+//! sink turns what it sees into structured diagnostics ([`Violation`])
+//! instead of hangs or silently-wrong energy numbers.
 //!
-//! Five rule families:
+//! It checks the program, not the runtime. What the runtime guarantees
+//! itself — monotone virtual clocks, receives that complete no earlier
+//! than their message's arrival, collective tags that fit their bit
+//! fields — is held there in every build, checked or not.
+//!
+//! Four rule families:
 //!
 //! * **Deadlock (DL001)** — the runtime's own wait-for report. The rank
 //!   engine knows the exact moment every live rank is blocked with no wake
@@ -21,16 +26,15 @@
 //!   [`CheckSink::report_deadlock`].
 //! * **Message hygiene (MSG001)** — mailbox residue at finalize: every
 //!   sent-but-never-received message is named.
-//! * **Collective lockstep (COLL001/COLL002)** — all members of a
-//!   communicator must issue the same collective (kind, root, element
-//!   count) at the same sequence position; sequence numbers and chunk ids
-//!   must fit the [`tagspace`] bit-fields.
+//! * **Collective lockstep (COLL001)** — all members of a communicator
+//!   must issue the same collective (kind, root, element count) at the
+//!   same sequence position.
 //! * **Monitor protocol (MON001–MON004)** — the Figure-2 choreography:
 //!   designated (highest) rank starts the counters, a node barrier
 //!   precedes `end_monitoring`, and no rank's work straddles the
-//!   measurement window.
-//! * **Clock causality (CLK001/CLK002)** — per-rank virtual clocks are
-//!   monotone and receives complete no earlier than the message's arrival.
+//!   measurement window. MON004 is read from the activity ledger after
+//!   the run ([`CheckSink::end_run`]), so its verdict does not depend on
+//!   the order the ranks ran in.
 //!
 //! Like `greenla-trace`, the sink is an *observer*: hooks never touch a
 //! virtual clock, so a checked run produces bit-identical timings to an
@@ -59,7 +63,6 @@
 //! ```
 
 pub mod sink;
-pub mod tagspace;
 pub mod violation;
 
 pub use sink::{CheckSink, CollEvent, CollKind, RankChecker};

@@ -1,10 +1,9 @@
 //! The checking sink: machine-wide shared state and per-rank hook handles.
 
-use crate::tagspace;
 use crate::violation::{Rule, Violation};
 use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -87,14 +86,9 @@ struct MonState {
 
 struct State {
     node_of: Vec<usize>,
-    last_clock: Vec<f64>,
-    clock_flagged: Vec<bool>,
-    overflow_flagged: Vec<bool>,
     last_coll: Vec<Option<(u64, CollKind)>>,
-    last_compute: Vec<Option<(f64, f64)>>,
     colls: HashMap<(u64, u64), CollSite>,
     monitors: HashMap<usize, MonState>,
-    straddle_flagged: HashSet<(usize, usize)>,
     violations: Vec<Violation>,
 }
 
@@ -103,34 +97,10 @@ impl State {
         let n = node_of.len();
         Self {
             node_of,
-            last_clock: vec![0.0; n],
-            clock_flagged: vec![false; n],
-            overflow_flagged: vec![false; n],
             last_coll: vec![None; n],
-            last_compute: vec![None; n],
             colls: HashMap::new(),
             monitors: HashMap::new(),
-            straddle_flagged: HashSet::new(),
             violations: Vec::new(),
-        }
-    }
-
-    /// Per-rank clock monotonicity (CLK001); flags at most once per rank.
-    fn note_clock(&mut self, rank: usize, t: f64) {
-        if t < self.last_clock[rank] && !self.clock_flagged[rank] {
-            self.clock_flagged[rank] = true;
-            self.violations.push(Violation::new(
-                Rule::ClockRegression,
-                vec![rank],
-                t,
-                format!(
-                    "rank {rank}'s virtual clock moved backwards: {:.6e}s after {:.6e}s",
-                    t, self.last_clock[rank]
-                ),
-            ));
-        }
-        if t > self.last_clock[rank] {
-            self.last_clock[rank] = t;
         }
     }
 }
@@ -182,38 +152,67 @@ impl CheckSink {
 
     /// Record the runtime's deadlock report as DL001: the run stopped with
     /// the ranks `blocked` parked for good, and `report` says what each
-    /// waits on. The runtime calls it once, at the moment it observes
-    /// quiescence (every task blocked, no wake in flight).
-    pub fn report_deadlock(&self, blocked: Vec<usize>, report: &str) {
+    /// waits on. The runtime calls it once, at the moment a rank observes
+    /// quiescence (every task blocked, no wake in flight), with that
+    /// rank's clock `t`.
+    pub fn report_deadlock(&self, blocked: Vec<usize>, report: &str, t: f64) {
         if let Some(sh) = &self.shared {
-            let mut st = sh.lock();
-            let t = blocked
-                .iter()
-                .fold(0.0, |t: f64, &r| t.max(st.last_clock[r]));
             let v = Violation::new(Rule::Deadlock, blocked, t, report.to_string());
-            st.violations.push(v);
+            sh.lock().violations.push(v);
         }
     }
 
     /// Report mailbox residue found after rank `rank` returned: each
     /// leftover is `(src, comm_id, tag, arrival_s)` of a message that was
-    /// sent but never received (MSG001).
-    pub fn report_residue(&self, rank: usize, leftovers: &[(usize, u64, u64, f64)]) {
+    /// sent but never received (MSG001), its tag rendered by the runtime.
+    pub fn report_residue(&self, rank: usize, leftovers: &[(usize, u64, String, f64)]) {
         let Some(sh) = &self.shared else {
             return;
         };
         let mut st = sh.lock();
-        for &(src, comm, tag, arrival) in leftovers {
+        for &(src, comm, ref tag, arrival) in leftovers {
             let msg = format!(
                 "finalize: rank {rank}'s mailbox still holds a message from rank {src} \
-                 (comm {comm}, tag {}, arrival {arrival:.6e}s) that was never received",
-                tagspace::describe_tag(tag)
+                 (comm {comm}, tag {tag}, arrival {arrival:.6e}s) that was never received"
             );
             st.violations.push(Violation::new(
                 Rule::MessageLeak,
                 vec![src, rank],
                 arrival,
                 msg,
+            ));
+        }
+    }
+
+    /// Close the run's checks once every rank has stopped: MON004 flags
+    /// each rank whose work runs across its node's recorded
+    /// `end_monitoring` time. `span_across(rank, t)` is the rank's compute
+    /// span `(start, end)` with `start < t < end`, if it has one; read
+    /// after the run, it gives the same answer whatever order the ranks
+    /// ran in.
+    pub fn end_run(&self, mut span_across: impl FnMut(usize, f64) -> Option<(f64, f64)>) {
+        let Some(sh) = &self.shared else {
+            return;
+        };
+        let mut guard = sh.lock();
+        let st = &mut *guard;
+        for (rank, &node) in st.node_of.iter().enumerate() {
+            let Some(te) = st.monitors.get(&node).and_then(|m| m.end_t) else {
+                continue;
+            };
+            let Some((t0, t1)) = span_across(rank, te) else {
+                continue;
+            };
+            st.violations.push(Violation::new(
+                Rule::MonitorWindowStraddle,
+                vec![rank],
+                te,
+                format!(
+                    "rank {rank}'s work interval [{t0:.6e}s, {t1:.6e}s] straddles \
+                     node {node}'s measurement end at {te:.6e}s: the monitoring \
+                     window missed {:.6e}s of its work",
+                    t1 - te
+                ),
             ));
         }
     }
@@ -253,54 +252,6 @@ impl RankChecker {
         }
     }
 
-    /// A compute (or memory-touch) interval `[t0, t1]` completed.
-    pub fn compute(&mut self, t0: f64, t1: f64) {
-        self.with_state(|st, rank, node| {
-            st.note_clock(rank, t1);
-            st.last_compute[rank] = Some((t0, t1));
-            if let Some(te) = st.monitors.get(&node).and_then(|m| m.end_t) {
-                if t0 < te && t1 > te && st.straddle_flagged.insert((node, rank)) {
-                    st.violations.push(Violation::new(
-                        Rule::MonitorWindowStraddle,
-                        vec![rank],
-                        t1,
-                        format!(
-                            "rank {rank}'s work interval [{t0:.6e}s, {t1:.6e}s] straddles \
-                             node {node}'s measurement end at {te:.6e}s: the monitoring \
-                             window missed {:.6e}s of its work",
-                            t1 - te
-                        ),
-                    ));
-                }
-            }
-        });
-    }
-
-    /// The rank's virtual clock reads `t` (a send, the start of a
-    /// receive, a collective's release, the rank's return): CLK001.
-    pub fn clock(&mut self, t: f64) {
-        self.with_state(|st, rank, _| st.note_clock(rank, t));
-    }
-
-    /// The receive completed at `t` for a message that arrived at
-    /// `arrival` (CLK002 checks causality).
-    pub fn recv_done(&mut self, arrival: f64, t: f64) {
-        self.with_state(|st, rank, _| {
-            st.note_clock(rank, t);
-            if t + 1e-12 < arrival {
-                st.violations.push(Violation::new(
-                    Rule::RecvBeforeArrival,
-                    vec![rank],
-                    t,
-                    format!(
-                        "rank {rank} completed a receive at {t:.6e}s but the message \
-                         only arrives at {arrival:.6e}s"
-                    ),
-                ));
-            }
-        });
-    }
-
     /// The rank entered a collective over `members` (global ranks). The
     /// [`CollEvent`] carries the lockstep signature (COLL001).
     pub fn enter_coll(&mut self, ev: CollEvent, members: &[usize], t: f64) {
@@ -312,7 +263,6 @@ impl RankChecker {
             elems,
         } = ev;
         self.with_state(|st, rank, _| {
-            st.note_clock(rank, t);
             st.last_coll[rank] = Some((comm, kind));
             match st.colls.entry((comm, seq)) {
                 Entry::Vacant(v) => {
@@ -359,48 +309,10 @@ impl RankChecker {
         });
     }
 
-    /// Tag-space audit for one collective: sequence number `seq` and (for
-    /// pipelined transfers) `data_chunks` chunk ids must fit their
-    /// reserved bit-fields (COLL002). Flags at most once per rank.
-    pub fn coll_tag_space(&mut self, seq: u64, data_chunks: u64, t: f64) {
-        self.with_state(|st, rank, _| {
-            if st.overflow_flagged[rank] {
-                return;
-            }
-            if !tagspace::seq_fits(seq) {
-                st.overflow_flagged[rank] = true;
-                st.violations.push(Violation::new(
-                    Rule::CollectiveTagOverflow,
-                    vec![rank],
-                    t,
-                    format!(
-                        "collective sequence number {seq} on rank {rank} overflows the \
-                         {}-bit field of the COLL_TAG space (max {})",
-                        tagspace::SEQ_BITS,
-                        tagspace::MAX_SEQ
-                    ),
-                ));
-            } else if data_chunks > tagspace::MAX_PIPELINE_CHUNKS {
-                st.overflow_flagged[rank] = true;
-                st.violations.push(Violation::new(
-                    Rule::CollectiveTagOverflow,
-                    vec![rank],
-                    t,
-                    format!(
-                        "pipelined collective on rank {rank} uses {data_chunks} chunks, \
-                         colliding with the reserved chunk markers (max {})",
-                        tagspace::MAX_PIPELINE_CHUNKS
-                    ),
-                ));
-            }
-        });
-    }
-
     /// The node communicator produced by `split_shared` in the Figure-2
     /// choreography.
-    pub fn monitor_node_comm(&mut self, comm_id: u64, t: f64) {
-        self.with_state(|st, rank, node| {
-            st.note_clock(rank, t);
+    pub fn monitor_node_comm(&mut self, comm_id: u64) {
+        self.with_state(|st, _, node| {
             st.monitors.entry(node).or_default().node_comm = Some(comm_id);
         });
     }
@@ -408,7 +320,6 @@ impl RankChecker {
     /// `start_monitoring` ran on this rank (MON001 checks the designation).
     pub fn monitor_start(&mut self, t: f64) {
         self.with_state(|st, rank, node| {
-            st.note_clock(rank, t);
             let designated = st
                 .node_of
                 .iter()
@@ -429,10 +340,10 @@ impl RankChecker {
         });
     }
 
-    /// `end_monitoring` ran on this rank at `t` (MON002/MON003/MON004).
+    /// `end_monitoring` ran on this rank at `t` (MON002/MON003; the time
+    /// is what [`CheckSink::end_run`] holds the node's work to, MON004).
     pub fn monitor_end(&mut self, t: f64) {
         self.with_state(|st, rank, node| {
-            st.note_clock(rank, t);
             let (started, node_comm) = {
                 let ms = st.monitors.entry(node).or_default();
                 (ms.started, ms.node_comm)
@@ -470,31 +381,6 @@ impl RankChecker {
                 ));
             }
             st.monitors.entry(node).or_default().end_t = Some(t);
-            // Work already recorded past the measurement end (MON004).
-            let mut straddles = Vec::new();
-            for r in 0..st.node_of.len() {
-                if st.node_of[r] != node {
-                    continue;
-                }
-                if let Some((a, b)) = st.last_compute[r] {
-                    if a < t && b > t && st.straddle_flagged.insert((node, r)) {
-                        straddles.push((r, a, b));
-                    }
-                }
-            }
-            for (r, a, b) in straddles {
-                st.violations.push(Violation::new(
-                    Rule::MonitorWindowStraddle,
-                    vec![r],
-                    t,
-                    format!(
-                        "rank {r}'s work interval [{a:.6e}s, {b:.6e}s] straddles node \
-                         {node}'s measurement end at {t:.6e}s: the monitoring window \
-                         missed {:.6e}s of its work",
-                        b - t
-                    ),
-                ));
-            }
         });
     }
 }
@@ -525,9 +411,9 @@ mod tests {
         assert!(!s.is_enabled());
         let mut c = s.checker(0, 0);
         assert!(!c.enabled());
-        c.compute(1.0, 0.5); // would be CLK001 if enabled
-        c.clock(0.0);
-        s.report_deadlock(vec![0], "deadlock");
+        c.monitor_end(1.0); // would be MON002 and MON003 if enabled
+        s.report_deadlock(vec![0], "deadlock", 0.0);
+        s.end_run(|_, _| panic!("a disabled sink reads no ledger"));
         assert!(s.violations().is_empty());
     }
 
@@ -536,39 +422,19 @@ mod tests {
         let s = sink(2);
         let mut c0 = s.checker(0, 0);
         let mut c1 = s.checker(1, 0);
-        c0.compute(0.0, 1.0);
-        c0.clock(1.0);
-        c1.clock(0.0);
-        c1.recv_done(1.5, 1.5);
-        c0.enter_coll(ev(0, 0, CollKind::Barrier, None, 0), &[0, 1], 1.0);
-        c1.enter_coll(ev(0, 0, CollKind::Barrier, None, 0), &[0, 1], 1.5);
-        c0.clock(2.0);
-        c1.clock(2.0);
+        c0.monitor_node_comm(5);
+        c1.monitor_node_comm(5);
+        c1.monitor_start(0.0);
+        c0.enter_coll(ev(5, 0, CollKind::Barrier, None, 0), &[0, 1], 1.0);
+        c1.enter_coll(ev(5, 0, CollKind::Barrier, None, 0), &[0, 1], 1.5);
+        c1.monitor_end(1.5);
+        // Work ended at the node's end and began after it.
+        s.end_run(|rank, t| {
+            assert_eq!(t, 1.5);
+            let [t0, t1] = [[0.5, 1.5], [1.5, 2.0]][rank];
+            (t0 < t && t1 > t).then_some((t0, t1))
+        });
         assert!(s.violations().is_empty(), "{:?}", s.violations());
-    }
-
-    #[test]
-    fn clock_regression_flagged_once() {
-        let s = sink(1);
-        let mut c = s.checker(0, 0);
-        c.compute(0.0, 2.0);
-        c.compute(0.5, 0.6);
-        c.compute(0.1, 0.2); // second regression must not re-report
-        let v = s.violations();
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::ClockRegression);
-        assert_eq!(v[0].ranks, vec![0]);
-    }
-
-    #[test]
-    fn recv_before_arrival_flagged() {
-        let s = sink(2);
-        let mut c = s.checker(1, 0);
-        c.clock(0.0);
-        c.recv_done(5.0, 1.0); // completes 4 s before the arrival
-        let v = s.violations();
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::RecvBeforeArrival);
     }
 
     #[test]
@@ -603,18 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn tag_overflow_flagged() {
-        let s = sink(1);
-        let mut c = s.checker(0, 0);
-        c.coll_tag_space(tagspace::MAX_SEQ, 0, 0.0); // last valid seq: fine
-        assert!(s.violations().is_empty());
-        c.coll_tag_space(tagspace::MAX_SEQ + 1, 0, 0.0);
-        let v = s.violations();
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::CollectiveTagOverflow);
-    }
-
-    #[test]
     fn wrong_monitor_designation_flagged() {
         let s = CheckSink::enabled();
         s.begin_run(vec![0, 0]); // ranks 0 and 1 on node 0
@@ -637,40 +491,41 @@ mod tests {
     }
 
     #[test]
-    fn straddling_compute_flagged_in_both_hook_orders() {
-        // end_monitoring sees an already-recorded straddling interval…
+    fn end_run_flags_each_rank_whose_span_crosses_its_nodes_end() {
+        // Two nodes of two ranks; node 0 ends monitoring at 0.3 and node 1
+        // at 0.7. Rank 0 straddles 0.3; rank 3 would straddle 0.3 too, but
+        // it sits on node 1, whose end it does not cross.
         let s = CheckSink::enabled();
-        s.begin_run(vec![0, 0]);
-        let mut worker = s.checker(0, 0);
-        let mut mon = s.checker(1, 0);
-        mon.monitor_node_comm(5, 0.0);
-        mon.monitor_start(0.0);
-        worker.compute(0.1, 9.0);
-        mon.enter_coll(ev(5, 0, CollKind::Barrier, None, 0), &[0, 1], 0.2);
-        mon.clock(0.3);
-        mon.monitor_end(0.3);
-        let rules: Vec<Rule> = s.violations().iter().map(|v| v.rule).collect();
-        assert_eq!(rules, vec![Rule::MonitorWindowStraddle], "{rules:?}");
-
-        // …and a compute recorded after the end is caught by the compute hook.
-        let s2 = CheckSink::enabled();
-        s2.begin_run(vec![0, 0]);
-        let mut worker2 = s2.checker(0, 0);
-        let mut mon2 = s2.checker(1, 0);
-        mon2.monitor_node_comm(5, 0.0);
-        mon2.monitor_start(0.0);
-        mon2.enter_coll(ev(5, 0, CollKind::Barrier, None, 0), &[0, 1], 0.2);
-        mon2.clock(0.3);
-        mon2.monitor_end(0.3);
-        worker2.compute(0.1, 9.0);
-        let rules2: Vec<Rule> = s2.violations().iter().map(|v| v.rule).collect();
-        assert_eq!(rules2, vec![Rule::MonitorWindowStraddle], "{rules2:?}");
+        s.begin_run(vec![0, 0, 1, 1]);
+        s.checker(1, 0).monitor_end(0.3);
+        s.checker(3, 1).monitor_end(0.7);
+        let spans = [(0.1, 9.0), (0.0, 0.3), (0.7, 0.8), (0.2, 0.5)];
+        let mut asked = Vec::new();
+        s.end_run(|rank, t| {
+            asked.push((rank, t));
+            let (t0, t1) = spans[rank];
+            (t0 < t && t1 > t).then_some((t0, t1))
+        });
+        assert_eq!(asked, vec![(0, 0.3), (1, 0.3), (2, 0.7), (3, 0.7)]);
+        let v = s.violations();
+        let straddles: Vec<&Violation> = v
+            .iter()
+            .filter(|v| v.rule == Rule::MonitorWindowStraddle)
+            .collect();
+        assert_eq!(straddles.len(), 1, "{straddles:?}");
+        assert_eq!(straddles[0].ranks, vec![0]);
+        assert_eq!(straddles[0].t_s, 0.3);
+        assert!(
+            straddles[0].message.contains("missed 8.7"),
+            "{}",
+            straddles[0].message
+        );
     }
 
     #[test]
     fn residue_reported_per_leftover_message() {
         let s = sink(2);
-        s.report_residue(1, &[(0, 0, 7, 0.25)]);
+        s.report_residue(1, &[(0, 0, "7".to_string(), 0.25)]);
         let v = s.violations();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, Rule::MessageLeak);

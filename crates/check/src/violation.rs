@@ -15,9 +15,6 @@ pub enum Rule {
     /// COLL001 — ranks of one communicator issued different collectives
     /// (kind, root, or element count) at the same sequence position.
     CollectiveMismatch,
-    /// COLL002 — a collective sequence number or chunk id overflowed its
-    /// reserved bit-field in the `COLL_TAG` tag space.
-    CollectiveTagOverflow,
     /// MON001 — `start_monitoring` ran on a rank that is not the highest
     /// rank of its node.
     MonitorDesignation,
@@ -28,13 +25,9 @@ pub enum Rule {
     /// on the node communicator (the Figure-2 correctness rule).
     MonitorBarrierBeforeEnd,
     /// MON004 — a rank's work interval straddles its node's measurement
-    /// end: the monitoring window missed part of the node's work.
+    /// end: the monitoring window missed part of the node's work (read
+    /// from the activity ledger after the run).
     MonitorWindowStraddle,
-    /// CLK001 — a rank's virtual clock moved backwards.
-    ClockRegression,
-    /// CLK002 — a receive completed before the message's virtual arrival
-    /// time.
-    RecvBeforeArrival,
 }
 
 impl Rule {
@@ -44,13 +37,10 @@ impl Rule {
             Rule::Deadlock => "DL001",
             Rule::MessageLeak => "MSG001",
             Rule::CollectiveMismatch => "COLL001",
-            Rule::CollectiveTagOverflow => "COLL002",
             Rule::MonitorDesignation => "MON001",
             Rule::MonitorMissingStart => "MON002",
             Rule::MonitorBarrierBeforeEnd => "MON003",
             Rule::MonitorWindowStraddle => "MON004",
-            Rule::ClockRegression => "CLK001",
-            Rule::RecvBeforeArrival => "CLK002",
         }
     }
 
@@ -69,11 +59,6 @@ impl Rule {
                 "issue the same collective with the same root and element \
                  count on every member of the communicator, in the same order"
             }
-            Rule::CollectiveTagOverflow => {
-                "keep per-communicator collective counts below 2^43 and \
-                 pipelined chunk counts below 2^20 - 2, or widen the tag \
-                 bit-fields"
-            }
             Rule::MonitorDesignation => {
                 "call start_monitoring only on the highest rank of the node \
                  communicator (Comm::is_highest)"
@@ -89,14 +74,6 @@ impl Rule {
             Rule::MonitorWindowStraddle => {
                 "stop monitoring only after every rank of the node finished \
                  its share (node barrier before end_monitoring)"
-            }
-            Rule::ClockRegression => {
-                "never move a rank's virtual clock backwards; charge time \
-                 through compute/busy_until only"
-            }
-            Rule::RecvBeforeArrival => {
-                "complete receives no earlier than the message's arrival \
-                 time (clock causality)"
             }
         }
     }
@@ -164,13 +141,10 @@ mod tests {
             Rule::Deadlock,
             Rule::MessageLeak,
             Rule::CollectiveMismatch,
-            Rule::CollectiveTagOverflow,
             Rule::MonitorDesignation,
             Rule::MonitorMissingStart,
             Rule::MonitorBarrierBeforeEnd,
             Rule::MonitorWindowStraddle,
-            Rule::ClockRegression,
-            Rule::RecvBeforeArrival,
         ];
         let ids: Vec<&str> = rules.iter().map(|r| r.id()).collect();
         let mut dedup = ids.clone();

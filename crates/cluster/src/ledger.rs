@@ -286,6 +286,19 @@ impl Ledger {
         log.kinds[kind as usize].busy_until(t, open)
     }
 
+    /// `core`'s recorded span of `kind` running across `t` — started
+    /// before it and ending after it — as `(start, end)`, if there is one.
+    /// Spans of one core never overlap, so only the last one to start
+    /// before `t` can be it.
+    pub fn span_across(&self, core: CoreId, kind: ActivityKind, t: f64) -> Option<(f64, f64)> {
+        let log = self.core_slot(core).lock();
+        let spans = &log.kinds[kind as usize].spans;
+        let [start, end] = spans[..spans.partition_point(|&[start, _]| start < t)]
+            .last()
+            .copied()?;
+        (end > t).then_some((start, end))
+    }
+
     /// Total busy seconds in `kind`, summed over every core of `(node,
     /// socket)`, up to time `t`.
     pub fn socket_busy_until(&self, node: usize, socket: usize, kind: ActivityKind, t: f64) -> f64 {
@@ -742,5 +755,58 @@ mod tests {
             assert_reads_match(&ledger, &scan, (0, 0), probes.iter().copied());
         }
         assert_eq!(ledger.max_time().to_bits(), (start + 0.25).to_bits());
+    }
+
+    #[test]
+    fn span_across_finds_what_a_full_scan_finds() {
+        // A runtime-shaped stream: spans of both kinds back to back or
+        // after a gap, some of zero length, never overlapping; then an
+        // open wait, which is no recorded span.
+        let ledger = ledger();
+        let core = CoreId::new(1, 0, 2);
+        let mut rng = Rng(0x5eed_a105);
+        let mut spans = Vec::new();
+        let mut probes = vec![f64::NEG_INFINITY, -1.0, 0.0, f64::INFINITY, f64::NAN];
+        let mut clock = 0.0;
+        for _ in 0..3 * STRIDE {
+            if rng.below(3) == 0 {
+                clock += rng.unit() * 1e-4;
+            }
+            let kind = if rng.below(2) == 0 {
+                ActivityKind::Compute
+            } else {
+                ActivityKind::Comm
+            };
+            let len = if rng.below(6) == 0 {
+                0.0
+            } else {
+                rng.unit() * 1e-4
+            };
+            let span = iv(clock, clock + len, kind, 1);
+            ledger.record(core, span);
+            spans.push(span);
+            probes.extend([span.start, span.end, span.start + len * rng.unit()]);
+            clock = span.end;
+        }
+        let _wait = ledger.open_wait(core, clock);
+        probes.extend([clock, clock + 1.0]);
+        for t in probes {
+            for kind in [ActivityKind::Compute, ActivityKind::Comm] {
+                let scanned = spans
+                    .iter()
+                    .find(|s| s.kind == kind && s.start < t && s.end > t)
+                    .map(|s| (s.start, s.end));
+                assert_eq!(
+                    ledger.span_across(core, kind, t),
+                    scanned,
+                    "{kind:?} at t = {t}"
+                );
+            }
+        }
+        // Another core's spans are not this one's.
+        assert_eq!(
+            ledger.span_across(CoreId::new(0, 0, 0), ActivityKind::Compute, 1e-5),
+            None
+        );
     }
 }

@@ -7,7 +7,7 @@ use greenla_cluster::spec::ClusterSpec;
 use greenla_cluster::PowerModel;
 use greenla_monitor::monitoring::MonitorConfig;
 use greenla_monitor::protocol::monitored_run;
-use greenla_mpi::{CheckSink, Machine, MonitorStep, RankEvent, Rule};
+use greenla_mpi::{CheckSink, Machine, MonitorStep, RankEvent, Rule, SchedulerKind};
 use greenla_rapl::RaplSim;
 use std::sync::Arc;
 
@@ -118,4 +118,52 @@ fn barrierless_finish_trips_mon003_and_mon004() {
         "diagnostic must quantify the missed work: {}",
         mon004[0].message
     );
+}
+
+#[test]
+fn mon004_is_wake_order_free() {
+    // The barrier-less finish again, but rank 0 computes twice after the
+    // premature end: its first span straddles it, its second starts past
+    // it. Which of the two a rank's last hook saw used to depend on the
+    // wake order; read from the ledger after the run, every run on every
+    // carrier names rank 0 exactly once.
+    let mut carriers = vec![(SchedulerKind::ThreadPerRank, None)];
+    if SchedulerKind::EventDriven.supported() {
+        carriers.extend([1, 2, 8].map(|w| (SchedulerKind::EventDriven, Some(w))));
+    }
+    for (kind, workers) in carriers {
+        for rep in 0..20 {
+            let mut m = checked_machine(1, 8).with_scheduler(kind);
+            if let Some(w) = workers {
+                m = m.with_sched_workers(w);
+            }
+            m.run(|ctx| {
+                let world = ctx.world();
+                let node_comm = ctx.split_shared(&world);
+                ctx.emit(RankEvent::Monitor(MonitorStep::NodeComm(node_comm.id())));
+                ctx.barrier(&node_comm);
+                if node_comm.is_highest() {
+                    ctx.emit(RankEvent::Monitor(MonitorStep::Start));
+                }
+                ctx.barrier(&world);
+                if ctx.rank() == 0 {
+                    ctx.compute(200_000_000, 0);
+                    ctx.compute(1_000_000, 0);
+                } else {
+                    ctx.compute(1_000_000, 0);
+                }
+                if node_comm.is_highest() {
+                    ctx.emit(RankEvent::Monitor(MonitorStep::End));
+                }
+            });
+            let violations = m.check().violations();
+            let mon004: Vec<_> = violations
+                .iter()
+                .filter(|v| v.rule == Rule::MonitorWindowStraddle)
+                .collect();
+            let leg = format!("{kind}, workers {workers:?}, rep {rep}: {violations:#?}");
+            assert_eq!(mon004.len(), 1, "exactly one MON004 on {leg}");
+            assert_eq!(mon004[0].ranks, vec![0], "{leg}");
+        }
+    }
 }

@@ -40,19 +40,14 @@
 //! (`Arc::unwrap_or_clone`, `extend_from_slice`), where the copy is seen.
 
 use crate::comm::Comm;
-use crate::context::{RankCtx, COLL_TAG};
+use crate::context::RankCtx;
 use crate::envelope::Payload;
 use crate::error::{AbortKind, CollContractError};
-use crate::event::RankEvent;
-use greenla_check::tagspace;
+use crate::tagspace::{
+    CHUNK_BITS, COLL_TAG, HEADER_CHUNK, MAX_CHUNK, MAX_PIPELINE_CHUNKS, MAX_SEQ, PLAIN_CHUNK,
+};
 use greenla_check::CollKind;
 use std::sync::Arc;
-
-/// Marker chunk id for unchunked collective messages (keeps plain and
-/// pipelined tags disjoint under one sequence number).
-const PLAIN_CHUNK: u64 = 0xfffff;
-/// Chunk id of the pipelined-broadcast header message.
-const HEADER_CHUNK: u64 = 0xffffe;
 
 /// Allreduce payloads at or below this many bytes take the
 /// latency-optimized tree pair; larger ones take recursive doubling. 512 B is
@@ -105,21 +100,21 @@ pub fn allreduce_arm(p: usize, len: usize) -> AllreduceArm {
 }
 
 /// Pack a collective message tag: the `COLL_TAG` bit, a 43-bit
-/// per-communicator sequence number, and a 20-bit chunk id. The fields
-/// must not overflow into each other — a campaign long enough to exhaust
-/// 2^43 collectives per communicator, or a pipelined payload cut into
-/// more than 2^20 − 2 chunks, would silently alias unrelated messages.
+/// per-communicator sequence number, and a 20-bit chunk id (see
+/// [`crate::tagspace`]). The fields must not overflow into each other — a
+/// campaign long enough to exhaust 2^43 collectives per communicator, or
+/// a chunk id past the field, would silently alias unrelated messages —
+/// so both are asserted in every build.
 pub(crate) fn compose_coll_tag(seq: u64, chunk: u64) -> u64 {
-    debug_assert!(
-        tagspace::chunk_fits(chunk),
-        "collective chunk id {chunk} overflows its {}-bit field",
-        tagspace::CHUNK_BITS
+    assert!(
+        chunk <= MAX_CHUNK,
+        "collective chunk id {chunk} overflows its {CHUNK_BITS}-bit field"
     );
-    debug_assert!(
-        tagspace::seq_fits(seq),
+    assert!(
+        seq <= MAX_SEQ,
         "collective sequence number {seq} overflows into the COLL_TAG bit"
     );
-    COLL_TAG | (seq << tagspace::CHUNK_BITS) | chunk
+    COLL_TAG | (seq << CHUNK_BITS) | chunk
 }
 
 /// Largest power of two not exceeding `p`.
@@ -150,10 +145,19 @@ fn sum_op(a: &mut [f64], b: &[f64]) {
 }
 
 impl<'m> RankCtx<'m> {
-    /// Announce the `chunks` tag chunks one collective draws from its
-    /// sequence number (COLL002 audits them).
-    fn tag_chunks(&mut self, seq: u64, chunks: u64) {
-        self.emit(RankEvent::CollTagChunks { seq, chunks });
+    /// Abort the run when a collective on `comm` needs more data chunk
+    /// ids than its tag layout has: past [`MAX_PIPELINE_CHUNKS`] they would
+    /// alias the marker chunks and the next sequence number.
+    fn check_chunks(&self, comm: &Comm, chunks: usize) {
+        if chunks as u64 > MAX_PIPELINE_CHUNKS {
+            let breach = CollContractError::TagChunksExhausted {
+                comm: comm.id(),
+                rank: self.rank(),
+                chunks: chunks as u64,
+                max: MAX_PIPELINE_CHUNKS,
+            };
+            self.abort(AbortKind::CollectiveContract, breach.to_string());
+        }
     }
 
     /// Abort the run when a peer's reduction buffer does not match ours.
@@ -316,11 +320,12 @@ impl<'m> RankCtx<'m> {
             Some(par) => self.recv_payload(comm, par, tag(HEADER_CHUNK)),
         };
         let total = header.as_u64()[0] as usize;
+        let nchunks = total.div_ceil(chunk_elems).max(1);
+        // The root checks before it sends anything.
+        self.check_chunks(comm, nchunks);
         for &k in &kids {
             self.send_payload(comm, k, tag(HEADER_CHUNK), header.clone());
         }
-        let nchunks = total.div_ceil(chunk_elems).max(1);
-        self.tag_chunks(seq, nchunks as u64);
         if nchunks == 1 {
             let piece = match parent {
                 None => Payload::shared_f64(Arc::new(data)),
@@ -485,7 +490,6 @@ impl<'m> RankCtx<'m> {
         let (r, steps) = (p - p2, p2.trailing_zeros() as u64);
         // Tag chunks: 0 = fold, 1..=steps = butterfly rounds,
         // steps+1 = unfold.
-        self.tag_chunks(seq, steps + 2);
         let tag = |chunk: u64| compose_coll_tag(seq, chunk);
         if let Some(nr) = self.allreduce_fold(comm, tag(0), &mut acc, &op) {
             for s in 0..steps {
@@ -533,7 +537,6 @@ impl<'m> RankCtx<'m> {
         let (r, steps) = (p - p2, p2.trailing_zeros() as usize);
         // Tag chunks: 0 = fold, 1..=steps = halving rounds,
         // steps+1..=2·steps = doubling rounds, 2·steps+1 = unfold.
-        self.tag_chunks(seq, 2 * steps as u64 + 2);
         let tag = |chunk: usize| compose_coll_tag(seq, chunk as u64);
         if let Some(nr) = self.allreduce_fold(comm, tag(0), &mut acc, &op) {
             let partner = |s: usize| rd_participant_rank(nr ^ (1 << s), r);
@@ -665,7 +668,7 @@ impl<'m> RankCtx<'m> {
             let mut chunks: Vec<Option<Payload>> = (0..p).map(|_| None).collect();
             chunks[me] = Some(Payload::copy_f64(data));
             if p > 1 {
-                ctx.tag_chunks(seq, (p - 1) as u64);
+                ctx.check_chunks(comm, p - 1);
                 let right = (me + 1) % p;
                 let left = (me + p - 1) % p;
                 for s in 0..p - 1 {
@@ -704,36 +707,29 @@ mod tests {
         assert_ne!(b, c);
         assert_eq!(a & COLL_TAG, COLL_TAG);
         // seq and chunk decode back out of the packed tag.
-        assert_eq!((a >> tagspace::CHUNK_BITS) & tagspace::MAX_SEQ, 1);
-        assert_eq!(c & tagspace::MAX_CHUNK, 1);
+        assert_eq!((a >> CHUNK_BITS) & MAX_SEQ, 1);
+        assert_eq!(c & MAX_CHUNK, 1);
     }
 
     #[test]
     fn coll_tag_saturates_exactly_at_the_field_boundaries() {
         // The largest legal (seq, chunk) fills every bit without carrying
         // into a neighbouring field.
-        assert_eq!(
-            compose_coll_tag(tagspace::MAX_SEQ, tagspace::MAX_CHUNK),
-            u64::MAX
-        );
-        // The reserved marker chunks sit inside the chunk field.
-        assert!(tagspace::chunk_fits(PLAIN_CHUNK));
-        assert!(tagspace::chunk_fits(HEADER_CHUNK));
-        assert_eq!(tagspace::MAX_PIPELINE_CHUNKS, HEADER_CHUNK);
+        assert_eq!(compose_coll_tag(MAX_SEQ, MAX_CHUNK), u64::MAX);
+        // Data chunks stop below the reserved markers.
+        assert_eq!(MAX_PIPELINE_CHUNKS, HEADER_CHUNK);
     }
 
-    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "overflows into the COLL_TAG bit")]
     fn coll_tag_rejects_seq_overflow() {
-        compose_coll_tag(tagspace::MAX_SEQ + 1, 0);
+        compose_coll_tag(MAX_SEQ + 1, 0);
     }
 
-    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "overflows its 20-bit field")]
     fn coll_tag_rejects_chunk_overflow() {
-        compose_coll_tag(0, tagspace::MAX_CHUNK + 1);
+        compose_coll_tag(0, MAX_CHUNK + 1);
     }
 
     #[test]

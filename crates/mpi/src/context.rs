@@ -16,9 +16,7 @@ use greenla_faults::{retry_backoff_s, FaultNote, MsgFaultKind, RankFaults, MAX_S
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Tag bit reserved for collective-internal messages; user tags must stay
-/// below it. The bit layout is the checker's ([`greenla_check::tagspace`]).
-pub const COLL_TAG: u64 = greenla_check::tagspace::COLL_TAG_BIT;
+pub use crate::tagspace::COLL_TAG;
 
 /// Execution context handed to each rank's closure by
 /// [`crate::Machine::run`]. All communication and virtual-time charging
@@ -261,8 +259,7 @@ impl<'m> RankCtx<'m> {
                 self.busy(retry_backoff_s(o, attempt), ActivityKind::Comm, 0);
             }
             if count > MAX_SEND_RETRIES {
-                // Nothing was sent: the trace closes its span, the checker
-                // hears no `SendEnd`.
+                // Nothing was sent: the trace closes its span.
                 self.trace_end("comm", "send");
                 self.abort(
                     AbortKind::InjectedFault,
@@ -338,7 +335,7 @@ impl<'m> RankCtx<'m> {
             if let Some(env) = env {
                 return env;
             }
-            self.registry.park();
+            self.registry.park(self.clock);
         }
     }
 
@@ -382,10 +379,7 @@ impl<'m> RankCtx<'m> {
             let done = (self.clock + o).max(env.arrival + o);
             self.busy_until(done);
         }
-        self.emit(RankEvent::RecvEnd {
-            span,
-            arrival: env.arrival,
-        });
+        self.emit(RankEvent::RecvEnd { span });
         env.payload
     }
 
@@ -447,12 +441,11 @@ impl<'m> RankCtx<'m> {
                 .then(a.src.cmp(&b.src))
         });
         let o = self.spec.net.per_message_overhead_s;
-        let mut max_arrival: f64 = 0.0;
         for env in &got {
             if env.delayed {
                 self.emit(RankEvent::Fault(FaultNote::DelayObserved));
             }
-            // The trace shows each completion; the checker waits on the set.
+            // The trace shows each completion inside the set's span.
             self.emit(RankEvent::SpanBegin {
                 cat: "comm",
                 name: "recv",
@@ -461,12 +454,8 @@ impl<'m> RankCtx<'m> {
             let done = (self.clock + o).max(env.arrival + o);
             self.busy_until(done);
             self.trace_end("comm", "recv");
-            max_arrival = max_arrival.max(env.arrival);
         }
-        self.emit(RankEvent::RecvEnd {
-            span: "recv_set",
-            arrival: max_arrival,
-        });
+        self.emit(RankEvent::RecvEnd { span: "recv_set" });
         // Hand payloads back aligned with the caller's source list.
         let mut out: Vec<Option<Payload>> = (0..srcs_g.len()).map(|_| None).collect();
         for env in got {

@@ -69,7 +69,8 @@ impl fmt::Display for Abort {
 impl std::error::Error for Abort {}
 
 /// A rank broke a collective's calling contract (e.g. contributed a
-/// reduce buffer of the wrong length). The runtime aborts the run as
+/// reduce buffer of the wrong length, or asked for more chunks than the
+/// tag layout has ids for). The runtime aborts the run as
 /// [`AbortKind::CollectiveContract`] with this diagnostic instead of a
 /// bare assert.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,6 +81,14 @@ pub enum CollContractError {
         rank: usize,
         got: usize,
         expected: usize,
+    },
+    /// A pipelined broadcast or a ring allgather needs `chunks` data
+    /// chunk ids, more than the `max` the collective tag layout has.
+    TagChunksExhausted {
+        comm: u64,
+        rank: usize,
+        chunks: u64,
+        max: u64,
     },
 }
 
@@ -95,6 +104,16 @@ impl fmt::Display for CollContractError {
                 f,
                 "collective contract violated: reduce length mismatch on comm {comm} \
                  (rank {rank} combined {got} elems into a {expected}-elem accumulator)"
+            ),
+            CollContractError::TagChunksExhausted {
+                comm,
+                rank,
+                chunks,
+                max,
+            } => write!(
+                f,
+                "collective contract violated: a collective on comm {comm} needs {chunks} \
+                 tag chunks on rank {rank}, but the tag layout has ids for {max}"
             ),
         }
     }

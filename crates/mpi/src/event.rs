@@ -25,7 +25,8 @@ use greenla_faults::{FaultNote, RankFaults};
 use greenla_trace::RankTracer;
 
 /// A step of the Figure-2 monitoring choreography, as the monitoring
-/// layer announces it (MON001–MON004 are checked from these).
+/// layer announces it (MON001–MON003 are checked from these, and MON004
+/// from the `End` time and the ledger after the run).
 #[derive(Clone, Copy, Debug)]
 pub enum MonitorStep {
     /// `split_shared` produced this rank's node communicator (its id).
@@ -75,10 +76,9 @@ pub enum RankEvent<'a> {
         span: &'static str,
         arg: (&'static str, f64),
     },
-    /// That receive completed, for a message that arrived at `arrival`.
+    /// That receive completed.
     RecvEnd {
         span: &'static str,
-        arrival: f64,
     },
     /// The rank entered a collective with lockstep signature `sig` over
     /// `members` (global ranks).
@@ -86,16 +86,9 @@ pub enum RankEvent<'a> {
         sig: CollEvent,
         members: &'a [usize],
     },
-    /// The collective with sequence number `seq` draws `chunks` tag chunks.
-    CollTagChunks {
-        seq: u64,
-        chunks: u64,
-    },
     /// Something happened to a planned fault.
     Fault(FaultNote),
     Monitor(MonitorStep),
-    /// The rank's closure returned.
-    Finished,
 }
 
 /// The optional listeners of one rank. Both are inert handles unless the
@@ -153,35 +146,22 @@ impl Observers {
             }
             RankEvent::Monitor(MonitorStep::Start) => tracer.instant("start_monitoring", t),
             RankEvent::CollEnter { .. }
-            | RankEvent::CollTagChunks { .. }
-            | RankEvent::Monitor(MonitorStep::NodeComm(_) | MonitorStep::End)
-            | RankEvent::Finished => {}
+            | RankEvent::Monitor(MonitorStep::NodeComm(_) | MonitorStep::End) => {}
         }
     }
 
+    /// The checker hears only what the program chose: its collectives
+    /// and its Figure-2 steps. Clock causality and the tag space are the
+    /// runtime's own invariants, so a compute, send or receive takes no
+    /// checker lock.
     fn check(&mut self, t: f64, ev: RankEvent<'_>) {
         let checker = &mut self.checker;
         match ev {
-            RankEvent::Computed { t0, .. } => checker.compute(t0, t),
-            // A collective's span closes at its release.
-            RankEvent::SendEnd
-            | RankEvent::RecvBegin { .. }
-            | RankEvent::SpanEnd { cat: "coll", .. }
-            | RankEvent::Finished => checker.clock(t),
-            RankEvent::RecvEnd { arrival, .. } => checker.recv_done(arrival, t),
-            RankEvent::CollEnter { sig, members } => {
-                checker.coll_tag_space(sig.seq, 0, t);
-                checker.enter_coll(sig, members, t);
-            }
-            RankEvent::CollTagChunks { seq, chunks } => checker.coll_tag_space(seq, chunks, t),
-            RankEvent::Monitor(MonitorStep::NodeComm(id)) => checker.monitor_node_comm(id, t),
+            RankEvent::CollEnter { sig, members } => checker.enter_coll(sig, members, t),
+            RankEvent::Monitor(MonitorStep::NodeComm(id)) => checker.monitor_node_comm(id),
             RankEvent::Monitor(MonitorStep::Start) => checker.monitor_start(t),
             RankEvent::Monitor(MonitorStep::End) => checker.monitor_end(t),
-            RankEvent::SpanBegin { .. }
-            | RankEvent::SpanEnd { .. }
-            | RankEvent::Mark(_)
-            | RankEvent::SendBegin { .. }
-            | RankEvent::Fault(_) => {}
+            _ => {}
         }
     }
 }

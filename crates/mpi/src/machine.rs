@@ -4,13 +4,14 @@
 
 use crate::context::RankCtx;
 use crate::error::{Abort, AbortKind, MachineError};
-use crate::event::{Observers, RankEvent};
+use crate::event::Observers;
 use crate::mailbox::Mailboxes;
 use crate::registry::{RankExit, Registry};
 use crate::sched::{Engine, SchedulerKind};
+use crate::tagspace::describe_tag;
 use crate::traffic::{Traffic, TrafficSnapshot};
 use greenla_check::CheckSink;
-use greenla_cluster::ledger::Ledger;
+use greenla_cluster::ledger::{ActivityKind, Ledger};
 use greenla_cluster::placement::Placement;
 use greenla_cluster::spec::ClusterSpec;
 use greenla_cluster::PowerModel;
@@ -268,7 +269,6 @@ impl Machine {
                 Ok(r) => {
                     *results[rank].lock() = Some(r);
                     *clocks[rank].lock() = ctx.clock;
-                    ctx.emit(RankEvent::Finished);
                 }
                 // The rank left an aborted run: its cause is on record.
                 Err(payload) if payload.is::<RankExit>() => {}
@@ -299,6 +299,12 @@ impl Machine {
                 .collect(),
         );
 
+        // MON004 reads the finished ledger, so its verdict is the same
+        // whatever order the ranks ran in — and an aborted run reports it.
+        self.check.end_run(|rank, t| {
+            let core = self.placement.core_of(rank);
+            self.ledger.span_across(core, ActivityKind::Compute, t)
+        });
         if let Some(abort) = registry.cause() {
             return Err(abort.clone());
         }
@@ -310,12 +316,12 @@ impl Machine {
             // discarded mid-run or at finalize is a wall-clock accident,
             // but the total observed count is deterministic.
             for rank in 0..n {
-                let mut leaked: Vec<(usize, u64, u64, f64)> = Vec::new();
+                let mut leaked = Vec::new();
                 for e in mail.drain(rank) {
                     if e.dup {
                         self.faults.note_dup_discarded();
                     } else {
-                        leaked.push((e.src, e.comm_id, e.tag, e.arrival));
+                        leaked.push((e.src, e.comm_id, describe_tag(e.tag), e.arrival));
                     }
                 }
                 if !leaked.is_empty() && self.check.is_enabled() {
@@ -342,7 +348,6 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::error::CollContractError;
-    use greenla_cluster::ledger::ActivityKind;
     use greenla_cluster::placement::LoadLayout;
 
     fn machine(ranks: usize) -> Machine {
@@ -741,6 +746,33 @@ mod tests {
             expected: 2,
         };
         assert_eq!(abort.detail, breach.to_string());
+    }
+
+    #[test]
+    fn an_oversized_pipeline_aborts_before_it_sends() {
+        // 2^20 one-element chunks need two more ids than the tag layout
+        // has below its markers; checked or not, the root refuses first.
+        for checked in [false, true] {
+            let mut m = machine(8);
+            if checked {
+                m = m.with_check(CheckSink::enabled());
+            }
+            let abort = m
+                .try_run(|ctx| {
+                    let world = ctx.world();
+                    let data = (ctx.rank() == 0).then(|| vec![0.0; 1 << 20]);
+                    ctx.bcast_pipelined_shared_f64(&world, 0, data, 1);
+                })
+                .err()
+                .expect("an oversized pipeline aborts the run");
+            assert_eq!((abort.rank, abort.kind), (0, AbortKind::CollectiveContract));
+            assert!(
+                abort.detail.contains("needs 1048576 tag chunks")
+                    && abort.detail.contains("ids for 1048574"),
+                "{abort}"
+            );
+            assert_eq!(m.traffic().snapshot().msgs, 0, "nothing was sent");
+        }
     }
 
     #[test]

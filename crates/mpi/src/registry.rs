@@ -36,7 +36,7 @@ use crate::comm::Comm;
 use crate::error::{Abort, AbortKind};
 use crate::mailbox::{Mailboxes, RecvWait};
 use crate::sched::{self, WakeReason};
-use greenla_check::tagspace::describe_tag;
+use crate::tagspace::describe_tag;
 use greenla_check::CheckSink;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -170,13 +170,13 @@ impl Registry {
     /// condition and parks again if it still does not hold. When nothing
     /// can ever wake the rank (exact quiescence, however the last
     /// runnable task stopped) the run aborts here as a deadlock, with
-    /// the wait-for report as the detail and a checker's DL001. Must not
-    /// hold a lock guard.
-    pub(crate) fn park(&self) {
+    /// the wait-for report as the detail and a checker's DL001 stamped
+    /// `now`, the parking rank's clock. Must not hold a lock guard.
+    pub(crate) fn park(&self, now: f64) {
         self.leave_if_poisoned();
         if self.mail.engine().block_current() == WakeReason::Quiescent {
             let (blocked, detail) = self.wait_graph().report();
-            self.check.report_deadlock(blocked, &detail);
+            self.check.report_deadlock(blocked, &detail, now);
             let rank = sched::current_task().expect("rank outside an engine task");
             self.abort(rank, AbortKind::Deadlock, detail)
         }
@@ -222,16 +222,17 @@ impl Registry {
     }
 
     /// The one rendezvous. Join the cell `(comm, seq)` of `cells`
-    /// (creating it with `init` on first arrival) and fold this arrival in
-    /// with `arrive`, whose flag says it is the last; park until every
-    /// member of `comm` is in, then leave with `leave` of its state. The
-    /// last member to leave removes the cell, so the key can be reused.
-    fn rendezvous<S, R>(
+    /// (creating it with the default state on first arrival) at virtual
+    /// time `now` and fold this arrival in with `arrive`, whose flag says
+    /// it is the last; park until every member of `comm` is in, then
+    /// leave with `leave` of its state. The last member to leave removes
+    /// the cell, so the key can be reused.
+    fn rendezvous<S: Default, R>(
         &self,
         cells: &Cells<S>,
         comm: &Comm,
         seq: u64,
-        init: S,
+        now: f64,
         arrive: impl FnOnce(&mut S, bool),
         leave: impl FnOnce(&S) -> R,
     ) -> R {
@@ -241,7 +242,7 @@ impl Registry {
             members: Arc::clone(comm.shared_members()),
             arrived: 0,
             left: 0,
-            state: init,
+            state: S::default(),
             waiters: Vec::new(),
         });
         let expected = cell.members.len();
@@ -253,9 +254,17 @@ impl Registry {
         cell.arrived += 1;
         let complete = cell.arrived == expected;
         arrive(&mut cell.state, complete);
+        // A non-completing arrival registers once and stays registered
+        // until the completing one takes the list: a wake that finds the
+        // cell incomplete (a message posted to this rank) parks again
+        // without a second entry, so the release wakes each waiter once.
+        // Poison wakes every task, registered or not, so the poison check
+        // after a wake cannot be missed.
         let released = if complete {
             std::mem::take(&mut cell.waiters)
         } else {
+            cell.waiters
+                .push(sched::current_task().expect("rank outside an engine task"));
             Vec::new()
         };
         loop {
@@ -274,13 +283,8 @@ impl Registry {
                 }
                 return out;
             }
-            // Register on the cell and park. Poison wakes every task
-            // (not just registered waiters), so the poison check after a
-            // wake cannot be missed.
-            cell.waiters
-                .push(sched::current_task().expect("rank outside an engine task"));
             drop(map);
-            self.park();
+            self.park(now);
             map = cells.lock();
         }
     }
@@ -292,8 +296,10 @@ impl Registry {
             &self.barriers,
             comm,
             seq,
-            (f64::NEG_INFINITY, f64::NEG_INFINITY),
-            |(max_t, max_cost), _| {
+            t,
+            // Arrival times and costs are never negative, so the maxima
+            // can start from zero.
+            |(max_t, max_cost): &mut (f64, f64), _| {
                 *max_t = max_t.max(t);
                 *max_cost = max_cost.max(cost);
             },
@@ -309,8 +315,8 @@ impl Registry {
             &self.splits,
             comm,
             entry.seq,
-            SplitState::default(),
-            |st, last| {
+            entry.t,
+            |st: &mut SplitState, last| {
                 st.entries.push(entry);
                 if last {
                     self.settle_split(st);

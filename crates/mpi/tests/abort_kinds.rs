@@ -30,7 +30,7 @@ fn culprit_dies(ctx: &mut RankCtx, die: impl FnOnce(&mut RankCtx)) {
 /// the program.
 type Row = (AbortKind, Option<usize>, fn(&mut RankCtx));
 
-const TABLE: [Row; 7] = [
+const TABLE: [Row; 8] = [
     // Under `crash_plan`, the culprit's second call is its last.
     (InjectedFault, Some(CULPRIT), |ctx| {
         culprit_dies(ctx, |ctx| (0..2).for_each(|_| ctx.compute(1_000, 0)))
@@ -59,6 +59,16 @@ const TABLE: [Row; 7] = [
         let len = if ctx.rank() == 5 { 3 } else { 2 };
         let world = ctx.world();
         ctx.reduce_sum_f64(&world, 0, vec![1.0; len]);
+    }),
+    // Ranks 0 and 1 pipeline 2^20 elements one per chunk: two more chunks
+    // than the tag layout has ids for. The root refuses before it sends.
+    (CollectiveContract, Some(0), |ctx| {
+        let world = ctx.world();
+        let pair = ctx.split(&world, u64::from(ctx.rank() > 1), 0);
+        if ctx.rank() < 2 {
+            let data = (ctx.rank() == 0).then(|| vec![0.0; 1 << 20]);
+            ctx.bcast_pipelined_shared_f64(&pair, 0, data, 1);
+        }
     }),
     (Solver, Some(CULPRIT), |ctx| {
         culprit_dies(ctx, |ctx| ctx.abort(Solver, "the solver gave up"))
