@@ -16,6 +16,12 @@
 //! than their message's arrival, collective tags that fit their bit
 //! fields — is held there in every build, checked or not.
 //!
+//! Each rank's [`RankChecker`] logs what the rank did without a lock and
+//! hands the log to the sink when it drops. Every rule but DL001 is then
+//! judged in one pass after the run ([`CheckSink::end_run`]), from
+//! virtual-time data alone, so a verdict does not depend on the order the
+//! ranks ran in.
+//!
 //! Four rule families:
 //!
 //! * **Deadlock (DL001)** — the runtime's own wait-for report. The rank
@@ -32,9 +38,7 @@
 //! * **Monitor protocol (MON001–MON004)** — the Figure-2 choreography:
 //!   designated (highest) rank starts the counters, a node barrier
 //!   precedes `end_monitoring`, and no rank's work straddles the
-//!   measurement window. MON004 is read from the activity ledger after
-//!   the run ([`CheckSink::end_run`]), so its verdict does not depend on
-//!   the order the ranks ran in.
+//!   measurement window (read from the activity ledger).
 //!
 //! Like `greenla-trace`, the sink is an *observer*: hooks never touch a
 //! virtual clock, so a checked run produces bit-identical timings to an
@@ -48,13 +52,17 @@
 //!
 //! let sink = CheckSink::enabled();
 //! sink.begin_run(vec![0, 0]); // two ranks on node 0
-//! let mut c0 = sink.checker(0, 0);
-//! let mut c1 = sink.checker(1, 0);
+//! let mut c0 = sink.checker(0);
+//! let mut c1 = sink.checker(1);
 //!
 //! // Rank 0 broadcasts from root 0, rank 1 from root 1: a lockstep bug.
 //! let site = |root| CollEvent { comm: 0, seq: 0, kind: CollKind::Bcast, root: Some(root), elems: 0 };
-//! c0.enter_coll(site(0), &[0, 1], 0.0);
-//! c1.enter_coll(site(1), &[0, 1], 0.0);
+//! c0.enter_coll(site(0), 0.0);
+//! c1.enter_coll(site(1), 0.0);
+//!
+//! // The logs reach the sink as the handles drop; the verdicts, after the run.
+//! drop((c0, c1));
+//! sink.end_run(&mut |_rank, _t| None, &[]);
 //!
 //! let violations = sink.violations();
 //! assert_eq!(violations.len(), 1);

@@ -531,16 +531,13 @@ impl<'m> RankCtx<'m> {
         elems: u64,
     ) -> u64 {
         let seq = self.next_seq(comm.id());
-        self.emit(RankEvent::CollEnter {
-            sig: CollEvent {
-                comm: comm.id(),
-                seq,
-                kind,
-                root,
-                elems,
-            },
-            members: comm.members(),
-        });
+        self.emit(RankEvent::CollEnter(CollEvent {
+            comm: comm.id(),
+            seq,
+            kind,
+            root,
+            elems,
+        }));
         seq
     }
 

@@ -25,8 +25,8 @@ use greenla_faults::{FaultNote, RankFaults};
 use greenla_trace::RankTracer;
 
 /// A step of the Figure-2 monitoring choreography, as the monitoring
-/// layer announces it (MON001–MON003 are checked from these, and MON004
-/// from the `End` time and the ledger after the run).
+/// layer announces it (after the run, MON001–MON003 are judged from
+/// these, and MON004 from the `End` time and the ledger).
 #[derive(Clone, Copy, Debug)]
 pub enum MonitorStep {
     /// `split_shared` produced this rank's node communicator (its id).
@@ -80,12 +80,8 @@ pub enum RankEvent<'a> {
     RecvEnd {
         span: &'static str,
     },
-    /// The rank entered a collective with lockstep signature `sig` over
-    /// `members` (global ranks).
-    CollEnter {
-        sig: CollEvent,
-        members: &'a [usize],
-    },
+    /// The rank entered a collective with this lockstep signature.
+    CollEnter(CollEvent),
     /// Something happened to a planned fault.
     Fault(FaultNote),
     Monitor(MonitorStep),
@@ -145,19 +141,20 @@ impl Observers {
                 }
             }
             RankEvent::Monitor(MonitorStep::Start) => tracer.instant("start_monitoring", t),
-            RankEvent::CollEnter { .. }
+            RankEvent::CollEnter(_)
             | RankEvent::Monitor(MonitorStep::NodeComm(_) | MonitorStep::End) => {}
         }
     }
 
     /// The checker hears only what the program chose: its collectives
-    /// and its Figure-2 steps. Clock causality and the tag space are the
-    /// runtime's own invariants, so a compute, send or receive takes no
-    /// checker lock.
+    /// and its Figure-2 steps, logged on the rank without a lock and
+    /// judged after the run. Clock causality and the tag space are the
+    /// runtime's own invariants, so a compute, send or receive is not
+    /// heard at all.
     fn check(&mut self, t: f64, ev: RankEvent<'_>) {
         let checker = &mut self.checker;
         match ev {
-            RankEvent::CollEnter { sig, members } => checker.enter_coll(sig, members, t),
+            RankEvent::CollEnter(sig) => checker.enter_coll(sig, t),
             RankEvent::Monitor(MonitorStep::NodeComm(id)) => checker.monitor_node_comm(id),
             RankEvent::Monitor(MonitorStep::Start) => checker.monitor_start(t),
             RankEvent::Monitor(MonitorStep::End) => checker.monitor_end(t),

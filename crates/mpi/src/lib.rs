@@ -37,17 +37,19 @@
 //! [`Machine::with_trace`] and the events become [`greenla_trace`] spans
 //! (compute, point-to-point, every collective, the monitoring
 //! choreography). Attach a [`CheckSink`] with [`Machine::with_check`] and
-//! the collectives and monitor steps among those events feed
-//! [`greenla_check`], a MUST-style dynamic correctness checker that
-//! reports collective lockstep mismatches, leaked messages at finalize and
-//! monitor protocol breaches as structured [`Violation`]s, plus the
-//! runtime's deadlock report as DL001. That report needs no listener: a
-//! stuck run, checked or not, aborts as [`AbortKind::Deadlock`] naming
-//! what every parked rank waits on and the cycle among them (see
-//! [`Machine::try_run`]). After the run the checker reads each rank's compute span across its node's end of
-//! monitoring from the ledger (MON004). It watches the program, not the
-//! runtime: monotone clocks, receive causality and the collective tag
-//! layout are invariants the runtime holds itself, in every build — a
+//! each rank logs the collectives and monitor steps among those events,
+//! without a lock, for [`greenla_check`], a MUST-style dynamic correctness
+//! checker that reports collective lockstep mismatches, leaked messages at
+//! finalize and monitor protocol breaches as structured [`Violation`]s,
+//! plus the runtime's deadlock report as DL001. That report needs no
+//! listener: a stuck run, checked or not, aborts as
+//! [`AbortKind::Deadlock`] naming what every parked rank waits on and the
+//! cycle among them (see [`Machine::try_run`]). Every other verdict is
+//! given once, after the run, from the ranks' logs, the ledger's compute
+//! spans and the finalize leftovers, so it does not depend on the order
+//! the ranks ran in. The checker watches the program, not the runtime:
+//! monotone clocks, receive causality and the collective tag layout are
+//! invariants the runtime holds itself, in every build — a
 //! collective that would need more tag chunks than the layout has dies
 //! as [`AbortKind::CollectiveContract`]. Attach a
 //! [`FaultSink`] with [`Machine::with_faults`] and [`RankEvent::Fault`]

@@ -260,7 +260,7 @@ impl Machine {
                 world_members: Arc::clone(&world_members),
                 observers: Observers {
                     tracer: self.trace.tracer(rank, core.node),
-                    checker: self.check.checker(rank, core.node),
+                    checker: self.check.checker(rank),
                 },
                 faults: self.faults.handle(rank, core.node),
                 observed,
@@ -299,16 +299,9 @@ impl Machine {
                 .collect(),
         );
 
-        // MON004 reads the finished ledger, so its verdict is the same
-        // whatever order the ranks ran in — and an aborted run reports it.
-        self.check.end_run(|rank, t| {
-            let core = self.placement.core_of(rank);
-            self.ledger.span_across(core, ActivityKind::Compute, t)
-        });
-        if let Some(abort) = registry.cause() {
-            return Err(abort.clone());
-        }
-        if self.check.is_enabled() || self.faults.is_enabled() {
+        let cause = registry.cause();
+        let mut leftovers = Vec::new();
+        if cause.is_none() && (self.check.is_enabled() || self.faults.is_enabled()) {
             // Message hygiene, once every rank has stopped sending:
             // anything still in an inbox at finalize was sent but never
             // received (MSG001). Injected duplicates no receive searched
@@ -316,18 +309,28 @@ impl Machine {
             // discarded mid-run or at finalize is a wall-clock accident,
             // but the total observed count is deterministic.
             for rank in 0..n {
-                let mut leaked = Vec::new();
                 for e in mail.drain(rank) {
                     if e.dup {
                         self.faults.note_dup_discarded();
-                    } else {
-                        leaked.push((e.src, e.comm_id, describe_tag(e.tag), e.arrival));
+                    } else if self.check.is_enabled() {
+                        leftovers.push((e.src, rank, e.comm_id, describe_tag(e.tag), e.arrival));
                     }
                 }
-                if !leaked.is_empty() && self.check.is_enabled() {
-                    self.check.report_residue(rank, &leaked);
-                }
             }
+        }
+        // Every rank's checker log is in: the checker judges the run from
+        // those, the finished ledger and the leftovers, so its verdicts are
+        // the same whatever order the ranks ran in — and an aborted run
+        // reports them.
+        self.check.end_run(
+            &mut |rank, t| {
+                let core = self.placement.core_of(rank);
+                self.ledger.span_across(core, ActivityKind::Compute, t)
+            },
+            &leftovers,
+        );
+        if let Some(abort) = cause {
+            return Err(abort.clone());
         }
         let results: Vec<R> = results
             .into_iter()

@@ -7,7 +7,8 @@
 use greenla_cluster::placement::{LoadLayout, Placement};
 use greenla_cluster::spec::ClusterSpec;
 use greenla_cluster::PowerModel;
-use greenla_mpi::{AbortKind, CheckSink, Machine, Rule};
+use greenla_mpi::{AbortKind, CheckSink, Machine, Rule, SchedulerKind};
+use std::time::Duration;
 
 fn checked_machine(ranks: usize) -> Machine {
     // Nodes of 2×4 cores for big runs; a 2-core node for the 2-rank
@@ -118,6 +119,67 @@ fn mismatched_bcast_root_trips_coll001() {
         2,
         "both undelivered broadcast messages leak: {violations:#?}"
     );
+}
+
+#[test]
+fn coll001_names_the_same_ranks_whatever_the_host_timing() {
+    // Ranks 0–2 broadcast from root 0 and rank 3 from root 3. Which rank
+    // reaches the broadcast first on the host used to decide which pair
+    // the diagnostic named; judged after the run, every leg names the
+    // lowest rank and the lowest rank that disagrees with it, bit for bit.
+    let mut legs = vec![(SchedulerKind::ThreadPerRank, None, None)];
+    legs.extend([0, 1, 3].map(|r| (SchedulerKind::ThreadPerRank, None, Some(r))));
+    if SchedulerKind::EventDriven.supported() {
+        legs.extend([1, 2].map(|w| (SchedulerKind::EventDriven, Some(w), None)));
+    }
+    let mut first: Option<Vec<greenla_mpi::Violation>> = None;
+    for (kind, workers, sleeper) in legs {
+        for rep in 0..10 {
+            let spec = ClusterSpec::test_cluster(1, 2);
+            let placement = Placement::layout(&spec.node, 4, LoadLayout::FullLoad).unwrap();
+            let mut m = Machine::new(spec, placement, PowerModel::deterministic(), 7)
+                .unwrap()
+                .with_check(CheckSink::enabled())
+                .with_scheduler(kind);
+            if let Some(w) = workers {
+                m = m.with_sched_workers(w);
+            }
+            m.run(|ctx| {
+                let world = ctx.world();
+                if sleeper == Some(ctx.rank()) {
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "host timing is what this test varies; no virtual clock moves"
+                    )]
+                    std::thread::sleep(Duration::from_millis(30));
+                }
+                let root = if ctx.rank() == 3 { 3 } else { 0 };
+                let data = (ctx.rank() == root).then(|| vec![ctx.rank() as f64]);
+                ctx.bcast_shared_f64(&world, root, data);
+            });
+            let violations = m.check().violations();
+            let leg = format!("{kind}, workers {workers:?}, sleeper {sleeper:?}, rep {rep}");
+            let coll: Vec<_> = violations
+                .iter()
+                .filter(|v| v.rule == Rule::CollectiveMismatch)
+                .collect();
+            assert_eq!(
+                coll.len(),
+                1,
+                "exactly one COLL001 on {leg}: {violations:#?}"
+            );
+            assert_eq!(coll[0].ranks, vec![0, 3], "{leg}");
+            let first = first.get_or_insert_with(|| violations.clone());
+            assert_eq!(violations.len(), first.len(), "{leg}: {violations:#?}");
+            for (v, f) in violations.iter().zip(first.iter()) {
+                assert_eq!(
+                    (v.rule, &v.ranks, &v.message, v.t_s.to_bits()),
+                    (f.rule, &f.ranks, &f.message, f.t_s.to_bits()),
+                    "{leg}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
