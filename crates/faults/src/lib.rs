@@ -27,8 +27,9 @@
 //! *virtual* backoff, so injection never touches how a rank waits and
 //! nothing in this crate knows the carrier. A machine without a plan pays one
 //! branch per hook ([`FaultSink::disabled`]) and is bit-identical in
-//! virtual time to a build without this crate — the same zero-overhead
-//! discipline as `greenla-trace` and `greenla-check`.
+//! virtual time to a build without this crate — the discipline of
+//! `greenla-mpi`'s trace and checker, whose ranks log nothing without a
+//! sink attached.
 //!
 //! The per-run outcome is a [`FaultReport`]: what the plan injected, what
 //! the runtime observed, and what it recovered from, plus the list of

@@ -1,9 +1,8 @@
 //! The runtime-facing half: a shared sink the machine consults at its
 //! injection points, plus a cheap per-rank handle.
 //!
-//! Mirrors the observer discipline of `greenla-trace` / `greenla-check`:
-//! a disabled sink is a `None` behind an `Option<Arc<..>>`, so every hook
-//! costs one branch and the virtual timeline of a fault-free build is
+//! A disabled sink is a `None` behind an `Option<Arc<..>>`, as are
+//! `greenla-mpi`'s trace and check sinks, so every hook costs one branch and the virtual timeline of a fault-free build is
 //! untouched. Per-rank state lives in [`RankFaults`] (no locking on the
 //! hot path); local tallies are folded into the shared [`FaultReport`]
 //! when the handle drops — which also happens during panic unwinding, so

@@ -87,7 +87,7 @@ pub struct FunctionalGrid {
     pub reps: usize,
     pub cores_per_socket: usize,
     pub base_seed: u64,
-    /// Run every configuration under the greenla-check correctness sink
+    /// Run every configuration under the runtime's correctness checker
     /// and record its diagnostics in the dataset.
     #[serde(default = "default_false")]
     pub check: bool,

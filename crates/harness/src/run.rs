@@ -63,7 +63,7 @@ pub struct RunConfig {
     pub system: SystemKind,
     pub cores_per_socket: usize,
     pub seed: u64,
-    /// Attach the greenla-check correctness sink to the run.
+    /// Attach the runtime's correctness checker to the run.
     #[serde(default = "default_false")]
     pub check: bool,
     /// Deterministic fault plan injected into the run; `None` (the default

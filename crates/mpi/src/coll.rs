@@ -39,6 +39,7 @@
 //! mutate a replica copies it at its own call site
 //! (`Arc::unwrap_or_clone`, `extend_from_slice`), where the copy is seen.
 
+use crate::check::CollKind;
 use crate::comm::Comm;
 use crate::context::RankCtx;
 use crate::envelope::Payload;
@@ -46,7 +47,6 @@ use crate::error::{AbortKind, CollContractError};
 use crate::tagspace::{
     CHUNK_BITS, COLL_TAG, HEADER_CHUNK, MAX_CHUNK, MAX_PIPELINE_CHUNKS, MAX_SEQ, PLAIN_CHUNK,
 };
-use greenla_check::CollKind;
 use std::sync::Arc;
 
 /// Allreduce payloads at or below this many bytes take the

@@ -1,5 +1,6 @@
 //! Per-rank execution context: the API rank code programs against.
 
+use crate::check::{CollEvent, CollKind};
 use crate::comm::{Comm, WORLD_ID};
 use crate::envelope::{Envelope, Payload};
 use crate::error::AbortKind;
@@ -7,7 +8,6 @@ use crate::event::{Observers, RankEvent};
 use crate::mailbox::{Mailboxes, RecvWait};
 use crate::registry::{Registry, SplitEntry};
 use crate::traffic::TrafficSnapshot;
-use greenla_check::{CollEvent, CollKind};
 use greenla_cluster::ledger::{ActivityKind, Interval, Ledger};
 use greenla_cluster::placement::Placement;
 use greenla_cluster::spec::ClusterSpec;
@@ -40,9 +40,10 @@ pub struct RankCtx<'m> {
     /// as ranks issue collectives in the same order — the MPI contract).
     pub(crate) seqs: HashMap<u64, u64>,
     pub(crate) world_members: Arc<Vec<usize>>,
-    /// This rank's trace recorder and checker hooks; inert unless the
+    /// This rank's trace events and checker log; `None` unless the
     /// machine has the matching sink attached. They hear what
-    /// [`RankCtx::emit`] tells them and nothing else.
+    /// [`RankCtx::emit`] tells them and nothing else, and the machine
+    /// banks them when the body ends.
     pub(crate) observers: Observers,
     /// Planned-fault state for this rank; a no-op unless the machine has
     /// an enabled [`greenla_faults::FaultSink`] attached. Unlike the
@@ -102,7 +103,7 @@ impl<'m> RankCtx<'m> {
     /// Is event tracing active for this run? Workloads can skip building
     /// span labels when it is not.
     pub fn trace_enabled(&self) -> bool {
-        self.observers.tracer.enabled()
+        self.observers.trace.is_some()
     }
 
     /// Open a trace span at the current virtual time. Spans on one rank

@@ -6,8 +6,8 @@
 //! ends in one [`RankCtx::emit`](crate::RankCtx::emit) of a [`RankEvent`].
 //! A run nobody observes pays one branch per event. A run somebody does
 //! observe goes through `Observers::hear`, which holds the only mapping
-//! from events to `RankTracer` calls and the only mapping from events to
-//! `RankChecker` calls in the workspace: a new listener is one more
+//! from events to [`TraceEvent`]s and the only mapping from events to the
+//! checker's log entries in the workspace: a new listener is one more
 //! `match` here, not a sweep over the MPI layer.
 //!
 //! `hear` receives the clock by value. A listener cannot move virtual
@@ -20,9 +20,9 @@
 //! listeners either: they are always on and the simulated RAPL reads the
 //! ledger mid-run, so the optional-listener branch would only wrap them.
 
-use greenla_check::{CollEvent, RankChecker};
+use crate::check::{CollEvent, Entry};
+use crate::trace::{EventKind, TraceEvent};
 use greenla_faults::{FaultNote, RankFaults};
-use greenla_trace::RankTracer;
 
 /// A step of the Figure-2 monitoring choreography, as the monitoring
 /// layer announces it (after the run, MON001–MON003 are judged from
@@ -87,11 +87,17 @@ pub enum RankEvent<'a> {
     Monitor(MonitorStep),
 }
 
-/// The optional listeners of one rank. Both are inert handles unless the
-/// machine has the matching sink attached.
+/// The optional listeners' logs of one rank: its trace events and its
+/// checker log, each `None` unless the machine has the matching sink
+/// attached. The rank appends to them without a lock; the machine banks
+/// them when the rank's body ends.
+#[derive(Default)]
 pub(crate) struct Observers {
-    pub(crate) tracer: RankTracer,
-    pub(crate) checker: RankChecker,
+    /// Global rank and node, stamped on every trace event.
+    pub(crate) rank: usize,
+    pub(crate) node: usize,
+    pub(crate) trace: Option<Vec<TraceEvent>>,
+    pub(crate) check: Option<Vec<Entry>>,
 }
 
 impl Observers {
@@ -105,60 +111,94 @@ impl Observers {
         if let RankEvent::Fault(note) = ev {
             faults.note(note);
         }
-        if self.tracer.enabled() {
-            self.trace(t, ev);
+        if let Some(events) = &mut self.trace {
+            trace(events, self.rank, self.node, t, ev);
         }
-        if self.checker.enabled() {
-            self.check(t, ev);
-        }
-    }
-
-    fn trace(&mut self, t: f64, ev: RankEvent<'_>) {
-        let tracer = &mut self.tracer;
-        match ev {
-            RankEvent::SpanBegin { cat, name, args } => tracer.begin(cat, name, t, args),
-            RankEvent::SpanEnd { cat, name } => tracer.end(cat, name, t),
-            RankEvent::Mark(name) => tracer.instant(name, t),
-            RankEvent::Computed {
-                t0,
-                flops,
-                dram_bytes,
-            } => {
-                let args = [("flops", flops as f64), ("dram_bytes", dram_bytes as f64)];
-                tracer.begin("compute", "compute", t0, &args);
-                tracer.end("compute", "compute", t);
-            }
-            RankEvent::SendBegin { dst, bytes } => {
-                let args = [("bytes", bytes as f64), ("dst", dst as f64)];
-                tracer.begin("comm", "send", t, &args);
-            }
-            RankEvent::SendEnd => tracer.end("comm", "send", t),
-            RankEvent::RecvBegin { span, arg, .. } => tracer.begin("comm", span, t, &[arg]),
-            RankEvent::RecvEnd { span, .. } => tracer.end("comm", span, t),
-            RankEvent::Fault(note) => {
-                if let Some(marker) = note.marker() {
-                    tracer.instant(marker, t);
-                }
-            }
-            RankEvent::Monitor(MonitorStep::Start) => tracer.instant("start_monitoring", t),
-            RankEvent::CollEnter(_)
-            | RankEvent::Monitor(MonitorStep::NodeComm(_) | MonitorStep::End) => {}
+        if let Some(log) = &mut self.check {
+            check(log, t, ev);
         }
     }
+}
 
-    /// The checker hears only what the program chose: its collectives
-    /// and its Figure-2 steps, logged on the rank without a lock and
-    /// judged after the run. Clock causality and the tag space are the
-    /// runtime's own invariants, so a compute, send or receive is not
-    /// heard at all.
-    fn check(&mut self, t: f64, ev: RankEvent<'_>) {
-        let checker = &mut self.checker;
-        match ev {
-            RankEvent::CollEnter(sig) => checker.enter_coll(sig, t),
-            RankEvent::Monitor(MonitorStep::NodeComm(id)) => checker.monitor_node_comm(id),
-            RankEvent::Monitor(MonitorStep::Start) => checker.monitor_start(t),
-            RankEvent::Monitor(MonitorStep::End) => checker.monitor_end(t),
-            _ => {}
+fn trace(events: &mut Vec<TraceEvent>, rank: usize, node: usize, t_s: f64, ev: RankEvent<'_>) {
+    let mut push = |kind, cat, name: &str, t_s, args: &[(&'static str, f64)]| {
+        events.push(TraceEvent {
+            rank,
+            node,
+            kind,
+            cat,
+            name: name.to_string(),
+            t_s,
+            args: args.to_vec(),
+        });
+    };
+    match ev {
+        RankEvent::SpanBegin { cat, name, args } => push(EventKind::Begin, cat, name, t_s, args),
+        RankEvent::SpanEnd { cat, name } => push(EventKind::End, cat, name, t_s, &[]),
+        RankEvent::Mark(name) => push(EventKind::Instant, "marker", name, t_s, &[]),
+        RankEvent::Computed {
+            t0,
+            flops,
+            dram_bytes,
+        } => {
+            let args = [("flops", flops as f64), ("dram_bytes", dram_bytes as f64)];
+            push(EventKind::Begin, "compute", "compute", t0, &args);
+            push(EventKind::End, "compute", "compute", t_s, &[]);
         }
+        RankEvent::SendBegin { dst, bytes } => {
+            let args = [("bytes", bytes as f64), ("dst", dst as f64)];
+            push(EventKind::Begin, "comm", "send", t_s, &args);
+        }
+        RankEvent::SendEnd => push(EventKind::End, "comm", "send", t_s, &[]),
+        RankEvent::RecvBegin { span, arg } => push(EventKind::Begin, "comm", span, t_s, &[arg]),
+        RankEvent::RecvEnd { span } => push(EventKind::End, "comm", span, t_s, &[]),
+        RankEvent::Fault(note) => {
+            if let Some(marker) = note.marker() {
+                push(EventKind::Instant, "marker", marker, t_s, &[]);
+            }
+        }
+        RankEvent::Monitor(MonitorStep::Start) => {
+            push(EventKind::Instant, "marker", "start_monitoring", t_s, &[]);
+        }
+        RankEvent::CollEnter(_)
+        | RankEvent::Monitor(MonitorStep::NodeComm(_) | MonitorStep::End) => {}
+    }
+}
+
+/// The checker hears only what the program chose: its collectives and
+/// its Figure-2 steps, judged after the run. Clock causality and the tag
+/// space are the runtime's own invariants, so a compute, send or receive
+/// is not heard at all.
+fn check(log: &mut Vec<Entry>, t: f64, ev: RankEvent<'_>) {
+    log.push(match ev {
+        RankEvent::CollEnter(sig) => Entry::Coll(sig, t),
+        RankEvent::Monitor(MonitorStep::NodeComm(id)) => Entry::NodeComm(id),
+        RankEvent::Monitor(MonitorStep::Start) => Entry::Start(t),
+        RankEvent::Monitor(MonitorStep::End) => Entry::End(t),
+        _ => return,
+    });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn args_ride_along() {
+        let mut observers = Observers {
+            rank: 2,
+            node: 1,
+            trace: Some(Vec::new()),
+            check: None,
+        };
+        let ev = RankEvent::SendBegin {
+            dst: 5,
+            bytes: 4096,
+        };
+        observers.hear(&mut RankFaults::disabled(), 1.0, ev);
+        let events = observers.trace.expect("a trace log");
+        assert_eq!((events[0].rank, events[0].node), (2, 1));
+        assert_eq!((events[0].kind, events[0].t_s), (EventKind::Begin, 1.0));
+        assert_eq!(events[0].args, vec![("bytes", 4096.0), ("dst", 5.0)]);
     }
 }

@@ -34,14 +34,17 @@
 //! operation ends in one [`RankCtx::emit`] of a [`RankEvent`] — a single
 //! branch when nothing listens — and [`event`] alone decides what the
 //! listeners hear. Three exist. Attach a [`TraceSink`] with
-//! [`Machine::with_trace`] and the events become [`greenla_trace`] spans
+//! [`Machine::with_trace`] and the events become [`trace`] spans
 //! (compute, point-to-point, every collective, the monitoring
 //! choreography). Attach a [`CheckSink`] with [`Machine::with_check`] and
-//! each rank logs the collectives and monitor steps among those events,
-//! without a lock, for [`greenla_check`], a MUST-style dynamic correctness
-//! checker that reports collective lockstep mismatches, leaked messages at
-//! finalize and monitor protocol breaches as structured [`Violation`]s,
-//! plus the runtime's deadlock report as DL001. That report needs no
+//! each rank logs the collectives and monitor steps among those events
+//! for [`check`], a MUST-style dynamic correctness checker that reports
+//! collective lockstep mismatches, leaked messages at finalize and
+//! monitor protocol breaches as structured [`Violation`]s, plus the
+//! runtime's deadlock report as DL001. Each rank keeps its trace events
+//! and its checker log as plain state of its [`RankCtx`], appended without
+//! a lock; the machine banks both when the rank's body ends, however it
+//! ends, next to its traffic tally. The deadlock report needs no
 //! listener: a stuck run, checked or not, aborts as
 //! [`AbortKind::Deadlock`] naming what every parked rank waits on and the
 //! cycle among them (see [`Machine::try_run`]). Every other verdict is
@@ -61,6 +64,7 @@
 //! ledger mid-run, so they are part of the simulation, not observers of
 //! it.
 
+pub mod check;
 pub mod coll;
 pub mod comm;
 pub mod context;
@@ -72,19 +76,20 @@ pub(crate) mod mailbox;
 mod registry;
 pub mod sched;
 mod tagspace;
+pub mod trace;
 pub mod traffic;
 
+pub use check::{CheckSink, CollEvent, CollKind, Rule, Violation};
 pub use comm::Comm;
 pub use context::RankCtx;
 pub use envelope::{copy_audit, Payload};
 pub use error::{Abort, AbortKind, CollContractError, MachineError};
 pub use event::{MonitorStep, RankEvent};
-pub use greenla_check::{CheckSink, CollEvent, CollKind, Rule, Violation};
 pub use greenla_faults::{
     ColumnLoss, CounterFault, CounterFaultKind, CrashFault, CrashWhen, FaultNote, FaultPlan,
     FaultReport, FaultSink, MsgFault, MsgFaultKind, PlanShape, RankFaults,
 };
-pub use greenla_trace::{EventKind, TraceEvent, TraceSink};
 pub use machine::{Machine, RunOutput};
 pub use sched::SchedulerKind;
+pub use trace::{EventKind, TraceEvent, TraceSink};
 pub use traffic::{Traffic, TrafficSnapshot};

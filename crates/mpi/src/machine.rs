@@ -2,21 +2,20 @@
 //! rank a task of one [`crate::sched`] engine (carried by fibers or OS
 //! threads).
 
+use crate::check::CheckSink;
 use crate::context::RankCtx;
 use crate::error::{Abort, AbortKind, MachineError};
 use crate::event::Observers;
 use crate::mailbox::Mailboxes;
 use crate::registry::{RankExit, Registry};
 use crate::sched::{Engine, SchedulerKind};
-use crate::tagspace::describe_tag;
+use crate::trace::TraceSink;
 use crate::traffic::{Traffic, TrafficSnapshot};
-use greenla_check::CheckSink;
 use greenla_cluster::ledger::{ActivityKind, Ledger};
 use greenla_cluster::placement::Placement;
 use greenla_cluster::spec::ClusterSpec;
 use greenla_cluster::PowerModel;
 use greenla_faults::FaultSink;
-use greenla_trace::TraceSink;
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -225,8 +224,7 @@ impl Machine {
         F: Fn(&mut RankCtx) -> R + Sync,
     {
         let n = self.placement.ntasks();
-        self.check
-            .begin_run((0..n).map(|r| self.placement.core_of(r).node).collect());
+        self.check.clear();
         let mail = Arc::new(Mailboxes::new(Engine::new(
             n,
             self.scheduler,
@@ -236,6 +234,7 @@ impl Machine {
         let world_members: Arc<Vec<usize>> = Arc::new((0..n).collect());
         let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let clocks: Vec<Mutex<f64>> = (0..n).map(|_| Mutex::new(0.0)).collect();
+        let logs: Vec<Mutex<Observers>> = (0..n).map(|_| Mutex::default()).collect();
 
         let observed =
             self.trace.is_enabled() || self.check.is_enabled() || self.faults.is_enabled();
@@ -259,8 +258,10 @@ impl Machine {
                 seqs: Default::default(),
                 world_members: Arc::clone(&world_members),
                 observers: Observers {
-                    tracer: self.trace.tracer(rank, core.node),
-                    checker: self.check.checker(rank),
+                    rank,
+                    node: core.node,
+                    trace: self.trace.is_enabled().then(Vec::new),
+                    check: self.check.is_enabled().then(Vec::new),
                 },
                 faults: self.faults.handle(rank, core.node),
                 observed,
@@ -289,8 +290,9 @@ impl Machine {
                 }
             }
             // Every exit path: what an aborted rank sent still crossed the
-            // wire.
+            // wire, and what it did up to its exit is in its logs.
             self.traffic.add(&ctx.traffic);
+            *logs[rank].lock() = std::mem::take(&mut ctx.observers);
         };
         let run_rank = &run_rank;
         mail.engine().run(
@@ -312,17 +314,28 @@ impl Machine {
                 for e in mail.drain(rank) {
                     if e.dup {
                         self.faults.note_dup_discarded();
-                    } else if self.check.is_enabled() {
-                        leftovers.push((e.src, rank, e.comm_id, describe_tag(e.tag), e.arrival));
+                    } else {
+                        leftovers.push((e.src, rank, e.comm_id, e.tag, e.arrival));
                     }
                 }
             }
         }
-        // Every rank's checker log is in: the checker judges the run from
-        // those, the finished ledger and the leftovers, so its verdicts are
-        // the same whatever order the ranks ran in — and an aborted run
-        // reports them.
+        // Every rank's logs are in, in rank order. The checker judges the
+        // run from its logs, the finished ledger and the leftovers, so its
+        // verdicts are the same whatever order the ranks ran in — and an
+        // aborted run reports them.
+        let (traces, checks): (Vec<_>, Vec<_>) = logs
+            .into_iter()
+            .map(|m| {
+                let Observers { trace, check, .. } = m.into_inner();
+                (trace, check.unwrap_or_default())
+            })
+            .unzip();
+        self.trace.bank(traces);
+        let node_of: Vec<usize> = (0..n).map(|r| self.placement.core_of(r).node).collect();
         self.check.end_run(
+            &node_of,
+            &checks,
             &mut |rank, t| {
                 let core = self.placement.core_of(rank);
                 self.ledger.span_across(core, ActivityKind::Compute, t)
@@ -1071,7 +1084,7 @@ mod tests {
             let sink = FaultSink::with_plan(plan);
             let mut m = machine(8).with_faults(sink.clone());
             if checked {
-                m = m.with_check(greenla_check::CheckSink::enabled());
+                m = m.with_check(CheckSink::enabled());
             }
             let abort = m
                 .try_run(|ctx| {

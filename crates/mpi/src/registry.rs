@@ -32,12 +32,12 @@
 //! deadlocked run dies with that report, checked or not, and a checker
 //! records the same text as its one DL001.
 
+use crate::check::CheckSink;
 use crate::comm::Comm;
 use crate::error::{Abort, AbortKind};
 use crate::mailbox::{Mailboxes, RecvWait};
 use crate::sched::{self, WakeReason};
 use crate::tagspace::describe_tag;
-use greenla_check::CheckSink;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::panic::resume_unwind;
@@ -453,9 +453,9 @@ impl WaitGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::{Rule, Violation};
     use crate::sched::{Engine, SchedulerKind};
     use crate::{Machine, RankCtx};
-    use greenla_check::{Rule, Violation};
     use greenla_cluster::placement::{LoadLayout, Placement};
     use greenla_cluster::spec::ClusterSpec;
     use greenla_cluster::PowerModel;

@@ -7,7 +7,7 @@
 use greenla_cluster::placement::{LoadLayout, Placement};
 use greenla_cluster::spec::ClusterSpec;
 use greenla_cluster::PowerModel;
-use greenla_mpi::{AbortKind, CheckSink, Machine, Rule, SchedulerKind};
+use greenla_mpi::{AbortKind, CheckSink, EventKind, Machine, Rule, SchedulerKind, TraceSink};
 use std::time::Duration;
 
 fn checked_machine(ranks: usize) -> Machine {
@@ -179,6 +179,66 @@ fn coll001_names_the_same_ranks_whatever_the_host_timing() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn an_aborted_run_keeps_every_ranks_trace_and_check_log() {
+    // The program of `coll001_names_the_same_ranks_whatever_the_host_timing`,
+    // then rank 1 computes and gives up while the others wait in a world
+    // barrier: every rank leaves the run early, rank 1 by its abort and the
+    // others by unwinding out of the barrier, and each one's trace and
+    // checker log still reach the sinks.
+    let mut kinds = vec![SchedulerKind::ThreadPerRank];
+    if SchedulerKind::EventDriven.supported() {
+        kinds.push(SchedulerKind::EventDriven);
+    }
+    for kind in kinds {
+        let spec = ClusterSpec::test_cluster(1, 2);
+        let placement = Placement::layout(&spec.node, 4, LoadLayout::FullLoad).unwrap();
+        let m = Machine::new(spec, placement, PowerModel::deterministic(), 7)
+            .unwrap()
+            .with_trace(TraceSink::enabled())
+            .with_check(CheckSink::enabled())
+            .with_scheduler(kind);
+        let abort = m
+            .try_run(|ctx| {
+                let world = ctx.world();
+                let root = if ctx.rank() == 3 { 3 } else { 0 };
+                let data = (ctx.rank() == root).then(|| vec![ctx.rank() as f64]);
+                ctx.bcast_shared_f64(&world, root, data);
+                if ctx.rank() == 1 {
+                    ctx.compute(1_000_000, 0);
+                    ctx.abort(AbortKind::Solver, "rank 1 gives up after the broadcast");
+                }
+                ctx.barrier(&world);
+            })
+            .err()
+            .expect("rank 1 aborts the run");
+        assert_eq!(
+            (abort.kind, abort.rank),
+            (AbortKind::Solver, 1),
+            "{kind}: {abort}"
+        );
+
+        let events = m.trace().drain();
+        for rank in 0..4 {
+            assert!(
+                events.iter().any(|e| e.rank == rank),
+                "{kind}: rank {rank}'s trace is missing"
+            );
+        }
+        let last = events.iter().rfind(|e| e.rank == 1).expect("rank 1 traced");
+        assert_eq!(
+            (last.kind, last.cat, last.name.as_str()),
+            (EventKind::End, "compute", "compute"),
+            "{kind}: rank 1's last event"
+        );
+
+        let violations = m.check().violations();
+        assert_eq!(violations.len(), 1, "{kind}: {violations:#?}");
+        assert_eq!(violations[0].rule, Rule::CollectiveMismatch, "{kind}");
+        assert_eq!(violations[0].ranks, vec![0, 3], "{kind}");
     }
 }
 
