@@ -12,9 +12,9 @@ use greenla_cluster::spec::NodeSpec;
 use greenla_cluster::PowerModel;
 use greenla_linalg::generate;
 use greenla_monitor::blackbox::blackbox_run;
-use greenla_mpi::SchedulerKind;
 
-/// Sample node-0 power over time for one solver run.
+/// Sample node-0 power over time for one solver run, on a machine from
+/// [`build_machine`] (its fiber pool sized by the harness's one rule).
 pub fn power_trace(
     solver: SolverChoice,
     n: usize,
@@ -23,6 +23,7 @@ pub fn power_trace(
     seed: u64,
 ) -> Vec<(f64, f64)> {
     let node = NodeSpec::test_node(4);
+    let inputs = Inputs::from_system(solver, generate::diag_dominant(n, 3131));
     let rig = Rig::new(
         build_machine(
             &node,
@@ -30,11 +31,11 @@ pub fn power_trace(
             LoadLayout::FullLoad,
             PowerModel::scaled_for(&node),
             seed,
-            SchedulerKind::default(),
+            &inputs,
+            true,
         ),
         None,
     );
-    let inputs = Inputs::from_system(solver, generate::diag_dominant(n, 3131));
     let out = rig.machine.run(|ctx| {
         blackbox_run(ctx, &rig.rapl, &rig.monitor, sample_period_s, |ctx, app| {
             solve(ctx, app, true, &inputs)

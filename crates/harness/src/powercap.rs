@@ -19,7 +19,6 @@ use greenla_cluster::PowerModel;
 use greenla_linalg::generate;
 use greenla_monitor::protocol::monitored_run;
 use greenla_monitor::report::JobSummary;
-use greenla_mpi::SchedulerKind;
 use serde::{Deserialize, Serialize};
 
 /// One point of the power-cap sweep.
@@ -36,7 +35,9 @@ pub struct CapPoint {
 }
 
 /// Run the sweep: `fractions` of the uncapped loaded-socket power, both
-/// solvers, full-load layout.
+/// solvers, full-load layout. Every machine comes from [`build_machine`],
+/// so its fiber pool follows the harness's one rule (the model reads the
+/// uncapped ceilings; the pool never moves a virtual bit).
 pub fn sweep(n: usize, ranks: usize, fractions: &[f64], seed: u64) -> Vec<CapPoint> {
     let node = NodeSpec::test_node(4);
     let base = PowerModel::scaled_deterministic(&node);
@@ -54,7 +55,8 @@ pub fn sweep(n: usize, ranks: usize, fractions: &[f64], seed: u64) -> Vec<CapPoi
                     LoadLayout::FullLoad,
                     power.clone(),
                     seed,
-                    SchedulerKind::default(),
+                    &inputs,
+                    true,
                 ),
                 None,
             );

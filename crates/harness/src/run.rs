@@ -19,17 +19,19 @@
 //! 4. [`aggregate`] — the node reports → [`Measurement`], given the
 //!    residual [`Inputs::residual`] takes of rank 0's solution.
 //!
-//! [`run_prepared`] is nothing but steps 2–4, with the residual between 3
-//! and 4 and a no-op hook. `run_once`, both campaigns (through one campaign
-//! loop that fans the points out and folds each point's repetitions with
+//! [`run_prepared`] is nothing but steps 2–4: [`Rig::build`], then
+//! [`Rig::run`] (step 3 with a no-op hook, the residual, step 4).
+//! `run_once`, both campaigns (through one campaign loop that fans the
+//! points out and folds each point's repetitions with
 //! `DataPoint::from_runs`) and the Chrome-trace export all go through it,
 //! so a trace is a trace of the run the campaign measures. The power-cap
 //! sweep and the black-box power trace are different procedures on purpose
-//! (a capped power model, a sampling daemon): they build their own machine,
-//! take its RAPL device from [`Rig::new`] and call [`solve`] in their own
-//! choreography.
+//! (a capped power model, a sampling daemon): they build their own machine
+//! with [`build_machine`], take its RAPL device from [`Rig::new`] and call
+//! [`solve`] in their own choreography.
 
 use crate::config::{default_false, default_true, one_batch, FunctionalGrid, SolverChoice};
+use greenla_cg::partition::{HaloPlan, RowBlocks};
 use greenla_cg::solver::{pcg, CgConfig};
 use greenla_cluster::placement::{LoadLayout, Placement};
 use greenla_cluster::spec::{ClusterSpec, NodeSpec};
@@ -39,6 +41,9 @@ use greenla_ime::solve_imep;
 use greenla_linalg::flops;
 use greenla_linalg::generate::{DenseSystem, LinearSystem, SystemKind};
 use greenla_linalg::sparse::{laplace2d, CsrMatrix, SparseSystem};
+use greenla_model::params::MachineParams;
+use greenla_model::roofline::Roofline;
+use greenla_model::solvers::{cg_iter_time, ge_time, ime_time, TimeBreakdown};
 use greenla_monitor::monitoring::MonitorConfig;
 use greenla_monitor::protocol::{MonitorHandle, MonitorOutput};
 use greenla_monitor::report::{JobSummary, NodeReport};
@@ -141,18 +146,22 @@ pub struct Measurement {
 
 /// The simulated cluster of one run, step 2's machine: `ranks` ranks laid
 /// out over as many `node`s as `layout` needs, on the Omni-Path
-/// interconnect. The power model is the caller's because the experiments
-/// genuinely differ in it (jittered for measurements, deterministic and
-/// capped for the cap sweep). Built on a thread of the campaign fan-out,
-/// the machine pins that thread's share of the host's fiber workers;
-/// anywhere else it keeps the engine's default pool.
+/// interconnect, on the default carrier. The power model is the caller's
+/// because the experiments genuinely differ in it (jittered for
+/// measurements, deterministic and capped for the cap sweep). The fiber
+/// pool is sized for the job the machine runs — `inputs` solved with the
+/// CG halo overlap `cg_overlap` — by `fiber_workers`: one worker when
+/// the model predicts the job communication-bound, else the fan-out
+/// thread's share of the host's cores inside a campaign and the engine's
+/// default pool anywhere else.
 pub fn build_machine(
     node: &NodeSpec,
     ranks: usize,
     layout: LoadLayout,
     power: PowerModel,
     seed: u64,
-    scheduler: SchedulerKind,
+    inputs: &Inputs,
+    cg_overlap: bool,
 ) -> Machine {
     let placement = Placement::layout(node, ranks, layout).expect("grid guarantees divisibility");
     let spec = ClusterSpec {
@@ -160,12 +169,25 @@ pub fn build_machine(
         nodes: placement.nodes_used(),
         net: Interconnect::omni_path(),
     };
-    let machine = Machine::new(spec, placement, power, seed)
-        .expect("valid machine")
-        .with_scheduler(scheduler);
-    match FANOUT_WORKERS.get() {
+    let workers = fiber_workers(inputs.model_split(&spec, ranks, cg_overlap));
+    let machine = Machine::new(spec, placement, power, seed).expect("valid machine");
+    match workers {
         Some(workers) => machine.with_sched_workers(workers),
         None => machine,
+    }
+}
+
+/// The fiber workers a machine pins for a job the model splits into
+/// `split`. A communication-bound job (`compute_s < comm_s`) gets one:
+/// its ranks mostly wait on each other, and a second worker only adds
+/// cross-worker hand-offs. Any other job keeps the fan-out thread's share
+/// of the cores inside a campaign and the engine's default pool (`None`)
+/// anywhere else. Virtual-time results never depend on the pool.
+fn fiber_workers(split: TimeBreakdown) -> Option<usize> {
+    if split.compute_s < split.comm_s {
+        Some(1)
+    } else {
+        FANOUT_WORKERS.get()
     }
 }
 
@@ -239,6 +261,32 @@ impl Inputs {
             Inputs::Ime(d, _) => 8 * (d.n() * d.n()) as u64,
             Inputs::ScaLapack(d, _) => 8 * (d.n() * d.n()) as u64,
             Inputs::Cg(s, _) => flops::spmv_csr_bytes(s.n(), s.a.nnz()),
+        }
+    }
+
+    /// The model's compute/communication split of these inputs solved on
+    /// `ranks` ranks of `spec`: `greenla_model`'s IMe and `pdgesv` times
+    /// for a whole solve, and one iteration of CG (its iteration count is
+    /// known only after the run) at the intra-node latency class when the
+    /// job fits on one node, as the sparse campaign's model checks charge
+    /// it.
+    pub(crate) fn model_split(
+        &self,
+        spec: &ClusterSpec,
+        ranks: usize,
+        cg_overlap: bool,
+    ) -> TimeBreakdown {
+        let m = MachineParams::from_spec(spec);
+        match self {
+            Inputs::Ime(d, opts) => ime_time(d.n(), ranks, &m, *opts),
+            Inputs::ScaLapack(d, nb) => ge_time(d.n(), ranks, *nb, &m),
+            Inputs::Cg(s, jacobi) => {
+                let blocks = RowBlocks::new(s.n(), ranks);
+                let plans = HaloPlan::build_all(&s.a, blocks);
+                let m = if spec.nodes == 1 { m.intra_node() } else { m };
+                let rf = Roofline::from_spec(spec);
+                cg_iter_time(&s.a, blocks, &plans, *jacobi, cg_overlap, &rf, &m).split()
+            }
         }
     }
 
@@ -325,20 +373,52 @@ impl Rig {
         }
     }
 
-    /// The rig `cfg` runs on: [`build_machine`] on a test node with the
-    /// jittered measurement power model, `trace` attached (pass
+    /// The rig `cfg` runs on over `inputs`: [`build_machine`] on a test
+    /// node with the jittered measurement power model (its fiber pool sized
+    /// for the job there), `cfg.scheduler`, `trace` attached (pass
     /// [`TraceSink::disabled`] to measure only; it never moves a clock), the
     /// checker when `cfg.check`, and `cfg.faults`.
-    pub fn build(cfg: &RunConfig, trace: TraceSink) -> Rig {
+    pub fn build(cfg: &RunConfig, inputs: &Inputs, trace: TraceSink) -> Rig {
         let node = NodeSpec::test_node(cfg.cores_per_socket);
         let power = PowerModel::scaled_for(&node);
-        let mut machine =
-            build_machine(&node, cfg.ranks, cfg.layout, power, cfg.seed, cfg.scheduler)
-                .with_trace(trace);
+        let mut machine = build_machine(
+            &node,
+            cfg.ranks,
+            cfg.layout,
+            power,
+            cfg.seed,
+            inputs,
+            cfg.cg_overlap,
+        )
+        .with_scheduler(cfg.scheduler)
+        .with_trace(trace);
         if cfg.check {
             machine = machine.with_check(CheckSink::enabled());
         }
         Rig::new(machine, cfg.faults.as_ref())
+    }
+
+    /// This rig on a pool of `workers` fiber workers, whatever its job: for
+    /// tests that hold a run to itself across pool sizes and wake orders.
+    /// Ignored by the OS-thread carrier.
+    pub fn with_sched_workers(self, workers: usize) -> Rig {
+        Rig {
+            machine: self.machine.with_sched_workers(workers),
+            ..self
+        }
+    }
+
+    /// Steps 3–4 on this rig, which a run uses up: `cfg`'s monitored window
+    /// over `inputs` with a no-op hook, the residual of rank 0's solution,
+    /// then [`aggregate`]. Says why the run died instead if it did (a
+    /// planned fault, a solver or monitor error, a deadlock — see
+    /// [`AbortKind`]).
+    pub fn run(self, cfg: &RunConfig, inputs: &Inputs) -> Result<MonitoredRun, Abort> {
+        let out = self
+            .machine
+            .try_run(|ctx| rank_body(ctx, cfg, inputs, &self.rapl, &self.monitor, |_| {}))?;
+        let residual = inputs.residual(&out.results[0].result.0);
+        Ok(aggregate(&self, out, residual))
     }
 }
 
@@ -498,8 +578,7 @@ pub fn aggregate(rig: &Rig, out: RunOutput<RankOutput>, residual: f64) -> Monito
 }
 
 /// Run `cfg` on prepared inputs under the white-box monitoring framework,
-/// or say why the run died (a planned fault, a solver or monitor error, a
-/// deadlock — see [`AbortKind`]): steps 2–4 with a no-op hook. `trace`
+/// or say why the run died: [`Rig::build`], then [`Rig::run`]. `trace`
 /// observes the run (pass [`TraceSink::disabled`] to measure only); it
 /// never moves a clock.
 pub fn run_prepared(
@@ -507,12 +586,7 @@ pub fn run_prepared(
     inputs: &Inputs,
     trace: TraceSink,
 ) -> Result<MonitoredRun, Abort> {
-    let rig = Rig::build(cfg, trace);
-    let out = rig
-        .machine
-        .try_run(|ctx| rank_body(ctx, cfg, inputs, &rig.rapl, &rig.monitor, |_| {}))?;
-    let residual = inputs.residual(&out.results[0].result.0);
-    Ok(aggregate(&rig, out, residual))
+    Rig::build(cfg, inputs, trace).run(cfg, inputs)
 }
 
 /// Execute one configuration end to end: prepare its inputs, run them
@@ -971,7 +1045,8 @@ mod tests {
                 cfg.layout,
                 PowerModel::scaled_for(&node),
                 cfg.seed,
-                cfg.scheduler,
+                &inputs,
+                cfg.cg_overlap,
             );
             let solved = machine
                 .run(|ctx| {
@@ -1033,7 +1108,7 @@ mod tests {
                     ..cfg(SolverChoice::cg_jacobi())
                 };
                 let inputs = Inputs::prepare(&cfg);
-                let rig = Rig::build(&cfg, TraceSink::disabled());
+                let rig = Rig::build(&cfg, &inputs, TraceSink::disabled());
                 let heard = std::sync::Mutex::new(Vec::new());
                 let out = rig
                     .machine
@@ -1157,9 +1232,10 @@ mod tests {
     }
 
     /// A campaign over 2 dims × 2 solvers, on both carriers, gives exactly
-    /// the points of the same configurations run one at a time through
-    /// `run_prepared` on a machine with the engine's default pool: neither
-    /// the start order nor the pinned worker share moves a bit.
+    /// the points of the same configurations run one at a time on rigs
+    /// pinned to 2 and 8 fiber workers (these jobs are communication-bound,
+    /// so the pool rule would give both sides one): neither the start order
+    /// nor the pool moves a bit.
     #[test]
     fn campaign_points_equal_the_same_points_run_one_at_a_time() {
         for scheduler in [SchedulerKind::ThreadPerRank, SchedulerKind::EventDriven] {
@@ -1190,8 +1266,10 @@ mod tests {
                             seed: cfg.seed + rep as u64,
                             ..cfg.clone()
                         };
-                        let run =
-                            run_prepared(&cfg, &inputs, TraceSink::disabled()).expect("clean run");
+                        let run = Rig::build(&cfg, &inputs, TraceSink::disabled())
+                            .with_sched_workers([2, 8][rep % 2])
+                            .run(&cfg, &inputs)
+                            .expect("clean run");
                         per_solve(run.measurement, cfg.batch)
                     })
                     .collect();
@@ -1204,6 +1282,127 @@ mod tests {
                 assert_eq!(format!("{first:?}"), format!("{:?}", runs[0]), "{what}");
                 assert_eq!(*batch, cfg.batch, "{what}");
             }
+        }
+    }
+
+    /// A benchmark-shaped job on one node of `cores_per_socket`-core
+    /// sockets: `sparse_batched`'s (n = 324 Poisson on 16 ranks) and
+    /// `large_n`'s (4 ranks).
+    fn one_node(
+        n: usize,
+        ranks: usize,
+        cores_per_socket: usize,
+        solver: SolverChoice,
+        system: SystemKind,
+    ) -> RunConfig {
+        RunConfig {
+            n,
+            ranks,
+            cores_per_socket,
+            system,
+            ..cfg(solver)
+        }
+    }
+
+    /// `sparse_batched`'s four jobs: compute/comm 0.09–0.5 by the model.
+    fn sparse_batched() -> Vec<RunConfig> {
+        [
+            SolverChoice::cg(),
+            SolverChoice::cg_jacobi(),
+            SolverChoice::ime_optimized(),
+            SolverChoice::scalapack(),
+        ]
+        .map(|solver| one_node(324, 16, 8, solver, SystemKind::Poisson2d))
+        .to_vec()
+    }
+
+    /// `large_n`'s dense jobs: compute/comm ≈ 27 by the model.
+    fn large_n_dense() -> Vec<RunConfig> {
+        vec![
+            one_node(
+                2048,
+                4,
+                2,
+                SolverChoice::scalapack(),
+                SystemKind::DiagDominant,
+            ),
+            one_node(
+                1024,
+                4,
+                2,
+                SolverChoice::ime_optimized(),
+                SystemKind::DiagDominant,
+            ),
+        ]
+    }
+
+    /// The fiber pool [`Rig::build`] pins for `cfg` on the calling thread.
+    fn pinned(cfg: &RunConfig) -> Option<usize> {
+        let inputs = Inputs::prepare(cfg);
+        Rig::build(cfg, &inputs, TraceSink::disabled())
+            .machine
+            .sched_workers()
+    }
+
+    #[test]
+    fn pool_rule_gives_communication_bound_jobs_one_worker() {
+        for cfg in sparse_batched() {
+            assert_eq!(pinned(&cfg), Some(1), "{}", cfg.solver.label());
+        }
+    }
+
+    #[test]
+    fn pool_rule_keeps_the_default_pool_for_compute_bound_jobs() {
+        for cfg in large_n_dense() {
+            assert_eq!(pinned(&cfg), None, "{} n={}", cfg.solver.label(), cfg.n);
+        }
+    }
+
+    #[test]
+    fn pool_rule_never_gives_a_fanout_thread_more_than_its_share() {
+        let (comm_bound, compute_bound) = (sparse_batched(), large_n_dense());
+        let configs: Vec<RunConfig> = comm_bound.iter().chain(&compute_bound).cloned().collect();
+        let order: Vec<usize> = (0..configs.len()).collect();
+        let seen = parallel_map(&configs, &order, pinned);
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let share = worker_share(cores, cores.min(configs.len()));
+        let (one, rest) = seen.split_at(comm_bound.len());
+        assert!(one.iter().all(|&w| w == Some(1)), "{seen:?}");
+        assert!(rest.iter().all(|&w| w == Some(share)), "{seen:?}");
+    }
+
+    /// One communication-bound job per solver measures the same bits on
+    /// the rule's one worker as on a forced two-worker pool.
+    #[test]
+    fn pool_rule_moves_no_bit_of_a_measurement() {
+        if !SchedulerKind::EventDriven.supported() {
+            return;
+        }
+        for solver in [
+            SolverChoice::ime_optimized(),
+            SolverChoice::scalapack(),
+            SolverChoice::cg(),
+        ] {
+            let cfg = RunConfig {
+                scheduler: SchedulerKind::EventDriven,
+                batch: 2,
+                ..cfg(solver)
+            };
+            let inputs = Inputs::prepare(&cfg);
+            let rig = Rig::build(&cfg, &inputs, TraceSink::disabled());
+            let what = solver.label();
+            assert_eq!(rig.machine.sched_workers(), Some(1), "{what}");
+            let ruled = rig.run(&cfg, &inputs).expect("clean run");
+            let forced = Rig::build(&cfg, &inputs, TraceSink::disabled())
+                .with_sched_workers(2)
+                .run(&cfg, &inputs)
+                .expect("clean run");
+            // Equal `{:?}` text is equal bits (shortest round-trip f64s).
+            assert_eq!(
+                format!("{:?}", ruled.measurement),
+                format!("{:?}", forced.measurement),
+                "{what}"
+            );
         }
     }
 

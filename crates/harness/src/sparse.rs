@@ -17,7 +17,7 @@ use crate::config::SolverChoice;
 use crate::roofline::REL_TOL;
 use crate::run::{self, BatchRule, Dataset, Inputs, Measurement, RunConfig};
 use greenla_cg::formulas;
-use greenla_cg::partition::{HaloPlan, RowBlocks, RowSplit};
+use greenla_cg::partition::{HaloPlan, RowBlocks};
 use greenla_cluster::placement::LoadLayout;
 use greenla_cluster::spec::{ClusterSpec, NodeSpec};
 use greenla_cluster::PowerModel;
@@ -26,6 +26,7 @@ use greenla_linalg::sparse::CsrMatrix;
 use greenla_model::comm;
 use greenla_model::params::MachineParams;
 use greenla_model::roofline::{KernelProfile, Roofline};
+use greenla_model::solvers::cg_iter_time;
 use greenla_mpi::SchedulerKind;
 use serde::{Deserialize, Serialize};
 
@@ -259,6 +260,9 @@ fn model_check(cfg: &RunConfig, a: &CsrMatrix, jacobi: bool, m: &Measurement) ->
     let refreshes = m.refreshes.expect("CG run records refreshes");
     let blocks = RowBlocks::new(cfg.n, cfg.ranks);
     let plans = HaloPlan::build_all(a, blocks);
+    // Everything is intra-node on the single-node campaign.
+    let mi = MachineParams::from_spec(&spec).intra_node();
+    let iter = cg_iter_time(a, blocks, &plans, jacobi, cfg.cg_overlap, &rf, &mi);
     // Per-rank closed-form solve costs at the measured iteration counts.
     let costs: Vec<formulas::IterCost> = (0..cfg.ranks)
         .map(|r| {
@@ -268,68 +272,19 @@ fn model_check(cfg: &RunConfig, a: &CsrMatrix, jacobi: bool, m: &Measurement) ->
         })
         .collect();
 
-    // Compute side: the straggler rank's closed-form time through the
-    // spec roofline (ranks run concurrently, each on its own core).
-    let (worst_rank, worst) = costs
-        .iter()
-        .copied()
-        .enumerate()
-        .max_by(|(_, a), (_, b)| {
-            let t = |c: &formulas::IterCost| {
-                rf.predict(&KernelProfile::sparse(c.flops, c.bytes)).time_s
-            };
-            t(a).total_cmp(&t(b))
-        })
-        .expect("at least one rank");
+    // Compute side: the straggler's whole solve through the spec roofline.
+    let worst = costs[iter.straggler];
     let per_rank = KernelProfile::sparse(worst.flops, worst.bytes);
     let pred = rf.predict(&per_rank);
 
-    // Communication side: everything is intra-node on the single-node
-    // campaign, so evaluate the closed forms at the intra latency class.
-    let mp = MachineParams::from_spec(&spec);
-    let mi = MachineParams {
-        alpha: mp.alpha_intra,
-        beta: mp.beta_intra,
-        ..mp
-    };
-    // One exchange: the bottleneck rank drains its incoming messages.
-    let halo_s = plans
-        .iter()
-        .map(|pl| {
-            pl.recv
-                .iter()
-                .map(|(_, idxs)| mi.p2p(8.0 * idxs.len() as f64))
-                .sum::<f64>()
-        })
-        .fold(0.0, f64::max);
-    // The overlapped solver posts the halo first and computes its interior
-    // rows while the payloads are in flight, so every exchange hides
-    // `min(halo, interior)` seconds of communication. Charge the credit at
-    // the straggler rank's interior profile — the same rank the compute
-    // side models — and hand the reduced communication share to the energy
-    // prediction too.
-    let overlap_credit = if cfg.cg_overlap {
-        let split = RowSplit::build(a, blocks, worst_rank);
-        let (interior, _) = formulas::spmv_split_cost(
-            split.interior.len(),
-            split.interior_nnz,
-            split.boundary.len(),
-            split.boundary_nnz,
-            plans[worst_rank].recv_elems(),
-        );
-        rf.overlap_credit(
-            &KernelProfile::sparse(interior.flops, interior.bytes),
-            halo_s,
-        )
-    } else {
-        0.0
-    };
+    // Communication side: the setup reduction, every iteration's exposed
+    // communication, a halo exchange per refresh and the final gather. The
+    // overlap credit the iterations carry also lowers the energy
+    // prediction's communication share.
     let p = cfg.ranks;
-    let iter_comm =
-        comm::allreduce(p, 8.0, &mi) + comm::allreduce(p, 16.0, &mi) + halo_s - overlap_credit;
     let comm_s = comm::allreduce(p, 16.0, &mi)
-        + iters as f64 * iter_comm
-        + refreshes as f64 * (halo_s - overlap_credit)
+        + iters as f64 * iter.split().comm_s
+        + refreshes as f64 * (iter.halo_s - iter.overlap_s)
         + comm::allgather_ring(p, 8.0 * cfg.n as f64, &mi);
 
     let pred_wall_s = pred.time_s + comm_s;

@@ -10,7 +10,7 @@
 //! [`FaultReport`]s and abort causes as a JSON artifact (CI uploads them).
 
 use greenla_cluster::placement::LoadLayout;
-use greenla_harness::run::{run_once, run_prepared, Inputs, Measurement, RunConfig};
+use greenla_harness::run::{run_once, Inputs, Measurement, Rig, RunConfig};
 use greenla_harness::SolverChoice;
 use greenla_linalg::generate::SystemKind;
 use greenla_mpi::{
@@ -52,10 +52,15 @@ fn chaos_cfg(solver: SolverChoice, plan: FaultPlan) -> RunConfig {
 
 /// Run one configuration to completion or abort on a watchdog thread; a
 /// run that does neither within [`RUN_TIMEOUT`] is a hang and fails here.
+/// The fibers run on two workers, so aborts race across them: the pool
+/// rule would give these communication-bound jobs one.
 fn run_with_watchdog(tag: &str, cfg: RunConfig) -> Result<Measurement, Abort> {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
-        let run = run_prepared(&cfg, &Inputs::prepare(&cfg), TraceSink::disabled());
+        let inputs = Inputs::prepare(&cfg);
+        let run = Rig::build(&cfg, &inputs, TraceSink::disabled())
+            .with_sched_workers(2)
+            .run(&cfg, &inputs);
         let _ = tx.send(run.map(|run| run.measurement));
     });
     match rx.recv_timeout(RUN_TIMEOUT) {

@@ -13,7 +13,9 @@
 
 use greenla_cluster::placement::LoadLayout;
 use greenla_harness::chrome_trace::traced_solve;
-use greenla_harness::run::{run_once, run_prepared, Inputs, Measurement, RunConfig};
+use greenla_harness::run::{
+    run_once, run_prepared, Inputs, Measurement, MonitoredRun, Rig, RunConfig,
+};
 use greenla_harness::SolverChoice;
 use greenla_linalg::generate::SystemKind;
 use greenla_monitor::report::NodeReport;
@@ -54,6 +56,36 @@ fn carriers() -> Vec<(SchedulerKind, Option<usize>)> {
         all.extend([1, 2, 8].map(|w| (SchedulerKind::EventDriven, Some(w))));
     }
     all
+}
+
+/// The carriers the wake-order cases race on: OS threads, and fibers on
+/// pinned 2- and 8-worker pools. The pool rule gives their
+/// communication-bound jobs one worker, whose FIFO wakes race nothing.
+fn racing_carriers() -> Vec<(SchedulerKind, Option<usize>)> {
+    carriers()
+        .into_iter()
+        .filter(|&(_, workers)| workers != Some(1))
+        .collect()
+}
+
+/// `cfg` over `inputs` as `run_prepared` runs it untraced, on `scheduler`
+/// and, when `workers` names one, a fiber pool of that size instead of the
+/// one the pool rule picks.
+fn run_on(
+    cfg: &RunConfig,
+    inputs: &Inputs,
+    (scheduler, workers): (SchedulerKind, Option<usize>),
+) -> MonitoredRun {
+    let cfg = RunConfig {
+        scheduler,
+        ..cfg.clone()
+    };
+    let rig = Rig::build(&cfg, inputs, TraceSink::disabled());
+    let rig = match workers {
+        Some(workers) => rig.with_sched_workers(workers),
+        None => rig,
+    };
+    rig.run(&cfg, inputs).expect("clean run")
 }
 
 /// Bit-level equality of everything a campaign records.
@@ -121,21 +153,12 @@ fn energy_read_at_a_barrier_release_is_wake_order_free() {
     };
     let inputs = Inputs::prepare(&cfg);
     let mut first: Option<Measurement> = None;
-    for scheduler in [SchedulerKind::ThreadPerRank, SchedulerKind::EventDriven] {
-        if !scheduler.supported() {
-            continue;
-        }
-        let cfg = RunConfig {
-            scheduler,
-            ..cfg.clone()
-        };
+    for carrier in racing_carriers() {
         for rep in 0..reps {
-            let m = run_prepared(&cfg, &inputs, TraceSink::disabled())
-                .expect("clean run")
-                .measurement;
+            let m = run_on(&cfg, &inputs, carrier).measurement;
             match &first {
                 None => first = Some(m),
-                Some(first) => assert_bit_identical(first, &m, &format!("{scheduler} run {rep}")),
+                Some(first) => assert_bit_identical(first, &m, &format!("{carrier:?} run {rep}")),
             }
         }
     }
@@ -146,8 +169,9 @@ fn phase_reads_are_wake_order_free() {
     // `Measurement` keeps only the monitored window's totals; this holds
     // every node's per-phase counter deltas (the reports `run_prepared`
     // aggregates), each read at the release of a node barrier, bit-equal
-    // across repeated runs on both carriers. Release builds (CI's `scale`
-    // job) run the size that drifted; debug builds a smaller one.
+    // across repeated runs on both carriers and racing fiber pools. Release
+    // builds (CI's `scale` job) run the size that drifted; debug builds a
+    // smaller one.
     let (n, reps) = if cfg!(debug_assertions) {
         (96, 5)
     } else {
@@ -167,18 +191,9 @@ fn phase_reads_are_wake_order_free() {
         };
         let inputs = Inputs::prepare(&cfg);
         let mut first: Option<Vec<NodeReport>> = None;
-        for scheduler in [SchedulerKind::ThreadPerRank, SchedulerKind::EventDriven] {
-            if !scheduler.supported() {
-                continue;
-            }
-            let cfg = RunConfig {
-                scheduler,
-                ..cfg.clone()
-            };
+        for carrier in racing_carriers() {
             for rep in 0..reps {
-                let got = run_prepared(&cfg, &inputs, TraceSink::disabled())
-                    .expect("clean run")
-                    .reports;
+                let got = run_on(&cfg, &inputs, carrier).reports;
                 match &first {
                     None => {
                         assert!(
@@ -193,13 +208,13 @@ fn phase_reads_are_wake_order_free() {
                                 assert_eq!(
                                     (&pa.values_uj, pa.duration_s.to_bits()),
                                     (&pb.values_uj, pb.duration_s.to_bits()),
-                                    "{solver:?}, {scheduler} run {rep}: node {} phase {}",
+                                    "{solver:?}, {carrier:?} run {rep}: node {} phase {}",
                                     a.node,
                                     pa.label
                                 );
                             }
                         }
-                        assert_eq!(first, &got, "{solver:?}, {scheduler} run {rep}");
+                        assert_eq!(first, &got, "{solver:?}, {carrier:?} run {rep}");
                     }
                 }
             }
@@ -589,6 +604,13 @@ mod cross_engine {
         c
     }
 
+    /// `cfg` on fibers over a pinned two-worker pool: these jobs are
+    /// communication-bound, so `run_once` runs them on one worker.
+    fn on_two_workers(cfg: &RunConfig) -> Measurement {
+        let fibers = (SchedulerKind::EventDriven, Some(2));
+        run_on(cfg, &Inputs::prepare(cfg), fibers).measurement
+    }
+
     #[test]
     fn engines_agree_bit_for_bit_on_plain_runs() {
         for solver in [
@@ -600,6 +622,8 @@ mod cross_engine {
             let threads = run_once(&cfg(solver, false));
             let fibers = run_once(&with_engine(cfg(solver, false), SchedulerKind::EventDriven));
             assert_bit_identical(&threads, &fibers, "thread vs event engine");
+            let two = on_two_workers(&cfg(solver, false));
+            assert_bit_identical(&threads, &two, "thread vs event engine on 2 workers");
         }
     }
 
@@ -613,13 +637,20 @@ mod cross_engine {
             cfg(SolverChoice::ime_optimized(), true),
             SchedulerKind::EventDriven,
         ));
-        assert!(fibers.violations.is_empty(), "{:#?}", fibers.violations);
-        assert_eq!(
-            threads.violations.len(),
-            fibers.violations.len(),
-            "both engines must report the same diagnostics"
-        );
-        assert_bit_identical(&threads, &fibers, "checked, thread vs event");
+        let two = on_two_workers(&cfg(SolverChoice::ime_optimized(), true));
+        for (fibers, what) in [(fibers, "event"), (two, "event on 2 workers")] {
+            assert!(
+                fibers.violations.is_empty(),
+                "{what}: {:#?}",
+                fibers.violations
+            );
+            assert_eq!(
+                threads.violations.len(),
+                fibers.violations.len(),
+                "both engines must report the same diagnostics"
+            );
+            assert_bit_identical(&threads, &fibers, &format!("checked, thread vs {what}"));
+        }
     }
 
     #[test]
@@ -636,26 +667,26 @@ mod cross_engine {
         for check in [false, true] {
             let threads = run_once(&faulted(check, SchedulerKind::ThreadPerRank));
             let fibers = run_once(&faulted(check, SchedulerKind::EventDriven));
-            assert_bit_identical(
-                &threads,
-                &fibers,
-                &format!("faulted (check={check}), thread vs event"),
-            );
-            let (tr, fr) = (
-                threads.fault_report.expect("faulted run reports"),
-                fibers.fault_report.expect("faulted run reports"),
-            );
-            assert_eq!(tr, fr, "fault accounting must not depend on the engine");
+            let two = on_two_workers(&faulted(check, SchedulerKind::EventDriven));
+            let tr = threads.fault_report.clone().expect("faulted run reports");
             assert!(tr.injected.total() > 0, "the plan actually fired: {tr:?}");
+            for (fibers, what) in [(fibers, "event"), (two, "event on 2 workers")] {
+                let what = format!("faulted (check={check}), thread vs {what}");
+                assert_bit_identical(&threads, &fibers, &what);
+                let fr = fibers.fault_report.expect("faulted run reports");
+                assert_eq!(
+                    tr, fr,
+                    "{what}: fault accounting must not depend on the engine"
+                );
+            }
         }
     }
 
     #[test]
     fn campaign_runs_survive_a_worker_count_sweep() {
         // The carrier — and on fibers the worker count — is pure
-        // wall-clock capacity; run_once leaves the pool at the Machine
-        // default, so vary both through the raw Machine to prove the
-        // invariance holds there too.
+        // wall-clock capacity; vary both through the raw Machine, whose
+        // pool nobody sizes, to prove the invariance holds there too.
         use greenla_cluster::placement::Placement;
         use greenla_cluster::spec::ClusterSpec;
         use greenla_cluster::PowerModel;

@@ -35,6 +35,16 @@ impl MachineParams {
         }
     }
 
+    /// The same machine with every message at intra-node distance: what
+    /// the closed forms charge a job that fits on one node.
+    pub fn intra_node(self) -> Self {
+        Self {
+            alpha: self.alpha_intra,
+            beta: self.beta_intra,
+            ..self
+        }
+    }
+
     /// Time a point-to-point message of `bytes` adds to the critical path
     /// (sender overhead + transport + receiver overhead), assuming
     /// inter-node distance — the common case once jobs span nodes.

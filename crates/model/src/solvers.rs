@@ -2,7 +2,11 @@
 
 use crate::comm;
 use crate::params::MachineParams;
+use crate::roofline::{KernelProfile, Roofline};
+use greenla_cg::formulas::{cg_iter_cost, spmv_split_cost};
+use greenla_cg::partition::{HaloPlan, RowBlocks, RowSplit};
 use greenla_ime::par::{ImepOptions, BCAST_CHUNK, LEVEL_FUSE};
+use greenla_linalg::sparse::CsrMatrix;
 use greenla_scalapack::ProcessGrid;
 
 /// Split of the predicted makespan.
@@ -121,6 +125,98 @@ pub fn ge_time(n: usize, nranks: usize, nb: usize, m: &MachineParams) -> TimeBre
     TimeBreakdown { compute_s, comm_s }
 }
 
+/// One steady-state iteration of distributed CG on its critical path.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct CgIterTime {
+    /// The rank whose iteration the roofline predicts slowest (the last
+    /// of equals).
+    pub straggler: usize,
+    /// The straggler's `cg_iter_cost` through the roofline (ranks run
+    /// concurrently, each on its own core).
+    pub compute_s: f64,
+    /// The iteration's two tree allreduces (`p·q`, then `r·z` and `r·r`
+    /// fused).
+    pub reduce_s: f64,
+    /// One halo exchange: the bottleneck rank drains its incoming
+    /// messages.
+    pub halo_s: f64,
+    /// What an overlapped exchange hides under the straggler's interior
+    /// rows ([`Roofline::overlap_credit`]); 0 for the blocking exchange.
+    pub overlap_s: f64,
+}
+
+impl CgIterTime {
+    /// The iteration as compute against exposed communication.
+    pub fn split(&self) -> TimeBreakdown {
+        TimeBreakdown {
+            compute_s: self.compute_s,
+            comm_s: self.reduce_s + self.halo_s - self.overlap_s,
+        }
+    }
+}
+
+/// Distributed CG per iteration (its iteration count is known only after
+/// a solve): `a` split into row `blocks`, one halo plan per rank in
+/// `plans`, computed through `rf` and communicating at `m`'s latency
+/// class; `overlap` is the solver's halo/interior overlap
+/// (`greenla_cg::solver::CgConfig::overlap`).
+pub fn cg_iter_time(
+    a: &CsrMatrix,
+    blocks: RowBlocks,
+    plans: &[HaloPlan],
+    jacobi: bool,
+    overlap: bool,
+    rf: &Roofline,
+    m: &MachineParams,
+) -> CgIterTime {
+    let p = plans.len();
+    let (straggler, compute_s) = (0..p)
+        .map(|r| {
+            let nnz = (blocks.lo(r)..blocks.hi(r)).map(|i| a.row(i).0.len()).sum();
+            let c = cg_iter_cost(blocks.rows(r), nnz, plans[r].recv_elems(), jacobi);
+            (
+                r,
+                rf.predict(&KernelProfile::sparse(c.flops, c.bytes)).time_s,
+            )
+        })
+        .max_by(|(_, a), (_, b)| a.total_cmp(b))
+        .expect("at least one rank");
+    let halo_s = plans
+        .iter()
+        .map(|pl| {
+            pl.recv
+                .iter()
+                .map(|(_, idxs)| m.p2p(8.0 * idxs.len() as f64))
+                .sum::<f64>()
+        })
+        .fold(0.0, f64::max);
+    // The overlapped solver posts the halo first and computes its interior
+    // rows while the payloads are in flight.
+    let overlap_s = if overlap {
+        let split = RowSplit::build(a, blocks, straggler);
+        let (interior, _) = spmv_split_cost(
+            split.interior.len(),
+            split.interior_nnz,
+            split.boundary.len(),
+            split.boundary_nnz,
+            plans[straggler].recv_elems(),
+        );
+        rf.overlap_credit(
+            &KernelProfile::sparse(interior.flops, interior.bytes),
+            halo_s,
+        )
+    } else {
+        0.0
+    };
+    CgIterTime {
+        straggler,
+        compute_s,
+        reduce_s: comm::allreduce(p, 8.0, m) + comm::allreduce(p, 16.0, m),
+        halo_s,
+        overlap_s,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,6 +273,28 @@ mod tests {
             ime_dist < ge_dist,
             "IMe must win distributed: {ime_dist} vs {ge_dist}"
         );
+    }
+
+    #[test]
+    fn cg_overlap_hides_only_halo_seconds() {
+        // A 40×40 stencil in 4 blocks of 400 rows: 320 interior rows each,
+        // and the middle blocks receive two neighbours' halos.
+        let a = greenla_linalg::sparse::laplace2d(40).a;
+        let blocks = RowBlocks::new(1600, 4);
+        let plans = HaloPlan::build_all(&a, blocks);
+        let spec = ClusterSpec::test_cluster(1, 2);
+        let (rf, m) = (
+            Roofline::from_spec(&spec),
+            MachineParams::from_spec(&spec).intra_node(),
+        );
+        let iter = |overlap| cg_iter_time(&a, blocks, &plans, false, overlap, &rf, &m);
+        let (over, block) = (iter(true), iter(false));
+        assert_eq!((over.straggler, block.straggler), (2, 2));
+        assert_eq!(block.overlap_s, 0.0);
+        assert!(over.overlap_s > 0.0 && over.overlap_s <= over.halo_s);
+        assert_eq!(over.split().compute_s, block.split().compute_s);
+        let hidden = block.split().comm_s - over.split().comm_s;
+        assert!((hidden - over.overlap_s).abs() <= 1e-12 * block.split().comm_s);
     }
 
     #[test]

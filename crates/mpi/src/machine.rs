@@ -96,14 +96,20 @@ impl Machine {
     }
 
     /// Pin the fiber carrier's worker-pool size instead of deriving it
-    /// from the host's parallelism. A campaign's fan-out pins each
-    /// machine to its thread's share of the host's cores, and tests pin
-    /// it to run a program on pools of chosen sizes; virtual-time results
-    /// never depend on it. Ignored by the OS-thread carrier.
+    /// from the host's parallelism. The harness pins one worker for a job
+    /// its model predicts communication-bound and otherwise, inside a
+    /// campaign's fan-out, the thread's share of the host's cores; tests
+    /// pin it to run a program on pools of chosen sizes. Virtual-time
+    /// results never depend on it. Ignored by the OS-thread carrier.
     pub fn with_sched_workers(mut self, workers: usize) -> Self {
         assert!(workers >= 1, "need at least one worker");
         self.sched_workers = Some(workers);
         self
+    }
+
+    /// The pinned fiber-pool size; `None` leaves the engine's default.
+    pub fn sched_workers(&self) -> Option<usize> {
+        self.sched_workers
     }
 
     /// Attach an event-trace sink. Tracing only observes the virtual

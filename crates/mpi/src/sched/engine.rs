@@ -201,7 +201,10 @@ enum Carrier {
 
 /// Fiber worker-pool size when the machine doesn't pin one: the host's
 /// parallelism, clamped to a small pool (the workers mostly shuffle
-/// fibers, and past a handful they just contend on the queues).
+/// fibers, and past a handful they just contend on the queues). Never
+/// fewer than two, so a machine nobody sized still wakes ranks across
+/// workers; the harness pins one itself where its model predicts the
+/// ranks mostly wait on each other (`Machine::with_sched_workers`).
 fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
