@@ -7,7 +7,7 @@
 //! message-for-message.
 
 use greenla_linalg::sparse::CsrMatrix;
-use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Contiguous 1-D row-block partition of `n` rows over `p` ranks: the
 /// first `n mod p` ranks own `⌈n/p⌉` rows, the rest `⌊n/p⌋` (ranks beyond
@@ -66,30 +66,47 @@ pub struct HaloPlan {
 }
 
 impl HaloPlan {
-    /// Plans for every rank, derived from the global sparsity pattern:
-    /// rank `r` needs column `j` iff some row it owns references `j` and
-    /// `j` lives on another rank.
-    pub fn build_all(a: &CsrMatrix, blocks: RowBlocks) -> Vec<HaloPlan> {
-        let p = blocks.p;
-        // needs[(needer, owner)] = sorted global indices.
-        let mut needs: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
-        for r in 0..p {
-            let mut wanted: Vec<usize> = (blocks.lo(r)..blocks.hi(r))
+    /// Rank `rank`'s plan, derived from the global sparsity pattern: a
+    /// rank needs column `j` iff some row it owns references `j` and `j`
+    /// lives on another rank. The recv side reads the rank's own rows;
+    /// the send side reads every other rank's rows for columns in the
+    /// rank's block.
+    pub fn build(a: &CsrMatrix, blocks: RowBlocks, rank: usize) -> HaloPlan {
+        let (lo, hi) = (blocks.lo(rank), blocks.hi(rank));
+        // Sorted, deduplicated columns of rows `rows` that `keep` admits.
+        let columns = |rows: Range<usize>, keep: &dyn Fn(usize) -> bool| {
+            let mut cols: Vec<usize> = rows
                 .flat_map(|i| a.row(i).0.iter().map(|&j| j as usize))
-                .filter(|&j| blocks.owner(j) != r)
+                .filter(|&j| keep(j))
                 .collect();
-            wanted.sort_unstable();
-            wanted.dedup();
-            for j in wanted {
-                needs.entry((r, blocks.owner(j))).or_default().push(j);
+            cols.sort_unstable();
+            cols.dedup();
+            cols
+        };
+        let mut recv: Vec<(usize, Vec<usize>)> = Vec::new();
+        for j in columns(lo..hi, &|j| j < lo || j >= hi) {
+            let owner = blocks.owner(j);
+            match recv.last_mut() {
+                Some((peer, idxs)) if *peer == owner => idxs.push(j),
+                _ => recv.push((owner, vec![j])),
             }
         }
-        let mut plans = vec![HaloPlan::default(); p];
-        for ((needer, owner), idxs) in needs {
-            plans[needer].recv.push((owner, idxs.clone()));
-            plans[owner].send.push((needer, idxs));
-        }
-        plans
+        let send = (0..blocks.p)
+            .filter(|&peer| peer != rank)
+            .map(|peer| {
+                let rows = blocks.lo(peer)..blocks.hi(peer);
+                (peer, columns(rows, &|j| (lo..hi).contains(&j)))
+            })
+            .filter(|(_, idxs)| !idxs.is_empty())
+            .collect();
+        HaloPlan { recv, send }
+    }
+
+    /// Every rank's plan, [`HaloPlan::build`] in rank order.
+    pub fn build_all(a: &CsrMatrix, blocks: RowBlocks) -> Vec<HaloPlan> {
+        (0..blocks.p)
+            .map(|rank| HaloPlan::build(a, blocks, rank))
+            .collect()
     }
 
     /// Elements this rank receives per exchange.
@@ -124,7 +141,7 @@ pub struct RowSplit {
 impl RowSplit {
     /// Split rank `rank`'s rows of `a` (the *global* matrix) under
     /// `blocks`. Pure function of the replicated pattern, like
-    /// [`HaloPlan::build_all`].
+    /// [`HaloPlan::build`].
     pub fn build(a: &CsrMatrix, blocks: RowBlocks, rank: usize) -> RowSplit {
         let (lo, hi) = (blocks.lo(rank), blocks.hi(rank));
         let mut split = RowSplit::default();
@@ -168,7 +185,8 @@ impl HaloStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use greenla_linalg::sparse::{laplace2d, random_spd};
+    use greenla_linalg::sparse::{laplace2d, laplace3d, random_spd};
+    use std::collections::BTreeMap;
 
     #[test]
     fn blocks_tile_the_row_space() {
@@ -221,6 +239,50 @@ mod tests {
                 assert_eq!(idxs, theirs);
                 assert!(idxs.iter().all(|&j| blocks.owner(j) == *peer));
                 assert!(idxs.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
+            }
+        }
+    }
+
+    /// The all-ranks construction `build` replaced, kept as its oracle.
+    fn build_all_at_once(a: &CsrMatrix, blocks: RowBlocks) -> Vec<HaloPlan> {
+        let p = blocks.p;
+        // needs[(needer, owner)] = sorted global indices.
+        let mut needs: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
+        for r in 0..p {
+            let mut wanted: Vec<usize> = (blocks.lo(r)..blocks.hi(r))
+                .flat_map(|i| a.row(i).0.iter().map(|&j| j as usize))
+                .filter(|&j| blocks.owner(j) != r)
+                .collect();
+            wanted.sort_unstable();
+            wanted.dedup();
+            for j in wanted {
+                needs.entry((r, blocks.owner(j))).or_default().push(j);
+            }
+        }
+        let mut plans = vec![HaloPlan::default(); p];
+        for ((needer, owner), idxs) in needs {
+            plans[needer].recv.push((owner, idxs.clone()));
+            plans[owner].send.push((needer, idxs));
+        }
+        plans
+    }
+
+    #[test]
+    fn one_ranks_plan_equals_the_all_ranks_construction() {
+        let systems = [laplace2d(4), laplace2d(5), laplace2d(18), laplace3d(5)];
+        for sys in &systems {
+            for p in [1, 2, 3, 7, 16] {
+                let blocks = RowBlocks::new(sys.n(), p);
+                let oracle = build_all_at_once(&sys.a, blocks);
+                for (rank, plan) in oracle.iter().enumerate() {
+                    assert_eq!(
+                        &HaloPlan::build(&sys.a, blocks, rank),
+                        plan,
+                        "n = {}, p = {p}, rank {rank}",
+                        sys.n()
+                    );
+                }
+                assert_eq!(HaloPlan::build_all(&sys.a, blocks), oracle);
             }
         }
     }

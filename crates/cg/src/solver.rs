@@ -102,7 +102,7 @@ pub fn pcg(
     let rows = hi - lo;
     let a_loc = sys.a.row_block(lo, hi);
     let nnz_l = a_loc.nnz();
-    let plan = HaloPlan::build_all(&sys.a, blocks).swap_remove(me);
+    let plan = HaloPlan::build(&sys.a, blocks, me);
     let split = RowSplit::build(&sys.a, blocks, me);
     let halo_in = plan.recv_elems();
     let max_iters = if cfg.max_iters == 0 {

@@ -8,18 +8,32 @@
 //!
 //! Each core keeps one log behind a mutex that arbitrates between the rank
 //! writing it and RAPL readers on the same node. Only the core's own rank
-//! writes its log. Spans are stored per [`ActivityKind`] as `(start, end)`
-//! pairs, 16 bytes each, in record order. Starts never decrease on a core,
-//! so the spans that started before `t` are a prefix. Every 64 spans a
-//! checkpoint keeps the running left fold of the durations and the running
-//! maximum end.
+//! writes its log. The log is one timeline of the core's spans of both
+//! [`ActivityKind`]s in record order, 8 bytes and one bit a span: its end
+//! as an `f64` and its kind in a bitset. A span's start is the previous
+//! span's end, except at a gap: the core's first span, or one after a
+//! clock jump that recorded nothing (a rank idling in `recv_f64_idle`).
+//! Gaps are rare, so their starts go in a side list of `(index, start)`.
+//! A start equals the previous end only if the two have the same bits, so
+//! every start reads back exactly as recorded. Every 64 spans a checkpoint
+//! keeps, per kind, the running left fold of the durations and the
+//! running maximum end.
 //!
-//! A read costs two binary searches and a few dozen additions. The first
-//! search finds the prefix. The second finds the last checkpoint inside it
-//! whose spans all ended by `t`; each of those spans contributes exactly
-//! its duration. The remaining spans of the prefix are clipped at `t` and
-//! folded on top: at most 64 of them, since the runtime's spans on one core
-//! never overlap, so only the last one before `t` can end after it. That is the left fold `Iterator::sum::<f64>` computes
+//! Every array of the log lives in blocks of 1024 items that never move.
+//! Only the last block grows, the way a `Vec` does, and a full block is
+//! followed by a new one; so a long log is never copied and keeps at most
+//! one block of slack.
+//!
+//! Starts never decrease on a core, so the spans that started before `t`
+//! are a prefix. A read finds it with two binary searches: the last gap
+//! that started before `t`, then the first span after that gap whose
+//! predecessor ended at or after `t`. A third search finds the last
+//! checkpoint inside the prefix whose spans of the kind all ended by `t`;
+//! each of those contributes exactly its duration. The remaining spans of
+//! the kind in the prefix are clipped at `t` and folded on top, walking
+//! the gap list alongside: at most 64 timeline spans, since the runtime's
+//! spans on one core never overlap, so only the last one before `t` can
+//! end after it. That is the left fold `Iterator::sum::<f64>` computes
 //! over every clipped span of the prefix, from the same initial value and
 //! in the same order, so a read returns the bits of a full scan.
 //!
@@ -40,9 +54,13 @@
 use crate::spec::NodeSpec;
 use crate::topology::CoreId;
 use parking_lot::Mutex;
+use std::ops::{Index, Range};
 
-/// Spans between two checkpoints of a [`KindLog`].
+/// Spans of a core's timeline between two checkpoints.
 const STRIDE: usize = 64;
+
+/// Items in a full block of a [`Blocks`] array.
+const BLOCK: usize = 1024;
 
 /// What a core was doing during a busy interval.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,7 +81,7 @@ pub struct Interval {
     pub flops: u64,
 }
 
-/// The running state of a [`KindLog`] after some prefix of its spans.
+/// The running state of one kind's spans after some prefix of a timeline.
 #[derive(Clone, Copy)]
 struct Fold {
     /// Left fold of the durations, as `Iterator::sum::<f64>` folds them.
@@ -81,76 +99,122 @@ impl Fold {
     }
 }
 
-/// One core's spans of one [`ActivityKind`].
-struct KindLog {
-    /// `(start, end)` in record order, so starts never decrease.
-    spans: Vec<[f64; 2]>,
-    /// `checkpoints[k]` is the fold of `spans[..(k + 1) * STRIDE]`.
-    checkpoints: Vec<Fold>,
-    /// The fold of every span so far.
-    all: Fold,
+/// An append-only array in blocks of [`BLOCK`] items that never move.
+struct Blocks<T> {
+    blocks: Vec<Vec<T>>,
 }
 
-impl KindLog {
+impl<T: Copy> Blocks<T> {
     fn new() -> Self {
-        Self {
-            spans: Vec::new(),
-            checkpoints: Vec::new(),
-            all: Fold::empty(),
+        Self { blocks: Vec::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.blocks
+            .last()
+            .map_or(0, |last| (self.blocks.len() - 1) * BLOCK + last.len())
+    }
+
+    /// Append `item`: the last block doubles up to [`BLOCK`] items, and a
+    /// full one is followed by a new block.
+    fn push(&mut self, item: T) {
+        match self.blocks.last_mut() {
+            Some(last) if last.len() < BLOCK => {
+                if last.len() == last.capacity() {
+                    last.reserve_exact(last.len().min(BLOCK - last.len()));
+                }
+                last.push(item);
+            }
+            _ => {
+                let mut block = Vec::with_capacity(4);
+                block.push(item);
+                self.blocks.push(block);
+            }
         }
     }
 
-    fn push(&mut self, start: f64, end: f64) {
-        self.spans.push([start, end]);
-        self.all.busy += end - start;
-        self.all.max_end = self.all.max_end.max(end);
-        if self.spans.len().is_multiple_of(STRIDE) {
-            self.checkpoints.push(self.all);
-        }
+    fn get(&self, i: usize) -> Option<T> {
+        self.blocks.get(i / BLOCK)?.get(i % BLOCK).copied()
     }
 
-    /// `Σ min(end, t) − start` over the spans with `start < t`, in record
-    /// order, and last over a wait open since `open`, ending at `+∞`.
-    fn busy_until(&self, t: f64, open: Option<f64>) -> f64 {
-        let prefix = self.spans.partition_point(|&[start, _]| start < t);
-        // Checkpoints wholly inside the prefix whose spans all ended by `t`
-        // contribute unclipped durations.
-        let inside = &self.checkpoints[..prefix / STRIDE];
-        let (from, init) = match inside.partition_point(|cp| cp.max_end <= t) {
-            0 => (0, Fold::empty().busy),
-            k => (k * STRIDE, inside[k - 1].busy),
-        };
-        let closed = self.spans[from..prefix]
-            .iter()
-            .fold(init, |acc, &[start, end]| acc + (end.min(t) - start));
-        match open {
-            Some(start) if start < t => closed + (t - start),
-            _ => closed,
+    fn last(&self) -> Option<T> {
+        self.blocks.last()?.last().copied()
+    }
+
+    fn last_mut(&mut self) -> Option<&mut T> {
+        self.blocks.last_mut()?.last_mut()
+    }
+
+    /// The first index of `range` whose item fails `pred`, which holds on
+    /// a prefix of the range (`slice::partition_point` over indices).
+    fn partition_point(&self, range: Range<usize>, mut pred: impl FnMut(T) -> bool) -> usize {
+        let (mut lo, mut hi) = (range.start, range.end);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if pred(self[mid]) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
         }
+        lo
+    }
+
+    /// Heap bytes held, slack included.
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        self.blocks.capacity() * std::mem::size_of::<Vec<T>>()
+            + self
+                .blocks
+                .iter()
+                .map(|b| b.capacity() * std::mem::size_of::<T>())
+                .sum::<usize>()
+    }
+}
+
+impl<T> Index<usize> for Blocks<T> {
+    type Output = T;
+
+    fn index(&self, i: usize) -> &T {
+        &self.blocks[i / BLOCK][i % BLOCK]
     }
 }
 
 /// Everything the ledger keeps about one core.
 struct CoreLog {
-    /// Indexed by `ActivityKind as usize`.
-    kinds: [KindLog; 2],
+    /// Each span's end, in record order.
+    ends: Blocks<f64>,
+    /// Bit `i % 64` of word `i / 64` is set iff span `i` is `Comm`.
+    comm: Blocks<u64>,
+    /// `(i, start)` for each span `i` that does not start where span
+    /// `i − 1` ended, ascending; span 0 is always one.
+    gaps: Blocks<(usize, f64)>,
+    /// Entry `k` holds both kinds' folds of spans `..(k + 1) * STRIDE`,
+    /// indexed by `ActivityKind as usize`.
+    checkpoints: Blocks<[Fold; 2]>,
+    /// Both kinds' folds of every span so far.
+    all: [Fold; 2],
     flops: u64,
-    /// `(start, end)` of the latest span of either kind.
+    /// `(start, end)` of the latest span.
     last: Option<[f64; 2]>,
     /// Start of the core's open `Comm` wait, if it is in one.
     wait: Option<f64>,
     /// `(t, bytes moved up to and including t)`, one entry per instant.
-    dram: Vec<(f64, u64)>,
+    dram: Blocks<(f64, u64)>,
 }
 
 impl CoreLog {
     fn new() -> Self {
         Self {
-            kinds: [KindLog::new(), KindLog::new()],
+            ends: Blocks::new(),
+            comm: Blocks::new(),
+            gaps: Blocks::new(),
+            checkpoints: Blocks::new(),
+            all: [Fold::empty(); 2],
             flops: 0,
             last: None,
             wait: None,
-            dram: Vec::new(),
+            dram: Blocks::new(),
         }
     }
 
@@ -169,9 +233,109 @@ impl CoreLog {
     }
 
     fn push(&mut self, kind: ActivityKind, start: f64, end: f64, flops: u64) {
-        self.kinds[kind as usize].push(start, end);
+        let i = self.ends.len();
+        if self
+            .last
+            .is_none_or(|[_, prev]| prev.to_bits() != start.to_bits())
+        {
+            self.gaps.push((i, start));
+        }
+        self.ends.push(end);
+        if i.is_multiple_of(64) {
+            self.comm.push(0);
+        }
+        if kind == ActivityKind::Comm {
+            *self.comm.last_mut().expect("the span's word") |= 1 << (i % 64);
+        }
+        let fold = &mut self.all[kind as usize];
+        fold.busy += end - start;
+        fold.max_end = fold.max_end.max(end);
+        if (i + 1).is_multiple_of(STRIDE) {
+            self.checkpoints.push(self.all);
+        }
         self.flops += flops;
         self.last = Some([start, end]);
+    }
+
+    fn kind(&self, i: usize) -> ActivityKind {
+        if self.comm[i / 64] >> (i % 64) & 1 == 1 {
+            ActivityKind::Comm
+        } else {
+            ActivityKind::Compute
+        }
+    }
+
+    /// Spans `range` as `(kind, start, end)`, in record order, walking the
+    /// gap list alongside.
+    fn spans(&self, range: Range<usize>) -> impl Iterator<Item = (ActivityKind, f64, f64)> + '_ {
+        let mut gap = self
+            .gaps
+            .partition_point(0..self.gaps.len(), |(i, _)| i < range.start);
+        // Unread when `range` starts at span 0, which is a gap.
+        let mut prev_end = range
+            .start
+            .checked_sub(1)
+            .map_or(f64::NAN, |i| self.ends[i]);
+        range.map(move |i| {
+            let start = match self.gaps.get(gap) {
+                Some((at, start)) if at == i => {
+                    gap += 1;
+                    start
+                }
+                _ => prev_end,
+            };
+            prev_end = self.ends[i];
+            (self.kind(i), start, prev_end)
+        })
+    }
+
+    /// How many spans started before `t`: a prefix, since starts never
+    /// decrease.
+    fn started_before(&self, t: f64) -> usize {
+        let g = self
+            .gaps
+            .partition_point(0..self.gaps.len(), |(_, start)| start < t);
+        let Some(first) = g.checked_sub(1).map(|g| self.gaps[g].0) else {
+            return 0;
+        };
+        let next = self.gaps.get(g).map_or(self.ends.len(), |(i, _)| i);
+        // Span `first` started before `t`; each later span up to the next
+        // gap starts where its predecessor ended.
+        self.ends.partition_point(first..next - 1, |end| end < t) + 1
+    }
+
+    /// `Σ min(end, t) − start` over the spans of `kind` with `start < t`,
+    /// in record order, and last over a `Comm` wait open since `wait`,
+    /// ending at `+∞`.
+    fn busy_until(&self, kind: ActivityKind, t: f64) -> f64 {
+        let prefix = self.started_before(t);
+        // Checkpoints wholly inside the prefix whose spans of `kind` all
+        // ended by `t` contribute unclipped durations.
+        let k = self
+            .checkpoints
+            .partition_point(0..prefix / STRIDE, |cp| cp[kind as usize].max_end <= t);
+        let (from, init) = match k {
+            0 => (0, Fold::empty().busy),
+            k => (k * STRIDE, self.checkpoints[k - 1][kind as usize].busy),
+        };
+        let closed = self
+            .spans(from..prefix)
+            .filter(|&(of, _, _)| of == kind)
+            .fold(init, |acc, (_, start, end)| acc + (end.min(t) - start));
+        match self.wait {
+            Some(start) if kind == ActivityKind::Comm && start < t => closed + (t - start),
+            _ => closed,
+        }
+    }
+
+    /// Heap bytes held by the span and DRAM records, slack included.
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        self.ends.heap_bytes()
+            + self.comm.heap_bytes()
+            + self.gaps.heap_bytes()
+            + self.checkpoints.heap_bytes()
+            + self.dram.heap_bytes()
     }
 }
 
@@ -268,7 +432,7 @@ impl Ledger {
     /// `t`. A core's events must arrive in non-decreasing time order.
     pub fn record_dram(&self, core: CoreId, t: f64, bytes: u64) {
         let mut log = self.core_slot(core).lock();
-        let (last_t, before) = log.dram.last().copied().unwrap_or((f64::NEG_INFINITY, 0));
+        let (last_t, before) = log.dram.last().unwrap_or((f64::NEG_INFINITY, 0));
         assert!(
             t >= last_t,
             "non-monotonic DRAM event on {core:?}: t = {t} after {last_t}"
@@ -281,22 +445,18 @@ impl Ledger {
 
     /// Seconds core `core` spent in activity `kind` up to virtual time `t`.
     pub fn core_busy_until(&self, core: CoreId, kind: ActivityKind, t: f64) -> f64 {
-        let log = self.core_slot(core).lock();
-        let open = log.wait.filter(|_| kind == ActivityKind::Comm);
-        log.kinds[kind as usize].busy_until(t, open)
+        self.core_slot(core).lock().busy_until(kind, t)
     }
 
     /// `core`'s recorded span of `kind` running across `t` — started
     /// before it and ending after it — as `(start, end)`, if there is one.
     /// Spans of one core never overlap, so only the last one to start
-    /// before `t` can be it.
+    /// before `t`, of either kind, can be it.
     pub fn span_across(&self, core: CoreId, kind: ActivityKind, t: f64) -> Option<(f64, f64)> {
         let log = self.core_slot(core).lock();
-        let spans = &log.kinds[kind as usize].spans;
-        let [start, end] = spans[..spans.partition_point(|&[start, _]| start < t)]
-            .last()
-            .copied()?;
-        (end > t).then_some((start, end))
+        let i = log.started_before(t).checked_sub(1)?;
+        let (last_kind, start, end) = log.spans(i..i + 1).next()?;
+        (last_kind == kind && end > t).then_some((start, end))
     }
 
     /// Total busy seconds in `kind`, summed over every core of `(node,
@@ -312,10 +472,10 @@ impl Ledger {
         (0..self.node_spec.cpu.cores_per_socket)
             .map(|c| {
                 let log = self.core_slot(CoreId::new(node, socket, c)).lock();
-                match log.dram.partition_point(|&(et, _)| et < t) {
-                    0 => 0,
-                    k => log.dram[k - 1].1,
-                }
+                let k = log
+                    .dram
+                    .partition_point(0..log.dram.len(), |(et, _)| et < t);
+                k.checked_sub(1).map_or(0, |k| log.dram[k].1)
             })
             .sum()
     }
@@ -615,12 +775,12 @@ mod tests {
 
     #[test]
     fn reads_equal_the_full_scan_bit_for_bit() {
-        // More than 200 spans per kind, so reads cross several checkpoints;
-        // Miri gets a stream that still crosses one.
+        // 480 spans per core, so reads cross several checkpoints; Miri gets
+        // a stream that still crosses a few.
         let (per_core, min_checkpoints, probe_step) = if cfg!(miri) {
-            (200, 1, 40)
+            (200, 3, 40)
         } else {
-            (480, 3, 1)
+            (480, 7, 1)
         };
         let spec = NodeSpec::test_node(2);
         let sockets = [(0, 0), (0, 1), (1, 0), (1, 1)];
@@ -689,9 +849,8 @@ mod tests {
                 probes.push(clock + 1.0);
                 let log = ledger.core_slot(core).lock();
                 assert!(
-                    log.kinds
-                        .iter()
-                        .all(|k| k.checkpoints.len() >= min_checkpoints),
+                    log.checkpoints.len() >= min_checkpoints
+                        && log.checkpoints[0].iter().all(|f| f.max_end > 0.0),
                     "{core:?}: the stream must cross checkpoints in both kinds"
                 );
             }
@@ -732,10 +891,10 @@ mod tests {
             scan.cores.entry(core).or_default().push(span);
             probes.extend([span.start, span.end, span.start + 0.5]);
         }
+        // Every span of this core is `Comm`: (spans, checkpoints).
         let comm = |ledger: &Ledger| {
             let log = ledger.core_slot(core).lock();
-            let k = &log.kinds[ActivityKind::Comm as usize];
-            (k.spans.len(), k.checkpoints.len())
+            (log.ends.len(), log.checkpoints.len())
         };
         let start = (STRIDE - 1) as f64;
         for (release, spans) in [(start, STRIDE - 1), (start + 0.25, STRIDE)] {
@@ -768,7 +927,13 @@ mod tests {
         let mut spans = Vec::new();
         let mut probes = vec![f64::NEG_INFINITY, -1.0, 0.0, f64::INFINITY, f64::NAN];
         let mut clock = 0.0;
-        for _ in 0..3 * STRIDE {
+        // Past a block boundary of the timeline.
+        let n = if cfg!(miri) {
+            3 * STRIDE
+        } else {
+            BLOCK + 3 * STRIDE
+        };
+        for _ in 0..n {
             if rng.below(3) == 0 {
                 clock += rng.unit() * 1e-4;
             }
@@ -790,6 +955,9 @@ mod tests {
         }
         let _wait = ledger.open_wait(core, clock);
         probes.extend([clock, clock + 1.0]);
+        // Probes inside a span whose predecessor, of the other kind, is
+        // the last span of the asked kind.
+        let mut behind_the_other_kind = 0;
         for t in probes {
             for kind in [ActivityKind::Compute, ActivityKind::Comm] {
                 let scanned = spans
@@ -801,12 +969,135 @@ mod tests {
                     scanned,
                     "{kind:?} at t = {t}"
                 );
+                let last = spans.iter().rev().find(|s| s.start < t);
+                behind_the_other_kind += usize::from(last.is_some_and(|s| s.kind != kind));
             }
         }
+        assert!(behind_the_other_kind > 0);
+        // By hand: a `Compute` span, then a `Comm` one from its end.
+        let l = Ledger::new(NodeSpec::test_node(4), 2);
+        let c = CoreId::new(0, 1, 1);
+        l.record(c, iv(1.0, 2.0, ActivityKind::Compute, 1));
+        l.record(c, iv(2.0, 3.0, ActivityKind::Comm, 0));
+        assert_eq!(
+            l.span_across(c, ActivityKind::Compute, 1.5),
+            Some((1.0, 2.0))
+        );
+        assert_eq!(l.span_across(c, ActivityKind::Compute, 2.5), None);
+        assert_eq!(l.span_across(c, ActivityKind::Comm, 2.5), Some((2.0, 3.0)));
+        assert_eq!(l.span_across(c, ActivityKind::Comm, 1.5), None);
         // Another core's spans are not this one's.
         assert_eq!(
             ledger.span_across(CoreId::new(0, 0, 0), ActivityKind::Compute, 1e-5),
             None
+        );
+    }
+
+    #[test]
+    fn block_boundaries_gaps_and_waits_read_like_the_full_scan() {
+        // One core's timeline past two block boundaries, shaped like the
+        // runtime's: spans back to back, clock jumps that record nothing
+        // (gaps), zero-length spans on either side of a gap, and waits
+        // that open right after a jump. Debug builds read a third of the
+        // probes; release builds read them all.
+        let (n, probe_step) = match () {
+            _ if cfg!(miri) => (3 * STRIDE, 20),
+            _ if cfg!(debug_assertions) => (2 * BLOCK + STRIDE / 2, 3),
+            _ => (2 * BLOCK + STRIDE / 2, 1),
+        };
+        let spec = NodeSpec::test_node(2);
+        let ledger = Ledger::new(spec.clone(), 1);
+        let mut scan = Scan::default();
+        let core = CoreId::new(0, 0, 1);
+        let mut rng = Rng(0x5eed_b10c);
+        let mut probes = vec![f64::NEG_INFINITY, 0.0, f64::INFINITY, f64::NAN];
+        // The socket's other core starts a span at −0 where the previous
+        // one ended at +0: equal values, but a gap, or the first
+        // `Compute` read would fold `−0 − (+0)` where the scan folds
+        // `−0 − (−0)`.
+        for span in [
+            iv(-1.0, 0.0, ActivityKind::Comm, 0),
+            iv(-0.0, -0.0, ActivityKind::Compute, 1),
+        ] {
+            ledger.record(CoreId::new(0, 0, 0), span);
+            scan.cores
+                .entry(CoreId::new(0, 0, 0))
+                .or_default()
+                .push(span);
+        }
+        let mut clock = 0.5;
+        let mut spans = 0;
+        while spans < n {
+            let jump = rng.below(8) == 0;
+            if jump {
+                probes.push(clock);
+                clock += 1e-6 + rng.unit() * 1e-4;
+            }
+            if jump && rng.below(4) == 0 {
+                // A wait right after the jump, read while open, then closed
+                // later or at its own start.
+                let wait = ledger.open_wait(core, clock);
+                scan.cores.entry(core).or_default().push(open_span(clock));
+                let open = [clock, clock + 1e-5, clock + 1.0];
+                assert_reads_match(&ledger, &scan, (0, 0), open);
+                let release = clock + rng.below(2) as f64 * rng.unit() * 1e-4;
+                close_wait(&mut scan, core, wait, release);
+                probes.extend([clock, release, (clock + release) / 2.0]);
+                spans += usize::from(release > clock);
+                clock = release;
+                continue;
+            }
+            let kind = if rng.below(2) == 0 {
+                ActivityKind::Compute
+            } else {
+                ActivityKind::Comm
+            };
+            let len = match rng.below(4) {
+                0 => 0.0,
+                _ => rng.unit() * 1e-4,
+            };
+            let span = iv(clock, clock + len, kind, rng.below(100));
+            ledger.record(core, span);
+            scan.cores.entry(core).or_default().push(span);
+            probes.extend([span.start, span.end, span.start + len * rng.unit()]);
+            spans += 1;
+            clock = span.end;
+        }
+        {
+            let log = ledger.core_slot(core).lock();
+            assert_eq!(log.ends.len(), n);
+            assert!(log.ends.blocks.len() >= 3, "two block boundaries");
+            assert!(log.gaps.len() > n / 16, "{} gaps", log.gaps.len());
+        }
+        let probes = probes.iter().copied().step_by(probe_step);
+        assert_reads_match(&ledger, &scan, (0, 0), probes);
+        assert_eq!(ledger.total_flops(), scan.total_flops());
+        assert_eq!(ledger.max_time().to_bits(), scan.max_time().to_bits());
+    }
+
+    #[test]
+    fn abutting_spans_keep_eight_bytes_and_a_bit_each() {
+        // N spans back to back keep their ends (8·N bytes), their kinds
+        // (N/8 bytes), the checkpoints and at most one block of slack.
+        let n = 5 * BLOCK + BLOCK / 2 + 1;
+        let ledger = Ledger::new(NodeSpec::test_node(1), 1);
+        let core = CoreId::new(0, 0, 0);
+        for i in 0..n {
+            let kind = if i % 3 == 0 {
+                ActivityKind::Compute
+            } else {
+                ActivityKind::Comm
+            };
+            ledger.record(core, iv(i as f64, (i + 1) as f64, kind, 1));
+        }
+        let log = ledger.core_slot(core).lock();
+        assert_eq!(log.gaps.len(), 1, "only the first span starts a gap");
+        let checkpoints = n / STRIDE * std::mem::size_of::<[Fold; 2]>();
+        let bound = 8 * n + n / 8 + checkpoints + BLOCK * std::mem::size_of::<f64>();
+        assert!(
+            log.heap_bytes() <= bound,
+            "{} heap bytes for {n} spans, bound {bound}",
+            log.heap_bytes()
         );
     }
 }
