@@ -73,39 +73,36 @@ impl HaloPlan {
     /// rank's block.
     pub fn build(a: &CsrMatrix, blocks: RowBlocks, rank: usize) -> HaloPlan {
         let (lo, hi) = (blocks.lo(rank), blocks.hi(rank));
-        // Sorted, deduplicated columns of rows `rows` that `keep` admits.
-        let columns = |rows: Range<usize>, keep: &dyn Fn(usize) -> bool| {
-            let mut cols: Vec<usize> = rows
-                .flat_map(|i| a.row(i).0.iter().map(|&j| j as usize))
-                .filter(|&j| keep(j))
-                .collect();
-            cols.sort_unstable();
-            cols.dedup();
-            cols
-        };
-        let mut recv: Vec<(usize, Vec<usize>)> = Vec::new();
-        for j in columns(lo..hi, &|j| j < lo || j >= hi) {
-            let owner = blocks.owner(j);
-            match recv.last_mut() {
-                Some((peer, idxs)) if *peer == owner => idxs.push(j),
-                _ => recv.push((owner, vec![j])),
-            }
-        }
         let send = (0..blocks.p)
             .filter(|&peer| peer != rank)
             .map(|peer| {
                 let rows = blocks.lo(peer)..blocks.hi(peer);
-                (peer, columns(rows, &|j| (lo..hi).contains(&j)))
+                (peer, columns(a, rows, |j| (lo..hi).contains(&j)))
             })
             .filter(|(_, idxs)| !idxs.is_empty())
             .collect();
-        HaloPlan { recv, send }
+        HaloPlan {
+            recv: recv_list(a, blocks, rank),
+            send,
+        }
     }
 
-    /// Every rank's plan, [`HaloPlan::build`] in rank order.
+    /// Every rank's plan, equal to [`HaloPlan::build`] in rank order, in
+    /// one pass over the matrix: each rank's recv list reads its own rows,
+    /// and each owner's send list copies what every peer, in rank order,
+    /// receives from it.
     pub fn build_all(a: &CsrMatrix, blocks: RowBlocks) -> Vec<HaloPlan> {
-        (0..blocks.p)
-            .map(|rank| HaloPlan::build(a, blocks, rank))
+        let recvs: Vec<_> = (0..blocks.p)
+            .map(|rank| recv_list(a, blocks, rank))
+            .collect();
+        let mut sends = vec![Vec::new(); blocks.p];
+        for (needer, recv) in recvs.iter().enumerate() {
+            for (owner, idxs) in recv {
+                sends[*owner].push((needer, idxs.clone()));
+            }
+        }
+        (recvs.into_iter().zip(sends))
+            .map(|(recv, send)| HaloPlan { recv, send })
             .collect()
     }
 
@@ -113,6 +110,32 @@ impl HaloPlan {
     pub fn recv_elems(&self) -> usize {
         self.recv.iter().map(|(_, idxs)| idxs.len()).sum()
     }
+}
+
+/// Sorted, deduplicated columns of rows `rows` of `a` that `keep` admits.
+fn columns(a: &CsrMatrix, rows: Range<usize>, keep: impl Fn(usize) -> bool) -> Vec<usize> {
+    let mut cols: Vec<usize> = rows
+        .flat_map(|i| a.row(i).0.iter().map(|&j| j as usize))
+        .filter(|&j| keep(j))
+        .collect();
+    cols.sort_unstable();
+    cols.dedup();
+    cols
+}
+
+/// `(owner, global indices)` rank `rank` receives: the remote columns its
+/// own rows reference, grouped by owner in rank order.
+fn recv_list(a: &CsrMatrix, blocks: RowBlocks, rank: usize) -> Vec<(usize, Vec<usize>)> {
+    let (lo, hi) = (blocks.lo(rank), blocks.hi(rank));
+    let mut recv: Vec<(usize, Vec<usize>)> = Vec::new();
+    for j in columns(a, lo..hi, |j| j < lo || j >= hi) {
+        let owner = blocks.owner(j);
+        match recv.last_mut() {
+            Some((peer, idxs)) if *peer == owner => idxs.push(j),
+            _ => recv.push((owner, vec![j])),
+        }
+    }
+    recv
 }
 
 /// One rank's rows split by halo dependence: *interior* rows reference
@@ -269,9 +292,16 @@ mod tests {
 
     #[test]
     fn one_ranks_plan_equals_the_all_ranks_construction() {
-        let systems = [laplace2d(4), laplace2d(5), laplace2d(18), laplace3d(5)];
-        for sys in &systems {
-            for p in [1, 2, 3, 7, 16] {
+        let mut cases: Vec<_> = [laplace2d(4), laplace2d(5), laplace2d(18), laplace3d(5)]
+            .into_iter()
+            .map(|sys| (sys, vec![1, 2, 3, 7, 16]))
+            .collect();
+        if !cfg!(debug_assertions) {
+            // The campaign-sized case: 65 536 rows on up to 256 ranks.
+            cases.push((laplace2d(256), vec![64, 256]));
+        }
+        for (sys, ps) in &cases {
+            for &p in ps {
                 let blocks = RowBlocks::new(sys.n(), p);
                 let oracle = build_all_at_once(&sys.a, blocks);
                 for (rank, plan) in oracle.iter().enumerate() {

@@ -31,9 +31,13 @@
 //! `greenla-mpi`'s trace and checker, whose ranks log nothing without a
 //! sink attached.
 //!
-//! The per-run outcome is a [`FaultReport`]: what the plan injected, what
-//! the runtime observed, and what it recovered from, plus the list of
-//! nodes degraded to "unmeasured".
+//! The outcome is a [`FaultReport`]: what the plan injected, what the
+//! runtime observed, and what it recovered from, plus the list of nodes
+//! degraded to "unmeasured". Each rank queries its own [`RankFaults`]
+//! schedule and tallies every [`FaultNote`] into its own report through
+//! [`FaultReport::note`]; the machine hands the ranks' reports to
+//! [`FaultSink::bank`] once per run, after every rank has stopped, so a
+//! rank that crashed or unwound out of an aborted run still counts.
 
 mod plan;
 mod report;

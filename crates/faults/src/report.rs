@@ -3,6 +3,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::sink::FaultNote;
+
 /// Counts of faults by kind. Used three ways in a [`FaultReport`]:
 /// injected (the plan fired), observed (the runtime noticed), recovered
 /// (the runtime absorbed it without failing the run).
@@ -62,6 +64,49 @@ impl FaultReport {
             && self.observed.total() == 0
             && self.recovered.total() == 0
             && self.degraded_nodes.is_empty()
+    }
+
+    /// Account for one thing that happened to a planned fault on a rank
+    /// of node `node`: the one mapping from [`FaultNote`]s to tallies.
+    pub fn note(&mut self, note: FaultNote, node: usize) {
+        let FaultReport {
+            injected,
+            observed,
+            recovered,
+            degraded_nodes,
+        } = self;
+        match note {
+            FaultNote::DropInjected(count) => {
+                injected.msg_drop += count;
+                observed.msg_drop += count;
+            }
+            FaultNote::DropRecovered(count) => recovered.msg_drop += count,
+            FaultNote::DupInjected => injected.msg_dup += 1,
+            FaultNote::DupDiscarded => {
+                observed.msg_dup += 1;
+                recovered.msg_dup += 1;
+            }
+            FaultNote::DelayInjected => injected.msg_delay += 1,
+            FaultNote::DelayObserved => {
+                observed.msg_delay += 1;
+                recovered.msg_delay += 1;
+            }
+            FaultNote::RankCrashed => {
+                injected.rank_crash += 1;
+                observed.rank_crash += 1;
+            }
+            FaultNote::MonitorDied => injected.monitor += 1,
+            FaultNote::Degraded => {
+                observed.monitor += 1;
+                recovered.monitor += 1;
+                degraded_nodes.push(node);
+            }
+            FaultNote::ColumnLossInjected => {
+                injected.column_loss += 1;
+                observed.column_loss += 1;
+            }
+            FaultNote::ColumnLossRecovered => recovered.column_loss += 1,
+        }
     }
 
     /// Fold another rank's (or node's) local report into this one.

@@ -1,26 +1,30 @@
 //! The runtime-facing half: a shared sink the machine consults at its
-//! injection points, plus a cheap per-rank handle.
+//! injection points and banks each run's tallies into, plus each rank's
+//! injection schedule.
 //!
 //! A disabled sink is a `None` behind an `Option<Arc<..>>`, as are
-//! `greenla-mpi`'s trace and check sinks, so every hook costs one branch and the virtual timeline of a fault-free build is
-//! untouched. Per-rank state lives in [`RankFaults`] (no locking on the
-//! hot path); local tallies are folded into the shared [`FaultReport`]
-//! when the handle drops — which also happens during panic unwinding, so
-//! crashed ranks still account for the faults they saw.
+//! `greenla-mpi`'s trace and check sinks, so every hook costs one branch
+//! and the virtual timeline of a fault-free build is untouched. A rank's
+//! schedule is a [`RankFaults`] it owns and queries without locks; what a
+//! fault then did is a [`FaultNote`] the rank tallies into its own
+//! [`FaultReport`], and the machine hands every rank's report to
+//! [`FaultSink::bank`] once the run stops, however each rank ended.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::plan::{CounterFault, CrashWhen, FaultPlan, MsgFault, MsgFaultKind};
+use crate::plan::{CounterFaultKind, CrashWhen, FaultPlan, MsgFault, MsgFaultKind};
 use crate::report::FaultReport;
 
 struct Shared {
     plan: FaultPlan,
-    collected: Mutex<FaultReport>,
+    /// Every banked run's rank reports, merged.
+    banked: Mutex<FaultReport>,
     /// One flag per plan counter fault: has it fired at least once?
-    counter_fired: Mutex<Vec<bool>>,
+    counter_fired: Vec<AtomicBool>,
 }
 
-/// Shared fault state for one machine run. Cloning is cheap (an `Arc`).
+/// Shared fault state for one machine. Cloning is cheap (an `Arc`).
 #[derive(Clone)]
 pub struct FaultSink {
     shared: Option<Arc<Shared>>,
@@ -40,12 +44,16 @@ impl FaultSink {
 
     /// A sink driven by `plan`.
     pub fn with_plan(plan: FaultPlan) -> FaultSink {
-        let fired = vec![false; plan.counters.len()];
+        let counter_fired = plan
+            .counters
+            .iter()
+            .map(|_| AtomicBool::new(false))
+            .collect();
         FaultSink {
             shared: Some(Arc::new(Shared {
                 plan,
-                collected: Mutex::new(FaultReport::default()),
-                counter_fired: Mutex::new(fired),
+                banked: Mutex::new(FaultReport::default()),
+                counter_fired,
             })),
         }
     }
@@ -59,35 +67,25 @@ impl FaultSink {
         self.shared.as_deref().map(|s| &s.plan)
     }
 
-    /// Build the per-rank handle for `rank` living on node `node`.
+    /// The injection schedule of `rank`, living on node `node`.
     pub fn handle(&self, rank: usize, node: usize) -> RankFaults {
         let Some(shared) = &self.shared else {
-            return RankFaults::disabled();
+            return RankFaults::default();
         };
-        let mut msg_faults: Vec<MsgFault> = shared
-            .plan
+        let plan = &shared.plan;
+        let mut msg_faults: Vec<MsgFault> = plan
             .messages
             .iter()
             .copied()
             .filter(|m| m.src == rank)
             .collect();
         msg_faults.sort_by_key(|m| m.nth_send);
-        let crash = shared
-            .plan
-            .crashes
-            .iter()
-            .find(|c| c.rank == rank)
-            .map(|c| c.when);
         RankFaults {
-            shared: Some(shared.clone()),
-            rank,
-            node,
             msg_faults,
-            next_msg: 0,
-            sends: 0,
-            crash,
-            calls: 0,
-            local: FaultReport::default(),
+            crash: plan.crashes.iter().find(|c| c.rank == rank).map(|c| c.when),
+            monitor_death: plan.monitor_deaths.contains(&node),
+            column_loss: plan.column_loss.map(|c| (c.level, c.column)),
+            ..RankFaults::default()
         }
     }
 
@@ -100,58 +98,56 @@ impl FaultSink {
         node: usize,
         socket: usize,
         t_s: f64,
-    ) -> Option<(crate::plan::CounterFaultKind, f64)> {
+    ) -> Option<(CounterFaultKind, f64)> {
         let shared = self.shared.as_deref()?;
-        let (i, fault): (usize, &CounterFault) = shared
+        let (fault, fired) = shared
             .plan
             .counters
             .iter()
-            .enumerate()
-            .find(|(_, c)| c.node == node && c.socket == socket)?;
+            .zip(&shared.counter_fired)
+            .find(|(c, _)| c.node == node && c.socket == socket)?;
         if t_s < fault.from_s {
             return None;
         }
-        let mut fired = shared.counter_fired.lock().expect("counter_fired lock");
-        if !fired[i] {
-            fired[i] = true;
-            let mut rep = shared.collected.lock().expect("fault report lock");
-            rep.injected.counter += 1;
-            rep.observed.counter += 1;
-        }
+        fired.store(true, Ordering::Relaxed);
         Some((fault.kind, fault.from_s))
     }
 
-    /// Account for a duplicate envelope that was still sitting in an
-    /// inbox when the run finished (no receive searched past it). Called from the machine's finalisation audit so the
-    /// observed-duplicate count is deterministic regardless of wall-clock
-    /// arrival order.
-    pub fn note_dup_discarded(&self) {
+    /// Merge one run's rank reports, in rank order, into what this sink
+    /// has banked so far. The machine calls it once per run, after every
+    /// rank has stopped; a disabled sink banks nothing.
+    pub fn bank(&self, reports: impl IntoIterator<Item = FaultReport>) {
         if let Some(shared) = &self.shared {
-            let mut rep = shared.collected.lock().expect("fault report lock");
-            rep.observed.msg_dup += 1;
-            rep.recovered.msg_dup += 1;
+            let mut banked = shared.banked.lock().expect("fault report lock");
+            for report in reports {
+                banked.merge(&report);
+            }
         }
     }
 
-    /// The merged report across all ranks that have flushed (i.e. whose
-    /// handles dropped). Call after the run completes.
+    /// Everything banked so far, plus one injected and observed counter
+    /// fault per plan counter fault that has fired. Call after a run.
     pub fn report(&self) -> FaultReport {
-        match &self.shared {
-            None => FaultReport::default(),
-            Some(shared) => {
-                let mut rep = shared.collected.lock().expect("fault report lock").clone();
-                rep.degraded_nodes.sort_unstable();
-                rep.degraded_nodes.dedup();
-                rep
-            }
-        }
+        let Some(shared) = &self.shared else {
+            return FaultReport::default();
+        };
+        let mut rep = shared.banked.lock().expect("fault report lock").clone();
+        let fired = shared
+            .counter_fired
+            .iter()
+            .filter(|f| f.load(Ordering::Relaxed))
+            .count() as u64;
+        rep.injected.counter += fired;
+        rep.observed.counter += fired;
+        rep
     }
 }
 
 /// One thing that happened to a planned fault, as the layer that saw it
-/// reports it: the runtime for message faults, the monitor protocol for a
-/// degraded node, a checksum-protected solver for a column loss. A rank
-/// states the fact once; [`RankFaults::note`] turns it into tallies and
+/// reports it: the runtime for message faults and a crash, the monitor
+/// protocol for a monitoring-rank death and a degraded node, a
+/// checksum-protected solver for a column loss. A rank states the fact
+/// once; [`FaultReport::note`] turns it into tallies and
 /// [`FaultNote::marker`] names the instant a traced run shows for it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultNote {
@@ -167,6 +163,10 @@ pub enum FaultNote {
     DelayInjected,
     /// The receiver matched an envelope marked as delayed.
     DelayObserved,
+    /// The rank's planned crash fired; the rank aborts the run next.
+    RankCrashed,
+    /// The node's monitoring rank died during protocol bring-up.
+    MonitorDied,
     /// The node recovered from a monitoring fault by downgrading itself
     /// to "unmeasured".
     Degraded,
@@ -186,6 +186,8 @@ impl FaultNote {
             FaultNote::DupInjected => Some("fault:dup"),
             FaultNote::DupDiscarded => Some("fault:dup_discarded"),
             FaultNote::DelayInjected => Some("fault:delay"),
+            FaultNote::RankCrashed => Some("fault:crash"),
+            FaultNote::MonitorDied => Some("fault:monitor_death"),
             FaultNote::Degraded => Some("fault:monitor_degraded"),
             FaultNote::ColumnLossInjected => Some("fault:column_loss"),
             FaultNote::ColumnLossRecovered => Some("fault:column_loss_recovered"),
@@ -194,67 +196,41 @@ impl FaultNote {
     }
 }
 
-/// Per-rank fault state: owned by the rank's context, consulted at every
-/// injection point without locks. Flushes its tallies into the shared
-/// report on drop.
+/// One rank's injection schedule: owned by the rank's context and queried
+/// at every injection point without locks. A disabled sink's schedule
+/// (the default) answers every query with "nothing".
+#[derive(Default)]
 pub struct RankFaults {
-    shared: Option<Arc<Shared>>,
-    rank: usize,
-    node: usize,
+    /// The rank's message faults, by send index.
     msg_faults: Vec<MsgFault>,
     next_msg: usize,
     sends: u64,
     crash: Option<CrashWhen>,
     calls: u64,
-    local: FaultReport,
+    monitor_death: bool,
+    column_loss: Option<(usize, usize)>,
 }
 
 impl RankFaults {
-    /// A handle that injects and records nothing.
-    pub fn disabled() -> RankFaults {
-        RankFaults {
-            shared: None,
-            rank: 0,
-            node: 0,
-            msg_faults: Vec::new(),
-            next_msg: 0,
-            sends: 0,
-            crash: None,
-            calls: 0,
-            local: FaultReport::default(),
-        }
-    }
-
-    /// One branch on the hot path: is there anything to do at all?
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.shared.is_some()
-    }
-
     /// Advance the per-rank call counter and decide whether the planned
-    /// crash fires now (`now` is the rank's virtual clock). Returns the
-    /// abort diagnostic when due. Call only when [`enabled`](Self::enabled).
-    pub fn crash_due(&mut self, now: f64) -> Option<String> {
+    /// crash fires now (`now` is the rank's virtual clock). It fires once.
+    #[inline]
+    pub fn crash_due(&mut self, now: f64) -> bool {
         self.calls += 1;
-        let due = match self.crash? {
-            CrashWhen::AtTime { t_s } => now >= t_s,
-            CrashWhen::AtCall { calls } => self.calls >= calls,
+        let due = match self.crash {
+            None => return false,
+            Some(CrashWhen::AtTime { t_s }) => now >= t_s,
+            Some(CrashWhen::AtCall { calls }) => self.calls >= calls,
         };
-        if !due {
-            return None;
+        if due {
+            self.crash = None;
         }
-        self.crash = None;
-        self.local.injected.rank_crash += 1;
-        self.local.observed.rank_crash += 1;
-        Some(format!(
-            "injected fault: rank {} crashed at virtual t={now:.6}s",
-            self.rank
-        ))
+        due
     }
 
     /// The fault (if any) attached to this rank's next logical send.
-    /// Advances the send counter either way. Call only when
-    /// [`enabled`](Self::enabled).
+    /// Advances the send counter either way.
+    #[inline]
     pub fn next_send_fault(&mut self) -> Option<MsgFaultKind> {
         let idx = self.sends;
         self.sends += 1;
@@ -262,106 +238,41 @@ impl RankFaults {
         {
             self.next_msg += 1;
         }
-        if self.next_msg < self.msg_faults.len() && self.msg_faults[self.next_msg].nth_send == idx {
-            let kind = self.msg_faults[self.next_msg].kind;
+        let fault = *self.msg_faults.get(self.next_msg)?;
+        (fault.nth_send == idx).then(|| {
             self.next_msg += 1;
-            Some(kind)
-        } else {
-            None
-        }
+            fault.kind
+        })
     }
 
-    /// Is this rank's node scheduled for a monitoring-rank death? Records
-    /// the injection when it is. Called once per run by the node's
-    /// monitoring rank during protocol bring-up.
-    pub fn monitor_death_due(&mut self) -> bool {
-        let due = self
-            .shared
-            .as_deref()
-            .is_some_and(|s| s.plan.monitor_deaths.contains(&self.node));
-        if due {
-            self.local.injected.monitor += 1;
-        }
-        due
+    /// Is this rank's node scheduled for a monitoring-rank death? Asked
+    /// by the node's monitoring rank during protocol bring-up.
+    pub fn monitor_death_due(&self) -> bool {
+        self.monitor_death
     }
 
     /// The planned application-level column loss, if any (consumed by
     /// checksum-protected solvers).
     pub fn app_column_loss(&self) -> Option<(usize, usize)> {
-        self.shared
-            .as_deref()
-            .and_then(|s| s.plan.column_loss)
-            .map(|c| (c.level, c.column))
-    }
-
-    /// Account for one thing that happened to a planned fault. The one
-    /// way tallies move outside the plan queries above, which count their
-    /// own injections.
-    pub fn note(&mut self, note: FaultNote) {
-        let FaultReport {
-            injected,
-            observed,
-            recovered,
-            degraded_nodes,
-        } = &mut self.local;
-        match note {
-            FaultNote::DropInjected(count) => {
-                injected.msg_drop += count;
-                observed.msg_drop += count;
-            }
-            FaultNote::DropRecovered(count) => recovered.msg_drop += count,
-            FaultNote::DupInjected => injected.msg_dup += 1,
-            FaultNote::DupDiscarded => {
-                observed.msg_dup += 1;
-                recovered.msg_dup += 1;
-            }
-            FaultNote::DelayInjected => injected.msg_delay += 1,
-            FaultNote::DelayObserved => {
-                observed.msg_delay += 1;
-                recovered.msg_delay += 1;
-            }
-            FaultNote::Degraded => {
-                observed.monitor += 1;
-                recovered.monitor += 1;
-                degraded_nodes.push(self.node);
-            }
-            FaultNote::ColumnLossInjected => {
-                injected.column_loss += 1;
-                observed.column_loss += 1;
-            }
-            FaultNote::ColumnLossRecovered => recovered.column_loss += 1,
-        }
-    }
-}
-
-impl Drop for RankFaults {
-    fn drop(&mut self) {
-        let Some(shared) = &self.shared else { return };
-        if self.local.is_empty() {
-            return;
-        }
-        let mut rep = shared.collected.lock().expect("fault report lock");
-        rep.merge(&self.local);
+        self.column_loss
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{ColumnLoss, CrashFault};
+    use crate::plan::{ColumnLoss, CounterFault, CrashFault};
 
     #[test]
     fn disabled_sink_is_inert() {
         let sink = FaultSink::disabled();
         assert!(!sink.is_enabled());
         let mut h = sink.handle(3, 0);
-        assert!(!h.enabled());
         assert!(h.next_send_fault().is_none());
-        assert!(h.crash_due(1.0).is_none());
+        assert!(!h.crash_due(1.0));
         assert!(!h.monitor_death_due());
         assert!(h.app_column_loss().is_none());
         assert!(sink.counter_fault(0, 0, 1.0).is_none());
-        drop(h);
         assert!(sink.report().is_empty());
     }
 
@@ -407,13 +318,15 @@ mod tests {
         };
         let sink = FaultSink::with_plan(plan);
         let mut h = sink.handle(1, 0);
-        assert!(h.crash_due(0.1).is_none());
-        let msg = h.crash_due(0.7).expect("crash due");
-        assert!(msg.starts_with("injected fault: rank 1 crashed"));
-        assert!(h.crash_due(0.9).is_none(), "crash fires exactly once");
-        drop(h);
+        assert!(!h.crash_due(0.1));
+        assert!(h.crash_due(0.7), "crash due");
+        assert!(!h.crash_due(0.9), "crash fires exactly once");
+        let mut rank = FaultReport::default();
+        rank.note(FaultNote::RankCrashed, 0);
+        sink.bank([rank]);
         let rep = sink.report();
         assert_eq!(rep.injected.rank_crash, 1);
+        assert_eq!(rep.observed.rank_crash, 1);
     }
 
     #[test]
@@ -447,7 +360,8 @@ mod tests {
         type Family = fn(&FaultCounts) -> u64;
         let (drop, dup, delay): (Family, Family, Family) =
             (|c| c.msg_drop, |c| c.msg_dup, |c| c.msg_delay);
-        let (monitor, loss): (Family, Family) = (|c| c.monitor, |c| c.column_loss);
+        let (crash, monitor, loss): (Family, Family, Family) =
+            (|c| c.rank_crash, |c| c.monitor, |c| c.column_loss);
         // (note, its family, [injected, observed, recovered], marker)
         let table = [
             (DropInjected(3), drop, [3, 3, 0], Some("fault:drop")),
@@ -456,6 +370,8 @@ mod tests {
             (DupDiscarded, dup, [0, 1, 1], Some("fault:dup_discarded")),
             (DelayInjected, delay, [1, 0, 0], Some("fault:delay")),
             (DelayObserved, delay, [0, 1, 1], None),
+            (RankCrashed, crash, [1, 1, 0], Some("fault:crash")),
+            (MonitorDied, monitor, [1, 0, 0], Some("fault:monitor_death")),
             (Degraded, monitor, [0, 1, 1], Some("fault:monitor_degraded")),
             (
                 ColumnLossInjected,
@@ -471,9 +387,8 @@ mod tests {
             ),
         ];
         for (note, family, tallies, marker) in table {
-            let sink = FaultSink::with_plan(FaultPlan::default());
-            sink.handle(4, 1).note(note);
-            let rep = sink.report();
+            let mut rep = FaultReport::default();
+            rep.note(note, 1);
             let moved = [&rep.injected, &rep.observed, &rep.recovered];
             assert_eq!(moved.map(family), tallies, "{note:?}");
             assert_eq!(
@@ -488,7 +403,7 @@ mod tests {
     }
 
     #[test]
-    fn handles_flush_on_drop_and_merge() {
+    fn bank_accumulates_runs_in_rank_order() {
         let plan = FaultPlan {
             monitor_deaths: vec![1],
             column_loss: Some(ColumnLoss {
@@ -498,21 +413,41 @@ mod tests {
             ..Default::default()
         };
         let sink = FaultSink::with_plan(plan);
-        let mut a = sink.handle(4, 1);
-        assert!(a.monitor_death_due());
-        a.note(FaultNote::Degraded);
-        let mut b = sink.handle(0, 0);
+        let (a, b) = (sink.handle(4, 1), sink.handle(0, 0));
+        assert!(a.monitor_death_due() && !b.monitor_death_due());
         assert_eq!(b.app_column_loss(), Some((3, 7)));
-        b.note(FaultNote::ColumnLossInjected);
-        b.note(FaultNote::ColumnLossRecovered);
-        assert!(sink.report().is_empty(), "nothing flushed yet");
-        drop(a);
-        drop(b);
+        // One run: node 2 and node 1 degrade, rank 0 loses and recovers a
+        // column. The next run degrades node 1 again.
+        let report = |notes: &[(FaultNote, usize)]| {
+            let mut rep = FaultReport::default();
+            for &(note, node) in notes {
+                rep.note(note, node);
+            }
+            rep
+        };
+        let first = [
+            report(&[
+                (FaultNote::ColumnLossInjected, 0),
+                (FaultNote::ColumnLossRecovered, 0),
+            ]),
+            report(&[(FaultNote::Degraded, 2)]),
+            report(&[(FaultNote::MonitorDied, 1), (FaultNote::Degraded, 1)]),
+        ];
+        sink.bank(first);
+        assert_eq!(sink.report().recovered.column_loss, 1, "banked at once");
+        sink.bank([report(&[(FaultNote::Degraded, 1)])]);
         let rep = sink.report();
         assert_eq!(rep.injected.monitor, 1);
-        assert_eq!(rep.recovered.monitor, 1);
-        assert_eq!(rep.degraded_nodes, vec![1]);
+        assert_eq!(rep.recovered.monitor, 3, "both runs add up");
+        assert_eq!(rep.degraded_nodes, vec![1, 2], "sorted, deduplicated");
         assert_eq!(rep.injected.column_loss, 1);
         assert_eq!(rep.recovered.column_loss, 1);
+
+        let disabled = FaultSink::disabled();
+        disabled.bank([report(&[(FaultNote::Degraded, 1)])]);
+        assert!(
+            disabled.report().is_empty(),
+            "a disabled sink banks nothing"
+        );
     }
 }

@@ -46,10 +46,10 @@ impl Checksum {
     /// reduction of every rank's fresh columns. Every rank reads the same
     /// plan, so the guard's control flow stays collective.
     pub(crate) fn arm(ctx: &mut RankCtx, comm: &Comm, cols: &Columns, n: usize) -> Option<Self> {
-        if n == 0 || !ctx.faults_enabled() {
+        if n == 0 {
             return None;
         }
-        let (level, column) = ctx.faults_mut().app_column_loss()?;
+        let (level, column) = ctx.faults().app_column_loss()?;
         let local = sum_columns(cols, n, None);
         ctx.compute(flops::daxpy(n) * cols.len() as u64 / 2, 0);
         let sum = ctx.reduce_sum_f64(comm, MASTER, local);

@@ -137,7 +137,7 @@ fn imep_traffic_matches_prediction_exactly() {
         for ranks in [2, 3, 6] {
             let m = machine(ranks, 4);
             run_imep(&m, &sys, opts);
-            let snap = m.traffic().snapshot();
+            let snap = m.traffic();
             let (msgs, elems) = predict_traffic(n, ranks, opts);
             assert_eq!(snap.msgs, msgs, "message count for N={ranks} {opts:?}");
             assert_eq!(snap.volume_elems(), elems, "volume for N={ranks} {opts:?}");
@@ -152,11 +152,7 @@ fn optimized_imep_same_solution_less_traffic_and_time() {
     let run = |opts: ImepOptions| {
         let m = machine(6, 14);
         let out = run_imep(&m, &sys, opts);
-        (
-            out.results[0].clone(),
-            m.traffic().snapshot().msgs,
-            out.makespan,
-        )
+        (out.results[0].clone(), m.traffic().msgs, out.makespan)
     };
     let (x_paper, msgs_paper, t_paper) = run(ImepOptions::paper());
     let (x_opt, msgs_opt, t_opt) = run(ImepOptions::optimized());
@@ -280,9 +276,9 @@ fn multi_rhs_reuses_one_reduction() {
     let single = {
         let m2 = machine(4, 15);
         run_imep(&m2, &sys, ImepOptions::optimized());
-        m2.traffic().snapshot().volume_elems()
+        m2.traffic().volume_elems()
     };
-    let triple = m.traffic().snapshot().volume_elems();
+    let triple = m.traffic().volume_elems();
     let per_extra_rhs = (triple - single) as f64 / 2.0;
     assert!(
         per_extra_rhs < (4 * n * 3) as f64,
@@ -371,7 +367,7 @@ fn protection_traffic_is_exact() {
                 let (m, sink) = lossy_machine(ranks, n / 2, column);
                 run_imep(&m, &sys, opts);
                 assert_one_loss_recovered(&sink.report(), "traffic");
-                let snap = m.traffic().snapshot();
+                let snap = m.traffic();
                 let (msgs, elems) = predict_traffic(n, ranks, opts);
                 let extra = 2 * (ranks as u64 - 1) + hand_back;
                 let what = format!("N={ranks} column={column} {opts:?}");

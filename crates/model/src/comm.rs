@@ -7,9 +7,10 @@
 //! Rabenseifner's reduce-scatter + allgather from the large-payload
 //! threshold up), the ring for allgather, linear gathers, and
 //! max-synchronising barriers. The traffic closed forms (`*_traffic`) give
-//! the exact message/element counts the runtime's `greenla_mpi::Traffic`
-//! tally must reproduce. [`allreduce`] and [`allreduce_traffic`] select
-//! the arm by the runtime's own rule, `greenla_mpi::coll::allreduce_arm`.
+//! the exact message/element counts the runtime's traffic tally
+//! (`greenla_mpi::RunOutput::traffic`) must reproduce. [`allreduce`] and
+//! [`allreduce_traffic`] select the arm by the runtime's own rule,
+//! `greenla_mpi::coll::allreduce_arm`.
 
 use crate::params::MachineParams;
 use greenla_mpi::coll::{allreduce_arm, AllreduceArm};

@@ -84,9 +84,8 @@ impl MonitorHandle {
             // with degradation enabled the node downgrades itself to
             // "unmeasured"; without it the rank really dies and takes the
             // run with it.
-            let death = ctx.faults_enabled() && ctx.faults_mut().monitor_death_due();
-            if death {
-                ctx.trace_instant("fault:monitor_death");
+            if ctx.faults().monitor_death_due() {
+                ctx.emit(RankEvent::Fault(FaultNote::MonitorDied));
                 if !cfg.degrade_on_fault {
                     ctx.abort(
                         AbortKind::InjectedFault,

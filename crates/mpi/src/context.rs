@@ -29,8 +29,8 @@ pub struct RankCtx<'m> {
     pub(crate) spec: &'m ClusterSpec,
     pub(crate) perf_mult: f64,
     pub(crate) ledger: &'m Ledger,
-    /// This rank's own sends; the machine adds them to its [`crate::Traffic`]
-    /// when the body ends, so sends touch no shared counter.
+    /// This rank's own sends; the machine banks them when the body ends,
+    /// so sends touch no shared counter.
     pub(crate) traffic: TrafficSnapshot,
     pub(crate) registry: &'m Registry,
     pub(crate) placement: &'m Placement,
@@ -40,16 +40,16 @@ pub struct RankCtx<'m> {
     /// as ranks issue collectives in the same order — the MPI contract).
     pub(crate) seqs: HashMap<u64, u64>,
     pub(crate) world_members: Arc<Vec<usize>>,
-    /// This rank's trace events and checker log; `None` unless the
-    /// machine has the matching sink attached. They hear what
+    /// This rank's trace events, checker log and fault tallies; `None`
+    /// unless the machine has the matching sink attached. They hear what
     /// [`RankCtx::emit`] tells them and nothing else, and the machine
     /// banks them when the body ends.
     pub(crate) observers: Observers,
-    /// Planned-fault state for this rank; a no-op unless the machine has
-    /// an enabled [`greenla_faults::FaultSink`] attached. Unlike the
+    /// This rank's injection schedule; empty unless the machine has an
+    /// enabled [`greenla_faults::FaultSink`] attached. Unlike the
     /// observers above, active faults *do* perturb virtual time (that is
-    /// their point) — but a disabled handle costs one branch per injection
-    /// point and leaves the timeline untouched.
+    /// their point) — but an empty schedule answers every query with
+    /// "nothing" and leaves the timeline untouched.
     pub(crate) faults: RankFaults,
     /// Does anything listen to the run's events — a trace sink, a check
     /// sink or a fault sink?
@@ -96,7 +96,7 @@ impl<'m> RankCtx<'m> {
     #[inline]
     pub fn emit(&mut self, ev: RankEvent<'_>) {
         if self.observed {
-            self.observers.hear(&mut self.faults, self.clock, ev);
+            self.observers.hear(self.clock, ev);
         }
     }
 
@@ -129,28 +129,24 @@ impl<'m> RankCtx<'m> {
 
     // ----- fault injection -------------------------------------------------------
 
-    /// Is fault injection active for this run?
-    pub fn faults_enabled(&self) -> bool {
-        self.faults.enabled()
-    }
-
-    /// This rank's fault handle, for the plan queries higher layers make
-    /// (the monitor protocol, checksum-protected solvers). What a fault
-    /// then did is reported through [`RankCtx::emit`].
-    pub fn faults_mut(&mut self) -> &mut RankFaults {
-        &mut self.faults
+    /// This rank's injection schedule, for the plan queries higher layers
+    /// make (the monitor protocol, checksum-protected solvers). What a
+    /// fault then did is reported through [`RankCtx::emit`].
+    pub fn faults(&self) -> &RankFaults {
+        &self.faults
     }
 
     /// An injection point: every compute and send entry passes through
     /// here, advancing the per-rank call counter and firing a planned
     /// crash when due.
     fn fault_point(&mut self) {
-        if !self.faults.enabled() {
-            return;
-        }
-        if let Some(msg) = self.faults.crash_due(self.clock) {
-            self.trace_instant("fault:crash");
-            self.abort(AbortKind::InjectedFault, msg);
+        if self.faults.crash_due(self.clock) {
+            self.emit(RankEvent::Fault(FaultNote::RankCrashed));
+            let detail = format!(
+                "injected fault: rank {} crashed at virtual t={:.6}s",
+                self.rank, self.clock
+            );
+            self.abort(AbortKind::InjectedFault, detail);
         }
     }
 
@@ -239,11 +235,7 @@ impl<'m> RankCtx<'m> {
         payload: Payload,
     ) {
         self.fault_point();
-        let fault = if self.faults.enabled() {
-            self.faults.next_send_fault()
-        } else {
-            None
-        };
+        let fault = self.faults.next_send_fault();
         let dst = comm.global_rank(dst_index);
         assert!(dst != self.rank, "self-send on comm {}", comm.id());
         let bytes = payload.size_bytes();

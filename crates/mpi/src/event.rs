@@ -6,23 +6,24 @@
 //! ends in one [`RankCtx::emit`](crate::RankCtx::emit) of a [`RankEvent`].
 //! A run nobody observes pays one branch per event. A run somebody does
 //! observe goes through `Observers::hear`, which holds the only mapping
-//! from events to [`TraceEvent`]s and the only mapping from events to the
-//! checker's log entries in the workspace: a new listener is one more
-//! `match` here, not a sweep over the MPI layer.
+//! from events to [`TraceEvent`]s, to the checker's log entries and to
+//! the fault tallies in the workspace: a new listener is one more log on
+//! `Observers` and one more `match` here, not a sweep over the MPI layer.
 //!
 //! `hear` receives the clock by value. A listener cannot move virtual
 //! time, so an observed run is bit-identical to an unobserved one by
 //! construction. Fault *injection* — the plan queries `crash_due`,
 //! `next_send_fault`, `monitor_death_due`, `app_column_loss` — is the one
-//! thing allowed to perturb a run, so it stays a direct call on
-//! [`RankFaults`]; only the *accounting* of what a fault did travels here,
-//! as a [`FaultNote`]. The `Ledger` and `Traffic` tallies are not
-//! listeners either: they are always on and the simulated RAPL reads the
-//! ledger mid-run, so the optional-listener branch would only wrap them.
+//! thing allowed to perturb a run, so it stays a direct call on the
+//! rank's [`RankFaults`](greenla_faults::RankFaults) schedule; every
+//! *tally* of what a fault did travels here, as a [`FaultNote`]. The
+//! `Ledger` and the traffic tally are not listeners: they are always on
+//! and the simulated RAPL reads the ledger mid-run, so the
+//! optional-listener branch would only wrap them.
 
 use crate::check::{CollEvent, Entry};
 use crate::trace::{EventKind, TraceEvent};
-use greenla_faults::{FaultNote, RankFaults};
+use greenla_faults::{FaultNote, FaultReport};
 
 /// A step of the Figure-2 monitoring choreography, as the monitoring
 /// layer announces it (after the run, MON001–MON003 are judged from
@@ -87,17 +88,19 @@ pub enum RankEvent<'a> {
     Monitor(MonitorStep),
 }
 
-/// The optional listeners' logs of one rank: its trace events and its
-/// checker log, each `None` unless the machine has the matching sink
-/// attached. The rank appends to them without a lock; the machine banks
-/// them when the rank's body ends.
+/// The optional listeners' logs of one rank: its trace events, its
+/// checker log and its fault tallies, each `None` unless the machine has
+/// the matching sink attached. The rank appends to them without a lock;
+/// the machine banks them when the rank's body ends.
 #[derive(Default)]
 pub(crate) struct Observers {
-    /// Global rank and node, stamped on every trace event.
+    /// Global rank and node, stamped on every trace event (the node also
+    /// on a degraded node's tally).
     pub(crate) rank: usize,
     pub(crate) node: usize,
     pub(crate) trace: Option<Vec<TraceEvent>>,
     pub(crate) check: Option<Vec<Entry>>,
+    pub(crate) faults: Option<FaultReport>,
 }
 
 impl Observers {
@@ -107,9 +110,9 @@ impl Observers {
     /// into every emission site they read 2–6 % slower.
     #[cold]
     #[inline(never)]
-    pub(crate) fn hear(&mut self, faults: &mut RankFaults, t: f64, ev: RankEvent<'_>) {
-        if let RankEvent::Fault(note) = ev {
-            faults.note(note);
+    pub(crate) fn hear(&mut self, t: f64, ev: RankEvent<'_>) {
+        if let (RankEvent::Fault(note), Some(report)) = (ev, &mut self.faults) {
+            report.note(note, self.node);
         }
         if let Some(events) = &mut self.trace {
             trace(events, self.rank, self.node, t, ev);
@@ -189,13 +192,13 @@ mod tests {
             rank: 2,
             node: 1,
             trace: Some(Vec::new()),
-            check: None,
+            ..Observers::default()
         };
         let ev = RankEvent::SendBegin {
             dst: 5,
             bytes: 4096,
         };
-        observers.hear(&mut RankFaults::disabled(), 1.0, ev);
+        observers.hear(1.0, ev);
         let events = observers.trace.expect("a trace log");
         assert_eq!((events[0].rank, events[0].node), (2, 1));
         assert_eq!((events[0].kind, events[0].t_s), (EventKind::Begin, 1.0));

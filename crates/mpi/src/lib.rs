@@ -21,9 +21,9 @@
 //! While ranks run, the engine records every busy interval into the
 //! [`greenla_cluster::Ledger`], which the simulated RAPL layer integrates
 //! into energy counters. Each rank tallies the messages it sends and their
-//! volume, and adds the tally to [`traffic::Traffic`] when it ends, so the
-//! paper's closed-form communication formulas can be checked against
-//! actual runs.
+//! volume, and the machine sums the tallies when the run stops
+//! ([`RunOutput::traffic`]), so the paper's closed-form communication
+//! formulas can be checked against actual runs.
 //!
 //! The API mirrors the MPI subset the paper's framework uses:
 //! `MPI_Comm_split_type(MPI_COMM_TYPE_SHARED)` → [`RankCtx::split_shared`],
@@ -41,10 +41,7 @@
 //! for [`check`], a MUST-style dynamic correctness checker that reports
 //! collective lockstep mismatches, leaked messages at finalize and
 //! monitor protocol breaches as structured [`Violation`]s, plus the
-//! runtime's deadlock report as DL001. Each rank keeps its trace events
-//! and its checker log as plain state of its [`RankCtx`], appended without
-//! a lock; the machine banks both when the rank's body ends, however it
-//! ends, next to its traffic tally. The deadlock report needs no
+//! runtime's deadlock report as DL001. The deadlock report needs no
 //! listener: a stuck run, checked or not, aborts as
 //! [`AbortKind::Deadlock`] naming what every parked rank waits on and the
 //! cycle among them (see [`Machine::try_run`]). Every other verdict is
@@ -54,15 +51,19 @@
 //! monotone clocks, receive causality and the collective tag layout are
 //! invariants the runtime holds itself, in every build — a
 //! collective that would need more tag chunks than the layout has dies
-//! as [`AbortKind::CollectiveContract`]. Attach a
-//! [`FaultSink`] with [`Machine::with_faults`] and [`RankEvent::Fault`]
-//! notes become the [`FaultReport`]'s tallies. Listeners are handed the
-//! clock by value, so an observed run is bit-identical in timing to an
-//! unobserved one; only a fault plan's *injections* — direct calls on
-//! [`RankFaults`], not events — may move a clock. The always-on
-//! [`Traffic`] and ledger tallies are direct calls too: RAPL reads the
-//! ledger mid-run, so they are part of the simulation, not observers of
-//! it.
+//! as [`AbortKind::CollectiveContract`]. Attach a [`FaultSink`] with
+//! [`Machine::with_faults`] and [`RankEvent::Fault`] notes become the
+//! [`FaultReport`]'s tallies. Each rank keeps its trace events, its
+//! checker log and its fault tallies as plain state of its [`RankCtx`],
+//! appended without a lock; the machine banks all three when the rank's
+//! body ends, however it ends, next to its traffic tally, and hands them
+//! to their sinks in rank order once the run stops. Listeners are handed
+//! the clock by value, so an observed run is bit-identical in timing to an
+//! unobserved one; only a fault plan's *injections* — queries of the
+//! rank's [`RankFaults`] schedule, not events — may move a clock. The
+//! always-on traffic and ledger tallies are direct calls too: RAPL reads
+//! the ledger mid-run, so they are part of the simulation, not observers
+//! of it.
 
 pub mod check;
 pub mod coll;
@@ -92,4 +93,4 @@ pub use greenla_faults::{
 pub use machine::{Machine, RunOutput};
 pub use sched::SchedulerKind;
 pub use trace::{EventKind, TraceEvent, TraceSink};
-pub use traffic::{Traffic, TrafficSnapshot};
+pub use traffic::TrafficSnapshot;

@@ -10,12 +10,12 @@ use crate::mailbox::Mailboxes;
 use crate::registry::{RankExit, Registry};
 use crate::sched::{Engine, SchedulerKind};
 use crate::trace::TraceSink;
-use crate::traffic::{Traffic, TrafficSnapshot};
+use crate::traffic::TrafficSnapshot;
 use greenla_cluster::ledger::{ActivityKind, Ledger};
 use greenla_cluster::placement::Placement;
 use greenla_cluster::spec::ClusterSpec;
 use greenla_cluster::PowerModel;
-use greenla_faults::FaultSink;
+use greenla_faults::{FaultNote, FaultReport, FaultSink};
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -27,7 +27,8 @@ pub struct Machine {
     power: PowerModel,
     seed: u64,
     ledger: Arc<Ledger>,
-    traffic: Arc<Traffic>,
+    /// Every run's traffic so far, summed once each run stops.
+    traffic: Mutex<TrafficSnapshot>,
     trace: TraceSink,
     check: CheckSink,
     faults: FaultSink,
@@ -43,8 +44,17 @@ pub struct RunOutput<R> {
     pub final_clocks: Vec<f64>,
     /// Virtual makespan: the latest final clock.
     pub makespan: f64,
-    /// Total traffic of the run.
+    /// Total traffic of the machine's runs so far, this one included.
     pub traffic: TrafficSnapshot,
+}
+
+/// What one rank leaves behind, banked when its body ends however it
+/// ends.
+struct Banked<R> {
+    /// The result and final clock of a rank whose body returned.
+    done: Option<(R, f64)>,
+    observers: Observers,
+    traffic: TrafficSnapshot,
 }
 
 impl Machine {
@@ -72,7 +82,7 @@ impl Machine {
             power,
             seed,
             ledger,
-            traffic: Arc::new(Traffic::new()),
+            traffic: Mutex::default(),
             trace: TraceSink::disabled(),
             check: CheckSink::disabled(),
             faults: FaultSink::disabled(),
@@ -153,9 +163,9 @@ impl Machine {
         Arc::clone(&self.ledger)
     }
 
-    /// Traffic counters.
-    pub fn traffic(&self) -> Arc<Traffic> {
-        Arc::clone(&self.traffic)
+    /// Total traffic of the machine's runs so far.
+    pub fn traffic(&self) -> TrafficSnapshot {
+        *self.traffic.lock()
     }
 
     pub fn spec(&self) -> &ClusterSpec {
@@ -238,9 +248,7 @@ impl Machine {
         )));
         let registry = Registry::new(Arc::clone(&mail), self.check.clone());
         let world_members: Arc<Vec<usize>> = Arc::new((0..n).collect());
-        let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let clocks: Vec<Mutex<f64>> = (0..n).map(|_| Mutex::new(0.0)).collect();
-        let logs: Vec<Mutex<Observers>> = (0..n).map(|_| Mutex::default()).collect();
+        let slots: Vec<Mutex<Option<Banked<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
 
         let observed =
             self.trace.is_enabled() || self.check.is_enabled() || self.faults.is_enabled();
@@ -268,17 +276,15 @@ impl Machine {
                     node: core.node,
                     trace: self.trace.is_enabled().then(Vec::new),
                     check: self.check.is_enabled().then(Vec::new),
+                    faults: self.faults.is_enabled().then(FaultReport::default),
                 },
                 faults: self.faults.handle(rank, core.node),
                 observed,
             };
-            match catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
-                Ok(r) => {
-                    *results[rank].lock() = Some(r);
-                    *clocks[rank].lock() = ctx.clock;
-                }
+            let done = match catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
+                Ok(r) => Some((r, ctx.clock)),
                 // The rank left an aborted run: its cause is on record.
-                Err(payload) if payload.is::<RankExit>() => {}
+                Err(payload) if payload.is::<RankExit>() => None,
                 // The rank body itself panicked (the hook has printed it).
                 Err(payload) => {
                     let detail = match payload.downcast::<String>() {
@@ -293,12 +299,16 @@ impl Machine {
                         kind: AbortKind::Panic,
                         detail,
                     });
+                    None
                 }
-            }
+            };
             // Every exit path: what an aborted rank sent still crossed the
             // wire, and what it did up to its exit is in its logs.
-            self.traffic.add(&ctx.traffic);
-            *logs[rank].lock() = std::mem::take(&mut ctx.observers);
+            *slots[rank].lock() = Some(Banked {
+                done,
+                observers: ctx.observers,
+                traffic: ctx.traffic,
+            });
         };
         let run_rank = &run_rank;
         mail.engine().run(
@@ -306,6 +316,10 @@ impl Machine {
                 .map(|rank| Box::new(move || run_rank(rank)) as Box<dyn FnOnce() + Send + '_>)
                 .collect(),
         );
+        let mut banked: Vec<Banked<R>> = slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("every rank banks its outputs"))
+            .collect();
 
         let cause = registry.cause();
         let mut leftovers = Vec::new();
@@ -313,15 +327,18 @@ impl Machine {
             // Message hygiene, once every rank has stopped sending:
             // anything still in an inbox at finalize was sent but never
             // received (MSG001). Injected duplicates no receive searched
-            // past are accounted here instead — whether a duplicate is
-            // discarded mid-run or at finalize is a wall-clock accident,
-            // but the total observed count is deterministic.
-            for rank in 0..n {
+            // past are tallied here, on the receiver's report, instead —
+            // whether a duplicate is discarded mid-run or at finalize is a
+            // wall-clock accident, but the total observed count is
+            // deterministic.
+            for (rank, slot) in banked.iter_mut().enumerate() {
+                let observers = &mut slot.observers;
                 for e in mail.drain(rank) {
-                    if e.dup {
-                        self.faults.note_dup_discarded();
-                    } else {
-                        leftovers.push((e.src, rank, e.comm_id, e.tag, e.arrival));
+                    match &mut observers.faults {
+                        Some(report) if e.dup => {
+                            report.note(FaultNote::DupDiscarded, observers.node);
+                        }
+                        _ => leftovers.push((e.src, rank, e.comm_id, e.tag, e.arrival)),
                     }
                 }
             }
@@ -330,14 +347,20 @@ impl Machine {
         // run from its logs, the finished ledger and the leftovers, so its
         // verdicts are the same whatever order the ranks ran in — and an
         // aborted run reports them.
-        let (traces, checks): (Vec<_>, Vec<_>) = logs
-            .into_iter()
-            .map(|m| {
-                let Observers { trace, check, .. } = m.into_inner();
-                (trace, check.unwrap_or_default())
-            })
-            .unzip();
+        let traffic = {
+            let mut total = self.traffic.lock();
+            banked.iter().for_each(|slot| total.add(&slot.traffic));
+            *total
+        };
+        let (mut traces, mut checks, mut faults) = (Vec::new(), Vec::new(), Vec::new());
+        for slot in &mut banked {
+            let logs = std::mem::take(&mut slot.observers);
+            traces.push(logs.trace);
+            checks.push(logs.check.unwrap_or_default());
+            faults.extend(logs.faults);
+        }
         self.trace.bank(traces);
+        self.faults.bank(faults);
         let node_of: Vec<usize> = (0..n).map(|r| self.placement.core_of(r).node).collect();
         self.check.end_run(
             &node_of,
@@ -351,17 +374,16 @@ impl Machine {
         if let Some(abort) = cause {
             return Err(abort.clone());
         }
-        let results: Vec<R> = results
+        let (results, final_clocks): (Vec<R>, Vec<f64>) = banked
             .into_iter()
-            .map(|m| m.into_inner().expect("rank produced no result"))
-            .collect();
-        let final_clocks: Vec<f64> = clocks.into_iter().map(|m| m.into_inner()).collect();
+            .map(|slot| slot.done.expect("rank produced no result"))
+            .unzip();
         let makespan = final_clocks.iter().fold(0.0f64, |a, &b| a.max(b));
         Ok(RunOutput {
             results,
             final_clocks,
             makespan,
-            traffic: self.traffic.snapshot(),
+            traffic,
         })
     }
 }
@@ -591,13 +613,13 @@ mod tests {
     #[test]
     fn bcast_traffic_is_p_minus_1_messages() {
         let m = machine(8);
-        let before = m.traffic().snapshot();
+        let before = m.traffic();
         m.run(|ctx| {
             let world = ctx.world();
             let data = (ctx.rank() == 0).then(|| vec![0.0; 100]);
             ctx.bcast_shared_f64(&world, 0, data);
         });
-        let diff = m.traffic().snapshot().since(&before);
+        let diff = m.traffic().since(&before);
         assert_eq!(diff.msgs, 7, "binomial bcast must send P-1 messages");
         assert_eq!(diff.volume_elems(), 700);
     }
@@ -629,7 +651,7 @@ mod tests {
             .err()
             .expect("the panic aborts the run");
         assert_eq!((abort.rank, abort.kind), (0, AbortKind::Panic));
-        let sent = m.traffic().snapshot();
+        let sent = m.traffic();
         assert_eq!((sent.msgs, sent.volume_elems()), (2, 6));
     }
 
@@ -793,7 +815,7 @@ mod tests {
                     && abort.detail.contains("ids for 1048574"),
                 "{abort}"
             );
-            assert_eq!(m.traffic().snapshot().msgs, 0, "nothing was sent");
+            assert_eq!(m.traffic().msgs, 0, "nothing was sent");
         }
     }
 
@@ -1078,37 +1100,88 @@ mod tests {
 
     #[test]
     fn planned_crash_aborts_both_schedulers() {
-        use greenla_faults::{CrashFault, CrashWhen, FaultPlan, FaultSink};
-        for checked in [false, true] {
-            let plan = FaultPlan {
-                crashes: vec![CrashFault {
-                    rank: 3,
-                    when: CrashWhen::AtCall { calls: 2 },
-                }],
-                ..Default::default()
-            };
-            let sink = FaultSink::with_plan(plan);
-            let mut m = machine(8).with_faults(sink.clone());
-            if checked {
-                m = m.with_check(CheckSink::enabled());
+        // Rank 3 crashes at its second compute. Before that, rank 0 sends
+        // rank 1 a delayed message and rank 1 tells rank 3 it has it, so
+        // the delay is observed before the crash on every carrier; rank 1
+        // then unwinds out of the poisoned barrier, and its tally must
+        // still reach the report. Every leg banks the same report.
+        use crate::trace::EventKind;
+        use greenla_faults::{CrashFault, CrashWhen, FaultPlan, FaultSink, MsgFault, MsgFaultKind};
+        let plan = FaultPlan {
+            messages: vec![MsgFault {
+                src: 0,
+                nth_send: 0,
+                kind: MsgFaultKind::Delay { extra_s: 1e-3 },
+            }],
+            crashes: vec![CrashFault {
+                rank: 3,
+                when: CrashWhen::AtCall { calls: 2 },
+            }],
+            ..Default::default()
+        };
+        let legs = [
+            (SchedulerKind::ThreadPerRank, None),
+            (SchedulerKind::EventDriven, Some(1)),
+            (SchedulerKind::EventDriven, Some(2)),
+        ];
+        let mut reports = Vec::new();
+        for (kind, workers) in legs.into_iter().filter(|(kind, _)| kind.supported()) {
+            for checked in [false, true] {
+                let leg = format!("{kind}, {workers:?} worker(s), checked={checked}");
+                let sink = FaultSink::with_plan(plan.clone());
+                let mut m = machine(8)
+                    .with_scheduler(kind)
+                    .with_faults(sink.clone())
+                    .with_trace(TraceSink::enabled());
+                if let Some(workers) = workers {
+                    m = m.with_sched_workers(workers);
+                }
+                if checked {
+                    m = m.with_check(CheckSink::enabled());
+                }
+                let pre_abort = Mutex::new(f64::NAN);
+                let abort = m
+                    .try_run(|ctx| {
+                        let world = ctx.world();
+                        match ctx.rank() {
+                            0 => ctx.send_f64(&world, 1, 7, &[1.0]),
+                            1 => {
+                                ctx.recv_f64(&world, 0, 7);
+                                ctx.send_f64(&world, 3, 8, &[]);
+                            }
+                            3 => {
+                                ctx.recv_f64(&world, 1, 8);
+                            }
+                            _ => {}
+                        }
+                        ctx.compute(1_000, 0);
+                        if ctx.rank() == 3 {
+                            *pre_abort.lock() = ctx.now();
+                        }
+                        ctx.compute(1_000, 0);
+                        ctx.barrier(&world);
+                    })
+                    .err()
+                    .unwrap_or_else(|| panic!("{leg}: planned crash must abort"));
+                assert_eq!(
+                    (abort.kind, abort.rank),
+                    (AbortKind::InjectedFault, 3),
+                    "{leg}: {abort}"
+                );
+                let crashes: Vec<_> = (m.trace().drain().into_iter())
+                    .filter(|e| e.name == "fault:crash")
+                    .map(|e| (e.kind, e.rank, e.t_s))
+                    .collect();
+                let at = *pre_abort.lock();
+                assert_eq!(crashes, [(EventKind::Instant, 3, at)], "{leg}");
+                let rep = sink.report();
+                let crashed = (rep.injected.rank_crash, rep.observed.rank_crash);
+                assert_eq!(crashed, (1, 1), "{leg}");
+                assert_eq!(rep.observed.msg_delay, 1, "{leg}: rank 1's unwind banks");
+                reports.push(rep);
             }
-            let abort = m
-                .try_run(|ctx| {
-                    let world = ctx.world();
-                    ctx.compute(1_000, 0);
-                    ctx.compute(1_000, 0);
-                    ctx.barrier(&world);
-                })
-                .err()
-                .unwrap_or_else(|| panic!("planned crash must abort (checked={checked})"));
-            assert_eq!(
-                (abort.kind, abort.rank),
-                (AbortKind::InjectedFault, 3),
-                "checked={checked}: {abort}"
-            );
-            let rep = sink.report();
-            assert_eq!(rep.injected.rank_crash, 1, "checked={checked}");
         }
+        assert!(reports.windows(2).all(|w| w[0] == w[1]), "{reports:#?}");
     }
 
     #[test]

@@ -5,23 +5,12 @@
 //! a real simulated run against those closed forms. Every point-to-point
 //! send is counted — collectives are trees of sends, so a broadcast over
 //! `P` ranks counts `P − 1` messages, matching the paper's accounting.
-//! Each rank tallies its own sends in a plain [`TrafficSnapshot`] and adds
-//! it to the machine's [`Traffic`] once, when its body ends.
+//! Each rank tallies its own sends in a plain [`TrafficSnapshot`]; the
+//! machine banks it when the rank's body ends and sums the ranks' tallies
+//! once the run stops.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Cluster-wide traffic counters. Ranks add their tallies when their
-/// bodies end, so the counters are complete — and only meant to be read —
-/// once the run joins (relaxed ordering suffices: the join orders them).
-#[derive(Default)]
-pub struct Traffic {
-    msgs: AtomicU64,
-    bytes: AtomicU64,
-    intra_node_msgs: AtomicU64,
-    intra_node_bytes: AtomicU64,
-}
-
-/// A point-in-time copy of the counters, or one rank's running tally.
+/// Message and byte counts: one rank's running tally, or a machine's
+/// total over its runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TrafficSnapshot {
     /// Total point-to-point messages.
@@ -50,6 +39,14 @@ impl TrafficSnapshot {
         }
     }
 
+    /// Add another tally to this one.
+    pub fn add(&mut self, other: &TrafficSnapshot) {
+        self.msgs += other.msgs;
+        self.bytes += other.bytes;
+        self.intra_node_msgs += other.intra_node_msgs;
+        self.intra_node_bytes += other.intra_node_bytes;
+    }
+
     /// Counters accumulated since an earlier snapshot.
     pub fn since(&self, earlier: &TrafficSnapshot) -> TrafficSnapshot {
         TrafficSnapshot {
@@ -61,51 +58,23 @@ impl TrafficSnapshot {
     }
 }
 
-impl Traffic {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add one rank's tally.
-    pub fn add(&self, tally: &TrafficSnapshot) {
-        self.msgs.fetch_add(tally.msgs, Ordering::Relaxed);
-        self.bytes.fetch_add(tally.bytes, Ordering::Relaxed);
-        self.intra_node_msgs
-            .fetch_add(tally.intra_node_msgs, Ordering::Relaxed);
-        self.intra_node_bytes
-            .fetch_add(tally.intra_node_bytes, Ordering::Relaxed);
-    }
-
-    /// Copy the current counter values.
-    pub fn snapshot(&self) -> TrafficSnapshot {
-        TrafficSnapshot {
-            msgs: self.msgs.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            intra_node_msgs: self.intra_node_msgs.load(Ordering::Relaxed),
-            intra_node_bytes: self.intra_node_bytes.load(Ordering::Relaxed),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The machine's counters after one rank that sent one message of
-    /// each of `sizes` (`(bytes, intra_node)`).
-    fn one_rank(sizes: &[(u64, bool)]) -> Traffic {
+    /// The tally of one rank that sent one message of each of `sizes`
+    /// (`(bytes, intra_node)`).
+    fn one_rank(sizes: &[(u64, bool)]) -> TrafficSnapshot {
         let mut tally = TrafficSnapshot::default();
         for &(bytes, intra) in sizes {
             tally.record(bytes, intra);
         }
-        let t = Traffic::new();
-        t.add(&tally);
-        t
+        tally
     }
 
     #[test]
     fn records_and_splits_by_locality() {
-        let s = one_rank(&[(100, true), (50, false)]).snapshot();
+        let s = one_rank(&[(100, true), (50, false)]);
         assert_eq!(s.msgs, 2);
         assert_eq!(s.bytes, 150);
         assert_eq!(s.intra_node_msgs, 1);
@@ -114,16 +83,17 @@ mod tests {
 
     #[test]
     fn volume_in_elements() {
-        assert_eq!(one_rank(&[(80, false)]).snapshot().volume_elems(), 10);
+        assert_eq!(one_rank(&[(80, false)]).volume_elems(), 10);
     }
 
     #[test]
     fn since_subtracts() {
-        let t = one_rank(&[(8, false)]);
-        let early = t.snapshot();
-        t.add(&one_rank(&[(16, true)]).snapshot());
-        let diff = t.snapshot().since(&early);
+        let mut t = one_rank(&[(8, false)]);
+        let early = t;
+        t.add(&one_rank(&[(16, true)]));
+        let diff = t.since(&early);
         assert_eq!(diff.msgs, 1);
         assert_eq!(diff.bytes, 16);
+        assert_eq!(diff.intra_node_bytes, 16);
     }
 }
