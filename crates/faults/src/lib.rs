@@ -34,9 +34,9 @@
 //! The outcome is a [`FaultReport`]: what the plan injected, what the
 //! runtime observed, and what it recovered from, plus the list of nodes
 //! degraded to "unmeasured". Each rank queries its own [`RankFaults`]
-//! schedule and tallies every [`FaultNote`] into its own report through
-//! [`FaultReport::note`]; the machine hands the ranks' reports to
-//! [`FaultSink::bank`] once per run, after every rank has stopped, so a
+//! schedule and keeps every [`FaultNote`] it emits in its log; once per
+//! run, after every rank has stopped, the machine folds the notes through
+//! [`FaultReport::note`] into one report for [`FaultSink::bank`], so a
 //! rank that crashed or unwound out of an aborted run still counts.
 
 mod plan;

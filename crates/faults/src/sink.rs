@@ -6,9 +6,10 @@
 //! `greenla-mpi`'s trace and check sinks, so every hook costs one branch
 //! and the virtual timeline of a fault-free build is untouched. A rank's
 //! schedule is a [`RankFaults`] it owns and queries without locks; what a
-//! fault then did is a [`FaultNote`] the rank tallies into its own
-//! [`FaultReport`], and the machine hands every rank's report to
-//! [`FaultSink::bank`] once the run stops, however each rank ended.
+//! fault then did is a [`FaultNote`] the rank emits, kept in its one log
+//! of records. Once the run stops, however each rank ended, the machine
+//! folds every rank's notes through [`FaultReport::note`] into the run's
+//! one report and hands it to [`FaultSink::bank`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -113,9 +114,9 @@ impl FaultSink {
         Some((fault.kind, fault.from_s))
     }
 
-    /// Merge one run's rank reports, in rank order, into what this sink
-    /// has banked so far. The machine calls it once per run, after every
-    /// rank has stopped; a disabled sink banks nothing.
+    /// Merge reports into what this sink has banked so far. The machine
+    /// calls it once per run, after every rank has stopped, with the
+    /// run's one report; a disabled sink banks nothing.
     pub fn bank(&self, reports: impl IntoIterator<Item = FaultReport>) {
         if let Some(shared) = &self.shared {
             let mut banked = shared.banked.lock().expect("fault report lock");

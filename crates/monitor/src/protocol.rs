@@ -141,11 +141,9 @@ impl MonitorHandle {
     /// Mark a phase boundary (e.g. between matrix allocation and solver
     /// execution). Collective over the node communicator: all ranks of the
     /// node synchronise so the boundary is well defined.
-    pub fn phase(&mut self, ctx: &mut RankCtx, label: &str) -> Result<(), MonitorError> {
+    pub fn phase(&mut self, ctx: &mut RankCtx, label: &'static str) -> Result<(), MonitorError> {
         ctx.barrier(&self.node_comm);
-        if ctx.trace_enabled() {
-            ctx.trace_instant(&format!("phase:{label}"));
-        }
+        ctx.emit(RankEvent::Monitor(MonitorStep::Phase(label)));
         if let Some(mut s) = self.session.take() {
             match s.mark_phase(label, ctx.now()) {
                 Ok(()) => self.session = Some(s),

@@ -15,12 +15,13 @@
 //! than their message's arrival, collective tags that fit their bit
 //! fields — is held there in every build, checked or not.
 //!
-//! Each rank logs what it did in its own `Vec`, without a lock
-//! (`crate::event` holds the mapping). The machine banks every rank's log
-//! when the rank's body ends, however it ends, and once the run stops
-//! judges every rule but DL001 in one pass over the logs, from
-//! virtual-time data alone, so a verdict does not depend on the order the
-//! ranks ran in.
+//! Each rank keeps its [`RankEvent::CollEnter`] and [`RankEvent::Monitor`]
+//! records in its one log of `(t, event)` records ([`crate::event`]),
+//! without a lock. The machine banks every rank's log when the rank's body
+//! ends, however it ends, and once the run stops `judge` reads those
+//! records, skips every other, and gives every rule but DL001 in one pass,
+//! from virtual-time data alone, so a verdict does not depend on the order
+//! the ranks ran in.
 //!
 //! Four rule families:
 //!
@@ -39,10 +40,10 @@
 //!   precedes `end_monitoring`, and no rank's work straddles the
 //!   measurement window (read from the activity ledger).
 //!
-//! Like the trace, the checker is an *observer*: a log entry never
-//! touches a virtual clock, so a checked run produces bit-identical
-//! timings to an unchecked one (the mpi and harness test suites assert
-//! this), and with no sink attached a rank logs nothing.
+//! Like the trace, the checker is an *observer*: a record never touches
+//! a virtual clock, so a checked run produces bit-identical timings to an
+//! unchecked one (the mpi and harness test suites assert this), and with
+//! no sink attached a rank keeps nothing for it.
 //!
 //! # Example
 //!
@@ -75,6 +76,7 @@ mod violation;
 
 pub use violation::{Rule, Violation};
 
+use crate::event::{MonitorStep, RankEvent};
 use crate::tagspace::describe_tag;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -136,20 +138,6 @@ pub struct CollEvent {
 fn fmt_sig(ev: CollEvent) -> String {
     let root = ev.root.map_or("-".to_string(), |r| r.to_string());
     format!("{}(root={root}, elems={})", ev.kind, ev.elems)
-}
-
-/// One entry of a rank's log, which keeps the rank's program order: the
-/// collectives before an `End` are the ones the rank entered before it.
-#[derive(Clone, Copy)]
-pub(crate) enum Entry {
-    /// A collective's signature and the rank's clock on entry.
-    Coll(CollEvent, f64),
-    /// `split_shared` produced the rank's node communicator (its id).
-    NodeComm(u64),
-    /// `start_monitoring` ran at this time.
-    Start(f64),
-    /// `end_monitoring` ran at this time.
-    End(f64),
 }
 
 /// A message still in an inbox at finalize: `(src, dst, comm_id, tag,
@@ -215,7 +203,7 @@ impl CheckSink {
     pub(crate) fn end_run(
         &self,
         node_of: &[usize],
-        logs: &[Vec<Entry>],
+        logs: &[Vec<(f64, RankEvent)>],
         span_across: &mut dyn FnMut(usize, f64) -> Option<(f64, f64)>,
         leftovers: &[Leftover],
     ) {
@@ -239,13 +227,16 @@ impl CheckSink {
 /// seq)`, then MON001–MON003 by rank and log order, MON004 by rank,
 /// MSG001.
 ///
-/// Rank `r` sits on node `node_of[r]` and logged `logs[r]`.
+/// Rank `r` sits on node `node_of[r]` and kept the records `logs[r]`, in
+/// program order (the collectives before an `End` are the ones the rank
+/// entered before it); records other than collectives and monitor steps
+/// are skipped.
 /// `span_across(rank, t)` is the rank's compute span `(start, end)` with
 /// `start < t < end`, if it has one (MON004). Each of `leftovers` is a
 /// message still in an inbox at finalize (MSG001).
 pub(crate) fn judge(
     node_of: &[usize],
-    logs: &[Vec<Entry>],
+    logs: &[Vec<(f64, RankEvent)>],
     span_across: &mut dyn FnMut(usize, f64) -> Option<(f64, f64)>,
     leftovers: &[Leftover],
 ) -> Vec<Violation> {
@@ -258,8 +249,8 @@ pub(crate) fn judge(
     let mut lead: Vec<Vec<Option<(usize, CollEvent, f64)>>> = Vec::new();
     let mut differs = BTreeMap::new();
     for (rank, log) in logs.iter().enumerate() {
-        for &entry in log {
-            let Entry::Coll(ev, t) = entry else {
+        for &(t, record) in log {
+            let RankEvent::CollEnter(ev) = record else {
                 continue;
             };
             let (comm, seq) = (ev.comm as usize, ev.seq as usize);
@@ -292,7 +283,9 @@ pub(crate) fn judge(
     // of its ranks logged a start at or before the end's time.
     let started = |node: usize, t: f64| {
         logs.iter().enumerate().any(|(r, log)| {
-            let start = |e: &Entry| matches!(*e, Entry::Start(ts) if ts <= t);
+            let start = |&(ts, e): &(f64, RankEvent)| {
+                matches!(e, RankEvent::Monitor(MonitorStep::Start)) && ts <= t
+            };
             node_of[r] == node && log.iter().any(start)
         })
     };
@@ -300,11 +293,11 @@ pub(crate) fn judge(
     for (rank, log) in logs.iter().enumerate() {
         let node = node_of[rank];
         let (mut node_comm, mut last) = (None, None);
-        for &entry in log {
-            match entry {
-                Entry::Coll(ev, _) => last = Some(ev),
-                Entry::NodeComm(id) => node_comm = Some(id),
-                Entry::Start(t) => {
+        for &(t, record) in log {
+            match record {
+                RankEvent::CollEnter(ev) => last = Some(ev),
+                RankEvent::Monitor(MonitorStep::NodeComm(id)) => node_comm = Some(id),
+                RankEvent::Monitor(MonitorStep::Start) => {
                     let designated = node_of.iter().rposition(|&n| n == node);
                     if designated != Some(rank) {
                         let msg = format!(
@@ -315,7 +308,7 @@ pub(crate) fn judge(
                         out.push(Violation::new(Rule::MonitorDesignation, vec![rank], t, msg));
                     }
                 }
-                Entry::End(t) => {
+                RankEvent::Monitor(MonitorStep::End) => {
                     // MON004 holds the node to the last end logged by its
                     // highest ending rank.
                     node_end.insert(node, t);
@@ -353,6 +346,8 @@ pub(crate) fn judge(
                         ));
                     }
                 }
+                // What only the trace or the fault tallies read.
+                _ => {}
             }
         }
     }
@@ -399,7 +394,25 @@ pub(crate) fn judge(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use Entry::{Coll, End, NodeComm, Start};
+    use greenla_faults::FaultNote;
+
+    type Record = (f64, RankEvent);
+
+    fn coll(sig: CollEvent, t: f64) -> Record {
+        (t, RankEvent::CollEnter(sig))
+    }
+
+    fn node_comm(id: u64) -> Record {
+        (0.0, RankEvent::Monitor(MonitorStep::NodeComm(id)))
+    }
+
+    fn start(t: f64) -> Record {
+        (t, RankEvent::Monitor(MonitorStep::Start))
+    }
+
+    fn end(t: f64) -> Record {
+        (t, RankEvent::Monitor(MonitorStep::End))
+    }
 
     fn ev(comm: u64, seq: u64, kind: CollKind, root: Option<usize>, elems: u64) -> CollEvent {
         CollEvent {
@@ -413,7 +426,7 @@ mod tests {
 
     /// The verdicts on these logs, with no compute span and no leftover
     /// message.
-    fn verdicts(node_of: &[usize], logs: &[Vec<Entry>]) -> Vec<Violation> {
+    fn verdicts(node_of: &[usize], logs: &[Vec<Record>]) -> Vec<Violation> {
         judge(node_of, logs, &mut |_, _| None, &[])
     }
 
@@ -425,7 +438,7 @@ mod tests {
         // Would be MON002 and MON003 on an enabled sink.
         s.end_run(
             &[0],
-            &[vec![End(1.0)]],
+            &[vec![end(1.0)]],
             &mut |_, _| panic!("a disabled sink reads no ledger"),
             &[],
         );
@@ -435,12 +448,15 @@ mod tests {
     #[test]
     fn clean_hook_sequence_yields_no_violations() {
         let logs = [
-            vec![NodeComm(5), Coll(ev(5, 0, CollKind::Barrier, None, 0), 1.0)],
             vec![
-                NodeComm(5),
-                Start(0.0),
-                Coll(ev(5, 0, CollKind::Barrier, None, 0), 1.5),
-                End(1.5),
+                node_comm(5),
+                coll(ev(5, 0, CollKind::Barrier, None, 0), 1.0),
+            ],
+            vec![
+                node_comm(5),
+                start(0.0),
+                coll(ev(5, 0, CollKind::Barrier, None, 0), 1.5),
+                end(1.5),
             ],
         ];
         // Work ended at the node's end and began after it.
@@ -462,9 +478,9 @@ mod tests {
         // Three roots at one site: the lowest rank is the reference, the
         // lowest rank that differs from it is named, and the stamp is the
         // later of their two entry clocks.
-        let logs: Vec<Vec<Entry>> = (0..3)
+        let logs: Vec<Vec<Record>> = (0..3)
             .map(|r| {
-                vec![Coll(
+                vec![coll(
                     ev(0, 0, CollKind::Bcast, Some(r), 0),
                     [0.5, 0.25, 0.75][r],
                 )]
@@ -486,7 +502,7 @@ mod tests {
     #[test]
     fn wrong_monitor_designation_flagged() {
         // Ranks 0 and 1 on node 0.
-        let v = verdicts(&[0, 0], &[vec![Start(0.0)], vec![]]);
+        let v = verdicts(&[0, 0], &[vec![start(0.0)], vec![]]);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, Rule::MonitorDesignation);
         assert!(v[0].message.contains("highest rank 1"), "{}", v[0].message);
@@ -494,7 +510,7 @@ mod tests {
 
     #[test]
     fn end_without_start_or_barrier_flagged() {
-        let rules: Vec<Rule> = verdicts(&[0], &[vec![End(1.0)]])
+        let rules: Vec<Rule> = verdicts(&[0], &[vec![end(1.0)]])
             .iter()
             .map(|v| v.rule)
             .collect();
@@ -503,7 +519,7 @@ mod tests {
 
         // A start logged first but stamped after the end does not count:
         // MON002 reads virtual time, not log order.
-        let v = verdicts(&[0, 0], &[vec![], vec![Start(2.0), End(1.0)]]);
+        let v = verdicts(&[0, 0], &[vec![], vec![start(2.0), end(1.0)]]);
         let mon002: Vec<&Violation> = v
             .iter()
             .filter(|v| v.rule == Rule::MonitorMissingStart)
@@ -513,11 +529,40 @@ mod tests {
     }
 
     #[test]
+    fn records_only_the_trace_reads_do_not_break_the_node_barrier() {
+        // A traced and checked rank keeps every record: a compute, a phase
+        // mark and a send between the node barrier and the end are not
+        // collectives, so the barrier still immediately precedes the end.
+        let between = [
+            (
+                1.2,
+                RankEvent::Computed {
+                    t0: 1.1,
+                    flops: 8,
+                    dram_bytes: 0,
+                },
+            ),
+            (1.2, RankEvent::Monitor(MonitorStep::Phase("execution"))),
+            (1.3, RankEvent::SendBegin { dst: 0, bytes: 8 }),
+            (1.3, RankEvent::Fault(FaultNote::DupDiscarded)),
+        ];
+        let mut log = vec![
+            node_comm(5),
+            start(0.0),
+            coll(ev(5, 0, CollKind::Barrier, None, 0), 1.0),
+        ];
+        log.extend(between);
+        log.push(end(1.5));
+        let v = verdicts(&[0], &[log]);
+        assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
     fn end_run_flags_each_rank_whose_span_crosses_its_nodes_end() {
         // Two nodes of two ranks; node 0 ends monitoring at 0.3 and node 1
         // at 0.7. Rank 0 straddles 0.3; rank 3 would straddle 0.3 too, but
         // it sits on node 1, whose end it does not cross.
-        let logs = [vec![], vec![End(0.3)], vec![], vec![End(0.7)]];
+        let logs = [vec![], vec![end(0.3)], vec![], vec![end(0.7)]];
         let spans = [(0.1, 9.0), (0.0, 0.3), (0.7, 0.8), (0.2, 0.5)];
         let mut asked = Vec::new();
         let v = judge(

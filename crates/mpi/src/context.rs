@@ -40,10 +40,10 @@ pub struct RankCtx<'m> {
     /// as ranks issue collectives in the same order — the MPI contract).
     pub(crate) seqs: HashMap<u64, u64>,
     pub(crate) world_members: Arc<Vec<usize>>,
-    /// This rank's trace events, checker log and fault tallies; `None`
-    /// unless the machine has the matching sink attached. They hear what
-    /// [`RankCtx::emit`] tells them and nothing else, and the machine
-    /// banks them when the body ends.
+    /// This rank's one log of `(t, event)` records and the mask of the
+    /// attached sinks; the log holds what [`RankCtx::emit`] told it that
+    /// some attached sink reads, and the machine banks it when the body
+    /// ends.
     pub(crate) observers: Observers,
     /// This rank's injection schedule; empty unless the machine has an
     /// enabled [`greenla_faults::FaultSink`] attached. Unlike the
@@ -51,9 +51,6 @@ pub struct RankCtx<'m> {
     /// their point) — but an empty schedule answers every query with
     /// "nothing" and leaves the timeline untouched.
     pub(crate) faults: RankFaults,
-    /// Does anything listen to the run's events — a trace sink, a check
-    /// sink or a fault sink?
-    pub(crate) observed: bool,
 }
 
 impl<'m> RankCtx<'m> {
@@ -90,40 +87,30 @@ impl<'m> RankCtx<'m> {
     // ----- the event spine -------------------------------------------------------
 
     /// Say what this rank just did, at its current virtual time. One
-    /// branch when nothing listens; otherwise [`crate::event`] decides
-    /// what the trace, the checker and the fault tallies hear. Listeners
+    /// branch when nothing listens; otherwise the rank's log keeps the
+    /// record if an attached sink reads it ([`crate::event`]). Listeners
     /// get the clock by value: hearing an event never moves it.
     #[inline]
-    pub fn emit(&mut self, ev: RankEvent<'_>) {
-        if self.observed {
+    pub fn emit(&mut self, ev: RankEvent) {
+        if self.observers.mask != 0 {
             self.observers.hear(self.clock, ev);
         }
     }
 
-    /// Is event tracing active for this run? Workloads can skip building
-    /// span labels when it is not.
-    pub fn trace_enabled(&self) -> bool {
-        self.observers.trace.is_some()
-    }
-
     /// Open a trace span at the current virtual time. Spans on one rank
     /// must nest (close in LIFO order). No-op when tracing is disabled.
-    pub fn trace_begin(&mut self, cat: &'static str, name: &str) {
-        self.emit(RankEvent::SpanBegin {
-            cat,
-            name,
-            args: &[],
-        });
+    pub fn trace_begin(&mut self, cat: &'static str, name: &'static str) {
+        self.emit(RankEvent::SpanBegin { cat, name });
     }
 
     /// Close the innermost open span with this name at the current virtual
     /// time.
-    pub fn trace_end(&mut self, cat: &'static str, name: &str) {
+    pub fn trace_end(&mut self, cat: &'static str, name: &'static str) {
         self.emit(RankEvent::SpanEnd { cat, name });
     }
 
     /// Record a zero-duration marker at the current virtual time.
-    pub fn trace_instant(&mut self, name: &str) {
+    pub fn trace_instant(&mut self, name: &'static str) {
         self.emit(RankEvent::Mark(name));
     }
 
@@ -253,7 +240,7 @@ impl<'m> RankCtx<'m> {
             }
             if count > MAX_SEND_RETRIES {
                 // Nothing was sent: the trace closes its span.
-                self.trace_end("comm", "send");
+                self.emit(RankEvent::SendEnd);
                 self.abort(
                     AbortKind::InjectedFault,
                     format!(
@@ -439,14 +426,13 @@ impl<'m> RankCtx<'m> {
                 self.emit(RankEvent::Fault(FaultNote::DelayObserved));
             }
             // The trace shows each completion inside the set's span.
-            self.emit(RankEvent::SpanBegin {
-                cat: "comm",
-                name: "recv",
-                args: &[("src", env.src as f64)],
+            self.emit(RankEvent::RecvBegin {
+                span: "recv",
+                arg: ("src", env.src as f64),
             });
             let done = (self.clock + o).max(env.arrival + o);
             self.busy_until(done);
-            self.trace_end("comm", "recv");
+            self.emit(RankEvent::RecvEnd { span: "recv" });
         }
         self.emit(RankEvent::RecvEnd { span: "recv_set" });
         // Hand payloads back aligned with the caller's source list.

@@ -1,14 +1,21 @@
-//! The event spine: a rank says once what it did, and this module alone
-//! decides what the trace, the checker and the fault tallies hear.
+//! The event spine: a rank says once what it did, and keeps one log of
+//! what it said.
 //!
 //! Every operation of [`RankCtx`](crate::RankCtx) — a compute charge, a
 //! send, a receive, a collective, a step of the Figure-2 choreography —
 //! ends in one [`RankCtx::emit`](crate::RankCtx::emit) of a [`RankEvent`].
 //! A run nobody observes pays one branch per event. A run somebody does
-//! observe goes through `Observers::hear`, which holds the only mapping
-//! from events to [`TraceEvent`]s, to the checker's log entries and to
-//! the fault tallies in the workspace: a new listener is one more log on
-//! `Observers` and one more `match` here, not a sweep over the MPI layer.
+//! observe goes through `Observers::hear`, which pushes the event and the
+//! rank's clock as one fixed-size `Copy` record onto the rank's one log —
+//! if an attached sink reads that kind of record ([`RankEvent`]'s
+//! readers: the trace reads every record, the checker the collectives and
+//! the monitor steps, the fault tallies the fault notes). Nothing is
+//! rendered, judged or tallied while the rank runs: the machine banks the
+//! log when the rank's body ends, and each sink reads the banked records
+//! once the run stops ([`crate::trace`], [`crate::check`], the fault
+//! report's [`FaultReport::note`](greenla_faults::FaultReport::note)). A
+//! new listener is one more mask bit and one more reader of the banked
+//! records, not a sweep over the MPI layer.
 //!
 //! `hear` receives the clock by value. A listener cannot move virtual
 //! time, so an observed run is bit-identical to an unobserved one by
@@ -21,9 +28,8 @@
 //! and the simulated RAPL reads the ledger mid-run, so the
 //! optional-listener branch would only wrap them.
 
-use crate::check::{CollEvent, Entry};
-use crate::trace::{EventKind, TraceEvent};
-use greenla_faults::{FaultNote, FaultReport};
+use crate::check::CollEvent;
+use greenla_faults::FaultNote;
 
 /// A step of the Figure-2 monitoring choreography, as the monitoring
 /// layer announces it (after the run, MON001–MON003 are judged from
@@ -34,6 +40,8 @@ pub enum MonitorStep {
     NodeComm(u64),
     /// `start_monitoring` ran on this rank.
     Start,
+    /// The node passed the phase boundary with this label.
+    Phase(&'static str),
     /// `end_monitoring` is about to run on this rank.
     End,
 }
@@ -44,20 +52,19 @@ pub enum MonitorStep {
 /// the runtime's own narration (user spans and marks go through
 /// `RankCtx::trace_begin` / `trace_end` / `trace_instant`).
 #[derive(Clone, Copy, Debug)]
-pub enum RankEvent<'a> {
+pub enum RankEvent {
     /// A span opens (spans on one rank nest).
     SpanBegin {
         cat: &'static str,
-        name: &'a str,
-        args: &'a [(&'static str, f64)],
+        name: &'static str,
     },
     /// The innermost open span with this name closes.
     SpanEnd {
         cat: &'static str,
-        name: &'a str,
+        name: &'static str,
     },
     /// A zero-duration marker.
-    Mark(&'a str),
+    Mark(&'static str),
     /// A compute (or memory-touch) charge that began at `t0` just ended.
     Computed {
         t0: f64,
@@ -69,7 +76,7 @@ pub enum RankEvent<'a> {
         dst: usize,
         bytes: u64,
     },
-    /// The send's envelope is posted.
+    /// The send's envelope is posted, or the send gave up.
     SendEnd,
     /// The rank starts a receive of flavour `span` (`recv`, `recv_idle`,
     /// `recv_set`); `arg` is what that flavour's trace span carries.
@@ -88,120 +95,201 @@ pub enum RankEvent<'a> {
     Monitor(MonitorStep),
 }
 
-/// The optional listeners' logs of one rank: its trace events, its
-/// checker log and its fault tallies, each `None` unless the machine has
-/// the matching sink attached. The rank appends to them without a lock;
-/// the machine banks them when the rank's body ends.
+// A record is the clock and the event, in one fixed size.
+const _: () = assert!(std::mem::size_of::<(f64, RankEvent)>() == 56);
+
+/// The sinks a machine can attach, as bits of a rank's mask.
+const TRACE: u8 = 1;
+const CHECK: u8 = 2;
+const FAULTS: u8 = 4;
+
+impl RankEvent {
+    /// The sinks that read this kind of record: the trace reads every
+    /// one, the checker the collectives and the monitor steps, the fault
+    /// tallies the fault notes.
+    fn readers(self) -> u8 {
+        TRACE
+            | match self {
+                RankEvent::CollEnter(_) | RankEvent::Monitor(_) => CHECK,
+                RankEvent::Fault(_) => FAULTS,
+                _ => 0,
+            }
+    }
+}
+
+/// What one rank keeps for the attached sinks: one log of `(t, event)`
+/// records, and the mask of the sinks attached. The rank appends without
+/// a lock; the machine banks the log when the rank's body ends.
 #[derive(Default)]
 pub(crate) struct Observers {
-    /// Global rank and node, stamped on every trace event (the node also
-    /// on a degraded node's tally).
-    pub(crate) rank: usize,
-    pub(crate) node: usize,
-    pub(crate) trace: Option<Vec<TraceEvent>>,
-    pub(crate) check: Option<Vec<Entry>>,
-    pub(crate) faults: Option<FaultReport>,
+    pub(crate) mask: u8,
+    pub(crate) log: Vec<(f64, RankEvent)>,
 }
 
 impl Observers {
-    /// Tell every attached listener that `ev` happened at virtual time `t`.
-    /// Out of line on purpose: the unobserved path is the one the
-    /// benchmark's message-bound workloads run, and with this body inlined
-    /// into every emission site they read 2–6 % slower.
+    /// A rank's empty log, for a machine with these sinks attached.
+    pub(crate) fn new(trace: bool, check: bool, faults: bool) -> Self {
+        let bit = |on: bool, bit: u8| if on { bit } else { 0 };
+        Self {
+            mask: bit(trace, TRACE) | bit(check, CHECK) | bit(faults, FAULTS),
+            log: Vec::new(),
+        }
+    }
+
+    /// Keep `ev`, which happened at virtual time `t`, if an attached sink
+    /// reads it. Out of line on purpose: the unobserved path is the one
+    /// the benchmark's message-bound workloads run, and with this body
+    /// inlined into every emission site they read 2–6 % slower.
     #[cold]
     #[inline(never)]
-    pub(crate) fn hear(&mut self, t: f64, ev: RankEvent<'_>) {
-        if let (RankEvent::Fault(note), Some(report)) = (ev, &mut self.faults) {
-            report.note(note, self.node);
-        }
-        if let Some(events) = &mut self.trace {
-            trace(events, self.rank, self.node, t, ev);
-        }
-        if let Some(log) = &mut self.check {
-            check(log, t, ev);
+    pub(crate) fn hear(&mut self, t: f64, ev: RankEvent) {
+        if self.mask & ev.readers() != 0 {
+            self.log.push((t, ev));
         }
     }
-}
-
-fn trace(events: &mut Vec<TraceEvent>, rank: usize, node: usize, t_s: f64, ev: RankEvent<'_>) {
-    let mut push = |kind, cat, name: &str, t_s, args: &[(&'static str, f64)]| {
-        events.push(TraceEvent {
-            rank,
-            node,
-            kind,
-            cat,
-            name: name.to_string(),
-            t_s,
-            args: args.to_vec(),
-        });
-    };
-    match ev {
-        RankEvent::SpanBegin { cat, name, args } => push(EventKind::Begin, cat, name, t_s, args),
-        RankEvent::SpanEnd { cat, name } => push(EventKind::End, cat, name, t_s, &[]),
-        RankEvent::Mark(name) => push(EventKind::Instant, "marker", name, t_s, &[]),
-        RankEvent::Computed {
-            t0,
-            flops,
-            dram_bytes,
-        } => {
-            let args = [("flops", flops as f64), ("dram_bytes", dram_bytes as f64)];
-            push(EventKind::Begin, "compute", "compute", t0, &args);
-            push(EventKind::End, "compute", "compute", t_s, &[]);
-        }
-        RankEvent::SendBegin { dst, bytes } => {
-            let args = [("bytes", bytes as f64), ("dst", dst as f64)];
-            push(EventKind::Begin, "comm", "send", t_s, &args);
-        }
-        RankEvent::SendEnd => push(EventKind::End, "comm", "send", t_s, &[]),
-        RankEvent::RecvBegin { span, arg } => push(EventKind::Begin, "comm", span, t_s, &[arg]),
-        RankEvent::RecvEnd { span } => push(EventKind::End, "comm", span, t_s, &[]),
-        RankEvent::Fault(note) => {
-            if let Some(marker) = note.marker() {
-                push(EventKind::Instant, "marker", marker, t_s, &[]);
-            }
-        }
-        RankEvent::Monitor(MonitorStep::Start) => {
-            push(EventKind::Instant, "marker", "start_monitoring", t_s, &[]);
-        }
-        RankEvent::CollEnter(_)
-        | RankEvent::Monitor(MonitorStep::NodeComm(_) | MonitorStep::End) => {}
-    }
-}
-
-/// The checker hears only what the program chose: its collectives and
-/// its Figure-2 steps, judged after the run. Clock causality and the tag
-/// space are the runtime's own invariants, so a compute, send or receive
-/// is not heard at all.
-fn check(log: &mut Vec<Entry>, t: f64, ev: RankEvent<'_>) {
-    log.push(match ev {
-        RankEvent::CollEnter(sig) => Entry::Coll(sig, t),
-        RankEvent::Monitor(MonitorStep::NodeComm(id)) => Entry::NodeComm(id),
-        RankEvent::Monitor(MonitorStep::Start) => Entry::Start(t),
-        RankEvent::Monitor(MonitorStep::End) => Entry::End(t),
-        _ => return,
-    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::CollKind;
+    use crate::trace::{render, EventKind, TraceEvent};
+
+    /// One of every kind of record a rank can keep.
+    fn every_event() -> Vec<RankEvent> {
+        let sig = CollEvent {
+            comm: 0,
+            seq: 3,
+            kind: CollKind::Barrier,
+            root: None,
+            elems: 0,
+        };
+        vec![
+            RankEvent::SpanBegin {
+                cat: "app",
+                name: "step",
+            },
+            RankEvent::SpanEnd {
+                cat: "app",
+                name: "step",
+            },
+            RankEvent::Mark("checkpoint"),
+            RankEvent::Computed {
+                t0: 0.5,
+                flops: 10,
+                dram_bytes: 64,
+            },
+            RankEvent::SendBegin {
+                dst: 5,
+                bytes: 4096,
+            },
+            RankEvent::SendEnd,
+            RankEvent::RecvBegin {
+                span: "recv_set",
+                arg: ("count", 3.0),
+            },
+            RankEvent::RecvBegin {
+                span: "recv",
+                arg: ("src", 4.0),
+            },
+            RankEvent::RecvEnd { span: "recv" },
+            RankEvent::CollEnter(sig),
+            RankEvent::Fault(FaultNote::DupDiscarded),
+            RankEvent::Fault(FaultNote::DropRecovered(2)),
+            RankEvent::Monitor(MonitorStep::NodeComm(7)),
+            RankEvent::Monitor(MonitorStep::Start),
+            RankEvent::Monitor(MonitorStep::Phase("allocation")),
+            RankEvent::Monitor(MonitorStep::End),
+        ]
+    }
 
     #[test]
-    fn args_ride_along() {
-        let mut observers = Observers {
-            rank: 2,
-            node: 1,
-            trace: Some(Vec::new()),
-            ..Observers::default()
-        };
-        let ev = RankEvent::SendBegin {
-            dst: 5,
-            bytes: 4096,
-        };
-        observers.hear(1.0, ev);
-        let events = observers.trace.expect("a trace log");
-        assert_eq!((events[0].rank, events[0].node), (2, 1));
-        assert_eq!((events[0].kind, events[0].t_s), (EventKind::Begin, 1.0));
-        assert_eq!(events[0].args, vec![("bytes", 4096.0), ("dst", 5.0)]);
+    fn every_event_renders_the_trace_events_it_stands_for() {
+        use EventKind::{Begin, End, Instant};
+        type Row = (
+            EventKind,
+            &'static str,
+            &'static str,
+            f64,
+            Vec<(&'static str, f64)>,
+        );
+        let (t, no) = (1.0, Vec::new);
+        // What rank 2 of node 1 shows at t = 1 for each event, in order.
+        let table: [Vec<Row>; 16] = [
+            vec![(Begin, "app", "step", t, no())],
+            vec![(End, "app", "step", t, no())],
+            vec![(Instant, "marker", "checkpoint", t, no())],
+            vec![
+                (
+                    Begin,
+                    "compute",
+                    "compute",
+                    0.5,
+                    vec![("flops", 10.0), ("dram_bytes", 64.0)],
+                ),
+                (End, "compute", "compute", t, no()),
+            ],
+            vec![(
+                Begin,
+                "comm",
+                "send",
+                t,
+                vec![("bytes", 4096.0), ("dst", 5.0)],
+            )],
+            vec![(End, "comm", "send", t, no())],
+            vec![(Begin, "comm", "recv_set", t, vec![("count", 3.0)])],
+            vec![(Begin, "comm", "recv", t, vec![("src", 4.0)])],
+            vec![(End, "comm", "recv", t, no())],
+            vec![],
+            vec![(Instant, "marker", "fault:dup_discarded", t, no())],
+            vec![],
+            vec![],
+            vec![(Instant, "marker", "start_monitoring", t, no())],
+            vec![(Instant, "marker", "phase:allocation", t, no())],
+            vec![],
+        ];
+        for (ev, rows) in every_event().into_iter().zip(table) {
+            let mut out = Vec::new();
+            render(2, 1, t, ev, &mut out);
+            let want: Vec<TraceEvent> = rows
+                .into_iter()
+                .map(|(kind, cat, name, t_s, args)| TraceEvent {
+                    rank: 2,
+                    node: 1,
+                    kind,
+                    cat,
+                    name: name.to_string(),
+                    t_s,
+                    args,
+                })
+                .collect();
+            assert_eq!(out, want, "{ev:?}");
+        }
+    }
+
+    /// The kinds of record a rank with these sinks attached keeps, by
+    /// their position in [`every_event`] (each is heard at its position),
+    /// and the log's capacity.
+    fn kept(trace: bool, check: bool, faults: bool) -> (Vec<usize>, usize) {
+        let mut observers = Observers::new(trace, check, faults);
+        for (i, ev) in every_event().into_iter().enumerate() {
+            observers.hear(i as f64, ev);
+        }
+        let kept = observers.log.iter().map(|&(t, _)| t as usize).collect();
+        (kept, observers.log.capacity())
+    }
+
+    #[test]
+    fn the_mask_keeps_what_the_attached_sinks_read() {
+        // Checked only: the collective and the four monitor steps.
+        assert_eq!(kept(false, true, false).0, [9, 12, 13, 14, 15]);
+        // Faulted only: the two fault notes.
+        assert_eq!(kept(false, false, true).0, [10, 11]);
+        // Traced: everything, in emission order.
+        assert_eq!(kept(true, false, false).0, (0..16).collect::<Vec<_>>());
+        assert_eq!(kept(false, true, true).0, [9, 10, 11, 12, 13, 14, 15]);
+        // Unobserved: nothing kept, and the log never allocates.
+        assert_eq!(kept(false, false, false), (vec![], 0));
+        assert_eq!(Observers::default().mask, 0);
     }
 }

@@ -32,38 +32,38 @@
 //!
 //! Everything optional that watches a rank hangs off one spine: each
 //! operation ends in one [`RankCtx::emit`] of a [`RankEvent`] — a single
-//! branch when nothing listens — and [`event`] alone decides what the
-//! listeners hear. Three exist. Attach a [`TraceSink`] with
-//! [`Machine::with_trace`] and the events become [`trace`] spans
-//! (compute, point-to-point, every collective, the monitoring
-//! choreography). Attach a [`CheckSink`] with [`Machine::with_check`] and
-//! each rank logs the collectives and monitor steps among those events
-//! for [`check`], a MUST-style dynamic correctness checker that reports
-//! collective lockstep mismatches, leaked messages at finalize and
-//! monitor protocol breaches as structured [`Violation`]s, plus the
-//! runtime's deadlock report as DL001. The deadlock report needs no
-//! listener: a stuck run, checked or not, aborts as
+//! branch when nothing listens — and each rank keeps the events some
+//! attached sink reads in its one log of fixed-size `(t, event)` records
+//! ([`event`]). Three sinks exist, and each reads the banked records once
+//! the run stops. Attach a [`TraceSink`] with [`Machine::with_trace`] and
+//! the records are rendered into [`trace`] spans (compute, point-to-point,
+//! every collective, the monitoring choreography). Attach a [`CheckSink`]
+//! with [`Machine::with_check`] and the collective and monitor-step
+//! records are judged by [`check`], a MUST-style dynamic correctness
+//! checker that reports collective lockstep mismatches, leaked messages at
+//! finalize and monitor protocol breaches as structured [`Violation`]s,
+//! plus the runtime's deadlock report as DL001. The deadlock report needs
+//! no listener: a stuck run, checked or not, aborts as
 //! [`AbortKind::Deadlock`] naming what every parked rank waits on and the
 //! cycle among them (see [`Machine::try_run`]). Every other verdict is
 //! given once, after the run, from the ranks' logs, the ledger's compute
 //! spans and the finalize leftovers, so it does not depend on the order
 //! the ranks ran in. The checker watches the program, not the runtime:
 //! monotone clocks, receive causality and the collective tag layout are
-//! invariants the runtime holds itself, in every build — a
-//! collective that would need more tag chunks than the layout has dies
-//! as [`AbortKind::CollectiveContract`]. Attach a [`FaultSink`] with
-//! [`Machine::with_faults`] and [`RankEvent::Fault`] notes become the
-//! [`FaultReport`]'s tallies. Each rank keeps its trace events, its
-//! checker log and its fault tallies as plain state of its [`RankCtx`],
-//! appended without a lock; the machine banks all three when the rank's
-//! body ends, however it ends, next to its traffic tally, and hands them
-//! to their sinks in rank order once the run stops. Listeners are handed
-//! the clock by value, so an observed run is bit-identical in timing to an
-//! unobserved one; only a fault plan's *injections* — queries of the
-//! rank's [`RankFaults`] schedule, not events — may move a clock. The
-//! always-on traffic and ledger tallies are direct calls too: RAPL reads
-//! the ledger mid-run, so they are part of the simulation, not observers
-//! of it.
+//! invariants the runtime holds itself, in every build — a collective that
+//! would need more tag chunks than the layout has dies as
+//! [`AbortKind::CollectiveContract`]. Attach a [`FaultSink`] with
+//! [`Machine::with_faults`] and the [`RankEvent::Fault`] records are
+//! folded into the run's [`FaultReport`]. Each rank appends to its log as
+//! plain state of its [`RankCtx`], without a lock; the machine banks the
+//! log when the rank's body ends, however it ends, next to its traffic
+//! tally, and hands every rank's log to the sinks in rank order once the
+//! run stops. Listeners are handed the clock by value, so an observed run
+//! is bit-identical in timing to an unobserved one; only a fault plan's
+//! *injections* — queries of the rank's [`RankFaults`] schedule, not
+//! events — may move a clock. The always-on traffic and ledger tallies are
+//! direct calls too: RAPL reads the ledger mid-run, so they are part of
+//! the simulation, not observers of it.
 
 pub mod check;
 pub mod coll;

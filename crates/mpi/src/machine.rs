@@ -5,7 +5,7 @@
 use crate::check::CheckSink;
 use crate::context::RankCtx;
 use crate::error::{Abort, AbortKind, MachineError};
-use crate::event::Observers;
+use crate::event::{Observers, RankEvent};
 use crate::mailbox::Mailboxes;
 use crate::registry::{RankExit, Registry};
 use crate::sched::{Engine, SchedulerKind};
@@ -53,7 +53,7 @@ pub struct RunOutput<R> {
 struct Banked<R> {
     /// The result and final clock of a rank whose body returned.
     done: Option<(R, f64)>,
-    observers: Observers,
+    log: Vec<(f64, RankEvent)>,
     traffic: TrafficSnapshot,
 }
 
@@ -250,8 +250,6 @@ impl Machine {
         let world_members: Arc<Vec<usize>> = Arc::new((0..n).collect());
         let slots: Vec<Mutex<Option<Banked<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
 
-        let observed =
-            self.trace.is_enabled() || self.check.is_enabled() || self.faults.is_enabled();
         // One rank's whole life: build the context, run the closure, bank
         // the outputs. The engine decides only what carries this body.
         let run_rank = |rank: usize| {
@@ -271,15 +269,12 @@ impl Machine {
                 mail: &mail,
                 seqs: Default::default(),
                 world_members: Arc::clone(&world_members),
-                observers: Observers {
-                    rank,
-                    node: core.node,
-                    trace: self.trace.is_enabled().then(Vec::new),
-                    check: self.check.is_enabled().then(Vec::new),
-                    faults: self.faults.is_enabled().then(FaultReport::default),
-                },
+                observers: Observers::new(
+                    self.trace.is_enabled(),
+                    self.check.is_enabled(),
+                    self.faults.is_enabled(),
+                ),
                 faults: self.faults.handle(rank, core.node),
-                observed,
             };
             let done = match catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
                 Ok(r) => Some((r, ctx.clock)),
@@ -303,10 +298,10 @@ impl Machine {
                 }
             };
             // Every exit path: what an aborted rank sent still crossed the
-            // wire, and what it did up to its exit is in its logs.
+            // wire, and what it did up to its exit is in its log.
             *slots[rank].lock() = Some(Banked {
                 done,
-                observers: ctx.observers,
+                log: ctx.observers.log,
                 traffic: ctx.traffic,
             });
         };
@@ -322,49 +317,53 @@ impl Machine {
             .collect();
 
         let cause = registry.cause();
+        let node_of: Vec<usize> = (0..n).map(|r| self.placement.core_of(r).node).collect();
+        let mut faults = FaultReport::default();
         let mut leftovers = Vec::new();
         if cause.is_none() && (self.check.is_enabled() || self.faults.is_enabled()) {
             // Message hygiene, once every rank has stopped sending:
             // anything still in an inbox at finalize was sent but never
             // received (MSG001). Injected duplicates no receive searched
-            // past are tallied here, on the receiver's report, instead —
+            // past are tallied here, on the receiver's node, instead —
             // whether a duplicate is discarded mid-run or at finalize is a
             // wall-clock accident, but the total observed count is
             // deterministic.
-            for (rank, slot) in banked.iter_mut().enumerate() {
-                let observers = &mut slot.observers;
+            for (rank, &node) in node_of.iter().enumerate() {
                 for e in mail.drain(rank) {
-                    match &mut observers.faults {
-                        Some(report) if e.dup => {
-                            report.note(FaultNote::DupDiscarded, observers.node);
-                        }
-                        _ => leftovers.push((e.src, rank, e.comm_id, e.tag, e.arrival)),
+                    if e.dup {
+                        faults.note(FaultNote::DupDiscarded, node);
+                    } else {
+                        leftovers.push((e.src, rank, e.comm_id, e.tag, e.arrival));
                     }
                 }
             }
         }
-        // Every rank's logs are in, in rank order. The checker judges the
-        // run from its logs, the finished ledger and the leftovers, so its
-        // verdicts are the same whatever order the ranks ran in — and an
-        // aborted run reports them.
+        // Every rank's log is in, in rank order, and each sink reads it
+        // now: the trace renders it, the fault notes fold into the run's
+        // one report, and the checker judges the run from the logs, the
+        // finished ledger and the leftovers — so every verdict is the
+        // same whatever order the ranks ran in, and an aborted run
+        // reports them.
         let traffic = {
             let mut total = self.traffic.lock();
             banked.iter().for_each(|slot| total.add(&slot.traffic));
             *total
         };
-        let (mut traces, mut checks, mut faults) = (Vec::new(), Vec::new(), Vec::new());
-        for slot in &mut banked {
-            let logs = std::mem::take(&mut slot.observers);
-            traces.push(logs.trace);
-            checks.push(logs.check.unwrap_or_default());
-            faults.extend(logs.faults);
+        let logs: Vec<Vec<(f64, RankEvent)>> = (banked.iter_mut())
+            .map(|slot| std::mem::take(&mut slot.log))
+            .collect();
+        self.trace.bank(&node_of, &logs);
+        for (log, &node) in logs.iter().zip(&node_of) {
+            for &(_, ev) in log {
+                if let RankEvent::Fault(note) = ev {
+                    faults.note(note, node);
+                }
+            }
         }
-        self.trace.bank(traces);
-        self.faults.bank(faults);
-        let node_of: Vec<usize> = (0..n).map(|r| self.placement.core_of(r).node).collect();
+        self.faults.bank([faults]);
         self.check.end_run(
             &node_of,
-            &checks,
+            &logs,
             &mut |rank, t| {
                 let core = self.placement.core_of(rank);
                 self.ledger.span_across(core, ActivityKind::Compute, t)

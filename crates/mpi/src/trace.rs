@@ -10,12 +10,12 @@
 //! not (the harness tests assert this).
 //!
 //! With a [`TraceSink`] attached ([`crate::Machine::with_trace`]), each
-//! rank appends the [`TraceEvent`]s its operations narrate to its own
-//! buffer, without a lock (`crate::event` holds the mapping). The machine
-//! banks every rank's buffer when the rank's body ends, however it ends,
-//! and hands them to the sink in rank order once the run stops.
-//! [`TraceSink::disabled`] holds no allocation, and no rank buffers
-//! anything behind it.
+//! rank keeps every [`RankEvent`] it emits in its one log of `(t, event)`
+//! records ([`crate::event`]), without a lock. The machine banks every
+//! rank's log when the rank's body ends, however it ends, and once the run
+//! stops the sink renders the records into [`TraceEvent`]s, rank by rank —
+//! the one mapping from events to trace events. [`TraceSink::disabled`]
+//! holds no allocation, and no rank keeps a record for it.
 //!
 //! The harness's `chrome_trace` module converts drained events into Chrome
 //! Trace Event JSON (one Perfetto thread track per rank, one process per
@@ -54,6 +54,7 @@
 //! assert!(TraceSink::disabled().drain().is_empty());
 //! ```
 
+use crate::event::{MonitorStep, RankEvent};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -113,9 +114,9 @@ impl TraceSink {
         self.by_rank.is_some()
     }
 
-    /// Take one run's buffers, `logs[r]` being rank `r`'s (`None` for a
-    /// rank that never ran).
-    pub(crate) fn bank(&self, logs: Vec<Option<Vec<TraceEvent>>>) {
+    /// Render one run's banked logs, `logs[r]` being the records of rank
+    /// `r` on node `node_of[r]`, after what earlier runs banked.
+    pub(crate) fn bank(&self, node_of: &[usize], logs: &[Vec<(f64, RankEvent)>]) {
         let Some(by_rank) = &self.by_rank else {
             return;
         };
@@ -123,15 +124,9 @@ impl TraceSink {
         if by_rank.len() < logs.len() {
             by_rank.resize_with(logs.len(), Vec::new);
         }
-        for (slot, log) in by_rank.iter_mut().zip(logs) {
-            let Some(mut log) = log else {
-                continue;
-            };
-            // A rank's first buffer moves in whole, without copying its events.
-            if slot.is_empty() {
-                *slot = log;
-            } else {
-                slot.append(&mut log);
+        for (rank, (slot, log)) in by_rank.iter_mut().zip(logs).enumerate() {
+            for &(t, ev) in log {
+                render(rank, node_of[rank], t, ev, slot);
             }
         }
     }
@@ -150,20 +145,65 @@ impl TraceSink {
     }
 }
 
+/// Append the trace events that `ev`, recorded at `t_s` by `rank` on
+/// `node`, stands for: none for a record only the checker reads or a fault
+/// note without a marker, two for a compute charge (its span's begin and
+/// end), one for everything else.
+pub(crate) fn render(rank: usize, node: usize, t_s: f64, ev: RankEvent, out: &mut Vec<TraceEvent>) {
+    let mut push = |kind, cat, name: &str, t_s, args: &[(&'static str, f64)]| {
+        out.push(TraceEvent {
+            rank,
+            node,
+            kind,
+            cat,
+            name: name.to_string(),
+            t_s,
+            args: args.to_vec(),
+        });
+    };
+    match ev {
+        RankEvent::SpanBegin { cat, name } => push(EventKind::Begin, cat, name, t_s, &[]),
+        RankEvent::SpanEnd { cat, name } => push(EventKind::End, cat, name, t_s, &[]),
+        RankEvent::Mark(name) => push(EventKind::Instant, "marker", name, t_s, &[]),
+        RankEvent::Computed {
+            t0,
+            flops,
+            dram_bytes,
+        } => {
+            let args = [("flops", flops as f64), ("dram_bytes", dram_bytes as f64)];
+            push(EventKind::Begin, "compute", "compute", t0, &args);
+            push(EventKind::End, "compute", "compute", t_s, &[]);
+        }
+        RankEvent::SendBegin { dst, bytes } => {
+            let args = [("bytes", bytes as f64), ("dst", dst as f64)];
+            push(EventKind::Begin, "comm", "send", t_s, &args);
+        }
+        RankEvent::SendEnd => push(EventKind::End, "comm", "send", t_s, &[]),
+        RankEvent::RecvBegin { span, arg } => push(EventKind::Begin, "comm", span, t_s, &[arg]),
+        RankEvent::RecvEnd { span } => push(EventKind::End, "comm", span, t_s, &[]),
+        RankEvent::Fault(note) => {
+            if let Some(marker) = note.marker() {
+                push(EventKind::Instant, "marker", marker, t_s, &[]);
+            }
+        }
+        RankEvent::Monitor(MonitorStep::Start) => {
+            push(EventKind::Instant, "marker", "start_monitoring", t_s, &[]);
+        }
+        RankEvent::Monitor(MonitorStep::Phase(label)) => {
+            let name = format!("phase:{label}");
+            push(EventKind::Instant, "marker", &name, t_s, &[]);
+        }
+        RankEvent::CollEnter(_)
+        | RankEvent::Monitor(MonitorStep::NodeComm(_) | MonitorStep::End) => {}
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ev(rank: usize, name: &str) -> TraceEvent {
-        TraceEvent {
-            rank,
-            node: rank / 2,
-            kind: EventKind::Instant,
-            cat: "marker",
-            name: name.to_string(),
-            t_s: 0.0,
-            args: Vec::new(),
-        }
+    fn mark(name: &'static str) -> (f64, RankEvent) {
+        (0.0, RankEvent::Mark(name))
     }
 
     #[test]
@@ -171,21 +211,19 @@ mod tests {
         let sink = TraceSink::disabled();
         assert!(!sink.is_enabled());
         assert!(sink.by_rank.is_none(), "a disabled sink allocates nothing");
-        sink.bank(vec![Some(vec![ev(0, "a")])]);
+        sink.bank(&[0], &[vec![mark("a")]]);
         assert!(sink.drain().is_empty());
     }
 
     #[test]
     fn events_drain_in_rank_then_record_order() {
         // Two runs banked before one drain, the second with more ranks and
-        // a rank that never ran: each rank's events stay together, its
-        // first run's before its second's.
+        // a rank that recorded nothing: each rank's events stay together,
+        // its first run's before its second's.
         let sink = TraceSink::enabled();
-        sink.bank(vec![
-            Some(vec![ev(0, "a"), ev(0, "b")]),
-            Some(vec![ev(1, "c")]),
-        ]);
-        sink.bank(vec![None, Some(vec![ev(1, "d")]), Some(vec![ev(2, "e")])]);
+        let node_of = [0, 0, 1];
+        sink.bank(&node_of, &[vec![mark("a"), mark("b")], vec![mark("c")]]);
+        sink.bank(&node_of, &[vec![], vec![mark("d")], vec![mark("e")]]);
         let events = sink.drain();
         let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, ["a", "b", "c", "d", "e"]);
