@@ -25,17 +25,15 @@
 //! one block of slack.
 //!
 //! Starts never decrease on a core, so the spans that started before `t`
-//! are a prefix. A read finds it with two binary searches: the last gap
-//! that started before `t`, then the first span after that gap whose
-//! predecessor ended at or after `t`. A third search finds the last
-//! checkpoint inside the prefix whose spans of the kind all ended by `t`;
-//! each of those contributes exactly its duration. The remaining spans of
-//! the kind in the prefix are clipped at `t` and folded on top, walking
-//! the gap list alongside: at most 64 timeline spans, since the runtime's
+//! are a prefix, found by two binary searches: the last gap that started
+//! before `t`, then the first span after it whose predecessor ended at or
+//! after `t`. A third finds the last checkpoint in the prefix whose spans
+//! of both kinds all ended by `t`. One walk from there clips each span at
+//! `t` and adds it to its own kind: at most 64 spans, since the runtime's
 //! spans on one core never overlap, so only the last one before `t` can
-//! end after it. That is the left fold `Iterator::sum::<f64>` computes
-//! over every clipped span of the prefix, from the same initial value and
-//! in the same order, so a read returns the bits of a full scan.
+//! end after it. Per kind that is the left fold `Iterator::sum::<f64>`
+//! computes over the kind's clipped spans, from the same initial value and
+//! in the same order, so one read returns both kinds' bits of a full scan.
 //!
 //! A rank in a barrier or split opens its wait at its arrival
 //! ([`Ledger::open_wait`]) and closes it at the release. Open, it is its
@@ -143,6 +141,15 @@ impl<T: Copy> Blocks<T> {
 
     fn last_mut(&mut self) -> Option<&mut T> {
         self.blocks.last_mut()?.last_mut()
+    }
+
+    /// The items of `range`, in order, a block's slice at a time.
+    fn iter(&self, Range { start, end }: Range<usize>) -> impl Iterator<Item = T> + '_ {
+        (start / BLOCK..end.div_ceil(BLOCK)).flat_map(move |b| {
+            let at = b * BLOCK;
+            let items = &self.blocks[b][start.max(at) - at..end.min(at + BLOCK) - at];
+            items.iter().copied()
+        })
     }
 
     /// The first index of `range` whose item fails `pred`, which holds on
@@ -258,34 +265,33 @@ impl CoreLog {
     }
 
     fn kind(&self, i: usize) -> ActivityKind {
-        if self.comm[i / 64] >> (i % 64) & 1 == 1 {
-            ActivityKind::Comm
-        } else {
-            ActivityKind::Compute
-        }
+        [ActivityKind::Compute, ActivityKind::Comm][(self.comm[i / 64] >> (i % 64) & 1) as usize]
     }
 
     /// Spans `range` as `(kind, start, end)`, in record order, walking the
     /// gap list alongside.
     fn spans(&self, range: Range<usize>) -> impl Iterator<Item = (ActivityKind, f64, f64)> + '_ {
-        let mut gap = self
+        let first_gap = self
             .gaps
             .partition_point(0..self.gaps.len(), |(i, _)| i < range.start);
+        let mut gaps = self.gaps.iter(first_gap..self.gaps.len());
+        let mut next_gap = gaps.next();
         // Unread when `range` starts at span 0, which is a gap.
         let mut prev_end = range
             .start
             .checked_sub(1)
             .map_or(f64::NAN, |i| self.ends[i]);
-        range.map(move |i| {
-            let start = match self.gaps.get(gap) {
+        let ends = self.ends.iter(range.clone());
+        range.zip(ends).map(move |(i, end)| {
+            let start = match next_gap {
                 Some((at, start)) if at == i => {
-                    gap += 1;
+                    next_gap = gaps.next();
                     start
                 }
                 _ => prev_end,
             };
-            prev_end = self.ends[i];
-            (self.kind(i), start, prev_end)
+            prev_end = end;
+            (self.kind(i), start, end)
         })
     }
 
@@ -304,28 +310,24 @@ impl CoreLog {
         self.ends.partition_point(first..next - 1, |end| end < t) + 1
     }
 
-    /// `Σ min(end, t) − start` over the spans of `kind` with `start < t`,
-    /// in record order, and last over a `Comm` wait open since `wait`,
-    /// ending at `+∞`.
-    fn busy_until(&self, kind: ActivityKind, t: f64) -> f64 {
+    /// `Σ min(end, t) − start` by `ActivityKind as usize` over the spans with
+    /// `start < t` in record order, then a `Comm` wait open since `wait` as if ending at `+∞`.
+    fn busy_until(&self, t: f64) -> [f64; 2] {
         let prefix = self.started_before(t);
-        // Checkpoints wholly inside the prefix whose spans of `kind` all
-        // ended by `t` contribute unclipped durations.
         let k = self
             .checkpoints
-            .partition_point(0..prefix / STRIDE, |cp| cp[kind as usize].max_end <= t);
-        let (from, init) = match k {
-            0 => (0, Fold::empty().busy),
-            k => (k * STRIDE, self.checkpoints[k - 1][kind as usize].busy),
-        };
-        let closed = self
-            .spans(from..prefix)
-            .filter(|&(of, _, _)| of == kind)
-            .fold(init, |acc, (_, start, end)| acc + (end.min(t) - start));
-        match self.wait {
-            Some(start) if kind == ActivityKind::Comm && start < t => closed + (t - start),
-            _ => closed,
+            .partition_point(0..prefix / STRIDE, |cp| cp.iter().all(|f| f.max_end <= t));
+        let before = k
+            .checked_sub(1)
+            .map_or([Fold::empty(); 2], |k| self.checkpoints[k]);
+        let mut busy = before.map(|fold| fold.busy);
+        for (kind, start, end) in self.spans(k * STRIDE..prefix) {
+            busy[kind as usize] += end.min(t) - start;
         }
+        if let Some(start) = self.wait.filter(|&start| start < t) {
+            busy[ActivityKind::Comm as usize] += t - start;
+        }
+        busy
     }
 
     /// Heap bytes held by the span and DRAM records, slack included.
@@ -443,9 +445,9 @@ impl Ledger {
         }
     }
 
-    /// Seconds core `core` spent in activity `kind` up to virtual time `t`.
-    pub fn core_busy_until(&self, core: CoreId, kind: ActivityKind, t: f64) -> f64 {
-        self.core_slot(core).lock().busy_until(kind, t)
+    /// Seconds `core` spent in each activity up to `t`, by `ActivityKind as usize`.
+    pub fn core_busy_until(&self, core: CoreId, t: f64) -> [f64; 2] {
+        self.core_slot(core).lock().busy_until(t)
     }
 
     /// `core`'s recorded span of `kind` running across `t` — started
@@ -459,12 +461,11 @@ impl Ledger {
         (last_kind == kind && end > t).then_some((start, end))
     }
 
-    /// Total busy seconds in `kind`, summed over every core of `(node,
-    /// socket)`, up to time `t`.
-    pub fn socket_busy_until(&self, node: usize, socket: usize, kind: ActivityKind, t: f64) -> f64 {
+    /// [`Ledger::core_busy_until`] summed in core order over `(node, socket)`.
+    pub fn socket_busy_until(&self, node: usize, socket: usize, t: f64) -> [f64; 2] {
         (0..self.node_spec.cpu.cores_per_socket)
-            .map(|c| self.core_busy_until(CoreId::new(node, socket, c), kind, t))
-            .sum()
+            .map(|c| self.core_busy_until(CoreId::new(node, socket, c), t))
+            .fold([Fold::empty().busy; 2], |[a, b], [x, y]| [a + x, b + y])
     }
 
     /// DRAM bytes moved on `(node, socket)` up to time `t`.
@@ -519,11 +520,11 @@ mod tests {
         let c = CoreId::new(0, 0, 0);
         l.record(c, iv(0.0, 1.0, ActivityKind::Compute, 100));
         l.record(c, iv(2.0, 4.0, ActivityKind::Compute, 200));
-        assert_eq!(l.core_busy_until(c, ActivityKind::Compute, 10.0), 3.0);
+        assert_eq!(l.core_busy_until(c, 10.0), [3.0, 0.0]);
         // Clip at t = 3.0: first interval full, second half.
-        assert_eq!(l.core_busy_until(c, ActivityKind::Compute, 3.0), 2.0);
+        assert_eq!(l.core_busy_until(c, 3.0), [2.0, 0.0]);
         // Before anything started.
-        assert_eq!(l.core_busy_until(c, ActivityKind::Compute, 0.0), 0.0);
+        assert_eq!(l.core_busy_until(c, 0.0), [0.0, 0.0]);
     }
 
     #[test]
@@ -531,8 +532,9 @@ mod tests {
         let l = ledger();
         let c = CoreId::new(0, 1, 2);
         l.record(c, iv(0.0, 1.0, ActivityKind::Comm, 0));
-        assert_eq!(l.core_busy_until(c, ActivityKind::Compute, 2.0), 0.0);
-        assert_eq!(l.core_busy_until(c, ActivityKind::Comm, 2.0), 1.0);
+        let busy = l.core_busy_until(c, 2.0);
+        assert_eq!(busy[ActivityKind::Compute as usize], 0.0);
+        assert_eq!(busy[ActivityKind::Comm as usize], 1.0);
     }
 
     #[test]
@@ -550,7 +552,7 @@ mod tests {
             CoreId::new(1, 1, 0),
             iv(0.0, 5.0, ActivityKind::Compute, 40),
         );
-        assert_eq!(l.socket_busy_until(1, 0, ActivityKind::Compute, 10.0), 3.0);
+        assert_eq!(l.socket_busy_until(1, 0, 10.0), [3.0, 0.0]);
         assert_eq!(l.total_flops(), 70);
     }
 
@@ -577,11 +579,11 @@ mod tests {
         let wait = l.open_wait(c, 2.0);
         assert_eq!(l.dram_bytes_until(0, 0, 1.0), 0);
         assert_eq!(l.dram_bytes_until(0, 0, 1.0 + 1e-12), 64);
-        assert_eq!(l.core_busy_until(c, ActivityKind::Compute, 1.0), 0.0);
-        assert_eq!(l.core_busy_until(c, ActivityKind::Comm, 2.0), 0.0);
-        assert_eq!(l.core_busy_until(c, ActivityKind::Comm, 2.5), 0.5);
+        assert_eq!(l.core_busy_until(c, 1.0), [0.0, 0.0]);
+        assert_eq!(l.core_busy_until(c, 2.0), [1.0, 0.0]);
+        assert_eq!(l.core_busy_until(c, 2.5), [1.0, 0.5]);
         wait.close(3.0);
-        assert_eq!(l.core_busy_until(c, ActivityKind::Comm, 2.0), 0.0);
+        assert_eq!(l.core_busy_until(c, 2.0), [1.0, 0.0]);
     }
 
     #[test]
@@ -606,8 +608,8 @@ mod tests {
     fn socket_touched_detects_idle_socket() {
         let l = ledger();
         l.record(CoreId::new(0, 0, 0), iv(0.0, 1.0, ActivityKind::Compute, 1));
-        assert_eq!(l.socket_busy_until(0, 0, ActivityKind::Compute, 2.0), 1.0);
-        assert_eq!(l.socket_busy_until(0, 1, ActivityKind::Compute, 2.0), 0.0);
+        assert_eq!(l.socket_busy_until(0, 0, 2.0), [1.0, 0.0]);
+        assert_eq!(l.socket_busy_until(0, 1, 2.0), [0.0, 0.0]);
     }
 
     #[test]
@@ -730,18 +732,23 @@ mod tests {
         probes: impl IntoIterator<Item = f64>,
     ) {
         let spec = ledger.node_spec();
+        const KINDS: [ActivityKind; 2] = [ActivityKind::Compute, ActivityKind::Comm];
         for t in probes {
-            for kind in [ActivityKind::Compute, ActivityKind::Comm] {
-                for c in 0..spec.cpu.cores_per_socket {
-                    let core = CoreId::new(node, socket, c);
+            for c in 0..spec.cpu.cores_per_socket {
+                let core = CoreId::new(node, socket, c);
+                let read = ledger.core_busy_until(core, t);
+                for kind in KINDS {
                     assert_eq!(
-                        ledger.core_busy_until(core, kind, t).to_bits(),
+                        read[kind as usize].to_bits(),
                         scan.core_busy_until(core, kind, t).to_bits(),
                         "{core:?} {kind:?} at t = {t}"
                     );
                 }
+            }
+            let read = ledger.socket_busy_until(node, socket, t);
+            for kind in KINDS {
                 assert_eq!(
-                    ledger.socket_busy_until(node, socket, kind, t).to_bits(),
+                    read[kind as usize].to_bits(),
                     scan.socket_busy_until(spec, node, socket, kind, t)
                         .to_bits(),
                     "socket ({node}, {socket}) {kind:?} at t = {t}"
@@ -914,6 +921,43 @@ mod tests {
             assert_reads_match(&ledger, &scan, (0, 0), probes.iter().copied());
         }
         assert_eq!(ledger.max_time().to_bits(), (start + 0.25).to_bits());
+
+        // The kinds' own checkpoint searches disagree: a long span of one
+        // kind, then at least 3·STRIDE short spans of the other starting
+        // under it. Until the long span ends, every checkpoint holds its
+        // end, while the short kind's spans have all ended by later and
+        // later ones; outside Miri the walks from the first checkpoint
+        // also cross a block boundary. Each of the socket's two cores takes
+        // one order of the kinds.
+        let short_spans = if cfg!(miri) {
+            3 * STRIDE
+        } else {
+            BLOCK + STRIDE
+        };
+        let ledger = Ledger::new(spec.clone(), 1);
+        let mut scan = Scan::default();
+        let long_end = (short_spans + STRIDE) as f64;
+        let mut probes = vec![long_end, long_end + 1.0, f64::INFINITY];
+        let orders = [
+            [ActivityKind::Compute, ActivityKind::Comm],
+            [ActivityKind::Comm, ActivityKind::Compute],
+        ];
+        for (c, [long, short]) in orders.into_iter().enumerate() {
+            let core = CoreId::new(0, 0, c);
+            let shorts = (0..=short_spans).map(|k| iv(k as f64, k as f64 + 0.5, short, 1));
+            for span in std::iter::once(iv(0.0, long_end, long, 1)).chain(shorts) {
+                ledger.record(core, span);
+                scan.cores.entry(core).or_default().push(span);
+                probes.extend([span.start, span.end, span.start + 0.25]);
+            }
+            let log = ledger.core_slot(core).lock();
+            assert_eq!(log.checkpoints.len(), (short_spans + 2) / STRIDE);
+            assert!((0..log.checkpoints.len()).all(|k| {
+                let cp = log.checkpoints[k];
+                cp[long as usize].max_end == long_end && cp[short as usize].max_end < long_end
+            }));
+        }
+        assert_reads_match(&ledger, &scan, (0, 0), probes);
     }
 
     #[test]

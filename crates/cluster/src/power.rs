@@ -15,7 +15,7 @@
 //!   (2n² table vs n² matrix) produces a visible DRAM gap (12–42 %).
 
 use crate::jitter;
-use crate::ledger::{ActivityKind, Ledger};
+use crate::ledger::Ledger;
 use serde::{Deserialize, Serialize};
 
 /// Power/energy coefficients for one node type.
@@ -152,6 +152,13 @@ impl PowerModel {
             + comming as f64 * self.core_comm_w * f3
     }
 
+    /// Dynamic core energy of `(node, socket)` up to `t` before jitter: one socket read.
+    fn core_dynamic_j(&self, ledger: &Ledger, node: usize, socket: usize, t: f64) -> f64 {
+        let [compute_s, comm_s] = ledger.socket_busy_until(node, socket, t);
+        let f3 = self.freq_scale.powi(3);
+        compute_s * self.core_compute_w * f3 + comm_s * self.core_comm_w * f3
+    }
+
     /// Energy consumed by package `(node, socket)` from virtual time 0 to
     /// `t`, in joules, for run `seed`.
     pub fn pkg_energy_j(
@@ -162,14 +169,10 @@ impl PowerModel {
         t: f64,
         seed: u64,
     ) -> f64 {
-        let spec = ledger.node_spec();
-        let cores = spec.cpu.cores_per_socket as f64;
+        let cores = ledger.node_spec().cpu.cores_per_socket as f64;
         let base = (self.pkg_uncore_w + cores * self.core_idle_w) * t;
-        let compute_s = ledger.socket_busy_until(node, socket, ActivityKind::Compute, t);
-        let comm_s = ledger.socket_busy_until(node, socket, ActivityKind::Comm, t);
-        let f3 = self.freq_scale.powi(3);
-        let dynamic = compute_s * self.core_compute_w * f3 + comm_s * self.core_comm_w * f3;
-        (base + dynamic) * jitter::node_power(seed, node, self.power_sigma)
+        (base + self.core_dynamic_j(ledger, node, socket, t))
+            * jitter::node_power(seed, node, self.power_sigma)
     }
 
     /// Energy consumed by the *core* (PP0) domain of `(node, socket)` up to
@@ -183,14 +186,10 @@ impl PowerModel {
         t: f64,
         seed: u64,
     ) -> f64 {
-        let spec = ledger.node_spec();
-        let cores = spec.cpu.cores_per_socket as f64;
+        let cores = ledger.node_spec().cpu.cores_per_socket as f64;
         let base = cores * self.core_idle_w * t;
-        let compute_s = ledger.socket_busy_until(node, socket, ActivityKind::Compute, t);
-        let comm_s = ledger.socket_busy_until(node, socket, ActivityKind::Comm, t);
-        let f3 = self.freq_scale.powi(3);
-        let dynamic = compute_s * self.core_compute_w * f3 + comm_s * self.core_comm_w * f3;
-        (base + dynamic) * jitter::node_power(seed, node, self.power_sigma)
+        (base + self.core_dynamic_j(ledger, node, socket, t))
+            * jitter::node_power(seed, node, self.power_sigma)
     }
 
     /// Energy consumed by the DRAM domain of `(node, socket)` up to `t`.
@@ -284,6 +283,43 @@ mod tests {
             pm.pkg_energy_j(&ledger, 0, 0, 1.0, 0)
         };
         assert!(mk(ActivityKind::Compute) > mk(ActivityKind::Comm));
+    }
+
+    #[test]
+    fn pp0_is_the_package_less_its_uncore() {
+        // Compute and comm spans on one socket of a jittered node: PP0 is
+        // the idle floor plus both kinds' dynamic energy, and the package
+        // adds exactly the uncore.
+        let pm = PowerModel::marconi_a3();
+        let ledger = Ledger::new(NodeSpec::marconi_a3(), 2);
+        let (node, socket, t, seed) = (1, 0, 3.0, 1);
+        for (c, end, kind) in [
+            (0, 2.0, ActivityKind::Compute),
+            (1, 2.25, ActivityKind::Comm),
+            (2, 2.5, ActivityKind::Compute),
+        ] {
+            let span = Interval {
+                start: 0.5,
+                end,
+                kind,
+                flops: 0,
+            };
+            ledger.record(CoreId::new(node, socket, c), span);
+        }
+        let pkg = pm.pkg_energy_j(&ledger, node, socket, t, seed);
+        let pp0 = pm.pp0_energy_j(&ledger, node, socket, t, seed);
+        let power = jitter::node_power(seed, node, pm.power_sigma);
+        assert_ne!(power, 1.0);
+        let uncore = pm.pkg_uncore_w * t * power;
+        assert!(
+            ((pkg - pp0) / uncore - 1.0).abs() < 1e-12,
+            "{pkg} − {pp0} vs {uncore}"
+        );
+        let cores = 24.0 * pm.core_idle_w * t;
+        let dynamic = 3.5 * pm.core_compute_w + 1.75 * pm.core_comm_w;
+        let expected = (cores + dynamic) * power;
+        assert!((pp0 / expected - 1.0).abs() < 1e-12, "{pp0} vs {expected}");
+        assert!(pp0 < pkg);
     }
 
     #[test]

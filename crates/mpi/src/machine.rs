@@ -493,7 +493,8 @@ mod tests {
             let comm_at = |t: f64| -> Vec<f64> {
                 (0..8)
                     .map(|r| {
-                        ledger.core_busy_until(m.placement().core_of(r), ActivityKind::Comm, t)
+                        ledger.core_busy_until(m.placement().core_of(r), t)
+                            [ActivityKind::Comm as usize]
                     })
                     .collect()
             };
@@ -542,7 +543,8 @@ mod tests {
             let m = machine(8).with_scheduler(kind);
             let ledger = m.ledger();
             let comm = |r: usize| {
-                ledger.core_busy_until(m.placement().core_of(r), ActivityKind::Comm, f64::INFINITY)
+                ledger.core_busy_until(m.placement().core_of(r), f64::INFINITY)
+                    [ActivityKind::Comm as usize]
             };
             let before: Vec<Mutex<f64>> = (0..8).map(|_| Mutex::new(f64::NAN)).collect();
             let abort = m
@@ -885,11 +887,10 @@ mod tests {
         // Receiver's clock advanced past the sender's work…
         assert!(out.results[1] > 0.04);
         // …but its core shows (almost) no busy time: only the wake-up o.
-        let busy = m.ledger().core_busy_until(
-            m.placement().core_of(1),
-            greenla_cluster::ledger::ActivityKind::Comm,
-            f64::INFINITY,
-        );
+        let busy = m
+            .ledger()
+            .core_busy_until(m.placement().core_of(1), f64::INFINITY)
+            [greenla_cluster::ledger::ActivityKind::Comm as usize];
         assert!(
             busy < 1e-6,
             "idle wait must not record busy time, got {busy}"
